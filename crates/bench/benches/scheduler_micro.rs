@@ -70,15 +70,6 @@ fn bench_substrates(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrates");
     group.sample_size(20);
 
-    group.bench_function("dary_heap_push_pop_10k", |b| {
-        b.iter(|| {
-            let mut heap = DAryHeap::new(4);
-            for i in 0..OPS {
-                heap.push(Task::new((i * 48_271) % OPS, i));
-            }
-            while heap.pop().is_some() {}
-        })
-    });
     group.bench_function("stealing_buffer_fill_steal", |b| {
         let buffer: StealingBuffer<Task> = StealingBuffer::new(16);
         let batch: Vec<Task> = (0..16).map(|i| Task::new(i, i)).collect();
@@ -102,6 +93,35 @@ fn bench_substrates(c: &mut Criterion) {
             hits
         })
     });
+    group.finish();
+}
+
+/// The d-ary heap in the regime the schedulers keep it in: a resident set
+/// of fixed size, every pop followed by a push a little further on (the hold
+/// model, increment `1 + rng % 1024`).  One iteration is `OPS` such pairs on
+/// a heap that lives across iterations.  1 Ki tasks sit in L1, 16 Ki (one
+/// thread of the repo benchmark's `hold_smq`) in L2, 1 Mi in neither; arity
+/// 2, 4 and 8 are the ones with a specialised sift kernel.
+fn bench_heap_hold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dary_heap_hold_10k");
+    group.sample_size(10);
+    for resident in [1usize << 10, 1 << 14, 1 << 20] {
+        for arity in [2usize, 4, 8] {
+            let mut rng = smq_core::rng::Pcg32::new(resident as u64);
+            let mut heap = DAryHeap::with_capacity(arity, resident + 1);
+            heap.extend((0..resident as u64).map(|i| Task::new(rng.next_u64() >> 44, i)));
+            let id = BenchmarkId::new(format!("arity_{arity}"), resident);
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    for i in 0..OPS {
+                        let task = heap.pop().expect("the hold model never drains the heap");
+                        heap.push(Task::new(task.key + 1 + rng.next_u64() % 1024, i));
+                    }
+                })
+            });
+            assert_eq!(heap.len(), resident);
+        }
+    }
     group.finish();
 }
 
@@ -145,6 +165,7 @@ criterion_group!(
     benches,
     bench_schedulers,
     bench_substrates,
+    bench_heap_hold,
     report_locks_per_pop
 );
 criterion_main!(benches);

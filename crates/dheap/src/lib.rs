@@ -11,11 +11,102 @@
 //! The heap is deliberately *sequential*: all synchronization lives outside,
 //! either in the per-queue lock of the classic Multi-Queue or in the
 //! epoch-stamped stealing buffer of the SMQ.
+//!
+//! # The sift kernel
+//!
+//! Every scheduler in the workspace spends most of its time in `push` and
+//! `pop` of this type, so the two sift loops are written the way
+//! `std::collections::BinaryHeap` writes them, generalised to `d` children:
+//!
+//! * **Hole.**  The element being sifted is lifted out of the array into a
+//!   `Hole` and each level *moves* one element into the vacated slot (one
+//!   16-byte copy for a `Task`) instead of swapping two.
+//! * **No bounds checks** on the sift path; see "Safety" below.
+//! * **Arity specialisation.**  The fan-out stays a runtime field, but
+//!   `push`, `pop` and the bulk rebuild branch on it once and run a kernel
+//!   instantiated for `Fixed<2>`, `Fixed<4>` or `Fixed<8>` (parent and child
+//!   indices by shifts, a child scan with a constant trip count) or for
+//!   `Dynamic` (any other arity: a division per level going up, one per
+//!   sift going down).
+//! * **Child scan.**  A plain left-to-right scan for the smallest child.
+//!   Which child wins is close to a coin toss, so the scan keeps its running
+//!   best with `select_unpredictable` instead of a branch.
+//! * **Prefetch.**  A scan that does not branch leaves the processor
+//!   nothing to guess, so it no longer runs ahead into the next level the
+//!   way it did on a predicted branch.  That costs nothing while the heap
+//!   sits in the owner's cache (an SMQ local queue), but a Multi-Queue
+//!   sub-queue's lines are usually in another core's cache and the misses
+//!   of successive levels would queue up behind each other.  `sift_down`
+//!   therefore requests a node's grandchildren before it scans the
+//!   children (x86-64 only; a no-op elsewhere).
+//! * **Pop.**  The last element goes straight into a hole opened at the
+//!   root and sifts down from there; it is never written to slot 0 first.
+//! * **Bulk load.**  `extend` appends and then either sifts the new tail up
+//!   element by element or, when the tail is at least as long as the heap
+//!   it joins, rebuilds the whole array bottom-up in O(n).
+//!
+//! # Safety
+//!
+//! All `unsafe` code is in this file and rests on one invariant.
+//!
+//! **The hole invariant.**  While a `Hole { data, elt, pos }` is alive,
+//! `pos < data.len()`, the slot `data[pos]` is logically uninitialised, and
+//! `elt` is the only owner of the value lifted out of the array (or handed
+//! to the hole).  Every other slot holds a live value.  `Hole`'s `Drop`
+//! writes `elt` back into `data[pos]`, so whenever a hole goes away —
+//! normally or because a comparison panicked — the slice is fully
+//! initialised again and every element is owned exactly once: nothing
+//! leaks, nothing is dropped twice.  (After a panic the order may no longer
+//! be a heap order; that is a logic error of the panicking `Ord`, never a
+//! memory error.)
+//!
+//! The `unsafe` blocks, and why each holds:
+//!
+//! * `Hole::new` reads `data[pos]` out with `ptr::read`.  Its contract is
+//!   `pos < data.len()`; the copy does not duplicate ownership because the
+//!   slot counts as empty from then on.
+//! * `Hole::holding` only records its arguments; its contract (`pos` in
+//!   bounds, `data[pos]` already read out by the caller) establishes the
+//!   invariant.
+//! * `Hole::get` and `Hole::move_to` index unchecked.  Their contract is
+//!   `index < data.len()` and `index != pos`, both `debug_assert!`ed:
+//!   `get` then reads a live slot, `move_to` copies a live slot into the
+//!   empty one and makes the source the empty one, which keeps the
+//!   invariant.
+//! * `Hole::drop` writes into `data[pos]`: in bounds and empty by the
+//!   invariant, and `elt` is never touched again.
+//! * `sift_up` (contract `pos < data.len()`) only ever names
+//!   `parent = (pos - 1) / d` with `pos > 0`, so `parent < pos < len`.
+//! * `sift_down` names children of `pos` only after `pos < (len - 1) / d`,
+//!   which gives `pos < d * pos + 1` and `d * pos + d <= len - 1`; the one
+//!   node that may have fewer than `d` children is handled after
+//!   `pos == (len - 1) / d`, scanning `d * pos + 1 .. len`.  Comparing
+//!   before multiplying also keeps `d * pos` from overflowing for any
+//!   `arity >= 2` and any length.
+//! * `prefetch_range` passes `_mm_prefetch` addresses inside a sub-slice it
+//!   has just bounds-checked; a prefetch reads nothing the program can
+//!   observe and cannot fault.
+//! * `push` calls `sift_up` with the index of the element it just pushed.
+//! * `pop` reads `data[0]` out of a non-empty `Vec` and next opens the
+//!   hole that will refill slot 0; nothing in between can panic,
+//!   and the minimum it read is an ordinary local that unwinding drops.
+//! * `rebuild_tail` opens holes at `pos <= (len - 2) / d < len` and calls
+//!   `sift_up` for `pos` in `start..len`.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+
+use std::hint::select_unpredictable;
+use std::mem::ManuallyDrop;
+use std::ptr;
 
 /// Default fan-out used by the paper's implementation.
 pub const DEFAULT_ARITY: usize = 4;
+
+/// Most bytes `sift_down` requests ahead per level.  Enough for all sixteen
+/// grandchildren of a 4-ary node of 16-byte tasks; a node has `arity²`
+/// grandchildren, so a wide fan-out needs the bound.
+const PREFETCH_BYTES: usize = 512;
 
 /// A sequential d-ary min-heap over any totally ordered element type.
 ///
@@ -25,6 +116,278 @@ pub const DEFAULT_ARITY: usize = 4;
 pub struct DAryHeap<T> {
     arity: usize,
     data: Vec<T>,
+}
+
+/// The fan-out as the sift kernels see it: a compile-time constant for the
+/// specialised arities, the heap's runtime field for the rest.
+trait Fanout: Copy {
+    fn get(self) -> usize;
+}
+
+#[derive(Clone, Copy)]
+struct Fixed<const D: usize>;
+
+impl<const D: usize> Fanout for Fixed<D> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        D
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Dynamic(usize);
+
+impl Fanout for Dynamic {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self.0
+    }
+}
+
+/// Evaluates `$body` with `$d` bound to the [`Fanout`] for `$arity`, so the
+/// kernels called in `$body` are instantiated once per specialised arity.
+macro_rules! with_fanout {
+    ($arity:expr, |$d:ident| $body:expr) => {
+        match $arity {
+            2 => {
+                let $d = Fixed::<2>;
+                $body
+            }
+            4 => {
+                let $d = Fixed::<4>;
+                $body
+            }
+            8 => {
+                let $d = Fixed::<8>;
+                $body
+            }
+            other => {
+                let $d = Dynamic(other);
+                $body
+            }
+        }
+    };
+}
+
+/// One slot of `data`, `data[pos]`, whose value has been lifted out into
+/// `elt`; dropping the hole writes it back.  See the module docs.
+struct Hole<'a, T> {
+    data: &'a mut [T],
+    elt: ManuallyDrop<T>,
+    pos: usize,
+}
+
+impl<'a, T> Hole<'a, T> {
+    /// Lifts `data[pos]` out of the slice.
+    ///
+    /// # Safety
+    /// `pos < data.len()`.
+    #[inline]
+    unsafe fn new(data: &'a mut [T], pos: usize) -> Self {
+        debug_assert!(pos < data.len());
+        // SAFETY: `pos` is in bounds (caller).  The bitwise copy makes `elt`
+        // the value's only owner because the slot is treated as empty until
+        // `drop` overwrites it.
+        unsafe {
+            let elt = ptr::read(data.get_unchecked(pos));
+            Self::holding(data, pos, elt)
+        }
+    }
+
+    /// Opens a hole at `data[pos]` that carries `elt` instead of the slot's
+    /// own value.
+    ///
+    /// # Safety
+    /// `pos < data.len()`, and the caller has already moved the value out of
+    /// `data[pos]` with `ptr::read` and owns it.
+    #[inline]
+    unsafe fn holding(data: &'a mut [T], pos: usize, elt: T) -> Self {
+        debug_assert!(pos < data.len());
+        Hole {
+            data,
+            elt: ManuallyDrop::new(elt),
+            pos,
+        }
+    }
+
+    #[inline]
+    fn element(&self) -> &T {
+        &self.elt
+    }
+
+    /// # Safety
+    /// `index < data.len()` and `index != pos`.
+    #[inline]
+    unsafe fn get(&self, index: usize) -> &T {
+        debug_assert!(index != self.pos);
+        debug_assert!(index < self.data.len());
+        // SAFETY: in bounds and not the empty slot (caller).
+        unsafe { self.data.get_unchecked(index) }
+    }
+
+    /// Moves `data[index]` into the hole; the hole is then at `index`.
+    ///
+    /// # Safety
+    /// `index < data.len()` and `index != pos`.
+    #[inline]
+    unsafe fn move_to(&mut self, index: usize) {
+        debug_assert!(index != self.pos);
+        debug_assert!(index < self.data.len());
+        // SAFETY: both slots are in bounds and distinct (caller, and the
+        // hole invariant for `pos`); the destination is the empty slot, so
+        // nothing is overwritten, and the source becomes the empty slot.
+        unsafe {
+            let base = self.data.as_mut_ptr();
+            ptr::copy_nonoverlapping(base.add(index), base.add(self.pos), 1);
+        }
+        self.pos = index;
+    }
+}
+
+impl<T> Drop for Hole<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        // SAFETY: `pos < data.len()` by the hole invariant; the slot is
+        // empty, so the write overwrites no live value, and `elt` is never
+        // used again (`ManuallyDrop`, and the hole is going away).
+        unsafe {
+            let slot = self.data.get_unchecked_mut(self.pos);
+            ptr::copy_nonoverlapping(&*self.elt, slot, 1);
+        }
+    }
+}
+
+/// Asks for the cache lines that hold `data[start..end]`, clamped to the
+/// slice and to [`PREFETCH_BYTES`].  A hint only: it does nothing where std
+/// has no stable prefetch.
+#[inline]
+fn prefetch_range<T>(data: &[T], start: usize, end: usize) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        if size_of::<T>() == 0 {
+            return;
+        }
+        let end = end
+            .min(data.len())
+            .min(start.saturating_add(PREFETCH_BYTES / size_of::<T>()));
+        if start >= end {
+            return;
+        }
+        let bytes = data[start..end].as_ptr_range();
+        let last = bytes.end.cast::<i8>().wrapping_sub(1);
+        let mut line = bytes.start.cast::<i8>();
+        // SAFETY: a prefetch reads nothing the program can observe and
+        // cannot fault, and every address passed lies inside
+        // `data[start..end]`.
+        unsafe {
+            while line < last {
+                _mm_prefetch::<_MM_HINT_T0>(line);
+                line = line.wrapping_add(LINE);
+            }
+            _mm_prefetch::<_MM_HINT_T0>(last);
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = (data, start, end);
+}
+
+/// Sifts `data[pos]` towards the root until its parent is no greater.
+///
+/// # Safety
+/// `pos < data.len()`.
+#[inline]
+unsafe fn sift_up<T: Ord, F: Fanout>(data: &mut [T], d: F, pos: usize) {
+    // SAFETY: `pos < data.len()` (caller).
+    let mut hole = unsafe { Hole::new(data, pos) };
+    while hole.pos > 0 {
+        let parent = (hole.pos - 1) / d.get();
+        // SAFETY: `parent < hole.pos < data.len()`.
+        unsafe {
+            if hole.element() >= hole.get(parent) {
+                break;
+            }
+            hole.move_to(parent);
+        }
+    }
+}
+
+/// Sifts the hole's element towards the leaves until no child is smaller.
+#[inline]
+fn sift_down<T: Ord, F: Fanout>(mut hole: Hole<'_, T>, d: F) {
+    let d = d.get();
+    let len = hole.data.len();
+    // Exactly the nodes before `full` have all `d` children: node `p` does
+    // iff `d * p + d <= len - 1`.  (`len >= 1` because `hole.pos < len`.)
+    let full = (len - 1) / d;
+    while hole.pos < full {
+        let first = d * hole.pos + 1;
+        // The scan below selects without branching, so the processor can no
+        // longer guess a child and run ahead into the next level.  Request
+        // every grandchild now instead: when the lines are in another
+        // core's cache (a Multi-Queue sub-queue) the misses of successive
+        // levels then overlap as they did under speculation.
+        let grandchildren = first.saturating_mul(d).saturating_add(1);
+        prefetch_range(
+            hole.data,
+            grandchildren,
+            grandchildren.saturating_add(d.saturating_mul(d)),
+        );
+        let mut best = first;
+        for child in first + 1..first + d {
+            // SAFETY: `hole.pos < child <= d * hole.pos + d <= len - 1`,
+            // and likewise for `best`.
+            let smaller = unsafe { hole.get(child) < hole.get(best) };
+            // Which child is the smallest is close to a coin toss.  Without
+            // the hint LLVM turns this select into a branch in the unrolled
+            // fixed-arity scans (not in the rolled `Dynamic` loop), and it
+            // mispredicts about once per level.
+            best = select_unpredictable(smaller, child, best);
+        }
+        // SAFETY: as above, `hole.pos < best < len`.
+        unsafe {
+            if hole.element() <= hole.get(best) {
+                return;
+            }
+            hole.move_to(best);
+        }
+    }
+    // At most one node has some but not all of its children, and it is node
+    // `full`: a later node `p` has `d * p + 1 > len - 1`.  Comparing first
+    // keeps `d * hole.pos` from overflowing: `d * full <= len - 1`.
+    if hole.pos == full {
+        let first = d * full + 1;
+        if first < len {
+            let mut best = first;
+            for child in first + 1..len {
+                // SAFETY: `hole.pos < first <= best < child < len`.
+                if unsafe { hole.get(child) < hole.get(best) } {
+                    best = child;
+                }
+            }
+            // SAFETY: `hole.pos < best < len`.
+            unsafe {
+                if hole.element() > hole.get(best) {
+                    hole.move_to(best);
+                }
+            }
+        }
+    }
+}
+
+/// Restores the heap order of `heap.data[start..]` against the valid heap
+/// before it when dropped, so that `extend` leaves a heap behind even when
+/// the iterator it consumes panics.
+struct RebuildOnDrop<'a, T: Ord> {
+    heap: &'a mut DAryHeap<T>,
+    start: usize,
+}
+
+impl<T: Ord> Drop for RebuildOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.heap.rebuild_tail(self.start);
+    }
 }
 
 impl<T: Ord> Default for DAryHeap<T> {
@@ -88,23 +451,29 @@ impl<T: Ord> DAryHeap<T> {
 
     /// Inserts an element.
     pub fn push(&mut self, item: T) {
+        let pos = self.data.len();
         self.data.push(item);
-        self.sift_up(self.data.len() - 1);
+        // SAFETY: `pos` is the index of the element just pushed.
+        with_fanout!(self.arity, |d| unsafe { sift_up(&mut self.data, d, pos) });
     }
 
     /// Removes and returns the minimum element, if any.
     pub fn pop(&mut self) -> Option<T> {
-        let len = self.data.len();
-        match len {
-            0 => None,
-            1 => self.data.pop(),
-            _ => {
-                self.data.swap(0, len - 1);
-                let min = self.data.pop();
-                self.sift_down(0);
-                min
-            }
+        let last = self.data.pop()?;
+        if self.data.is_empty() {
+            return Some(last);
         }
+        // SAFETY: the heap is not empty, so slot 0 is in bounds.  Reading
+        // the minimum out empties the slot, and the hole opened there next
+        // takes over the duty to fill it; nothing between the two can
+        // panic.  If a comparison panics later, `min` is dropped by the
+        // unwinding like any other local.
+        let (min, hole) = unsafe {
+            let min = ptr::read(self.data.as_ptr());
+            (min, Hole::holding(&mut self.data, 0, last))
+        };
+        with_fanout!(self.arity, |d| sift_down(hole, d));
+        Some(min)
     }
 
     /// Pops up to `k` smallest elements, in ascending order, appending them
@@ -127,11 +496,43 @@ impl<T: Ord> DAryHeap<T> {
         moved
     }
 
-    /// Pushes every element of `items` (bulk insert used by the insert-side
-    /// batching baselines and by "un-stealing" returned buffers).
+    /// Inserts every element of `items` (bulk insert used by the Multi-Queue
+    /// batch inserts and by "un-stealing" returned buffers).
+    ///
+    /// A run shorter than the heap it joins costs one sift-up per element;
+    /// a longer one (loading an empty heap, above all) is appended and the
+    /// heap rebuilt bottom-up in O(n).  The pop order is the same either
+    /// way.
     pub fn extend<I: IntoIterator<Item = T>>(&mut self, items: I) {
-        for item in items {
-            self.push(item);
+        let guard = RebuildOnDrop {
+            start: self.data.len(),
+            heap: self,
+        };
+        guard.heap.data.extend(items);
+    }
+
+    /// Makes `data` a heap again, given that `data[..start]` is one.
+    fn rebuild_tail(&mut self, start: usize) {
+        let len = self.data.len();
+        let data = &mut self.data[..];
+        if len < 2 {
+            return;
+        }
+        if len - start >= start {
+            with_fanout!(self.arity, |d| {
+                // Every node that has a child, deepest first.
+                for pos in (0..=(len - 2) / d.get()).rev() {
+                    // SAFETY: `pos <= (len - 2) / d < len`.
+                    sift_down(unsafe { Hole::new(data, pos) }, d);
+                }
+            });
+        } else {
+            with_fanout!(self.arity, |d| {
+                for pos in start..len {
+                    // SAFETY: `pos < len`.
+                    unsafe { sift_up(data, d, pos) };
+                }
+            });
         }
     }
 
@@ -149,57 +550,11 @@ impl<T: Ord> DAryHeap<T> {
         self.data.iter()
     }
 
-    #[inline]
-    fn parent(&self, idx: usize) -> usize {
-        (idx - 1) / self.arity
-    }
-
-    #[inline]
-    fn first_child(&self, idx: usize) -> usize {
-        idx * self.arity + 1
-    }
-
-    fn sift_up(&mut self, mut idx: usize) {
-        while idx > 0 {
-            let parent = self.parent(idx);
-            if self.data[idx] < self.data[parent] {
-                self.data.swap(idx, parent);
-                idx = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut idx: usize) {
-        let len = self.data.len();
-        loop {
-            let first = self.first_child(idx);
-            if first >= len {
-                break;
-            }
-            let last = usize::min(first + self.arity, len);
-            // Find the smallest child.
-            let mut best = first;
-            for child in (first + 1)..last {
-                if self.data[child] < self.data[best] {
-                    best = child;
-                }
-            }
-            if self.data[best] < self.data[idx] {
-                self.data.swap(best, idx);
-                idx = best;
-            } else {
-                break;
-            }
-        }
-    }
-
     /// Verifies the heap invariant (every child >= its parent).  Intended
     /// for tests and debug assertions only; O(n).
     pub fn assert_heap_property(&self) {
         for idx in 1..self.data.len() {
-            let parent = self.parent(idx);
+            let parent = (idx - 1) / self.arity;
             assert!(
                 self.data[parent] <= self.data[idx],
                 "heap property violated at index {idx}"
@@ -221,6 +576,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use smq_core::Task;
+    use std::cell::Cell;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::rc::Rc;
 
     #[test]
     fn empty_heap_behaviour() {
@@ -279,6 +639,19 @@ mod tests {
     }
 
     #[test]
+    fn huge_arities_do_not_overflow_the_index_arithmetic() {
+        for arity in [usize::MAX, usize::MAX / 2 + 1, 1 << 40] {
+            let mut h = DAryHeap::new(arity);
+            h.extend((0..50u64).rev());
+            h.assert_heap_property();
+            h.push(7);
+            let mut expected: Vec<u64> = (0..50).collect();
+            expected.insert(7, 7);
+            assert_eq!(h.into_sorted_vec(), expected);
+        }
+    }
+
+    #[test]
     fn clear_keeps_heap_usable() {
         let mut h: DAryHeap<u64> = (0..16u64).collect();
         h.clear();
@@ -298,10 +671,177 @@ mod tests {
         assert_eq!(h.peek(), Some(&Task::new(7, 3)));
     }
 
+    /// A key whose comparisons panic once a shared countdown reaches zero,
+    /// and whose drops are counted.
+    struct Fuse {
+        key: u32,
+        control: Rc<FuseControl>,
+    }
+
+    #[derive(Default)]
+    struct FuseControl {
+        /// Comparisons left before the next one panics; `None` is disarmed.
+        countdown: Cell<Option<u32>>,
+        created: Cell<usize>,
+        dropped: Cell<usize>,
+    }
+
+    impl FuseControl {
+        fn fuse(self: &Rc<Self>, key: u32) -> Fuse {
+            self.created.set(self.created.get() + 1);
+            Fuse {
+                key,
+                control: Rc::clone(self),
+            }
+        }
+
+        fn live(&self) -> usize {
+            self.created.get() - self.dropped.get()
+        }
+    }
+
+    impl Drop for Fuse {
+        fn drop(&mut self) {
+            self.control.dropped.set(self.control.dropped.get() + 1);
+        }
+    }
+
+    impl Ord for Fuse {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            match self.control.countdown.get() {
+                Some(0) => {
+                    self.control.countdown.set(None);
+                    panic!("fuse blown");
+                }
+                Some(n) => self.control.countdown.set(Some(n - 1)),
+                None => {}
+            }
+            self.key.cmp(&other.key)
+        }
+    }
+
+    impl PartialOrd for Fuse {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl PartialEq for Fuse {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+
+    impl Eq for Fuse {}
+
+    /// Runs `op` on a 200-element heap with the fuse set to blow at
+    /// comparison number `blow_at`; the heap must hold `len_after` elements
+    /// once `op` has panicked.
+    fn blow_during(
+        arity: usize,
+        blow_at: u32,
+        len_after: usize,
+        op: impl FnOnce(&mut DAryHeap<Fuse>, &Rc<FuseControl>),
+    ) {
+        let control = Rc::new(FuseControl::default());
+        let mut heap = DAryHeap::new(arity);
+        // Ascending keys: the array is a heap as it stands and its last
+        // element is the largest, so a pop sinks it all the way to a leaf.
+        heap.extend((1..=200).map(|key| control.fuse(key)));
+        assert_eq!(control.live(), 200);
+
+        control.countdown.set(Some(blow_at));
+        let outcome = catch_unwind(AssertUnwindSafe(|| op(&mut heap, &control)));
+        assert!(outcome.is_err(), "arity {arity}: no comparison {blow_at}");
+
+        // Usable again: every element is still there, exactly once ...
+        assert_eq!(heap.len(), len_after);
+        assert_eq!(control.live(), len_after, "leaked or dropped twice");
+        let mut drained = 0;
+        while let Some(fuse) = heap.pop() {
+            drained += 1;
+            drop(fuse);
+        }
+        assert_eq!(drained, len_after);
+        assert_eq!(control.live(), 0);
+        // ... and the emptied heap orders new elements.
+        heap.extend([5, 3, 9, 1].map(|key| control.fuse(key)));
+        let keys: Vec<u32> = heap.into_sorted_vec().iter().map(|f| f.key).collect();
+        assert_eq!(keys, vec![1, 3, 5, 9]);
+        assert_eq!(control.created.get(), control.dropped.get());
+    }
+
+    #[test]
+    fn panicking_comparison_neither_leaks_nor_double_drops() {
+        for arity in [2, 3, 4, 8] {
+            for blow_at in 0..6 {
+                // A push that climbs to the root: three levels at arity 8,
+                // so only its first three comparisons are certain.
+                blow_during(arity, blow_at % 3, 201, |heap, control| {
+                    heap.push(control.fuse(0));
+                });
+                // The popped minimum is dropped by the unwinding.
+                blow_during(arity, blow_at, 199, |heap, _| {
+                    heap.pop();
+                });
+                // A run long enough to rebuild the whole heap bottom-up.
+                blow_during(arity, blow_at, 600, |heap, control| {
+                    let run: Vec<Fuse> = (0..400).map(|key| control.fuse(key)).collect();
+                    heap.extend(run);
+                });
+            }
+        }
+    }
+
+    /// Replays `ops` on a heap of every arity from 2 to 9 (2, 4 and 8 run
+    /// the shift kernels, the others the division fallback) and on
+    /// `std::collections::BinaryHeap`.  Each op is `(code, operands)`.
+    fn differential<T: Ord + Clone + std::fmt::Debug>(ops: &[(u8, Vec<T>)]) {
+        for arity in 2..=9 {
+            let mut heap = DAryHeap::new(arity);
+            let mut reference = BinaryHeap::new();
+            let reference_pop =
+                |reference: &mut BinaryHeap<Reverse<T>>| reference.pop().map(|Reverse(v)| v);
+            for (code, operands) in ops {
+                match code {
+                    0..=11 => {
+                        if let Some(v) = operands.first() {
+                            heap.push(v.clone());
+                            reference.push(Reverse(v.clone()));
+                        }
+                    }
+                    12..=19 => assert_eq!(heap.pop(), reference_pop(&mut reference)),
+                    20..=23 => {
+                        let mut out = Vec::new();
+                        let moved = heap.pop_batch_into(operands.len(), &mut out);
+                        let expected: Vec<T> = (0..operands.len())
+                            .map_while(|_| reference_pop(&mut reference))
+                            .collect();
+                        assert_eq!(moved, expected.len());
+                        assert_eq!(out, expected);
+                    }
+                    24..=30 => {
+                        heap.extend(operands.iter().cloned());
+                        reference.extend(operands.iter().cloned().map(Reverse));
+                    }
+                    _ => {
+                        heap.clear();
+                        reference.clear();
+                    }
+                }
+                heap.assert_heap_property();
+                assert_eq!(heap.len(), reference.len());
+                assert_eq!(heap.peek(), reference.peek().map(|Reverse(v)| v));
+            }
+            let rest: Vec<T> = std::iter::from_fn(|| reference_pop(&mut reference)).collect();
+            assert_eq!(heap.into_sorted_vec(), rest, "arity {arity}");
+        }
+    }
+
     proptest! {
         #[test]
         fn heap_sort_matches_std_sort(mut values in proptest::collection::vec(any::<u32>(), 0..512),
-                                      arity in 2usize..9) {
+                                      arity in 2usize..10) {
             let mut heap = DAryHeap::new(arity);
             for &v in &values {
                 heap.push(v);
@@ -313,20 +853,24 @@ mod tests {
         }
 
         #[test]
-        fn interleaved_push_pop_respects_min(ops in proptest::collection::vec((any::<bool>(), any::<u32>()), 1..256)) {
-            let mut heap = DAryHeap::new(4);
-            let mut reference = std::collections::BinaryHeap::new();
-            for (is_pop, v) in ops {
-                if is_pop {
-                    let ours = heap.pop();
-                    let theirs = reference.pop().map(|std::cmp::Reverse(x)| x);
-                    prop_assert_eq!(ours, theirs);
-                } else {
-                    heap.push(v);
-                    reference.push(std::cmp::Reverse(v));
-                }
-                prop_assert_eq!(heap.len(), reference.len());
-            }
+        fn interleaved_ops_match_binary_heap_u32(
+            ops in proptest::collection::vec(
+                (0u8..32, proptest::collection::vec(any::<u32>(), 0..24)), 1..160)
+        ) {
+            differential(&ops);
+        }
+
+        #[test]
+        fn interleaved_ops_match_binary_heap_task(
+            ops in proptest::collection::vec(
+                (0u8..32, proptest::collection::vec((0u64..64, any::<u64>()), 0..24)), 1..160)
+        ) {
+            // Few distinct keys, so the payload tie-break decides often.
+            let ops: Vec<(u8, Vec<Task>)> = ops
+                .into_iter()
+                .map(|(code, run)| (code, run.into_iter().map(|(k, v)| Task::new(k, v)).collect()))
+                .collect();
+            differential(&ops);
         }
 
         #[test]

@@ -291,9 +291,7 @@ impl<T: Ord + HasKey> MultiQueueHandle<'_, T> {
             match guard {
                 Some(mut guard) => {
                     self.stats.push_locks_acquired += 1;
-                    for task in tasks.drain(..) {
-                        guard.push(task);
-                    }
+                    guard.extend(tasks.drain(..));
                     return;
                 }
                 None => {
@@ -339,9 +337,7 @@ impl<T: Ord + HasKey> MultiQueueHandle<'_, T> {
                     // not — that counter tracks native `push_batch` calls
                     // only, and this flush may be fed by per-task pushes.
                     self.stats.push_locks_acquired += 1;
-                    for task in self.insert_buffer.drain(..) {
-                        guard.push(task);
-                    }
+                    guard.extend(self.insert_buffer.drain(..));
                     return;
                 }
                 None => {
@@ -643,9 +639,7 @@ impl<T: Ord + HasKey + Send> SchedulerHandle<T> for MultiQueueHandle<'_, T> {
                 let q = self.tl_insert_queue.expect("set above");
                 let mut guard = self.parent.queues[q].lock();
                 self.stats.push_locks_acquired += 1;
-                for task in tasks.drain(..) {
-                    guard.push(task);
-                }
+                guard.extend(tasks.drain(..));
             }
         }
     }

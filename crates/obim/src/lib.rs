@@ -293,12 +293,27 @@ impl<T: Prioritized + Send> ObimHandle<'_, T> {
     /// this thread's own queue and falling back to stealing a chunk from
     /// another thread's queue in the same bag.
     fn refill_chunk(&mut self) -> bool {
-        let chunk_size = self.parent.config.chunk_size;
         let start_hint = self.parent.min_hint.load(Ordering::Acquire);
-        // Snapshot the candidate buckets at or above the hint.
+        if self.refill_chunk_from(start_hint, start_hint) {
+            return true;
+        }
+        // The hint can overshoot a bucket that holds tasks: a scan passes
+        // bucket `b` while it is empty, a push then fills `b` (its
+        // `lower_hint` is a no-op, the hint is still below `b`), and the
+        // scan's `advance_hint` then raises the hint past `b`.  Nothing
+        // lowers it again unless someone pushes at or below `b`, so a miss
+        // above the hint proves nothing: look at the buckets below it too.
+        start_hint > 0 && self.refill_chunk_from(0, start_hint)
+    }
+
+    /// [`Self::refill_chunk`] over the buckets at or above `from`;
+    /// `start_hint` is the hint the caller observed.
+    fn refill_chunk_from(&mut self, from: u64, start_hint: u64) -> bool {
+        let chunk_size = self.parent.config.chunk_size;
+        // Snapshot the candidate buckets.
         let candidates: Vec<(u64, Arc<Bag<T>>)> = {
             let map = self.parent.buckets.read();
-            map.range(start_hint..)
+            map.range(from..)
                 .map(|(k, v)| (*k, Arc::clone(v)))
                 .collect()
         };
@@ -346,7 +361,9 @@ impl<T: Prioritized + Send> ObimHandle<'_, T> {
     /// After finding work in `found_bucket`, raise the global hint if it
     /// still points below it (lazily skipping drained buckets).  Racy by
     /// design: a concurrent insert into a lower bucket lowers the hint again
-    /// through `lower_hint`.
+    /// through `lower_hint`, and [`Self::refill_chunk`] looks below the hint
+    /// before it reports a miss.  Work found *below* the hint pulls it back
+    /// down, so the rest of that bucket is in every thread's view again.
     fn advance_hint(&self, observed_hint: u64, found_bucket: u64) {
         if found_bucket > observed_hint {
             let _ = self.parent.min_hint.compare_exchange(
@@ -355,6 +372,8 @@ impl<T: Prioritized + Send> ObimHandle<'_, T> {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             );
+        } else if found_bucket < observed_hint {
+            self.parent.lower_hint(found_bucket);
         }
     }
 }
@@ -506,6 +525,21 @@ mod tests {
             vec![3, 1, 2],
             "within a bucket OBIM is FIFO, not sorted"
         );
+    }
+
+    #[test]
+    fn tasks_below_an_overshot_hint_are_still_found() {
+        // The state the push / scan race leaves behind: a task in bucket 4
+        // while the hint already points at bucket 8.
+        let obim: Obim<Task> = Obim::new(ObimConfig::obim(2, 2, 1));
+        let mut h = obim.handle(0);
+        h.push(Task::new(5, 1));
+        h.push(Task::new(6, 2));
+        obim.min_hint.store(8, Ordering::Release);
+        assert_eq!(h.pop(), Some(Task::new(5, 1)));
+        assert_eq!(obim.min_hint.load(Ordering::Acquire), 4);
+        assert_eq!(obim.handle(1).pop(), Some(Task::new(6, 2)));
+        assert_eq!(h.pop(), None);
     }
 
     #[test]

@@ -120,8 +120,9 @@ where
 /// A worker thread's handle onto an [`Smq`].
 ///
 /// Owns the thread's `stolenTasks` buffer (Listing 2) and is the only object
-/// allowed to touch the thread's local queue.
-pub struct SmqHandle<'a, T: Copy, Q> {
+/// allowed to touch the thread's local queue.  Dropping it returns whatever
+/// is left in `stolenTasks` to that queue.
+pub struct SmqHandle<'a, T: Copy + Ord + HasKey + Send, Q: LocalQueue<T>> {
     parent: &'a Smq<T, Q>,
     thread_id: usize,
     rng: Pcg32,
@@ -480,11 +481,21 @@ where
     }
 }
 
-impl<T: Copy, Q> Drop for SmqHandle<'_, T, Q> {
+impl<T, Q> Drop for SmqHandle<'_, T, Q>
+where
+    T: Copy + Ord + HasKey + Send,
+    Q: LocalQueue<T>,
+{
     fn drop(&mut self) {
-        self.parent.slots[self.thread_id]
-            .handle_taken
-            .store(false, Ordering::Release);
+        // Tasks claimed from a victim's buffer but not yet handed to the
+        // caller exist nowhere else: put them back into this slot's queue
+        // for its next owner instead of dropping them.  `handle_taken` is
+        // still set, so the queue is still this handle's alone.
+        let queue = self.local_queue();
+        for task in self.stolen_tasks.drain(..) {
+            queue.push(task);
+        }
+        self.my_slot().handle_taken.store(false, Ordering::Release);
     }
 }
 
@@ -733,6 +744,32 @@ mod tests {
         );
         assert_eq!(slot.buffer.top_key(), 1, "next batch's key must be live");
         assert_eq!(smq.published_top(0), Some(1));
+    }
+
+    #[test]
+    fn stolen_tasks_survive_a_dropped_handle() {
+        let config = SmqConfig::default_for_threads(2)
+            .with_steal_size(4)
+            .with_p_steal(Probability::ALWAYS)
+            .with_seed(3);
+        let smq: HeapSmq<u64> = HeapSmq::new(config);
+        {
+            let mut h0 = smq.handle(0);
+            let mut batch: Vec<u64> = (0..4u64).collect();
+            h0.push_batch(&mut batch);
+        }
+        {
+            // Thread 1 claims the whole published batch, returns its best
+            // task and still holds the other three when it goes away.
+            let mut h1 = smq.handle(1);
+            assert_eq!(h1.pop(), Some(0));
+            assert_eq!(h1.stats().stolen_tasks, 4);
+        }
+        let mut h1 = smq.handle(1);
+        assert_eq!(drain(&mut h1), vec![1, 2, 3]);
+        // Nothing was duplicated into the victim's slot on the way.
+        drop(h1);
+        assert_eq!(drain(&mut smq.handle(0)), Vec::<u64>::new());
     }
 
     #[test]
