@@ -191,8 +191,8 @@ where
 /// `batch_size == 1` is exactly `run_parallel` (the per-task path, stats
 /// included).  Larger batches make the workers pop up to `batch_size` tasks
 /// per scheduling decision and flush follow-ups through the scheduler's
-/// `push_batch` at task boundaries, amortizing locks and (on erased pools)
-/// virtual dispatch over the batch; relaxation semantics and the computed
+/// `push_batch` at task boundaries, amortizing scheduler locks over the
+/// batch; relaxation semantics and the computed
 /// answer are unaffected — only the execution order within the relaxed
 /// guarantees shifts, like any other scheduling perturbation.
 pub fn run_parallel_batched<W, S>(

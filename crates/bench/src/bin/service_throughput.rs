@@ -244,11 +244,7 @@ where
                     local.latency.record_duration(done.total_latency());
                     local.queue_wait.record_duration(done.queue_wait);
                     local.service_time.record_duration(done.service_time);
-                    if let Some(report) = done
-                        .metrics
-                        .as_ref()
-                        .and_then(|m| m.metrics.telemetry.as_ref())
-                    {
+                    if let Some(report) = done.output.result.metrics.telemetry.as_ref() {
                         local.phases.merge(&report.phases);
                         local.rank_errors.merge(&report.rank_errors);
                     }

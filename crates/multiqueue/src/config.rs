@@ -59,12 +59,6 @@ pub struct MultiQueueConfig {
     pub delete: DeletePolicy,
     /// Optional NUMA-aware sampling.
     pub numa: Option<NumaConfig>,
-    /// Native `push_batch` runs larger than this are halved across *two*
-    /// independently sampled sub-queues instead of dumped into one, keeping
-    /// per-queue key distributions balanced under big batches while still
-    /// paying at most two insert locks per batch.  Batches up to this size
-    /// (default 16) keep the one-queue/one-lock fast path.
-    pub batch_split: usize,
     /// Seed for the per-thread PRNGs (runs are reproducible for a fixed seed
     /// and thread interleaving).
     pub seed: u64,
@@ -80,7 +74,6 @@ impl MultiQueueConfig {
             insert: InsertPolicy::Direct,
             delete: DeletePolicy::TwoChoice,
             numa: None,
-            batch_split: 16,
             seed: 0xC1A5_51C0,
         }
     }
@@ -118,14 +111,6 @@ impl MultiQueueConfig {
         self.with_numa(topology, k)
     }
 
-    /// Sets the batch size above which native `push_batch` splits the run
-    /// across two sampled sub-queues (see
-    /// [`batch_split`](Self::batch_split)).
-    pub fn with_batch_split(mut self, batch_split: usize) -> Self {
-        self.batch_split = batch_split;
-        self
-    }
-
     /// Sets the PRNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -152,7 +137,6 @@ impl MultiQueueConfig {
         if let DeletePolicy::Batching(b) = self.delete {
             assert!(b >= 1, "delete batch size must be >= 1");
         }
-        assert!(self.batch_split >= 1, "batch split threshold must be >= 1");
         if let Some(numa) = &self.numa {
             assert_eq!(
                 numa.topology.num_threads(),
@@ -202,21 +186,6 @@ mod tests {
             .with_c_factor(2)
             .with_numa_scaled(Topology::single_node(1));
         assert_eq!(tiny.numa.as_ref().unwrap().k, 2);
-    }
-
-    #[test]
-    fn batch_split_default_and_builder() {
-        let cfg = MultiQueueConfig::classic(4);
-        assert_eq!(cfg.batch_split, 16);
-        let cfg = cfg.with_batch_split(64);
-        cfg.validate();
-        assert_eq!(cfg.batch_split, 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch split threshold")]
-    fn zero_batch_split_rejected() {
-        MultiQueueConfig::classic(2).with_batch_split(0).validate();
     }
 
     #[test]

@@ -31,6 +31,13 @@ use crate::config::{DeletePolicy, InsertPolicy, MultiQueueConfig};
 /// threads than queues, every queue held) cannot livelock the push path.
 const TRY_LOCK_RETRY_CAP: u32 = 16;
 
+/// Native `push_batch` runs larger than this are halved across *two*
+/// independently sampled sub-queues instead of dumped into one, keeping
+/// per-queue key distributions balanced under big batches while still
+/// paying at most two insert locks per batch.  Batches up to this size keep
+/// the one-queue/one-lock fast path.
+const BATCH_SPLIT: usize = 16;
+
 /// One lock-protected sequential heap plus the lock-free snapshot of its
 /// current minimum key.
 pub(crate) struct SubQueue<T> {
@@ -215,7 +222,7 @@ pub struct MultiQueueHandle<'a, T> {
     tl_delete_queue: Option<usize>,
 }
 
-impl<T: Ord + HasKey> MultiQueueHandle<'_, T> {
+impl<'a, T: Ord + HasKey> MultiQueueHandle<'a, T> {
     /// Samples one queue index, recording NUMA locality statistics.
     fn sample_queue(&mut self) -> usize {
         let (q, local) = self.parent.sampler.sample(self.thread_id, &mut self.rng);
@@ -244,28 +251,26 @@ impl<T: Ord + HasKey> MultiQueueHandle<'_, T> {
         }
     }
 
-    /// Pushes a single task into a freshly sampled queue, retrying on lock
+    /// Locks a freshly sampled queue for an insert, resampling on lock
     /// failure like Listing 1 — but with a bounded number of `try_lock`
-    /// attempts: past [`TRY_LOCK_RETRY_CAP`] failures the insert blocks on
-    /// the next sampled queue so a fully contended configuration cannot
+    /// attempts: past [`TRY_LOCK_RETRY_CAP`] failures it blocks on the
+    /// next sampled queue, so a fully contended configuration cannot
     /// livelock.
-    fn push_direct(&mut self, task: T) {
-        let mut task = Some(task);
+    #[inline]
+    fn lock_sampled(&mut self) -> SubQueueGuard<'a, T> {
+        let parent = self.parent;
         let mut attempts = 0u32;
         loop {
-            let q = self.sample_queue();
-            if attempts >= TRY_LOCK_RETRY_CAP {
-                self.stats.push_locks_acquired += 1;
-                self.parent.queues[q]
-                    .lock()
-                    .push(task.take().expect("task present until pushed"));
-                return;
-            }
-            match self.parent.queues[q].try_lock() {
-                Some(mut guard) => {
+            let queue = &parent.queues[self.sample_queue()];
+            let guard = if attempts >= TRY_LOCK_RETRY_CAP {
+                Some(queue.lock())
+            } else {
+                queue.try_lock()
+            };
+            match guard {
+                Some(guard) => {
                     self.stats.push_locks_acquired += 1;
-                    guard.push(task.take().expect("task present until pushed"));
-                    return;
+                    return guard;
                 }
                 None => {
                     self.stats.contention_retries += 1;
@@ -275,31 +280,16 @@ impl<T: Ord + HasKey> MultiQueueHandle<'_, T> {
         }
     }
 
-    /// Drains `tasks` into one freshly sampled queue under a single lock,
-    /// with the same bounded-retry degradation as [`Self::push_direct`].
+    /// Pushes a single task into a freshly sampled queue.
+    fn push_direct(&mut self, task: T) {
+        self.lock_sampled().push(task);
+    }
+
+    /// Drains `tasks` into one freshly sampled queue under a single lock.
     /// The building block of the native batch insert: `push_batch` calls it
     /// once per batch half.
     fn push_run_direct(&mut self, tasks: &mut Vec<T>) {
-        let mut attempts = 0u32;
-        loop {
-            let q = self.sample_queue();
-            let guard = if attempts >= TRY_LOCK_RETRY_CAP {
-                Some(self.parent.queues[q].lock())
-            } else {
-                self.parent.queues[q].try_lock()
-            };
-            match guard {
-                Some(mut guard) => {
-                    self.stats.push_locks_acquired += 1;
-                    guard.extend(tasks.drain(..));
-                    return;
-                }
-                None => {
-                    self.stats.contention_retries += 1;
-                    attempts += 1;
-                }
-            }
-        }
+        self.lock_sampled().extend(tasks.drain(..));
     }
 
     /// Pushes into the temporally "current" queue, changing it first with
@@ -317,35 +307,16 @@ impl<T: Ord + HasKey> MultiQueueHandle<'_, T> {
         guard.push(task);
     }
 
-    /// Flushes the insert buffer into a single randomly chosen queue, with
-    /// the same bounded-retry degradation as [`Self::push_direct`].
+    /// Flushes the insert buffer into a single randomly chosen queue.  The
+    /// lock amortization is counted; `batch_flushes` is not — that counter
+    /// tracks native `push_batch` calls only, and this flush may be fed by
+    /// per-task pushes.
     fn flush_insert_buffer(&mut self) {
         if self.insert_buffer.is_empty() {
             return;
         }
-        let mut attempts = 0u32;
-        loop {
-            let q = self.sample_queue();
-            let guard = if attempts >= TRY_LOCK_RETRY_CAP {
-                Some(self.parent.queues[q].lock())
-            } else {
-                self.parent.queues[q].try_lock()
-            };
-            match guard {
-                Some(mut guard) => {
-                    // The lock amortization is counted; `batch_flushes` is
-                    // not — that counter tracks native `push_batch` calls
-                    // only, and this flush may be fed by per-task pushes.
-                    self.stats.push_locks_acquired += 1;
-                    guard.extend(self.insert_buffer.drain(..));
-                    return;
-                }
-                None => {
-                    self.stats.contention_retries += 1;
-                    attempts += 1;
-                }
-            }
-        }
+        let mut guard = self.lock_sampled();
+        guard.extend(self.insert_buffer.drain(..));
     }
 
     /// Snapshot-guided two-choice delete: compare the two sampled queues'
@@ -612,7 +583,7 @@ impl<T: Ord + HasKey + Send> SchedulerHandle<T> for MultiQueueHandle<'_, T> {
                 }
             }
             // One sampled queue, one lock, the whole batch — unless the
-            // batch exceeds `batch_split`, in which case it is halved
+            // batch exceeds `BATCH_SPLIT`, in which case it is halved
             // across two independently sampled sub-queues so a single
             // queue's key distribution does not absorb the entire run
             // (two locks instead of one, still far under one per task).
@@ -621,7 +592,7 @@ impl<T: Ord + HasKey + Send> SchedulerHandle<T> for MultiQueueHandle<'_, T> {
             // exactly what `InsertPolicy::Batching` already does on its
             // own flush boundary.
             InsertPolicy::Direct => {
-                if tasks.len() > self.parent.config.batch_split && self.parent.num_queues() >= 2 {
+                if tasks.len() > BATCH_SPLIT && self.parent.num_queues() >= 2 {
                     let mut tail = tasks.split_off(tasks.len() / 2);
                     self.push_run_direct(tasks);
                     self.push_run_direct(&mut tail);
@@ -1009,7 +980,7 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batch_splits_across_two_queues() {
+    fn oversized_batch_is_halved_across_two_queues() {
         let config = MultiQueueConfig::classic(2).with_seed(5);
         let mq: MultiQueue<u64> = MultiQueue::new(config);
         let mut h = mq.handle(0);
@@ -1028,19 +999,6 @@ mod tests {
             .unwrap();
         assert!(largest < 64, "batch must be split across two sub-queues");
         assert_eq!(mq.len(), 64);
-    }
-
-    #[test]
-    fn batch_split_threshold_is_tunable() {
-        // Raising the threshold restores the one-lock whole-batch path.
-        let config = MultiQueueConfig::classic(2)
-            .with_batch_split(64)
-            .with_seed(5);
-        let mq: MultiQueue<u64> = MultiQueue::new(config);
-        let mut h = mq.handle(0);
-        let mut batch: Vec<u64> = (0..64u64).collect();
-        h.push_batch(&mut batch);
-        assert_eq!(h.stats().push_locks_acquired, 1);
     }
 
     #[test]

@@ -51,20 +51,20 @@
 //! [`Err(JobError::Lost)`](JobError::Lost); *other* gangs — and their
 //! in-flight jobs — are untouched, so a long-lived service survives a bad
 //! job.  On pools built from a scheduler *factory*
-//! ([`new_partitioned`](WorkerPool::new_partitioned) and friends) a
-//! poisoned gang is then **respawned**: its surviving workers are joined,
-//! the slot gets a fresh scheduler from the stored factory and fresh
-//! threads, and the gang returns to the free list — so `live_gangs`
-//! recovers to the configured gang count after any panic storm
-//! ([`PoolStats::gangs_respawned`] counts the rebuilds).  Respawn runs
-//! lazily at the next claim by default, or immediately when the claim that
-//! observed the poison releases ([`RespawnPolicy::Eager`]);
-//! [`RespawnPolicy::Never`] keeps the historical retire-forever behaviour.
-//! Pools without a factory ([`WorkerPool::new`],
-//! [`with_borrowed`](WorkerPool::with_borrowed)) cannot rebuild a
-//! scheduler and always retire poisoned gangs; once every gang of such a
-//! pool is dead, claims fail with [`JobError::NoCapacity`] instead of
-//! panicking the caller.
+//! ([`new_partitioned`](WorkerPool::new_partitioned),
+//! [`new_aligned`](WorkerPool::new_aligned)) a poisoned gang is then
+//! **respawned** at the next claim: its surviving workers are joined (which
+//! drops the old scheduler — see "Scheduler ownership" below), the stored
+//! factory builds a fresh scheduler, fresh threads start on it, and the
+//! gang returns to the free list — so `live_gangs` recovers to the
+//! configured gang count after any panic storm
+//! ([`PoolStats::gangs_respawned`] counts the rebuilds).
+//! [`respawn_dead`](WorkerPool::respawn_dead) forces the same rebuild at a
+//! moment of the caller's choosing.  Pools without a factory
+//! ([`WorkerPool::new`], [`with_borrowed`](WorkerPool::with_borrowed))
+//! cannot rebuild a scheduler and retire poisoned gangs for good; once
+//! every gang of such a pool is dead, claims fail with
+//! [`JobError::NoCapacity`] instead of panicking the caller.
 //!
 //! # Deadlines, budgets, cancellation
 //!
@@ -88,23 +88,26 @@
 //!
 //! # Scheduler ownership
 //!
-//! Worker threads are OS threads, so the schedulers they share must outlive
-//! them.  Three constructions guarantee that:
+//! Worker threads are OS threads, so the scheduler they share must outlive
+//! them.  There is one rule: **a gang's scheduler is owned by the gang
+//! body its worker threads run**.  Every constructor wraps each gang's
+//! scheduler in a typed closure (create this worker's handle, run the
+//! monomorphized worker loop on it); each thread of the gang holds one
+//! `Arc` share of that closure and nothing else does, so the scheduler is
+//! dropped when the last thread of its generation exits — at pool
+//! shutdown, or when a respawn joins a poisoned generation before calling
+//! the factory again.  No pointer to a scheduler is ever stored.
 //!
-//! * [`WorkerPool::new`] takes a single-gang scheduler **by value** and
-//!   keeps it alive until the workers are joined;
-//! * [`WorkerPool::new_partitioned`] builds one scheduler per gang from a
-//!   factory closure and owns all of them the same way;
-//! * [`WorkerPool::with_borrowed`] runs a closure against a single-gang
-//!   pool built on a *borrowed* scheduler and joins every worker before
-//!   returning — the scoped mode backing `smq_algos::engine::run_parallel`.
-//!
-//! All funnel into one erased representation (a raw pointer to a small
-//! object-safe scheduler vtable); the join-before-invalidation discipline
-//! is what makes the erasure sound, and it is enforced structurally (the
-//! scoped constructor joins on every path, including unwinds, and the
-//! owning constructors join in `Drop` before the boxes are released).
+//! * [`WorkerPool::new`] moves a single-gang scheduler into the body;
+//! * [`WorkerPool::new_partitioned`] / [`WorkerPool::new_aligned`] do the
+//!   same with one factory-built scheduler per gang, and keep the factory
+//!   for respawns;
+//! * [`WorkerPool::with_borrowed`] puts a `&S` into the body instead and
+//!   joins every worker before returning (also on unwind) — the scoped
+//!   mode backing `smq_algos::engine::run_parallel`, and the only place
+//!   that extends a lifetime by hand.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 #[cfg(feature = "fault-inject")]
@@ -124,7 +127,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use smq_core::{OpStats, Scheduler, SchedulerHandle, Task};
-use smq_runtime::executor::{worker_loop_instrumented, LoopControl, WorkerLoopConfig};
+use smq_runtime::executor::{worker_loop, LoopControl, WorkerLoopConfig};
 use smq_runtime::{RunMetrics, Scratch, TerminationDetector, Topology};
 use smq_telemetry::{TelemetryConfig, TelemetryReport, WorkerReport, WorkerTelemetry};
 
@@ -144,12 +147,6 @@ pub enum JobError {
     /// cancelled; its gangs drained cleanly and remain usable.
     BudgetExceeded,
 }
-
-/// Backwards-compatible name for [`JobError::Lost`]: earlier releases
-/// surfaced job loss as a dedicated `JobLost` unit type, and the variant
-/// alias keeps both `Err(JobLost)` expressions and patterns compiling.
-#[doc(hidden)]
-pub use JobError::Lost as JobLost;
 
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -187,21 +184,6 @@ impl JobSpec {
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.budget.is_none()
     }
-}
-
-/// When poisoned gangs of a factory-built pool are rebuilt.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RespawnPolicy {
-    /// Rebuild dead gangs at the next [`claim`](WorkerPool::run_job), off
-    /// the job hot path (the default for factory-built pools).
-    #[default]
-    Lazy,
-    /// Rebuild a poisoned gang as soon as the claim that observed the
-    /// poison releases, so capacity returns before the next job asks.
-    Eager,
-    /// Never rebuild: a poisoned gang is retired forever (the historical
-    /// behaviour, and the only option for pools without a factory).
-    Never,
 }
 
 /// Pool tuning knobs.
@@ -244,9 +226,6 @@ pub struct PoolConfig {
     /// uninstrumented hot path takes no timestamps and makes no extra
     /// scheduler calls.
     pub telemetry: TelemetryConfig,
-    /// When poisoned gangs are rebuilt (see [`RespawnPolicy`]).  Ignored by
-    /// pools without a scheduler factory, which can never rebuild.
-    pub respawn: RespawnPolicy,
     /// Deterministic fault plan injected into every worker — chaos-testing
     /// only, see [`fault::FaultPlan`].
     #[cfg(feature = "fault-inject")]
@@ -254,23 +233,15 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// A single-gang configuration with `threads` workers and default
-    /// backoff/gating: every job occupies the whole fleet, one at a time.
+    /// The single-gang configuration `partitioned(1, threads)`: every job
+    /// occupies the whole fleet, one at a time.
     pub fn new(threads: usize) -> Self {
-        Self {
-            gangs: 1,
-            gang_size: threads,
-            worker: WorkerLoopConfig::default(),
-            topology: None,
-            telemetry: TelemetryConfig::disabled(),
-            respawn: RespawnPolicy::default(),
-            #[cfg(feature = "fault-inject")]
-            faults: None,
-        }
+        Self::partitioned(1, threads)
     }
 
     /// A configuration with `gangs` gangs of `gang_size` workers each, so
-    /// up to `gangs` jobs execute concurrently.
+    /// up to `gangs` jobs execute concurrently; default backoff/gating, no
+    /// topology, telemetry disabled.
     pub fn partitioned(gangs: usize, gang_size: usize) -> Self {
         Self {
             gangs,
@@ -278,7 +249,6 @@ impl PoolConfig {
             worker: WorkerLoopConfig::default(),
             topology: None,
             telemetry: TelemetryConfig::disabled(),
-            respawn: RespawnPolicy::default(),
             #[cfg(feature = "fault-inject")]
             faults: None,
         }
@@ -301,14 +271,8 @@ impl PoolConfig {
             .expect("1 always divides threads_per_node");
         let gangs = topology.num_threads() / gang_size;
         Self {
-            gangs,
-            gang_size,
-            worker: WorkerLoopConfig::default(),
             topology: Some(topology),
-            telemetry: TelemetryConfig::disabled(),
-            respawn: RespawnPolicy::default(),
-            #[cfg(feature = "fault-inject")]
-            faults: None,
+            ..Self::partitioned(gangs, gang_size)
         }
     }
 
@@ -348,8 +312,7 @@ impl PoolConfig {
     /// Sets the hot-path batch granularity for every worker (see
     /// `smq_runtime::executor::WorkerLoopConfig::batch_size`).  Batch 1
     /// (the default) is the exact historical per-task path; larger batches
-    /// amortize scheduler synchronization and — on erased pools — virtual
-    /// dispatch over the batch.
+    /// amortize scheduler synchronization over the batch.
     pub fn with_batch(mut self, batch_size: usize) -> Self {
         self.worker.batch_size = batch_size.max(1);
         self
@@ -360,12 +323,6 @@ impl PoolConfig {
     /// `TelemetryReport` in their metrics.
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Sets when poisoned gangs are rebuilt (see [`RespawnPolicy`]).
-    pub fn with_respawn(mut self, respawn: RespawnPolicy) -> Self {
-        self.respawn = respawn;
         self
     }
 
@@ -433,7 +390,8 @@ pub struct PoolStats {
     /// still counts here (compare with [`gangs_respawned`](Self::gangs_respawned)).
     pub gangs_poisoned: u64,
     /// Poisoned gangs rebuilt with fresh threads and a fresh scheduler from
-    /// the pool's factory (see [`RespawnPolicy`]).
+    /// the pool's factory (at the next claim, or by
+    /// [`WorkerPool::respawn_dead`]).
     pub gangs_respawned: u64,
 }
 
@@ -515,142 +473,6 @@ impl JobControl {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Scheduler erasure: a minimal object-safe mirror of `Scheduler<Task>`, so
-// heterogeneous pools (different scheduler types per gang) can exist behind
-// the non-generic `WorkerPool`.  Homogeneous pools — every constructor
-// except `new_mixed` — do NOT pay for this vtable: their workers run a
-// monomorphized entry that recovers the concrete scheduler type, so every
-// push/pop/batch call is a direct (usually inlined) call.
-// ---------------------------------------------------------------------------
-
-/// Object-safe mirror of `Scheduler<Task>`, blanket-implemented for every
-/// scheduler.  Only [`WorkerPool::new_mixed`] pools dispatch through it;
-/// its batch entries keep even that erased path at **one indirect call per
-/// batch** instead of one per task.
-pub trait DynScheduler: Sync {
-    /// Creates the boxed erased handle for worker `tid`.
-    fn dyn_handle(&self, tid: usize) -> Box<dyn DynHandle + '_>;
-    /// Mirror of `Scheduler::num_threads`.
-    fn num_threads(&self) -> usize;
-}
-
-/// Object-safe mirror of `SchedulerHandle<Task>` (see [`DynScheduler`]).
-pub trait DynHandle {
-    /// Mirror of `SchedulerHandle::push`.
-    fn push(&mut self, task: Task);
-    /// Mirror of `SchedulerHandle::pop`.
-    fn pop(&mut self) -> Option<Task>;
-    /// Mirror of `SchedulerHandle::push_batch`: one virtual call moves the
-    /// whole batch.
-    fn push_batch(&mut self, tasks: &mut Vec<Task>);
-    /// Mirror of `SchedulerHandle::pop_batch`: one virtual call fills the
-    /// whole batch.
-    fn pop_batch(&mut self, out: &mut Vec<Task>, max: usize) -> usize;
-    /// Mirror of `SchedulerHandle::flush`.
-    fn flush(&mut self);
-    /// Mirror of `SchedulerHandle::stats`.
-    fn stats(&self) -> OpStats;
-    /// Mirror of `SchedulerHandle::min_key_hint`.
-    fn min_key_hint(&self) -> Option<u64>;
-}
-
-impl<S: Scheduler<Task>> DynScheduler for S {
-    fn dyn_handle(&self, tid: usize) -> Box<dyn DynHandle + '_> {
-        Box::new(Scheduler::handle(self, tid))
-    }
-
-    fn num_threads(&self) -> usize {
-        Scheduler::num_threads(self)
-    }
-}
-
-impl<H: SchedulerHandle<Task>> DynHandle for H {
-    fn push(&mut self, task: Task) {
-        SchedulerHandle::push(self, task);
-    }
-
-    fn pop(&mut self) -> Option<Task> {
-        SchedulerHandle::pop(self)
-    }
-
-    fn push_batch(&mut self, tasks: &mut Vec<Task>) {
-        SchedulerHandle::push_batch(self, tasks);
-    }
-
-    fn pop_batch(&mut self, out: &mut Vec<Task>, max: usize) -> usize {
-        SchedulerHandle::pop_batch(self, out, max)
-    }
-
-    fn flush(&mut self) {
-        SchedulerHandle::flush(self);
-    }
-
-    fn stats(&self) -> OpStats {
-        SchedulerHandle::stats(self)
-    }
-
-    fn min_key_hint(&self) -> Option<u64> {
-        SchedulerHandle::min_key_hint(self)
-    }
-}
-
-/// `SchedulerHandle` for the boxed erased handle, so the shared
-/// `worker_loop` (generic over `H: SchedulerHandle<T>`) drives it directly.
-/// The batch forwards are what make the erased hot path batch-granular:
-/// one indirect call per batch, not per task.
-impl SchedulerHandle<Task> for Box<dyn DynHandle + '_> {
-    #[inline]
-    fn push(&mut self, task: Task) {
-        (**self).push(task);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Task> {
-        (**self).pop()
-    }
-
-    #[inline]
-    fn push_batch(&mut self, tasks: &mut Vec<Task>) {
-        (**self).push_batch(tasks);
-    }
-
-    #[inline]
-    fn pop_batch(&mut self, out: &mut Vec<Task>, max: usize) -> usize {
-        (**self).pop_batch(out, max)
-    }
-
-    #[inline]
-    fn flush(&mut self) {
-        (**self).flush();
-    }
-
-    #[inline]
-    fn stats(&self) -> OpStats {
-        (**self).stats()
-    }
-
-    #[inline]
-    fn min_key_hint(&self) -> Option<u64> {
-        (**self).min_key_hint()
-    }
-}
-
-/// Lifetime-erased pointer to one gang's scheduler.
-///
-/// # Safety invariant
-/// The pointee must stay alive and unmoved until every worker thread of the
-/// owning gang has been joined.  `WorkerPool::new` /
-/// `WorkerPool::new_partitioned` guarantee this by boxing the schedulers
-/// and joining in `Drop` before the boxes are released;
-/// `WorkerPool::with_borrowed` by joining before the borrow ends.
-#[derive(Clone, Copy)]
-struct SchedulerRef(*const (dyn DynScheduler + 'static));
-// SAFETY: the pointee is `Sync` (required by `Scheduler`) and the pointer
-// is only dereferenced while the invariant above holds.
-unsafe impl Send for SchedulerRef {}
-unsafe impl Sync for SchedulerRef {}
-
 /// Lifetime-erased pointer to a job currently being executed.
 ///
 /// # Safety invariant
@@ -659,8 +481,11 @@ unsafe impl Sync for SchedulerRef {}
 /// (or abandoned) the job before its `&dyn PoolJob` borrow ends.
 #[derive(Clone, Copy)]
 struct JobRef(*const (dyn PoolJob + 'static));
-// SAFETY: the pointee is `Sync` and only dereferenced under the invariant.
+// SAFETY: the pointee is `Sync` (a `PoolJob` supertrait), so handing the
+// pointer to a worker thread shares nothing a `&dyn PoolJob` could not; it
+// is only dereferenced under the invariant above.
 unsafe impl Send for JobRef {}
+// SAFETY: as for `Send` — a shared `JobRef` only ever yields `&dyn PoolJob`.
 unsafe impl Sync for JobRef {}
 
 /// What one worker reports back after finishing its share of a job.
@@ -713,20 +538,13 @@ impl JobState {
     }
 }
 
-/// One independent worker gang: scheduler, detector, and hand-off state.
+/// One independent worker gang: detector and hand-off state.  The gang's
+/// scheduler is not here — its worker threads own it (see [`GangBody`]).
 struct Gang {
     size: usize,
     /// NUMA node this gang is placed on, when the pool has a topology —
     /// kept so respawned threads get the same `smq-pool-n{node}-…` names.
     node: Option<usize>,
-    /// The gang's scheduler; replaced wholesale on respawn.  Workers read
-    /// it exactly once, at thread start.
-    scheduler: Mutex<SchedulerRef>,
-    /// Owns the pointee of `scheduler` for owning pools (`None` when the
-    /// scheduler is borrowed).  Only ever replaced *after* every thread of
-    /// the previous generation is joined, so the erased pointer cannot
-    /// dangle.
-    keeper: Mutex<Option<Box<dyn std::any::Any + Send + Sync>>>,
     /// Join handles of this gang's current worker threads.
     threads: Mutex<Vec<JoinHandle<()>>>,
     detector: TerminationDetector,
@@ -761,17 +579,47 @@ struct ClaimState {
     now_serving: u64,
 }
 
-/// The per-worker thread entry installed by the constructor: the typed
-/// (monomorphized) entry for homogeneous pools, the erased entry for
-/// [`WorkerPool::new_mixed`].  The signature mentions no scheduler type, so
-/// one plain function pointer serves both.
-type WorkerEntry = fn(&Arc<Inner>, usize, usize);
+/// What every worker thread of one gang generation runs, given the pool and
+/// the worker's local tid: create this worker's scheduler handle, then
+/// park/execute in [`run_worker`] until shutdown.
+///
+/// The body **owns the gang's scheduler**.  Each thread of the generation
+/// holds one `Arc` share of it and nothing else keeps one, so the scheduler
+/// is dropped when the last of those threads exits — after every handle
+/// onto it, which live on the threads' stacks inside the call.
+type GangBody = ScopedGangBody<'static>;
 
-/// Rebuilds one gang's scheduler: returns the erased ref and the box that
-/// owns its pointee.  Stored by factory constructors so poisoned gangs can
-/// be respawned with a fresh scheduler.
-type RespawnFactory =
-    Box<dyn Fn(usize) -> (SchedulerRef, Box<dyn std::any::Any + Send + Sync>) + Send + Sync>;
+/// A [`GangBody`] that may borrow for `'s`; only
+/// [`WorkerPool::with_borrowed`] builds one with a non-`'static` borrow.
+type ScopedGangBody<'s> = Arc<dyn Fn(&Arc<Inner>, usize) + Send + Sync + 's>;
+
+/// Builds gang `g`'s scheduler and wraps it into a fresh [`GangBody`].
+/// Stored by the factory constructors so poisoned gangs can be respawned.
+type GangFactory = Box<dyn Fn(usize) -> GangBody + Send + Sync>;
+
+/// Wraps gang `gang_idx`'s scheduler — an owned `S`, or the `&S` of
+/// [`WorkerPool::with_borrowed`] — into the body its threads run.  `S` is
+/// known here, so the handle lives on the worker's stack and every
+/// hot-path scheduler call in the shared worker loop is a direct
+/// (typically inlined) call — no `Box`, no vtable per operation.
+fn gang_body<'s, S, B>(scheduler: B, gang_idx: usize, gang_size: usize) -> ScopedGangBody<'s>
+where
+    S: Scheduler<Task> + 's,
+    B: std::borrow::Borrow<S> + Send + Sync + 's,
+{
+    assert_eq!(
+        gang_size,
+        scheduler.borrow().num_threads(),
+        "gang {gang_idx}: pool gang size must match the scheduler's thread count"
+    );
+    Arc::new(move |inner: &Arc<Inner>, local: usize| {
+        // One handle for the thread's whole life: local queues and insert
+        // buffers persist across jobs.
+        let mut handle = scheduler.borrow().handle(local);
+        inner.handles_created.fetch_add(1, Ordering::Relaxed);
+        run_worker(inner, gang_idx, local, &mut handle);
+    })
+}
 
 struct Inner {
     gangs: Vec<Gang>,
@@ -793,11 +641,8 @@ struct Inner {
     /// Worker threads spawned over the pool's lifetime (fleet size, plus
     /// `gang_size` per respawn).
     threads_spawned: AtomicU64,
-    /// The thread entry every worker of this pool runs.
-    entry: WorkerEntry,
     /// Present on factory-built pools: how to rebuild a gang's scheduler.
-    respawn_factory: Option<RespawnFactory>,
-    respawn_policy: RespawnPolicy,
+    respawn_factory: Option<GangFactory>,
     /// Deterministic fault schedule shared by every worker (chaos testing).
     #[cfg(feature = "fault-inject")]
     faults: Option<FaultPlan>,
@@ -807,26 +652,6 @@ struct Inner {
 /// precise semantics, and state reads are safe after a panic.
 fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
     state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-thread_local! {
-    /// The accounting of the last job `execute` finished *on this thread*
-    /// (trace lanes stripped).  The job service brackets each job with
-    /// [`clear_last_job_output`]/[`take_last_job_output`] to attach the
-    /// per-job metrics delta to its [`JobCompletion`] without changing the
-    /// user-facing job-closure signature.
-    static LAST_JOB_OUTPUT: std::cell::RefCell<Option<JobOutput>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Drops any stale capture left by a previous job on this thread.
-pub(crate) fn clear_last_job_output() {
-    LAST_JOB_OUTPUT.with(|slot| slot.borrow_mut().take());
-}
-
-/// Takes the capture published by the most recent `execute` on this thread.
-pub(crate) fn take_last_job_output() -> Option<JobOutput> {
-    LAST_JOB_OUTPUT.with(|slot| slot.borrow_mut().take())
 }
 
 thread_local! {
@@ -872,8 +697,8 @@ fn current_job_spec() -> JobSpec {
 }
 
 /// Gangs held by one job; returns live gangs to the allocator on drop (also
-/// on unwind) and retires poisoned ones (respawning them right away under
-/// [`RespawnPolicy::Eager`]).
+/// on unwind) and moves poisoned ones to the dead list, where the next
+/// claim (or [`WorkerPool::respawn_dead`]) rebuilds them.
 struct GangClaim<'p> {
     inner: &'p Arc<Inner>,
     gangs: Vec<usize>,
@@ -891,61 +716,61 @@ impl Drop for GangClaim<'_> {
                 st.free.push(g);
             }
         }
-        if inner.respawn_policy == RespawnPolicy::Eager && inner.respawn_factory.is_some() {
-            while let Some(g) = st.dead.pop() {
-                respawn_gang(inner, &mut st, g);
-            }
-        }
-        // Wake every waiter: the head ticket re-checks its gang count, and
-        // if all gangs just died for good, everyone observes that and fails.
+        // Wake every waiter: the head ticket re-checks its gang count (and
+        // respawns what just died), and if all gangs just died for good,
+        // everyone observes that and fails.
         inner.claim_ready.notify_all();
     }
 }
 
-/// Rebuilds one poisoned gang: joins the previous thread generation, swaps
-/// in a fresh scheduler from the pool's factory, resets the hand-off state,
-/// and spawns `gang_size` fresh threads.  Called with the claims lock held
-/// (`st`); the gang must be off both the free and dead lists.
-fn respawn_gang(inner: &Arc<Inner>, st: &mut ClaimState, g: usize) {
-    let factory = inner
-        .respawn_factory
-        .as_ref()
-        .expect("respawn requires a scheduler factory");
-    let gang = &inner.gangs[g];
-    // Drain the survivors: a poisoned gang's live workers are parked (their
-    // completion guards already ran), so a gang-local shutdown flag plus a
-    // wake is all it takes for them to exit.  The panicked worker's handle
-    // reports `Err` from `join`; just reap it.
-    {
-        let mut gst = lock(&gang.state);
-        gst.shutdown = true;
-        gang.job_ready.notify_all();
+/// Rebuilds every dead gang of a factory-built pool and returns how many
+/// were rebuilt (always 0 without a factory).  Called with the claims lock
+/// held (`st`); wakes the claim queue when capacity came back, because the
+/// head ticket it unblocks is not necessarily the caller.
+fn respawn_dead_gangs(inner: &Arc<Inner>, st: &mut ClaimState) -> usize {
+    let Some(factory) = &inner.respawn_factory else {
+        return 0;
+    };
+    let mut rebuilt = 0;
+    while let Some(g) = st.dead.pop() {
+        let gang = &inner.gangs[g];
+        // Drain the survivors: a poisoned gang's live workers are parked
+        // (their completion guards already ran), so a gang-local shutdown
+        // flag plus a wake is all it takes for them to exit.  The panicked
+        // worker's handle reports `Err` from `join`; just reap it.
+        {
+            let mut gst = lock(&gang.state);
+            gst.shutdown = true;
+            gang.job_ready.notify_all();
+        }
+        for handle in lock(&gang.threads).drain(..) {
+            let _ = handle.join();
+        }
+        // Every old thread is gone, and the old scheduler (possibly left
+        // mid-op by the panic) went with the last of them.
+        *lock(&gang.state) = JobState::fresh(gang.size);
+        gang.aborted.store(false, Ordering::Release);
+        // A fresh generation also zeroes the detector counters the panicked
+        // job left unbalanced.
+        gang.detector.advance_generation();
+        spawn_gang_threads(inner, g, factory(g));
+        st.respawned_total += 1;
+        st.free.push(g);
+        rebuilt += 1;
     }
-    for handle in lock(&gang.threads).drain(..) {
-        let _ = handle.join();
+    if rebuilt > 0 {
+        inner.claim_ready.notify_all();
     }
-    // Every old thread is gone, so the old scheduler (possibly left mid-op
-    // by the panic) can be dropped and replaced.  Order matters: the old
-    // keeper must outlive the joins above, never the other way around.
-    let (scheduler, keeper) = factory(g);
-    *lock(&gang.scheduler) = scheduler;
-    *lock(&gang.keeper) = Some(keeper);
-    *lock(&gang.state) = JobState::fresh(gang.size);
-    gang.aborted.store(false, Ordering::Release);
-    // A fresh generation also zeroes the detector counters the panicked
-    // job left unbalanced.
-    gang.detector.advance_generation();
-    spawn_gang_threads(inner, g);
-    st.respawned_total += 1;
-    st.free.push(g);
+    rebuilt
 }
 
-/// Spawns `gang_size` worker threads for gang `gang_idx`, registering their
-/// handles on the gang.  On a spawn failure the whole fleet (every gang's
-/// already-running threads) is shut down and joined *before* unwinding:
-/// without that, live workers could outlive the (possibly borrowed) erased
-/// scheduler pointers — a use-after-free, not just a leak.
-fn spawn_gang_threads(inner: &Arc<Inner>, gang_idx: usize) {
+/// Spawns `gang_size` worker threads for gang `gang_idx`, each holding one
+/// share of `body`, and registers their handles on the gang.  On a spawn
+/// failure the whole fleet (every gang's already-running threads) is shut
+/// down and joined *before* unwinding: without that, live workers of a
+/// [`WorkerPool::with_borrowed`] pool could outlive the scheduler borrow —
+/// a use-after-free, not just a leak.
+fn spawn_gang_threads(inner: &Arc<Inner>, gang_idx: usize, body: GangBody) {
     let gang = &inner.gangs[gang_idx];
     for local in 0..gang.size {
         let name = match gang.node {
@@ -953,10 +778,10 @@ fn spawn_gang_threads(inner: &Arc<Inner>, gang_idx: usize) {
             None => format!("smq-pool-{gang_idx}-{local}"),
         };
         let worker_inner = Arc::clone(inner);
-        let entry = inner.entry;
+        let body = Arc::clone(&body);
         match std::thread::Builder::new()
             .name(name)
-            .spawn(move || entry(&worker_inner, gang_idx, local))
+            .spawn(move || body(&worker_inner, local))
         {
             Ok(handle) => {
                 lock(&gang.threads).push(handle);
@@ -992,22 +817,10 @@ pub struct WorkerPool {
     jobs_completed: AtomicU64,
 }
 
-/// Erases one freshly built scheduler: the ref points into the box, and the
-/// box (the *keeper*) must outlive every thread that dereferences the ref.
-fn erase_scheduler<S>(scheduler: S) -> (SchedulerRef, Box<dyn std::any::Any + Send + Sync>)
-where
-    S: Scheduler<Task> + Send + Sync + 'static,
-{
-    let boxed: Box<S> = Box::new(scheduler);
-    let erased: &(dyn DynScheduler + 'static) = &*boxed;
-    let ptr: *const (dyn DynScheduler + 'static) = erased;
-    (SchedulerRef(ptr), boxed)
-}
-
 impl WorkerPool {
     /// Spawns a single-gang resident pool owning `scheduler`.
     ///
-    /// The scheduler lives as long as the pool.  Requires
+    /// The scheduler lives until the pool's workers are joined.  Requires
     /// `config.gangs == 1` (one scheduler serves exactly one gang) — build
     /// multi-gang pools with [`new_partitioned`](Self::new_partitioned).
     /// No factory means no respawn: a poisoned gang stays dead.
@@ -1020,13 +833,8 @@ impl WorkerPool {
             "WorkerPool::new builds a single-gang pool; use new_partitioned for {} gangs",
             config.gangs
         );
-        let (sref, keeper) = erase_scheduler(scheduler);
-        Self::spawn(
-            vec![(sref, Some(keeper))],
-            None,
-            config,
-            worker_main_typed::<S>,
-        )
+        let body = gang_body::<S, S>(scheduler, 0, config.gang_size);
+        Self::spawn(vec![body], None, config)
     }
 
     /// Spawns a pool of `config.gangs` gangs, building each gang's
@@ -1035,21 +843,17 @@ impl WorkerPool {
     /// Every scheduler must be configured for `config.gang_size` threads —
     /// a gang is an independent scheduler universe sized to its workers.
     /// The factory is retained for the pool's lifetime so poisoned gangs
-    /// can be **respawned** with a fresh scheduler (see [`RespawnPolicy`]),
+    /// can be **respawned** with a fresh scheduler (see the module docs),
     /// which is why it must be `Fn + Send + Sync + 'static`.
     pub fn new_partitioned<S, F>(factory: F, config: PoolConfig) -> WorkerPool
     where
         S: Scheduler<Task> + Send + Sync + 'static,
         F: Fn(usize) -> S + Send + Sync + 'static,
     {
-        let make: RespawnFactory = Box::new(move |g| erase_scheduler(factory(g)));
-        let schedulers: Vec<_> = (0..config.gangs)
-            .map(|g| {
-                let (sref, keeper) = make(g);
-                (sref, Some(keeper))
-            })
-            .collect();
-        Self::spawn(schedulers, Some(make), config, worker_main_typed::<S>)
+        let gang_size = config.gang_size;
+        let make: GangFactory = Box::new(move |g| gang_body::<S, S>(factory(g), g, gang_size));
+        let bodies = (0..config.gangs).map(&make).collect();
+        Self::spawn(bodies, Some(make), config)
     }
 
     /// Spawns a socket-aligned pool: like
@@ -1069,39 +873,6 @@ impl WorkerPool {
         Self::new_partitioned(move |g| factory(g, nodes[g]), config)
     }
 
-    /// Spawns a pool whose gangs may run **different scheduler types** —
-    /// the heterogeneous escape hatch behind the same `WorkerPool` API.
-    ///
-    /// Workers of a mixed pool drive their scheduler through the
-    /// [`DynScheduler`]/[`DynHandle`] vtable; thanks to the batch entries,
-    /// even this erased path pays one indirect call per *batch* once a
-    /// batch size is configured.  Homogeneous pools (every other
-    /// constructor) skip the vtable entirely via a monomorphized worker
-    /// entry.
-    pub fn new_mixed<F>(factory: F, config: PoolConfig) -> WorkerPool
-    where
-        F: Fn(usize) -> Box<dyn DynScheduler + Send + Sync> + Send + Sync + 'static,
-    {
-        let make: RespawnFactory = Box::new(move |g| {
-            // Double-box: the inner box's heap pointee is what the ref
-            // targets, so moving the outer keeper never invalidates it.
-            let boxed: Box<dyn DynScheduler + Send + Sync> = factory(g);
-            let erased: &(dyn DynScheduler + 'static) = &*boxed;
-            let ptr: *const (dyn DynScheduler + 'static) = erased;
-            (
-                SchedulerRef(ptr),
-                Box::new(boxed) as Box<dyn std::any::Any + Send + Sync>,
-            )
-        });
-        let schedulers: Vec<_> = (0..config.gangs)
-            .map(|g| {
-                let (sref, keeper) = make(g);
-                (sref, Some(keeper))
-            })
-            .collect();
-        Self::spawn(schedulers, Some(make), config, worker_main_dyn)
-    }
-
     /// Runs `f` against a transient single-gang pool built on a *borrowed*
     /// scheduler, joining every worker before returning (also on unwind).
     ///
@@ -1117,33 +888,31 @@ impl WorkerPool {
         S: Scheduler<Task>,
     {
         assert_eq!(config.gangs, 1, "with_borrowed builds a single-gang pool");
-        let erased: &dyn DynScheduler = scheduler;
-        // SAFETY: the erased pointer outlives every dereference because the
-        // pool joins all workers before this function returns: on the happy
-        // path via the explicit `shutdown`, on unwind via `Drop`.  `f` only
-        // receives `&WorkerPool`, so the pool cannot escape or be leaked.
-        let ptr: *const (dyn DynScheduler + 'static) =
-            unsafe { std::mem::transmute(erased as *const dyn DynScheduler) };
-        let mut pool = Self::spawn(
-            vec![(SchedulerRef(ptr), None)],
-            None,
-            config,
-            worker_main_typed::<S>,
-        );
+        let body = gang_body::<S, &S>(scheduler, 0, config.gang_size);
+        // SAFETY: only the trait object's lifetime bound changes.  The body
+        // holds `scheduler`, and shares of the body are held by this
+        // pool's worker threads only (no factory is stored), every one of
+        // which is joined before this function returns: on the happy path
+        // by the explicit `shutdown`, when `f` unwinds by `Drop`, and when
+        // a thread fails to spawn by `spawn_gang_threads` itself.  `f`
+        // only receives `&WorkerPool`, so the pool cannot escape or leak.
+        let body = unsafe { std::mem::transmute::<ScopedGangBody<'_>, GangBody>(body) };
+        let mut pool = Self::spawn(vec![body], None, config);
         let result = f(&pool);
         pool.shutdown();
         result
     }
 
+    /// Builds the gang slots and starts one thread generation per gang on
+    /// `bodies` (one per gang, in gang order).
     fn spawn(
-        schedulers: Vec<(SchedulerRef, Option<Box<dyn std::any::Any + Send + Sync>>)>,
-        respawn_factory: Option<RespawnFactory>,
+        bodies: Vec<GangBody>,
+        respawn_factory: Option<GangFactory>,
         config: PoolConfig,
-        entry: WorkerEntry,
     ) -> WorkerPool {
         assert!(config.gangs >= 1, "need at least one gang");
         assert!(config.gang_size >= 1, "need at least one worker per gang");
-        assert_eq!(schedulers.len(), config.gangs, "one scheduler per gang");
+        assert_eq!(bodies.len(), config.gangs, "one scheduler per gang");
         if let Some(topology) = &config.topology {
             assert_eq!(
                 topology.num_threads(),
@@ -1156,25 +925,13 @@ impl WorkerPool {
                 "gang size must divide threads_per_node so gangs never straddle a node"
             );
         }
-        for (g, (scheduler, _)) in schedulers.iter().enumerate() {
-            // SAFETY: the pointees are alive for the whole constructor.
-            let scheduler_threads = unsafe { (*scheduler.0).num_threads() };
-            assert_eq!(
-                config.gang_size, scheduler_threads,
-                "gang {g}: pool gang size must match the scheduler's thread count"
-            );
-        }
 
-        let gangs: Vec<Gang> = schedulers
-            .into_iter()
-            .enumerate()
-            .map(|(g, (scheduler, keeper))| Gang {
+        let gangs: Vec<Gang> = (0..config.gangs)
+            .map(|g| Gang {
                 size: config.gang_size,
                 // Socket-aligned pools carry the node in the worker
                 // identity so thread dumps show placement at a glance.
                 node: config.topology.as_ref().map(|_| config.node_of_gang(g)),
-                scheduler: Mutex::new(scheduler),
-                keeper: Mutex::new(keeper),
                 threads: Mutex::new(Vec::with_capacity(config.gang_size)),
                 detector: TerminationDetector::new(config.gang_size),
                 state: Mutex::new(JobState::fresh(config.gang_size)),
@@ -1199,16 +956,14 @@ impl WorkerPool {
             origin: Instant::now(),
             handles_created: AtomicU64::new(0),
             threads_spawned: AtomicU64::new(0),
-            entry,
             respawn_factory,
-            respawn_policy: config.respawn,
             #[cfg(feature = "fault-inject")]
             faults: config.faults.clone(),
             gangs,
         });
 
-        for gang in 0..config.gangs {
-            spawn_gang_threads(&inner, gang);
+        for (gang, body) in bodies.into_iter().enumerate() {
+            spawn_gang_threads(&inner, gang, body);
         }
 
         WorkerPool {
@@ -1232,8 +987,9 @@ impl WorkerPool {
         self.inner.gangs[0].size
     }
 
-    /// Gangs not currently retired by a job panic (respawn brings retired
-    /// gangs back — see [`RespawnPolicy`]).
+    /// Gangs not currently retired by a job panic (the next claim, or
+    /// [`respawn_dead`](Self::respawn_dead), brings retired gangs of a
+    /// factory-built pool back).
     pub fn live_gangs(&self) -> usize {
         let st = lock(&self.inner.claims);
         self.inner.gangs.len() - st.dead.len()
@@ -1254,30 +1010,17 @@ impl WorkerPool {
     }
 
     /// Forces an immediate rebuild of every dead gang (factory pools only);
-    /// returns how many were respawned.  [`RespawnPolicy::Lazy`] pools do
-    /// this implicitly at the next claim — this entry point exists so tests
-    /// and benchmarks can restore full capacity at a deterministic moment.
+    /// returns how many were respawned.  The next claim does this
+    /// implicitly — this entry point exists so tests and benchmarks can
+    /// restore full capacity at a deterministic moment.
     pub fn respawn_dead(&self) -> usize {
-        if self.inner.respawn_factory.is_none() {
-            return 0;
-        }
-        let mut st = lock(&self.inner.claims);
-        let mut rebuilt = 0;
-        while let Some(g) = st.dead.pop() {
-            respawn_gang(&self.inner, &mut st, g);
-            rebuilt += 1;
-        }
-        if rebuilt > 0 {
-            self.inner.claim_ready.notify_all();
-        }
-        rebuilt
+        respawn_dead_gangs(&self.inner, &mut lock(&self.inner.claims))
     }
 
     /// Claims `want` gangs (capped to the live gang count) in strict FIFO
     /// order.  Blocks until this caller is at the head of the queue *and*
-    /// enough gangs are idle.  Dead gangs are respawned here first (the
-    /// [`RespawnPolicy::Lazy`] path), so on factory pools capacity recovers
-    /// before admission is decided.
+    /// enough gangs are idle.  Dead gangs are respawned here first, so on
+    /// factory pools capacity recovers before admission is decided.
     ///
     /// Fails with [`JobError::NoCapacity`] when every gang is dead and none
     /// can be respawned.  That state is *permanent* (only a panic kills a
@@ -1290,18 +1033,7 @@ impl WorkerPool {
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         loop {
-            if inner.respawn_factory.is_some() && inner.respawn_policy != RespawnPolicy::Never {
-                let mut respawned = false;
-                while let Some(g) = st.dead.pop() {
-                    respawn_gang(inner, &mut st, g);
-                    respawned = true;
-                }
-                if respawned {
-                    // Freed capacity may unblock the head ticket, which is
-                    // not necessarily us.
-                    inner.claim_ready.notify_all();
-                }
-            }
+            respawn_dead_gangs(inner, &mut st);
             let live = inner.gangs.len() - st.dead.len();
             if live == 0 {
                 return Err(JobError::NoCapacity);
@@ -1508,7 +1240,7 @@ impl WorkerPool {
         } else {
             None
         };
-        let output = JobOutput {
+        Ok(JobOutput {
             metrics: RunMetrics {
                 elapsed,
                 threads: total_workers,
@@ -1520,32 +1252,7 @@ impl WorkerPool {
             },
             useful_tasks: results.iter().map(|r| r.useful).sum(),
             wasted_tasks: results.iter().map(|r| r.wasted).sum(),
-        };
-        // Publish a capture for the job service (same thread ran `execute`),
-        // so `JobCompletion` can carry the per-job metrics delta.  Trace
-        // lanes are stripped from the capture — completions keep the cheap
-        // aggregates (phase times, rank histogram), not event rings.
-        LAST_JOB_OUTPUT.with(|slot| {
-            let capture = JobOutput {
-                metrics: RunMetrics {
-                    elapsed: output.metrics.elapsed,
-                    threads: output.metrics.threads,
-                    tasks_executed: output.metrics.tasks_executed,
-                    quiescence_scans: output.metrics.quiescence_scans,
-                    per_thread: output.metrics.per_thread.clone(),
-                    total: output.metrics.total.clone(),
-                    telemetry: output.metrics.telemetry.as_ref().map(|r| TelemetryReport {
-                        phases: r.phases.clone(),
-                        rank_errors: r.rank_errors.clone(),
-                        lanes: Vec::new(),
-                    }),
-                },
-                useful_tasks: output.useful_tasks,
-                wasted_tasks: output.wasted_tasks,
-            };
-            *slot.borrow_mut() = Some(capture);
-        });
-        Ok(output)
+        })
     }
 
     /// Stops accepting jobs and joins every worker thread.  Called
@@ -1573,8 +1280,6 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shutdown();
-        // The per-gang keepers drop with `inner` after every thread is
-        // joined, so no erased scheduler pointer can dangle.
     }
 }
 
@@ -1610,42 +1315,8 @@ impl Drop for CompletionGuard<'_> {
     }
 }
 
-/// The monomorphized worker entry for homogeneous pools: recovers the
-/// concrete scheduler type `S`, so the handle lives on the worker's stack
-/// and every hot-path scheduler call in the shared `worker_loop` is a
-/// direct (typically inlined) call — no `Box`, no vtable.
-fn worker_main_typed<S: Scheduler<Task>>(inner: &Arc<Inner>, gang_idx: usize, local: usize) {
-    let gang = &inner.gangs[gang_idx];
-    // Read once at thread start: the ref is only ever replaced by a respawn,
-    // which joins this whole thread generation first.
-    let sref = *lock(&gang.scheduler);
-    // SAFETY: the constructor that installed this entry built every gang's
-    // scheduler as an `S` (the erased pointer's pointee), and the pool
-    // joins this thread before invalidating it (see `SchedulerRef`).
-    let scheduler: &S = unsafe { &*(sref.0 as *const S) };
-    // One handle and one scratch arena for the thread's whole life: local
-    // queues, insert buffers, and scratch capacity all persist across jobs.
-    let mut handle = scheduler.handle(local);
-    inner.handles_created.fetch_add(1, Ordering::Relaxed);
-    run_worker(inner, gang_idx, local, &mut handle);
-}
-
-/// The erased worker entry for [`WorkerPool::new_mixed`]: one boxed handle
-/// per worker for the thread's whole life, every scheduler call one
-/// indirect call (one per *batch* on the batch paths).
-fn worker_main_dyn(inner: &Arc<Inner>, gang_idx: usize, local: usize) {
-    let gang = &inner.gangs[gang_idx];
-    let sref = *lock(&gang.scheduler);
-    // SAFETY: the pool joins this thread before invalidating the pointer
-    // (see `SchedulerRef`).
-    let scheduler: &dyn DynScheduler = unsafe { &*sref.0 };
-    let mut handle = scheduler.dyn_handle(local);
-    inner.handles_created.fetch_add(1, Ordering::Relaxed);
-    run_worker(inner, gang_idx, local, &mut handle);
-}
-
-/// The park/execute loop shared by both worker entries, generic over the
-/// handle so the typed entry monomorphizes the whole job hot path.
+/// One worker's park/execute loop, generic over the handle so each
+/// [`gang_body`] monomorphizes the whole job hot path.
 fn run_worker<H: SchedulerHandle<Task>>(
     inner: &Arc<Inner>,
     gang_idx: usize,
@@ -1693,9 +1364,7 @@ fn run_worker<H: SchedulerHandle<Task>>(
         // SAFETY: valid until this worker's guard decrements `remaining`
         // (see `JobRef`).
         let job: &dyn PoolJob = unsafe { &*job_ref.0 };
-        // `H` sees both trait surfaces (`SchedulerHandle` and the blanket
-        // `DynHandle`); pin the calls to the view the worker loop uses.
-        let stats_before = SchedulerHandle::stats(handle);
+        let stats_before = handle.stats();
         let mut tally = gang.detector.tally(local);
         // `None` when telemetry is disabled: the loop below then runs the
         // exact uninstrumented path (no timestamps, no extra handle calls).
@@ -1712,13 +1381,13 @@ fn run_worker<H: SchedulerHandle<Task>>(
         // behavior, stats included.
         let mut seeds = seeds;
         if inner.loop_config.batch_size > 1 {
-            SchedulerHandle::push_batch(handle, &mut seeds);
+            handle.push_batch(&mut seeds);
         } else {
             for task in seeds.drain(..) {
-                SchedulerHandle::push(handle, task);
+                handle.push(task);
             }
         }
-        SchedulerHandle::flush(handle);
+        handle.flush();
 
         let mut useful = 0u64;
         let mut wasted = 0u64;
@@ -1727,7 +1396,7 @@ fn run_worker<H: SchedulerHandle<Task>>(
         let mut since_check = 0u32;
         #[cfg(feature = "fault-inject")]
         let faults = inner.faults.as_ref();
-        let outcome = worker_loop_instrumented(
+        let outcome = worker_loop(
             handle,
             &gang.detector,
             &mut tally,
@@ -1790,7 +1459,7 @@ fn run_worker<H: SchedulerHandle<Task>>(
             scans: outcome.scans,
             useful,
             wasted,
-            stats: SchedulerHandle::stats(handle).delta_since(&stats_before),
+            stats: handle.stats().delta_since(&stats_before),
             telemetry: telemetry.map(WorkerTelemetry::finish),
         });
         drop(guard); // publishes the result and wakes the coordinator
@@ -2153,35 +1822,23 @@ mod tests {
     }
 
     #[test]
-    fn panic_poisons_one_gang_and_the_rest_keep_serving() {
-        // Never-respawn keeps the historic retire-forever behaviour so the
-        // test can observe the degraded one-gang pool.
-        let pool = WorkerPool::new_partitioned(
-            move |_| smq(1),
-            PoolConfig::partitioned(2, 1).with_respawn(RespawnPolicy::Never),
-        );
-        assert_eq!(
-            pool.run_job_on(&PanickingJob, 1).map(|_| ()),
-            Err(JobError::Lost)
-        );
-        assert_eq!(pool.stats().gangs_poisoned, 1);
-        assert_eq!(pool.stats().gangs_respawned, 0);
-        assert_eq!(pool.live_gangs(), 1);
-        // The surviving gang still executes jobs correctly.
-        for _ in 0..5 {
-            let out = pool.run_job(&FanoutJob::new(30, 30)).unwrap();
-            assert_eq!(out.metrics.tasks_executed, 90);
-            assert_eq!(out.metrics.threads, 1, "only the live gang participates");
-        }
-        assert_eq!(pool.stats().jobs_completed, 5);
+    fn factory_less_pool_retires_a_poisoned_gang_for_good() {
+        // `WorkerPool::new` stores no factory, so nothing can rebuild the
+        // gang: neither the explicit entry point nor a later claim.
+        let pool = WorkerPool::new(smq(1), PoolConfig::new(1));
+        assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
+        assert_eq!(pool.live_gangs(), 0);
+        assert_eq!(pool.respawn_dead(), 0);
+        assert!(pool.run_job(&FanoutJob::new(1, 0)).is_err());
+        let stats = pool.stats();
+        assert_eq!(stats.gangs_poisoned, 1);
+        assert_eq!(stats.gangs_respawned, 0);
+        assert_eq!(stats.threads_spawned, 1, "no thread was ever respawned");
     }
 
     #[test]
     fn fully_poisoned_pool_rejects_jobs_with_no_capacity() {
-        let pool = WorkerPool::new_partitioned(
-            move |_| smq(1),
-            PoolConfig::partitioned(1, 1).with_respawn(RespawnPolicy::Never),
-        );
+        let pool = WorkerPool::new(smq(1), PoolConfig::new(1));
         assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
         assert_eq!(pool.live_gangs(), 0);
         // Nothing can serve the job, and nothing ever will: a typed error,
@@ -2196,8 +1853,8 @@ mod tests {
 
     #[test]
     fn poisoned_gang_respawns_on_next_claim() {
-        // Default policy (Lazy) on a factory pool: the panic poisons gang,
-        // the next job's claim rebuilds it, and capacity is back to full.
+        // On a factory pool the panic poisons one gang only, the next
+        // job's claim rebuilds it, and capacity is back to full.
         let pool = partitioned(2, 1);
         assert_eq!(
             pool.run_job_on(&PanickingJob, 1).map(|_| ()),
@@ -2219,24 +1876,7 @@ mod tests {
     }
 
     #[test]
-    fn eager_respawn_restores_capacity_before_the_next_claim() {
-        let pool = WorkerPool::new_partitioned(
-            move |_| smq(1),
-            PoolConfig::partitioned(2, 1).with_respawn(RespawnPolicy::Eager),
-        );
-        assert_eq!(
-            pool.run_job_on(&PanickingJob, 1).map(|_| ()),
-            Err(JobError::Lost)
-        );
-        // No claim in between: the release of the poisoned claim rebuilt it.
-        assert_eq!(pool.live_gangs(), 2);
-        assert_eq!(pool.stats().gangs_respawned, 1);
-        let out = pool.run_job(&FanoutJob::new(40, 40)).unwrap();
-        assert_eq!(out.metrics.threads, 2);
-    }
-
-    #[test]
-    fn respawn_dead_forces_recovery_on_lazy_pools() {
+    fn respawn_dead_forces_recovery_before_the_next_claim() {
         let pool = partitioned(2, 1);
         assert_eq!(
             pool.run_job_on(&PanickingJob, 1).map(|_| ()),
@@ -2377,35 +2017,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_pool_runs_different_scheduler_types_per_gang() {
-        use smq_multiqueue::{MultiQueue, MultiQueueConfig};
-        // Gang 0: SMQ; gang 1: classic Multi-Queue — behind one pool.
-        let pool = WorkerPool::new_mixed(
-            |g| -> Box<dyn DynScheduler + Send + Sync> {
-                if g == 0 {
-                    Box::new(smq(1))
-                } else {
-                    Box::new(MultiQueue::<Task>::new(
-                        MultiQueueConfig::classic(1).with_seed(5),
-                    ))
-                }
-            },
-            PoolConfig::partitioned(2, 1).with_batch(4),
-        );
-        assert_eq!(pool.gangs(), 2);
-        for _ in 0..5 {
-            let job = FanoutJob::new(60, 60);
-            let out = pool.run_job(&job).unwrap();
-            assert_eq!(out.metrics.tasks_executed, 180);
-            assert_eq!(out.metrics.total.pushes, out.metrics.total.pops);
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.threads_spawned, 2);
-        assert_eq!(stats.handles_created, 2);
-        assert_eq!(stats.jobs_completed, 5);
-    }
-
-    #[test]
     fn shutdown_is_idempotent_and_drop_safe() {
         let mut pool = WorkerPool::new(smq(2), PoolConfig::new(2));
         pool.run_job(&FanoutJob::new(10, 10)).unwrap();
@@ -2420,5 +2031,167 @@ mod tests {
         pool.run_job_on(&FanoutJob::new(10, 10), 2).unwrap();
         pool.shutdown();
         assert_eq!(pool.stats().jobs_completed, 1);
+    }
+
+    /// What the drop-probe schedulers of one test report.
+    #[derive(Default)]
+    struct ProbeLog {
+        built: AtomicU64,
+        /// One `(instance, handles alive at that moment)` entry per
+        /// scheduler drop, in drop order.
+        drops: Mutex<Vec<(u64, u64)>>,
+    }
+
+    impl ProbeLog {
+        fn drops(&self) -> Vec<(u64, u64)> {
+            self.drops.lock().unwrap().clone()
+        }
+    }
+
+    /// A `HeapSmq` that counts the handles alive onto it and logs its own
+    /// drop — the observable side of the pool's ownership rule.
+    struct Probe {
+        instance: u64,
+        live_handles: AtomicU64,
+        log: Arc<ProbeLog>,
+        inner: HeapSmq<Task>,
+    }
+
+    impl Probe {
+        fn new(threads: usize, log: &Arc<ProbeLog>) -> Self {
+            Self {
+                instance: log.built.fetch_add(1, Ordering::Relaxed),
+                live_handles: AtomicU64::new(0),
+                log: Arc::clone(log),
+                inner: smq(threads),
+            }
+        }
+    }
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            let live = self.live_handles.load(Ordering::Acquire);
+            self.log.drops.lock().unwrap().push((self.instance, live));
+        }
+    }
+
+    struct ProbeHandle<'a> {
+        live_handles: &'a AtomicU64,
+        inner: <HeapSmq<Task> as Scheduler<Task>>::Handle<'a>,
+    }
+
+    impl Drop for ProbeHandle<'_> {
+        fn drop(&mut self) {
+            self.live_handles.fetch_sub(1, Ordering::Release);
+        }
+    }
+
+    impl Scheduler<Task> for Probe {
+        type Handle<'a> = ProbeHandle<'a>;
+
+        fn num_threads(&self) -> usize {
+            self.inner.num_threads()
+        }
+
+        fn handle(&self, thread_id: usize) -> ProbeHandle<'_> {
+            self.live_handles.fetch_add(1, Ordering::Release);
+            ProbeHandle {
+                live_handles: &self.live_handles,
+                inner: self.inner.handle(thread_id),
+            }
+        }
+    }
+
+    impl SchedulerHandle<Task> for ProbeHandle<'_> {
+        fn push(&mut self, task: Task) {
+            self.inner.push(task);
+        }
+
+        fn pop(&mut self) -> Option<Task> {
+            self.inner.pop()
+        }
+
+        fn flush(&mut self) {
+            self.inner.flush();
+        }
+
+        fn stats(&self) -> OpStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn respawn_drops_the_old_scheduler_once_after_its_last_handle() {
+        let log = Arc::new(ProbeLog::default());
+        let factory_log = Arc::clone(&log);
+        let pool = WorkerPool::new_partitioned(
+            move |_| Probe::new(2, &factory_log),
+            PoolConfig::partitioned(1, 2),
+        );
+        assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
+        // The panicked worker is gone, but the survivor is parked with its
+        // handle: poison alone must not drop the scheduler under it.
+        assert_eq!(log.drops(), vec![]);
+        assert_eq!(pool.respawn_dead(), 1);
+        // The respawn joined the old generation, which dropped instance 0
+        // exactly once, with no handle left onto it.
+        assert_eq!(log.drops(), vec![(0, 0)]);
+        assert_eq!(log.built.load(Ordering::Relaxed), 2);
+        let out = pool.run_job(&FanoutJob::new(40, 40)).unwrap();
+        assert_eq!(out.metrics.tasks_executed, 120);
+        drop(pool);
+        assert_eq!(log.drops(), vec![(0, 0), (1, 0)]);
+    }
+
+    #[test]
+    fn dropping_the_pool_drops_every_gangs_scheduler() {
+        let log = Arc::new(ProbeLog::default());
+        let factory_log = Arc::clone(&log);
+        let pool = WorkerPool::new_partitioned(
+            move |_| Probe::new(1, &factory_log),
+            PoolConfig::partitioned(3, 1),
+        );
+        pool.run_job(&FanoutJob::new(30, 30)).unwrap();
+        assert_eq!(log.drops(), vec![]);
+        drop(pool);
+        let mut drops = log.drops();
+        drops.sort_unstable();
+        assert_eq!(drops, vec![(0, 0), (1, 0), (2, 0)]);
+
+        // The by-value constructor owns its scheduler the same way.
+        let log = Arc::new(ProbeLog::default());
+        let pool = WorkerPool::new(Probe::new(2, &log), PoolConfig::new(2));
+        pool.run_job(&FanoutJob::new(30, 30)).unwrap();
+        drop(pool);
+        assert_eq!(log.drops(), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn with_borrowed_joins_its_fleet_when_the_closure_panics() {
+        let log = Arc::new(ProbeLog::default());
+        let probe = Probe::new(2, &log);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            WorkerPool::with_borrowed(&probe, PoolConfig::new(2), |pool| {
+                pool.run_job(&FanoutJob::new(20, 20)).unwrap();
+                panic!("intentional panic in the scoped closure");
+            })
+        }));
+        assert!(unwound.is_err());
+        // Workers hold their handles for their whole life, so zero live
+        // handles right after the unwind means every worker was joined.
+        assert_eq!(probe.live_handles.load(Ordering::Acquire), 0);
+        assert_eq!(
+            log.drops(),
+            vec![],
+            "a borrowed scheduler is not the pool's to drop"
+        );
+        // The scheduler is intact: a second scoped pool serves a job on it.
+        let executed = WorkerPool::with_borrowed(&probe, PoolConfig::new(2), |pool| {
+            pool.run_job(&FanoutJob::new(50, 50))
+                .unwrap()
+                .metrics
+                .tasks_executed
+        });
+        assert_eq!(executed, 150);
     }
 }

@@ -28,8 +28,8 @@
 //! [`JobError`] — **never a hang, never a client panic**:
 //!
 //! - [`JobError::Lost`] — the job (or the pool worker running it)
-//!   panicked.  The gang it poisoned is respawned by the pool per its
-//!   [`RespawnPolicy`](crate::RespawnPolicy); the service keeps serving.
+//!   panicked.  The gang it poisoned is respawned by a factory-built pool
+//!   at the next claim; the service keeps serving.
 //! - [`JobError::DeadlineExceeded`] / [`JobError::BudgetExceeded`] — the
 //!   job tripped a [`JobPolicy`] limit and was cooperatively cancelled;
 //!   its gangs drained cleanly and went straight back into rotation.
@@ -194,12 +194,6 @@ pub struct JobCompletion<R> {
     /// Time spent executing on the worker pool (all attempts, including
     /// retry backoff).
     pub service_time: Duration,
-    /// The per-job metrics delta of the **last** `run_job`/`run_job_on`
-    /// the closure performed (scheduler-operation deltas carved out of the
-    /// persistent worker handles via `OpStats::delta_since`, plus any
-    /// telemetry aggregates with trace lanes stripped).  `None` when the
-    /// closure ran no pool job.
-    pub metrics: Option<crate::JobOutput>,
     /// Executions it took to produce this output: 1 without retries,
     /// `1 + retries` when a [`RetryPolicy`] recovered a lost attempt.
     pub attempts: u32,
@@ -443,7 +437,7 @@ impl JobService {
         R: Send + 'static,
     {
         let st = self.blocking_slot()?;
-        Ok(self.enqueue(st, job))
+        Ok(self.enqueue(st, JobPolicy::default(), run_once(job)))
     }
 
     /// Submits a job without blocking; fails with
@@ -461,7 +455,7 @@ impl JobService {
             self.inner.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::QueueFull);
         }
-        Ok(self.enqueue(st, job))
+        Ok(self.enqueue(st, JobPolicy::default(), run_once(job)))
     }
 
     /// Submits a fallible job under a [`JobPolicy`] (deadline, budget,
@@ -480,7 +474,7 @@ impl JobService {
         R: Send + 'static,
     {
         let st = self.blocking_slot()?;
-        Ok(self.enqueue_with(st, policy, job))
+        Ok(self.enqueue(st, policy, job))
     }
 
     /// Blocks until the queue has a free slot (or the service closes).
@@ -501,70 +495,17 @@ impl JobService {
         }
     }
 
-    fn enqueue<F, R>(&self, mut st: MutexGuard<'_, QueueState>, job: F) -> JobTicket<R>
-    where
-        F: FnOnce(&WorkerPool) -> R + Send + 'static,
-        R: Send + 'static,
-    {
-        let shared = Arc::new(TicketShared::new());
-        let slot = Arc::clone(&shared);
-        let accepted_at = Instant::now();
-        st.jobs.push_back(Box::new(move |pool: &WorkerPool| {
-            // Bracket the job with the thread-local captures so the
-            // completion carries the metrics — and the failure the typed
-            // error — of the job this closure ran (never a stale capture
-            // from a previous job on this dispatcher).
-            crate::clear_last_job_output();
-            crate::clear_last_job_error();
-            let started = Instant::now();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(pool)));
-            let pool_error = crate::take_last_job_error();
-            match result {
-                Ok(output) => {
-                    resolve(
-                        &slot,
-                        Ok(JobCompletion {
-                            output,
-                            queue_wait: started.duration_since(accepted_at),
-                            service_time: started.elapsed(),
-                            metrics: crate::take_last_job_output(),
-                            attempts: 1,
-                        }),
-                    );
-                    JobOutcome {
-                        error: None,
-                        retries: 0,
-                    }
-                }
-                Err(_) => {
-                    // The closure unwound.  If its last pool job recorded
-                    // a typed error (a poisoned gang, a cancellation the
-                    // closure `unwrap`ped...), classify by it; a panic
-                    // with no pool involvement is a plain lost job.
-                    let error = pool_error.unwrap_or(JobError::Lost);
-                    resolve(&slot, Err(error));
-                    JobOutcome {
-                        error: Some(error),
-                        retries: 0,
-                    }
-                }
-            }
-        }));
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        self.inner.not_empty.notify_one();
-        JobTicket {
-            shared: Some(shared),
-        }
-    }
-
-    fn enqueue_with<F, R>(
+    /// Queues `job` under `policy` and hands back its ticket.  The queued
+    /// closure contains the job's panics, classifies every attempt, resolves
+    /// the ticket and reports a [`JobOutcome`] to its dispatcher.
+    fn enqueue<F, R>(
         &self,
         mut st: MutexGuard<'_, QueueState>,
         policy: JobPolicy,
-        job: F,
+        mut job: F,
     ) -> JobTicket<R>
     where
-        F: Fn(&WorkerPool) -> Result<R, JobError> + Send + 'static,
+        F: FnMut(&WorkerPool) -> Result<R, JobError> + Send + 'static,
         R: Send + 'static,
     {
         let shared = Arc::new(TicketShared::new());
@@ -587,7 +528,10 @@ impl JobService {
                     break Err(JobError::DeadlineExceeded);
                 }
                 attempts += 1;
-                crate::clear_last_job_output();
+                // Bracket the attempt with the thread-local error capture
+                // so a failure carries the typed error of the pool job this
+                // attempt ran (never a stale one from a previous job on
+                // this dispatcher).
                 crate::clear_last_job_error();
                 crate::set_current_job_spec(spec);
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(pool)));
@@ -596,6 +540,10 @@ impl JobService {
                 let error = match result {
                     Ok(Ok(output)) => break Ok(output),
                     Ok(Err(error)) => error,
+                    // The closure unwound.  If its last pool job recorded
+                    // a typed error (a poisoned gang, a cancellation the
+                    // closure `unwrap`ped...), classify by it; a panic
+                    // with no pool involvement is a plain lost job.
                     Err(_) => pool_error.unwrap_or(JobError::Lost),
                 };
                 if error == JobError::Lost && attempts <= policy.retry.max_retries {
@@ -616,7 +564,6 @@ impl JobService {
                             output,
                             queue_wait,
                             service_time: started.elapsed(),
-                            metrics: crate::take_last_job_output(),
                             attempts,
                         }),
                     );
@@ -697,6 +644,20 @@ impl Drop for JobService {
     }
 }
 
+/// Adapts a plain `submit` job to the fallible, re-runnable shape
+/// [`JobService::enqueue`] takes.  The default [`JobPolicy`] never retries
+/// (`max_retries` is 0), so the closure is called exactly once.
+fn run_once<F, R>(job: F) -> impl FnMut(&WorkerPool) -> Result<R, JobError> + Send + 'static
+where
+    F: FnOnce(&WorkerPool) -> R + Send + 'static,
+{
+    let mut job = Some(job);
+    move |pool| {
+        let job = job.take().expect("the default policy never retries");
+        Ok(job(pool))
+    }
+}
+
 fn dispatcher_main(inner: &ServiceInner, pool: &WorkerPool) {
     loop {
         let job = {
@@ -713,7 +674,7 @@ fn dispatcher_main(inner: &ServiceInner, pool: &WorkerPool) {
                 st = inner.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // Queued closures contain their own panics (see `enqueue*`) and
+        // Queued closures contain their own panics (see `enqueue`) and
         // report a typed outcome; nothing can unwind out of `job` here.
         inner.in_flight.fetch_add(1, Ordering::Relaxed);
         let outcome = job(pool);
@@ -736,7 +697,7 @@ fn dispatcher_main(inner: &ServiceInner, pool: &WorkerPool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JobLost, PoolConfig, PoolJob, RespawnPolicy};
+    use crate::{PoolConfig, PoolJob};
     use smq_core::Task;
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
     use smq_runtime::Scratch;
@@ -904,7 +865,7 @@ mod tests {
             .expect("submit");
         assert_eq!(
             bad.wait().map(|c| c.output),
-            Err(JobLost),
+            Err(JobError::Lost),
             "lost job must resolve to Err"
         );
 
@@ -1032,37 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn completion_carries_the_jobs_metrics_delta() {
-        let service = service(4);
-        let counter = Arc::new(AtomicU64::new(0));
-        let job_counter = Arc::clone(&counter);
-        let ticket = service
-            .submit(move |pool| {
-                let job = CountJob {
-                    seeds: 9,
-                    counter: job_counter,
-                };
-                pool.run_job(&job).expect("pool job").metrics.tasks_executed
-            })
-            .expect("submit");
-        let done = ticket.wait().expect("job completed");
-        let metrics = done.metrics.expect("closure ran a pool job");
-        assert_eq!(
-            metrics.metrics.tasks_executed, 9,
-            "per-job delta, not lifetime totals"
-        );
-        assert_eq!(metrics.useful_tasks, 9);
-        assert_eq!(metrics.metrics.total.pops, 9);
-        // Telemetry is disabled by default: the delta carries none.
-        assert!(metrics.metrics.telemetry.is_none());
-
-        // A closure that never touches the pool reports no metrics.
-        let idle = service.submit(|_pool| 42u64).expect("submit");
-        assert!(idle.wait().expect("completes").metrics.is_none());
-        service.shutdown();
-    }
-
-    #[test]
     fn submit_with_retries_a_lost_job_until_it_lands() {
         // First attempt panics the gang; the lazy respawn rebuilds it and
         // the retry succeeds.  Sound because CountJob is idempotent.
@@ -1161,12 +1091,12 @@ mod tests {
 
     #[test]
     fn dead_pool_resolves_tickets_with_no_capacity() {
-        // One gang, no respawn: after the panic the pool is permanently
+        // One gang, no factory: after the panic the pool is permanently
         // dead and every later job gets the typed NoCapacity outcome.
         let service = JobService::new(
-            WorkerPool::new_partitioned(
-                |g| MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(5 + g as u64)),
-                PoolConfig::partitioned(1, 1).with_respawn(RespawnPolicy::Never),
+            WorkerPool::new(
+                MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(5)),
+                PoolConfig::new(1),
             ),
             ServiceConfig {
                 queue_capacity: 4,

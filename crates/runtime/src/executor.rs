@@ -27,9 +27,8 @@
 //! batch size 1 it pops up to a batch of tasks per `pop_batch` call and
 //! buffers follow-ups in a per-worker sink flushed via `push_batch` at task
 //! boundaries, so the scheduler's per-operation synchronization (locks,
-//! buffer publishes, virtual dispatch on the erased pool path) is paid once
-//! per batch instead of once per task.  Batch size 1 is bit-identical to
-//! the historical per-task path.
+//! buffer publishes) is paid once per batch instead of once per task.
+//! Batch size 1 is bit-identical to the historical per-task path.
 
 use std::time::Instant;
 
@@ -262,6 +261,15 @@ fn flush_sink<T, H: SchedulerHandle<T>>(
 /// `control.cancel` becomes `true` instead, the worker drains to
 /// quiescence while *discarding* every remaining task, so a cancelled
 /// job's gang ends with an empty scheduler and stays reusable.
+///
+/// When `telemetry` is `Some`, worker-loop time is tagged into coarse
+/// [`Phase`]s and every Nth successful pop is sampled for rank error
+/// (its [`HasKey::key`] against the scheduler's advisory global-min
+/// estimate, [`SchedulerHandle::min_key_hint`]).  With `None` the loop
+/// takes no timestamps and makes no extra scheduler calls, which is how
+/// the disabled configuration keeps single-thread `OpStats` bit-identical
+/// to an uninstrumented run.
+#[allow(clippy::too_many_arguments)]
 pub fn worker_loop<T, H, F>(
     handle: &mut H,
     detector: &TerminationDetector,
@@ -269,82 +277,13 @@ pub fn worker_loop<T, H, F>(
     scratch: &mut Scratch,
     config: &WorkerLoopConfig,
     control: LoopControl<'_>,
-    process: F,
-) -> WorkerLoopOutcome
-where
-    T: Send + 'static,
-    H: SchedulerHandle<T>,
-    F: for<'h, 'd> FnMut(T, &mut TaskSink<'h, 'd, H, T>, &mut Scratch),
-{
-    worker_loop_impl(
-        handle,
-        detector,
-        tally,
-        scratch,
-        config,
-        control,
-        None,
-        |_: &T| 0,
-        process,
-    )
-}
-
-/// [`worker_loop`] with optional telemetry: when `telemetry` is `Some`,
-/// worker-loop time is tagged into coarse [`Phase`]s and every Nth
-/// successful pop is sampled for rank error against the scheduler's
-/// advisory global-min estimate ([`SchedulerHandle::min_key_hint`]).
-///
-/// When `telemetry` is `None` this *is* [`worker_loop`] — the same code
-/// path, no timestamps, no extra scheduler calls — which is how the
-/// disabled configuration keeps single-thread `OpStats` bit-identical to
-/// the uninstrumented loop.  Requires `T: HasKey` so sampled pops can
-/// report their key.
-#[allow(clippy::too_many_arguments)]
-pub fn worker_loop_instrumented<T, H, F>(
-    handle: &mut H,
-    detector: &TerminationDetector,
-    tally: &mut WorkerTally<'_>,
-    scratch: &mut Scratch,
-    config: &WorkerLoopConfig,
-    control: LoopControl<'_>,
-    telemetry: Option<&mut WorkerTelemetry>,
-    process: F,
+    mut telemetry: Option<&mut WorkerTelemetry>,
+    mut process: F,
 ) -> WorkerLoopOutcome
 where
     T: Send + HasKey + 'static,
     H: SchedulerHandle<T>,
     F: for<'h, 'd> FnMut(T, &mut TaskSink<'h, 'd, H, T>, &mut Scratch),
-{
-    worker_loop_impl(
-        handle,
-        detector,
-        tally,
-        scratch,
-        config,
-        control,
-        telemetry,
-        T::key,
-        process,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop_impl<T, H, F, K>(
-    handle: &mut H,
-    detector: &TerminationDetector,
-    tally: &mut WorkerTally<'_>,
-    scratch: &mut Scratch,
-    config: &WorkerLoopConfig,
-    control: LoopControl<'_>,
-    mut telemetry: Option<&mut WorkerTelemetry>,
-    key_of: K,
-    mut process: F,
-) -> WorkerLoopOutcome
-where
-    T: Send + 'static,
-    H: SchedulerHandle<T>,
-    F: for<'h, 'd> FnMut(T, &mut TaskSink<'h, 'd, H, T>, &mut Scratch),
-    K: Fn(&T) -> u64,
 {
     let scan_gate = config.scan_gate.max(1);
     let batch = config.batch_size.max(1);
@@ -403,7 +342,7 @@ where
                 // difference bounds how far the relaxed pop strayed from
                 // the true minimum.
                 if t.probe_due() {
-                    t.record_rank_error(key_of(&pop_buf[0]), handle.min_key_hint());
+                    t.record_rank_error(pop_buf[0].key(), handle.min_key_hint());
                 }
                 t.phase(Phase::Process);
             }
@@ -549,7 +488,7 @@ pub fn run<S, T, F>(
 ) -> RunMetrics
 where
     S: Scheduler<T>,
-    T: Send + 'static,
+    T: Send + HasKey + 'static,
     F: for<'h, 'd> Fn(T, &mut TaskSink<'h, 'd, S::Handle<'_>, T>, &mut Scratch) + Sync,
 {
     let threads = config.threads;
@@ -608,6 +547,7 @@ where
                         &mut scratch,
                         loop_config,
                         LoopControl::default(),
+                        None,
                         |task, sink, scratch| process(task, sink, scratch),
                     );
                     (outcome, handle.stats())

@@ -17,7 +17,7 @@
 //!   sequential runs, with `submitted == completed` and per-job (hence
 //!   per-gang) `pushes == pops`: no task ever leaks across gangs;
 //! * **Panics are contained** — a deliberately panicking job resolves its
-//!   own ticket to `Err(JobLost)` and leaves other clients' jobs (and the
+//!   own ticket to `Err(JobError::Lost)` and leaves other clients' jobs (and the
 //!   service) intact.
 
 use std::sync::Arc;
@@ -32,9 +32,7 @@ use smq_repro::core::Task;
 use smq_repro::graph::generators::{road_network, uniform_random, RoadNetworkParams};
 use smq_repro::multiqueue::{MultiQueue, MultiQueueConfig};
 use smq_repro::obim::{Obim, ObimConfig};
-use smq_repro::pool::{
-    JobError, JobLost, JobService, PoolConfig, PoolJob, RespawnPolicy, ServiceConfig, WorkerPool,
-};
+use smq_repro::pool::{JobError, JobService, PoolConfig, PoolJob, ServiceConfig, WorkerPool};
 use smq_repro::runtime::Scratch;
 use smq_repro::smq::{HeapSmq, SmqConfig};
 
@@ -396,7 +394,7 @@ impl PoolJob for PanickingJob {
 }
 
 /// The `JobTicket::wait` regression: a deliberately panicking job must
-/// resolve to `Err(JobLost)` for its own client — and a second client of
+/// resolve to `Err(JobError::Lost)` for its own client — and a second client of
 /// the long-lived service must also get a `Result` (never a panic), `Ok`
 /// while live gangs remain, `Err` once the pool has none left.
 #[test]
@@ -427,7 +425,7 @@ fn panicking_job_resolves_tickets_instead_of_panicking_clients() {
         .expect("submit panicking job");
     assert!(
         bad.wait().is_err(),
-        "the panicking job's own ticket must be Err(JobLost), not a client panic"
+        "the panicking job's own ticket must be Err(JobError::Lost), not a client panic"
     );
 
     // Second client on the surviving gang: plain Ok.
@@ -469,7 +467,7 @@ fn fully_poisoned_service_fails_jobs_gracefully() {
             pool.run_job(&PanickingJob).expect("fails by panicking");
         })
         .expect("submit panicking job");
-    assert_eq!(bad.wait().map(|c| c.output), Err(JobLost));
+    assert_eq!(bad.wait().map(|c| c.output), Err(JobError::Lost));
 
     // The only gang is gone: the second client's job cannot run, but its
     // ticket still resolves to Err instead of panicking the client thread.
@@ -490,19 +488,20 @@ fn fully_poisoned_service_fails_jobs_gracefully() {
     assert_eq!(stats.completed, 0);
 }
 
-/// The FIFO-allocator poisoned-gang edge (regression): a claim enqueued
-/// while every gang is unavailable — one busy, one freshly poisoned with
-/// no respawn — must re-route to the surviving gang when it frees, not
-/// starve behind the dead one.
+/// The FIFO-allocator poisoned-gang edge (regression): a claim queued while
+/// every gang is busy must be woken when one of them is poisoned, respawn
+/// it, and run there — it completes while the other job still holds its
+/// gang, instead of starving behind the dead slot.
 #[test]
 fn waiting_claim_reroutes_around_a_poisoned_gang() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Holds its gang until `gate` opens; flags `started` so the test
-    /// knows the gang is claimed.
+    /// Holds its gang until `gate` opens, then finishes — or panics, if
+    /// `panics`; flags `started` so the test knows the gang is claimed.
     struct GateJob {
         started: Arc<AtomicBool>,
         gate: Arc<AtomicBool>,
+        panics: bool,
     }
     impl PoolJob for GateJob {
         fn seed_tasks(&self) -> Vec<Task> {
@@ -513,57 +512,63 @@ fn waiting_claim_reroutes_around_a_poisoned_gang() {
             while !self.gate.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
+            assert!(!self.panics, "intentional gated job panic");
             true
         }
     }
 
-    let pool = Arc::new(WorkerPool::new_partitioned(
-        |g| HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(61 + g as u64)),
-        PoolConfig::partitioned(2, 1).with_respawn(RespawnPolicy::Never),
-    ));
-    let started = Arc::new(AtomicBool::new(false));
-    let gate = Arc::new(AtomicBool::new(false));
+    struct OneTask;
+    impl PoolJob for OneTask {
+        fn seed_tasks(&self) -> Vec<Task> {
+            vec![Task::new(0, 0)]
+        }
+        fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+            true
+        }
+    }
+
+    let pool = smq_gang_pool(2, 1, 61);
+    let hold_gate = Arc::new(AtomicBool::new(false));
+    let panic_gate = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
-        // Job 1 occupies one gang until the gate opens.
-        let holder = {
-            let pool = Arc::clone(&pool);
-            let (started, gate) = (Arc::clone(&started), Arc::clone(&gate));
-            scope.spawn(move || pool.run_job_on(&GateJob { started, gate }, 1))
-        };
-        while !started.load(Ordering::Acquire) {
-            std::thread::yield_now();
-        }
+        // Jobs 1 and 2 occupy both gangs; job 2 will panic once told to.
+        let [holder, poisoner] =
+            [(&hold_gate, false), (&panic_gate, true)].map(|(gate, panics)| {
+                let started = Arc::new(AtomicBool::new(false));
+                let job = GateJob {
+                    started: Arc::clone(&started),
+                    gate: Arc::clone(gate),
+                    panics,
+                };
+                let pool = &pool;
+                let thread = scope.spawn(move || pool.run_job_on(&job, 1));
+                while !started.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                thread
+            });
 
-        // Job 2 takes the only free gang and poisons it.
-        assert!(pool.run_job_on(&PanickingJob, 1).is_err());
-        assert_eq!(pool.live_gangs(), 1, "no respawn: the gang stays dead");
-
-        // Job 3 arrives while one gang is busy and the other is dead: it
-        // must wait for the busy gang, then run there — not starve.
-        struct OneTask;
-        impl PoolJob for OneTask {
-            fn seed_tasks(&self) -> Vec<Task> {
-                vec![Task::new(0, 0)]
-            }
-            fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
-                true
-            }
-        }
-        let third = {
-            let pool = Arc::clone(&pool);
-            scope.spawn(move || pool.run_job_on(&OneTask, 1))
-        };
-
-        // Give job 3 a moment to reach the claim queue, then free the gang.
+        // Job 3 arrives with nothing free and nothing dead: it queues.  (The
+        // pause only makes that the usual interleaving; if job 3 claims
+        // after the poison instead, it still must land on the rebuilt gang.)
+        let third = scope.spawn(|| pool.run_job_on(&OneTask, 1));
         std::thread::sleep(std::time::Duration::from_millis(10));
-        gate.store(true, Ordering::Release);
 
-        holder.join().expect("holder thread").expect("gate job");
+        panic_gate.store(true, Ordering::Release);
         let out = third.join().expect("third-job thread");
         assert!(
             out.is_ok(),
-            "the waiting claim must re-route to the surviving gang"
+            "the waiting claim must respawn the dead gang and run there"
         );
+        assert!(
+            !hold_gate.load(Ordering::Acquire),
+            "job 1 still holds the other gang"
+        );
+        assert!(poisoner.join().expect("job 2 thread").is_err());
+        assert_eq!(pool.stats().gangs_respawned, 1);
+
+        hold_gate.store(true, Ordering::Release);
+        holder.join().expect("job 1 thread").expect("gate job");
     });
 }
