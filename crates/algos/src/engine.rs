@@ -83,6 +83,17 @@ pub trait DecreaseKeyWorkload: Sync {
     fn process(&self, task: Task, push: &mut dyn FnMut(Task), scratch: &mut Scratch)
         -> TaskOutcome;
 
+    /// Hints that `task` was popped in a batch and will be
+    /// [`process`](Self::process)ed shortly, so the workload may prefetch
+    /// the memory it will touch first (its per-vertex slot, the vertex's
+    /// adjacency).  Same contract as `smq_pool::PoolJob::prefetch`: a hint
+    /// only — no shared-state writes, no panics, and nothing may depend on
+    /// it being called.  The default does nothing.
+    #[inline]
+    fn prefetch(&self, task: Task) {
+        let _ = task;
+    }
+
     /// A snapshot of the algorithm-level answer held in the shared state.
     /// Meaningful once the run has terminated (quiescent state).
     fn output(&self) -> Self::Output;
@@ -120,6 +131,11 @@ impl<W: DecreaseKeyWorkload> PoolJob for WorkloadJob<'_, W> {
 
     fn process(&self, task: Task, push: &mut dyn FnMut(Task), scratch: &mut Scratch) -> bool {
         matches!(self.0.process(task, push, scratch), TaskOutcome::Useful)
+    }
+
+    #[inline]
+    fn prefetch(&self, task: Task) {
+        self.0.prefetch(task)
     }
 }
 
@@ -171,7 +187,12 @@ fn finish<W: DecreaseKeyWorkload>(workload: &W, out: smq_pool::JobOutput) -> Eng
     }
 }
 
-/// Runs `workload` to quiescence on `scheduler` with `threads` workers.
+/// Runs `workload` to quiescence on `scheduler` with `threads` workers at
+/// the library's default hot-path batch size
+/// (`smq_runtime::executor::DEFAULT_BATCH_SIZE`, 8): workers pop up to 8
+/// tasks per scheduling decision, hint the batch to
+/// [`DecreaseKeyWorkload::prefetch`], and flush follow-ups through the
+/// scheduler's `push_batch` at task boundaries.
 ///
 /// One-shot mode: builds a transient worker pool around the borrowed
 /// scheduler, runs the single job through [`run_on_pool`], and joins the
@@ -183,18 +204,18 @@ where
     W: DecreaseKeyWorkload,
     S: Scheduler<Task>,
 {
-    run_parallel_batched(workload, scheduler, threads, 1)
+    run_one_shot(workload, scheduler, PoolConfig::new(threads))
 }
 
 /// [`run_parallel`] at an explicit hot-path batch granularity.
 ///
-/// `batch_size == 1` is exactly `run_parallel` (the per-task path, stats
-/// included).  Larger batches make the workers pop up to `batch_size` tasks
-/// per scheduling decision and flush follow-ups through the scheduler's
-/// `push_batch` at task boundaries, amortizing scheduler locks over the
-/// batch; relaxation semantics and the computed
-/// answer are unaffected — only the execution order within the relaxed
-/// guarantees shifts, like any other scheduling perturbation.
+/// `batch_size == 1` is the exact per-task path: one `pop()` per task,
+/// every follow-up pushed immediately, no prefetch hints — strict priority
+/// order on one worker with an exact local queue, and the baseline row of
+/// the batch sweeps.  Larger batches amortize scheduler locks over the
+/// batch and overlap its cache misses; relaxation semantics and the
+/// computed answer are unaffected — only the execution order within the
+/// relaxed guarantees shifts, like any other scheduling perturbation.
 pub fn run_parallel_batched<W, S>(
     workload: &W,
     scheduler: &S,
@@ -205,10 +226,10 @@ where
     W: DecreaseKeyWorkload,
     S: Scheduler<Task>,
 {
-    WorkerPool::with_borrowed(
+    run_one_shot(
+        workload,
         scheduler,
         PoolConfig::new(threads).with_batch(batch_size),
-        |pool| run_on_pool(workload, pool),
     )
 }
 
@@ -230,13 +251,22 @@ where
     W: DecreaseKeyWorkload,
     S: Scheduler<Task>,
 {
-    WorkerPool::with_borrowed(
+    run_one_shot(
+        workload,
         scheduler,
         PoolConfig::new(threads)
             .with_batch(batch_size)
             .with_telemetry(telemetry),
-        |pool| run_on_pool(workload, pool),
     )
+}
+
+/// The one-shot mechanism behind the `run_parallel*` wrappers.
+fn run_one_shot<W, S>(workload: &W, scheduler: &S, config: PoolConfig) -> EngineRun<W::Output>
+where
+    W: DecreaseKeyWorkload,
+    S: Scheduler<Task>,
+{
+    WorkerPool::with_borrowed(scheduler, config, |pool| run_on_pool(workload, pool))
 }
 
 /// Runs the parallel workload and asserts it is equivalent to its

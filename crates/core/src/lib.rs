@@ -15,16 +15,21 @@
 //! * [`Probability`] — the `1/2^k`-style probabilities the paper sweeps
 //!   (`p_steal`, `p_insert`, `p_delete`),
 //! * [`stats::OpStats`] — per-thread operation counters used to report wasted
-//!   work, steal rates, and NUMA locality.
+//!   work, steal rates, and NUMA locality,
+//! * [`prefetch_read`] — the one safe cache-prefetch hint the workloads and
+//!   graph views use to overlap the memory misses of a popped task batch.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
+pub mod prefetch;
 pub mod probability;
 pub mod rng;
 pub mod scheduler;
 pub mod stats;
 pub mod task;
 
+pub use prefetch::prefetch_read;
 pub use probability::Probability;
 pub use scheduler::{Scheduler, SchedulerHandle};
 pub use stats::OpStats;

@@ -7,6 +7,7 @@
 //! lengths) while keeping an edge at 8 bytes.
 
 use serde::{Deserialize, Serialize};
+use smq_core::prefetch_read;
 
 /// A directed edge used while building a graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -148,6 +149,18 @@ impl CsrGraph {
             .iter()
             .copied()
             .zip(self.weights[start..end].iter().copied())
+    }
+
+    /// Hints that [`neighbors(v)`](Self::neighbors) is about to be
+    /// scanned: asks for the first cache line of `v`'s targets and of its
+    /// weights (16 edges each — the whole adjacency of most vertices).
+    /// Accepts any `v`; see `GraphView::prefetch_vertex` for the contract.
+    #[inline]
+    pub fn prefetch_vertex(&self, v: u32) {
+        if let Some(&start) = self.offsets.get(v as usize) {
+            prefetch_read(&self.targets, start as usize);
+            prefetch_read(&self.weights, start as usize);
+        }
     }
 
     /// Planar coordinates of `v`, if the graph carries them.

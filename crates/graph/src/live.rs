@@ -808,10 +808,15 @@ mod tests {
         });
         let live = Arc::new(LiveGraph::with_config(base.clone(), 8, 2));
         let stop = Arc::new(AtomicU64::new(0));
+        // Publishing starts only once every reader has verified a first
+        // pin: on a box with fewer cores than threads all 200 publishes can
+        // otherwise finish before a reader is first scheduled.
+        let started = Arc::new(std::sync::Barrier::new(3));
         let readers: Vec<_> = (0..2)
             .map(|_| {
                 let live = live.clone();
                 let stop = stop.clone();
+                let started = started.clone();
                 std::thread::spawn(move || {
                     let mut pins = 0u64;
                     while stop.load(SeqCst) == 0 {
@@ -823,11 +828,15 @@ mod tests {
                         let weight: u64 = edges.iter().map(|e| u64::from(e.weight)).sum();
                         assert_eq!(weight, snap.total_weight());
                         pins += 1;
+                        if pins == 1 {
+                            started.wait();
+                        }
                     }
                     pins
                 })
             })
             .collect();
+        started.wait();
         for round in 0..200 {
             let updates = GraphUpdate::random_decreases(&*base, 4, round);
             live.publish(&updates);

@@ -51,6 +51,17 @@ pub trait GraphView: Sync {
         0
     }
 
+    /// Hints that `v`'s adjacency is about to be scanned, so an
+    /// implementation may start pulling it into cache.  The worker loop
+    /// issues this for every task of a popped batch before processing the
+    /// first.  A hint only: it must not write shared state or panic (any
+    /// `v` is accepted), and nothing may depend on it being called.  The
+    /// default does nothing.
+    #[inline]
+    fn prefetch_vertex(&self, v: u32) {
+        let _ = v;
+    }
+
     /// Returns every edge as an [`Edge`], grouped by source vertex in
     /// `neighbors` order.
     fn edges(&self) -> impl Iterator<Item = Edge> + '_
@@ -126,6 +137,11 @@ impl GraphView for CsrGraph {
     fn total_weight(&self) -> u64 {
         CsrGraph::total_weight(self)
     }
+
+    #[inline]
+    fn prefetch_vertex(&self, v: u32) {
+        CsrGraph::prefetch_vertex(self, v)
+    }
 }
 
 impl<G: GraphView> GraphView for &G {
@@ -163,6 +179,11 @@ impl<G: GraphView> GraphView for &G {
     fn version(&self) -> u64 {
         (**self).version()
     }
+
+    #[inline]
+    fn prefetch_vertex(&self, v: u32) {
+        (**self).prefetch_vertex(v)
+    }
 }
 
 impl<G: GraphView + Send> GraphView for std::sync::Arc<G> {
@@ -199,6 +220,11 @@ impl<G: GraphView + Send> GraphView for std::sync::Arc<G> {
     #[inline]
     fn version(&self) -> u64 {
         (**self).version()
+    }
+
+    #[inline]
+    fn prefetch_vertex(&self, v: u32) {
+        (**self).prefetch_vertex(v)
     }
 }
 

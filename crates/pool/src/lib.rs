@@ -310,9 +310,13 @@ impl PoolConfig {
     }
 
     /// Sets the hot-path batch granularity for every worker (see
-    /// `smq_runtime::executor::WorkerLoopConfig::batch_size`).  Batch 1
-    /// (the default) is the exact historical per-task path; larger batches
-    /// amortize scheduler synchronization over the batch.
+    /// `smq_runtime::executor::WorkerLoopConfig::batch_size`), overriding
+    /// the default of `smq_runtime::executor::DEFAULT_BATCH_SIZE` (8).
+    /// Larger batches amortize scheduler synchronization over the batch
+    /// and give [`PoolJob::prefetch`] more tasks to overlap; batch 1 is the
+    /// explicit exact per-task path (one `pop()` per task, every follow-up
+    /// pushed immediately, no prefetch hints) that the paper-figure sweeps
+    /// use as their baseline row.
     pub fn with_batch(mut self, batch_size: usize) -> Self {
         self.worker.batch_size = batch_size.max(1);
         self
@@ -354,6 +358,21 @@ pub trait PoolJob: Sync {
     /// `true` when the task advanced the job (was *useful*), `false` when
     /// it was stale on arrival (*wasted*).
     fn process(&self, task: Task, push: &mut dyn FnMut(Task), scratch: &mut Scratch) -> bool;
+
+    /// Hints that `task` was popped as part of a batch and will be passed
+    /// to [`process`](Self::process) shortly: the worker loop calls this
+    /// for every task of a popped batch of two or more before it processes
+    /// the first, so a job can prefetch the memory each task starts with
+    /// and overlap those misses.  The default does nothing.
+    ///
+    /// An implementation may only issue hints (`smq_core::prefetch_read`):
+    /// it must not write shared state, must not panic, and must not rely
+    /// on being called — the loop skips it at batch size 1, for
+    /// single-task pops and for tasks it discards after a cancellation.
+    #[inline]
+    fn prefetch(&self, task: Task) {
+        let _ = task;
+    }
 }
 
 /// Accounting from one pool job.
@@ -1377,8 +1396,8 @@ fn run_worker<H: SchedulerHandle<Task>>(
         // Seeds were pre-credited by the coordinator; pushing them needs no
         // recording.  Above batch size 1 a single batch call makes the
         // whole seed slice visible; at batch 1 the per-task path is kept so
-        // the default configuration stays bit-identical to the historical
-        // behavior, stats included.
+        // the explicit per-task configuration stays bit-identical to the
+        // historical behavior, stats included.
         let mut seeds = seeds;
         if inner.loop_config.batch_size > 1 {
             handle.push_batch(&mut seeds);
@@ -1452,6 +1471,7 @@ fn run_worker<H: SchedulerHandle<Task>>(
                     }
                 }
             },
+            |task| job.prefetch(*task),
         );
 
         guard.result = Some(WorkerResult {
@@ -2014,6 +2034,101 @@ mod tests {
             // The native SMQ batch paths actually ran.
             assert!(out.metrics.total.batch_flushes > 0);
         }
+    }
+
+    /// [`FanoutJob`]'s task tree (every key is unique) with per-key counts
+    /// of `prefetch` and `process` calls.
+    struct HintCountingJob {
+        seeds: u64,
+        hinted: Vec<AtomicU64>,
+        processed: Vec<AtomicU64>,
+    }
+
+    impl HintCountingJob {
+        fn new(seeds: u64) -> Self {
+            let counters = || (0..3 * seeds).map(|_| AtomicU64::new(0)).collect();
+            Self {
+                seeds,
+                hinted: counters(),
+                processed: counters(),
+            }
+        }
+
+        fn total(counters: &[AtomicU64]) -> u64 {
+            counters.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        }
+
+        /// No task was hinted twice, and none was hinted without then
+        /// being processed.
+        fn assert_hints_precede_processing(&self) {
+            for (key, (hinted, processed)) in self.hinted.iter().zip(&self.processed).enumerate() {
+                let (hinted, processed) = (
+                    hinted.load(Ordering::Relaxed),
+                    processed.load(Ordering::Relaxed),
+                );
+                assert!(processed <= 1, "task {key} processed {processed} times");
+                assert!(
+                    hinted <= processed,
+                    "task {key}: hinted {hinted}, processed {processed}"
+                );
+            }
+        }
+    }
+
+    impl PoolJob for HintCountingJob {
+        fn seed_tasks(&self) -> Vec<Task> {
+            (0..self.seeds).map(|i| Task::new(i, i)).collect()
+        }
+
+        fn process(&self, task: Task, push: &mut dyn FnMut(Task), _scratch: &mut Scratch) -> bool {
+            self.processed[task.key as usize].fetch_add(1, Ordering::Relaxed);
+            if task.key < self.seeds {
+                push(Task::new(task.key + self.seeds, task.value));
+                push(Task::new(task.key + 2 * self.seeds, task.value));
+            }
+            true
+        }
+
+        fn prefetch(&self, task: Task) {
+            self.hinted[task.key as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn prefetch_hints_only_tasks_that_are_then_processed() {
+        // Default batch, two workers: most pops return several tasks, each
+        // hinted once before its batch runs.
+        let pool = WorkerPool::new(smq(2), PoolConfig::new(2));
+        let job = HintCountingJob::new(200);
+        let out = pool.run_job(&job).unwrap();
+        assert_eq!(out.metrics.tasks_executed, 600);
+        assert_eq!(HintCountingJob::total(&job.processed), 600);
+        assert!(HintCountingJob::total(&job.hinted) > 0);
+        job.assert_hints_precede_processing();
+
+        // A budget cancels the job mid-flight: the batches popped after
+        // the cancellation are discarded unhinted, never hinted and dropped.
+        let job = HintCountingJob::new(200);
+        let spec = JobSpec {
+            deadline: None,
+            budget: Some(50),
+        };
+        assert_eq!(
+            pool.run_job_with(&job, 1, &spec).map(|_| ()),
+            Err(JobError::BudgetExceeded)
+        );
+        assert!(HintCountingJob::total(&job.processed) < 600);
+        job.assert_hints_precede_processing();
+    }
+
+    #[test]
+    fn batch_one_never_calls_prefetch() {
+        let pool = WorkerPool::new(smq(2), PoolConfig::new(2).with_batch(1));
+        let job = HintCountingJob::new(200);
+        let out = pool.run_job(&job).unwrap();
+        assert_eq!(out.metrics.tasks_executed, 600);
+        assert_eq!(HintCountingJob::total(&job.hinted), 0);
+        assert_eq!(out.metrics.total.batch_flushes, 0);
     }
 
     #[test]

@@ -23,12 +23,15 @@
 //! during which the detector's activity epoch did not move (see
 //! [`crate::termination`] for the liveness argument).
 //!
-//! The loop is *batch-granular* ([`WorkerLoopConfig::batch_size`]): above
-//! batch size 1 it pops up to a batch of tasks per `pop_batch` call and
-//! buffers follow-ups in a per-worker sink flushed via `push_batch` at task
-//! boundaries, so the scheduler's per-operation synchronization (locks,
-//! buffer publishes) is paid once per batch instead of once per task.
-//! Batch size 1 is bit-identical to the historical per-task path.
+//! The loop is *batch-granular* ([`WorkerLoopConfig::batch_size`], 8 by
+//! default): it pops up to a batch of tasks per `pop_batch` call, passes
+//! every task of the batch to the caller's `prefetch` hint, processes the
+//! batch under one unwind guard, and buffers follow-ups in a per-worker
+//! sink flushed via `push_batch` at task boundaries — so the scheduler's
+//! per-operation synchronization (locks, buffer publishes) is paid once per
+//! batch instead of once per task and the batch's first cache misses
+//! overlap.  Batch size 1 is the explicit per-task path, bit-identical to
+//! the historical one.
 
 use std::time::Instant;
 
@@ -113,6 +116,19 @@ impl WorkerId {
     }
 }
 
+/// The default [`WorkerLoopConfig::batch_size`]: the paper's task batching
+/// is on unless a caller asks for the per-task path.
+///
+/// A constant, not an adaptive rule, because the sweep that sized it (2
+/// vCPUs, two workers, prefetch hints on) found no single observable to
+/// adapt on: road-grid SSSP (tiny frontier) keeps rising to batch 32,
+/// power-law SSSP (huge frontier) is level from 4 to 32, and short A*
+/// routes on one-worker gangs are flat up to 8 but lose 12 % at 16 and
+/// 18 % at 32, because a lone worker that pops 16 tasks runs them out of
+/// priority order.  8 is the largest value that costs no workload
+/// anything (table in the README's "batch-granular hot path" section).
+pub const DEFAULT_BATCH_SIZE: usize = 8;
+
 /// The per-worker knobs of [`worker_loop`].
 #[derive(Debug, Clone)]
 pub struct WorkerLoopConfig {
@@ -124,17 +140,26 @@ pub struct WorkerLoopConfig {
     /// worker accumulates before paying for one O(threads) quiescence scan
     /// (clamped to at least 1 by the loop).
     pub scan_gate: u32,
-    /// Batch granularity of the hot path (clamped to at least 1).
+    /// Batch granularity of the hot path (clamped to at least 1); the
+    /// default is [`DEFAULT_BATCH_SIZE`] (8).
     ///
-    /// With `batch_size == 1` (the default) the loop is the exact
-    /// historical per-task path: one `pop()` per task, every follow-up
-    /// pushed (and its publish credited) immediately.  With a larger batch
-    /// the worker pops up to `batch_size` tasks per `pop_batch` call and
-    /// buffers follow-ups in a per-worker sink that flushes via
-    /// `push_batch` — at the latest at every task boundary — so locks and
-    /// indirect calls per task drop by ~the batch factor while relaxation
-    /// semantics and termination soundness are unchanged (see the module
-    /// docs of `smq_core::scheduler` and [`crate::termination`]).
+    /// Above 1 the worker pops up to `batch_size` tasks per `pop_batch`
+    /// call, hints the whole batch to the `prefetch` hook before processing
+    /// its first task, runs the batch under one unwind guard, and buffers
+    /// follow-ups in a per-worker sink that flushes via `push_batch` — at
+    /// the latest at every task boundary — so locks and indirect calls per
+    /// task drop by ~the batch factor and the batch's cache misses overlap,
+    /// while relaxation semantics and termination soundness are unchanged
+    /// (see the module docs of `smq_core::scheduler` and
+    /// [`crate::termination`]).  What it costs is priority order inside a
+    /// batch: a worker runs up to `batch_size` tasks it popped before it
+    /// sees anything pushed meanwhile, so wasted work rises a little (SSSP
+    /// on a power-law graph: work increase 1.59 → 1.70 at 8).
+    ///
+    /// `batch_size == 1` is the explicit exact per-task path: one `pop()`
+    /// per task, every follow-up pushed (and its publish credited)
+    /// immediately, no prefetch hints — with one worker and an exact local
+    /// queue that is strict priority order.
     pub batch_size: usize,
 }
 
@@ -143,7 +168,7 @@ impl Default for WorkerLoopConfig {
         Self {
             spins_before_yield: 64,
             scan_gate: 8,
-            batch_size: 1,
+            batch_size: DEFAULT_BATCH_SIZE,
         }
     }
 }
@@ -269,8 +294,14 @@ fn flush_sink<T, H: SchedulerHandle<T>>(
 /// takes no timestamps and makes no extra scheduler calls, which is how
 /// the disabled configuration keeps single-thread `OpStats` bit-identical
 /// to an uninstrumented run.
+///
+/// `prefetch` is a pure hint: it is called with every task of a popped
+/// batch of two or more, before the first of them is processed (never at
+/// batch size 1, never for tasks that are discarded by cancellation).  It
+/// must not push, write shared state or panic, and `process` must not
+/// depend on it having run; pass `|_| {}` when there is nothing to hint.
 #[allow(clippy::too_many_arguments)]
-pub fn worker_loop<T, H, F>(
+pub fn worker_loop<T, H, F, P>(
     handle: &mut H,
     detector: &TerminationDetector,
     tally: &mut WorkerTally<'_>,
@@ -279,11 +310,13 @@ pub fn worker_loop<T, H, F>(
     control: LoopControl<'_>,
     mut telemetry: Option<&mut WorkerTelemetry>,
     mut process: F,
+    prefetch: P,
 ) -> WorkerLoopOutcome
 where
     T: Send + HasKey + 'static,
     H: SchedulerHandle<T>,
     F: for<'h, 'd> FnMut(T, &mut TaskSink<'h, 'd, H, T>, &mut Scratch),
+    P: Fn(&T),
 {
     let scan_gate = config.scan_gate.max(1);
     let batch = config.batch_size.max(1);
@@ -370,48 +403,52 @@ where
                 }
                 continue;
             }
-            for task in pop_buf.drain(..) {
-                // The completion below must be recorded even if `process`
-                // unwinds: the popped task was already counted `published`,
-                // and skipping its completion would leave the detector
-                // permanently unbalanced — surviving pool workers would
-                // spin forever in a never-quiescent scan while the
-                // coordinator waits for them (deadlock instead of the
-                // intended pool poisoning).  `catch_unwind` is free on the
-                // non-panic path.
-                let panic_payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Spend the batch on memory latency: hint every task's first
+            // misses now, so they overlap with the tasks processed before
+            // it.  A lone task would gain nothing (it is processed next).
+            if pop_buf.len() >= 2 {
+                pop_buf.iter().for_each(&prefetch);
+            }
+            // One unwind guard per popped batch.  Each task's completion
+            // must be recorded even if `process` unwinds: the popped task
+            // was already counted `published`, and skipping its completion
+            // would leave the detector permanently unbalanced — surviving
+            // pool workers would spin forever in a never-quiescent scan
+            // while the coordinator waits for them (deadlock instead of the
+            // intended pool poisoning).  `catch_unwind` is free on the
+            // non-panic path.
+            let panic_payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for task in pop_buf.drain(..) {
                     let mut sink = TaskSink {
                         handle,
                         tally,
                         buffer: &mut sink_buf,
                         batch,
                     };
-                    process(task, &mut sink, scratch)
-                }))
-                .err();
-                outcome.executed += 1;
-                match panic_payload {
-                    None => {
-                        // Flush-at-task-boundary, publish-before-flush: the
-                        // task's buffered follow-ups are credited (one
-                        // store) and made visible *before* its completion
-                        // is recorded, so the sums can never balance while
-                        // its children are outstanding.
-                        flush_sink(handle, tally, &mut sink_buf);
-                        tally.record_completion();
-                    }
-                    Some(payload) => {
-                        // Un-flushed follow-ups of the panicking task were
-                        // never credited and never visible: dropping them
-                        // keeps the detector balanced.  Remaining tasks of
-                        // `pop_buf` stay stranded exactly like the dead
-                        // worker's thread-local queues — the pool's gang
-                        // poisoning (abort flag) handles both.
-                        sink_buf.clear();
-                        tally.record_completion();
-                        std::panic::resume_unwind(payload);
-                    }
+                    process(task, &mut sink, scratch);
+                    outcome.executed += 1;
+                    // Flush-at-task-boundary, publish-before-flush: the
+                    // task's buffered follow-ups are credited (one store)
+                    // and made visible *before* its completion is recorded,
+                    // so the sums can never balance while its children are
+                    // outstanding.
+                    flush_sink(handle, tally, &mut sink_buf);
+                    tally.record_completion();
                 }
+            }))
+            .err();
+            if let Some(payload) = panic_payload {
+                // Exactly one task was in flight: earlier tasks of the
+                // batch recorded their own completions above.  Its
+                // un-flushed follow-ups were never credited and never
+                // visible: dropping them keeps the detector balanced.  The
+                // batch's remaining tasks were dropped with the drain and
+                // stay uncompleted, stranded exactly like the dead worker's
+                // thread-local queues — the pool's gang poisoning (abort
+                // flag) handles both.
+                sink_buf.clear();
+                tally.record_completion();
+                std::panic::resume_unwind(payload);
             }
         } else {
             if let Some(t) = telemetry.as_deref_mut() {
@@ -549,6 +586,7 @@ where
                         LoopControl::default(),
                         None,
                         |task, sink, scratch| process(task, sink, scratch),
+                        |_task| {},
                     );
                     (outcome, handle.stats())
                 });
@@ -799,6 +837,186 @@ mod tests {
         );
         assert_eq!(metrics.tasks_executed, 10_001);
         assert_eq!(metrics.total.pushes, metrics.total.pops);
+    }
+
+    /// Drives `worker_loop` directly on worker `tid` of `sched`, panicking
+    /// inside the `panic_at`-th task this worker processes (1-based) after
+    /// that task has pushed a follow-up.  Every task below 1000 pushes two
+    /// children.  Returns whether the loop unwound.
+    fn run_until_panic(
+        sched: &LockedHeap,
+        detector: &TerminationDetector,
+        tid: usize,
+        panic_at: u64,
+    ) -> bool {
+        let mut handle = sched.handle(tid);
+        let mut tally = detector.tally(tid);
+        let mut scratch = Scratch::new();
+        let mut processed = 0u64;
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            worker_loop(
+                &mut handle,
+                detector,
+                &mut tally,
+                &mut scratch,
+                &WorkerLoopConfig::default(),
+                LoopControl::default(),
+                None,
+                |task: u64, sink, _scratch| {
+                    processed += 1;
+                    if task < 1_000 {
+                        sink.push(task + 1_000);
+                        if processed == panic_at {
+                            panic!("task {task} fails after buffering a child");
+                        }
+                        sink.push(task + 2_000);
+                    }
+                },
+                |_task| {},
+            )
+        }))
+        .is_err()
+    }
+
+    #[test]
+    fn panic_in_kth_task_of_a_batch_records_exactly_k_completions() {
+        const SEEDS: u64 = 100;
+        let batch = DEFAULT_BATCH_SIZE as u64;
+        for k in 1..=batch {
+            let sched = LockedHeap::new(1);
+            let detector = TerminationDetector::new(1);
+            detector.preload(0, SEEDS);
+            {
+                let mut seeder = sched.handle(0);
+                (0..SEEDS).for_each(|t| seeder.push(t));
+            }
+            assert!(run_until_panic(&sched, &detector, 0, k));
+            // The first popped batch held seeds 0..8.  The k-1 tasks before
+            // the panicking one flushed two children each; the panicking
+            // task's buffered child was dropped unflushed.
+            let visible_children = 2 * (k - 1);
+            assert_eq!(
+                sched.heap.lock().unwrap().len() as u64,
+                SEEDS - batch + visible_children,
+                "k={k}: only completed tasks' children may be visible"
+            );
+            // published - completed: no more than k tasks started, so this
+            // balance holds only with exactly k completions recorded and no
+            // child credited without being visible.
+            assert_eq!(
+                detector.pending_estimate(),
+                SEEDS + visible_children - k,
+                "k={k}: completions or credits are off"
+            );
+        }
+    }
+
+    #[test]
+    fn survivor_of_a_panicking_sibling_exits_via_the_abort_flag() {
+        use std::sync::atomic::AtomicBool;
+        let sched = LockedHeap::new(2);
+        let detector = TerminationDetector::new(2);
+        detector.preload(0, 1_000);
+        {
+            let mut seeder = sched.handle(0);
+            (0..1_000u64).for_each(|t| seeder.push(t));
+        }
+        let abort = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // What the pool's completion guard does for a dead worker.
+                assert!(run_until_panic(&sched, &detector, 0, 3));
+                abort.store(true, Ordering::Release);
+            });
+            let survivor = scope.spawn(|| {
+                let mut handle = sched.handle(1);
+                let mut tally = detector.tally(1);
+                worker_loop(
+                    &mut handle,
+                    &detector,
+                    &mut tally,
+                    &mut Scratch::new(),
+                    &WorkerLoopConfig::default(),
+                    LoopControl {
+                        abort: Some(&abort),
+                        cancel: None,
+                    },
+                    None,
+                    |_task: u64, _sink, _scratch| {
+                        // Hold the first task until the sibling has died, so
+                        // the sibling is sure to find a full batch.
+                        while !abort.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    },
+                    |_task| {},
+                )
+            });
+            let outcome = survivor.join().expect("the survivor must not panic");
+            assert!(outcome.executed > 0);
+        });
+        // The dead worker's batch stranded five popped, uncompleted tasks:
+        // quiescence was unreachable, so the survivor left through `abort`.
+        assert_eq!(detector.pending_estimate(), 5);
+        assert!(!detector.quiescent());
+    }
+
+    #[test]
+    fn prefetch_sees_only_multi_task_batches_and_never_batch_one() {
+        // 8 seeds, one worker: at the default batch all 8 are popped and
+        // hinted together, their 16 children after them; at batch 1 the
+        // hook is never called.
+        for (batch, expect_hints) in [(DEFAULT_BATCH_SIZE, true), (1, false)] {
+            let sched = LockedHeap::new(1);
+            let detector = TerminationDetector::new(1);
+            detector.preload(0, 8);
+            let mut handle = sched.handle(0);
+            (0..8u64).for_each(|t| handle.push(t));
+            let hinted = std::cell::RefCell::new(Vec::new());
+            let mut processed = Vec::new();
+            let config = WorkerLoopConfig {
+                batch_size: batch,
+                ..WorkerLoopConfig::default()
+            };
+            worker_loop(
+                &mut handle,
+                &detector,
+                &mut detector.tally(0),
+                &mut Scratch::new(),
+                &config,
+                LoopControl::default(),
+                None,
+                |task: u64, sink, _scratch| {
+                    if expect_hints {
+                        assert!(
+                            hinted.borrow().contains(&task),
+                            "task {task} of a full batch was processed unhinted"
+                        );
+                    }
+                    processed.push(task);
+                    if task < 8 {
+                        sink.push(task + 8);
+                        sink.push(task + 16);
+                    }
+                },
+                |task| hinted.borrow_mut().push(*task),
+            );
+            processed.sort_unstable();
+            assert_eq!(processed, (0..24u64).collect::<Vec<_>>());
+            let mut hinted = hinted.into_inner();
+            hinted.sort_unstable();
+            if expect_hints {
+                assert_eq!(hinted, processed, "each task hinted exactly once");
+            } else {
+                assert!(hinted.is_empty(), "batch 1 must never hint");
+            }
+        }
+    }
+
+    #[test]
+    fn default_batch_is_the_documented_constant() {
+        assert_eq!(DEFAULT_BATCH_SIZE, 8);
+        assert_eq!(ExecutorConfig::new(1).worker.batch_size, DEFAULT_BATCH_SIZE);
     }
 
     #[test]

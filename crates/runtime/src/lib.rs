@@ -19,6 +19,7 @@
 //! thread touches a queue owned by its own node — is measurable without
 //! real sockets.  See DESIGN.md for the substitution rationale.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod executor;
@@ -29,6 +30,7 @@ pub mod topology;
 
 pub use executor::{
     run, ExecutorConfig, LoopControl, TaskSink, WorkerId, WorkerLoopConfig, WorkerLoopOutcome,
+    DEFAULT_BATCH_SIZE,
 };
 pub use metrics::RunMetrics;
 pub use scratch::Scratch;

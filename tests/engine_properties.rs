@@ -11,12 +11,13 @@
 //! and its output must be equivalent to the workload's own sequential
 //! reference.
 //!
-//! The sweep covers hot-path batch sizes {1, 2, 8, 32} across every
-//! scheduler family: batch granularity amortizes synchronization but must
-//! never change what is computed or break the accounting.  Batch 1 is
+//! The sweep covers the library default (no batch override) and the
+//! explicit hot-path batch sizes {1, 2, 8, 32} across every scheduler
+//! family: batch granularity amortizes synchronization but must never
+//! change what is computed or break the accounting.  Batch 1 is
 //! additionally pinned to the per-task path (no native batch operations,
-//! deterministic single-thread replays) so the default configuration
-//! carries zero regression risk.
+//! deterministic single-thread replays), and the default path's prefetch
+//! hints are pinned invisible (identical replay with and without them).
 
 use proptest::prelude::*;
 
@@ -54,19 +55,23 @@ fn assert_invariants<O>(run: &EngineRun<O>, label: &str) {
     );
 }
 
-/// Runs one workload on one scheduler at the given hot-path batch size and
-/// checks both the accounting invariants and equivalence with the
-/// sequential reference.
-fn check<W, S>(workload: &W, scheduler: &S, threads: usize, batch: usize)
+/// Runs one workload on one scheduler at the given hot-path batch size
+/// (`None`: the library default, through `run_parallel`) and checks both
+/// the accounting invariants and equivalence with the sequential
+/// reference.
+fn check<W, S>(workload: &W, scheduler: &S, threads: usize, batch: Option<usize>)
 where
     W: DecreaseKeyWorkload,
     S: Scheduler<Task>,
 {
-    let run = engine::run_parallel_batched(workload, scheduler, threads, batch);
+    let run = match batch {
+        None => engine::run_parallel(workload, scheduler, threads),
+        Some(batch) => engine::run_parallel_batched(workload, scheduler, threads, batch),
+    };
     let reference = workload.sequential_reference();
     assert!(
         workload.outputs_equivalent(&run.output, &reference.output),
-        "{} diverged from its sequential reference at batch {batch}",
+        "{} diverged from its sequential reference at batch {batch:?}",
         workload.name()
     );
     assert_invariants(&run, workload.name());
@@ -85,8 +90,13 @@ fn symmetrized(directed: &CsrGraph) -> CsrGraph {
 
 /// Runs all eight workloads over the graph on fresh schedulers from `make`
 /// (`seed` derives the incremental workload's update batch).
-fn check_all_workloads<S, F>(graph: &CsrGraph, make: F, threads: usize, batch: usize, seed: u64)
-where
+fn check_all_workloads<S, F>(
+    graph: &CsrGraph,
+    make: F,
+    threads: usize,
+    batch: Option<usize>,
+    seed: u64,
+) where
     S: Scheduler<Task>,
     F: Fn() -> S,
 {
@@ -131,8 +141,9 @@ where
     );
 }
 
-/// The hot-path batch sizes the properties sweep.
-const BATCHES: [usize; 4] = [1, 2, 8, 32];
+/// The hot-path batch sizes the properties sweep; `None` is the library
+/// default (no `with_batch`).
+const BATCHES: [Option<usize>; 5] = [None, Some(1), Some(2), Some(8), Some(32)];
 
 /// Dispatches over every scheduler family by index.
 fn check_with_scheduler_family(
@@ -140,7 +151,7 @@ fn check_with_scheduler_family(
     family: usize,
     threads: usize,
     seed: u64,
-    batch: usize,
+    batch: Option<usize>,
 ) {
     match family % 8 {
         0 => check_all_workloads(
@@ -223,7 +234,7 @@ proptest! {
         edge_factor in 2u64..5,
         family in 0usize..8,
         threads in 1usize..4,
-        batch_idx in 0usize..4,
+        batch_idx in 0usize..5,
         seed in 0u64..1_000_000,
     ) {
         let graph = uniform_random(nodes, u64::from(nodes) * edge_factor, 200, seed);
@@ -233,7 +244,7 @@ proptest! {
     #[test]
     fn spraylist_conserves_tasks(
         nodes in 16u32..64,
-        batch_idx in 0usize..4,
+        batch_idx in 0usize..5,
         seed in 0u64..1_000_000,
     ) {
         // SprayList is slower per op; give it its own smaller sweep so the
@@ -314,7 +325,8 @@ where
 /// seeded schedulers are **bit-identical in stats** (the executor makes no
 /// batch-dependent decisions), and schedulers without policy-level insert
 /// buffering record zero native batch operations — the evidence that the
-/// default configuration still takes exactly the historical hot path.
+/// explicit batch-1 configuration still takes exactly the historical hot
+/// path.
 #[test]
 fn batch_one_is_the_per_task_path() {
     let graph = uniform_random(64, 192, 200, 77);
@@ -350,5 +362,71 @@ fn batch_one_is_the_per_task_path() {
     assert_eq!(a, b, "single-thread batch-1 OBIM replays must be identical");
     for stats in &a {
         assert_eq!(stats.batch_flushes, 0, "batch 1 must never batch");
+    }
+}
+
+/// A workload identical to `W` except that it keeps the trait's default
+/// no-op `prefetch`.
+struct Unhinted<W>(W);
+
+impl<W: DecreaseKeyWorkload> DecreaseKeyWorkload for Unhinted<W> {
+    type Output = W::Output;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn initial_tasks(&self) -> Vec<Task> {
+        self.0.initial_tasks()
+    }
+
+    fn process(
+        &self,
+        task: Task,
+        push: &mut dyn FnMut(Task),
+        scratch: &mut smq_repro::runtime::Scratch,
+    ) -> engine::TaskOutcome {
+        self.0.process(task, push, scratch)
+    }
+
+    fn output(&self) -> W::Output {
+        self.0.output()
+    }
+
+    fn sequential_reference(&self) -> engine::SequentialReference<W::Output> {
+        self.0.sequential_reference()
+    }
+
+    fn outputs_equivalent(&self, a: &W::Output, b: &W::Output) -> bool {
+        self.0.outputs_equivalent(a, b)
+    }
+}
+
+/// The prefetch hint is invisible: on the default (batched) path a
+/// single-thread replay of SSSP and BFS — the workloads that implement
+/// `prefetch` — on an identically seeded scheduler yields the same output,
+/// the same task classification and bit-identical `OpStats` with the hook
+/// and with the default no-op hook.
+#[test]
+fn prefetch_hints_do_not_change_a_single_thread_replay() {
+    let graph = uniform_random(96, 384, 200, 31);
+    let make = || HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(9));
+    let hinted = [
+        engine::run_parallel(&SsspWorkload::new(&graph, 0), &make(), 1),
+        engine::run_parallel(&SsspWorkload::bfs(&graph, 0), &make(), 1),
+    ];
+    let unhinted = [
+        engine::run_parallel(&Unhinted(SsspWorkload::new(&graph, 0)), &make(), 1),
+        engine::run_parallel(&Unhinted(SsspWorkload::bfs(&graph, 0)), &make(), 1),
+    ];
+    for (with, without) in hinted.iter().zip(&unhinted) {
+        assert!(
+            with.result.metrics.total.batch_flushes > 0,
+            "the default path must be the batched one"
+        );
+        assert_eq!(with.output, without.output);
+        assert_eq!(with.result.useful_tasks, without.result.useful_tasks);
+        assert_eq!(with.result.wasted_tasks, without.result.wasted_tasks);
+        assert_eq!(with.result.metrics.total, without.result.metrics.total);
     }
 }
