@@ -5,6 +5,9 @@
 //! discussion (Section 4) by quantifying the per-operation cost differences
 //! that motivate the stealing-buffer design.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smq_core::{Probability, Scheduler, SchedulerHandle, Task};
 use smq_dheap::DAryHeap;
@@ -99,17 +102,24 @@ fn bench_substrates(c: &mut Criterion) {
 /// The d-ary heap in the regime the schedulers keep it in: a resident set
 /// of fixed size, every pop followed by a push a little further on (the hold
 /// model, increment `1 + rng % 1024`).  One iteration is `OPS` such pairs on
-/// a heap that lives across iterations.  1 Ki tasks sit in L1, 16 Ki (one
-/// thread of the repo benchmark's `hold_smq`) in L2, 1 Mi in neither; arity
-/// 2, 4 and 8 are the ones with a specialised sift kernel.
+/// a heap that lives across iterations.  1 Ki tasks (16 KiB) sit in L1,
+/// 16 Ki (one thread of the repo benchmark's `hold_smq`) in L2, 256 Ki in
+/// neither; arity 2, 4 and 8 are the ones with a specialised kernel, and
+/// `std`'s binary max-heap under `Reverse` is the yardstick.  The README's
+/// heap-kernel table is this group's output.
 fn bench_heap_hold(c: &mut Criterion) {
     let mut group = c.benchmark_group("dary_heap_hold_10k");
     group.sample_size(10);
-    for resident in [1usize << 10, 1 << 14, 1 << 20] {
+    for resident in [1usize << 10, 1 << 14, 1 << 18] {
+        let prefill = |rng: &mut smq_core::rng::Pcg32| -> Vec<Task> {
+            (0..resident as u64)
+                .map(|i| Task::new(rng.next_u64() >> 44, i))
+                .collect()
+        };
         for arity in [2usize, 4, 8] {
             let mut rng = smq_core::rng::Pcg32::new(resident as u64);
             let mut heap = DAryHeap::with_capacity(arity, resident + 1);
-            heap.extend((0..resident as u64).map(|i| Task::new(rng.next_u64() >> 44, i)));
+            heap.extend(prefill(&mut rng));
             let id = BenchmarkId::new(format!("arity_{arity}"), resident);
             group.bench_function(id, |b| {
                 b.iter(|| {
@@ -121,6 +131,18 @@ fn bench_heap_hold(c: &mut Criterion) {
             });
             assert_eq!(heap.len(), resident);
         }
+        let mut rng = smq_core::rng::Pcg32::new(resident as u64);
+        let mut heap = BinaryHeap::with_capacity(resident + 1);
+        heap.extend(prefill(&mut rng).into_iter().map(Reverse));
+        group.bench_function(BenchmarkId::new("std_binary", resident), |b| {
+            b.iter(|| {
+                for i in 0..OPS {
+                    let Reverse(task) = heap.pop().expect("the hold model never drains the heap");
+                    heap.push(Reverse(Task::new(task.key + 1 + rng.next_u64() % 1024, i)));
+                }
+            })
+        });
+        assert_eq!(heap.len(), resident);
     }
     group.finish();
 }

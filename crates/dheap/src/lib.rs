@@ -4,7 +4,7 @@
 //! `d = 4`) with an attached stealing buffer consistently outperform
 //! skip-list local queues, so this is the default local queue of the
 //! Stealing Multi-Queue.  A wider node fan-out than the binary heap trades a
-//! slightly more expensive `sift_down` (d comparisons per level) for a
+//! slightly more expensive walk down (`d - 1` comparisons per level) for a
 //! shallower tree and fewer cache misses — exactly the trade the paper's
 //! workloads (millions of 16-byte tasks) want.
 //!
@@ -25,25 +25,44 @@
 //! * **Arity specialisation.**  The fan-out stays a runtime field, but
 //!   `push`, `pop` and the bulk rebuild branch on it once and run a kernel
 //!   instantiated for `Fixed<2>`, `Fixed<4>` or `Fixed<8>` (parent and child
-//!   indices by shifts, a child scan with a constant trip count) or for
-//!   `Dynamic` (any other arity: a division per level going up, one per
-//!   sift going down).
-//! * **Child scan.**  A plain left-to-right scan for the smallest child.
-//!   Which child wins is close to a coin toss, so the scan keeps its running
-//!   best with `select_unpredictable` instead of a branch.
-//! * **Prefetch.**  A scan that does not branch leaves the processor
-//!   nothing to guess, so it no longer runs ahead into the next level the
-//!   way it did on a predicted branch.  That costs nothing while the heap
-//!   sits in the owner's cache (an SMQ local queue), but a Multi-Queue
-//!   sub-queue's lines are usually in another core's cache and the misses
-//!   of successive levels would queue up behind each other.  `sift_down`
-//!   therefore requests a node's grandchildren before it scans the
-//!   children (x86-64 only; a no-op elsewhere).
-//! * **Pop.**  The last element goes straight into a hole opened at the
-//!   root and sifts down from there; it is never written to slot 0 first.
+//!   indices by shifts, child selection by a tournament) or for `Dynamic`
+//!   (any other arity: a division per level going up, one per walk going
+//!   down, children scanned).
+//! * **Child selection.**  Which child is the smallest is close to a coin
+//!   toss, so no kernel branches on it.  `Fixed<2>` adds the outcome of one
+//!   comparison to the first child's index.  `Fixed<4>` plays two such
+//!   pairs, which do not depend on each other, and a final between their
+//!   winners decided with `select_unpredictable`: two comparisons deep,
+//!   where a left-to-right scan chains three through its running best.
+//!   `Fixed<8>` plays three rounds.  `Dynamic`, and the one node of a heap
+//!   that may have fewer than `d` children, scan.  All of them return the
+//!   leftmost of equal children.
+//! * **Pop** is a bottom-up deletion.  The last element goes into a hole
+//!   opened at the root (it is never written to slot 0 first), but the hole
+//!   then walks down to a leaf along the smallest children *without*
+//!   looking at that element, and the element is sifted up from there.  It
+//!   came from the bottom and almost always belongs there, so the sift-up
+//!   is short, a level of the walk costs `d - 1` comparisons instead of
+//!   `d`, and the walk has no exit for the processor to mispredict.  The
+//!   array ends up as an early-exit sift-down would leave it, so the pop
+//!   order is the same.
+//! * **Prefetch.**  A walk that does not branch on the data leaves the
+//!   processor nothing to guess, so it does not run ahead into the next
+//!   level the way it would on a predicted branch.  That costs nothing
+//!   while the heap sits in its owner's first-level cache, but the lines of
+//!   a larger one come from further away (a Multi-Queue sub-queue's usually
+//!   from another core's cache) and the misses of successive levels would
+//!   queue up behind each other.  The walk therefore requests a node's
+//!   grandchildren before it chooses among the children (x86-64 only; a
+//!   no-op elsewhere).  For the specialised fan-outs that is a handful of
+//!   prefetch instructions at constant offsets behind a bounds check, cheap
+//!   enough to issue at every heap size.
 //! * **Bulk load.**  `extend` appends and then either sifts the new tail up
 //!   element by element or, when the tail is at least as long as the heap
-//!   it joins, rebuilds the whole array bottom-up in O(n).
+//!   it joins, rebuilds the whole array bottom-up in O(n).  The rebuild
+//!   sifts elements that may belong anywhere, so it uses `sift_down`, which
+//!   compares against the element and stops as soon as it fits; it shares
+//!   the child selection with the walk of `pop`.
 //!
 //! # Safety
 //!
@@ -75,25 +94,42 @@
 //!   invariant.
 //! * `Hole::drop` writes into `data[pos]`: in bounds and empty by the
 //!   invariant, and `elt` is never touched again.
-//! * `sift_up` (contract `pos < data.len()`) only ever names
-//!   `parent = (pos - 1) / d` with `pos > 0`, so `parent < pos < len`.
-//! * `sift_down` names children of `pos` only after `pos < (len - 1) / d`,
-//!   which gives `pos < d * pos + 1` and `d * pos + d <= len - 1`; the one
-//!   node that may have fewer than `d` children is handled after
-//!   `pos == (len - 1) / d`, scanning `d * pos + 1 .. len`.  Comparing
-//!   before multiplying also keeps `d * pos` from overflowing for any
-//!   `arity >= 2` and any length.
-//! * `prefetch_range` passes `_mm_prefetch` addresses inside a sub-slice it
-//!   has just bounds-checked; a prefetch reads nothing the program can
-//!   observe and cannot fault.
-//! * `push` calls `sift_up` with the index of the element it just pushed.
+//! * `Hole::run` borrows `data[first..end]` unchecked.  Its contract is
+//!   `first <= end <= data.len()` with the hole outside the range, both
+//!   `debug_assert!`ed, so every element of the slice is live.  Child
+//!   selection (`Fanout::min_child`, `scan`) is safe code over such a
+//!   slice and returns a position inside it.
+//! * `full_min_child` (contract `pos < full = (len - 1) / d`) takes the
+//!   run `first..first + d` with `first = d * pos + 1`: the bound gives
+//!   `pos < first` and `d * pos + d <= len - 1`, because exactly the nodes
+//!   before `full` have all `d` children.  Comparing before multiplying
+//!   also keeps `d * pos` from overflowing for any `arity >= 2` and any
+//!   length.  The tournament positions it gets back are below `d`.
+//! * `partial_min_child` handles the one node that may have some but not
+//!   all of its children, node `full`: it takes the run
+//!   `d * full + 1 .. len` after checking `pos == full` and that the run
+//!   is not empty, and `d * full <= len - 1` cannot overflow.  A later
+//!   node has no child.
+//! * `descend` and `sift_down` call `full_min_child` only while
+//!   `pos < full`, and `get` / `move_to` only on the child index either
+//!   helper returned: in bounds and not the hole.
+//! * `sift_up` takes a hole, so `pos < len`; it only ever names
+//!   `parent = (pos - 1) / d` with `pos > 0`, so `parent < pos < len`.  It
+//!   is bounded by the root, which is where the walk of `pop` started.
+//! * `prefetch_lines` passes `_mm_prefetch` addresses inside a sub-slice
+//!   that `prefetch_run` has just bounds-checked; a prefetch reads nothing
+//!   the program can observe and cannot fault.  The start `descend`
+//!   computes for it may wrap for an arity no real length reaches; it is
+//!   then only a wrong hint.
+//! * `push` opens a hole at the index of the element it just pushed.
 //! * `pop` reads `data[0]` out of a non-empty `Vec` and next opens the
 //!   hole that will refill slot 0; nothing in between can panic,
 //!   and the minimum it read is an ordinary local that unwinding drops.
-//! * `rebuild_tail` opens holes at `pos <= (len - 2) / d < len` and calls
-//!   `sift_up` for `pos` in `start..len`.
+//! * `rebuild_tail` opens holes at `pos <= (len - 2) / d < len` and at
+//!   `pos` in `start..len`.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::hint::select_unpredictable;
@@ -103,7 +139,7 @@ use std::ptr;
 /// Default fan-out used by the paper's implementation.
 pub const DEFAULT_ARITY: usize = 4;
 
-/// Most bytes `sift_down` requests ahead per level.  Enough for all sixteen
+/// Most bytes `descend` requests ahead per level.  Enough for all sixteen
 /// grandchildren of a 4-ary node of 16-byte tasks; a node has `arity²`
 /// grandchildren, so a wide fan-out needs the bound.
 const PREFETCH_BYTES: usize = 512;
@@ -122,6 +158,10 @@ pub struct DAryHeap<T> {
 /// specialised arities, the heap's runtime field for the rest.
 trait Fanout: Copy {
     fn get(self) -> usize;
+
+    /// The position in `children`, all `get()` children of one node, of
+    /// the smallest, the leftmost one among equals.
+    fn min_child<T: Ord>(self, children: &[T]) -> usize;
 }
 
 #[derive(Clone, Copy)]
@@ -131,6 +171,27 @@ impl<const D: usize> Fanout for Fixed<D> {
     #[inline(always)]
     fn get(self) -> usize {
         D
+    }
+
+    /// A tournament: the pairs of one round do not depend on each other, so
+    /// four children are two comparisons deep where a scan's running best
+    /// chains three.  Every position is a constant plus comparison
+    /// outcomes, so the indexing below compiles without bounds checks.
+    #[inline(always)]
+    fn min_child<T: Ord>(self, children: &[T]) -> usize {
+        let pair = |i: usize| i + usize::from(children[i + 1] < children[i]);
+        // Which side wins is close to a coin toss.  Without the hint LLVM
+        // turns this select into a branch, and it mispredicts about once
+        // per level.
+        let duel = |left: usize, right: usize| {
+            select_unpredictable(children[right] < children[left], right, left)
+        };
+        match D {
+            2 => pair(0),
+            4 => duel(pair(0), pair(2)),
+            8 => duel(duel(pair(0), pair(2)), duel(pair(4), pair(6))),
+            _ => scan(children),
+        }
     }
 }
 
@@ -142,6 +203,22 @@ impl Fanout for Dynamic {
     fn get(self) -> usize {
         self.0
     }
+
+    #[inline(always)]
+    fn min_child<T: Ord>(self, children: &[T]) -> usize {
+        scan(children)
+    }
+}
+
+/// The position of the smallest of `children` (not empty), the leftmost one
+/// among equals, by a left-to-right scan that selects instead of branching.
+#[inline(always)]
+fn scan<T: Ord>(children: &[T]) -> usize {
+    let mut best = (0, &children[0]);
+    for candidate in children.iter().enumerate().skip(1) {
+        best = select_unpredictable(candidate.1 < best.1, candidate, best);
+    }
+    best.0
 }
 
 /// Evaluates `$body` with `$d` bound to the [`Fanout`] for `$arity`, so the
@@ -225,6 +302,18 @@ impl<'a, T> Hole<'a, T> {
         unsafe { self.data.get_unchecked(index) }
     }
 
+    /// The live elements `data[first..end]`.
+    ///
+    /// # Safety
+    /// `first <= end <= data.len()`, and the hole is not in `first..end`.
+    #[inline]
+    unsafe fn run(&self, first: usize, end: usize) -> &[T] {
+        debug_assert!(first <= end && end <= self.data.len());
+        debug_assert!(!(first..end).contains(&self.pos));
+        // SAFETY: in bounds and clear of the empty slot (caller).
+        unsafe { self.data.get_unchecked(first..end) }
+    }
+
     /// Moves `data[index]` into the hole; the hole is then at `index`.
     ///
     /// # Safety
@@ -257,50 +346,57 @@ impl<T> Drop for Hole<'_, T> {
     }
 }
 
-/// Asks for the cache lines that hold `data[start..end]`, clamped to the
-/// slice and to [`PREFETCH_BYTES`].  A hint only: it does nothing where std
-/// has no stable prefetch.
-#[inline]
-fn prefetch_range<T>(data: &[T], start: usize, end: usize) {
+/// Asks for the cache lines that hold the first `count` elements of
+/// `data[start..]`, or as many of them as there are.  A hint only: it does
+/// nothing where std has no stable prefetch.
+#[inline(always)]
+fn prefetch_run<T>(data: &[T], start: usize, count: usize) {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        const LINE: usize = 64;
-        if size_of::<T>() == 0 {
+        let Some(rest) = data.get(start..) else {
             return;
-        }
-        let end = end
-            .min(data.len())
-            .min(start.saturating_add(PREFETCH_BYTES / size_of::<T>()));
-        if start >= end {
-            return;
-        }
-        let bytes = data[start..end].as_ptr_range();
-        let last = bytes.end.cast::<i8>().wrapping_sub(1);
-        let mut line = bytes.start.cast::<i8>();
-        // SAFETY: a prefetch reads nothing the program can observe and
-        // cannot fault, and every address passed lies inside
-        // `data[start..end]`.
-        unsafe {
-            while line < last {
-                _mm_prefetch::<_MM_HINT_T0>(line);
-                line = line.wrapping_add(LINE);
-            }
-            _mm_prefetch::<_MM_HINT_T0>(last);
+        };
+        // Two calls, not one on the shorter of the two: a whole run, the
+        // usual case, then has a length the fixed-arity kernels know, and
+        // its loop becomes a handful of prefetches with nothing to compute
+        // or branch on.
+        match rest.get(..count) {
+            Some(run) => prefetch_lines(run),
+            None => prefetch_lines(rest),
         }
     }
     #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    let _ = (data, start, end);
+    let _ = (data, start, count);
 }
 
-/// Sifts `data[pos]` towards the root until its parent is no greater.
-///
-/// # Safety
-/// `pos < data.len()`.
+/// Asks for every cache line that holds part of `run`.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[inline(always)]
+fn prefetch_lines<T>(run: &[T]) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    const LINE: usize = 64;
+    let (first, bytes) = (run.as_ptr().cast::<i8>(), size_of_val(run));
+    if bytes == 0 {
+        return;
+    }
+    // SAFETY: a prefetch reads nothing the program can observe and cannot
+    // fault, and every address passed lies inside `run`.
+    unsafe {
+        let mut offset = 0;
+        while offset < bytes {
+            _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(offset));
+            offset += LINE;
+        }
+        // The run need not start on a line boundary, so its last byte may
+        // lie one line further.
+        _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(bytes - 1));
+    }
+}
+
+/// Sifts the hole's element towards the root until its parent is no
+/// greater.
 #[inline]
-unsafe fn sift_up<T: Ord, F: Fanout>(data: &mut [T], d: F, pos: usize) {
-    // SAFETY: `pos < data.len()` (caller).
-    let mut hole = unsafe { Hole::new(data, pos) };
+fn sift_up<T: Ord, F: Fanout>(mut hole: Hole<'_, T>, d: F) {
     while hole.pos > 0 {
         let parent = (hole.pos - 1) / d.get();
         // SAFETY: `parent < hole.pos < data.len()`.
@@ -313,64 +409,93 @@ unsafe fn sift_up<T: Ord, F: Fanout>(data: &mut [T], d: F, pos: usize) {
     }
 }
 
+/// The smallest child of node `full`, the one node that may have some but
+/// not all `d` of its children, if the hole is there and it has any: a
+/// later node `p` has `d * p + 1 > len - 1` and so none.
+#[inline]
+fn partial_min_child<T: Ord>(hole: &Hole<'_, T>, d: usize, full: usize) -> Option<usize> {
+    let len = hole.data.len();
+    // `d * full <= len - 1`, so this cannot overflow where `d * hole.pos`
+    // could.
+    let first = d * full + 1;
+    if hole.pos != full || first >= len {
+        return None;
+    }
+    // SAFETY: `hole.pos = full < first < len`.
+    Some(first + scan(unsafe { hole.run(first, len) }))
+}
+
+/// The smallest child of the hole's node, which is before `full`: exactly
+/// those nodes have all `d` children, node `p` iff `d * p + d <= len - 1`.
+///
+/// # Safety
+/// `hole.pos < (hole.data.len() - 1) / d`.
+#[inline(always)]
+unsafe fn full_min_child<T: Ord, F: Fanout>(hole: &Hole<'_, T>, d: F) -> usize {
+    let first = d.get() * hole.pos + 1;
+    // SAFETY: the caller's bound gives `hole.pos < first` and
+    // `first + d <= len`.
+    first + d.min_child(unsafe { hole.run(first, first + d.get()) })
+}
+
+/// Walks the hole from its node down to a leaf, each level moving the
+/// smallest child up, and returns it there.  The hole's own element is
+/// never looked at: `pop` hands in the heap's last element, which belongs
+/// near the bottom, so a level costs `d - 1` comparisons instead of `d` and
+/// the walk has no exit that depends on the data.  The caller sifts the
+/// element back up the few levels it overshot.
+#[inline]
+fn descend<'a, T: Ord, F: Fanout>(mut hole: Hole<'a, T>, d: F) -> Hole<'a, T> {
+    // `len >= 1` because `hole.pos < len`.
+    let full = (hole.data.len() - 1) / d.get();
+    // A walk that does not branch on the data leaves the processor nothing
+    // to guess, so it cannot run ahead into the next level.  Request a
+    // node's grandchildren before choosing its child, so that the misses of
+    // successive levels (a Multi-Queue sub-queue's lines are usually in
+    // another core's cache) overlap as they did under speculation.
+    let grandchildren = d.get().saturating_mul(d.get());
+    let run = grandchildren.min(PREFETCH_BYTES / size_of::<T>().max(1));
+    while hole.pos < full {
+        // A product that wraps (an arity beyond any real length) names some
+        // other run of the slice or none: a wasted hint, no more.
+        let first = d.get() * hole.pos + 1;
+        let start = first.wrapping_mul(d.get()).wrapping_add(1);
+        prefetch_run(hole.data, start, run);
+        // SAFETY: `hole.pos < full`, and a child of `hole.pos` is in
+        // bounds and not the hole.
+        unsafe {
+            let best = full_min_child(&hole, d);
+            hole.move_to(best);
+        }
+    }
+    if let Some(best) = partial_min_child(&hole, d.get(), full) {
+        // SAFETY: a child of `hole.pos`: in bounds and not the hole.
+        unsafe { hole.move_to(best) };
+    }
+    hole
+}
+
 /// Sifts the hole's element towards the leaves until no child is smaller.
+/// For an element that may belong anywhere (the bottom-up rebuild): unlike
+/// [`descend`] it stops as soon as the element fits.
 #[inline]
 fn sift_down<T: Ord, F: Fanout>(mut hole: Hole<'_, T>, d: F) {
-    let d = d.get();
-    let len = hole.data.len();
-    // Exactly the nodes before `full` have all `d` children: node `p` does
-    // iff `d * p + d <= len - 1`.  (`len >= 1` because `hole.pos < len`.)
-    let full = (len - 1) / d;
+    let full = (hole.data.len() - 1) / d.get();
     while hole.pos < full {
-        let first = d * hole.pos + 1;
-        // The scan below selects without branching, so the processor can no
-        // longer guess a child and run ahead into the next level.  Request
-        // every grandchild now instead: when the lines are in another
-        // core's cache (a Multi-Queue sub-queue) the misses of successive
-        // levels then overlap as they did under speculation.
-        let grandchildren = first.saturating_mul(d).saturating_add(1);
-        prefetch_range(
-            hole.data,
-            grandchildren,
-            grandchildren.saturating_add(d.saturating_mul(d)),
-        );
-        let mut best = first;
-        for child in first + 1..first + d {
-            // SAFETY: `hole.pos < child <= d * hole.pos + d <= len - 1`,
-            // and likewise for `best`.
-            let smaller = unsafe { hole.get(child) < hole.get(best) };
-            // Which child is the smallest is close to a coin toss.  Without
-            // the hint LLVM turns this select into a branch in the unrolled
-            // fixed-arity scans (not in the rolled `Dynamic` loop), and it
-            // mispredicts about once per level.
-            best = select_unpredictable(smaller, child, best);
-        }
-        // SAFETY: as above, `hole.pos < best < len`.
+        // SAFETY: as in `descend`.
         unsafe {
+            let best = full_min_child(&hole, d);
             if hole.element() <= hole.get(best) {
                 return;
             }
             hole.move_to(best);
         }
     }
-    // At most one node has some but not all of its children, and it is node
-    // `full`: a later node `p` has `d * p + 1 > len - 1`.  Comparing first
-    // keeps `d * hole.pos` from overflowing: `d * full <= len - 1`.
-    if hole.pos == full {
-        let first = d * full + 1;
-        if first < len {
-            let mut best = first;
-            for child in first + 1..len {
-                // SAFETY: `hole.pos < first <= best < child < len`.
-                if unsafe { hole.get(child) < hole.get(best) } {
-                    best = child;
-                }
-            }
-            // SAFETY: `hole.pos < best < len`.
-            unsafe {
-                if hole.element() > hole.get(best) {
-                    hole.move_to(best);
-                }
+    if let Some(best) = partial_min_child(&hole, d.get(), full) {
+        // SAFETY: a child of `hole.pos`: in bounds and not the hole.
+        unsafe {
+            if hole.element() > hole.get(best) {
+                hole.move_to(best);
             }
         }
     }
@@ -454,7 +579,8 @@ impl<T: Ord> DAryHeap<T> {
         let pos = self.data.len();
         self.data.push(item);
         // SAFETY: `pos` is the index of the element just pushed.
-        with_fanout!(self.arity, |d| unsafe { sift_up(&mut self.data, d, pos) });
+        let hole = unsafe { Hole::new(&mut self.data, pos) };
+        with_fanout!(self.arity, |d| sift_up(hole, d));
     }
 
     /// Removes and returns the minimum element, if any.
@@ -472,7 +598,7 @@ impl<T: Ord> DAryHeap<T> {
             let min = ptr::read(self.data.as_ptr());
             (min, Hole::holding(&mut self.data, 0, last))
         };
-        with_fanout!(self.arity, |d| sift_down(hole, d));
+        with_fanout!(self.arity, |d| sift_up(descend(hole, d), d));
         Some(min)
     }
 
@@ -530,7 +656,7 @@ impl<T: Ord> DAryHeap<T> {
             with_fanout!(self.arity, |d| {
                 for pos in start..len {
                     // SAFETY: `pos < len`.
-                    unsafe { sift_up(data, d, pos) };
+                    sift_up(unsafe { Hole::new(data, pos) }, d);
                 }
             });
         }
@@ -682,6 +808,7 @@ mod tests {
     struct FuseControl {
         /// Comparisons left before the next one panics; `None` is disarmed.
         countdown: Cell<Option<u32>>,
+        comparisons: Cell<u32>,
         created: Cell<usize>,
         dropped: Cell<usize>,
     }
@@ -708,6 +835,8 @@ mod tests {
 
     impl Ord for Fuse {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            let comparisons = &self.control.comparisons;
+            comparisons.set(comparisons.get() + 1);
             match self.control.countdown.get() {
                 Some(0) => {
                     self.control.countdown.set(None);
@@ -734,6 +863,25 @@ mod tests {
 
     impl Eq for Fuse {}
 
+    /// A heap of `len` fuses with ascending keys: the array is a heap as it
+    /// stands and its last element is the largest, so a pop walks its hole
+    /// to a leaf and the sift-up that follows ends at its first comparison.
+    fn ascending_fuses(arity: usize, len: u32, control: &Rc<FuseControl>) -> DAryHeap<Fuse> {
+        let mut heap = DAryHeap::new(arity);
+        heap.extend((1..=len).map(|key| control.fuse(key)));
+        assert_eq!(control.live(), len as usize);
+        heap
+    }
+
+    /// How many comparisons `op` makes on the heap of [`ascending_fuses`].
+    fn comparisons_of(arity: usize, len: u32, op: impl FnOnce(&mut DAryHeap<Fuse>)) -> u32 {
+        let control = Rc::new(FuseControl::default());
+        let mut heap = ascending_fuses(arity, len, &control);
+        control.comparisons.set(0);
+        op(&mut heap);
+        control.comparisons.get()
+    }
+
     /// Runs `op` on a 200-element heap with the fuse set to blow at
     /// comparison number `blow_at`; the heap must hold `len_after` elements
     /// once `op` has panicked.
@@ -744,11 +892,7 @@ mod tests {
         op: impl FnOnce(&mut DAryHeap<Fuse>, &Rc<FuseControl>),
     ) {
         let control = Rc::new(FuseControl::default());
-        let mut heap = DAryHeap::new(arity);
-        // Ascending keys: the array is a heap as it stands and its last
-        // element is the largest, so a pop sinks it all the way to a leaf.
-        heap.extend((1..=200).map(|key| control.fuse(key)));
-        assert_eq!(control.live(), 200);
+        let mut heap = ascending_fuses(arity, 200, &control);
 
         control.countdown.set(Some(blow_at));
         let outcome = catch_unwind(AssertUnwindSafe(|| op(&mut heap, &control)));
@@ -780,28 +924,58 @@ mod tests {
                 blow_during(arity, blow_at % 3, 201, |heap, control| {
                     heap.push(control.fuse(0));
                 });
-                // The popped minimum is dropped by the unwinding.
-                blow_during(arity, blow_at, 199, |heap, _| {
-                    heap.pop();
-                });
                 // A run long enough to rebuild the whole heap bottom-up.
                 blow_during(arity, blow_at, 600, |heap, control| {
                     let run: Vec<Fuse> = (0..400).map(|key| control.fuse(key)).collect();
                     heap.extend(run);
                 });
             }
+            // Every comparison of a pop: the first ones are made by the walk
+            // to a leaf, the last one by the sift-up from there.  The popped
+            // minimum is dropped by the unwinding.
+            let walk_and_sift_up = comparisons_of(arity, 200, |heap| drop(heap.pop()));
+            assert!(walk_and_sift_up >= 4, "arity {arity}: {walk_and_sift_up}");
+            for blow_at in 0..walk_and_sift_up {
+                blow_during(arity, blow_at, 199, |heap, _| {
+                    heap.pop();
+                });
+            }
         }
     }
 
-    /// Replays `ops` on a heap of every arity from 2 to 9 (2, 4 and 8 run
-    /// the shift kernels, the others the division fallback) and on
-    /// `std::collections::BinaryHeap`.  Each op is `(code, operands)`.
-    fn differential<T: Ord + Clone + std::fmt::Debug>(ops: &[(u8, Vec<T>)]) {
-        for arity in 2..=9 {
+    #[test]
+    fn pop_walks_down_without_comparing_the_sinking_element() {
+        // A complete 4-ary tree of six levels plus one element, the largest.
+        // Popping sinks the hole through five levels of four children each:
+        // three comparisons a level pick the child, and the element that
+        // came from the bottom is compared once, on the way back up.  A
+        // sift-down that asks at every level whether the element fits yet
+        // spends a fourth: 20 on this heap.
+        let (levels, complete) = (5, (4u32.pow(6) - 1) / 3);
+        let spent = comparisons_of(4, complete + 1, |heap| {
+            assert_eq!(heap.pop().map(|fuse| fuse.key), Some(1));
+        });
+        assert!(spent <= 3 * levels + 1, "{spent} comparisons");
+    }
+
+    /// The fan-outs every property runs on: 2, 4 and 8 have the tournament
+    /// kernels, the others run `Dynamic`'s divisions and scan.
+    const ARITIES: std::ops::RangeInclusive<usize> = 2..=9;
+
+    /// Replays `ops` on a heap of every arity in [`ARITIES`] and on
+    /// `std::collections::BinaryHeap`.  Each op is `(code, operands)`.  Both
+    /// start out holding `resident`, and hold it again after a `clear`.
+    fn differential<T: Ord + Clone + std::fmt::Debug>(ops: &[(u8, Vec<T>)], resident: &[T]) {
+        for arity in ARITIES {
             let mut heap = DAryHeap::new(arity);
             let mut reference = BinaryHeap::new();
             let reference_pop =
                 |reference: &mut BinaryHeap<Reverse<T>>| reference.pop().map(|Reverse(v)| v);
+            let load = |heap: &mut DAryHeap<T>, reference: &mut BinaryHeap<Reverse<T>>| {
+                heap.extend(resident.iter().cloned());
+                reference.extend(resident.iter().cloned().map(Reverse));
+            };
+            load(&mut heap, &mut reference);
             for (code, operands) in ops {
                 match code {
                     0..=11 => {
@@ -827,27 +1001,100 @@ mod tests {
                     _ => {
                         heap.clear();
                         reference.clear();
+                        load(&mut heap, &mut reference);
                     }
                 }
-                heap.assert_heap_property();
+                // O(n): after every op on a heap of these few operands, once
+                // at the end on one that also holds thousands of residents.
+                if resident.is_empty() {
+                    heap.assert_heap_property();
+                }
                 assert_eq!(heap.len(), reference.len());
                 assert_eq!(heap.peek(), reference.peek().map(|Reverse(v)| v));
             }
+            heap.assert_heap_property();
             let rest: Vec<T> = std::iter::from_fn(|| reference_pop(&mut reference)).collect();
             assert_eq!(heap.into_sorted_vec(), rest, "arity {arity}");
+        }
+    }
+
+    /// Pushes `values` one by one, then pops everything.
+    fn heap_sort(arity: usize, values: &[u32]) -> Vec<u32> {
+        let mut heap = DAryHeap::new(arity);
+        for &v in values {
+            heap.push(v);
+            heap.assert_heap_property();
+        }
+        heap.into_sorted_vec()
+    }
+
+    /// Pops `k` of `values`, which `heap` holds, in one batch.
+    fn check_pop_batch(mut heap: DAryHeap<u32>, values: &[u32], k: usize) {
+        let arity = heap.arity();
+        let mut expected = values.to_vec();
+        expected.sort_unstable();
+        let mut out = Vec::new();
+        let moved = heap.pop_batch_into(k, &mut out);
+        assert_eq!(moved, k.min(values.len()), "arity {arity}");
+        assert_eq!(&out[..], &expected[..moved], "arity {arity}");
+        heap.assert_heap_property();
+        assert_eq!(heap.len(), values.len() - moved);
+    }
+
+    /// A heap of `arity` loaded with `values` in bulk.
+    fn loaded(arity: usize, values: &[u32]) -> DAryHeap<u32> {
+        let mut heap = DAryHeap::new(arity);
+        heap.extend(values.iter().copied());
+        heap
+    }
+
+    fn tasks(ops: Vec<(u8, Vec<(u64, u64)>)>) -> Vec<(u8, Vec<Task>)> {
+        ops.into_iter()
+            .map(|(code, run)| {
+                (
+                    code,
+                    run.into_iter().map(|(k, v)| Task::new(k, v)).collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn boundary_lengths_and_duplicate_heavy_inputs_sort() {
+        for d in ARITIES {
+            // One element, a root with one child, with its last child, the
+            // first grandchild, the second, and the first great-grandchild;
+            // each pop on the way down to empty passes the lengths between.
+            for len in [1, 2, d, d + 1, d + 2, d * d + 1] {
+                let inputs: [(&str, Vec<u32>); 5] = [
+                    ("all equal", vec![7; len]),
+                    ("three values", (0..len as u32).map(|i| i * 7 % 3).collect()),
+                    ("ascending", (0..len as u32).collect()),
+                    ("descending", (0..len as u32).rev().collect()),
+                    (
+                        "mixed",
+                        (0..len as u32)
+                            .map(|i| i.wrapping_mul(0x9E37_79B9) >> 8)
+                            .collect(),
+                    ),
+                ];
+                for (name, values) in inputs {
+                    let mut sorted = values.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(heap_sort(d, &values), sorted, "arity {d}, {len} x {name}");
+                    check_pop_batch(loaded(d, &values), &values, len / 2 + 1);
+                }
+            }
         }
     }
 
     proptest! {
         #[test]
         fn heap_sort_matches_std_sort(mut values in proptest::collection::vec(any::<u32>(), 0..512),
-                                      arity in 2usize..10) {
-            let mut heap = DAryHeap::new(arity);
-            for &v in &values {
-                heap.push(v);
-                heap.assert_heap_property();
-            }
-            let heap_sorted = heap.into_sorted_vec();
+                                      arity in ARITIES) {
+            // One fan-out a case: `heap_sort` checks the whole heap after
+            // every push.
+            let heap_sorted = heap_sort(arity, &values);
             values.sort_unstable();
             prop_assert_eq!(heap_sorted, values);
         }
@@ -857,7 +1104,7 @@ mod tests {
             ops in proptest::collection::vec(
                 (0u8..32, proptest::collection::vec(any::<u32>(), 0..24)), 1..160)
         ) {
-            differential(&ops);
+            differential(&ops, &[]);
         }
 
         #[test]
@@ -866,23 +1113,33 @@ mod tests {
                 (0u8..32, proptest::collection::vec((0u64..64, any::<u64>()), 0..24)), 1..160)
         ) {
             // Few distinct keys, so the payload tie-break decides often.
-            let ops: Vec<(u8, Vec<Task>)> = ops
-                .into_iter()
-                .map(|(code, run)| (code, run.into_iter().map(|(k, v)| Task::new(k, v)).collect()))
+            differential(&tasks(ops), &[]);
+        }
+
+        #[test]
+        #[cfg_attr(miri, ignore = "1 500 elements a case, and Miri compiles the prefetch out")]
+        fn interleaved_ops_match_binary_heap_task_on_a_large_heap(
+            ops in proptest::collection::vec(
+                (0u8..32, proptest::collection::vec((0u64..64, any::<u64>()), 0..24)), 1..48)
+        ) {
+            // Several times deeper than the few dozen elements the ops alone
+            // build up (ten levels at arity 2, six at 4), so the walk of `pop`
+            // asks for grandchildren that are all there, that lie partly past
+            // the end and that lie wholly past it.
+            let resident: Vec<Task> = (1..=1500u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .map(|v| Task::new(v >> 58, v))
                 .collect();
-            differential(&ops);
+            differential(&tasks(ops), &resident);
         }
 
         #[test]
         fn pop_batch_is_prefix_of_sorted(values in proptest::collection::vec(any::<u32>(), 0..256),
                                          k in 0usize..64) {
-            let mut heap: DAryHeap<u32> = values.iter().copied().collect();
-            let mut expected = values.clone();
-            expected.sort_unstable();
-            let mut out = Vec::new();
-            let moved = heap.pop_batch_into(k, &mut out);
-            prop_assert_eq!(moved, k.min(values.len()));
-            prop_assert_eq!(&out[..], &expected[..moved]);
+            for arity in ARITIES {
+                check_pop_batch(loaded(arity, &values), &values, k);
+            }
+            check_pop_batch(values.iter().copied().collect(), &values, k);
         }
     }
 }

@@ -201,9 +201,14 @@ impl WeightedQueueSampler {
 
     /// Samples a queue index for a thread running on `thread_id`.
     /// Returns `(queue_index, was_local_node)`.
+    #[inline]
     pub fn sample(&self, thread_id: usize, rng: &mut Pcg32) -> (usize, bool) {
         let nodes = self.topology.num_nodes();
-        if nodes == 1 || self.k == 1 {
+        if nodes == 1 {
+            // The non-NUMA default: one draw, and nothing to classify.
+            return (rng.next_bounded(self.num_queues()), true);
+        }
+        if self.k == 1 {
             // Uniform over all queues; classify locality anyway so the
             // statistics stay meaningful for K = 1.
             let q = rng.next_bounded(self.num_queues());
@@ -315,6 +320,45 @@ mod tests {
             seen[q] = true;
         }
         assert!(seen.iter().all(|&b| b), "all queues should be sampled");
+    }
+
+    /// What `sample` did on its uniform path before the single-node
+    /// shortcut: one bounded draw, locality looked up in the topology.
+    fn sample_by_lookup(
+        sampler: &WeightedQueueSampler,
+        thread_id: usize,
+        rng: &mut Pcg32,
+    ) -> (usize, bool) {
+        let topology = &sampler.topology;
+        let q = rng.next_bounded(sampler.num_queues());
+        let local = topology.node_of_queue(q, sampler.queues_per_thread)
+            == topology.node_of_thread(thread_id);
+        (q, local)
+    }
+
+    #[test]
+    fn uniform_paths_draw_and_classify_as_a_topology_lookup_would() {
+        let samplers = [
+            WeightedQueueSampler::uniform(Topology::single_node(1), 1),
+            WeightedQueueSampler::uniform(Topology::single_node(4), 1),
+            WeightedQueueSampler::new(Topology::single_node(6), 4, 64),
+            WeightedQueueSampler::uniform(Topology::uniform(2, 3), 2),
+        ];
+        for sampler in samplers {
+            for thread_id in 0..sampler.topology.num_threads() {
+                let (mut rng, mut reference_rng) = (Pcg32::new(11), Pcg32::new(11));
+                for _ in 0..4_000 {
+                    // The same queue, and the same flag for the schedulers
+                    // to count as `local_samples` or `remote_samples`.
+                    assert_eq!(
+                        sampler.sample(thread_id, &mut rng),
+                        sample_by_lookup(&sampler, thread_id, &mut reference_rng)
+                    );
+                }
+                // The same number of draws: the streams are still in step.
+                assert_eq!(rng.next_u64(), reference_rng.next_u64());
+            }
+        }
     }
 
     #[test]
