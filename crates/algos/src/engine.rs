@@ -18,11 +18,12 @@
 //! `AtomicU64`-per-vertex workloads.
 //!
 //! Execution goes through the resident worker pool (`smq-pool`) in both
-//! modes: [`run_on_pool`] executes one workload as a job on an existing
-//! [`WorkerPool`] (thousands of jobs amortize one thread fleet — see
-//! `crate::query` for the A* route-query service built on this), and
-//! [`run_parallel`] is the one-shot wrapper that builds a transient pool
-//! around a borrowed scheduler, runs the single job, and joins.
+//! modes: [`run_on_pool`] executes one workload as a job on one gang of an
+//! existing [`WorkerPool`] (thousands of jobs amortize one thread fleet —
+//! see `crate::query` for the A* route-query service built on this), and
+//! [`run_parallel`] / [`run_parallel_with`] are the one-shot wrappers that
+//! build a transient pool around a borrowed scheduler, run the single job,
+//! and join.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -139,14 +140,14 @@ impl<W: DecreaseKeyWorkload> PoolJob for WorkloadJob<'_, W> {
     }
 }
 
-/// Runs `workload` to quiescence as one **whole-fleet** job on a resident
-/// [`WorkerPool`] (every live gang participates).
+/// Runs `workload` to quiescence as one job on one gang of a resident
+/// [`WorkerPool`].
 ///
 /// This is the service-mode driver: the pool's fleet was spawned once and
 /// is reused across jobs, so per-job cost is task execution plus one
 /// wake/park round trip — no thread spawns, no scheduler reconstruction.
-/// Small jobs that should share the fleet with concurrent jobs go through
-/// [`run_on_gangs`] instead.
+/// A pool with G gangs runs G such jobs at once (e.g. route queries on
+/// one-worker gangs); on a single-gang pool the job has the whole fleet.
 pub fn run_on_pool<W>(workload: &W, pool: &WorkerPool) -> EngineRun<W::Output>
 where
     W: DecreaseKeyWorkload,
@@ -154,24 +155,6 @@ where
     finish(
         workload,
         pool.run_job(&WorkloadJob(workload))
-            .expect("engine workload ran on the pool"),
-    )
-}
-
-/// Runs `workload` to quiescence on up to `gangs` gangs of a resident
-/// [`WorkerPool`], leaving the other gangs free for concurrent jobs.
-///
-/// `run_on_gangs(w, pool, 1)` is the high-throughput mode for small jobs
-/// (e.g. route queries): each occupies one gang, so a pool with G gangs
-/// executes G jobs at once.  On a single-gang pool this is identical to
-/// [`run_on_pool`].
-pub fn run_on_gangs<W>(workload: &W, pool: &WorkerPool, gangs: usize) -> EngineRun<W::Output>
-where
-    W: DecreaseKeyWorkload,
-{
-    finish(
-        workload,
-        pool.run_job_on(&WorkloadJob(workload), gangs)
             .expect("engine workload ran on the pool"),
     )
 }
@@ -194,74 +177,34 @@ fn finish<W: DecreaseKeyWorkload>(workload: &W, out: smq_pool::JobOutput) -> Eng
 /// [`DecreaseKeyWorkload::prefetch`], and flush follow-ups through the
 /// scheduler's `push_batch` at task boundaries.
 ///
-/// One-shot mode: builds a transient worker pool around the borrowed
-/// scheduler, runs the single job through [`run_on_pool`], and joins the
-/// fleet before returning.  For a stream of jobs, build a resident
-/// [`WorkerPool`] (or a `smq_pool::JobService`) and call [`run_on_pool`]
-/// directly — that is what amortizes thread spawns across jobs.
+/// One-shot mode: [`run_parallel_with`] on `PoolConfig::new(threads)`.  For
+/// a stream of jobs, build a resident [`WorkerPool`] (or a
+/// `smq_pool::JobService`) and call [`run_on_pool`] directly — that is what
+/// amortizes thread spawns across jobs.
 pub fn run_parallel<W, S>(workload: &W, scheduler: &S, threads: usize) -> EngineRun<W::Output>
 where
     W: DecreaseKeyWorkload,
     S: Scheduler<Task>,
 {
-    run_one_shot(workload, scheduler, PoolConfig::new(threads))
+    run_parallel_with(workload, scheduler, PoolConfig::new(threads))
 }
 
-/// [`run_parallel`] at an explicit hot-path batch granularity.
+/// The one-shot mechanism: builds a transient single-gang pool described by
+/// `config` around the borrowed scheduler, runs the single job through
+/// [`run_on_pool`], and joins the fleet before returning.
 ///
-/// `batch_size == 1` is the exact per-task path: one `pop()` per task,
-/// every follow-up pushed immediately, no prefetch hints — strict priority
-/// order on one worker with an exact local queue, and the baseline row of
-/// the batch sweeps.  Larger batches amortize scheduler locks over the
-/// batch and overlap its cache misses; relaxation semantics and the
-/// computed answer are unaffected — only the execution order within the
-/// relaxed guarantees shifts, like any other scheduling perturbation.
-pub fn run_parallel_batched<W, S>(
+/// `config` is where a caller leaves the defaults:
+/// `PoolConfig::new(threads).with_batch(1)` is the exact per-task path (one
+/// `pop()` per task, every follow-up pushed immediately, no prefetch hints
+/// — strict priority order on one worker with an exact local queue, and the
+/// baseline row of the batch sweeps), and `.with_telemetry(..)` makes the
+/// run's metrics carry a merged `TelemetryReport`.  Neither changes
+/// relaxation semantics or the computed answer.
+pub fn run_parallel_with<W, S>(
     workload: &W,
     scheduler: &S,
-    threads: usize,
-    batch_size: usize,
+    config: PoolConfig,
 ) -> EngineRun<W::Output>
-where
-    W: DecreaseKeyWorkload,
-    S: Scheduler<Task>,
-{
-    run_one_shot(
-        workload,
-        scheduler,
-        PoolConfig::new(threads).with_batch(batch_size),
-    )
-}
-
-/// [`run_parallel_batched`] with opt-in instrumentation: the run's
-/// metrics then carry a merged `TelemetryReport` (phase times, rank-error
-/// histogram, trace lanes when an event ring is configured).
-///
-/// With `TelemetryConfig::disabled()` this is exactly
-/// `run_parallel_batched` — the workers take no timestamps and make no
-/// extra scheduler calls.
-pub fn run_parallel_instrumented<W, S>(
-    workload: &W,
-    scheduler: &S,
-    threads: usize,
-    batch_size: usize,
-    telemetry: smq_telemetry::TelemetryConfig,
-) -> EngineRun<W::Output>
-where
-    W: DecreaseKeyWorkload,
-    S: Scheduler<Task>,
-{
-    run_one_shot(
-        workload,
-        scheduler,
-        PoolConfig::new(threads)
-            .with_batch(batch_size)
-            .with_telemetry(telemetry),
-    )
-}
-
-/// The one-shot mechanism behind the `run_parallel*` wrappers.
-fn run_one_shot<W, S>(workload: &W, scheduler: &S, config: PoolConfig) -> EngineRun<W::Output>
 where
     W: DecreaseKeyWorkload,
     S: Scheduler<Task>,

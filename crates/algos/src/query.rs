@@ -43,10 +43,11 @@
 //! 16.7M queries; the common path pays one uncontended read-lock
 //! acquisition.
 //!
-//! Queries execute as single-gang jobs on a resident `smq_pool::WorkerPool`
-//! via [`engine::run_on_gangs`], which is what the `service_throughput`
-//! benchmark and the `JobService` acceptance tests drive: one scheduler
-//! fleet, G concurrent queries, queries/sec as the reported metric.
+//! Queries execute as jobs on a resident `smq_pool::WorkerPool` via
+//! [`engine::run_on_pool`], one gang each, which is what the
+//! `service_throughput` benchmark and the `JobService` acceptance tests
+//! drive: one scheduler fleet, G concurrent queries, queries/sec as the
+//! reported metric.
 //!
 //! # Dynamic graphs
 //!
@@ -307,7 +308,7 @@ impl<G: GraphSource> RouteQueryEngine<G> {
             target,
             best_target: AtomicU64::new(UNREACHED),
         };
-        let run = engine::run_on_gangs(&active, pool, 1);
+        let run = engine::run_on_pool(&active, pool);
         self.queries_served.fetch_add(1, Ordering::Relaxed);
         let answer = RouteAnswer {
             distance: if run.output >= UNREACHED {

@@ -220,6 +220,7 @@ mod tests {
     use smq_graph::generators::{power_law, road_network, PowerLawParams, RoadNetworkParams};
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
     use smq_obim::{Obim, ObimConfig};
+    use smq_pool::PoolConfig;
     use smq_scheduler::{HeapSmq, SkipListSmq, SmqConfig};
     use smq_spraylist::{SprayList, SprayListConfig};
 
@@ -330,7 +331,11 @@ mod tests {
         // stale.
         let g = small_social();
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(1));
-        let run = engine::run_parallel_batched(&SsspWorkload::new(&g, 0), &smq, 1, 1);
+        let run = engine::run_parallel_with(
+            &SsspWorkload::new(&g, 0),
+            &smq,
+            PoolConfig::new(1).with_batch(1),
+        );
         let (expected, settled) = sequential(&g, 0);
         assert_eq!(run.output, expected);
         // Exactly one useful (settling) task per reachable vertex; the only

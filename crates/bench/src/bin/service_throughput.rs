@@ -193,13 +193,7 @@ where
             .with_batch(batch)
             .with_telemetry(telemetry),
     );
-    let service = Arc::new(JobService::new(
-        pool,
-        ServiceConfig {
-            queue_capacity: 32,
-            dispatchers: 0, // one dispatcher per gang
-        },
-    ));
+    let service = Arc::new(JobService::new(pool, ServiceConfig { queue_capacity: 32 }));
     // Closed-loop clients: at least one per gang, or partitioning could
     // never be exercised.
     let clients = clients.max(gangs);
@@ -337,13 +331,7 @@ where
         move |g| make(gang_size, g),
         PoolConfig::partitioned(gangs, gang_size).with_batch(batch),
     );
-    let service = Arc::new(JobService::new(
-        pool,
-        ServiceConfig {
-            queue_capacity: 32,
-            dispatchers: 0,
-        },
-    ));
+    let service = Arc::new(JobService::new(pool, ServiceConfig { queue_capacity: 32 }));
     let clients = clients.max(gangs);
     let stop = AtomicBool::new(false);
     /// Updates per published batch; the pacing interval follows from the
@@ -519,13 +507,7 @@ where
         config
     };
     let pool = WorkerPool::new_partitioned(move |g| make(gang_size, g), config);
-    let service = Arc::new(JobService::new(
-        pool,
-        ServiceConfig {
-            queue_capacity: 32,
-            dispatchers: 0, // one dispatcher per gang
-        },
-    ));
+    let service = Arc::new(JobService::new(pool, ServiceConfig { queue_capacity: 32 }));
     let clients = clients.max(gangs);
     // Retry is sound here: a re-run query only re-relaxes edges on its own
     // private lane, so a half-executed lost attempt leaves nothing behind.

@@ -16,6 +16,7 @@ use smq_core::{Probability, Scheduler, Task};
 use smq_graph::{GraphUpdate, LiveGraph};
 use smq_multiqueue::{DeletePolicy, InsertPolicy, MultiQueue, MultiQueueConfig, Reld};
 use smq_obim::{Obim, ObimConfig};
+use smq_pool::PoolConfig;
 use smq_runtime::Topology;
 use smq_scheduler::{HeapSmq, SkipListSmq, SmqConfig};
 use smq_spraylist::{SprayList, SprayListConfig};
@@ -283,12 +284,12 @@ where
     W: DecreaseKeyWorkload,
     S: Scheduler<Task>,
 {
-    let run = engine::run_parallel_instrumented(
+    let run = engine::run_parallel_with(
         workload,
         scheduler,
-        threads,
-        batch,
-        TelemetryConfig::probe_only(RANK_PROBE_INTERVAL),
+        PoolConfig::new(threads)
+            .with_batch(batch)
+            .with_telemetry(TelemetryConfig::probe_only(RANK_PROBE_INTERVAL)),
     );
     let rank_errors = run
         .result

@@ -10,6 +10,7 @@
 //! and heavy-tailed, low-diameter *social/web graphs* (see DESIGN.md for the
 //! substitution rationale).
 
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod csr;

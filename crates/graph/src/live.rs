@@ -333,11 +333,15 @@ struct Slot {
     data: UnsafeCell<Option<Arc<VersionData>>>,
 }
 
-// SAFETY: `data` is only written by the (mutex-serialized) writer after
-// tombstoning the stamp and draining `pins` to zero, and only read by
-// pinned readers whose stamp re-check proves the writer has not started a
-// reclaim — see the module-level protocol notes.
+// SAFETY: `version` and `pins` are atomics.  `data` is only written by the
+// (mutex-serialized) writer after tombstoning the stamp and draining `pins`
+// to zero, and only read by pinned readers whose stamp re-check proves the
+// writer has not started a reclaim — see the module-level protocol notes —
+// so a shared `&Slot` never yields a write overlapping another access.  The
+// `Arc<VersionData>` it holds is itself `Send + Sync`.
 unsafe impl Sync for Slot {}
+// SAFETY: every field is an atomic or an `Option<Arc<VersionData>>`, all of
+// which are `Send`; only the `UnsafeCell` wrapper removed the auto impl.
 unsafe impl Send for Slot {}
 
 impl Slot {
@@ -400,6 +404,8 @@ impl LiveGraph {
         });
         let slots: Box<[Slot]> = (0..ring).map(|_| Slot::empty()).collect();
         let first = &slots[1 % ring];
+        // SAFETY: `slots` is still local to this constructor — no other
+        // thread can hold a reference to the cell yet.
         unsafe { *first.data.get() = Some(data.clone()) };
         first.version.store(1, SeqCst);
         LiveGraph {
@@ -441,9 +447,10 @@ impl LiveGraph {
             let slot = &self.slots[(cur as usize) % self.slots.len()];
             slot.pins.fetch_add(1, SeqCst);
             if slot.version.load(SeqCst) == cur {
-                // The stamp matched after our pin was visible, so the
-                // writer's drain loop cannot pass until we unpin: the
-                // slot's Arc is stable for the duration of this clone.
+                // SAFETY: the stamp matched after our pin was visible, so
+                // the writer's drain loop in `install` cannot pass until we
+                // unpin: nobody writes the cell for the duration of this
+                // shared read and clone.
                 let data = unsafe { (*slot.data.get()).as_ref().expect("stamped slot").clone() };
                 slot.pins.fetch_sub(1, SeqCst);
                 return GraphSnapshot { data };

@@ -1,15 +1,15 @@
 //! A *resident* worker pool for the relaxed priority schedulers, partitioned
 //! into **gangs** that execute jobs concurrently.
 //!
-//! The one-shot executor (`smq_runtime::run`) spawns and joins a fresh
-//! thread fleet for every invocation, so thread-spawn latency and cold
-//! scheduler state dominate any short job.  A [`WorkerPool`] instead spawns
-//! its fleet **once**, parks the workers on a condvar between jobs, and
-//! executes a stream of jobs against long-lived schedulers: each job seeds a
-//! scheduler, runs the shared worker loop
-//! (`smq_runtime::executor::worker_loop`) to quiescence under a fresh
+//! This is the one place scheduler worker threads are spawned.  A
+//! [`WorkerPool`] spawns its fleet **once**, parks the workers on a condvar
+//! between jobs, and executes a stream of jobs against long-lived
+//! schedulers, so thread-spawn latency and cold scheduler state are paid
+//! per pool, not per job: each job seeds a scheduler, runs the shared worker
+//! loop (`smq_runtime::executor::worker_loop`) to quiescence under a fresh
 //! termination-detection *generation*, and hands back per-job
-//! [`RunMetrics`].
+//! [`RunMetrics`].  A single run is the same thing on a transient pool
+//! ([`WorkerPool::with_borrowed`]).
 //!
 //! # Gangs: job-level parallelism
 //!
@@ -18,22 +18,14 @@
 //! own [`TerminationDetector`], and its own job hand-off state**, so gangs
 //! are fully independent: one gang's quiescence scan can only ever observe
 //! its own workers' counters, and a job running on gang A shares nothing
-//! with a job on gang B except the pool's lifetime counters.  Jobs claim
-//! gangs through a FIFO allocator:
+//! with a job on gang B except the pool's lifetime counters.
 //!
-//! * [`run_job`](WorkerPool::run_job) claims **every** live gang — the
-//!   whole-fleet mode, and exactly the historical behaviour on a
-//!   single-gang pool (`PoolConfig::new`);
-//! * [`run_job_on`](WorkerPool::run_job_on) claims up to `n` gangs, so
-//!   small jobs (tiny route queries whose quiescence phase would idle most
-//!   of a big fleet) each occupy one gang and run **concurrently**.
-//!
-//! A job spanning multiple gangs splits its seed tasks round-robin across
-//! all participating workers; follow-up tasks stay inside the gang that
-//! created them.  The workload contract (correct under any execution order,
-//! monotone shared state) makes that partitioned execution equivalent to a
-//! whole-fleet run — only load balance, never the answer, depends on the
-//! partitioning.
+//! **A job occupies exactly one gang.**  [`run_job`](WorkerPool::run_job)
+//! claims one idle gang (waiting for one if all are busy), splits the job's
+//! seed tasks round-robin across that gang's workers, and releases the gang
+//! when the job is quiescent — so a pool with G gangs runs G jobs at once,
+//! and the single-gang pool of `PoolConfig::new` runs one job at a time on
+//! the whole fleet.
 //!
 //! Generations (see `smq_runtime::termination`) are what make detector
 //! reuse sound: each gang's counters are zeroed between jobs while that
@@ -51,12 +43,11 @@
 //! [`Err(JobError::Lost)`](JobError::Lost); *other* gangs — and their
 //! in-flight jobs — are untouched, so a long-lived service survives a bad
 //! job.  On pools built from a scheduler *factory*
-//! ([`new_partitioned`](WorkerPool::new_partitioned),
-//! [`new_aligned`](WorkerPool::new_aligned)) a poisoned gang is then
-//! **respawned** at the next claim: its surviving workers are joined (which
-//! drops the old scheduler — see "Scheduler ownership" below), the stored
-//! factory builds a fresh scheduler, fresh threads start on it, and the
-//! gang returns to the free list — so `live_gangs` recovers to the
+//! ([`new_partitioned`](WorkerPool::new_partitioned)) a poisoned gang is
+//! then **respawned** at the next claim: its surviving workers are joined
+//! (which drops the old scheduler — see "Scheduler ownership" below), the
+//! stored factory builds a fresh scheduler, fresh threads start on it, and
+//! the gang returns to the free list — so `live_gangs` recovers to the
 //! configured gang count after any panic storm
 //! ([`PoolStats::gangs_respawned`] counts the rebuilds).
 //! [`respawn_dead`](WorkerPool::respawn_dead) forces the same rebuild at a
@@ -80,11 +71,10 @@
 //! `BudgetExceeded`), and the partial work is discarded.
 //!
 //! On top of the pool, [`JobService`] adds a bounded multi-producer
-//! submission queue with FIFO admission, a configurable number of
-//! dispatcher threads (default: one per gang, so up to `gangs` jobs are in
-//! flight), completion tickets carrying queue-wait and service-time
-//! measurements, per-job timeouts with bounded retry/backoff, and graceful
-//! drain-then-join shutdown.
+//! submission queue with FIFO admission, one dispatcher thread per gang (so
+//! up to `gangs` jobs are in flight), completion tickets carrying
+//! queue-wait and service-time measurements, per-job timeouts with bounded
+//! retry/backoff, and graceful drain-then-join shutdown.
 //!
 //! # Scheduler ownership
 //!
@@ -99,9 +89,8 @@
 //! the factory again.  No pointer to a scheduler is ever stored.
 //!
 //! * [`WorkerPool::new`] moves a single-gang scheduler into the body;
-//! * [`WorkerPool::new_partitioned`] / [`WorkerPool::new_aligned`] do the
-//!   same with one factory-built scheduler per gang, and keep the factory
-//!   for respawns;
+//! * [`WorkerPool::new_partitioned`] does the same with one factory-built
+//!   scheduler per gang, and keeps the factory for respawns;
 //! * [`WorkerPool::with_borrowed`] puts a `&S` into the body instead and
 //!   joins every worker before returning (also on unwind) — the scoped
 //!   mode backing `smq_algos::engine::run_parallel`, and the only place
@@ -127,8 +116,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use smq_core::{OpStats, Scheduler, SchedulerHandle, Task};
-use smq_runtime::executor::{worker_loop, LoopControl, WorkerLoopConfig};
-use smq_runtime::{RunMetrics, Scratch, TerminationDetector, Topology};
+use smq_runtime::executor::{worker_loop, LoopControl, DEFAULT_BATCH_SIZE};
+use smq_runtime::{RunMetrics, Scratch, TerminationDetector};
 use smq_telemetry::{TelemetryConfig, TelemetryReport, WorkerReport, WorkerTelemetry};
 
 /// Why a pool job produced no output.
@@ -141,10 +130,10 @@ pub enum JobError {
     /// factory), so nothing can serve the job.
     NoCapacity,
     /// The job tripped its [`JobSpec::deadline`] and was cooperatively
-    /// cancelled; its gangs drained cleanly and remain usable.
+    /// cancelled; its gang drained cleanly and remains usable.
     DeadlineExceeded,
     /// The job tripped its [`JobSpec::budget`] and was cooperatively
-    /// cancelled; its gangs drained cleanly and remain usable.
+    /// cancelled; its gang drained cleanly and remains usable.
     BudgetExceeded,
 }
 
@@ -175,7 +164,7 @@ pub struct JobSpec {
     /// Cancel the job once this instant passes.
     pub deadline: Option<Instant>,
     /// Cancel the job once its workers have *processed* (not merely
-    /// popped) this many tasks in total, across every gang it claimed.
+    /// popped) this many tasks in total.
     pub budget: Option<u64>,
 }
 
@@ -189,9 +178,9 @@ impl JobSpec {
 /// Pool tuning knobs.
 ///
 /// The fleet is `gangs * gang_size` worker threads.  `PoolConfig::new(n)`
-/// is the single-gang configuration (one scheduler, whole-fleet jobs —
-/// the historical behaviour); [`PoolConfig::partitioned`] enables
-/// job-level parallelism.
+/// is the single-gang configuration (one scheduler, every job on the whole
+/// fleet, one at a time); [`PoolConfig::partitioned`] enables job-level
+/// parallelism.
 ///
 /// **Choosing a gang size:** a gang is the unit a job occupies, so
 /// `gang_size` should match the parallelism one job can actually use.
@@ -199,9 +188,7 @@ impl JobSpec {
 /// vertices) saturate one or two workers and spend the rest of the fleet
 /// idling through the quiescence phase — many small gangs serve them at
 /// far higher jobs/sec.  Big jobs (whole-graph SSSP) want one gang as wide
-/// as the machine.  A job larger than one gang may claim several via
-/// [`WorkerPool::run_job_on`], or the whole fleet via
-/// [`WorkerPool::run_job`].
+/// as the machine.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Number of independent worker gangs (each with its own scheduler
@@ -210,17 +197,9 @@ pub struct PoolConfig {
     /// Worker threads per gang.  Must match each gang scheduler's
     /// configured thread count.
     pub gang_size: usize,
-    /// The per-worker loop knobs (backoff, scan gating) — the same
-    /// [`WorkerLoopConfig`] the one-shot executor uses, so defaults live in
-    /// one place.
-    pub worker: WorkerLoopConfig,
-    /// Optional (simulated) NUMA topology covering the whole fleet.  When
-    /// set, gang placement is socket-aligned: `gang_size` must divide
-    /// `threads_per_node`, so no gang ever straddles a node boundary, and
-    /// [`node_of_gang`](Self::node_of_gang) reports each gang's home node
-    /// (which [`WorkerPool::new_aligned`] forwards to the scheduler
-    /// factory).  `None` (the default) keeps placement topology-blind.
-    pub topology: Option<Topology>,
+    /// Batch granularity of every worker's hot path, at least 1 (see
+    /// [`with_batch`](Self::with_batch)).
+    pub batch_size: usize,
     /// Opt-in instrumentation for every worker (phase accounting,
     /// rank-error probing, event rings).  Disabled by default: the
     /// uninstrumented hot path takes no timestamps and makes no extra
@@ -240,85 +219,29 @@ impl PoolConfig {
     }
 
     /// A configuration with `gangs` gangs of `gang_size` workers each, so
-    /// up to `gangs` jobs execute concurrently; default backoff/gating, no
-    /// topology, telemetry disabled.
+    /// up to `gangs` jobs execute concurrently; default batch size,
+    /// telemetry disabled.
     pub fn partitioned(gangs: usize, gang_size: usize) -> Self {
         Self {
             gangs,
             gang_size,
-            worker: WorkerLoopConfig::default(),
-            topology: None,
+            batch_size: DEFAULT_BATCH_SIZE,
             telemetry: TelemetryConfig::disabled(),
             #[cfg(feature = "fault-inject")]
             faults: None,
         }
     }
 
-    /// A socket-aligned configuration covering every thread of `topology`:
-    /// the requested `gang_size` is snapped *down* to the nearest divisor
-    /// of `threads_per_node` so a gang can never straddle a node boundary,
-    /// and the gang count is whatever tiles the fleet at that size.
-    ///
-    /// A hint of `threads_per_node` (or any multiple of it) yields
-    /// one-gang-per-node placement, the layout the paper's NUMA tables
-    /// assume.
-    pub fn numa_aligned(topology: Topology, gang_size_hint: usize) -> Self {
-        let per_node = topology.threads_per_node();
-        let hint = gang_size_hint.clamp(1, per_node);
-        let gang_size = (1..=hint)
-            .rev()
-            .find(|size| per_node.is_multiple_of(*size))
-            .expect("1 always divides threads_per_node");
-        let gangs = topology.num_threads() / gang_size;
-        Self {
-            topology: Some(topology),
-            ..Self::partitioned(gangs, gang_size)
-        }
-    }
-
-    /// Attaches a NUMA topology to an existing configuration, asserting the
-    /// socket-alignment invariants (`topology` covers the exact fleet and
-    /// `gang_size` divides `threads_per_node`).  Use
-    /// [`numa_aligned`](Self::numa_aligned) to have the gang size snapped
-    /// automatically instead.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        assert_eq!(
-            topology.num_threads(),
-            self.total_threads(),
-            "topology must cover the pool's whole fleet"
-        );
-        assert_eq!(
-            topology.threads_per_node() % self.gang_size,
-            0,
-            "gang size {} must divide threads_per_node {} so gangs never straddle a node",
-            self.gang_size,
-            topology.threads_per_node()
-        );
-        self.topology = Some(topology);
-        self
-    }
-
-    /// The NUMA node gang `gang` is placed on: gangs tile nodes in order,
-    /// `threads_per_node / gang_size` gangs per node.  Node 0 when no
-    /// topology is configured (single-node placement).
-    pub fn node_of_gang(&self, gang: usize) -> usize {
-        debug_assert!(gang < self.gangs);
-        match &self.topology {
-            Some(topology) => (gang * self.gang_size) / topology.threads_per_node(),
-            None => 0,
-        }
-    }
-
-    /// Sets the hot-path batch granularity for every worker (see
-    /// `smq_runtime::executor::WorkerLoopConfig::batch_size`), overriding
-    /// the default of `smq_runtime::executor::DEFAULT_BATCH_SIZE` (8).
+    /// Sets the hot-path batch granularity for every worker (the `batch`
+    /// argument of `smq_runtime::executor::worker_loop`), overriding the
+    /// default of `smq_runtime::executor::DEFAULT_BATCH_SIZE` (8).
     /// Larger batches amortize scheduler synchronization over the batch
     /// and give [`PoolJob::prefetch`] more tasks to overlap; batch 1 is the
     /// explicit exact per-task path (one `pop()` per task, every follow-up
     /// pushed immediately, no prefetch hints) that the paper-figure sweeps
     /// use as their baseline row.
     pub fn with_batch(mut self, batch_size: usize) -> Self {
-        self.worker.batch_size = batch_size.max(1);
+        self.batch_size = batch_size.max(1);
         self
     }
 
@@ -380,7 +303,7 @@ pub trait PoolJob: Sync {
 pub struct JobOutput {
     /// Wall-clock and scheduler-operation metrics, carved per-job out of
     /// the persistent worker handles via `OpStats::delta_since`.  Covers
-    /// exactly the workers of the gangs this job claimed — the job's
+    /// exactly the workers of the gang this job claimed — the job's
     /// metrics slice.
     pub metrics: RunMetrics,
     /// Tasks whose execution advanced the job.
@@ -418,11 +341,10 @@ pub struct PoolStats {
 const CANCEL_DEADLINE: u8 = 1;
 const CANCEL_BUDGET: u8 = 2;
 
-/// Shared cancellation state for one limited job, cloned into **every**
-/// gang the job claimed so limits are job-wide: whichever worker trips the
-/// deadline or budget first cancels the whole job.  Only allocated when the
-/// job's [`JobSpec`] carries a limit — unlimited jobs stay on the
-/// zero-overhead path.
+/// Shared cancellation state for one limited job: whichever worker of its
+/// gang trips the deadline or budget first cancels the whole job.  Only
+/// allocated when the job's [`JobSpec`] carries a limit — unlimited jobs
+/// stay on the zero-overhead path.
 struct JobControl {
     /// Workers poll this in the shared worker loop; once set they drain
     /// their queues without processing (see `LoopControl::cancel`).
@@ -495,9 +417,9 @@ impl JobControl {
 /// Lifetime-erased pointer to a job currently being executed.
 ///
 /// # Safety invariant
-/// Valid only while some claimed gang still runs the publishing job:
-/// `execute` blocks until every worker of every claimed gang has finished
-/// (or abandoned) the job before its `&dyn PoolJob` borrow ends.
+/// Valid only while the claimed gang still runs the publishing job:
+/// `execute` blocks until every worker of that gang has finished (or
+/// abandoned) the job before its `&dyn PoolJob` borrow ends.
 #[derive(Clone, Copy)]
 struct JobRef(*const (dyn PoolJob + 'static));
 // SAFETY: the pointee is `Sync` (a `PoolJob` supertrait), so handing the
@@ -561,9 +483,6 @@ impl JobState {
 /// scheduler is not here — its worker threads own it (see [`GangBody`]).
 struct Gang {
     size: usize,
-    /// NUMA node this gang is placed on, when the pool has a topology —
-    /// kept so respawned threads get the same `smq-pool-n{node}-…` names.
-    node: Option<usize>,
     /// Join handles of this gang's current worker threads.
     threads: Mutex<Vec<JoinHandle<()>>>,
     detector: TerminationDetector,
@@ -580,7 +499,7 @@ struct Gang {
     aborted: AtomicBool,
 }
 
-/// The FIFO gang allocator's shared state.
+/// The gang allocator's shared state.
 struct ClaimState {
     /// Indices of idle, live gangs.
     free: Vec<usize>,
@@ -592,10 +511,6 @@ struct ClaimState {
     poisoned_total: u64,
     /// Poisoned gangs rebuilt over the pool's lifetime.
     respawned_total: u64,
-    /// FIFO admission: tickets are served strictly in issue order, so a
-    /// whole-fleet job cannot be starved by a stream of one-gang jobs.
-    next_ticket: u64,
-    now_serving: u64,
 }
 
 /// What every worker thread of one gang generation runs, given the pool and
@@ -642,14 +557,15 @@ where
 
 struct Inner {
     gangs: Vec<Gang>,
-    loop_config: WorkerLoopConfig,
+    /// Batch granularity every worker passes to the worker loop.
+    batch_size: usize,
     /// The fleet-wide instrumentation configuration (disabled by default).
     telemetry: TelemetryConfig,
     /// Construction instant shared by every worker's trace lane, so all
     /// lanes of the pool's lifetime sit on one clock.
     origin: Instant,
     claims: Mutex<ClaimState>,
-    /// Claimers wait here for their turn and for enough free gangs.
+    /// Claimers wait here for a free gang.
     claim_ready: Condvar,
     /// Scheduler handles created over the pool's lifetime.  Each worker
     /// creates its handle exactly once, before its first park, and keeps it
@@ -681,7 +597,7 @@ thread_local! {
     /// unwraps the `Result` itself.
     static LAST_JOB_ERROR: std::cell::Cell<Option<JobError>> = const { std::cell::Cell::new(None) };
 
-    /// The [`JobSpec`] `run_job`/`run_job_on` calls on this thread apply.
+    /// The [`JobSpec`] `run_job` calls on this thread apply.
     /// Set by the service dispatcher around a limited job's closure, so the
     /// user-facing closure signature (`|pool| pool.run_job(..)`) stays
     /// spec-free.
@@ -701,7 +617,7 @@ pub(crate) fn take_last_job_error() -> Option<JobError> {
     LAST_JOB_ERROR.with(|slot| slot.take())
 }
 
-/// Installs the spec `run_job`/`run_job_on` on this thread will apply.
+/// Installs the spec `run_job` on this thread will apply.
 pub(crate) fn set_current_job_spec(spec: JobSpec) {
     CURRENT_JOB_SPEC.with(|slot| slot.set(spec));
 }
@@ -715,37 +631,35 @@ fn current_job_spec() -> JobSpec {
     CURRENT_JOB_SPEC.with(|slot| slot.get())
 }
 
-/// Gangs held by one job; returns live gangs to the allocator on drop (also
-/// on unwind) and moves poisoned ones to the dead list, where the next
-/// claim (or [`WorkerPool::respawn_dead`]) rebuilds them.
+/// The gang held by one job; returns it to the allocator on drop (also on
+/// unwind) — or, if the job poisoned it, moves it to the dead list, where
+/// the next claim (or [`WorkerPool::respawn_dead`]) rebuilds it.
 struct GangClaim<'p> {
     inner: &'p Arc<Inner>,
-    gangs: Vec<usize>,
+    gang: usize,
 }
 
 impl Drop for GangClaim<'_> {
     fn drop(&mut self) {
         let inner = self.inner;
         let mut st = lock(&inner.claims);
-        for &g in &self.gangs {
-            if lock(&inner.gangs[g].state).poisoned {
-                st.poisoned_total += 1;
-                st.dead.push(g);
-            } else {
-                st.free.push(g);
-            }
+        if lock(&inner.gangs[self.gang].state).poisoned {
+            st.poisoned_total += 1;
+            st.dead.push(self.gang);
+        } else {
+            st.free.push(self.gang);
         }
-        // Wake every waiter: the head ticket re-checks its gang count (and
-        // respawns what just died), and if all gangs just died for good,
-        // everyone observes that and fails.
+        // Wake every waiter: one of them takes the gang (or respawns it),
+        // and if the last gang just died for good, everyone observes that
+        // and fails.
         inner.claim_ready.notify_all();
     }
 }
 
 /// Rebuilds every dead gang of a factory-built pool and returns how many
 /// were rebuilt (always 0 without a factory).  Called with the claims lock
-/// held (`st`); wakes the claim queue when capacity came back, because the
-/// head ticket it unblocks is not necessarily the caller.
+/// held (`st`); wakes the waiting claimers when capacity came back, because
+/// the caller takes at most one of the rebuilt gangs.
 fn respawn_dead_gangs(inner: &Arc<Inner>, st: &mut ClaimState) -> usize {
     let Some(factory) = &inner.respawn_factory else {
         return 0;
@@ -792,14 +706,10 @@ fn respawn_dead_gangs(inner: &Arc<Inner>, st: &mut ClaimState) -> usize {
 fn spawn_gang_threads(inner: &Arc<Inner>, gang_idx: usize, body: GangBody) {
     let gang = &inner.gangs[gang_idx];
     for local in 0..gang.size {
-        let name = match gang.node {
-            Some(node) => format!("smq-pool-n{node}-{gang_idx}-{local}"),
-            None => format!("smq-pool-{gang_idx}-{local}"),
-        };
         let worker_inner = Arc::clone(inner);
         let body = Arc::clone(&body);
         match std::thread::Builder::new()
-            .name(name)
+            .name(format!("smq-pool-{gang_idx}-{local}"))
             .spawn(move || body(&worker_inner, local))
         {
             Ok(handle) => {
@@ -827,10 +737,9 @@ fn spawn_gang_threads(inner: &Arc<Inner>, gang_idx: usize, body: GangBody) {
 /// stream of [`PoolJob`]s against long-lived schedulers.
 ///
 /// Workers are spawned once at construction and parked between jobs;
-/// [`run_job`](Self::run_job) wakes the whole fleet for one job, while
-/// [`run_job_on`](Self::run_job_on) occupies only a few gangs so that up to
-/// `gangs` jobs run concurrently.  Queueing and multi-client admission live
-/// in [`JobService`].
+/// [`run_job`](Self::run_job) wakes one gang for one job, so up to `gangs`
+/// jobs run concurrently.  Queueing and multi-client admission live in
+/// [`JobService`].
 pub struct WorkerPool {
     inner: Arc<Inner>,
     jobs_completed: AtomicU64,
@@ -875,23 +784,6 @@ impl WorkerPool {
         Self::spawn(bodies, Some(make), config)
     }
 
-    /// Spawns a socket-aligned pool: like
-    /// [`new_partitioned`](Self::new_partitioned), but the factory receives
-    /// `(gang_index, node)` where `node` is the NUMA node the gang is
-    /// placed on (per [`PoolConfig::node_of_gang`]), so each gang's
-    /// scheduler can be built NUMA-configured for its own socket.
-    ///
-    /// Typically used with [`PoolConfig::numa_aligned`]; without a
-    /// configured topology every gang reports node 0.
-    pub fn new_aligned<S, F>(factory: F, config: PoolConfig) -> WorkerPool
-    where
-        S: Scheduler<Task> + Send + Sync + 'static,
-        F: Fn(usize, usize) -> S + Send + Sync + 'static,
-    {
-        let nodes: Vec<usize> = (0..config.gangs).map(|g| config.node_of_gang(g)).collect();
-        Self::new_partitioned(move |g| factory(g, nodes[g]), config)
-    }
-
     /// Runs `f` against a transient single-gang pool built on a *borrowed*
     /// scheduler, joining every worker before returning (also on unwind).
     ///
@@ -932,25 +824,10 @@ impl WorkerPool {
         assert!(config.gangs >= 1, "need at least one gang");
         assert!(config.gang_size >= 1, "need at least one worker per gang");
         assert_eq!(bodies.len(), config.gangs, "one scheduler per gang");
-        if let Some(topology) = &config.topology {
-            assert_eq!(
-                topology.num_threads(),
-                config.total_threads(),
-                "topology must cover the pool's whole fleet"
-            );
-            assert_eq!(
-                topology.threads_per_node() % config.gang_size,
-                0,
-                "gang size must divide threads_per_node so gangs never straddle a node"
-            );
-        }
 
         let gangs: Vec<Gang> = (0..config.gangs)
-            .map(|g| Gang {
+            .map(|_| Gang {
                 size: config.gang_size,
-                // Socket-aligned pools carry the node in the worker
-                // identity so thread dumps show placement at a glance.
-                node: config.topology.as_ref().map(|_| config.node_of_gang(g)),
                 threads: Mutex::new(Vec::with_capacity(config.gang_size)),
                 detector: TerminationDetector::new(config.gang_size),
                 state: Mutex::new(JobState::fresh(config.gang_size)),
@@ -966,11 +843,9 @@ impl WorkerPool {
                 dead: Vec::new(),
                 poisoned_total: 0,
                 respawned_total: 0,
-                next_ticket: 0,
-                now_serving: 0,
             }),
             claim_ready: Condvar::new(),
-            loop_config: config.worker.clone(),
+            batch_size: config.batch_size,
             telemetry: config.telemetry.clone(),
             origin: Instant::now(),
             handles_created: AtomicU64::new(0),
@@ -1036,39 +911,24 @@ impl WorkerPool {
         respawn_dead_gangs(&self.inner, &mut lock(&self.inner.claims))
     }
 
-    /// Claims `want` gangs (capped to the live gang count) in strict FIFO
-    /// order.  Blocks until this caller is at the head of the queue *and*
-    /// enough gangs are idle.  Dead gangs are respawned here first, so on
-    /// factory pools capacity recovers before admission is decided.
+    /// Claims one idle gang, blocking until one is free.  Dead gangs are
+    /// respawned here first, so on factory pools capacity recovers before
+    /// admission is decided.
     ///
     /// Fails with [`JobError::NoCapacity`] when every gang is dead and none
     /// can be respawned.  That state is *permanent* (only a panic kills a
-    /// gang, only a factory revives one), so failing every waiter — ticket
-    /// order notwithstanding — is sound: no later ticket could ever be
-    /// served either.
-    fn claim(&self, want: usize) -> Result<GangClaim<'_>, JobError> {
+    /// gang, only a factory revives one), so failing every waiter is sound:
+    /// no later claim could ever be served either.
+    fn claim(&self) -> Result<GangClaim<'_>, JobError> {
         let inner = &self.inner;
         let mut st = lock(&inner.claims);
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
         loop {
             respawn_dead_gangs(inner, &mut st);
-            let live = inner.gangs.len() - st.dead.len();
-            if live == 0 {
+            if st.dead.len() == inner.gangs.len() {
                 return Err(JobError::NoCapacity);
             }
-            let need = want.clamp(1, live);
-            if st.now_serving == ticket && st.free.len() >= need {
-                let at = st.free.len() - need;
-                let taken = st.free.split_off(at);
-                st.now_serving += 1;
-                // The next ticket may already be satisfiable (enough gangs
-                // still free): let it through without waiting for a release.
-                inner.claim_ready.notify_all();
-                return Ok(GangClaim {
-                    inner,
-                    gangs: taken,
-                });
+            if let Some(gang) = st.free.pop() {
+                return Ok(GangClaim { inner, gang });
             }
             st = inner
                 .claim_ready
@@ -1077,46 +937,27 @@ impl WorkerPool {
         }
     }
 
-    /// Executes one job on the **whole fleet** (every live gang) and
-    /// returns its accounting.
+    /// Executes one job on one gang and returns its accounting.
     ///
-    /// Blocks until the job is quiescent.  Concurrent callers are admitted
-    /// in FIFO order; on a single-gang pool this is exactly the historical
-    /// one-job-at-a-time behaviour.  A panicking job poisons the gangs it
-    /// ran on and resolves to [`Err(JobError::Lost)`](JobError::Lost) —
-    /// other gangs and callers are unaffected (see the module docs).
+    /// Blocks until a gang is free and the job is quiescent; concurrent
+    /// callers run on different gangs, up to `gangs` at once.  A panicking
+    /// job poisons the gang it ran on and resolves to
+    /// [`Err(JobError::Lost)`](JobError::Lost) — other gangs and callers
+    /// are unaffected (see the module docs).
     ///
     /// Applies the ambient [`JobSpec`] installed by the service dispatcher,
     /// if any; direct callers run unlimited (use
     /// [`run_job_with`](Self::run_job_with) for explicit limits).
     pub fn run_job(&self, job: &dyn PoolJob) -> Result<JobOutput, JobError> {
-        let spec = current_job_spec();
-        self.run_job_with(job, self.inner.gangs.len(), &spec)
+        self.run_job_with(job, &current_job_spec())
     }
 
-    /// Executes one job on up to `gangs` gangs (at least one; capped to the
-    /// live gang count), leaving the rest of the fleet free for concurrent
-    /// jobs.
-    ///
-    /// `run_job_on(job, 1)` is the service mode for small jobs: each
-    /// occupies one gang, so a pool with G gangs serves G jobs at once.
-    pub fn run_job_on(&self, job: &dyn PoolJob, gangs: usize) -> Result<JobOutput, JobError> {
-        let spec = current_job_spec();
-        self.run_job_with(job, gangs, &spec)
-    }
-
-    /// Executes one job on up to `gangs` gangs under the given limits: the
-    /// job is cooperatively cancelled — not poisoned — if it outlives
+    /// [`run_job`](Self::run_job) under the given limits: the job is
+    /// cooperatively cancelled — not poisoned — if it outlives
     /// `spec.deadline` or processes more than `spec.budget` tasks (see the
     /// module docs).
-    pub fn run_job_with(
-        &self,
-        job: &dyn PoolJob,
-        gangs: usize,
-        spec: &JobSpec,
-    ) -> Result<JobOutput, JobError> {
-        assert!(gangs >= 1, "a job needs at least one gang");
-        let result = self.run_job_inner(job, gangs, spec);
+    pub fn run_job_with(&self, job: &dyn PoolJob, spec: &JobSpec) -> Result<JobOutput, JobError> {
+        let result = self.run_job_inner(job, spec);
         if let Err(error) = result {
             // Publish the typed error for the service dispatcher, which
             // classifies outcomes even when the user closure discards the
@@ -1126,12 +967,7 @@ impl WorkerPool {
         result
     }
 
-    fn run_job_inner(
-        &self,
-        job: &dyn PoolJob,
-        gangs: usize,
-        spec: &JobSpec,
-    ) -> Result<JobOutput, JobError> {
+    fn run_job_inner(&self, job: &dyn PoolJob, spec: &JobSpec) -> Result<JobOutput, JobError> {
         if spec
             .deadline
             .is_some_and(|deadline| Instant::now() >= deadline)
@@ -1139,40 +975,35 @@ impl WorkerPool {
             // Already over-deadline: shed without claiming any capacity.
             return Err(JobError::DeadlineExceeded);
         }
-        let claim = self.claim(gangs)?;
-        self.execute(job, &claim, spec)
+        let claim = self.claim()?;
+        self.execute(job, &self.inner.gangs[claim.gang], spec)
     }
 
-    /// Runs `job` on the claimed gangs: seeds split round-robin across all
-    /// participating workers, every gang runs to quiescence under a fresh
-    /// detector generation, results are merged into one metrics slice.
+    /// Runs `job` on the claimed `gang`: seeds split round-robin across its
+    /// workers, the gang runs to quiescence under a fresh detector
+    /// generation, and the workers' results are merged into one metrics
+    /// slice.
     fn execute(
         &self,
         job: &dyn PoolJob,
-        claim: &GangClaim<'_>,
+        gang: &Gang,
         spec: &JobSpec,
     ) -> Result<JobOutput, JobError> {
-        let inner = &*self.inner;
-        // One shared control for the whole job (all claimed gangs), so
-        // whichever worker trips a limit cancels the job everywhere.
-        // Unlimited jobs allocate nothing and keep the historic hot path.
+        // Unlimited jobs allocate no control and keep the historic hot path.
         let control: Option<Arc<JobControl>> = if spec.is_unlimited() {
             None
         } else {
             Some(Arc::new(JobControl::new(spec)))
         };
-        let gang_idxs = &claim.gangs;
-        let total_workers: usize = gang_idxs.iter().map(|&g| inner.gangs[g].size).sum();
 
-        // Split the seeds round-robin over every participating worker so
-        // each seeds its own queues, exactly like the one-shot executor.
-        // (gang, local tid) pairs in a fixed order define the mapping.
-        let mut seeds: Vec<Vec<Task>> = (0..total_workers).map(|_| Vec::new()).collect();
+        // Split the seeds round-robin over the gang's workers so each seeds
+        // its own queues.
+        let mut seeds: Vec<Vec<Task>> = (0..gang.size).map(|_| Vec::new()).collect();
         for (i, task) in job.seed_tasks().into_iter().enumerate() {
-            seeds[i % total_workers].push(task);
+            seeds[i % gang.size].push(task);
         }
 
-        // SAFETY: `execute` does not return before every worker of every
+        // SAFETY: `execute` does not return before every worker of the
         // claimed gang finished (or abandoned) this job, so the erased
         // borrow outlives all uses.
         let job_ref = JobRef(unsafe {
@@ -1182,61 +1013,45 @@ impl WorkerPool {
         });
 
         let start = Instant::now();
-        let mut seeds = seeds.into_iter();
-        for &g in gang_idxs {
-            let gang = &inner.gangs[g];
-            // Fresh termination generation for this job: the gang was idle
-            // (it came off the free list), so all its workers are parked
-            // and zeroing the counters races nothing; stale tallies from
-            // the previous job cannot leak in (they assert in debug builds,
-            // and a scan spanning the reset invalidates itself).
-            gang.detector.advance_generation();
-            let gang_seeds: Vec<Vec<Task>> = (0..gang.size)
-                .map(|_| seeds.next().expect("seed split covers every worker"))
-                .collect();
-            for (local, seed) in gang_seeds.iter().enumerate() {
-                gang.detector.preload(local, seed.len() as u64);
-            }
-            let mut st = lock(&gang.state);
-            debug_assert!(!st.poisoned, "claimed a poisoned gang");
-            assert!(!st.shutdown, "worker pool is shut down");
-            st.seq += 1;
-            st.job = Some(job_ref);
-            st.seeds = gang_seeds.into_iter().map(Some).collect();
-            st.control = control.clone();
-            st.remaining = gang.size;
-            st.results = (0..gang.size).map(|_| None).collect();
-            gang.job_ready.notify_all();
+        // Fresh termination generation for this job: the gang was idle (it
+        // came off the free list), so all its workers are parked and
+        // zeroing the counters races nothing; stale tallies from the
+        // previous job cannot leak in (they assert in debug builds, and a
+        // scan spanning the reset invalidates itself).
+        gang.detector.advance_generation();
+        for (local, seed) in seeds.iter().enumerate() {
+            gang.detector.preload(local, seed.len() as u64);
         }
+        let mut st = lock(&gang.state);
+        debug_assert!(!st.poisoned, "claimed a poisoned gang");
+        assert!(!st.shutdown, "worker pool is shut down");
+        st.seq += 1;
+        st.job = Some(job_ref);
+        st.seeds = seeds.into_iter().map(Some).collect();
+        st.control = control.clone();
+        st.remaining = gang.size;
+        st.results = (0..gang.size).map(|_| None).collect();
+        gang.job_ready.notify_all();
 
-        let mut results: Vec<WorkerResult> = Vec::with_capacity(total_workers);
-        let mut any_poisoned = false;
-        for &g in gang_idxs {
-            let gang = &inner.gangs[g];
-            let mut st = lock(&gang.state);
-            while st.remaining > 0 {
-                st = gang.job_done.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            if st.poisoned {
-                any_poisoned = true;
-            } else {
-                results.extend(
-                    st.results
-                        .iter_mut()
-                        .map(|slot| slot.take().expect("worker finished without a result")),
-                );
-            }
+        while st.remaining > 0 {
+            st = gang.job_done.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         // The claim guard (dropped by our caller, also on early returns)
-        // retires the poisoned gangs and frees the rest.  Poison takes
+        // retires a poisoned gang and frees a live one.  Poison takes
         // precedence over cancellation: a job that both tripped a limit
         // and killed a worker is *lost*, not cleanly cancelled.
-        if any_poisoned {
+        if st.poisoned {
             return Err(JobError::Lost);
         }
+        let mut results: Vec<WorkerResult> = st
+            .results
+            .iter_mut()
+            .map(|slot| slot.take().expect("worker finished without a result"))
+            .collect();
+        drop(st);
         if let Some(reason) = control.as_deref().and_then(JobControl::cancelled_reason) {
             // The workers drained to quiescence discarding tasks, so the
-            // gangs are clean and immediately reusable; the partial work
+            // gang is clean and immediately reusable; the partial work
             // (and its metrics) is discarded with the job.
             return Err(reason);
         }
@@ -1248,7 +1063,7 @@ impl WorkerPool {
         // Lock-free merge after join: each worker's report was accumulated
         // in plain per-worker state; absorbing them here is the only point
         // the pieces meet.
-        let telemetry = if inner.telemetry.is_enabled() {
+        let telemetry = if self.inner.telemetry.is_enabled() {
             let mut report = TelemetryReport::new();
             for result in &mut results {
                 if let Some(worker) = result.telemetry.take() {
@@ -1262,7 +1077,7 @@ impl WorkerPool {
         Ok(JobOutput {
             metrics: RunMetrics {
                 elapsed,
-                threads: total_workers,
+                threads: gang.size,
                 tasks_executed: results.iter().map(|r| r.executed).sum(),
                 quiescence_scans: results.iter().map(|r| r.scans).sum(),
                 per_thread,
@@ -1346,7 +1161,7 @@ fn run_worker<H: SchedulerHandle<Task>>(
     let mut scratch = Scratch::new();
     let mut last_seq = 0u64;
     // The OS thread name doubles as the trace-lane label, so timelines show
-    // `smq-pool-n0-g0-w1`-style identities.  Shared `Arc<str>`: one
+    // `smq-pool-<gang>-<worker>` identities.  Shared `Arc<str>`: one
     // allocation for the thread's lifetime, not one per instrumented job.
     let worker_name: std::sync::Arc<str> = std::thread::current()
         .name()
@@ -1399,7 +1214,7 @@ fn run_worker<H: SchedulerHandle<Task>>(
         // the explicit per-task configuration stays bit-identical to the
         // historical behavior, stats included.
         let mut seeds = seeds;
-        if inner.loop_config.batch_size > 1 {
+        if inner.batch_size > 1 {
             handle.push_batch(&mut seeds);
         } else {
             for task in seeds.drain(..) {
@@ -1420,7 +1235,7 @@ fn run_worker<H: SchedulerHandle<Task>>(
             &gang.detector,
             &mut tally,
             &mut scratch,
-            &inner.loop_config,
+            inner.batch_size,
             LoopControl {
                 abort: Some(&gang.aborted),
                 cancel: control.as_ref().map(|c| &c.cancel),
@@ -1538,61 +1353,10 @@ mod tests {
     }
 
     #[test]
-    fn numa_aligned_snaps_gang_size_to_node_divisors() {
-        // 2 nodes × 4 threads; a hint of 3 snaps down to 2 (largest divisor
-        // of 4 that is <= 3), giving 4 gangs of 2.
-        let cfg = PoolConfig::numa_aligned(Topology::uniform(2, 4), 3);
-        assert_eq!(cfg.gang_size, 2);
-        assert_eq!(cfg.gangs, 4);
-        assert_eq!(cfg.total_threads(), 8);
-        // Gangs tile nodes in order, two gangs per node.
-        assert_eq!(cfg.node_of_gang(0), 0);
-        assert_eq!(cfg.node_of_gang(1), 0);
-        assert_eq!(cfg.node_of_gang(2), 1);
-        assert_eq!(cfg.node_of_gang(3), 1);
-        // A whole-node hint yields one gang per node.
-        let cfg = PoolConfig::numa_aligned(Topology::uniform(2, 4), 4);
-        assert_eq!(cfg.gang_size, 4);
-        assert_eq!(cfg.gangs, 2);
-        assert_eq!(cfg.node_of_gang(1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide threads_per_node")]
-    fn straddling_gang_rejected() {
-        // Gang of 3 across nodes of 4 threads would straddle a boundary.
-        let _ = PoolConfig::partitioned(4, 3).with_topology(Topology::uniform(3, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "cover the pool's whole fleet")]
-    fn topology_fleet_mismatch_rejected() {
-        let _ = PoolConfig::partitioned(2, 2).with_topology(Topology::uniform(2, 4));
-    }
-
-    #[test]
-    fn aligned_pool_hands_each_gang_its_node() {
-        let topology = Topology::uniform(2, 2);
-        let cfg = PoolConfig::numa_aligned(topology.clone(), 2);
-        assert_eq!(cfg.gangs, 2);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let record = Arc::clone(&seen);
-        let mut pool = WorkerPool::new_aligned(
-            move |gang, node| {
-                record.lock().unwrap().push((gang, node));
-                HeapSmq::new(
-                    SmqConfig::default_for_threads(2)
-                        .with_numa_scaled(Topology::single_node(2))
-                        .with_seed(7),
-                )
-            },
-            cfg,
-        );
-        assert_eq!(*seen.lock().unwrap(), vec![(0, 0), (1, 1)]);
-        let job = FanoutJob::new(50, 50);
-        let out = pool.run_job(&job).unwrap();
-        assert_eq!(out.metrics.tasks_executed, 150);
-        pool.shutdown();
+    fn default_config_runs_the_documented_batch_and_with_batch_clamps_to_one() {
+        assert_eq!(DEFAULT_BATCH_SIZE, 8);
+        assert_eq!(PoolConfig::new(1).batch_size, DEFAULT_BATCH_SIZE);
+        assert_eq!(PoolConfig::new(1).with_batch(0).batch_size, 1);
     }
 
     /// One FanoutJob replay on a fresh single-worker pool of `scheduler`,
@@ -1730,27 +1494,9 @@ mod tests {
     }
 
     #[test]
-    fn whole_fleet_job_spans_every_gang() {
-        // A whole-fleet job on a partitioned pool splits seeds across all
-        // gangs and still processes everything exactly once.
-        let pool = partitioned(2, 2);
-        assert_eq!(pool.threads(), 4);
-        assert_eq!(pool.gangs(), 2);
-        for _ in 0..20 {
-            let job = FanoutJob::new(120, 120);
-            let out = pool.run_job(&job).unwrap();
-            assert_eq!(out.metrics.tasks_executed, 360);
-            assert_eq!(out.metrics.threads, 4);
-            assert_eq!(out.metrics.total.pushes, out.metrics.total.pops);
-        }
-        assert_eq!(pool.stats().threads_spawned, 4);
-        assert_eq!(pool.stats().jobs_completed, 20);
-    }
-
-    #[test]
     fn concurrent_single_gang_jobs_run_in_parallel() {
-        // Two jobs, each claiming one gang of a two-gang pool, must be able
-        // to be in flight simultaneously: job A holds its gang hostage
+        // Two jobs on a two-gang pool must be able to be in flight
+        // simultaneously: job A holds its gang hostage
         // until job B has demonstrably started processing.
         use std::sync::atomic::AtomicBool;
 
@@ -1783,38 +1529,23 @@ mod tests {
             let (a1, b1) = (Arc::clone(&a), Arc::clone(&b));
             let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
             scope.spawn(move || {
-                pool.run_job_on(
-                    &GateJob {
-                        partner_started: b1,
-                        started: a1,
-                    },
-                    1,
-                )
+                pool.run_job(&GateJob {
+                    partner_started: b1,
+                    started: a1,
+                })
                 .unwrap();
             });
             scope.spawn(move || {
-                pool.run_job_on(
-                    &GateJob {
-                        partner_started: a2,
-                        started: b2,
-                    },
-                    1,
-                )
+                pool.run_job(&GateJob {
+                    partner_started: a2,
+                    started: b2,
+                })
                 .unwrap();
             });
         });
         // If jobs were serialized, each would spin forever on its partner;
         // reaching this line proves two jobs were in flight concurrently.
         assert_eq!(pool.stats().jobs_completed, 2);
-    }
-
-    #[test]
-    fn gang_claims_are_capped_to_the_fleet() {
-        let pool = partitioned(2, 1);
-        // Asking for more gangs than exist claims what is there.
-        let out = pool.run_job_on(&FanoutJob::new(40, 40), 64).unwrap();
-        assert_eq!(out.metrics.tasks_executed, 120);
-        assert_eq!(out.metrics.threads, 2);
     }
 
     /// A job that panics on one specific task.
@@ -1876,14 +1607,10 @@ mod tests {
         // On a factory pool the panic poisons one gang only, the next
         // job's claim rebuilds it, and capacity is back to full.
         let pool = partitioned(2, 1);
-        assert_eq!(
-            pool.run_job_on(&PanickingJob, 1).map(|_| ()),
-            Err(JobError::Lost)
-        );
-        // The next whole-fleet job forces a claim, which respawns first —
-        // so it runs on BOTH gangs again.
+        assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
+        assert_eq!(pool.live_gangs(), 1);
+        // The next job's claim respawns the dead gang before it picks one.
         let out = pool.run_job(&FanoutJob::new(40, 40)).unwrap();
-        assert_eq!(out.metrics.threads, 2, "respawned gang participates");
         assert_eq!(out.metrics.tasks_executed, 120);
         assert_eq!(pool.live_gangs(), 2);
         let stats = pool.stats();
@@ -1898,10 +1625,7 @@ mod tests {
     #[test]
     fn respawn_dead_forces_recovery_before_the_next_claim() {
         let pool = partitioned(2, 1);
-        assert_eq!(
-            pool.run_job_on(&PanickingJob, 1).map(|_| ()),
-            Err(JobError::Lost)
-        );
+        assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
         assert_eq!(pool.live_gangs(), 1);
         assert_eq!(pool.respawn_dead(), 1);
         assert_eq!(pool.live_gangs(), 2);
@@ -1914,12 +1638,12 @@ mod tests {
         let pool = partitioned(2, 1);
         for round in 1..=4u64 {
             assert_eq!(
-                pool.run_job_on(&PanickingJob, 1).map(|_| ()),
+                pool.run_job(&PanickingJob).map(|_| ()),
                 Err(JobError::Lost),
                 "round {round}"
             );
             let out = pool.run_job(&FanoutJob::new(20, 20)).unwrap();
-            assert_eq!(out.metrics.threads, 2, "round {round}");
+            assert_eq!(out.metrics.tasks_executed, 60, "round {round}");
             assert_eq!(pool.stats().gangs_poisoned, round);
             assert_eq!(pool.stats().gangs_respawned, round);
         }
@@ -1958,7 +1682,7 @@ mod tests {
             nap: std::time::Duration::from_millis(1),
         };
         assert_eq!(
-            pool.run_job_with(&endless, 1, &spec).map(|_| ()),
+            pool.run_job_with(&endless, &spec).map(|_| ()),
             Err(JobError::DeadlineExceeded)
         );
         // Cancelled, not poisoned: the gang drained cleanly and serves the
@@ -1978,7 +1702,7 @@ mod tests {
             budget: None,
         };
         assert_eq!(
-            pool.run_job_with(&job, 1, &spec).map(|_| ()),
+            pool.run_job_with(&job, &spec).map(|_| ()),
             Err(JobError::DeadlineExceeded)
         );
         assert_eq!(
@@ -1999,7 +1723,7 @@ mod tests {
             nap: std::time::Duration::ZERO,
         };
         assert_eq!(
-            pool.run_job_with(&endless, 1, &spec).map(|_| ()),
+            pool.run_job_with(&endless, &spec).map(|_| ()),
             Err(JobError::BudgetExceeded)
         );
         assert_eq!(pool.stats().gangs_poisoned, 0);
@@ -2114,7 +1838,7 @@ mod tests {
             budget: Some(50),
         };
         assert_eq!(
-            pool.run_job_with(&job, 1, &spec).map(|_| ()),
+            pool.run_job_with(&job, &spec).map(|_| ()),
             Err(JobError::BudgetExceeded)
         );
         assert!(HintCountingJob::total(&job.processed) < 600);
@@ -2143,7 +1867,7 @@ mod tests {
     #[test]
     fn shutdown_joins_partitioned_fleet() {
         let mut pool = partitioned(3, 2);
-        pool.run_job_on(&FanoutJob::new(10, 10), 2).unwrap();
+        pool.run_job(&FanoutJob::new(10, 10)).unwrap();
         pool.shutdown();
         assert_eq!(pool.stats().jobs_completed, 1);
     }

@@ -2,18 +2,17 @@
 //! [`WorkerPool`].
 //!
 //! Client threads [`submit`](JobService::submit) jobs — closures that run
-//! against the pool and return an output — into a bounded FIFO queue; a
-//! configurable number of dispatcher threads drain the queue and execute
-//! the jobs on the resident worker fleet.  With a gang-partitioned pool
-//! (see [`PoolConfig`](crate::PoolConfig)) and the default dispatcher
-//! count (one per gang), up to `gangs` jobs are **in flight at once** —
-//! dispatchers pop the queue in FIFO acceptance order, though with more
-//! than one dispatcher two just-popped jobs may reach the pool's gang
-//! allocator in either order, so exact start order is only guaranteed
-//! with a single dispatcher.  Every submission returns a [`JobTicket`] the
-//! client can block on; completion carries the job's output plus the
-//! measured queue wait and service time, which is what the
-//! `service_throughput` benchmark reports as p50/p99 job latency.
+//! against the pool and return an output — into a bounded FIFO queue; one
+//! dispatcher thread per gang drains the queue and executes the jobs on the
+//! resident worker fleet.  With a gang-partitioned pool (see
+//! [`PoolConfig`](crate::PoolConfig)) up to `gangs` jobs are **in flight at
+//! once** — dispatchers pop the queue in FIFO acceptance order, though two
+//! just-popped jobs may reach the pool's gang allocator in either order, so
+//! exact start order is only guaranteed on a single-gang pool.  Every
+//! submission returns a [`JobTicket`] the client can block on; completion
+//! carries the job's output plus the measured queue wait and service time,
+//! which is what the `service_throughput` benchmark reports as p50/p99 job
+//! latency.
 //!
 //! Back-pressure: `submit` blocks while the queue is full;
 //! [`try_submit`](JobService::try_submit) fails fast instead (the
@@ -32,7 +31,7 @@
 //!   at the next claim; the service keeps serving.
 //! - [`JobError::DeadlineExceeded`] / [`JobError::BudgetExceeded`] — the
 //!   job tripped a [`JobPolicy`] limit and was cooperatively cancelled;
-//!   its gangs drained cleanly and went straight back into rotation.
+//!   its gang drained cleanly and went straight back into rotation.
 //! - [`JobError::NoCapacity`] — every gang is dead and the pool has no
 //!   factory to rebuild them.
 //!
@@ -47,9 +46,9 @@
 //! without ever starting it); a `budget` caps processed tasks.  Both are
 //! enforced cooperatively by the pool workers via the ambient
 //! [`JobSpec`] the dispatcher installs around the
-//! closure, so every `run_job*` the closure performs inherits the limits.
+//! closure, so every `run_job` the closure performs inherits the limits.
 //!
-//! A [`RetryPolicy`] re-runs the closure with exponential backoff when an
+//! A [`RetryPolicy`] re-runs the closure with doubling backoff when an
 //! attempt resolves to [`JobError::Lost`] — and **only** then.
 //! Cancellation is not retried (the same limit would just trip again,
 //! later), and `NoCapacity` is permanent by definition.  **Retry is only
@@ -83,18 +82,12 @@ pub struct ServiceConfig {
     /// Maximum number of accepted-but-not-started jobs.  `submit` blocks
     /// and `try_submit` rejects while the queue holds this many.
     pub queue_capacity: usize,
-    /// Number of dispatcher threads, i.e. the maximum number of jobs in
-    /// flight on the pool at once.  `0` (the default) means "one per
-    /// gang", which keeps every gang of a partitioned pool busy; values
-    /// above the gang count only add claim-queue waiters.
-    pub dispatchers: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 128,
-            dispatchers: 0,
         }
     }
 }
@@ -128,7 +121,7 @@ pub struct JobPolicy {
     /// counts against it, so an overloaded service sheds stale jobs
     /// without running them at all.
     pub timeout: Option<Duration>,
-    /// Cap on tasks the job may process across all its gangs (see
+    /// Cap on tasks the job may process (see
     /// [`JobSpec::budget`](crate::JobSpec::budget)).
     pub budget: Option<u64>,
     /// Retry-on-loss behaviour; see the module docs for the idempotency
@@ -166,12 +159,10 @@ pub struct RetryPolicy {
     /// Additional attempts after the first (0 = never retry, the
     /// default).
     pub max_retries: u32,
-    /// Sleep before the first retry; grows by `multiplier` per retry
-    /// (exponential backoff, letting a lazily-respawning pool rebuild the
-    /// gang the lost attempt poisoned).
+    /// Sleep before the first retry; doubles per retry (exponential
+    /// backoff, letting a lazily-respawning pool rebuild the gang the lost
+    /// attempt poisoned).
     pub initial_backoff: Duration,
-    /// Backoff growth factor per retry.
-    pub multiplier: u32,
 }
 
 impl Default for RetryPolicy {
@@ -179,7 +170,6 @@ impl Default for RetryPolicy {
         Self {
             max_retries: 0,
             initial_backoff: Duration::from_millis(1),
-            multiplier: 2,
         }
     }
 }
@@ -375,7 +365,7 @@ fn lock(state: &Mutex<QueueState>) -> MutexGuard<'_, QueueState> {
 }
 
 /// A resident job service: bounded FIFO admission from many client threads
-/// onto one [`WorkerPool`], with up to `dispatchers` jobs in flight.
+/// onto one [`WorkerPool`], with up to one job per gang in flight.
 pub struct JobService {
     inner: Arc<ServiceInner>,
     pool: Arc<WorkerPool>,
@@ -384,14 +374,11 @@ pub struct JobService {
 
 impl JobService {
     /// Starts the service on `pool` (the pool must own its schedulers, i.e.
-    /// come from [`WorkerPool::new`] or [`WorkerPool::new_partitioned`]).
+    /// come from [`WorkerPool::new`] or [`WorkerPool::new_partitioned`]),
+    /// with one dispatcher thread per gang — enough to keep every gang
+    /// busy, and more would only wait for a gang.
     pub fn new(pool: WorkerPool, config: ServiceConfig) -> JobService {
         assert!(config.queue_capacity >= 1, "queue capacity must be >= 1");
-        let dispatcher_count = if config.dispatchers == 0 {
-            pool.gangs()
-        } else {
-            config.dispatchers
-        };
         let inner = Arc::new(ServiceInner {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -410,7 +397,7 @@ impl JobService {
             in_flight: AtomicU64::new(0),
         });
         let pool = Arc::new(pool);
-        let dispatchers = (0..dispatcher_count)
+        let dispatchers = (0..pool.gangs())
             .map(|d| {
                 let inner = Arc::clone(&inner);
                 let pool = Arc::clone(&pool);
@@ -428,9 +415,9 @@ impl JobService {
     }
 
     /// Submits a job, blocking while the queue is full.  FIFO: dispatchers
-    /// pick jobs up in acceptance order (with more than one dispatcher,
-    /// executions overlap and two just-dequeued jobs may begin in either
-    /// order — see the module docs).
+    /// pick jobs up in acceptance order (on a multi-gang pool executions
+    /// overlap and two just-dequeued jobs may begin in either order — see
+    /// the module docs).
     pub fn submit<F, R>(&self, job: F) -> Result<JobTicket<R>, SubmitError>
     where
         F: FnOnce(&WorkerPool) -> R + Send + 'static,
@@ -462,7 +449,7 @@ impl JobService {
     /// retry-on-loss), blocking while the queue is full.
     ///
     /// The closure runs with the policy's limits installed as the ambient
-    /// [`JobSpec`], so every `run_job*` it performs is
+    /// [`JobSpec`], so every `run_job` it performs is
     /// deadline- and budget-checked; returning `Err` (or panicking) makes
     /// the attempt fail with that error.  Only [`JobError::Lost`] attempts
     /// are retried — see the module docs for why retry requires an
@@ -550,7 +537,7 @@ impl JobService {
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
-                    backoff = backoff.saturating_mul(policy.retry.multiplier);
+                    backoff = backoff.saturating_mul(2);
                     continue;
                 }
                 break Err(error);
@@ -753,7 +740,6 @@ mod tests {
             WorkerPool::new(mq, PoolConfig::new(2)),
             ServiceConfig {
                 queue_capacity: capacity,
-                dispatchers: 0,
             },
         )
     }
@@ -766,7 +752,6 @@ mod tests {
             ),
             ServiceConfig {
                 queue_capacity: capacity,
-                dispatchers: 0,
             },
         )
     }
@@ -840,8 +825,7 @@ mod tests {
             tickets.push(
                 service
                     .submit(move |pool| {
-                        pool.run_job_on(&MeetJob { mine, partner }, 1)
-                            .expect("meet job");
+                        pool.run_job(&MeetJob { mine, partner }).expect("meet job");
                     })
                     .expect("submit"),
             );
@@ -860,7 +844,7 @@ mod tests {
         let service = partitioned_service(2, 4);
         let bad = service
             .submit(|pool| {
-                pool.run_job_on(&BadJob, 1).expect("fails by panicking");
+                pool.run_job(&BadJob).expect("fails by panicking");
             })
             .expect("submit");
         assert_eq!(
@@ -877,10 +861,7 @@ mod tests {
                     seeds: 7,
                     counter: ok_counter,
                 };
-                pool.run_job_on(&job, 1)
-                    .expect("pool job")
-                    .metrics
-                    .tasks_executed
+                pool.run_job(&job).expect("pool job").metrics.tasks_executed
             })
             .expect("service still accepts jobs");
         assert_eq!(good.wait().expect("good job completes").output, 7);
@@ -1005,14 +986,13 @@ mod tests {
                 JobPolicy::default().with_retries(3, Duration::from_millis(1)),
                 move |pool| {
                     if t.fetch_add(1, Ordering::Relaxed) == 0 {
-                        pool.run_job_on(&BadJob, 1).map(|_| 0)
+                        pool.run_job(&BadJob).map(|_| 0)
                     } else {
                         let job = CountJob {
                             seeds: 5,
                             counter: Arc::clone(&c),
                         };
-                        pool.run_job_on(&job, 1)
-                            .map(|out| out.metrics.tasks_executed)
+                        pool.run_job(&job).map(|out| out.metrics.tasks_executed)
                     }
                 },
             )
@@ -1098,14 +1078,11 @@ mod tests {
                 MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(5)),
                 PoolConfig::new(1),
             ),
-            ServiceConfig {
-                queue_capacity: 4,
-                dispatchers: 0,
-            },
+            ServiceConfig { queue_capacity: 4 },
         );
         let bad = service
             .submit(|pool| {
-                pool.run_job_on(&BadJob, 1).expect("fails by panicking");
+                pool.run_job(&BadJob).expect("fails by panicking");
             })
             .expect("submit");
         assert!(bad.wait().is_err());

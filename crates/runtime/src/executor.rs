@@ -12,112 +12,35 @@
 //! whenever a thread observes an empty pop) — without any shared `SeqCst`
 //! counter on the per-task hot path.
 //!
-//! The per-worker loop body lives in [`worker_loop`], shared between two
-//! drivers: [`run`] (spawn a scoped fleet, run one workload, join — the
-//! original one-shot mode) and the resident `smq-pool` worker pool, whose
-//! workers park between jobs and re-enter the same loop for every job —
-//! each pool *gang* passes its own scheduler handle, detector, and abort
-//! flag, so concurrent gangs share nothing on this path.
+//! This module holds the per-worker loop body, [`worker_loop`], and nothing
+//! that spawns a thread: the resident `smq-pool` worker pool is the one
+//! fleet.  Its workers park between jobs and re-enter the loop for every
+//! job — each pool *gang* passes its own scheduler handle, detector, and
+//! abort flag, so concurrent gangs share nothing on this path.
 //! The quiescence scan is *epoch-gated*: a worker only pays the O(threads)
-//! counter scan after [`WorkerLoopConfig::scan_gate`] consecutive empty pops
-//! during which the detector's activity epoch did not move (see
-//! [`crate::termination`] for the liveness argument).
+//! counter scan after [`SCAN_GATE`] consecutive empty pops during which the
+//! detector's activity epoch did not move (see [`crate::termination`] for
+//! the liveness argument).
 //!
-//! The loop is *batch-granular* ([`WorkerLoopConfig::batch_size`], 8 by
-//! default): it pops up to a batch of tasks per `pop_batch` call, passes
-//! every task of the batch to the caller's `prefetch` hint, processes the
-//! batch under one unwind guard, and buffers follow-ups in a per-worker
+//! The loop is *batch-granular* (its `batch` argument, [`DEFAULT_BATCH_SIZE`]
+//! on a default pool): it pops up to a batch of tasks per `pop_batch` call,
+//! passes every task of the batch to the caller's `prefetch` hint, processes
+//! the batch under one unwind guard, and buffers follow-ups in a per-worker
 //! sink flushed via `push_batch` at task boundaries — so the scheduler's
 //! per-operation synchronization (locks, buffer publishes) is paid once per
 //! batch instead of once per task and the batch's first cache misses
 //! overlap.  Batch size 1 is the explicit per-task path, bit-identical to
 //! the historical one.
 
-use std::time::Instant;
-
 use crossbeam_utils::Backoff;
-use smq_core::{HasKey, OpStats, Scheduler, SchedulerHandle};
+use smq_core::{HasKey, SchedulerHandle};
 use smq_telemetry::{Phase, WorkerTelemetry};
 
-use crate::metrics::RunMetrics;
 use crate::scratch::Scratch;
 use crate::termination::{TerminationDetector, WorkerTally};
-use crate::topology::Topology;
 
-/// Executor tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ExecutorConfig {
-    /// Number of worker threads to spawn.  Must match the scheduler's
-    /// configured thread count.
-    pub threads: usize,
-    /// The per-worker loop knobs (shared with the resident worker pool, so
-    /// the defaults and their meaning live in exactly one place).
-    pub worker: WorkerLoopConfig,
-    /// Optional (simulated) NUMA topology.  When set it must cover exactly
-    /// `threads` workers; each worker's [`WorkerId`] then carries the node
-    /// the topology places it on (reflected in its OS thread name).  Does
-    /// not change scheduling by itself — pair it with a NUMA-configured
-    /// scheduler.
-    pub topology: Option<Topology>,
-}
-
-impl ExecutorConfig {
-    /// A configuration with `threads` workers and default backoff/gating.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads,
-            worker: WorkerLoopConfig::default(),
-            topology: None,
-        }
-    }
-
-    /// Sets the hot-path batch granularity (see
-    /// [`WorkerLoopConfig::batch_size`]).
-    pub fn with_batch(mut self, batch_size: usize) -> Self {
-        self.worker.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Attaches a (simulated) NUMA topology; worker identities pick up
-    /// their node from it (see [`ExecutorConfig::topology`]).
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        assert_eq!(
-            topology.num_threads(),
-            self.threads,
-            "topology must cover exactly the executor's worker threads"
-        );
-        self.topology = Some(topology);
-        self
-    }
-}
-
-/// The identity one executor/pool worker runs under: its dense thread index
-/// and the NUMA node the configured topology places it on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerId {
-    /// Dense worker index in `0..threads` — the id scheduler handles are
-    /// created with.
-    pub tid: usize,
-    /// NUMA node hosting this worker (0 without a topology).
-    pub node: usize,
-}
-
-impl WorkerId {
-    /// Resolves `tid`'s node through an optional topology.
-    pub fn new(tid: usize, topology: Option<&Topology>) -> Self {
-        let node = topology.map_or(0, |t| t.node_of_thread(tid));
-        Self { tid, node }
-    }
-
-    /// The OS thread name this worker is spawned under
-    /// (`<prefix>-n<node>-<tid>`), so thread dumps show placement.
-    pub fn thread_name(&self, prefix: &str) -> String {
-        format!("{prefix}-n{}-{}", self.node, self.tid)
-    }
-}
-
-/// The default [`WorkerLoopConfig::batch_size`]: the paper's task batching
-/// is on unless a caller asks for the per-task path.
+/// The batch granularity of a default pool's worker loop: the paper's task
+/// batching is on unless a caller asks for the per-task path.
 ///
 /// A constant, not an adaptive rule, because the sweep that sized it (2
 /// vCPUs, two workers, prefetch hints on) found no single observable to
@@ -129,49 +52,14 @@ impl WorkerId {
 /// anything (table in the README's "batch-granular hot path" section).
 pub const DEFAULT_BATCH_SIZE: usize = 8;
 
-/// The per-worker knobs of [`worker_loop`].
-#[derive(Debug, Clone)]
-pub struct WorkerLoopConfig {
-    /// How many consecutive empty pops a thread tolerates before it starts
-    /// yielding to the OS scheduler (important on machines with fewer
-    /// hardware threads than workers).
-    pub spins_before_yield: u32,
-    /// How many consecutive empty pops (with a stable activity epoch) a
-    /// worker accumulates before paying for one O(threads) quiescence scan
-    /// (clamped to at least 1 by the loop).
-    pub scan_gate: u32,
-    /// Batch granularity of the hot path (clamped to at least 1); the
-    /// default is [`DEFAULT_BATCH_SIZE`] (8).
-    ///
-    /// Above 1 the worker pops up to `batch_size` tasks per `pop_batch`
-    /// call, hints the whole batch to the `prefetch` hook before processing
-    /// its first task, runs the batch under one unwind guard, and buffers
-    /// follow-ups in a per-worker sink that flushes via `push_batch` — at
-    /// the latest at every task boundary — so locks and indirect calls per
-    /// task drop by ~the batch factor and the batch's cache misses overlap,
-    /// while relaxation semantics and termination soundness are unchanged
-    /// (see the module docs of `smq_core::scheduler` and
-    /// [`crate::termination`]).  What it costs is priority order inside a
-    /// batch: a worker runs up to `batch_size` tasks it popped before it
-    /// sees anything pushed meanwhile, so wasted work rises a little (SSSP
-    /// on a power-law graph: work increase 1.59 → 1.70 at 8).
-    ///
-    /// `batch_size == 1` is the explicit exact per-task path: one `pop()`
-    /// per task, every follow-up pushed (and its publish credited)
-    /// immediately, no prefetch hints — with one worker and an exact local
-    /// queue that is strict priority order.
-    pub batch_size: usize,
-}
+/// How many consecutive empty pops a worker tolerates before it starts
+/// yielding to the OS scheduler (important on machines with fewer hardware
+/// threads than workers).
+pub const SPINS_BEFORE_YIELD: u32 = 64;
 
-impl Default for WorkerLoopConfig {
-    fn default() -> Self {
-        Self {
-            spins_before_yield: 64,
-            scan_gate: 8,
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
-    }
-}
+/// How many consecutive empty pops (with a stable activity epoch) a worker
+/// accumulates before paying for one O(threads) quiescence scan.
+pub const SCAN_GATE: u32 = 8;
 
 /// What one worker did during one trip through [`worker_loop`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -188,8 +76,8 @@ pub struct WorkerLoopOutcome {
 
 /// External control signals a [`worker_loop`] run observes.
 ///
-/// Both flags are optional; `LoopControl::default()` (no flags) is the
-/// one-shot executor's mode.  The resident worker pool wires them per job:
+/// Both flags are optional (`LoopControl::default()` observes nothing); the
+/// resident worker pool wires them per job:
 ///
 /// * `abort` — the *poison* escape: set when a sibling worker died mid-job.
 ///   A dead worker's thread-local queues can strand published tasks, so
@@ -274,8 +162,8 @@ fn flush_sink<T, H: SchedulerHandle<T>>(
     handle.push_batch(buffer);
 }
 
-/// One worker's pop/process/quiesce loop, shared by the one-shot executor
-/// and the resident worker pool.
+/// One worker's pop/process/quiesce loop, run by every worker of the
+/// resident worker pool for every job.
 ///
 /// The caller must have pushed (and pre-credited, via
 /// [`TerminationDetector::preload`]) its seed tasks before entering the
@@ -300,13 +188,30 @@ fn flush_sink<T, H: SchedulerHandle<T>>(
 /// batch size 1, never for tasks that are discarded by cancellation).  It
 /// must not push, write shared state or panic, and `process` must not
 /// depend on it having run; pass `|_| {}` when there is nothing to hint.
+///
+/// `batch` is the batch granularity of the hot path (clamped to at least
+/// 1).  Above 1 the worker pops up to `batch` tasks per `pop_batch` call,
+/// hints the whole batch to `prefetch` before processing its first task,
+/// runs the batch under one unwind guard, and buffers follow-ups in a
+/// per-worker sink that flushes via `push_batch` — at the latest at every
+/// task boundary — so locks and indirect calls per task drop by ~the batch
+/// factor and the batch's cache misses overlap, while relaxation semantics
+/// and termination soundness are unchanged (see the module docs of
+/// `smq_core::scheduler` and [`crate::termination`]).  What it costs is
+/// priority order inside a batch: a worker runs up to `batch` tasks it
+/// popped before it sees anything pushed meanwhile, so wasted work rises a
+/// little (SSSP on a power-law graph: work increase 1.59 → 1.70 at 8).
+/// `batch == 1` is the explicit exact per-task path: one `pop()` per task,
+/// every follow-up pushed (and its publish credited) immediately, no
+/// prefetch hints — with one worker and an exact local queue that is strict
+/// priority order.
 #[allow(clippy::too_many_arguments)]
 pub fn worker_loop<T, H, F, P>(
     handle: &mut H,
     detector: &TerminationDetector,
     tally: &mut WorkerTally<'_>,
     scratch: &mut Scratch,
-    config: &WorkerLoopConfig,
+    batch: usize,
     control: LoopControl<'_>,
     mut telemetry: Option<&mut WorkerTelemetry>,
     mut process: F,
@@ -318,8 +223,7 @@ where
     F: for<'h, 'd> FnMut(T, &mut TaskSink<'h, 'd, H, T>, &mut Scratch),
     P: Fn(&T),
 {
-    let scan_gate = config.scan_gate.max(1);
-    let batch = config.batch_size.max(1);
+    let batch = batch.max(1);
     let mut outcome = WorkerLoopOutcome::default();
     let backoff = Backoff::new();
     // The two batch buffers live in the worker's scratch arena, so their
@@ -478,11 +382,11 @@ where
             } else {
                 empty_streak += 1;
             }
-            if empty_streak >= scan_gate {
+            if empty_streak >= SCAN_GATE {
                 if let Some(t) = telemetry.as_deref_mut() {
                     t.phase(Phase::Scan);
                 }
-                // Looked stable for `scan_gate` empty pops: pay for one
+                // Looked stable for `SCAN_GATE` empty pops: pay for one
                 // O(threads) scan, then require a fresh streak before
                 // the next one.
                 empty_streak = 0;
@@ -494,7 +398,7 @@ where
             if let Some(t) = telemetry.as_deref_mut() {
                 t.phase(Phase::Park);
             }
-            if idle_spins > config.spins_before_yield {
+            if idle_spins > SPINS_BEFORE_YIELD {
                 std::thread::yield_now();
             } else {
                 backoff.snooze();
@@ -506,121 +410,16 @@ where
     outcome
 }
 
-/// Runs `process` over every task reachable from `initial` using the given
-/// scheduler and `config.threads` worker threads.
-///
-/// `process(task, sink, scratch)` executes one task, pushing follow-up
-/// tasks into the [`TaskSink`]; `scratch` is this worker's reusable
-/// [`Scratch`] memory.  The function returns once every pushed task has
-/// been processed and all threads have observed a globally empty scheduler.
-///
-/// Initial tasks are distributed round-robin across the workers and pushed
-/// through each worker's own handle, which matters for schedulers with
-/// thread-local queues (SMQ) or insert buffers.
-pub fn run<S, T, F>(
-    scheduler: &S,
-    config: &ExecutorConfig,
-    initial: Vec<T>,
-    process: F,
-) -> RunMetrics
-where
-    S: Scheduler<T>,
-    T: Send + HasKey + 'static,
-    F: for<'h, 'd> Fn(T, &mut TaskSink<'h, 'd, S::Handle<'_>, T>, &mut Scratch) + Sync,
-{
-    let threads = config.threads;
-    assert!(threads >= 1, "need at least one worker thread");
-    assert_eq!(
-        threads,
-        scheduler.num_threads(),
-        "executor thread count must match the scheduler's configuration"
-    );
-
-    // Split the seed tasks round-robin so each worker seeds its own queues.
-    let mut seeds: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, task) in initial.into_iter().enumerate() {
-        seeds[i % threads].push(task);
-    }
-
-    // Credit every worker's seed slice before any thread starts, so no scan
-    // can observe an all-zero (quiescent-looking) state during seeding.
-    let detector = TerminationDetector::new(threads);
-    for (tid, seed) in seeds.iter().enumerate() {
-        detector.preload(tid, seed.len() as u64);
-    }
-
-    let loop_config = config.worker.clone();
-    let start = Instant::now();
-    let results: Vec<(WorkerLoopOutcome, OpStats)> = std::thread::scope(|scope| {
-        let mut join_handles = Vec::with_capacity(threads);
-        for (tid, seed) in seeds.into_iter().enumerate() {
-            let detector = &detector;
-            let process = &process;
-            let loop_config = &loop_config;
-            let worker_id = WorkerId::new(tid, config.topology.as_ref());
-            let spawned = std::thread::Builder::new()
-                .name(worker_id.thread_name("smq-worker"))
-                .spawn_scoped(scope, move || {
-                    let mut handle = scheduler.handle(tid);
-                    let mut tally = detector.tally(tid);
-                    let mut scratch = Scratch::new();
-                    // Seeds were pre-credited; pushing them needs no recording.
-                    // Same rule as the pool's worker: one batch call above
-                    // batch size 1, the exact per-task path at 1.
-                    if loop_config.batch_size > 1 {
-                        let mut seed = seed;
-                        handle.push_batch(&mut seed);
-                    } else {
-                        for task in seed {
-                            handle.push(task);
-                        }
-                    }
-                    // Make seed tasks visible before anyone starts spinning.
-                    handle.flush();
-                    let outcome = worker_loop(
-                        &mut handle,
-                        detector,
-                        &mut tally,
-                        &mut scratch,
-                        loop_config,
-                        LoopControl::default(),
-                        None,
-                        |task, sink, scratch| process(task, sink, scratch),
-                        |_task| {},
-                    );
-                    (outcome, handle.stats())
-                });
-            join_handles.push(spawned.expect("failed to spawn executor worker"));
-        }
-        join_handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    let elapsed = start.elapsed();
-
-    let per_thread: Vec<OpStats> = results.iter().map(|(_, s)| s.clone()).collect();
-    let total = OpStats::merged(per_thread.iter());
-    RunMetrics {
-        elapsed,
-        threads,
-        tasks_executed: results.iter().map(|(o, _)| o.executed).sum(),
-        quiescence_scans: results.iter().map(|(o, _)| o.scans).sum(),
-        per_thread,
-        total,
-        telemetry: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smq_core::{OpStats, Scheduler};
     use std::collections::BinaryHeap;
     use std::sync::atomic::{AtomicU64 as Counter, Ordering};
     use std::sync::Mutex;
 
     /// A minimal strict scheduler (single global locked heap) used to test
-    /// the executor independently of the real schedulers.
+    /// the loop independently of the real schedulers.
     struct LockedHeap {
         heap: Mutex<BinaryHeap<std::cmp::Reverse<u64>>>,
         threads: usize,
@@ -680,23 +479,80 @@ mod tests {
         }
     }
 
+    /// What a [`drive`]n fleet did, summed over its workers.
+    struct Driven {
+        executed: u64,
+        scans: u64,
+        total: OpStats,
+    }
+
+    /// The test fleet: one scoped thread per worker of `sched`, `initial`
+    /// split round-robin and pre-credited before any thread starts, every
+    /// worker in [`worker_loop`] at `batch` until quiescence.
+    fn drive<F>(sched: &LockedHeap, batch: usize, initial: Vec<u64>, process: F) -> Driven
+    where
+        F: Fn(u64, &mut TaskSink<'_, '_, LockedHeapHandle<'_>, u64>, &mut Scratch) + Sync,
+    {
+        let threads = sched.num_threads();
+        let detector = TerminationDetector::new(threads);
+        let mut seeds: Vec<Vec<u64>> = (0..threads).map(|_| Vec::new()).collect();
+        for (i, task) in initial.into_iter().enumerate() {
+            seeds[i % threads].push(task);
+        }
+        for (tid, seed) in seeds.iter().enumerate() {
+            detector.preload(tid, seed.len() as u64);
+        }
+        let (detector, process) = (&detector, &process);
+        let results: Vec<(WorkerLoopOutcome, OpStats)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = seeds
+                .into_iter()
+                .enumerate()
+                .map(|(tid, seed)| {
+                    scope.spawn(move || {
+                        let mut handle = sched.handle(tid);
+                        seed.into_iter().for_each(|task| handle.push(task));
+                        let outcome = worker_loop(
+                            &mut handle,
+                            detector,
+                            &mut detector.tally(tid),
+                            &mut Scratch::new(),
+                            batch,
+                            LoopControl::default(),
+                            None,
+                            process,
+                            |_task| {},
+                        );
+                        (outcome, handle.stats())
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("test worker panicked"))
+                .collect()
+        });
+        Driven {
+            executed: results.iter().map(|(o, _)| o.executed).sum(),
+            scans: results.iter().map(|(o, _)| o.scans).sum(),
+            total: OpStats::merged(results.iter().map(|(_, stats)| stats)),
+        }
+    }
+
     #[test]
     fn processes_every_seed_task_once() {
         let sched = LockedHeap::new(2);
         let executed = Counter::new(0);
-        let metrics = run(
+        let driven = drive(
             &sched,
-            &ExecutorConfig::new(2),
+            DEFAULT_BATCH_SIZE,
             (0..1_000u64).collect(),
             |_task, _sink, _scratch| {
                 executed.fetch_add(1, Ordering::Relaxed);
             },
         );
         assert_eq!(executed.load(Ordering::Relaxed), 1_000);
-        assert_eq!(metrics.tasks_executed, 1_000);
-        assert_eq!(metrics.threads, 2);
-        assert_eq!(metrics.total.pops, 1_000);
-        assert_eq!(metrics.per_thread.len(), 2);
+        assert_eq!(driven.executed, 1_000);
+        assert_eq!(driven.total.pops, 1_000);
     }
 
     #[test]
@@ -705,9 +561,9 @@ mod tests {
         // process all 3000 tasks before terminating.
         let sched = LockedHeap::new(3);
         let executed = Counter::new(0);
-        let metrics = run(
+        let driven = drive(
             &sched,
-            &ExecutorConfig::new(3),
+            DEFAULT_BATCH_SIZE,
             (0..1_000u64).collect(),
             |task, sink, _scratch| {
                 executed.fetch_add(1, Ordering::Relaxed);
@@ -718,38 +574,31 @@ mod tests {
             },
         );
         assert_eq!(executed.load(Ordering::Relaxed), 3_000);
-        assert_eq!(metrics.tasks_executed, 3_000);
+        assert_eq!(driven.executed, 3_000);
     }
 
     #[test]
     fn empty_initial_set_terminates_immediately() {
         let sched = LockedHeap::new(2);
-        let metrics = run(&sched, &ExecutorConfig::new(2), Vec::new(), |_t, _s, _c| {});
-        assert_eq!(metrics.tasks_executed, 0);
-        assert!(metrics.quiescence_scans >= 2, "each worker scans to exit");
+        let driven = drive(&sched, DEFAULT_BATCH_SIZE, Vec::new(), |_t, _s, _c| {});
+        assert_eq!(driven.executed, 0);
+        assert!(driven.scans >= 2, "each worker scans to exit");
     }
 
     #[test]
     fn single_thread_run_works() {
         let sched = LockedHeap::new(1);
         let sum = Counter::new(0);
-        let metrics = run(
+        let driven = drive(
             &sched,
-            &ExecutorConfig::new(1),
+            DEFAULT_BATCH_SIZE,
             vec![5u64, 10, 15],
             |task, _sink, _scratch| {
                 sum.fetch_add(task, Ordering::Relaxed);
             },
         );
         assert_eq!(sum.load(Ordering::Relaxed), 30);
-        assert_eq!(metrics.tasks_executed, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count")]
-    fn mismatched_thread_count_is_rejected() {
-        let sched = LockedHeap::new(2);
-        let _ = run(&sched, &ExecutorConfig::new(3), vec![1u64], |_t, _s, _c| {});
+        assert_eq!(driven.executed, 3);
     }
 
     #[test]
@@ -758,9 +607,9 @@ mod tests {
         // most threads spin on an empty scheduler while one works.
         let sched = LockedHeap::new(4);
         let executed = Counter::new(0);
-        let metrics = run(
+        let driven = drive(
             &sched,
-            &ExecutorConfig::new(4),
+            DEFAULT_BATCH_SIZE,
             vec![0u64],
             |task, sink, _scratch| {
                 executed.fetch_add(1, Ordering::Relaxed);
@@ -770,31 +619,33 @@ mod tests {
             },
         );
         assert_eq!(executed.load(Ordering::Relaxed), 10_001);
-        assert_eq!(metrics.tasks_executed, 10_001);
+        assert_eq!(driven.executed, 10_001);
     }
 
     #[test]
     fn scan_gate_bounds_scan_traffic() {
-        // Every quiescence scan must be "paid for" with at least `scan_gate`
+        // Every quiescence scan must be "paid for" with at least `SCAN_GATE`
         // empty pops, so scans * gate never exceeds total empty pops — the
-        // executor-level guarantee behind the epoch-gated scan.
-        let config = ExecutorConfig::new(4);
+        // loop-level guarantee behind the epoch-gated scan.
         let sched = LockedHeap::new(4);
-        let metrics = run(&sched, &config, vec![0u64], |task, sink, _scratch| {
-            if task < 5_000 {
-                sink.push(task + 1);
-            }
-        });
+        let driven = drive(
+            &sched,
+            DEFAULT_BATCH_SIZE,
+            vec![0u64],
+            |task, sink, _scratch| {
+                if task < 5_000 {
+                    sink.push(task + 1);
+                }
+            },
+        );
         assert!(
-            metrics.quiescence_scans * u64::from(config.worker.scan_gate)
-                <= metrics.total.empty_pops,
-            "scans={} gate={} empty_pops={}",
-            metrics.quiescence_scans,
-            config.worker.scan_gate,
-            metrics.total.empty_pops
+            driven.scans * u64::from(SCAN_GATE) <= driven.total.empty_pops,
+            "scans={} gate={SCAN_GATE} empty_pops={}",
+            driven.scans,
+            driven.total.empty_pops
         );
         // Liveness: every worker still exits via at least one scan.
-        assert!(metrics.quiescence_scans >= 4);
+        assert!(driven.scans >= 4);
     }
 
     #[test]
@@ -803,9 +654,9 @@ mod tests {
         // at batch 8: conservation and termination must be unchanged.
         let sched = LockedHeap::new(2);
         let executed = Counter::new(0);
-        let metrics = run(
+        let driven = drive(
             &sched,
-            &ExecutorConfig::new(2).with_batch(8),
+            8,
             (0..1_000u64).collect(),
             |task, sink, _scratch| {
                 executed.fetch_add(1, Ordering::Relaxed);
@@ -816,8 +667,8 @@ mod tests {
             },
         );
         assert_eq!(executed.load(Ordering::Relaxed), 3_000);
-        assert_eq!(metrics.tasks_executed, 3_000);
-        assert_eq!(metrics.total.pushes, metrics.total.pops);
+        assert_eq!(driven.executed, 3_000);
+        assert_eq!(driven.total.pushes, driven.total.pops);
     }
 
     #[test]
@@ -825,18 +676,13 @@ mod tests {
         // Fan-out 1: every sink flush carries a single task, the worst case
         // for the batching sink's bookkeeping.
         let sched = LockedHeap::new(4);
-        let metrics = run(
-            &sched,
-            &ExecutorConfig::new(4).with_batch(32),
-            vec![0u64],
-            |task, sink, _scratch| {
-                if task < 10_000 {
-                    sink.push(task + 1);
-                }
-            },
-        );
-        assert_eq!(metrics.tasks_executed, 10_001);
-        assert_eq!(metrics.total.pushes, metrics.total.pops);
+        let driven = drive(&sched, 32, vec![0u64], |task, sink, _scratch| {
+            if task < 10_000 {
+                sink.push(task + 1);
+            }
+        });
+        assert_eq!(driven.executed, 10_001);
+        assert_eq!(driven.total.pushes, driven.total.pops);
     }
 
     /// Drives `worker_loop` directly on worker `tid` of `sched`, panicking
@@ -859,7 +705,7 @@ mod tests {
                 detector,
                 &mut tally,
                 &mut scratch,
-                &WorkerLoopConfig::default(),
+                DEFAULT_BATCH_SIZE,
                 LoopControl::default(),
                 None,
                 |task: u64, sink, _scratch| {
@@ -936,7 +782,7 @@ mod tests {
                     &detector,
                     &mut tally,
                     &mut Scratch::new(),
-                    &WorkerLoopConfig::default(),
+                    DEFAULT_BATCH_SIZE,
                     LoopControl {
                         abort: Some(&abort),
                         cancel: None,
@@ -974,16 +820,12 @@ mod tests {
             (0..8u64).for_each(|t| handle.push(t));
             let hinted = std::cell::RefCell::new(Vec::new());
             let mut processed = Vec::new();
-            let config = WorkerLoopConfig {
-                batch_size: batch,
-                ..WorkerLoopConfig::default()
-            };
             worker_loop(
                 &mut handle,
                 &detector,
                 &mut detector.tally(0),
                 &mut Scratch::new(),
-                &config,
+                batch,
                 LoopControl::default(),
                 None,
                 |task: u64, sink, _scratch| {
@@ -1014,24 +856,12 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_is_the_documented_constant() {
-        assert_eq!(DEFAULT_BATCH_SIZE, 8);
-        assert_eq!(ExecutorConfig::new(1).worker.batch_size, DEFAULT_BATCH_SIZE);
-    }
-
-    #[test]
-    fn with_batch_clamps_to_one() {
-        let config = ExecutorConfig::new(1).with_batch(0);
-        assert_eq!(config.worker.batch_size, 1);
-    }
-
-    #[test]
     fn scratch_is_usable_from_the_processing_closure() {
         let sched = LockedHeap::new(2);
         let checked = Counter::new(0);
-        run(
+        drive(
             &sched,
-            &ExecutorConfig::new(2),
+            DEFAULT_BATCH_SIZE,
             (1..=64u64).collect(),
             |task, _sink, scratch| {
                 let buf = scratch.counting_u32(task as usize);

@@ -3,12 +3,13 @@
 //! The paper evaluates schedulers by plugging them into the Galois
 //! `for_each` loop: worker threads repeatedly pop a task, execute it
 //! (possibly pushing new tasks), and terminate when the scheduler is
-//! globally empty.  This crate provides that loop ([`executor::run`]), the
-//! pending-task termination detection it relies on, per-run metrics, a
-//! per-worker [`Scratch`] arena, and a *simulated* NUMA topology
-//! ([`topology::Topology`]) used by the NUMA-aware queue samplers.
+//! globally empty.  This crate provides one worker's share of that loop
+//! ([`executor::worker_loop`]), the pending-task termination detection it
+//! relies on, per-run metrics, a per-worker [`Scratch`] arena, and a
+//! *simulated* NUMA topology ([`topology::Topology`]) used by the
+//! NUMA-aware queue samplers.
 //!
-//! The per-worker loop body ([`executor::worker_loop`]) is shared with the
+//! The crate spawns no threads.  The fleet that runs the loop is the
 //! resident worker pool in `smq-pool`, whose workers park between jobs and
 //! re-enter the loop for every job under a fresh termination generation.
 //!
@@ -28,10 +29,7 @@ pub mod scratch;
 pub mod termination;
 pub mod topology;
 
-pub use executor::{
-    run, ExecutorConfig, LoopControl, TaskSink, WorkerId, WorkerLoopConfig, WorkerLoopOutcome,
-    DEFAULT_BATCH_SIZE,
-};
+pub use executor::{LoopControl, TaskSink, WorkerLoopOutcome, DEFAULT_BATCH_SIZE};
 pub use metrics::RunMetrics;
 pub use scratch::Scratch;
 pub use termination::{TerminationDetector, WorkerTally};

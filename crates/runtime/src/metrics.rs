@@ -1,4 +1,4 @@
-//! Per-run measurements reported by the executor.
+//! Per-run measurements reported by the worker pool.
 
 use std::time::Duration;
 
@@ -17,7 +17,7 @@ pub struct RunMetrics {
     /// Total tasks executed (popped and processed) across all threads.
     pub tasks_executed: u64,
     /// O(threads) quiescence scans performed across all workers.  The
-    /// epoch-gated scan keeps `quiescence_scans * scan_gate <=
+    /// epoch-gated scan keeps `quiescence_scans * SCAN_GATE <=
     /// total.empty_pops`; before the gate every empty pop scanned.
     pub quiescence_scans: u64,
     /// Per-thread scheduler operation counters.

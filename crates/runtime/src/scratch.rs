@@ -7,10 +7,10 @@
 //! thread and passed into every `process` call amortizes that to one
 //! allocation per worker per high-water mark.
 //!
-//! The executor's worker loop creates one `Scratch` per worker and threads
-//! it through the processing closure; in the resident worker pool the same
-//! value additionally survives across *jobs*, so a long-running service
-//! reaches its steady-state allocation footprint after the first few jobs.
+//! Every worker of the resident worker pool owns one `Scratch` and threads
+//! it through the processing closure; the value survives across *jobs*, so
+//! a long-running service reaches its steady-state allocation footprint
+//! after the first few jobs.
 //!
 //! Besides the fixed counting buffer, `Scratch` parks arbitrary **typed
 //! vectors** between uses ([`take_vec`](Scratch::take_vec) /

@@ -69,10 +69,10 @@
 //! idle workers hammer every worker's counter line exactly when the system
 //! is busiest elsewhere.  The detector therefore also keeps an *activity
 //! epoch*: a counter bumped (off the hot path) whenever a previously idle
-//! worker finds a task again.  The executor's worker loop only scans after
-//! it has seen a configurable number of consecutive empty pops during which
-//! the epoch did not move — i.e. when the system has looked stable for a
-//! while.  Gating only delays scans; it cannot make a scan lie, so
+//! worker finds a task again.  The worker loop only scans after it has seen
+//! [`SCAN_GATE`](crate::executor::SCAN_GATE) consecutive empty pops during
+//! which the epoch did not move — i.e. when the system has looked stable for
+//! a while.  Gating only delays scans; it cannot make a scan lie, so
 //! termination soundness is untouched, and liveness holds because after
 //! true quiescence nothing can bump the epoch, so every worker's streak
 //! reaches the gate and its scan succeeds.
@@ -148,7 +148,7 @@ impl TerminationDetector {
 
     /// Pre-credits `count` published tasks to worker `tid`.
     ///
-    /// Must be called before the worker threads start (the executor credits
+    /// Must be called before the workers start on the job (the pool credits
     /// each worker's seed slice here) so that no scan can observe an
     /// all-zero state while seed tasks are still being distributed.
     pub fn preload(&self, tid: usize, count: u64) {

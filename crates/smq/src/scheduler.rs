@@ -35,11 +35,17 @@ pub struct Smq<T: Copy, Q> {
     config: SmqConfig,
 }
 
-// SAFETY: the `UnsafeCell<Q>` is only accessed by the unique handle for its
-// slot (enforced by `handle_taken`), the stealing buffer is internally
-// synchronized, and `T: Copy + Send` / `Q: Send` make moving tasks across
-// threads sound.
+// SAFETY: moving the scheduler moves its local queues (`Q: Send`), its
+// stealing buffers (`Send` for `T: Copy + Send`), the sampler and the
+// config, which are plain data; only the `UnsafeCell` wrapper removed the
+// auto impl.
 unsafe impl<T: Copy + Send, Q: Send> Send for Smq<T, Q> {}
+// SAFETY: through a shared `&Smq` the `UnsafeCell<Q>` of a slot is only
+// accessed by the unique handle for that slot (enforced by `handle_taken`),
+// so a queue is used by one thread at a time and `Q: Send` suffices; the
+// stealing buffers are internally synchronized (`Sync` for `T: Copy +
+// Send`), `handle_taken` is an atomic, and the sampler and config are only
+// read.
 unsafe impl<T: Copy + Send, Q: Send> Sync for Smq<T, Q> {}
 
 impl<T, Q> Smq<T, Q>

@@ -66,11 +66,15 @@ pub struct StealingBuffer<T: Copy> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
 }
 
+// SAFETY: the buffer owns its slots, which hold plain `T: Copy + Send`
+// values that never need dropping; `state` and `top_key` are atomics.
+unsafe impl<T: Copy + Send> Send for StealingBuffer<T> {}
 // SAFETY: slots are only written by the owner while the `stolen` flag is
 // set (so no concurrent reader will trust what it reads — the epoch check
 // fails), and all cross-thread hand-off happens through `state` with
-// acquire/release ordering.  `T: Copy` means slots never need dropping.
-unsafe impl<T: Copy + Send> Send for StealingBuffer<T> {}
+// acquire/release ordering.  A steal copies `T` values to another thread,
+// hence `T: Send`; `T: Copy` means a discarded optimistic copy needs no
+// drop.
 unsafe impl<T: Copy + Send> Sync for StealingBuffer<T> {}
 
 impl<T: Copy> StealingBuffer<T> {
@@ -146,8 +150,13 @@ impl<T: Copy> StealingBuffer<T> {
             }
             let start = out.len();
             for slot in &self.slots[..len] {
-                // SAFETY: optimistic read; validated by the CAS below before
-                // the values are exposed to the caller.
+                // SAFETY: `len <= capacity` slots were initialised by the
+                // `fill` that published `before`.  The read is optimistic —
+                // the owner may be rewriting the slot if the batch was
+                // claimed meanwhile — so the copy is volatile, `T: Copy`
+                // means a torn value is never dropped, and it is only
+                // exposed to the caller once the CAS below proves `state`
+                // never left `before` (otherwise it is truncated away).
                 out.push(unsafe { std::ptr::read_volatile(slot.get()).assume_init() });
             }
             fence(Ordering::Acquire);
@@ -235,10 +244,11 @@ impl<T: Copy + HasKey> StealingBuffer<T> {
             if stolen || len == 0 {
                 return None;
             }
-            // SAFETY: optimistic read validated by the epoch check below;
-            // `T: Copy` so a torn value is never *used* when validation
-            // fails.  Volatile keeps the compiler from caching the read
-            // across the fence.
+            // SAFETY: `len >= 1`, so slot 0 was initialised by the `fill`
+            // that published `before`.  Optimistic read validated by the
+            // epoch check below; `T: Copy` so a torn value is never *used*
+            // when validation fails.  Volatile keeps the compiler from
+            // caching the read across the fence.
             let value = unsafe { std::ptr::read_volatile(self.slots[0].get()).assume_init() };
             fence(Ordering::Acquire);
             if self.state.load(Ordering::Acquire) == before {

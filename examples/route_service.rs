@@ -63,13 +63,7 @@ fn main() {
         },
         PoolConfig::partitioned(gangs, gang_size),
     );
-    let service = Arc::new(JobService::new(
-        pool,
-        ServiceConfig {
-            queue_capacity: 16,
-            dispatchers: 0, // one dispatcher per gang
-        },
-    ));
+    let service = Arc::new(JobService::new(pool, ServiceConfig { queue_capacity: 16 }));
 
     let stop = AtomicBool::new(false);
     let started = std::time::Instant::now();

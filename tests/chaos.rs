@@ -73,13 +73,7 @@ fn chaos_service(gangs: usize, seed: u64, plan: FaultPlan) -> JobService {
         move |g| HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(seed + g as u64)),
         PoolConfig::partitioned(gangs, 1).with_faults(plan),
     );
-    JobService::new(
-        pool,
-        ServiceConfig {
-            queue_capacity: 8,
-            dispatchers: 0, // one dispatcher per gang
-        },
-    )
+    JobService::new(pool, ServiceConfig { queue_capacity: 8 })
 }
 
 proptest! {

@@ -34,6 +34,7 @@ use smq_repro::graph::generators::uniform_random;
 use smq_repro::graph::{CsrGraph, GraphUpdate, LiveGraph};
 use smq_repro::multiqueue::{DeletePolicy, InsertPolicy, MultiQueue, MultiQueueConfig, Reld};
 use smq_repro::obim::{Obim, ObimConfig};
+use smq_repro::pool::PoolConfig;
 use smq_repro::smq::{HeapSmq, SkipListSmq, SmqConfig};
 use smq_repro::spraylist::{SprayList, SprayListConfig};
 use std::sync::Arc;
@@ -66,7 +67,11 @@ where
 {
     let run = match batch {
         None => engine::run_parallel(workload, scheduler, threads),
-        Some(batch) => engine::run_parallel_batched(workload, scheduler, threads, batch),
+        Some(batch) => engine::run_parallel_with(
+            workload,
+            scheduler,
+            PoolConfig::new(threads).with_batch(batch),
+        ),
     };
     let reference = workload.sequential_reference();
     assert!(
@@ -283,16 +288,20 @@ proptest! {
         let snapshot = live.pin();
         let make = || HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(seed ^ 5));
 
-        let direct = engine::run_parallel_batched(&SsspWorkload::new(&graph, 0), &make(), 1, 1);
-        let via = engine::run_parallel_batched(&SsspWorkload::new(&snapshot, 0), &make(), 1, 1);
+        let per_task = || PoolConfig::new(1).with_batch(1);
+
+        let direct = engine::run_parallel_with(&SsspWorkload::new(&graph, 0), &make(), per_task());
+        let via = engine::run_parallel_with(&SsspWorkload::new(&snapshot, 0), &make(), per_task());
         prop_assert_eq!(&direct.output, &via.output);
         prop_assert_eq!(direct.result.useful_tasks, via.result.useful_tasks);
         prop_assert_eq!(direct.result.wasted_tasks, via.result.wasted_tasks);
         prop_assert_eq!(direct.result.metrics.total, via.result.metrics.total);
 
         let target = (graph.num_nodes() - 1) as u32;
-        let direct = engine::run_parallel_batched(&AstarWorkload::new(&graph, 0, target), &make(), 1, 1);
-        let via = engine::run_parallel_batched(&AstarWorkload::new(&snapshot, 0, target), &make(), 1, 1);
+        let direct =
+            engine::run_parallel_with(&AstarWorkload::new(&graph, 0, target), &make(), per_task());
+        let via =
+            engine::run_parallel_with(&AstarWorkload::new(&snapshot, 0, target), &make(), per_task());
         prop_assert_eq!(&direct.output, &via.output);
         prop_assert_eq!(direct.result.useful_tasks, via.result.useful_tasks);
         prop_assert_eq!(direct.result.wasted_tasks, via.result.wasted_tasks);
@@ -310,11 +319,11 @@ where
     let sssp = SsspWorkload::new(graph, 0);
     let kcore = KCoreWorkload::new(graph);
     vec![
-        engine::run_parallel_batched(&sssp, &make(), 1, 1)
+        engine::run_parallel_with(&sssp, &make(), PoolConfig::new(1).with_batch(1))
             .result
             .metrics
             .total,
-        engine::run_parallel_batched(&kcore, &make(), 1, 1)
+        engine::run_parallel_with(&kcore, &make(), PoolConfig::new(1).with_batch(1))
             .result
             .metrics
             .total,

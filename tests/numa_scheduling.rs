@@ -29,6 +29,7 @@ use smq_repro::core::{OpStats, Probability, Scheduler, Task};
 use smq_repro::graph::generators::{road_network, RoadNetworkParams};
 use smq_repro::graph::CsrGraph;
 use smq_repro::multiqueue::{MultiQueue, MultiQueueConfig};
+use smq_repro::pool::PoolConfig;
 use smq_repro::runtime::{Topology, WeightedQueueSampler};
 use smq_repro::smq::{HeapSmq, SmqConfig};
 
@@ -46,7 +47,7 @@ fn road(width: u32, seed: u64) -> CsrGraph {
 /// topology-blind path and the single-node NUMA path.
 fn replay<S: Scheduler<Task>>(scheduler: &S, graph: &CsrGraph) -> (OpStats, u64, u64) {
     let workload = SsspWorkload::new(graph, 0);
-    let run = engine::run_parallel_batched(&workload, scheduler, 1, 1);
+    let run = engine::run_parallel_with(&workload, scheduler, PoolConfig::new(1).with_batch(1));
     (
         run.result.metrics.total.clone(),
         run.result.useful_tasks,
@@ -175,7 +176,11 @@ fn two_node_locality_meets_target() {
             .with_seed(11)
             .with_numa(topology.clone(), k),
     );
-    let run = engine::run_parallel_batched(&SsspWorkload::new(&graph, 0), &mq, 4, 1);
+    let run = engine::run_parallel_with(
+        &SsspWorkload::new(&graph, 0),
+        &mq,
+        PoolConfig::new(4).with_batch(1),
+    );
     let stats = &run.result.metrics.total;
     let rate = stats
         .sample_locality_rate()
@@ -200,7 +205,11 @@ fn two_node_locality_meets_target() {
             .with_seed(13)
             .with_numa(topology, k),
     );
-    let run = engine::run_parallel_batched(&SsspWorkload::new(&graph, 0), &smq, 4, 1);
+    let run = engine::run_parallel_with(
+        &SsspWorkload::new(&graph, 0),
+        &smq,
+        PoolConfig::new(4).with_batch(1),
+    );
     let stats = &run.result.metrics.total;
     let sampled = stats
         .sample_locality_rate()

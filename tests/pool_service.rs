@@ -18,10 +18,16 @@
 //!   per-gang) `pushes == pops`: no task ever leaks across gangs;
 //! * **Panics are contained** — a deliberately panicking job resolves its
 //!   own ticket to `Err(JobError::Lost)` and leaves other clients' jobs (and the
-//!   service) intact.
+//!   service) intact;
+//! * **A job is one gang** — a job runs on exactly one gang's workers and
+//!   leaves every other gang free for the next caller.
 
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use common::hang_guard;
 use proptest::prelude::*;
 
 use smq_repro::algos::cc::CcWorkload;
@@ -263,10 +269,7 @@ fn job_service_serves_concurrent_clients_correctly() {
             MultiQueue::<Task>::new(MultiQueueConfig::classic(2).with_seed(8)),
             PoolConfig::new(2),
         ),
-        ServiceConfig {
-            queue_capacity: 8,
-            dispatchers: 0,
-        },
+        ServiceConfig { queue_capacity: 8 },
     ));
 
     std::thread::scope(|scope| {
@@ -325,7 +328,6 @@ proptest! {
             smq_gang_pool(gangs, gang_size, seed),
             ServiceConfig {
                 queue_capacity: 8,
-                dispatchers: 0, // one per gang: up to G jobs in flight
             },
         ));
 
@@ -409,18 +411,11 @@ fn panicking_job_resolves_tickets_instead_of_panicking_clients() {
     }));
     let n = graph.num_nodes() as u32;
     let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), 2));
-    let service = JobService::new(
-        smq_gang_pool(2, 1, 41),
-        ServiceConfig {
-            queue_capacity: 4,
-            dispatchers: 0,
-        },
-    );
+    let service = JobService::new(smq_gang_pool(2, 1, 41), ServiceConfig { queue_capacity: 4 });
 
     let bad = service
         .submit(|pool| {
-            pool.run_job_on(&PanickingJob, 1)
-                .expect("fails by panicking");
+            pool.run_job(&PanickingJob).expect("fails by panicking");
         })
         .expect("submit panicking job");
     assert!(
@@ -455,13 +450,7 @@ fn panicking_job_resolves_tickets_instead_of_panicking_clients() {
 /// `Err(JobError::NoCapacity)` — still never a panic out of `wait`.
 #[test]
 fn fully_poisoned_service_fails_jobs_gracefully() {
-    let service = JobService::new(
-        smq_pool(1, 13),
-        ServiceConfig {
-            queue_capacity: 4,
-            dispatchers: 0,
-        },
-    );
+    let service = JobService::new(smq_pool(1, 13), ServiceConfig { queue_capacity: 4 });
     let bad = service
         .submit(|pool| {
             pool.run_job(&PanickingJob).expect("fails by panicking");
@@ -488,87 +477,128 @@ fn fully_poisoned_service_fails_jobs_gracefully() {
     assert_eq!(stats.completed, 0);
 }
 
-/// The FIFO-allocator poisoned-gang edge (regression): a claim queued while
+/// Holds its gang until `gate` opens, then finishes — or panics, if
+/// `panics`; flags `started` so the test knows the gang is claimed.
+struct GateJob {
+    started: Arc<AtomicBool>,
+    gate: Arc<AtomicBool>,
+    panics: bool,
+}
+
+impl PoolJob for GateJob {
+    fn seed_tasks(&self) -> Vec<Task> {
+        vec![Task::new(0, 0)]
+    }
+
+    fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+        self.started.store(true, Ordering::Release);
+        while !self.gate.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        assert!(!self.panics, "intentional gated job panic");
+        true
+    }
+}
+
+struct OneTask;
+
+impl PoolJob for OneTask {
+    fn seed_tasks(&self) -> Vec<Task> {
+        vec![Task::new(0, 0)]
+    }
+
+    fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+        true
+    }
+}
+
+/// The job-is-one-gang contract: on a 2 × 2 pool a job's metrics cover
+/// exactly one gang's two workers, and while one job is held inside
+/// `process` a second `run_job` completes on the other gang.
+#[test]
+fn a_job_occupies_exactly_one_gang() {
+    hang_guard(|| {
+        let pool = smq_gang_pool(2, 2, 71);
+        let started = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(AtomicBool::new(false));
+        let held = GateJob {
+            started: Arc::clone(&started),
+            gate: Arc::clone(&gate),
+            panics: false,
+        };
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| pool.run_job(&held));
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            // Would wait for the held gang forever if a job took the fleet.
+            let free = pool.run_job(&OneTask).expect("the other gang is free");
+            assert_eq!(
+                free.metrics.threads, 2,
+                "one gang's workers, not the fleet's"
+            );
+            assert_eq!(free.metrics.per_thread.len(), 2);
+            assert_eq!(free.metrics.tasks_executed, 1);
+
+            gate.store(true, Ordering::Release);
+            let held = holder.join().expect("holder thread").expect("gate job");
+            assert_eq!(held.metrics.threads, 2);
+        });
+        assert_eq!(pool.stats().jobs_completed, 2);
+        assert_eq!(pool.stats().threads_spawned, 4);
+    });
+}
+
+/// The gang allocator's poisoned-gang edge (regression): a claim queued while
 /// every gang is busy must be woken when one of them is poisoned, respawn
 /// it, and run there — it completes while the other job still holds its
 /// gang, instead of starving behind the dead slot.
 #[test]
 fn waiting_claim_reroutes_around_a_poisoned_gang() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    hang_guard(|| {
+        let pool = smq_gang_pool(2, 1, 61);
+        let hold_gate = Arc::new(AtomicBool::new(false));
+        let panic_gate = Arc::new(AtomicBool::new(false));
 
-    /// Holds its gang until `gate` opens, then finishes — or panics, if
-    /// `panics`; flags `started` so the test knows the gang is claimed.
-    struct GateJob {
-        started: Arc<AtomicBool>,
-        gate: Arc<AtomicBool>,
-        panics: bool,
-    }
-    impl PoolJob for GateJob {
-        fn seed_tasks(&self) -> Vec<Task> {
-            vec![Task::new(0, 0)]
-        }
-        fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
-            self.started.store(true, Ordering::Release);
-            while !self.gate.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            assert!(!self.panics, "intentional gated job panic");
-            true
-        }
-    }
+        std::thread::scope(|scope| {
+            // Jobs 1 and 2 occupy both gangs; job 2 will panic once told to.
+            let [holder, poisoner] =
+                [(&hold_gate, false), (&panic_gate, true)].map(|(gate, panics)| {
+                    let started = Arc::new(AtomicBool::new(false));
+                    let job = GateJob {
+                        started: Arc::clone(&started),
+                        gate: Arc::clone(gate),
+                        panics,
+                    };
+                    let pool = &pool;
+                    let thread = scope.spawn(move || pool.run_job(&job));
+                    while !started.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    thread
+                });
 
-    struct OneTask;
-    impl PoolJob for OneTask {
-        fn seed_tasks(&self) -> Vec<Task> {
-            vec![Task::new(0, 0)]
-        }
-        fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
-            true
-        }
-    }
+            // Job 3 arrives with nothing free and nothing dead: it queues.  (The
+            // pause only makes that the usual interleaving; if job 3 claims
+            // after the poison instead, it still must land on the rebuilt gang.)
+            let third = scope.spawn(|| pool.run_job(&OneTask));
+            std::thread::sleep(std::time::Duration::from_millis(10));
 
-    let pool = smq_gang_pool(2, 1, 61);
-    let hold_gate = Arc::new(AtomicBool::new(false));
-    let panic_gate = Arc::new(AtomicBool::new(false));
+            panic_gate.store(true, Ordering::Release);
+            let out = third.join().expect("third-job thread");
+            assert!(
+                out.is_ok(),
+                "the waiting claim must respawn the dead gang and run there"
+            );
+            assert!(
+                !hold_gate.load(Ordering::Acquire),
+                "job 1 still holds the other gang"
+            );
+            assert!(poisoner.join().expect("job 2 thread").is_err());
+            assert_eq!(pool.stats().gangs_respawned, 1);
 
-    std::thread::scope(|scope| {
-        // Jobs 1 and 2 occupy both gangs; job 2 will panic once told to.
-        let [holder, poisoner] =
-            [(&hold_gate, false), (&panic_gate, true)].map(|(gate, panics)| {
-                let started = Arc::new(AtomicBool::new(false));
-                let job = GateJob {
-                    started: Arc::clone(&started),
-                    gate: Arc::clone(gate),
-                    panics,
-                };
-                let pool = &pool;
-                let thread = scope.spawn(move || pool.run_job_on(&job, 1));
-                while !started.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                thread
-            });
-
-        // Job 3 arrives with nothing free and nothing dead: it queues.  (The
-        // pause only makes that the usual interleaving; if job 3 claims
-        // after the poison instead, it still must land on the rebuilt gang.)
-        let third = scope.spawn(|| pool.run_job_on(&OneTask, 1));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-
-        panic_gate.store(true, Ordering::Release);
-        let out = third.join().expect("third-job thread");
-        assert!(
-            out.is_ok(),
-            "the waiting claim must respawn the dead gang and run there"
-        );
-        assert!(
-            !hold_gate.load(Ordering::Acquire),
-            "job 1 still holds the other gang"
-        );
-        assert!(poisoner.join().expect("job 2 thread").is_err());
-        assert_eq!(pool.stats().gangs_respawned, 1);
-
-        hold_gate.store(true, Ordering::Release);
-        holder.join().expect("job 1 thread").expect("gate job");
+            hold_gate.store(true, Ordering::Release);
+            holder.join().expect("job 1 thread").expect("gate job");
+        });
     });
 }
