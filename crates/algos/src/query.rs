@@ -44,10 +44,10 @@
 //! acquisition.
 //!
 //! Queries execute as jobs on a resident `smq_pool::WorkerPool` via
-//! [`engine::run_on_pool`], one gang each, which is what the
-//! `service_throughput` benchmark and the `JobService` acceptance tests
-//! drive: one scheduler fleet, G concurrent queries, queries/sec as the
-//! reported metric.
+//! [`engine::run_on_pool`], one gang each, which is what the repo
+//! benchmark's `route_closed` / `route_open_live` workloads and the
+//! `JobService` acceptance tests drive: one scheduler fleet, G concurrent
+//! queries, queries/sec as the reported metric.
 //!
 //! # Dynamic graphs
 //!

@@ -194,26 +194,6 @@ where
     }
 }
 
-/// Parallel SSSP with a caller-supplied weight mapping.
-pub fn parallel_weighted<G, S>(
-    graph: &G,
-    source: u32,
-    scheduler: &S,
-    threads: usize,
-    edge_weight: impl Fn(u32) -> u64 + Sync,
-) -> SsspRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = SsspWorkload::with_weight(graph, source, "SSSP", edge_weight);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    SsspRun {
-        distances: run.output,
-        result: run.result,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,10 +1,9 @@
 //! Shared accounting for algorithm runs: the paper's "work increase" metric.
 
-use serde::{Deserialize, Serialize};
 use smq_runtime::RunMetrics;
 
 /// Scheduler-independent accounting attached to every parallel algorithm run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AlgoResult {
     /// Wall-clock and scheduler-operation metrics from the executor.
     pub metrics: RunMetrics,
@@ -29,16 +28,6 @@ impl AlgoResult {
             1.0
         } else {
             self.total_tasks() as f64 / baseline_tasks as f64
-        }
-    }
-
-    /// Fraction of executed tasks that were wasted.
-    pub fn wasted_fraction(&self) -> f64 {
-        let total = self.total_tasks();
-        if total == 0 {
-            0.0
-        } else {
-            self.wasted_tasks as f64 / total as f64
         }
     }
 }
@@ -66,17 +55,10 @@ mod tests {
     }
 
     #[test]
-    fn work_increase_and_wasted_fraction() {
+    fn work_increase_counts_wasted_tasks() {
         let r = result(100, 25);
         assert_eq!(r.total_tasks(), 125);
         assert!((r.work_increase(100) - 1.25).abs() < 1e-12);
-        assert!((r.wasted_fraction() - 0.2).abs() < 1e-12);
         assert_eq!(r.work_increase(0), 1.0);
-    }
-
-    #[test]
-    fn zero_tasks_edge_case() {
-        let r = result(0, 0);
-        assert_eq!(r.wasted_fraction(), 0.0);
     }
 }

@@ -35,12 +35,6 @@ pub struct BenchArgs {
     /// runs topology-blind).  `--numa-nodes 1` forces the single-node
     /// (topology-blind) baseline explicitly.
     pub numa_nodes: Option<usize>,
-    /// Destination for JSONL metrics snapshots from `--metrics-json PATH`;
-    /// `None` disables the export (and the telemetry that feeds it).
-    pub metrics_json: Option<std::path::PathBuf>,
-    /// Destination for a chrome://tracing JSON file from `--trace PATH`;
-    /// `None` disables per-worker event recording.
-    pub trace: Option<std::path::PathBuf>,
 }
 
 impl Default for BenchArgs {
@@ -53,16 +47,17 @@ impl Default for BenchArgs {
             workloads: None,
             batch: None,
             numa_nodes: None,
-            metrics_json: None,
-            trace: None,
         }
     }
 }
 
 impl BenchArgs {
-    /// Parses `--threads N`, `--scale small|full`, `--reps N`, `--seed N`,
-    /// `--workloads a,b,...` from an iterator of arguments.  Unknown flags
-    /// are returned so callers can handle binary-specific options.
+    /// Parses `--threads N`, `--scale ci|small|full`, `--reps N`, `--seed N`,
+    /// `--workloads a,b,...`, `--batch N` and `--numa-nodes N` from an
+    /// iterator of arguments.  Unknown flags are returned so callers can
+    /// handle binary-specific options; a caller must reject what it does
+    /// not recognise itself (binaries without flags of their own use
+    /// [`BenchArgs::from_env_strict`]).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> (Self, Vec<String>) {
         let mut out = Self::default();
         let mut rest = Vec::new();
@@ -112,14 +107,6 @@ impl BenchArgs {
                     assert!(nodes >= 1, "--numa-nodes needs a positive integer");
                     out.numa_nodes = Some(nodes);
                 }
-                "--metrics-json" => {
-                    let path = iter.next().expect("--metrics-json needs a file path");
-                    out.metrics_json = Some(std::path::PathBuf::from(path));
-                }
-                "--trace" => {
-                    let path = iter.next().expect("--trace needs a file path");
-                    out.trace = Some(std::path::PathBuf::from(path));
-                }
                 "--workloads" => {
                     let list = iter
                         .next()
@@ -150,7 +137,7 @@ impl BenchArgs {
     }
 
     /// The workloads a sweep should run: the `--workloads` selection, or
-    /// all seven when the flag was absent.
+    /// every one in [`Workload::ALL`] when the flag was absent.
     pub fn selected_workloads(&self) -> Vec<Workload> {
         self.workloads
             .clone()
@@ -188,9 +175,26 @@ impl BenchArgs {
         }
     }
 
+    /// [`BenchArgs::parse`] for a binary with no flags of its own: a
+    /// leftover argument is a mistyped flag, and running the default sweep
+    /// in its place would report numbers for the wrong configuration, so
+    /// it panics naming the flag.
+    pub fn parse_strict<I: IntoIterator<Item = String>>(args: I) -> Self {
+        let (out, rest) = Self::parse(args);
+        if let Some(flag) = rest.first() {
+            panic!("unknown flag '{flag}'");
+        }
+        out
+    }
+
     /// Parses the real process arguments (skipping the program name).
     pub fn from_env() -> (Self, Vec<String>) {
         Self::parse(std::env::args().skip(1))
+    }
+
+    /// [`BenchArgs::parse_strict`] over the real process arguments.
+    pub fn from_env_strict() -> Self {
+        Self::parse_strict(std::env::args().skip(1))
     }
 }
 
@@ -296,26 +300,9 @@ mod tests {
     }
 
     #[test]
-    fn export_paths_are_parsed() {
-        let (args, rest) = parse(&[]);
-        assert!(rest.is_empty());
-        assert_eq!(args.metrics_json, None);
-        assert_eq!(args.trace, None);
-        let (args, rest) = parse(&[
-            "--metrics-json",
-            "/tmp/metrics.jsonl",
-            "--trace",
-            "/tmp/trace.json",
-        ]);
-        assert!(rest.is_empty());
-        assert_eq!(
-            args.metrics_json,
-            Some(std::path::PathBuf::from("/tmp/metrics.jsonl"))
-        );
-        assert_eq!(
-            args.trace,
-            Some(std::path::PathBuf::from("/tmp/trace.json"))
-        );
+    #[should_panic(expected = "unknown flag '--thread'")]
+    fn strict_parse_rejects_a_mistyped_flag() {
+        let _ = BenchArgs::parse_strict(["--thread", "8"].map(String::from));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use smq_core::Probability;
 use smq_multiqueue::{DeletePolicy, InsertPolicy};
 
 fn main() {
-    let (args, _rest) = BenchArgs::from_env();
+    let args = BenchArgs::from_env_strict();
     let specs = standard_graphs(args.full_scale(), args.seed);
 
     let variants: Vec<(&str, SchedulerSpec)> = vec![

@@ -8,7 +8,7 @@ use smq_bench::{
 use smq_core::Probability;
 
 fn main() {
-    let (args, _rest) = BenchArgs::from_env();
+    let args = BenchArgs::from_env_strict();
     let specs = standard_graphs(args.full_scale(), args.seed);
     let p_steals: Vec<u32> = if args.full_scale() {
         vec![1, 2, 4, 8, 16, 32, 64, 128]

@@ -80,7 +80,7 @@ fn competitors(threads: usize) -> Vec<(&'static str, SchedulerSpec)> {
 }
 
 fn main() {
-    let (args, _rest) = BenchArgs::from_env();
+    let args = BenchArgs::from_env_strict();
     let specs = standard_graphs(args.full_scale(), args.seed);
     let schedulers = competitors(args.threads);
 

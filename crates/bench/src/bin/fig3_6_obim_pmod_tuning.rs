@@ -13,8 +13,9 @@ fn main() {
     let mut which = "both".to_string();
     let mut it = rest.into_iter();
     while let Some(flag) = it.next() {
-        if flag == "--scheduler" {
-            which = it.next().expect("--scheduler needs obim|pmod|both");
+        match flag.as_str() {
+            "--scheduler" => which = it.next().expect("--scheduler needs obim|pmod|both"),
+            other => panic!("unknown flag '{other}'"),
         }
     }
 

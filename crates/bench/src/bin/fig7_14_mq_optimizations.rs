@@ -37,7 +37,7 @@ fn main() {
         match flag.as_str() {
             "--insert" => insert_side = parse_side(&it.next().expect("--insert needs tl|batch")),
             "--delete" => delete_side = parse_side(&it.next().expect("--delete needs tl|batch")),
-            other => panic!("unknown flag {other}"),
+            other => panic!("unknown flag '{other}'"),
         }
     }
 

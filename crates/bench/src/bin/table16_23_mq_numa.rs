@@ -16,7 +16,7 @@ use smq_core::Probability;
 use smq_multiqueue::{DeletePolicy, InsertPolicy};
 
 fn main() {
-    let (args, _rest) = BenchArgs::from_env();
+    let args = BenchArgs::from_env_strict();
     // Build the simulated topology up front so a `--numa-nodes` value that
     // does not divide `--threads` fails before any graph is generated.
     let topology = args.numa_topology(2);

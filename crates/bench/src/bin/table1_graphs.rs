@@ -37,7 +37,7 @@ fn baseline_tasks(workload: Workload, spec: &GraphSpec, seed: u64) -> u64 {
 }
 
 fn main() {
-    let (args, _rest) = BenchArgs::from_env();
+    let args = BenchArgs::from_env_strict();
     let specs = standard_graphs(args.full_scale(), args.seed);
 
     let mut table = Table::new(

@@ -21,8 +21,9 @@ fn main() {
     let mut queue = "heap".to_string();
     let mut it = rest.into_iter();
     while let Some(flag) = it.next() {
-        if flag == "--queue" {
-            queue = it.next().expect("--queue needs heap|skiplist");
+        match flag.as_str() {
+            "--queue" => queue = it.next().expect("--queue needs heap|skiplist"),
+            other => panic!("unknown flag '{other}'"),
         }
     }
     let mut specs = standard_graphs(args.full_scale(), args.seed);

@@ -10,7 +10,7 @@ use smq_bench::{
 };
 
 fn main() {
-    let (args, _rest) = BenchArgs::from_env();
+    let args = BenchArgs::from_env_strict();
     let specs = standard_graphs(args.full_scale(), args.seed);
     let c_values: Vec<usize> = if args.full_scale() {
         (2..=8).collect()

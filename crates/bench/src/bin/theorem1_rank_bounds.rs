@@ -12,7 +12,7 @@ use smq_core::Probability;
 use smq_rank::{simulate, RankSimConfig};
 
 fn main() {
-    let (args, _rest) = BenchArgs::from_env();
+    let args = BenchArgs::from_env_strict();
     let queue_counts: Vec<usize> = if args.full_scale() {
         vec![4, 8, 16, 32, 64, 128]
     } else {

@@ -92,14 +92,6 @@ pub fn standard_graphs(full_scale: bool, seed: u64) -> Vec<GraphSpec> {
     ]
 }
 
-/// The two road graphs only (A* and MST are evaluated on roads in the paper).
-pub fn road_graphs(full_scale: bool, seed: u64) -> Vec<GraphSpec> {
-    standard_graphs(full_scale, seed)
-        .into_iter()
-        .filter(|s| s.name.contains("USA") || s.name.contains("WEST"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,12 +119,5 @@ mod tests {
             assert!((spec.source as usize) < spec.graph.num_nodes());
             assert!((spec.target as usize) < spec.graph.num_nodes());
         }
-    }
-
-    #[test]
-    fn road_subset_filters_correctly() {
-        let roads = road_graphs(false, 1);
-        assert_eq!(roads.len(), 2);
-        assert!(roads.iter().all(|s| s.graph.has_coordinates()));
     }
 }

@@ -87,26 +87,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Nearest-rank percentile over an already **sorted ascending** slice: the
-/// smallest element such that at least `q·n` elements are ≤ it.
-///
-/// The one audited implementation shared by every bench binary.  The
-/// previous per-binary copy used `((n-1)·q).round()`, whose half-way
-/// rounding made small samples surprising (p50 of two elements picked the
-/// *larger* one).  This version is total and safe on the edge cases that
-/// bit it: `n == 0` returns the default, `n == 1` returns the only
-/// element for every `q`, `q` is clamped to `[0, 1]`, the index is always
-/// in bounds, and the result is monotone non-decreasing in `q`.
-pub fn percentile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
-    if sorted.is_empty() {
-        return T::default();
-    }
-    let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-    // Nearest rank: ⌈q·n⌉ elements must be covered; q = 0 still needs one.
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
 /// Formats a count with thousands separators (task and edge counts).
 pub fn count(x: u64) -> String {
     let digits = x.to_string();
@@ -148,46 +128,6 @@ mod tests {
     fn f2_formats_two_decimals() {
         assert_eq!(f2(1.2345), "1.23");
         assert_eq!(f2(2.0), "2.00");
-    }
-
-    #[test]
-    fn percentile_is_total_on_small_samples() {
-        use std::time::Duration;
-        // Empty: the default, for every q.
-        assert_eq!(percentile::<u64>(&[], 0.99), 0);
-        // n = 1: the only element, for every q (the old impl agreed here,
-        // but only by accident of rounding).
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(percentile(&[7u64], q), 7);
-        }
-        // n = 2: q = 0.99 must stay in bounds and pick the max; q = 0.5
-        // covers exactly one element (nearest rank), so the smaller one.
-        assert_eq!(percentile(&[1u64, 2], 0.99), 2);
-        assert_eq!(percentile(&[1u64, 2], 1.0), 2);
-        assert_eq!(percentile(&[1u64, 2], 0.5), 1);
-        assert_eq!(percentile(&[1u64, 2], 0.0), 1);
-        // Degenerate q is clamped, never out of bounds.
-        assert_eq!(percentile(&[1u64, 2], 1.5), 2);
-        assert_eq!(percentile(&[1u64, 2], -0.5), 1);
-        assert_eq!(percentile(&[1u64, 2], f64::NAN), 1);
-        // Works for Duration, the latency use case.
-        let ms: Vec<Duration> = (1..=4).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&ms, 0.5), Duration::from_millis(2));
-        assert_eq!(percentile(&ms, 0.99), Duration::from_millis(4));
-    }
-
-    #[test]
-    fn percentile_is_monotone_in_q() {
-        let data: Vec<u64> = vec![3, 9, 27, 81, 243];
-        let mut last = 0u64;
-        for step in 0..=100 {
-            let q = f64::from(step) / 100.0;
-            let p = percentile(&data, q);
-            assert!(p >= last, "percentile must be monotone in q (q={q})");
-            last = p;
-        }
-        assert_eq!(percentile(&data, 0.0), 3);
-        assert_eq!(percentile(&data, 1.0), 243);
     }
 
     #[test]

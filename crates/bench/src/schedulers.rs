@@ -24,10 +24,6 @@ use smq_telemetry::{LogHistogram, TelemetryConfig};
 
 use crate::graphs::GraphSpec;
 
-/// Probe interval for the rank-error column: sample every Nth pop so the
-/// estimate stays cheap relative to the work loop.
-const RANK_PROBE_INTERVAL: u64 = 64;
-
 /// Which algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
@@ -289,7 +285,7 @@ where
         scheduler,
         PoolConfig::new(threads)
             .with_batch(batch)
-            .with_telemetry(TelemetryConfig::probe_only(RANK_PROBE_INTERVAL)),
+            .with_telemetry(TelemetryConfig::probe_only()),
     );
     let rank_errors = run
         .result

@@ -1,5 +1,5 @@
-//! Property test: `LogHistogram::quantile` agrees with the audited
-//! nearest-rank [`smq_bench::report::percentile`] within one log-bucket of
+//! Property test: `LogHistogram::quantile` agrees with the exact
+//! nearest-rank percentile of the sorted samples within one log-bucket of
 //! relative error.
 //!
 //! Both sides use the same nearest-rank semantics (`⌈q·n⌉`, clamped), so
@@ -8,8 +8,14 @@
 //! values up to a bucket edge at most `value/32` away.
 
 use proptest::prelude::*;
-use smq_bench::report::percentile;
 use smq_telemetry::LogHistogram;
+
+/// The reference: the smallest element of a non-empty ascending slice such
+/// that at least `q·n` elements are ≤ it (`q` in `[0, 1]`).
+fn percentile(sorted: &[u64], q: f64) -> u64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+}
 
 proptest! {
     #[test]
@@ -24,7 +30,7 @@ proptest! {
         }
         let mut sorted = samples.clone();
         sorted.sort_unstable();
-        let exact: u64 = percentile(&sorted, q);
+        let exact = percentile(&sorted, q);
         let approx = hist.quantile(q);
         assert!(
             approx >= exact,

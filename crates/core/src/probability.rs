@@ -6,15 +6,13 @@
 //! reciprocal `1/k` with `k` a small power of two.  [`Probability`] stores
 //! the denominator and provides a branch-cheap sampling primitive.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::Pcg32;
 
 /// A probability of the form `1/denominator`, with `denominator >= 1`.
 ///
 /// `Probability::new(1)` always fires; `Probability::new(8)` fires with
 /// probability 1/8, matching the paper's `p_steal = 1/8` default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Probability {
     denominator: u32,
 }

@@ -8,10 +8,8 @@
 //! these counters locally (plain `u64`s, no atomics on the hot path) and the
 //! executor merges them after the threads join.
 
-use serde::{Deserialize, Serialize};
-
 /// Operation counters accumulated by one scheduler handle.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct OpStats {
     /// Tasks inserted through this handle.
     pub pushes: u64,

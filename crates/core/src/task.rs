@@ -5,8 +5,6 @@
 //! convention where "`a < b`" means task `a` has **higher** priority than
 //! task `b` (e.g. a smaller tentative distance in Dijkstra's SSSP).
 
-use serde::{Deserialize, Serialize};
-
 /// A value with an integer priority; smaller keys are removed first.
 ///
 /// The schedulers only ever inspect [`Prioritized::priority`], never the
@@ -108,7 +106,7 @@ impl HasKey for (u32, u32) {
 /// a `(priority key, payload)` pair that fits in 16 bytes and is `Copy`,
 /// which lets the lock-free stealing buffers publish tasks with plain loads
 /// and stores (validated by an epoch check, see `smq-scheduler`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Task {
     /// The priority key.  Lower keys are removed first.
     pub key: u64,

@@ -6,11 +6,10 @@
 //! the paper's graphs (≤ 50 M vertices, weights in `[0, 255]` or road
 //! lengths) while keeping an edge at 8 bytes.
 
-use serde::{Deserialize, Serialize};
 use smq_core::prefetch_read;
 
 /// A directed edge used while building a graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Source vertex.
     pub from: u32,
@@ -111,7 +110,7 @@ impl GraphBuilder {
 }
 
 /// An immutable directed graph in CSR form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v+1]` indexes `targets`/`weights` for vertex `v`.
     offsets: Vec<u64>,

@@ -260,11 +260,6 @@ impl PoolConfig {
         self.faults = Some(faults);
         self
     }
-
-    /// Total worker threads across all gangs.
-    pub fn total_threads(&self) -> usize {
-        self.gangs * self.gang_size
-    }
 }
 
 /// One job executable on a [`WorkerPool`]: the object-safe core of

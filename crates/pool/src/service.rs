@@ -11,8 +11,8 @@
 //! exact start order is only guaranteed on a single-gang pool.  Every
 //! submission returns a [`JobTicket`] the client can block on; completion
 //! carries the job's output plus the measured queue wait and service time,
-//! which is what the `service_throughput` benchmark reports as p50/p99 job
-//! latency.
+//! which is what the repo benchmark's route workloads report as
+//! `pool.queue_wait_us_*` and `pool.service_time_us_*`.
 //!
 //! Back-pressure: `submit` blocks while the queue is full;
 //! [`try_submit`](JobService::try_submit) fails fast instead (the

@@ -19,12 +19,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use smq_core::rng::Pcg32;
 use smq_core::Probability;
 
 /// Parameters of the analytical-model simulation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RankSimConfig {
     /// Number of queues / threads `n`.
     pub queues: usize,
@@ -75,7 +74,7 @@ impl RankSimConfig {
 }
 
 /// Empirical rank statistics produced by [`simulate`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RankSimResult {
     /// Average, over all delete steps, of the rank of the removed element
     /// among all elements still present (rank 0 = global minimum).

@@ -2,12 +2,11 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use smq_core::OpStats;
 use smq_telemetry::TelemetryReport;
 
 /// Everything measured during one parallel run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunMetrics {
     /// Wall-clock time of the work loop (initial task distribution included,
     /// thread spawn/join excluded as far as possible).
@@ -50,16 +49,6 @@ impl RunMetrics {
         }
     }
 
-    /// Work increase relative to a baseline task count (the paper's "work
-    /// increase" column: executed tasks divided by the minimum necessary).
-    pub fn work_increase_over(&self, baseline_tasks: u64) -> f64 {
-        if baseline_tasks == 0 {
-            1.0
-        } else {
-            self.tasks_executed as f64 / baseline_tasks as f64
-        }
-    }
-
     /// The combined NUMA locality ratio observed during the run (the
     /// paper's `E_int`: in-node samples and steals over all classified
     /// events), if any were classified.
@@ -91,11 +80,9 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_work_increase() {
+    fn speedup_is_baseline_over_elapsed() {
         let m = metrics(250, 1_200);
         assert!((m.speedup_over(Duration::from_millis(1000)) - 4.0).abs() < 1e-9);
-        assert!((m.work_increase_over(1_000) - 1.2).abs() < 1e-9);
-        assert_eq!(m.work_increase_over(0), 1.0);
     }
 
     #[test]

@@ -161,24 +161,10 @@ impl WeightedQueueSampler {
         Self::new(topology, queues_per_thread, 1)
     }
 
-    /// The paper's recommendation: keep the expected fraction of in-node
-    /// accesses constant by letting `K` grow linearly with the thread count
-    /// (`K = threads` by default, clamped to at least 2 nodes' worth).
-    pub fn scaled_k(topology: Topology, queues_per_thread: usize) -> Self {
-        let k = topology.num_threads().max(2) as u32;
-        Self::new(topology, queues_per_thread, k)
-    }
-
     /// Total number of queues.
     #[inline]
     pub fn num_queues(&self) -> usize {
         self.queues_per_thread * self.topology.num_threads()
-    }
-
-    /// The configured NUMA weight `K`.
-    #[inline]
-    pub fn k(&self) -> u32 {
-        self.k
     }
 
     /// Probability that a sample stays on the caller's node (the paper's
@@ -190,13 +176,6 @@ impl WeightedQueueSampler {
         } else {
             self.p_local
         }
-    }
-
-    /// Expected number of in-node queue choices per step summed over all
-    /// threads (the paper's `E` metric; with symmetric nodes this is just
-    /// `T * local_probability`).
-    pub fn expected_internal_ratio(&self) -> f64 {
-        self.local_probability()
     }
 
     /// Samples a queue index for a thread running on `thread_id`.
@@ -417,11 +396,5 @@ mod tests {
             nodes_seen.iter().all(|&b| b),
             "every node should be reachable"
         );
-    }
-
-    #[test]
-    fn scaled_k_tracks_thread_count() {
-        let sampler = WeightedQueueSampler::scaled_k(Topology::uniform(2, 8), 4);
-        assert_eq!(sampler.k(), 16);
     }
 }

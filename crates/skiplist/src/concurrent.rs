@@ -125,6 +125,13 @@ pub struct ConcurrentSkipList<T: Ord + Copy> {
 // raw node pointers never escape the structure, and `T: Copy` values are
 // read only after the epoch/mark protocol has established ownership.
 unsafe impl<T: Ord + Copy + Send> Send for ConcurrentSkipList<T> {}
+// SAFETY: shared access goes through `head`/`next` links, `len`, `seq` and
+// the `marked`/`fully_linked` flags, which are atomics, and through
+// `allocations` and `head_lock`, which are mutexes; a node's `key` and
+// `height` are written before the node is published and never again.  The
+// raw pointers that made the type `!Sync` point at nodes the list owns until
+// `Drop`, which needs `&mut self`.  Threads copy `T` values out of shared
+// nodes, hence `T: Send`.
 unsafe impl<T: Ord + Copy + Send> Sync for ConcurrentSkipList<T> {}
 
 impl<T: Ord + Copy> Default for ConcurrentSkipList<T> {
@@ -190,6 +197,8 @@ impl<T: Ord + Copy> ConcurrentSkipList<T> {
                 let curr_key = unsafe { &(*curr).key };
                 if curr_key < key {
                     pred = curr;
+                    // SAFETY: `curr` is non-null (checked above) and nodes
+                    // are never freed while the list is alive.
                     curr = unsafe { &*curr }.next[level].load(Ordering::Acquire);
                 } else {
                     if curr_key == key {
@@ -368,16 +377,23 @@ impl<T: Ord + Copy> ConcurrentSkipList<T> {
                 if linked && !marked {
                     break;
                 }
+                // SAFETY: `curr` is non-null (checked above) and nodes are
+                // never freed while the list is alive.
                 curr = unsafe { &*curr }.next[0].load(Ordering::Acquire);
             }
             // Try to claim it.
-            // SAFETY: nodes are never freed while the list is alive.
+            // SAFETY: the scan left `curr` on a non-null node, and nodes are
+            // never freed while the list is alive.
             let guard = unsafe { (*curr).lock.lock() };
+            // SAFETY: as above.
             let already_marked = unsafe { (*curr).marked.load(Ordering::Acquire) };
             if already_marked {
                 drop(guard);
                 continue;
             }
+            // SAFETY: `curr` is live (as above) and was seen fully linked;
+            // its lock is held through `guard` and it was unmarked under
+            // that lock, which is `unlink_marked`'s contract.
             unsafe {
                 (*curr).marked.store(true, Ordering::Release);
                 return Some(self.unlink_marked(curr, guard));
@@ -434,9 +450,16 @@ impl<T: Ord + Copy> ConcurrentSkipList<T> {
                     )
                 };
                 if linked && !marked {
+                    // SAFETY: `candidate` is non-null (loop condition) and
+                    // nodes are never freed while the list is alive.
                     let guard = unsafe { (*candidate).lock.lock() };
+                    // SAFETY: as above.
                     let already = unsafe { (*candidate).marked.load(Ordering::Acquire) };
                     if !already {
+                        // SAFETY: `candidate` is live (as above) and was
+                        // seen fully linked; its lock is held through
+                        // `guard` and it was unmarked under that lock, which
+                        // is `unlink_marked`'s contract.
                         unsafe {
                             (*candidate).marked.store(true, Ordering::Release);
                             return Some(self.unlink_marked(candidate, guard));
@@ -444,6 +467,8 @@ impl<T: Ord + Copy> ConcurrentSkipList<T> {
                     }
                     drop(guard);
                 }
+                // SAFETY: `candidate` is non-null (loop condition) and nodes
+                // are never freed while the list is alive.
                 candidate = unsafe { &*candidate }.next[0].load(Ordering::Acquire);
             }
             // Walked off the end: the list may genuinely be empty, or the
@@ -477,6 +502,8 @@ impl<T: Ord + Copy> ConcurrentSkipList<T> {
                     }
                 }
                 prev = Some(curr);
+                // SAFETY: `curr` is non-null (loop condition) and nodes are
+                // never freed while the list is alive.
                 curr = unsafe { &*curr }.next[level].load(Ordering::Acquire);
             }
         }
@@ -499,6 +526,8 @@ impl<T: Ord + Copy> ConcurrentSkipList<T> {
             if linked && !marked {
                 return Some(value);
             }
+            // SAFETY: `curr` is non-null (loop condition) and nodes are
+            // never freed while the list is alive.
             curr = unsafe { &*curr }.next[0].load(Ordering::Acquire);
         }
         None

@@ -14,6 +14,7 @@
 //! the priority convention used throughout the workspace.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod concurrent;
 pub mod sequential;

@@ -6,12 +6,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use crossbeam_utils::CachePadded;
 use smq_core::rng::Pcg32;
-use smq_core::{HasKey, OpStats, Scheduler, SchedulerHandle};
+use smq_core::{HasKey, OpStats, Probability, Scheduler, SchedulerHandle};
 use smq_runtime::{Topology, WeightedQueueSampler};
 
 use crate::config::SmqConfig;
 use crate::local_queue::LocalQueue;
 use crate::stealing_buffer::StealingBuffer;
+
+/// Probability of probing one uniformly random *remote* victim after the
+/// weighted (node-local-preferring) victim loses the snapshot comparison.
+/// Keeps remote batches from being stranded when the caller's node runs dry
+/// while staying off the common path.
+const REMOTE_FALLBACK: Probability = Probability::new(4);
 
 /// One thread's local state: the sequential priority queue (owner-only) and
 /// the stealing buffer (shared).
@@ -240,14 +246,13 @@ where
         }
     }
 
-    /// Rolls the configured remote-fallback die and, when it fires, picks
-    /// one uniformly random victim on a *different* node.  `None` without
-    /// NUMA configuration, on single-node topologies, or when the die says
-    /// stay local.
+    /// Rolls the [`REMOTE_FALLBACK`] die and, when it fires, picks one
+    /// uniformly random victim on a *different* node.  `None` without NUMA
+    /// configuration, on single-node topologies, or when the die says stay
+    /// local.
     fn remote_fallback_victim(&mut self) -> Option<usize> {
-        let numa = self.parent.config.numa.as_ref()?;
-        let topology = &numa.topology;
-        if topology.num_nodes() <= 1 || !numa.remote_fallback.sample(&mut self.rng) {
+        let topology = &self.parent.config.numa.as_ref()?.topology;
+        if topology.num_nodes() <= 1 || !REMOTE_FALLBACK.sample(&mut self.rng) {
             return None;
         }
         let per_node = topology.threads_per_node();
@@ -265,7 +270,7 @@ where
     /// With NUMA-aware sampling the victim choice is weighted towards the
     /// caller's node; when the preferred (local) victim loses the snapshot
     /// comparison, one additional uniformly random *remote* victim is
-    /// probed with the configured fallback probability so in-node work
+    /// probed with probability [`REMOTE_FALLBACK`] so in-node work
     /// imbalances cannot strand remote batches.
     fn try_steal(&mut self) -> Option<T> {
         if self.parent.config.threads == 1 {

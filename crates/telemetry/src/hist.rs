@@ -12,8 +12,6 @@
 //! array.  Per-job telemetry objects therefore cost no allocation, no
 //! zeroing, and no 15 KiB clone on the completion path.
 
-use serde::{Deserialize, Serialize};
-
 /// Sub-bucket resolution: each power-of-two group is split into
 /// `2^SUB_BITS` equal-width buckets.
 pub const SUB_BITS: u32 = 5;
@@ -73,9 +71,9 @@ enum Repr {
 /// Small histograms (≤ [`INLINE_SAMPLES`] samples) never allocate and
 /// report exact quantiles; merging (`merge`) is how per-worker histograms
 /// combine after join without hot-path atomics.
-/// [`quantile`](LogHistogram::quantile) follows the same nearest-rank
-/// semantics as `smq_bench::report::percentile`, so histogram-reported
-/// percentiles replace Vec-sort percentiles without changing meaning.
+/// [`quantile`](LogHistogram::quantile) follows nearest-rank semantics, so
+/// histogram-reported percentiles replace Vec-sort percentiles without
+/// changing meaning.
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
     repr: Repr,
@@ -136,13 +134,6 @@ impl LogHistogram {
             }
         }
         dense
-    }
-
-    /// Records a [`std::time::Duration`] in nanoseconds (saturating on the
-    /// ~584-year overflow).
-    #[inline]
-    pub fn record_duration(&mut self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Adds every sample of `other` into `self` (the lock-free after-join
@@ -215,9 +206,8 @@ impl LogHistogram {
         }
     }
 
-    /// Nearest-rank quantile: the same semantics as
-    /// `smq_bench::report::percentile` (`⌈q·n⌉` covered elements, `q`
-    /// clamped to `[0, 1]`, NaN treated as 0).  Histograms still on the
+    /// Nearest-rank quantile: the smallest sample with `⌈q·n⌉` samples at
+    /// or below it (`q` clamped to `[0, 1]`, NaN treated as 0).  Histograms still on the
     /// inline tier report the exact sample; dense ones report the
     /// containing bucket's upper bound clamped into the exact `[min, max]`
     /// range — so `quantile` never differs from the exact sorted-Vec
@@ -252,70 +242,7 @@ impl LogHistogram {
             }
         }
     }
-
-    /// [`quantile`](Self::quantile) interpreted as nanoseconds.
-    pub fn quantile_duration(&self, q: f64) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.quantile(q))
-    }
-
-    /// The non-empty buckets as `(index, count)` pairs in index order (the
-    /// sparse serialized form).  Inline samples are binned on the fly, so
-    /// both tiers serialize identically.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> {
-        let pairs: Vec<(usize, u64)> = match &self.repr {
-            Repr::Inline(samples, len) => {
-                let mut indices: Vec<usize> =
-                    samples[..*len].iter().map(|&v| bucket_index(v)).collect();
-                indices.sort_unstable();
-                let mut out: Vec<(usize, u64)> = Vec::new();
-                for i in indices {
-                    match out.last_mut() {
-                        Some((j, c)) if *j == i => *c += 1,
-                        _ => out.push((i, 1)),
-                    }
-                }
-                out
-            }
-            Repr::Dense(buckets) => buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c != 0)
-                .map(|(i, &c)| (i, c))
-                .collect(),
-        };
-        pairs.into_iter()
-    }
 }
-
-// The bucket array is serialized sparsely ([[index, count], ...]) — a
-// manual impl because the derive shim has no fixed-size-array support and
-// 1920 mostly-zero entries would bloat every JSONL line.
-impl Serialize for LogHistogram {
-    fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"count\":");
-        self.count.serialize_json(out);
-        out.push_str(",\"sum\":");
-        self.sum.serialize_json(out);
-        out.push_str(",\"min\":");
-        self.min().serialize_json(out);
-        out.push_str(",\"max\":");
-        self.max.serialize_json(out);
-        out.push_str(",\"buckets\":[");
-        for (i, (index, count)) in self.nonzero_buckets().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            index.serialize_json(out);
-            out.push(',');
-            count.serialize_json(out);
-            out.push(']');
-        }
-        out.push_str("]}");
-    }
-}
-
-impl Deserialize for LogHistogram {}
 
 #[cfg(test)]
 mod tests {
@@ -370,7 +297,7 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record(1);
         h.record(2);
-        // Mirrors report::percentile on [1, 2].
+        // Nearest rank on [1, 2]: p50 covers one element, the smaller.
         assert_eq!(h.quantile(0.0), 1);
         assert_eq!(h.quantile(0.5), 1);
         assert_eq!(h.quantile(0.99), 2);
@@ -436,18 +363,5 @@ mod tests {
         inline.merge(&h);
         assert_eq!(inline.count(), n + 2);
         assert_eq!(inline.quantile(0.0), 3);
-    }
-
-    #[test]
-    fn serializes_sparsely() {
-        let mut h = LogHistogram::new();
-        h.record(3);
-        h.record(3);
-        let mut out = String::new();
-        h.serialize_json(&mut out);
-        assert_eq!(
-            out,
-            "{\"count\":2,\"sum\":6,\"min\":3,\"max\":3,\"buckets\":[[3,2]]}"
-        );
     }
 }

@@ -6,19 +6,18 @@
 //!
 //! * [`LogHistogram`] — fixed-size, HDR-style log-bucketed histograms for
 //!   latencies and rank errors: recording is a branch and an increment,
-//!   merging is element-wise addition, and `quantile` follows the same
-//!   nearest-rank semantics as the bench crate's exact percentile within
-//!   one sub-bucket (≈3.1%) of relative error.
-//! * Rank-error probing — every Nth successful pop is compared against the
-//!   scheduler's advisory global-min estimate (published top-key
-//!   snapshots), turning the paper's offline rank-error metric into an
-//!   online per-run distribution.
+//!   merging is element-wise addition, and `quantile` is the nearest-rank
+//!   percentile of the samples within one sub-bucket (≈3.1%) of relative
+//!   error.
+//! * Rank-error probing — every [`RANK_PROBE_INTERVAL`]th successful pop
+//!   of a worker is compared against the scheduler's advisory global-min
+//!   estimate (published top-key snapshots), turning the paper's offline
+//!   rank-error metric into an online per-run distribution.
 //! * Phase accounting — [`WorkerTelemetry`] tags worker-loop time into six
 //!   coarse phases ([`Phase`]) using per-worker plain-`u64` accumulators
 //!   ([`PhaseTimes`]) and, optionally, a bounded event ring for timelines.
-//! * Export — [`MetricsSnapshot`] lines as JSONL
-//!   ([`snapshot::write_jsonl`]) and chrome://tracing timelines
-//!   ([`trace::write_chrome_trace`]), one lane per worker.
+//! * Export — chrome://tracing timelines, one lane per worker
+//!   ([`trace::write_chrome_trace`]).
 //!
 //! Everything is off by default: with [`TelemetryConfig::disabled`] the
 //! worker loop takes no timestamps and makes no extra scheduler calls, so
@@ -30,12 +29,10 @@
 mod config;
 pub mod hist;
 pub mod phase;
-pub mod snapshot;
 pub mod trace;
 mod worker;
 
-pub use config::TelemetryConfig;
+pub use config::{TelemetryConfig, RANK_PROBE_INTERVAL};
 pub use hist::LogHistogram;
 pub use phase::{Phase, PhaseEvent, PhaseTimes};
-pub use snapshot::MetricsSnapshot;
 pub use worker::{TelemetryReport, TraceLane, WorkerReport, WorkerTelemetry};

@@ -4,8 +4,6 @@
 //! [`crate::TelemetryConfig`] that captures timestamped phase transitions
 //! for the chrome-trace export.
 
-use serde::{Deserialize, Serialize};
-
 /// The coarse phases a worker-loop iteration is tagged into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -52,19 +50,11 @@ impl Phase {
     }
 }
 
-impl Serialize for Phase {
-    fn serialize_json(&self, out: &mut String) {
-        self.name().serialize_json(out);
-    }
-}
-
-impl Deserialize for Phase {}
-
 /// Nanoseconds accumulated per phase by one worker (or merged across
 /// workers).  Plain `u64`s: each worker owns its accumulator exclusively
 /// while running and the pieces are summed after join, exactly like
 /// `OpStats`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Nanoseconds spent making pop decisions (without steal work).
     pub pop_ns: u64,
@@ -131,7 +121,7 @@ impl PhaseTimes {
 }
 
 /// One timestamped phase span (nanoseconds since the run/pool origin).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseEvent {
     /// The phase the worker was in.
     pub phase: Phase,

@@ -1,10 +1,10 @@
 //! chrome://tracing export: one timeline lane per worker, phase spans as
-//! complete ("X") events, written behind `--trace <path>`.
+//! complete ("X") events.
 //!
 //! The output is the Trace Event Format's JSON-object form
 //! (`{"traceEvents": [...]}`), loadable in `chrome://tracing` and Perfetto.
 //! Each lane carries a thread-name metadata event so the UI labels rows
-//! with the worker's OS thread name (`smq-pool-n0-g0-w1`-style).
+//! with the worker's OS thread name (`smq-pool-<gang>-<local>`).
 
 use std::io::Write as _;
 use std::path::Path;

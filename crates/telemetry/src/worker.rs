@@ -4,9 +4,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
-use crate::config::TelemetryConfig;
+use crate::config::{TelemetryConfig, RANK_PROBE_INTERVAL};
 use crate::hist::LogHistogram;
 use crate::phase::{EventRing, Phase, PhaseEvent, PhaseTimes};
 
@@ -26,7 +24,7 @@ pub struct WorkerTelemetry {
     timing: bool,
     phases: PhaseTimes,
     ring: EventRing,
-    probe_interval: u64,
+    probing: bool,
     probe_countdown: u64,
     rank_errors: LogHistogram,
     last_steal_ops: u64,
@@ -60,8 +58,8 @@ impl WorkerTelemetry {
             timing: config.phase_timing,
             phases: PhaseTimes::default(),
             ring: EventRing::new(config.event_ring_capacity),
-            probe_interval: config.rank_probe_interval,
-            probe_countdown: config.rank_probe_interval,
+            probing: config.rank_probe,
+            probe_countdown: RANK_PROBE_INTERVAL,
             rank_errors: LogHistogram::new(),
             last_steal_ops: 0,
         };
@@ -134,16 +132,16 @@ impl WorkerTelemetry {
         moved
     }
 
-    /// Counts one successful pop against the rank-probe interval; `true`
+    /// Counts one successful pop against [`RANK_PROBE_INTERVAL`]; `true`
     /// when this pop should be sampled.
     #[inline]
     pub fn probe_due(&mut self) -> bool {
-        if self.probe_interval == 0 {
+        if !self.probing {
             return false;
         }
         self.probe_countdown -= 1;
         if self.probe_countdown == 0 {
-            self.probe_countdown = self.probe_interval;
+            self.probe_countdown = RANK_PROBE_INTERVAL;
             true
         } else {
             false
@@ -205,9 +203,9 @@ fn ns_since(origin: Instant, t: Instant) -> u64 {
 }
 
 /// One worker's timeline for the chrome-trace export.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceLane {
-    /// Lane label — the worker's OS thread name (`smq-pool-n0-g0-w1`-style).
+    /// Lane label — the worker's OS thread name (`smq-pool-<gang>-<local>`).
     pub name: String,
     /// Events overwritten because the worker's ring was full.
     pub dropped: u64,
@@ -229,7 +227,7 @@ pub struct WorkerReport {
 /// The merged per-run (or per-job) instrumentation result carried inside
 /// `RunMetrics`: phase times summed across workers, rank-error histograms
 /// merged, one trace lane per worker that retained events.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TelemetryReport {
     /// Phase nanoseconds summed over all workers.
     pub phases: PhaseTimes,
@@ -359,14 +357,14 @@ mod tests {
     #[test]
     fn probe_samples_every_nth_pop() {
         let mut t = WorkerTelemetry::begin(
-            &TelemetryConfig::probe_only(3),
+            &TelemetryConfig::probe_only(),
             "w0".into(),
             Instant::now(),
             None,
         )
         .expect("probe on");
         let mut sampled = 0;
-        for _ in 0..9 {
+        for _ in 0..3 * RANK_PROBE_INTERVAL {
             if t.probe_due() {
                 sampled += 1;
                 t.record_rank_error(10, Some(4));
@@ -381,7 +379,7 @@ mod tests {
     #[test]
     fn rank_error_saturates_and_skips_unknown() {
         let mut t = WorkerTelemetry::begin(
-            &TelemetryConfig::probe_only(1),
+            &TelemetryConfig::probe_only(),
             "w0".into(),
             Instant::now(),
             None,

@@ -10,8 +10,10 @@
 //!   its threads exactly once (the acceptance criterion's "zero thread
 //!   respawns", asserted via `PoolStats::threads_spawned`);
 //! * **The service front door behaves** — FIFO admission from many client
-//!   threads, correct results under concurrency, graceful drain on
-//!   shutdown;
+//!   threads, correct results under concurrency on every scheduler family,
+//!   graceful drain on shutdown;
+//! * **Queries are snapshot-isolated** — over a `LiveGraph` with a
+//!   concurrent updater, every answer is exact on the version it pinned;
 //! * **Gangs are invisible except for speed** — N jobs submitted across C
 //!   client threads onto G gangs produce exactly the answers of N
 //!   sequential runs, with `submitted == completed` and per-job (hence
@@ -25,7 +27,7 @@
 mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use common::hang_guard;
 use proptest::prelude::*;
@@ -34,13 +36,14 @@ use smq_repro::algos::cc::CcWorkload;
 use smq_repro::algos::kcore::KCoreWorkload;
 use smq_repro::algos::sssp::SsspWorkload;
 use smq_repro::algos::{astar, engine, RouteQueryEngine};
-use smq_repro::core::Task;
+use smq_repro::core::{Scheduler, Task};
 use smq_repro::graph::generators::{road_network, uniform_random, RoadNetworkParams};
+use smq_repro::graph::{GraphUpdate, LiveGraph};
 use smq_repro::multiqueue::{MultiQueue, MultiQueueConfig};
 use smq_repro::obim::{Obim, ObimConfig};
 use smq_repro::pool::{JobError, JobService, PoolConfig, PoolJob, ServiceConfig, WorkerPool};
 use smq_repro::runtime::Scratch;
-use smq_repro::smq::{HeapSmq, SmqConfig};
+use smq_repro::smq::{HeapSmq, SkipListSmq, SmqConfig};
 
 fn smq_pool(threads: usize, seed: u64) -> WorkerPool {
     WorkerPool::new(
@@ -252,10 +255,19 @@ fn pooled_queries_match_one_shot_parallel_astar() {
     }
 }
 
-/// Service-level FIFO + concurrency: many clients, every job completes
-/// with a correct result, stats reconcile, graceful shutdown drains.
-#[test]
-fn job_service_serves_concurrent_clients_correctly() {
+/// One case of `job_service_serves_concurrent_clients_correctly`: three
+/// clients push 120 route queries through a `JobService` over `gangs`
+/// gangs of `gang_size` workers, each gang on its own `make(gang_size,
+/// gang)` scheduler.
+fn serve_concurrent_clients<S>(
+    family: &str,
+    gangs: usize,
+    gang_size: usize,
+    make: impl Fn(usize, u64) -> S + Send + Sync + 'static,
+) where
+    S: Scheduler<Task> + Send + Sync + 'static,
+{
+    let case = format!("{family} on {gangs} x {gang_size}");
     let graph = Arc::new(road_network(RoadNetworkParams {
         width: 12,
         height: 12,
@@ -263,11 +275,11 @@ fn job_service_serves_concurrent_clients_correctly() {
         seed: 21,
     }));
     let n = graph.num_nodes() as u32;
-    let engine = Arc::new(RouteQueryEngine::new(Arc::clone(&graph)));
+    let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), gangs));
     let service = Arc::new(JobService::new(
-        WorkerPool::new(
-            MultiQueue::<Task>::new(MultiQueueConfig::classic(2).with_seed(8)),
-            PoolConfig::new(2),
+        WorkerPool::new_partitioned(
+            move |g| make(gang_size, g as u64),
+            PoolConfig::partitioned(gangs, gang_size),
         ),
         ServiceConfig { queue_capacity: 8 },
     ));
@@ -277,6 +289,7 @@ fn job_service_serves_concurrent_clients_correctly() {
             let service = Arc::clone(&service);
             let engine = Arc::clone(&engine);
             let graph = Arc::clone(&graph);
+            let case = &case;
             scope.spawn(move || {
                 for i in 0..40u32 {
                     let source = (client * 47 + i * 7) % n;
@@ -287,7 +300,10 @@ fn job_service_serves_concurrent_clients_correctly() {
                         .expect("open service accepts jobs");
                     let done = ticket.wait().expect("query job completed");
                     let (expected, _) = astar::sequential(&graph, source, target);
-                    assert_eq!(done.output.distance, expected);
+                    assert_eq!(
+                        done.output.distance, expected,
+                        "{case}: query {source}->{target}"
+                    );
                 }
             });
         }
@@ -296,10 +312,148 @@ fn job_service_serves_concurrent_clients_correctly() {
     let service = Arc::into_inner(service).expect("clients joined");
     let pool_stats = service.pool_stats();
     let stats = service.shutdown();
-    assert_eq!(stats.submitted, 120);
-    assert_eq!(stats.completed, 120);
-    assert_eq!(pool_stats.jobs_completed, 120);
-    assert_eq!(pool_stats.threads_spawned, 2);
+    assert_eq!(stats.submitted, 120, "{case}");
+    assert_eq!(stats.completed, 120, "{case}");
+    assert_eq!(stats.failed, 0, "{case}");
+    assert_eq!(pool_stats.jobs_completed, 120, "{case}");
+    assert_eq!(
+        pool_stats.threads_spawned,
+        (gangs * gang_size) as u64,
+        "{case}: workers are parked between jobs, never respawned"
+    );
+}
+
+/// Service-level FIFO + concurrency: many clients, every job completes
+/// with a correct result, stats reconcile, graceful shutdown drains — for
+/// every scheduler family, as one two-worker gang and as two one-worker
+/// gangs.
+#[test]
+fn job_service_serves_concurrent_clients_correctly() {
+    hang_guard(|| {
+        for (gangs, gang_size) in [(1, 2), (2, 1)] {
+            serve_concurrent_clients("HeapSmq", gangs, gang_size, |size, g| {
+                HeapSmq::<Task>::new(SmqConfig::default_for_threads(size).with_seed(8 + g))
+            });
+            serve_concurrent_clients("SkipListSmq", gangs, gang_size, |size, g| {
+                SkipListSmq::<Task>::new(SmqConfig::default_for_threads(size).with_seed(8 + g))
+            });
+            serve_concurrent_clients("MultiQueue", gangs, gang_size, |size, g| {
+                MultiQueue::<Task>::new(MultiQueueConfig::classic(size).with_seed(8 + g))
+            });
+            serve_concurrent_clients("OBIM", gangs, gang_size, |size, _| {
+                Obim::<Task>::new(ObimConfig::obim(size, 10, 32))
+            });
+            serve_concurrent_clients("PMOD", gangs, gang_size, |size, _| {
+                Obim::<Task>::new(ObimConfig::pmod(size, 10, 32))
+            });
+        }
+    });
+}
+
+/// One mode of `pinned_queries_stay_exact_beside_a_live_updater`: two
+/// clients push 80 `query_pinned` jobs through a `JobService` over a
+/// `LiveGraph`, beside an updater thread when `updating`.  Returns the
+/// newest version any answer was served from and the head version at the
+/// end.
+fn serve_pinned_queries(updating: bool) -> (u64, u64) {
+    let base = Arc::new(road_network(RoadNetworkParams {
+        width: 12,
+        height: 12,
+        removal_percent: 10,
+        seed: 33,
+    }));
+    let n = base.num_nodes() as u32;
+    let live = Arc::new(LiveGraph::new(Arc::clone(&base)));
+    let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&live), 2));
+    let service = Arc::new(JobService::new(
+        smq_gang_pool(2, 1, 33),
+        ServiceConfig { queue_capacity: 8 },
+    ));
+    let clients = 2u32;
+    // The updater publishes once before it lets the clients start, so a
+    // version past the first is pinned on any interleaving.
+    let first_publish = Barrier::new(clients as usize + usize::from(updating));
+    let stop = AtomicBool::new(false);
+
+    let newest_served = std::thread::scope(|scope| {
+        if updating {
+            scope.spawn(|| {
+                for round in 0u64.. {
+                    // Always scaled up from the *base* weights, so the A*
+                    // heuristic stays admissible on every published version.
+                    live.publish(&GraphUpdate::random_slowdowns(&*base, 16, round, 8));
+                    if round == 0 {
+                        first_publish.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            });
+        }
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                let (service, engine) = (Arc::clone(&service), Arc::clone(&engine));
+                let first_publish = &first_publish;
+                scope.spawn(move || {
+                    first_publish.wait();
+                    let mut newest = 0u64;
+                    for i in 0..40u32 {
+                        let source = (client * 53 + i * 13) % n;
+                        let target = (client * 29 + i * 17 + 1) % n;
+                        let engine = Arc::clone(&engine);
+                        let ticket = service
+                            .submit(move |pool| engine.query_pinned(source, target, pool))
+                            .expect("open service accepts jobs");
+                        let done = ticket.wait().expect("query job completed");
+                        let (answer, view) = &done.output;
+                        let (expected, _) = astar::sequential(view, source, target);
+                        assert_eq!(
+                            answer.distance,
+                            expected,
+                            "query {source}->{target} diverged from sequential A* on its \
+                             pinned snapshot (version {})",
+                            view.version()
+                        );
+                        assert_eq!(answer.version, view.version());
+                        newest = newest.max(answer.version);
+                    }
+                    newest
+                })
+            })
+            .collect();
+        // Stop the updater before a failed client's panic is re-raised, or
+        // the scope would wait on it forever.
+        let served: Vec<_> = handles.into_iter().map(|client| client.join()).collect();
+        stop.store(true, Ordering::Relaxed);
+        served
+            .into_iter()
+            .map(|newest| newest.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .max()
+            .expect("at least one client")
+    });
+
+    let stats = Arc::into_inner(service).expect("clients joined").shutdown();
+    assert_eq!(stats.completed, 80);
+    assert_eq!(stats.failed, 0, "no query job may be lost");
+    (newest_served, live.current_version())
+}
+
+/// Snapshot isolation through the service: clients submit `query_pinned`
+/// over a `LiveGraph` while an updater publishes road slowdowns.  Every
+/// answer must equal sequential A* on the snapshot the query pinned — not
+/// on the moving head — and carry that snapshot's version; with the
+/// updater running some answer comes from a version past the first, and
+/// without it every answer comes from version 1.
+#[test]
+fn pinned_queries_stay_exact_beside_a_live_updater() {
+    hang_guard(|| {
+        let (newest_served, head) = serve_pinned_queries(true);
+        assert!(newest_served > 1, "no query saw a published update");
+        assert!(head >= newest_served);
+        assert_eq!(serve_pinned_queries(false), (1, 1), "nothing was published");
+    });
 }
 
 proptest! {
