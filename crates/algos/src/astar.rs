@@ -19,7 +19,7 @@ use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::workload::AlgoResult;
+use crate::AlgoResult;
 
 /// Result of an A* run.
 #[derive(Debug, Clone)]

@@ -12,7 +12,7 @@ use smq_graph::GraphView;
 
 use crate::engine;
 use crate::sssp::{self, SsspWorkload};
-use crate::workload::AlgoResult;
+use crate::AlgoResult;
 
 /// Hop counts plus run accounting from a parallel BFS execution.
 #[derive(Debug, Clone)]

@@ -28,7 +28,7 @@ use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
 use crate::kcore::reverse_adjacency;
-use crate::workload::AlgoResult;
+use crate::AlgoResult;
 
 /// Labels plus run accounting from a parallel CC execution.
 #[derive(Debug, Clone)]

@@ -7,8 +7,8 @@
 //! progress (*wasted*), update some shared monotone state, and push
 //! follow-up tasks.  [`DecreaseKeyWorkload`] captures exactly that contract
 //! and [`run_parallel`] is the one parallel driver, so the useful/wasted
-//! accounting, the executor invocation, and the [`AlgoResult`] assembly
-//! exist once instead of once per algorithm.
+//! accounting and the pool invocation (whose per-job report is the run's
+//! [`AlgoResult`]) exist once instead of once per algorithm.
 //!
 //! The shared state of these workloads is monotone (distances only
 //! decrease, residuals drain, h-values fall, components merge), which is
@@ -31,7 +31,7 @@ use smq_core::{Scheduler, Task};
 use smq_pool::{PoolConfig, PoolJob, WorkerPool};
 use smq_runtime::Scratch;
 
-use crate::workload::AlgoResult;
+use crate::AlgoResult;
 
 /// What processing one task accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,21 +152,12 @@ pub fn run_on_pool<W>(workload: &W, pool: &WorkerPool) -> EngineRun<W::Output>
 where
     W: DecreaseKeyWorkload,
 {
-    finish(
-        workload,
-        pool.run_job(&WorkloadJob(workload))
-            .expect("engine workload ran on the pool"),
-    )
-}
-
-fn finish<W: DecreaseKeyWorkload>(workload: &W, out: smq_pool::JobOutput) -> EngineRun<W::Output> {
+    let result = pool
+        .run_job(&WorkloadJob(workload))
+        .expect("engine workload ran on the pool");
     EngineRun {
         output: workload.output(),
-        result: AlgoResult {
-            metrics: out.metrics,
-            useful_tasks: out.useful_tasks,
-            wasted_tasks: out.wasted_tasks,
-        },
+        result,
     }
 }
 

@@ -29,7 +29,7 @@ use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::workload::AlgoResult;
+use crate::AlgoResult;
 
 /// Core numbers plus run accounting from a parallel k-core execution.
 #[derive(Debug, Clone)]

@@ -53,11 +53,13 @@ pub mod mst;
 pub mod pagerank;
 pub mod query;
 pub mod sssp;
-pub mod workload;
 
 pub use engine::{
     run_on_pool, run_parallel, DecreaseKeyWorkload, EngineRun, SequentialReference, TaskOutcome,
 };
 pub use incremental::IncrementalSsspWorkload;
 pub use query::{RouteAnswer, RouteQueryEngine};
-pub use workload::AlgoResult;
+/// Accounting attached to every parallel algorithm run: the pool's per-job
+/// report (metrics plus the useful / wasted task counts behind the paper's
+/// work-increase metric).
+pub use smq_pool::JobOutput as AlgoResult;

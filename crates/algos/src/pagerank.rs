@@ -33,7 +33,7 @@ use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::workload::AlgoResult;
+use crate::AlgoResult;
 
 /// Tuning knobs of a PageRank-delta run.
 #[derive(Debug, Clone, Copy)]

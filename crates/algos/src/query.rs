@@ -71,7 +71,7 @@ use smq_runtime::Scratch;
 
 use crate::astar::heuristic;
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::workload::AlgoResult;
+use crate::AlgoResult;
 
 /// Low bits of a slot hold the tentative distance.
 const DIST_BITS: u32 = 40;

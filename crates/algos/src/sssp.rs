@@ -18,7 +18,7 @@ use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::workload::AlgoResult;
+use crate::AlgoResult;
 
 /// Distances plus run accounting from a parallel SSSP execution.
 #[derive(Debug, Clone)]

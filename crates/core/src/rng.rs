@@ -79,39 +79,12 @@ impl Pcg32 {
         ((u64::from(self.next_u32()) * bound as u64) >> 32) as usize
     }
 
-    /// Returns two *distinct* uniformly distributed indices in `[0, bound)`.
-    ///
-    /// This is the classic Multi-Queue `delete()` sampling step (pick two
-    /// different queues).  Requires `bound >= 2`.
-    #[inline]
-    pub fn next_two_distinct(&mut self, bound: usize) -> (usize, usize) {
-        debug_assert!(bound >= 2, "need at least two choices");
-        let a = self.next_bounded(bound);
-        // Draw from the remaining bound-1 slots and skip over `a`.
-        let mut b = self.next_bounded(bound - 1);
-        if b >= a {
-            b += 1;
-        }
-        (a, b)
-    }
-
     /// Returns a uniformly distributed `f64` in `[0, 1)`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 random bits scaled into [0, 1).
         let bits = self.next_u64() >> 11;
         bits as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Samples an exponential random variable with the given mean.
-    ///
-    /// Used by the rank-cost simulator's continuous balls-into-bins coupling
-    /// (Section 3 of the paper), where label gaps are `Exp(pi_i)`.
-    #[inline]
-    pub fn next_exponential(&mut self, mean: f64) -> f64 {
-        // Inverse CDF; guard against ln(0).
-        let u = 1.0 - self.next_f64();
-        -mean * u.ln()
     }
 }
 
@@ -158,28 +131,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn two_distinct_are_distinct_and_uniformish() {
-        let mut rng = Pcg32::new(5);
-        let bound = 5usize;
-        let mut counts = [[0u32; 5]; 5];
-        for _ in 0..50_000 {
-            let (a, b) = rng.next_two_distinct(bound);
-            assert_ne!(a, b);
-            assert!(a < bound && b < bound);
-            counts[a][b] += 1;
-        }
-        // Every ordered pair (a, b), a != b, should be hit.
-        for a in 0..bound {
-            for b in 0..bound {
-                if a != b {
-                    assert!(counts[a][b] > 0, "pair ({a},{b}) never sampled");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn f64_in_unit_interval() {
         let mut rng = Pcg32::new(11);
         let mut sum = 0.0;
@@ -191,18 +142,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean} too far from 0.5");
-    }
-
-    #[test]
-    fn exponential_has_requested_mean() {
-        let mut rng = Pcg32::new(21);
-        let n = 200_000;
-        let mean_param = 3.0;
-        let sum: f64 = (0..n).map(|_| rng.next_exponential(mean_param)).sum();
-        let mean = sum / n as f64;
-        assert!(
-            (mean - mean_param).abs() < 0.05,
-            "empirical mean {mean} too far from {mean_param}"
-        );
     }
 }

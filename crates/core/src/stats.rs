@@ -172,22 +172,6 @@ impl OpStats {
         }
     }
 
-    /// Alias for [`locality_rate`](Self::locality_rate), kept under the
-    /// name the bench tables historically printed as `In-node`.
-    pub fn node_locality(&self) -> Option<f64> {
-        self.locality_rate()
-    }
-
-    /// Fraction of steal attempts that succeeded, or `None` if no steals were
-    /// attempted.
-    pub fn steal_success_rate(&self) -> Option<f64> {
-        if self.steal_attempts == 0 {
-            None
-        } else {
-            Some(self.steal_successes as f64 / self.steal_attempts as f64)
-        }
-    }
-
     /// Of the claims thieves actually committed to (snapshot said the
     /// victim was better), the fraction that came back empty-handed —
     /// `None` when no claim was ever committed to.  High values mean
@@ -340,22 +324,16 @@ mod tests {
         assert_eq!(s.sample_locality_rate(), None);
         assert_eq!(s.steal_locality_rate(), None);
         assert_eq!(s.locality_rate(), None);
-        assert_eq!(s.node_locality(), None);
-        assert_eq!(s.steal_success_rate(), None);
         s.local_samples = 3;
         s.remote_samples = 1;
-        s.steal_attempts = 10;
-        s.steal_successes = 4;
         assert_eq!(s.sample_locality_rate(), Some(0.75));
         assert_eq!(s.steal_locality_rate(), None, "nothing classified stolen");
         assert_eq!(s.locality_rate(), Some(0.75));
-        assert_eq!(s.steal_success_rate(), Some(0.4));
         // Steal classification folds into the combined E_int rate.
         s.local_steals = 3;
         s.remote_steals = 1;
         assert_eq!(s.steal_locality_rate(), Some(0.75));
         assert_eq!(s.locality_rate(), Some(0.75));
-        assert_eq!(s.node_locality(), s.locality_rate());
     }
 
     #[test]

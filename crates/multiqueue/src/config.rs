@@ -51,8 +51,6 @@ pub struct MultiQueueConfig {
     /// Queue multiplicity `C`: the scheduler owns `C·T` queues (the paper
     /// sweeps `C` in `[2, 8]`, default 4).
     pub c_factor: usize,
-    /// Arity of the per-queue sequential heaps.
-    pub heap_arity: usize,
     /// Insert-side policy.
     pub insert: InsertPolicy,
     /// Delete-side policy.
@@ -70,7 +68,6 @@ impl MultiQueueConfig {
         Self {
             threads,
             c_factor: 4,
-            heap_arity: 4,
             insert: InsertPolicy::Direct,
             delete: DeletePolicy::TwoChoice,
             numa: None,
@@ -102,15 +99,6 @@ impl MultiQueueConfig {
         self
     }
 
-    /// Enables NUMA-aware sampling with the paper's recommended scaling:
-    /// `K` grows linearly with the thread count (`K = T`, clamped to at
-    /// least 2) so the expected in-node access fraction stays constant as
-    /// the fleet grows.
-    pub fn with_numa_scaled(self, topology: Topology) -> Self {
-        let k = topology.num_threads().max(2) as u32;
-        self.with_numa(topology, k)
-    }
-
     /// Sets the PRNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -130,7 +118,6 @@ impl MultiQueueConfig {
             self.num_queues() >= 2,
             "two-choice sampling needs at least two queues"
         );
-        assert!(self.heap_arity >= 2, "heap arity must be >= 2");
         if let InsertPolicy::Batching(b) = self.insert {
             assert!(b >= 1, "insert batch size must be >= 1");
         }
@@ -174,18 +161,6 @@ mod tests {
         assert_eq!(cfg.num_queues(), 8);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.numa.as_ref().unwrap().k, 64);
-    }
-
-    #[test]
-    fn scaled_numa_tracks_thread_count() {
-        let cfg = MultiQueueConfig::classic(8).with_numa_scaled(Topology::split(8, 2));
-        cfg.validate();
-        assert_eq!(cfg.numa.as_ref().unwrap().k, 8);
-        // Tiny fleets still get a meaningful remote penalty.
-        let tiny = MultiQueueConfig::classic(1)
-            .with_c_factor(2)
-            .with_numa_scaled(Topology::single_node(1));
-        assert_eq!(tiny.numa.as_ref().unwrap().k, 2);
     }
 
     #[test]

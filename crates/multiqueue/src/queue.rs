@@ -31,6 +31,10 @@ use crate::config::{DeletePolicy, InsertPolicy, MultiQueueConfig};
 /// threads than queues, every queue held) cannot livelock the push path.
 const TRY_LOCK_RETRY_CAP: u32 = 16;
 
+/// Arity of the per-queue sequential heaps (the SMQ default; no figure
+/// sweeps it for the Multi-Queue).
+const HEAP_ARITY: usize = 4;
+
 /// Native `push_batch` runs larger than this are halved across *two*
 /// independently sampled sub-queues instead of dumped into one, keeping
 /// per-queue key distributions balanced under big batches while still
@@ -137,7 +141,7 @@ impl<T: Ord + HasKey> MultiQueue<T> {
     pub fn new(config: MultiQueueConfig) -> Self {
         config.validate();
         let queues = (0..config.num_queues())
-            .map(|_| SubQueue::new(config.heap_arity))
+            .map(|_| SubQueue::new(HEAP_ARITY))
             .collect();
         let sampler = match &config.numa {
             Some(numa) => WeightedQueueSampler::new(numa.topology.clone(), config.c_factor, numa.k),
@@ -234,14 +238,9 @@ impl<'a, T: Ord + HasKey> MultiQueueHandle<'a, T> {
         q
     }
 
-    /// Samples two distinct queue indices.  Callers must only invoke this
-    /// when at least two queues exist (single-queue configurations degrade
-    /// to [`Self::pop_single`] instead, which cannot spin forever).
+    /// Samples two distinct queue indices.  Terminates because
+    /// `MultiQueueConfig::validate` guarantees at least two queues.
     fn sample_two_distinct(&mut self) -> (usize, usize) {
-        debug_assert!(
-            self.parent.num_queues() >= 2,
-            "two-choice sampling requires at least two queues"
-        );
         let a = self.sample_queue();
         loop {
             let b = self.sample_queue();
@@ -324,9 +323,6 @@ impl<'a, T: Ord + HasKey> MultiQueueHandle<'a, T> {
     /// under the lock, and fall back to the second lock on staleness.
     fn pop_two_choice(&mut self, batch: usize) -> Option<T> {
         let parent = self.parent;
-        if parent.num_queues() < 2 {
-            return self.pop_single(batch);
-        }
         loop {
             let (q1, q2) = self.sample_two_distinct();
             let k1 = parent.queues[q1].top_key();
@@ -339,7 +335,7 @@ impl<'a, T: Ord + HasKey> MultiQueueHandle<'a, T> {
                 return None;
             }
             let (winner, loser) = if k1 <= k2 { (q1, q2) } else { (q2, q1) };
-            let guard = match parent.queues[winner].try_lock() {
+            let mut guard = match parent.queues[winner].try_lock() {
                 Some(g) => g,
                 None => {
                     self.stats.contention_retries += 1;
@@ -362,7 +358,7 @@ impl<'a, T: Ord + HasKey> MultiQueueHandle<'a, T> {
                 // per-task delete quality — extracting the winner's run
                 // unconditionally was measurably worse on small frontiers,
                 // where one queue's run is a big slice of the open set.
-                return self.extract_batch_from(guard, batch, loser_key);
+                return self.extract_batch(&mut guard, batch, loser_key);
             }
             // Stale snapshot: the winner emptied or degraded.  Fall back to
             // the classic both-locked comparison so the delete still returns
@@ -387,25 +383,6 @@ impl<'a, T: Ord + HasKey> MultiQueueHandle<'a, T> {
                 }
             }
         }
-    }
-
-    /// Degraded delete for configurations with a single queue: lock it and
-    /// extract directly (there is nothing to compare against, so the batch
-    /// is unbounded).
-    fn pop_single(&mut self, batch: usize) -> Option<T> {
-        let mut guard = self.parent.queues[0].lock();
-        self.stats.locks_acquired += 1;
-        self.extract_batch(&mut guard, batch, u64::MAX)
-    }
-
-    /// Extracts a batch from an already locked queue, consuming the guard.
-    fn extract_batch_from(
-        &mut self,
-        mut guard: SubQueueGuard<'_, T>,
-        batch: usize,
-        bound: u64,
-    ) -> Option<T> {
-        self.extract_batch(&mut guard, batch, bound)
     }
 
     /// Given both locked queues, picks the one whose top task has higher
@@ -480,10 +457,6 @@ impl<'a, T: Ord + HasKey> MultiQueueHandle<'a, T> {
         }
         // Select a new current queue with the snapshot-guided two-choice
         // rule and remember which queue the task came from.
-        if self.parent.num_queues() < 2 {
-            self.tl_delete_queue = Some(0);
-            return self.pop_single(1);
-        }
         loop {
             let (q1, q2) = self.sample_two_distinct();
             let k1 = self.parent.queues[q1].top_key();
@@ -592,7 +565,7 @@ impl<T: Ord + HasKey + Send> SchedulerHandle<T> for MultiQueueHandle<'_, T> {
             // exactly what `InsertPolicy::Batching` already does on its
             // own flush boundary.
             InsertPolicy::Direct => {
-                if tasks.len() > BATCH_SPLIT && self.parent.num_queues() >= 2 {
+                if tasks.len() > BATCH_SPLIT {
                     let mut tail = tasks.split_off(tasks.len() / 2);
                     self.push_run_direct(tasks);
                     self.push_run_direct(&mut tail);
@@ -733,6 +706,9 @@ mod tests {
     #[test]
     fn classic_conserves_elements() {
         conserves_elements(MultiQueueConfig::classic(2));
+        // The smallest configuration `validate` admits: two queues, so the
+        // two-choice sample is always the same pair.
+        conserves_elements(MultiQueueConfig::classic(1).with_c_factor(2));
     }
 
     #[test]

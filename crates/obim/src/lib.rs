@@ -165,11 +165,6 @@ impl<T: Prioritized + Send> Obim<T> {
         self.delta_shift.load(Ordering::Relaxed)
     }
 
-    /// Number of buckets that currently exist (including empty ones).
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.read().len()
-    }
-
     /// Total number of queued tasks (exact only when quiescent).
     pub fn len(&self) -> usize {
         self.buckets

@@ -118,7 +118,7 @@ use std::time::Instant;
 use smq_core::{OpStats, Scheduler, SchedulerHandle, Task};
 use smq_runtime::executor::{worker_loop, LoopControl, DEFAULT_BATCH_SIZE};
 use smq_runtime::{RunMetrics, Scratch, TerminationDetector};
-use smq_telemetry::{TelemetryConfig, TelemetryReport, WorkerReport, WorkerTelemetry};
+use smq_telemetry::{TelemetryConfig, TelemetryReport, WorkerTelemetry};
 
 /// Why a pool job produced no output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,7 +201,7 @@ pub struct PoolConfig {
     /// [`with_batch`](Self::with_batch)).
     pub batch_size: usize,
     /// Opt-in instrumentation for every worker (phase accounting,
-    /// rank-error probing, event rings).  Disabled by default: the
+    /// rank-error probing).  Disabled by default: the
     /// uninstrumented hot path takes no timestamps and makes no extra
     /// scheduler calls.
     pub telemetry: TelemetryConfig,
@@ -305,6 +305,23 @@ pub struct JobOutput {
     pub useful_tasks: u64,
     /// Stale tasks (wasted work caused by priority relaxation).
     pub wasted_tasks: u64,
+}
+
+impl JobOutput {
+    /// Total tasks executed.
+    pub fn total_tasks(&self) -> u64 {
+        self.useful_tasks + self.wasted_tasks
+    }
+
+    /// Work increase relative to a baseline task count (usually the
+    /// sequential algorithm's task count): `1.0` means no wasted work.
+    pub fn work_increase(&self, baseline_tasks: u64) -> f64 {
+        if baseline_tasks == 0 {
+            1.0
+        } else {
+            self.total_tasks() as f64 / baseline_tasks as f64
+        }
+    }
 }
 
 /// Point-in-time pool counters.
@@ -431,7 +448,7 @@ struct WorkerResult {
     useful: u64,
     wasted: u64,
     stats: OpStats,
-    telemetry: Option<WorkerReport>,
+    telemetry: Option<TelemetryReport>,
 }
 
 /// One gang's job hand-off slot; its workers park on it.
@@ -556,9 +573,6 @@ struct Inner {
     batch_size: usize,
     /// The fleet-wide instrumentation configuration (disabled by default).
     telemetry: TelemetryConfig,
-    /// Construction instant shared by every worker's trace lane, so all
-    /// lanes of the pool's lifetime sit on one clock.
-    origin: Instant,
     claims: Mutex<ClaimState>,
     /// Claimers wait here for a free gang.
     claim_ready: Condvar,
@@ -842,7 +856,6 @@ impl WorkerPool {
             claim_ready: Condvar::new(),
             batch_size: config.batch_size,
             telemetry: config.telemetry.clone(),
-            origin: Instant::now(),
             handles_created: AtomicU64::new(0),
             threads_spawned: AtomicU64::new(0),
             respawn_factory,
@@ -984,7 +997,7 @@ impl WorkerPool {
         gang: &Gang,
         spec: &JobSpec,
     ) -> Result<JobOutput, JobError> {
-        // Unlimited jobs allocate no control and keep the historic hot path.
+        // Unlimited jobs allocate no control: no per-task limit check runs.
         let control: Option<Arc<JobControl>> = if spec.is_unlimited() {
             None
         } else {
@@ -1038,7 +1051,7 @@ impl WorkerPool {
         if st.poisoned {
             return Err(JobError::Lost);
         }
-        let mut results: Vec<WorkerResult> = st
+        let results: Vec<WorkerResult> = st
             .results
             .iter_mut()
             .map(|slot| slot.take().expect("worker finished without a result"))
@@ -1053,30 +1066,23 @@ impl WorkerPool {
         let elapsed = start.elapsed();
         self.jobs_completed.fetch_add(1, Ordering::Relaxed);
 
-        let per_thread: Vec<OpStats> = results.iter().map(|r| r.stats.clone()).collect();
-        let total = OpStats::merged(per_thread.iter());
         // Lock-free merge after join: each worker's report was accumulated
-        // in plain per-worker state; absorbing them here is the only point
+        // in plain per-worker state; merging them here is the only point
         // the pieces meet.
-        let telemetry = if self.inner.telemetry.is_enabled() {
+        let telemetry = self.inner.telemetry.is_enabled().then(|| {
             let mut report = TelemetryReport::new();
-            for result in &mut results {
-                if let Some(worker) = result.telemetry.take() {
-                    report.absorb(worker);
-                }
+            for worker in results.iter().filter_map(|r| r.telemetry.as_ref()) {
+                report.merge(worker);
             }
-            Some(report)
-        } else {
-            None
-        };
+            report
+        });
         Ok(JobOutput {
             metrics: RunMetrics {
                 elapsed,
                 threads: gang.size,
                 tasks_executed: results.iter().map(|r| r.executed).sum(),
                 quiescence_scans: results.iter().map(|r| r.scans).sum(),
-                per_thread,
-                total,
+                total: OpStats::merged(results.iter().map(|r| &r.stats)),
                 telemetry,
             },
             useful_tasks: results.iter().map(|r| r.useful).sum(),
@@ -1155,15 +1161,8 @@ fn run_worker<H: SchedulerHandle<Task>>(
     let gang = &inner.gangs[gang_idx];
     let mut scratch = Scratch::new();
     let mut last_seq = 0u64;
-    // The OS thread name doubles as the trace-lane label, so timelines show
-    // `smq-pool-<gang>-<worker>` identities.  Shared `Arc<str>`: one
-    // allocation for the thread's lifetime, not one per instrumented job.
-    let worker_name: std::sync::Arc<str> = std::thread::current()
-        .name()
-        .map(std::sync::Arc::from)
-        .unwrap_or_else(|| std::sync::Arc::from(format!("smq-pool-{gang_idx}-{local}").as_str()));
-    // When this worker last went idle: backdates the inter-job Park span so
-    // traces show parked gaps between jobs instead of missing time.
+    // When this worker last went idle: the gap until its next job is
+    // accounted as Park time.
     let mut idle_since = Instant::now();
 
     loop {
@@ -1197,17 +1196,12 @@ fn run_worker<H: SchedulerHandle<Task>>(
         let mut tally = gang.detector.tally(local);
         // `None` when telemetry is disabled: the loop below then runs the
         // exact uninstrumented path (no timestamps, no extra handle calls).
-        let mut telemetry = WorkerTelemetry::begin(
-            &inner.telemetry,
-            worker_name.clone(),
-            inner.origin,
-            Some(idle_since),
-        );
+        let mut telemetry = WorkerTelemetry::begin(&inner.telemetry, Some(idle_since));
         // Seeds were pre-credited by the coordinator; pushing them needs no
         // recording.  Above batch size 1 a single batch call makes the
-        // whole seed slice visible; at batch 1 the per-task path is kept so
-        // the explicit per-task configuration stays bit-identical to the
-        // historical behavior, stats included.
+        // whole seed slice visible; at batch 1 each seed is its own `push`,
+        // like every other push of the per-task configuration (one set of
+        // `OpStats` increments per task).
         let mut seeds = seeds;
         if inner.batch_size > 1 {
             handle.push_batch(&mut seeds);
@@ -1372,11 +1366,8 @@ mod tests {
         // it, because instrumentation only ever reads published snapshots.
         // Deterministic seeds make single-thread replays exact.
         let base = replay(smq(1), TelemetryConfig::disabled());
-        let instrumented = replay(smq(1), TelemetryConfig::enabled().with_ring(256));
-        assert_eq!(
-            base.metrics.per_thread, instrumented.metrics.per_thread,
-            "SMQ"
-        );
+        let instrumented = replay(smq(1), TelemetryConfig::enabled());
+        assert_eq!(base.metrics.total, instrumented.metrics.total, "SMQ");
         assert_eq!(
             base.metrics.tasks_executed,
             instrumented.metrics.tasks_executed
@@ -1387,11 +1378,8 @@ mod tests {
         use smq_multiqueue::{MultiQueue, MultiQueueConfig};
         let mq = || MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(3));
         let base = replay(mq(), TelemetryConfig::disabled());
-        let instrumented = replay(mq(), TelemetryConfig::enabled().with_ring(256));
-        assert_eq!(
-            base.metrics.per_thread, instrumented.metrics.per_thread,
-            "MultiQueue"
-        );
+        let instrumented = replay(mq(), TelemetryConfig::enabled());
+        assert_eq!(base.metrics.total, instrumented.metrics.total, "MultiQueue");
         assert_eq!(
             base.metrics.tasks_executed,
             instrumented.metrics.tasks_executed
@@ -1399,31 +1387,36 @@ mod tests {
     }
 
     #[test]
-    fn enabled_telemetry_reports_phases_lanes_and_rank_probes() {
-        let pool = WorkerPool::new(
-            smq(2),
-            PoolConfig::new(2).with_telemetry(TelemetryConfig::enabled().with_ring(4096)),
-        );
-        let mut report = TelemetryReport::new();
-        for _ in 0..4 {
-            let out = pool.run_job(&FanoutJob::new(400, 400)).unwrap();
-            report.merge(out.metrics.telemetry.as_ref().expect("telemetry enabled"));
-        }
-        // Every worker contributed a lane named after its thread.
-        assert_eq!(report.lanes.len(), 2);
-        for lane in &report.lanes {
-            assert!(lane.name.starts_with("smq-pool-"), "lane {}", lane.name);
-            assert!(!lane.events.is_empty());
-        }
-        // Time was accounted: at least pop + process + the quiescence scan
-        // every job ends with (park appears between jobs via idle_since).
+    fn each_telemetry_preset_reports_what_it_measures() {
         use smq_telemetry::Phase;
-        assert!(report.phases.get(Phase::Pop) > 0);
-        assert!(report.phases.get(Phase::Process) > 0);
-        assert!(report.phases.get(Phase::Scan) > 0);
-        assert!(report.phases.get(Phase::Park) > 0);
-        // 4 jobs × 1200 tasks probed every 64th pop: samples accumulated.
-        assert!(report.rank_errors.count() > 0);
+        // (preset, probes rank error, times phases)
+        let presets = [
+            (TelemetryConfig::disabled(), false, false),
+            (TelemetryConfig::probe_only(), true, false),
+            (TelemetryConfig::enabled(), true, true),
+        ];
+        for (preset, probes, times) in presets {
+            let pool = WorkerPool::new(smq(2), PoolConfig::new(2).with_telemetry(preset.clone()));
+            let mut merged = TelemetryReport::new();
+            for _ in 0..4 {
+                let out = pool.run_job(&FanoutJob::new(400, 400)).unwrap();
+                assert_eq!(out.metrics.tasks_executed, 1200, "{preset:?}");
+                let reports = probes || times;
+                assert_eq!(out.metrics.telemetry.is_some(), reports, "{preset:?}");
+                if let Some(report) = &out.metrics.telemetry {
+                    merged.merge(report);
+                }
+            }
+            // 4 jobs x 1200 tasks probed every 64th pop.
+            assert_eq!(merged.rank_errors.count() > 0, probes, "{preset:?}");
+            // Pop, process, the quiescence scan every job ends with, and
+            // the parked gap between jobs (back-dated via `idle_since`);
+            // without phase timing no clock is read at all.
+            for phase in [Phase::Pop, Phase::Process, Phase::Scan, Phase::Park] {
+                assert_eq!(merged.phases.get(phase) > 0, times, "{preset:?} {phase:?}");
+            }
+            assert_eq!(merged.phases.total_ns() > 0, times, "{preset:?}");
+        }
     }
 
     #[test]
@@ -1436,6 +1429,9 @@ mod tests {
             assert_eq!(job.processed.load(Ordering::Relaxed), 300);
             assert_eq!(out.useful_tasks, 300);
             assert_eq!(out.wasted_tasks, 0);
+            assert_eq!(out.total_tasks(), 300);
+            assert_eq!(out.work_increase(200), 1.5);
+            assert_eq!(out.work_increase(0), 1.0, "no baseline, no increase");
             // Per-job stats deltas: every pushed task popped exactly once.
             assert_eq!(out.metrics.total.pushes, out.metrics.total.pops);
             assert_eq!(out.metrics.total.pops, 300);

@@ -29,8 +29,8 @@
 //! sink flushed via `push_batch` at task boundaries — so the scheduler's
 //! per-operation synchronization (locks, buffer publishes) is paid once per
 //! batch instead of once per task and the batch's first cache misses
-//! overlap.  Batch size 1 is the explicit per-task path, bit-identical to
-//! the historical one.
+//! overlap.  Batch size 1 is the explicit per-task path: one `pop()` per
+//! task, every push visible immediately.
 
 use crossbeam_utils::Backoff;
 use smq_core::{HasKey, SchedulerHandle};
@@ -68,10 +68,6 @@ pub struct WorkerLoopOutcome {
     pub executed: u64,
     /// Quiescence scans this worker performed (each is O(threads)).
     pub scans: u64,
-    /// Tasks popped but *discarded* because the job was cancelled (see
-    /// [`LoopControl::cancel`]): their completions were recorded so the
-    /// detector stays balanced, but `process` never ran for them.
-    pub discarded: u64,
 }
 
 /// External control signals a [`worker_loop`] run observes.
@@ -104,8 +100,8 @@ pub struct LoopControl<'a> {
 /// the pending-task counter consistent, which is what makes termination
 /// detection sound.
 ///
-/// At batch size 1 every push goes straight to the scheduler (the exact
-/// historical hot path).  At larger batch sizes the sink buffers follow-ups
+/// At batch size 1 every push goes straight to the scheduler and is
+/// visible immediately.  At larger batch sizes the sink buffers follow-ups
 /// in a per-worker vector and flushes them through the scheduler's
 /// `push_batch` — when the buffer fills, and always at the task boundary —
 /// crediting the whole batch with **one** counter store *before* any task
@@ -253,9 +249,9 @@ where
                 t.phase(Phase::Pop);
             }
         }
-        // Batch size 1 calls `pop()` directly (the exact historical path,
-        // stats included); larger batches make one scheduling decision per
-        // `pop_batch` and amortize it over up to `batch` tasks.
+        // Batch size 1 calls `pop()` directly (one scheduling decision and
+        // one set of `OpStats` increments per task); larger batches make one
+        // decision per `pop_batch` and amortize it over up to `batch` tasks.
         let got = if batch == 1 {
             match handle.pop() {
                 Some(task) => {
@@ -303,7 +299,6 @@ where
             if discarding {
                 for _task in pop_buf.drain(..) {
                     tally.record_completion();
-                    outcome.discarded += 1;
                 }
                 continue;
             }

@@ -1,27 +1,20 @@
 //! Offline stand-in for `serde`.
 //!
 //! The real serde models a full data model with pluggable formats; this
-//! workspace only ever derives `Serialize`/`Deserialize` on plain structs
-//! and serializes them to JSON through `serde_json::to_string`.  The shim
-//! therefore collapses the data model to a single operation — "append your
-//! JSON encoding to this string" — which keeps the derive macro and the
-//! `serde_json` front-end tiny while leaving call sites source-compatible.
+//! workspace only ever serializes std scalars, strings and containers to
+//! JSON through `serde_json::to_string`.  The shim therefore collapses the
+//! data model to a single operation — "append your JSON encoding to this
+//! string" — which keeps the `serde_json` front-end tiny while leaving call
+//! sites source-compatible.  Nothing derives `Serialize`, so there is no
+//! derive macro.
 
 #![warn(missing_docs)]
-
-pub use serde_derive::{Deserialize, Serialize};
 
 /// A value that can append its JSON encoding to an output buffer.
 pub trait Serialize {
     /// Appends the JSON encoding of `self` to `out`.
     fn serialize_json(&self, out: &mut String);
 }
-
-/// Marker for types the derive macro accepted as deserializable.
-///
-/// Nothing in this workspace deserializes at runtime (the JSON output is
-/// consumed by external plotting scripts), so no decoding machinery exists.
-pub trait Deserialize {}
 
 /// Appends a JSON string literal with the required escapes.
 pub fn write_json_str(s: &str, out: &mut String) {
@@ -50,7 +43,6 @@ macro_rules! impl_serialize_display {
                     out.push_str(&self.to_string());
                 }
             }
-            impl Deserialize for $t {}
         )+
     };
 }
@@ -70,7 +62,6 @@ macro_rules! impl_serialize_float {
                     }
                 }
             }
-            impl Deserialize for $t {}
         )+
     };
 }
@@ -89,15 +80,11 @@ impl Serialize for String {
     }
 }
 
-impl Deserialize for String {}
-
 impl Serialize for char {
     fn serialize_json(&self, out: &mut String) {
         write_json_str(&self.to_string(), out);
     }
 }
-
-impl Deserialize for char {}
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize_json(&self, out: &mut String) {
@@ -113,8 +100,6 @@ impl<T: Serialize> Serialize for Option<T> {
         }
     }
 }
-
-impl<T: Deserialize> Deserialize for Option<T> {}
 
 impl<T: Serialize> Serialize for [T] {
     fn serialize_json(&self, out: &mut String) {
@@ -135,8 +120,6 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Vec<T> {}
-
 macro_rules! impl_serialize_tuple {
     ($(($($name:ident : $idx:tt),+))+) => {
         $(
@@ -155,7 +138,6 @@ macro_rules! impl_serialize_tuple {
                     out.push(']');
                 }
             }
-            impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {}
         )+
     };
 }
@@ -181,8 +163,6 @@ impl Serialize for std::time::Duration {
         out.push('}');
     }
 }
-
-impl Deserialize for std::time::Duration {}
 
 #[cfg(test)]
 mod tests {

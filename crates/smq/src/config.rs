@@ -59,25 +59,10 @@ impl SmqConfig {
         self
     }
 
-    /// Sets the local heap arity.
-    pub fn with_heap_arity(mut self, arity: usize) -> Self {
-        self.heap_arity = arity;
-        self
-    }
-
     /// Enables NUMA-aware victim sampling.
     pub fn with_numa(mut self, topology: Topology, k: u32) -> Self {
         self.numa = Some(SmqNumaConfig { topology, k });
         self
-    }
-
-    /// Enables NUMA-aware victim sampling with the paper's recommended
-    /// scaling: `K` grows linearly with the thread count (`K = T`, clamped
-    /// to at least 2) so the expected in-node steal fraction stays constant
-    /// as the fleet grows.
-    pub fn with_numa_scaled(self, topology: Topology) -> Self {
-        let k = topology.num_threads().max(2) as u32;
-        self.with_numa(topology, k)
     }
 
     /// Sets the PRNG seed.
@@ -121,20 +106,12 @@ mod tests {
         let cfg = SmqConfig::default_for_threads(4)
             .with_steal_size(64)
             .with_p_steal(Probability::new(2))
-            .with_heap_arity(8)
             .with_numa(Topology::split(4, 2), 32)
             .with_seed(1);
         cfg.validate();
         assert_eq!(cfg.steal_size, 64);
         let numa = cfg.numa.unwrap();
         assert_eq!(numa.k, 32);
-    }
-
-    #[test]
-    fn scaled_numa_tracks_thread_count() {
-        let cfg = SmqConfig::default_for_threads(8).with_numa_scaled(Topology::split(8, 2));
-        cfg.validate();
-        assert_eq!(cfg.numa.unwrap().k, 8);
     }
 
     #[test]

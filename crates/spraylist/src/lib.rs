@@ -23,19 +23,15 @@ use smq_skiplist::ConcurrentSkipList;
 pub struct SprayListConfig {
     /// Number of worker threads (used to tune the spray geometry).
     pub threads: usize,
-    /// If `true`, deletions spray; if `false`, every deletion takes the
-    /// exact minimum (useful as an "ideal but contended" ablation point).
-    pub spray: bool,
     /// PRNG seed.
     pub seed: u64,
 }
 
 impl SprayListConfig {
-    /// Default configuration for `threads` workers (spraying enabled).
+    /// Default configuration for `threads` workers.
     pub fn default_for_threads(threads: usize) -> Self {
         Self {
             threads,
-            spray: true,
             seed: 0x5942_41D5,
         }
     }
@@ -105,13 +101,10 @@ impl<T: Ord + Copy + Send> SchedulerHandle<T> for SprayListHandle<'_, T> {
     }
 
     fn pop(&mut self) -> Option<T> {
-        let got = if self.parent.config.spray {
-            self.parent
-                .list
-                .spray_delete_min(&mut self.rng, self.parent.spray_params)
-        } else {
-            self.parent.list.delete_min()
-        };
+        let got = self
+            .parent
+            .list
+            .spray_delete_min(&mut self.rng, self.parent.spray_params);
         match got {
             Some(task) => {
                 self.stats.pops += 1;
@@ -132,7 +125,6 @@ impl<T: Ord + Copy + Send> SchedulerHandle<T> for SprayListHandle<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smq_core::Task;
 
     #[test]
     fn conserves_elements_single_thread() {
@@ -147,21 +139,6 @@ mod tests {
         assert!(sl.is_empty());
         assert_eq!(h.stats().pushes, 500);
         assert_eq!(h.stats().pops, 500);
-    }
-
-    #[test]
-    fn exact_mode_is_a_strict_priority_queue() {
-        let config = SprayListConfig {
-            spray: false,
-            ..SprayListConfig::default_for_threads(1)
-        };
-        let sl: SprayList<Task> = SprayList::new(config);
-        let mut h = sl.handle(0);
-        for v in [9u64, 2, 7, 4] {
-            h.push(Task::new(v, v));
-        }
-        let keys: Vec<u64> = std::iter::from_fn(|| h.pop()).map(|t| t.key).collect();
-        assert_eq!(keys, vec![2, 4, 7, 9]);
     }
 
     #[test]

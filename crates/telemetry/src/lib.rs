@@ -1,6 +1,6 @@
 //! Opt-in, low-overhead instrumentation for the relaxed-scheduler runtime.
 //!
-//! Four pieces, all designed around the same discipline the schedulers
+//! Three pieces, all designed around the same discipline the schedulers
 //! themselves use — plain per-worker state on the hot path, merged after
 //! join:
 //!
@@ -15,9 +15,13 @@
 //!   rank-error metric into an online per-run distribution.
 //! * Phase accounting — [`WorkerTelemetry`] tags worker-loop time into six
 //!   coarse phases ([`Phase`]) using per-worker plain-`u64` accumulators
-//!   ([`PhaseTimes`]) and, optionally, a bounded event ring for timelines.
-//! * Export — chrome://tracing timelines, one lane per worker
-//!   ([`trace::write_chrome_trace`]).
+//!   ([`PhaseTimes`]).
+//!
+//! A run carries one of three presets — [`TelemetryConfig::disabled`],
+//! [`TelemetryConfig::probe_only`], [`TelemetryConfig::enabled`] — and
+//! reports two numbers, [`TelemetryReport`]'s `phases` and `rank_errors`.
+//! Span traces (one request from submit to quiescence) are the repo
+//! benchmark's job: `benchmark --trace 1`.
 //!
 //! Everything is off by default: with [`TelemetryConfig::disabled`] the
 //! worker loop takes no timestamps and makes no extra scheduler calls, so
@@ -29,10 +33,9 @@
 mod config;
 pub mod hist;
 pub mod phase;
-pub mod trace;
 mod worker;
 
 pub use config::{TelemetryConfig, RANK_PROBE_INTERVAL};
 pub use hist::LogHistogram;
-pub use phase::{Phase, PhaseEvent, PhaseTimes};
-pub use worker::{TelemetryReport, TraceLane, WorkerReport, WorkerTelemetry};
+pub use phase::{Phase, PhaseTimes};
+pub use worker::{TelemetryReport, WorkerTelemetry};

@@ -1,8 +1,6 @@
-//! Per-worker phase accounting: coarse worker-loop phases, plain-`u64`
+//! Per-worker phase accounting: coarse worker-loop phases and plain-`u64`
 //! per-worker accumulators merged after join (like `OpStats` — no atomics
-//! on the hot path), and the optional bounded event ring behind
-//! [`crate::TelemetryConfig`] that captures timestamped phase transitions
-//! for the chrome-trace export.
+//! on the hot path).
 
 /// The coarse phases a worker-loop iteration is tagged into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,18 +34,6 @@ impl Phase {
         Phase::Park,
         Phase::Scan,
     ];
-
-    /// Short lowercase name (chrome-trace event name, JSON key).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Pop => "pop",
-            Phase::Steal => "steal",
-            Phase::Process => "process",
-            Phase::Flush => "flush",
-            Phase::Park => "park",
-            Phase::Scan => "scan",
-        }
-    }
 }
 
 /// Nanoseconds accumulated per phase by one worker (or merged across
@@ -120,79 +106,6 @@ impl PhaseTimes {
     }
 }
 
-/// One timestamped phase span (nanoseconds since the run/pool origin).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseEvent {
-    /// The phase the worker was in.
-    pub phase: Phase,
-    /// Span start, nanoseconds since the origin instant.
-    pub start_ns: u64,
-    /// Span end, nanoseconds since the origin instant.
-    pub end_ns: u64,
-}
-
-/// A bounded ring of [`PhaseEvent`]s: keeps the **most recent**
-/// `capacity` spans, counting how many older ones were overwritten, so a
-/// long run still traces its interesting tail (quiescence, parking)
-/// without unbounded memory.
-#[derive(Debug, Clone)]
-pub struct EventRing {
-    events: Vec<PhaseEvent>,
-    capacity: usize,
-    /// Index of the oldest retained event once the ring has wrapped.
-    head: usize,
-    dropped: u64,
-}
-
-impl EventRing {
-    /// A ring retaining up to `capacity` events (0 disables retention).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            events: Vec::with_capacity(capacity.min(1 << 20)),
-            capacity,
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Appends one span, overwriting the oldest when full.
-    #[inline]
-    pub fn push(&mut self, event: PhaseEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() < self.capacity {
-            self.events.push(event);
-        } else {
-            self.events[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when no event is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consumes the ring, returning the retained events in chronological
-    /// order plus the overwritten-event count.
-    pub fn into_parts(mut self) -> (Vec<PhaseEvent>, u64) {
-        self.events.rotate_left(self.head);
-        (self.events, self.dropped)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,46 +125,5 @@ mod tests {
         assert_eq!(a.total_ns(), 116);
         assert!((a.fraction(Phase::Park) - 100.0 / 116.0).abs() < 1e-12);
         assert_eq!(PhaseTimes::default().fraction(Phase::Pop), 0.0);
-    }
-
-    #[test]
-    fn ring_keeps_the_most_recent_events() {
-        let mut ring = EventRing::new(3);
-        for i in 0..5u64 {
-            ring.push(PhaseEvent {
-                phase: Phase::Pop,
-                start_ns: i,
-                end_ns: i + 1,
-            });
-        }
-        assert_eq!(ring.dropped(), 2);
-        let (events, dropped) = ring.into_parts();
-        assert_eq!(dropped, 2);
-        assert_eq!(
-            events.iter().map(|e| e.start_ns).collect::<Vec<_>>(),
-            vec![2, 3, 4],
-            "chronological, most recent retained"
-        );
-    }
-
-    #[test]
-    fn zero_capacity_ring_retains_nothing() {
-        let mut ring = EventRing::new(0);
-        ring.push(PhaseEvent {
-            phase: Phase::Scan,
-            start_ns: 0,
-            end_ns: 1,
-        });
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 0);
-    }
-
-    #[test]
-    fn phase_names_are_stable() {
-        let names: Vec<_> = Phase::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(
-            names,
-            vec!["pop", "steal", "process", "flush", "park", "scan"]
-        );
     }
 }

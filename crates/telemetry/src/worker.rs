@@ -1,29 +1,21 @@
 //! The per-worker instrumentation object threaded through the worker loop,
-//! and the merged per-run report it folds into after join.
+//! and the per-run report it folds into after join.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::{TelemetryConfig, RANK_PROBE_INTERVAL};
 use crate::hist::LogHistogram;
-use crate::phase::{EventRing, Phase, PhaseEvent, PhaseTimes};
+use crate::phase::{Phase, PhaseTimes};
 
 /// Per-worker instrumentation state: owned exclusively by one worker while
 /// it runs (plain counters, no atomics), folded into a
 /// [`TelemetryReport`] after join.
-///
-/// All timestamps are nanoseconds since a caller-supplied `origin`
-/// instant shared by every worker of a run (or a pool's whole lifetime),
-/// so trace lanes line up.
 #[derive(Debug)]
 pub struct WorkerTelemetry {
-    name: Arc<str>,
-    origin: Instant,
     last: Instant,
     current: Phase,
     timing: bool,
     phases: PhaseTimes,
-    ring: EventRing,
     probing: bool,
     probe_countdown: u64,
     rank_errors: LogHistogram,
@@ -34,30 +26,19 @@ impl WorkerTelemetry {
     /// Instrumentation for one worker, or `None` when `config` is fully
     /// disabled (the zero-overhead path: no allocation, no clock reads).
     ///
-    /// `name` labels this worker's trace lane (its OS thread name) — an
-    /// `Arc<str>` so a pool worker instruments thousands of jobs with one
-    /// name allocation for its whole lifetime.  `idle_since`, when given,
-    /// back-dates the first span: the worker was parked from that instant
-    /// until now (pool workers park between jobs), recorded as
-    /// [`Phase::Park`].
-    pub fn begin(
-        config: &TelemetryConfig,
-        name: Arc<str>,
-        origin: Instant,
-        idle_since: Option<Instant>,
-    ) -> Option<WorkerTelemetry> {
+    /// `idle_since`, when given, back-dates the first span: the worker was
+    /// parked from that instant until now (pool workers park between
+    /// jobs), recorded as [`Phase::Park`].
+    pub fn begin(config: &TelemetryConfig, idle_since: Option<Instant>) -> Option<WorkerTelemetry> {
         if !config.is_enabled() {
             return None;
         }
         let now = Instant::now();
         let mut this = WorkerTelemetry {
-            name,
-            origin,
             last: now,
             current: Phase::Pop,
             timing: config.phase_timing,
             phases: PhaseTimes::default(),
-            ring: EventRing::new(config.event_ring_capacity),
             probing: config.rank_probe,
             probe_countdown: RANK_PROBE_INTERVAL,
             rank_errors: LogHistogram::new(),
@@ -65,14 +46,8 @@ impl WorkerTelemetry {
         };
         if this.timing {
             if let Some(idle) = idle_since {
-                if idle < now {
-                    this.phases.add(Phase::Park, (now - idle).as_nanos() as u64);
-                    this.ring.push(PhaseEvent {
-                        phase: Phase::Park,
-                        start_ns: ns_since(origin, idle),
-                        end_ns: ns_since(origin, now),
-                    });
-                }
+                let parked = now.saturating_duration_since(idle);
+                this.phases.add(Phase::Park, parked.as_nanos() as u64);
             }
         }
         Some(this)
@@ -160,25 +135,12 @@ impl WorkerTelemetry {
     }
 
     /// Closes the final span and returns this worker's report.
-    pub fn finish(mut self) -> WorkerReport {
+    pub fn finish(mut self) -> TelemetryReport {
         if self.timing {
             let now = Instant::now();
             self.close_span(now);
         }
-        let (events, dropped) = self.ring.into_parts();
-        // A lane with nothing retained is discarded by `absorb`; skip the
-        // name allocation for it (the common no-event-ring configuration).
-        let name = if events.is_empty() && dropped == 0 {
-            String::new()
-        } else {
-            String::from(&*self.name)
-        };
-        WorkerReport {
-            lane: TraceLane {
-                name,
-                dropped,
-                events,
-            },
+        TelemetryReport {
             phases: self.phases,
             rank_errors: self.rank_errors,
         }
@@ -188,53 +150,19 @@ impl WorkerTelemetry {
     fn close_span(&mut self, now: Instant) {
         let elapsed = (now - self.last).as_nanos() as u64;
         self.phases.add(self.current, elapsed);
-        self.ring.push(PhaseEvent {
-            phase: self.current,
-            start_ns: ns_since(self.origin, self.last),
-            end_ns: ns_since(self.origin, now),
-        });
         self.last = now;
     }
 }
 
-#[inline]
-fn ns_since(origin: Instant, t: Instant) -> u64 {
-    t.saturating_duration_since(origin).as_nanos() as u64
-}
-
-/// One worker's timeline for the chrome-trace export.
-#[derive(Debug, Clone)]
-pub struct TraceLane {
-    /// Lane label — the worker's OS thread name (`smq-pool-<gang>-<local>`).
-    pub name: String,
-    /// Events overwritten because the worker's ring was full.
-    pub dropped: u64,
-    /// Retained phase spans, chronological.
-    pub events: Vec<PhaseEvent>,
-}
-
-/// What one worker measured during one job/run.
-#[derive(Debug, Clone)]
-pub struct WorkerReport {
-    /// This worker's trace lane (empty without an event ring).
-    pub lane: TraceLane,
-    /// Nanoseconds per phase.
-    pub phases: PhaseTimes,
-    /// Rank-error samples from the pop probe.
-    pub rank_errors: LogHistogram,
-}
-
-/// The merged per-run (or per-job) instrumentation result carried inside
-/// `RunMetrics`: phase times summed across workers, rank-error histograms
-/// merged, one trace lane per worker that retained events.
+/// What one worker measured during one job, and — merged — what a whole
+/// job or sweep row measured: the instrumentation result carried inside
+/// `RunMetrics`.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryReport {
-    /// Phase nanoseconds summed over all workers.
+    /// Phase nanoseconds, summed over every worker merged in.
     pub phases: PhaseTimes,
-    /// Rank-error distribution merged over all workers.
+    /// Rank-error samples from the pop probe, merged over the same workers.
     pub rank_errors: LogHistogram,
-    /// One timeline lane per worker that retained any events.
-    pub lanes: Vec<TraceLane>,
 }
 
 impl TelemetryReport {
@@ -243,41 +171,11 @@ impl TelemetryReport {
         Self::default()
     }
 
-    /// Folds one worker's measurements in.  Lanes with the same name
-    /// (the same worker across successive jobs) are concatenated, so a
-    /// multi-job trace shows each worker as one continuous lane.
-    pub fn absorb(&mut self, worker: WorkerReport) {
-        self.phases.merge(&worker.phases);
-        self.rank_errors.merge(&worker.rank_errors);
-        if !worker.lane.events.is_empty() || worker.lane.dropped > 0 {
-            match self
-                .lanes
-                .iter_mut()
-                .find(|lane| lane.name == worker.lane.name)
-            {
-                Some(lane) => {
-                    lane.dropped += worker.lane.dropped;
-                    lane.events.extend(worker.lane.events);
-                }
-                None => self.lanes.push(worker.lane),
-            }
-        }
-    }
-
-    /// Merges another report (e.g. accumulating a whole sweep row from
-    /// per-job reports).
+    /// Folds another report in: a worker's into its job's after join, a
+    /// job's into a sweep row's.
     pub fn merge(&mut self, other: &TelemetryReport) {
         self.phases.merge(&other.phases);
         self.rank_errors.merge(&other.rank_errors);
-        for lane in &other.lanes {
-            match self.lanes.iter_mut().find(|mine| mine.name == lane.name) {
-                Some(mine) => {
-                    mine.dropped += lane.dropped;
-                    mine.events.extend(lane.events.iter().copied());
-                }
-                None => self.lanes.push(lane.clone()),
-            }
-        }
     }
 }
 
@@ -287,82 +185,33 @@ mod tests {
 
     #[test]
     fn disabled_config_yields_no_instrumentation() {
-        assert!(WorkerTelemetry::begin(
-            &TelemetryConfig::disabled(),
-            "w0".into(),
-            Instant::now(),
-            None
-        )
-        .is_none());
+        assert!(WorkerTelemetry::begin(&TelemetryConfig::disabled(), None).is_none());
     }
 
     #[test]
     fn phases_accumulate_across_transitions() {
-        let origin = Instant::now();
-        let mut t = WorkerTelemetry::begin(
-            &TelemetryConfig::enabled().with_ring(64),
-            "w0".into(),
-            origin,
-            None,
-        )
-        .expect("enabled");
+        let mut t = WorkerTelemetry::begin(&TelemetryConfig::enabled(), None).expect("enabled");
         assert!(t.timing_enabled());
         t.phase(Phase::Process);
         std::thread::sleep(std::time::Duration::from_millis(2));
         t.phase(Phase::Pop);
         let report = t.finish();
         assert!(report.phases.process_ns >= 1_000_000, "slept ~2ms");
-        assert!(!report.lane.events.is_empty());
-        assert!(report
-            .lane
-            .events
-            .iter()
-            .any(|e| e.phase == Phase::Process && e.end_ns >= e.start_ns));
-    }
-
-    #[test]
-    fn same_phase_transitions_coalesce() {
-        let mut t = WorkerTelemetry::begin(
-            &TelemetryConfig::enabled().with_ring(64),
-            "w0".into(),
-            Instant::now(),
-            None,
-        )
-        .expect("enabled");
-        t.phase(Phase::Pop);
-        t.phase(Phase::Pop);
-        t.phase(Phase::Pop);
-        let report = t.finish();
-        // Only the final close produced an event.
-        assert_eq!(report.lane.events.len(), 1);
     }
 
     #[test]
     fn park_is_backdated_from_idle_since() {
-        let origin = Instant::now();
         let idle = Instant::now();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let t = WorkerTelemetry::begin(
-            &TelemetryConfig::enabled().with_ring(8),
-            "w1".into(),
-            origin,
-            Some(idle),
-        )
-        .expect("enabled");
+        let t = WorkerTelemetry::begin(&TelemetryConfig::enabled(), Some(idle)).expect("enabled");
         let report = t.finish();
         assert!(report.phases.park_ns >= 1_000_000);
-        assert_eq!(report.lane.events[0].phase, Phase::Park);
     }
 
     #[test]
     fn probe_samples_every_nth_pop() {
-        let mut t = WorkerTelemetry::begin(
-            &TelemetryConfig::probe_only(),
-            "w0".into(),
-            Instant::now(),
-            None,
-        )
-        .expect("probe on");
+        let mut t = WorkerTelemetry::begin(&TelemetryConfig::probe_only(), None).expect("probe on");
+        assert!(!t.timing_enabled());
         let mut sampled = 0;
         for _ in 0..3 * RANK_PROBE_INTERVAL {
             if t.probe_due() {
@@ -374,17 +223,12 @@ mod tests {
         let report = t.finish();
         assert_eq!(report.rank_errors.count(), 3);
         assert_eq!(report.rank_errors.max(), 6);
+        assert_eq!(report.phases.total_ns(), 0, "probe_only reads no clock");
     }
 
     #[test]
     fn rank_error_saturates_and_skips_unknown() {
-        let mut t = WorkerTelemetry::begin(
-            &TelemetryConfig::probe_only(),
-            "w0".into(),
-            Instant::now(),
-            None,
-        )
-        .expect("probe on");
+        let mut t = WorkerTelemetry::begin(&TelemetryConfig::probe_only(), None).expect("probe on");
         t.record_rank_error(5, Some(9)); // estimate above the pop: clamps to 0
         t.record_rank_error(5, None); // unknown estimate: not recorded
         let report = t.finish();
@@ -394,48 +238,21 @@ mod tests {
 
     #[test]
     fn steal_ops_detection() {
-        let mut t = WorkerTelemetry::begin(
-            &TelemetryConfig::enabled(),
-            "w0".into(),
-            Instant::now(),
-            None,
-        )
-        .expect("enabled");
+        let mut t = WorkerTelemetry::begin(&TelemetryConfig::enabled(), None).expect("enabled");
         assert!(!t.note_steal_ops(0));
         assert!(t.note_steal_ops(2));
         assert!(!t.note_steal_ops(2));
     }
 
     #[test]
-    fn report_absorb_merges_lanes_by_name() {
-        let mut report = TelemetryReport::new();
-        for job in 0..2u64 {
-            let mut phases = PhaseTimes::default();
-            phases.add(Phase::Pop, 10);
-            report.absorb(WorkerReport {
-                lane: TraceLane {
-                    name: "w0".into(),
-                    dropped: job,
-                    events: vec![PhaseEvent {
-                        phase: Phase::Pop,
-                        start_ns: job * 100,
-                        end_ns: job * 100 + 10,
-                    }],
-                },
-                phases,
-                rank_errors: LogHistogram::new(),
-            });
-        }
-        assert_eq!(report.lanes.len(), 1);
-        assert_eq!(report.lanes[0].events.len(), 2);
-        assert_eq!(report.lanes[0].dropped, 1);
-        assert_eq!(report.phases.pop_ns, 20);
-
-        let mut combined = TelemetryReport::new();
-        combined.merge(&report);
-        combined.merge(&report);
-        assert_eq!(combined.phases.pop_ns, 40);
-        assert_eq!(combined.lanes.len(), 1);
-        assert_eq!(combined.lanes[0].events.len(), 4);
+    fn reports_merge_element_wise() {
+        let mut worker = TelemetryReport::new();
+        worker.phases.add(Phase::Pop, 10);
+        worker.rank_errors.record(3);
+        let mut job = TelemetryReport::new();
+        job.merge(&worker);
+        job.merge(&worker);
+        assert_eq!(job.phases.pop_ns, 20);
+        assert_eq!(job.rank_errors.count(), 2);
     }
 }

@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# The three numbers every "delete the second path" PR (ROADMAP item 4)
+# reports before and after, from tracked files only:
+#   1. Rust lines: tracked *.rs outside benchmark/ and crates/shims/
+#   2. `unsafe {` / `unsafe fn` / `unsafe impl` sites per crate
+#   3. options: `pub` fields and `with_*` builders of every `*Config` /
+#      `*Policy` struct (cfg-gated test-only fields included)
+# Run it on both commits and diff the output.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+product_rs() {
+    git ls-files '*.rs' | grep -v -e '^benchmark/' -e '^crates/shims/'
+}
+
+echo "rust_lines $(product_rs | xargs cat | wc -l)"
+
+echo "unsafe_sites"
+total=0
+for crate in $(product_rs | grep '^crates/' | cut -d/ -f2 | sort -u); do
+    n=$(product_rs | grep "^crates/$crate/" | xargs grep -hE 'unsafe (\{|fn|impl)' | wc -l || true)
+    [ "$n" -eq 0 ] || echo "  $crate $n"
+    total=$((total + n))
+done
+echo "  total $total"
+
+echo "options"
+total=0
+for file in $(product_rs | xargs grep -lE '^pub struct [A-Za-z]+(Config|Policy) \{'); do
+    for name in $(grep -ohE '^pub struct [A-Za-z]+(Config|Policy) \{' "$file" | cut -d' ' -f3); do
+        fields=$(sed -n "/^pub struct $name {/,/^}/p" "$file" | grep -cE '^    pub [a-z_]+:' || true)
+        builders=$(sed -n "/^impl $name {/,/^}/p" "$file" | grep -cE '^    pub fn with_' || true)
+        echo "  $name fields=$fields builders=$builders"
+        total=$((total + fields + builders))
+    done
+done
+echo "  total $total"

@@ -7,7 +7,7 @@
 //! [`smq_pool`] (the resident worker pool and job service),
 //! [`smq_rank`] (the Theorem-1 analytical model) and
 //! [`smq_telemetry`] (opt-in histograms, rank-error probes, phase
-//! tracing and trace export).
+//! accounting).
 
 pub use smq_algos as algos;
 pub use smq_core as core;

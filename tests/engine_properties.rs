@@ -334,8 +334,8 @@ where
 /// seeded schedulers are **bit-identical in stats** (the executor makes no
 /// batch-dependent decisions), and schedulers without policy-level insert
 /// buffering record zero native batch operations — the evidence that the
-/// explicit batch-1 configuration still takes exactly the historical hot
-/// path.
+/// explicit batch-1 configuration makes one `pop()` per task and one
+/// `push()` per follow-up.
 #[test]
 fn batch_one_is_the_per_task_path() {
     let graph = uniform_random(64, 192, 200, 77);
