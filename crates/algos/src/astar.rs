@@ -14,20 +14,48 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_core::{Scheduler, Task};
+use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::AlgoResult;
 
-/// Result of an A* run.
-#[derive(Debug, Clone)]
-pub struct AstarRun {
-    /// Shortest distance from source to target (`u64::MAX` if unreachable).
-    pub distance: u64,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
+/// The per-vertex g-scores as the A* kernel sees them.
+///
+/// The trait hides the slot *format*, which is the only thing that differs
+/// between a one-shot run and a served query: a `Vec<AtomicU64>` is a plain
+/// slot per vertex allocated for the run, while the query service
+/// (`crate::query`) reads epoch-stamped 24+40-bit slots of a lane it
+/// reuses across queries without ever resetting it.  Both run the same
+/// [`AstarWorkload::process`].
+pub trait LabelStore: Sync {
+    /// What [`get`](Self::get) returns for a vertex no path has reached
+    /// yet; every real label is strictly smaller.
+    const UNREACHED: u64;
+
+    /// The current label of `v`.
+    fn get(&self, v: u32) -> u64;
+
+    /// The CAS-relax step: lowers `v`'s label to `proposed` if that is a
+    /// strict improvement.  Returns `true` when this call performed the
+    /// decrease.
+    fn try_decrease(&self, v: u32, proposed: u64) -> bool;
+}
+
+/// The label store of a one-shot run: one plain `AtomicU64` per vertex,
+/// `u64::MAX` while unreached.
+impl LabelStore for Vec<AtomicU64> {
+    const UNREACHED: u64 = u64::MAX;
+
+    #[inline]
+    fn get(&self, v: u32) -> u64 {
+        self[v as usize].load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn try_decrease(&self, v: u32, proposed: u64) -> bool {
+        engine::try_decrease(&self[v as usize], proposed)
+    }
 }
 
 /// The admissible heuristic: scaled Euclidean distance between `v` and the
@@ -77,37 +105,46 @@ pub fn sequential<G: GraphView>(graph: &G, source: u32, target: u32) -> (u64, u6
 }
 
 /// The A* workload: tasks are `(f = g + h, vertex)`, shared state = one
-/// atomic g-score per vertex plus the best route to the target found so
-/// far (used to prune vertices that can no longer matter).
-pub struct AstarWorkload<'g, G = CsrGraph> {
+/// g-score per vertex (in a [`LabelStore`]) plus the best route to the
+/// target found so far (used to prune vertices that can no longer matter).
+/// The output is the source→target distance, `u64::MAX` if unreachable.
+pub struct AstarWorkload<'g, G = CsrGraph, L = Vec<AtomicU64>> {
     graph: &'g G,
     source: u32,
     target: u32,
-    g_score: Vec<AtomicU64>,
+    g_score: L,
     best_target: AtomicU64,
 }
 
 impl<'g, G: GraphView> AstarWorkload<'g, G> {
-    /// A* from `source` to `target`.
+    /// A* from `source` to `target` over labels allocated for this run.
     pub fn new(graph: &'g G, source: u32, target: u32) -> Self {
+        let unreached = (0..graph.num_nodes()).map(|_| AtomicU64::new(u64::MAX));
+        Self::over(graph, source, target, unreached.collect())
+    }
+}
+
+impl<'g, G: GraphView, L: LabelStore> AstarWorkload<'g, G, L> {
+    /// A* from `source` to `target` over caller-supplied labels, all of
+    /// which must read as unreached.
+    pub fn over(graph: &'g G, source: u32, target: u32, g_score: L) -> Self {
         let n = graph.num_nodes();
         assert!(
             (source as usize) < n && (target as usize) < n,
             "vertex out of range"
         );
-        let g_score: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        g_score[source as usize].store(0, Ordering::Relaxed);
+        g_score.try_decrease(source, 0);
         Self {
             graph,
             source,
             target,
             g_score,
-            best_target: AtomicU64::new(u64::MAX),
+            best_target: AtomicU64::new(L::UNREACHED),
         }
     }
 }
 
-impl<G: GraphView> DecreaseKeyWorkload for AstarWorkload<'_, G> {
+impl<G: GraphView, L: LabelStore> DecreaseKeyWorkload for AstarWorkload<'_, G, L> {
     type Output = u64;
 
     fn name(&self) -> &'static str {
@@ -128,11 +165,11 @@ impl<G: GraphView> DecreaseKeyWorkload for AstarWorkload<'_, G> {
         _scratch: &mut Scratch,
     ) -> TaskOutcome {
         let v = task.value as u32;
-        let g = self.g_score[v as usize].load(Ordering::Relaxed);
+        let g = self.g_score.get(v);
         // Recompute the expected priority; a mismatch means a better path
         // to `v` has been found since this task was pushed.
         let expected_f = g.saturating_add(heuristic(self.graph, v, self.target));
-        if task.key > expected_f || g == u64::MAX {
+        if task.key > expected_f || g == L::UNREACHED {
             return TaskOutcome::Wasted;
         }
         // Prune vertices that cannot improve the best route found so far
@@ -146,7 +183,7 @@ impl<G: GraphView> DecreaseKeyWorkload for AstarWorkload<'_, G> {
         }
         for (u, w) in self.graph.neighbors(v) {
             let ng = g + u64::from(w);
-            if engine::try_decrease(&self.g_score[u as usize], ng) {
+            if self.g_score.try_decrease(u, ng) {
                 if u == self.target {
                     self.best_target.fetch_min(ng, Ordering::Relaxed);
                 }
@@ -160,7 +197,12 @@ impl<G: GraphView> DecreaseKeyWorkload for AstarWorkload<'_, G> {
     }
 
     fn output(&self) -> u64 {
-        self.g_score[self.target as usize].load(Ordering::Relaxed)
+        let distance = self.g_score.get(self.target);
+        if distance == L::UNREACHED {
+            u64::MAX
+        } else {
+            distance
+        }
     }
 
     fn sequential_reference(&self) -> SequentialReference<u64> {
@@ -169,30 +211,6 @@ impl<G: GraphView> DecreaseKeyWorkload for AstarWorkload<'_, G> {
             output,
             baseline_tasks,
         }
-    }
-
-    fn outputs_equivalent(&self, a: &u64, b: &u64) -> bool {
-        a == b
-    }
-}
-
-/// Runs A* from `source` to `target` on `scheduler` with `threads` workers.
-pub fn parallel<G, S>(
-    graph: &G,
-    source: u32,
-    target: u32,
-    scheduler: &S,
-    threads: usize,
-) -> AstarRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = AstarWorkload::new(graph, source, target);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    AstarRun {
-        distance: run.output,
-        result: run.result,
     }
 }
 
@@ -247,8 +265,8 @@ mod tests {
         let target = (g.num_nodes() - 1) as u32;
         let (expected, _) = sequential(&g, 0, target);
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let run = parallel(&g, 0, target, &smq, 2);
-        assert_eq!(run.distance, expected);
+        let run = engine::run_parallel(&AstarWorkload::new(&g, 0, target), &smq, 2);
+        assert_eq!(run.output, expected);
         assert!(run.result.useful_tasks > 0);
     }
 
@@ -258,8 +276,8 @@ mod tests {
         let target = (g.num_nodes() / 2) as u32;
         let (expected, _) = sequential(&g, 0, target);
         let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2));
-        let run = parallel(&g, 0, target, &mq, 2);
-        assert_eq!(run.distance, expected);
+        let run = engine::run_parallel(&AstarWorkload::new(&g, 0, target), &mq, 2);
+        assert_eq!(run.output, expected);
     }
 
     #[test]
@@ -269,7 +287,7 @@ mod tests {
         b.add_edge(0, 1, 5);
         let g = b.build();
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(1));
-        let run = parallel(&g, 0, 2, &smq, 1);
-        assert_eq!(run.distance, u64::MAX);
+        let run = engine::run_parallel(&AstarWorkload::new(&g, 0, 2), &smq, 1);
+        assert_eq!(run.output, u64::MAX);
     }
 }

@@ -22,22 +22,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_core::{Scheduler, Task};
+use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::kcore::reverse_adjacency;
-use crate::AlgoResult;
-
-/// Labels plus run accounting from a parallel CC execution.
-#[derive(Debug, Clone)]
-pub struct CcRun {
-    /// `labels[v]` is the minimum vertex id in `v`'s weak component.
-    pub labels: Vec<u64>,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
-}
+use crate::kcore::ReverseAdjacency;
 
 /// Exact sequential reference: Gauss–Seidel min-label propagation with a
 /// lowest-label-first worklist.  Returns the label array and the number of
@@ -47,7 +37,7 @@ pub fn sequential<G: GraphView>(graph: &G) -> (Vec<u64>, u64) {
     use std::collections::BinaryHeap;
 
     let n = graph.num_nodes();
-    let (rev_offsets, rev_sources) = reverse_adjacency(graph);
+    let reverse = ReverseAdjacency::of(graph);
     let mut labels: Vec<u64> = (0..n as u64).collect();
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> =
         (0..n as u32).map(|v| Reverse((v as u64, v))).collect();
@@ -58,11 +48,10 @@ pub fn sequential<G: GraphView>(graph: &G) -> (Vec<u64>, u64) {
         }
         useful += 1;
         let l = labels[v as usize];
-        let rev = rev_offsets[v as usize] as usize..rev_offsets[v as usize + 1] as usize;
         let undirected = graph
             .neighbors(v)
             .map(|(u, _w)| u)
-            .chain(rev_sources[rev].iter().copied());
+            .chain(reverse.in_neighbors(v).iter().copied());
         for u in undirected {
             if labels[u as usize] > l {
                 labels[u as usize] = l;
@@ -78,26 +67,17 @@ pub fn sequential<G: GraphView>(graph: &G) -> (Vec<u64>, u64) {
 pub struct CcWorkload<'g, G = CsrGraph> {
     graph: &'g G,
     labels: Vec<AtomicU64>,
-    rev_offsets: Vec<u32>,
-    rev_sources: Vec<u32>,
+    reverse: ReverseAdjacency,
 }
 
 impl<'g, G: GraphView> CcWorkload<'g, G> {
     /// Weakly connected components of `graph`.
     pub fn new(graph: &'g G) -> Self {
-        let (rev_offsets, rev_sources) = reverse_adjacency(graph);
         Self {
             graph,
             labels: (0..graph.num_nodes() as u64).map(AtomicU64::new).collect(),
-            rev_offsets,
-            rev_sources,
+            reverse: ReverseAdjacency::of(graph),
         }
-    }
-
-    fn in_neighbors(&self, v: u32) -> &[u32] {
-        let range =
-            self.rev_offsets[v as usize] as usize..self.rev_offsets[v as usize + 1] as usize;
-        &self.rev_sources[range]
     }
 }
 
@@ -128,7 +108,7 @@ impl<G: GraphView> DecreaseKeyWorkload for CcWorkload<'_, G> {
             return TaskOutcome::Wasted;
         }
         let out = self.graph.neighbors(v).map(|(u, _w)| u);
-        let both = out.chain(self.in_neighbors(v).iter().copied());
+        let both = out.chain(self.reverse.in_neighbors(v).iter().copied());
         for u in both {
             if engine::try_decrease(&self.labels[u as usize], label) {
                 push(Task::new(label, u64::from(u)));
@@ -150,24 +130,6 @@ impl<G: GraphView> DecreaseKeyWorkload for CcWorkload<'_, G> {
             output,
             baseline_tasks,
         }
-    }
-
-    fn outputs_equivalent(&self, a: &Vec<u64>, b: &Vec<u64>) -> bool {
-        a == b
-    }
-}
-
-/// Runs connected components on `scheduler` with `threads` workers.
-pub fn parallel<G, S>(graph: &G, scheduler: &S, threads: usize) -> CcRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = CcWorkload::new(graph);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    CcRun {
-        labels: run.output,
-        result: run.result,
     }
 }
 

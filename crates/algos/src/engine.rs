@@ -1,14 +1,18 @@
 //! The generic relaxed-priority workload engine.
 //!
-//! Every workload in this crate — SSSP, BFS, A*, Borůvka MST,
-//! PageRank-delta, k-core — is the same pattern wearing different clothes:
-//! seed the scheduler with prioritized tasks, pop tasks, decide whether each
-//! popped task still matters (*useful*) or was made stale by concurrent
-//! progress (*wasted*), update some shared monotone state, and push
-//! follow-up tasks.  [`DecreaseKeyWorkload`] captures exactly that contract
+//! Every workload in this crate — SSSP (from scratch, as BFS, as an
+//! incremental repair), A* (one-shot or as a served route query), Borůvka
+//! MST, PageRank-delta, k-core, CC — is the same pattern wearing different
+//! clothes: seed the scheduler with prioritized tasks, pop tasks, decide
+//! whether each popped task still matters (*useful*) or was made stale by
+//! concurrent progress (*wasted*), update some shared monotone state, and
+//! push follow-up tasks.  [`DecreaseKeyWorkload`] captures exactly that contract
 //! and [`run_parallel`] is the one parallel driver, so the useful/wasted
 //! accounting and the pool invocation (whose per-job report is the run's
-//! [`AlgoResult`]) exist once instead of once per algorithm.
+//! [`AlgoResult`]) exist once instead of once per algorithm.  There is one
+//! kernel per algorithm and one run type: callers write
+//! `run_parallel(&Workload::new(..), &scheduler, threads)` and read
+//! [`EngineRun`]'s `output` and `result`; no module wraps either.
 //!
 //! The shared state of these workloads is monotone (distances only
 //! decrease, residuals drain, h-values fall, components merge), which is
@@ -66,7 +70,7 @@ pub struct SequentialReference<O> {
 /// implementation detects this and reports [`TaskOutcome::Wasted`]).
 pub trait DecreaseKeyWorkload: Sync {
     /// The algorithm-level answer (distances, ranks, core numbers, ...).
-    type Output;
+    type Output: PartialEq;
 
     /// Short display name ("SSSP", "PR-delta", ...).
     fn name(&self) -> &'static str;
@@ -103,10 +107,12 @@ pub trait DecreaseKeyWorkload: Sync {
     fn sequential_reference(&self) -> SequentialReference<Self::Output>;
 
     /// Whether two outputs are equivalent for this workload.  Exact
-    /// workloads (SSSP, BFS, A*, MST, k-core) compare with `==`;
+    /// workloads (SSSP, BFS, A*, MST, k-core, CC) keep the default `==`;
     /// approximate ones (PageRank-delta) compare within the error bound
     /// their termination threshold guarantees.
-    fn outputs_equivalent(&self, a: &Self::Output, b: &Self::Output) -> bool;
+    fn outputs_equivalent(&self, a: &Self::Output, b: &Self::Output) -> bool {
+        a == b
+    }
 }
 
 /// Output plus accounting from one parallel engine run.
@@ -305,10 +311,6 @@ mod tests {
                 output: 8,
                 baseline_tasks: (1..=8u64).map(|k| k + 1).sum(),
             }
-        }
-
-        fn outputs_equivalent(&self, a: &u64, b: &u64) -> bool {
-            a == b
         }
     }
 

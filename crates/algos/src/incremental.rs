@@ -21,52 +21,9 @@
 //! relaxing `u` (which pushes a task) covers `v`.  Induction along the new
 //! shortest-path tree does the rest.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use smq_graph::{GraphUpdate, GraphView};
 
-use smq_core::{Scheduler, Task};
-use smq_graph::{CsrGraph, GraphUpdate, GraphView};
-use smq_runtime::Scratch;
-
-use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::sssp::SsspRun;
-
-/// Exact sequential incremental repair: starting from `old_distances`
-/// (exact for the pre-update graph), settles the region affected by
-/// `updates` on the post-update `graph`.  Returns the repaired distance
-/// array and the number of settled (useful) heap pops — the baseline task
-/// count for work-increase reporting.
-pub fn sequential<G: GraphView>(
-    graph: &G,
-    old_distances: &[u64],
-    updates: &[GraphUpdate],
-) -> (Vec<u64>, u64) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut dist = old_distances.to_vec();
-    let mut heap = BinaryHeap::new();
-    for (v, d) in seed_proposals(old_distances, updates) {
-        if d < dist[v as usize] {
-            dist[v as usize] = d;
-            heap.push(Reverse((d, v)));
-        }
-    }
-    let mut settled = 0u64;
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v as usize] {
-            continue;
-        }
-        settled += 1;
-        for (u, w) in graph.neighbors(v) {
-            let nd = d + u64::from(w);
-            if nd < dist[u as usize] {
-                dist[u as usize] = nd;
-                heap.push(Reverse((nd, u)));
-            }
-        }
-    }
-    (dist, settled)
-}
+use crate::sssp::{self, SsspWorkload};
 
 /// `(vertex, proposed distance)` seeds from the heads of updated edges.
 fn seed_proposals(old_distances: &[u64], updates: &[GraphUpdate]) -> Vec<(u32, u64)> {
@@ -85,27 +42,19 @@ fn seed_proposals(old_distances: &[u64], updates: &[GraphUpdate]) -> Vec<(u32, u
         .collect()
 }
 
-/// The incremental-SSSP workload: shared state is the distance array
-/// seeded with the *old* exact distances, initial tasks are the heads of
-/// the updated edges, and `process` is the ordinary SSSP relaxation over
-/// the post-update [`GraphView`].
-pub struct IncrementalSsspWorkload<'g, G = CsrGraph> {
-    /// The post-update graph.
-    graph: &'g G,
-    seeds: Vec<(u32, u64)>,
-    old_distances: Vec<u64>,
-    distances: Vec<AtomicU64>,
-}
-
-impl<'g, G: GraphView> IncrementalSsspWorkload<'g, G> {
-    /// Builds a repair run over the post-update `graph` from the exact
-    /// pre-update `old_distances` and the update batch that separates the
-    /// two versions.
+/// The repair constructors of the SSSP workload: shared state is the
+/// distance array seeded with the *old* exact distances, initial tasks are
+/// the heads of the updated edges that improve on them, and the kernel is
+/// the ordinary SSSP relaxation over the post-update [`GraphView`].
+impl<'g, G: GraphView> SsspWorkload<'g, G> {
+    /// Builds a repair run (display name `inc-SSSP`) over the post-update
+    /// `graph` from the exact pre-update `old_distances` and the update
+    /// batch that separates the two versions.
     ///
     /// # Panics
     /// Panics if the distance array length does not match the graph, or if
     /// an update endpoint is out of range.
-    pub fn new(graph: &'g G, old_distances: Vec<u64>, updates: &[GraphUpdate]) -> Self {
+    pub fn repair(graph: &'g G, old_distances: Vec<u64>, updates: &[GraphUpdate]) -> Self {
         let n = graph.num_nodes();
         assert_eq!(old_distances.len(), n, "one old distance per vertex");
         for u in updates {
@@ -115,24 +64,18 @@ impl<'g, G: GraphView> IncrementalSsspWorkload<'g, G> {
             );
         }
         let seeds = seed_proposals(&old_distances, updates);
-        let distances: Vec<AtomicU64> = old_distances.iter().map(|&d| AtomicU64::new(d)).collect();
-        Self {
-            graph,
-            seeds,
-            old_distances,
-            distances,
-        }
+        Self::from_labels(graph, "inc-SSSP", u64::from, Some(old_distances), seeds)
     }
 
     /// Convenience: computes the pre-update distances with a full Dijkstra
     /// on `old_graph`, checks that every `SetWeight` is non-increasing
     /// against it (the precondition for incremental repair), and builds
-    /// the workload over the post-update `new_graph`.
+    /// the repair over the post-update `new_graph`.
     ///
     /// # Panics
     /// Panics if a `SetWeight` raises an existing edge's weight — repairs
     /// after weight *increases* need a different (decremental) algorithm.
-    pub fn after_updates<O: GraphView>(
+    pub fn repair_after_updates<O: GraphView>(
         old_graph: &O,
         new_graph: &'g G,
         source: u32,
@@ -153,124 +96,18 @@ impl<'g, G: GraphView> IncrementalSsspWorkload<'g, G> {
                 // InsertEdge) only adds paths and never raises a distance.
             }
         }
-        let (old_distances, _) = crate::sssp::sequential(old_graph, source);
-        Self::new(new_graph, old_distances, updates)
-    }
-}
-
-impl<G: GraphView> DecreaseKeyWorkload for IncrementalSsspWorkload<'_, G> {
-    type Output = Vec<u64>;
-
-    fn name(&self) -> &'static str {
-        "inc-SSSP"
-    }
-
-    fn initial_tasks(&self) -> Vec<Task> {
-        // Apply the seed proposals here (not in the constructor) so each
-        // one also becomes a task when it improves on the old distance.
-        let mut tasks = Vec::new();
-        for &(v, d) in &self.seeds {
-            if engine::try_decrease(&self.distances[v as usize], d) {
-                tasks.push(Task::new(d, u64::from(v)));
-            }
-        }
-        tasks
-    }
-
-    fn process(
-        &self,
-        task: Task,
-        push: &mut dyn FnMut(Task),
-        _scratch: &mut Scratch,
-    ) -> TaskOutcome {
-        let v = task.value as usize;
-        let d = task.key;
-        if d > self.distances[v].load(Ordering::Relaxed) {
-            return TaskOutcome::Wasted;
-        }
-        for (u, w) in self.graph.neighbors(v as u32) {
-            let nd = d + u64::from(w);
-            if engine::try_decrease(&self.distances[u as usize], nd) {
-                push(Task::new(nd, u64::from(u)));
-            }
-        }
-        TaskOutcome::Useful
-    }
-
-    fn output(&self) -> Vec<u64> {
-        self.distances
-            .iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    fn sequential_reference(&self) -> SequentialReference<Vec<u64>> {
-        // Replay the same seeds through the exact sequential repair.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let mut dist = self.old_distances.clone();
-        let mut heap = BinaryHeap::new();
-        for &(v, d) in &self.seeds {
-            if d < dist[v as usize] {
-                dist[v as usize] = d;
-                heap.push(Reverse((d, v)));
-            }
-        }
-        let mut settled = 0u64;
-        while let Some(Reverse((d, v))) = heap.pop() {
-            if d > dist[v as usize] {
-                continue;
-            }
-            settled += 1;
-            for (u, w) in self.graph.neighbors(v) {
-                let nd = d + u64::from(w);
-                if nd < dist[u as usize] {
-                    dist[u as usize] = nd;
-                    heap.push(Reverse((nd, u)));
-                }
-            }
-        }
-        SequentialReference {
-            output: dist,
-            baseline_tasks: settled,
-        }
-    }
-
-    fn outputs_equivalent(&self, a: &Vec<u64>, b: &Vec<u64>) -> bool {
-        a == b
-    }
-}
-
-/// Runs an incremental repair on `scheduler` with `threads` workers:
-/// pre-update distances come from a full Dijkstra on `old_graph`, the
-/// repair relaxes over `new_graph`.
-pub fn parallel<O, G, S>(
-    old_graph: &O,
-    new_graph: &G,
-    source: u32,
-    updates: &[GraphUpdate],
-    scheduler: &S,
-    threads: usize,
-) -> SsspRun
-where
-    O: GraphView,
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = IncrementalSsspWorkload::after_updates(old_graph, new_graph, source, updates);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    SsspRun {
-        distances: run.output,
-        result: run.result,
+        let (old_distances, _) = sssp::sequential(old_graph, source);
+        Self::repair(new_graph, old_distances, updates)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{self, DecreaseKeyWorkload};
+    use smq_core::Task;
     use smq_graph::generators::{road_network, RoadNetworkParams};
-    use smq_graph::{GraphBuilder, LiveGraph};
+    use smq_graph::{CsrGraph, GraphBuilder, LiveGraph};
     use smq_scheduler::{HeapSmq, SmqConfig};
     use std::sync::Arc;
 
@@ -302,22 +139,22 @@ mod tests {
         let snapshot = live.pin();
         let (old_dist, _) = crate::sssp::sequential(&old, 0);
         assert_eq!(old_dist, vec![0, 7, 3, 9]);
-        let (repaired, settled) = sequential(&snapshot, &old_dist, &updates);
+        let repaired = SsspWorkload::repair(&snapshot, old_dist, &updates).sequential_reference();
         let (full, _) = crate::sssp::sequential(&snapshot, 0);
-        assert_eq!(repaired, full);
-        assert_eq!(repaired, vec![0, 1, 3, 3]);
+        assert_eq!(repaired.output, full);
+        assert_eq!(repaired.output, vec![0, 1, 3, 3]);
         // Only the improved region (1 and 3) re-settles.
-        assert_eq!(settled, 2);
+        assert_eq!(repaired.baseline_tasks, 2);
     }
 
     #[test]
     fn empty_update_batch_is_a_no_op() {
         let g = road();
         let (old_dist, _) = crate::sssp::sequential(&g, 0);
-        let (repaired, settled) = sequential(&g, &old_dist, &[]);
-        assert_eq!(repaired, old_dist);
-        assert_eq!(settled, 0);
-        let workload = IncrementalSsspWorkload::new(&g, old_dist.clone(), &[]);
+        let workload = SsspWorkload::repair(&g, old_dist.clone(), &[]);
+        let reference = workload.sequential_reference();
+        assert_eq!(reference.output, old_dist);
+        assert_eq!(reference.baseline_tasks, 0);
         assert!(workload.initial_tasks().is_empty());
         assert_eq!(workload.output(), old_dist);
     }
@@ -330,9 +167,10 @@ mod tests {
         live.publish(&updates);
         let snapshot = live.pin();
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let run = parallel(&*base, &snapshot, 0, &updates, &smq, 2);
+        let workload = SsspWorkload::repair_after_updates(&*base, &snapshot, 0, &updates);
+        let run = engine::run_parallel(&workload, &smq, 2);
         let (full, _) = crate::sssp::sequential(&snapshot, 0);
-        assert_eq!(run.distances, full);
+        assert_eq!(run.output, full);
     }
 
     #[test]
@@ -342,7 +180,7 @@ mod tests {
         let updates = GraphUpdate::random_decreases(&*base, 40, 5);
         live.publish(&updates);
         let snapshot = live.pin();
-        let workload = IncrementalSsspWorkload::after_updates(&*base, &snapshot, 0, &updates);
+        let workload = SsspWorkload::repair_after_updates(&*base, &snapshot, 0, &updates);
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
         let (run, reference) = engine::run_and_check(&workload, &smq, 2);
         assert_eq!(run.output, reference.output);
@@ -358,7 +196,7 @@ mod tests {
             to: edge.to,
             weight: edge.weight + 1,
         }];
-        let _ = IncrementalSsspWorkload::after_updates(&g, &g, 0, &updates);
+        let _ = SsspWorkload::repair_after_updates(&g, &g, 0, &updates);
     }
 
     #[test]
@@ -369,7 +207,9 @@ mod tests {
         live.publish(&updates);
         let snapshot = live.pin();
         let (old_dist, full_settled) = crate::sssp::sequential(&*base, 0);
-        let (_, repair_settled) = sequential(&snapshot, &old_dist, &updates);
+        let repair_settled = SsspWorkload::repair(&snapshot, old_dist, &updates)
+            .sequential_reference()
+            .baseline_tasks;
         assert!(
             repair_settled < full_settled,
             "repair settled {repair_settled} >= full recompute {full_settled}"

@@ -24,24 +24,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_core::{Scheduler, Task};
+use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::AlgoResult;
 
-/// Core numbers plus run accounting from a parallel k-core execution.
-#[derive(Debug, Clone)]
-pub struct KCoreRun {
-    /// `cores[v]` is the coreness of `v` (h-index fixed point).
-    pub cores: Vec<u64>,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
-}
-
-/// Reverse adjacency in CSR form: `(offsets, sources)` such that the
-/// in-neighbours of `v` are `sources[offsets[v]..offsets[v + 1]]`.
+/// Reverse adjacency in CSR form: the in-neighbours of `v` are
+/// `sources[offsets[v]..offsets[v + 1]]`.
 ///
 /// `h[v]` is computed from `v`'s *out*-neighbours, so when `u`'s value
 /// drops, the vertices whose h-index may drop in response are `u`'s
@@ -50,23 +40,35 @@ pub struct KCoreRun {
 /// coreness.)  Shared with the connected-components workload
 /// (`crate::cc`), which needs the same "who can my update affect"
 /// direction for weak connectivity.
-pub(crate) fn reverse_adjacency<G: GraphView>(graph: &G) -> (Vec<u32>, Vec<u32>) {
-    let n = graph.num_nodes();
-    let mut offsets = vec![0u32; n + 1];
-    for e in graph.edges() {
-        offsets[e.to as usize + 1] += 1;
+pub(crate) struct ReverseAdjacency {
+    offsets: Vec<u32>,
+    sources: Vec<u32>,
+}
+
+impl ReverseAdjacency {
+    pub(crate) fn of<G: GraphView>(graph: &G) -> Self {
+        let n = graph.num_nodes();
+        let mut offsets = vec![0u32; n + 1];
+        for e in graph.edges() {
+            offsets[e.to as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut sources = vec![0u32; graph.num_edges()];
+        let mut next = offsets.clone();
+        for e in graph.edges() {
+            let slot = next[e.to as usize] as usize;
+            sources[slot] = e.from;
+            next[e.to as usize] += 1;
+        }
+        Self { offsets, sources }
     }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
+
+    /// The in-neighbours of `v` — the vertices an update of `v` can affect.
+    pub(crate) fn in_neighbors(&self, v: u32) -> &[u32] {
+        &self.sources[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
     }
-    let mut sources = vec![0u32; graph.num_edges()];
-    let mut next = offsets.clone();
-    for e in graph.edges() {
-        let slot = next[e.to as usize] as usize;
-        sources[slot] = e.from;
-        next[e.to as usize] += 1;
-    }
-    (offsets, sources)
 }
 
 /// The largest `k ≤ cap` such that at least `k` of the `values` are `≥ k`
@@ -105,7 +107,7 @@ pub fn sequential<G: GraphView>(graph: &G) -> (Vec<u64>, u64) {
     use std::collections::BinaryHeap;
 
     let n = graph.num_nodes();
-    let (rev_offsets, rev_sources) = reverse_adjacency(graph);
+    let reverse = ReverseAdjacency::of(graph);
     let mut h: Vec<u64> = (0..n as u32).map(|v| graph.degree(v) as u64).collect();
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> =
         (0..n as u32).map(|v| Reverse((h[v as usize], v))).collect();
@@ -123,8 +125,7 @@ pub fn sequential<G: GraphView>(graph: &G) -> (Vec<u64>, u64) {
         }
         h[v as usize] = candidate;
         useful += 1;
-        let range = rev_offsets[v as usize] as usize..rev_offsets[v as usize + 1] as usize;
-        for &w in &rev_sources[range] {
+        for &w in reverse.in_neighbors(v) {
             if h[w as usize] > candidate {
                 heap.push(Reverse((h[w as usize], w)));
             }
@@ -140,30 +141,19 @@ pub fn sequential<G: GraphView>(graph: &G) -> (Vec<u64>, u64) {
 pub struct KCoreWorkload<'g, G = CsrGraph> {
     graph: &'g G,
     h: Vec<AtomicU64>,
-    rev_offsets: Vec<u32>,
-    rev_sources: Vec<u32>,
+    reverse: ReverseAdjacency,
 }
 
 impl<'g, G: GraphView> KCoreWorkload<'g, G> {
     /// Coreness of every vertex of `graph`.
     pub fn new(graph: &'g G) -> Self {
-        let (rev_offsets, rev_sources) = reverse_adjacency(graph);
         Self {
             graph,
             h: (0..graph.num_nodes() as u32)
                 .map(|v| AtomicU64::new(graph.degree(v) as u64))
                 .collect(),
-            rev_offsets,
-            rev_sources,
+            reverse: ReverseAdjacency::of(graph),
         }
-    }
-
-    /// The in-neighbours of `v` — the vertices whose h-index can drop when
-    /// `v`'s does.
-    fn in_neighbors(&self, v: u32) -> &[u32] {
-        let range =
-            self.rev_offsets[v as usize] as usize..self.rev_offsets[v as usize + 1] as usize;
-        &self.rev_sources[range]
     }
 }
 
@@ -206,7 +196,7 @@ impl<G: GraphView> DecreaseKeyWorkload for KCoreWorkload<'_, G> {
             // their decrease already notified the affected neighbours.
             return TaskOutcome::Wasted;
         }
-        for &w in self.in_neighbors(v) {
+        for &w in self.reverse.in_neighbors(v) {
             let hw = self.h[w as usize].load(Ordering::Relaxed);
             // Only in-neighbours whose value still exceeds the new h can be
             // affected by this decrease (the operator is monotone).
@@ -227,24 +217,6 @@ impl<G: GraphView> DecreaseKeyWorkload for KCoreWorkload<'_, G> {
             output,
             baseline_tasks,
         }
-    }
-
-    fn outputs_equivalent(&self, a: &Vec<u64>, b: &Vec<u64>) -> bool {
-        a == b
-    }
-}
-
-/// Runs k-core decomposition on `scheduler` with `threads` workers.
-pub fn parallel<G, S>(graph: &G, scheduler: &S, threads: usize) -> KCoreRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = KCoreWorkload::new(graph);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    KCoreRun {
-        cores: run.output,
-        result: run.result,
     }
 }
 

@@ -1,19 +1,30 @@
 //! Task-parallel graph algorithms formulated over relaxed priority
 //! schedulers, plus exact sequential references.
 //!
-//! All workloads run through one generic driver: [`engine`] defines the
-//! [`DecreaseKeyWorkload`] trait (initial
-//! tasks, a `process` step classifying each task as useful or wasted, a
-//! shared-state output view, and a sequential reference) and
-//! [`engine::run_parallel`] / [`engine::run_on_pool`], which own the
-//! worker-pool invocation and the useful/wasted accounting for every
-//! algorithm.  The workloads:
+//! **One parallel kernel per algorithm, one run type.**  [`engine`] defines
+//! the [`DecreaseKeyWorkload`] trait (initial tasks, a `process` step
+//! classifying each task as useful or wasted, a shared-state output view,
+//! and a sequential reference) and the drivers that own the worker-pool
+//! invocation and the useful/wasted accounting for every algorithm.  A
+//! parallel run is always
+//!
+//! ```text
+//! engine::run_parallel(&Workload::new(..), &scheduler, threads)   // one-shot
+//! engine::run_on_pool(&Workload::new(..), &pool)                  // resident pool
+//! ```
+//!
+//! and always returns an [`EngineRun`] `{ output, result }`.  The workloads:
 //!
 //! * [`sssp`] — single-source shortest paths with priority = tentative
-//!   distance (the delta-stepping-style formulation Galois uses),
-//! * [`bfs`] — breadth-first search, i.e. SSSP with unit weights,
+//!   distance (the delta-stepping-style formulation Galois uses);
+//!   `SsspWorkload::bfs` is the same kernel with unit weights ([`bfs`] holds
+//!   the sequential reference), and [`incremental`] constructs it as a
+//!   *repair* after a batch of non-increasing graph updates — old distances
+//!   as starting labels, the heads of the updated edges as seeds, over a
+//!   pinned `smq_graph::LiveGraph` snapshot,
 //! * [`astar`] — point-to-point shortest path guided by a Euclidean
-//!   (equirectangular-style) distance heuristic,
+//!   (equirectangular-style) distance heuristic, generic over where its
+//!   g-scores live ([`astar::LabelStore`]),
 //! * [`mst`] — Borůvka's minimum-spanning-forest algorithm with
 //!   per-component tasks prioritized by component size,
 //! * [`pagerank`] — residual-prioritized PageRank-delta (largest pending
@@ -21,20 +32,20 @@
 //! * [`kcore`] — k-core decomposition via the asynchronous h-index fixed
 //!   point (lowest candidate coreness first),
 //! * [`cc`] — weakly connected components via min-label propagation
-//!   (smallest label first),
-//! * [`incremental`] — incremental SSSP repair after a batch of
-//!   non-increasing graph updates (re-relaxation seeded from the heads of
-//!   the updated edges, over a pinned `smq_graph::LiveGraph` snapshot).
+//!   (smallest label first).
 //!
 //! Every workload is generic over `smq_graph::GraphView`, so the same
 //! monomorphized code runs on a static `CsrGraph` or on a pinned snapshot
-//! of a `LiveGraph` receiving concurrent updates.
+//! of a `LiveGraph` receiving concurrent updates.  Each module's
+//! `sequential` function is an exact reference that shares no relaxation
+//! code with the kernel it checks.
 //!
 //! [`query`] is the service layer on top: a resident
-//! [`query::RouteQueryEngine`] answering thousands of
-//! independent point-to-point A* route queries over one shared road graph,
-//! each executed as a job on a resident `smq_pool::WorkerPool` with
-//! epoch-stamped g-score slots (per-query cost O(touched), not O(n)).
+//! [`query::RouteQueryEngine`] answering thousands of independent
+//! point-to-point route queries over one shared road graph.  Each query is
+//! the [`astar`] kernel run as a job on a resident `smq_pool::WorkerPool`,
+//! over epoch-stamped g-score slots the engine reuses across queries
+//! (per-query cost O(touched), not O(n)).
 //!
 //! Every parallel run reports both wall-clock metrics (via `smq-runtime`)
 //! and the algorithm-level *work* counters the paper uses to quantify
@@ -57,7 +68,6 @@ pub mod sssp;
 pub use engine::{
     run_on_pool, run_parallel, DecreaseKeyWorkload, EngineRun, SequentialReference, TaskOutcome,
 };
-pub use incremental::IncrementalSsspWorkload;
 pub use query::{RouteAnswer, RouteQueryEngine};
 /// Accounting attached to every parallel algorithm run: the pool's per-job
 /// report (metrics plus the useful / wasted task counts behind the paper's

@@ -19,23 +19,11 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use smq_core::{Scheduler, Task};
+use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
-use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::AlgoResult;
-
-/// Result of a minimum-spanning-forest run.
-#[derive(Debug, Clone)]
-pub struct MstRun {
-    /// Sum of the weights of the chosen edges.
-    pub total_weight: u64,
-    /// Number of edges in the forest (`V - #components`).
-    pub edges_in_forest: u64,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
-}
+use crate::engine::{DecreaseKeyWorkload, SequentialReference, TaskOutcome};
 
 /// Union-find over vertices with atomic parents (reads are lock-free; parent
 /// updates only happen under the merge lock).
@@ -205,7 +193,9 @@ pub fn sequential<G: GraphView>(graph: &G) -> (u64, u64, u64) {
 
 /// The Borůvka workload: one task per live component, priority = component
 /// size, shared state = the union-find plus member lists of
-/// `BoruvkaState`.  The output is `(forest weight, edges in forest)`.
+/// `BoruvkaState`.  The output is `(forest weight, edges in forest)`; effective
+/// edge weights are distinct (ties broken by endpoint ids), so the forest —
+/// and therefore both quantities — is unique and compared exactly.
 pub struct BoruvkaWorkload<'g, G = CsrGraph> {
     graph: &'g G,
     state: BoruvkaState<'g, G>,
@@ -292,28 +282,6 @@ impl<G: GraphView> DecreaseKeyWorkload for BoruvkaWorkload<'_, G> {
             baseline_tasks,
         }
     }
-
-    fn outputs_equivalent(&self, a: &(u64, u64), b: &(u64, u64)) -> bool {
-        // Effective edge weights are distinct (ties broken by endpoint
-        // ids), so the forest — and therefore both quantities — is unique.
-        a == b
-    }
-}
-
-/// Runs parallel Borůvka on `scheduler` with `threads` workers.
-pub fn parallel<G, S>(graph: &G, scheduler: &S, threads: usize) -> MstRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = BoruvkaWorkload::new(graph);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    let (total_weight, edges_in_forest) = run.output;
-    MstRun {
-        total_weight,
-        edges_in_forest,
-        result: run.result,
-    }
 }
 
 /// Kruskal's algorithm, used by tests as an independent reference for the
@@ -339,6 +307,7 @@ pub fn kruskal_weight<G: GraphView>(graph: &G) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine;
     use smq_graph::generators::{road_network, uniform_random, RoadNetworkParams};
     use smq_graph::GraphBuilder;
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
@@ -394,9 +363,8 @@ mod tests {
         });
         let (kruskal, kedges) = kruskal_weight(&g);
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(3));
-        let run = parallel(&g, &smq, 3);
-        assert_eq!(run.total_weight, kruskal);
-        assert_eq!(run.edges_in_forest, kedges);
+        let run = engine::run_parallel(&BoruvkaWorkload::new(&g), &smq, 3);
+        assert_eq!(run.output, (kruskal, kedges));
     }
 
     #[test]
@@ -410,9 +378,8 @@ mod tests {
         let g = b.build();
         let (kruskal, kedges) = kruskal_weight(&g);
         let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2));
-        let run = parallel(&g, &mq, 2);
-        assert_eq!(run.total_weight, kruskal);
-        assert_eq!(run.edges_in_forest, kedges);
+        let run = engine::run_parallel(&BoruvkaWorkload::new(&g), &mq, 2);
+        assert_eq!(run.output, (kruskal, kedges));
     }
 
     #[test]
@@ -424,8 +391,9 @@ mod tests {
             seed: 29,
         });
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let run = parallel(&g, &smq, 2);
-        assert!(run.result.useful_tasks >= run.edges_in_forest);
+        let run = engine::run_parallel(&BoruvkaWorkload::new(&g), &smq, 2);
+        let (_weight, edges_in_forest) = run.output;
+        assert!(run.result.useful_tasks >= edges_in_forest);
         assert!(run.result.total_tasks() >= run.result.useful_tasks);
     }
 }

@@ -2,9 +2,10 @@
 //! independent (source, target) route queries over one shared road graph,
 //! served **concurrently**.
 //!
-//! The one-shot [`crate::astar`] workload allocates a fresh `O(n)` g-score
-//! array per run — fine for a benchmark, fatal for a query service where a
-//! single query touches a few hundred vertices of a million-vertex graph.
+//! A query runs the one A* kernel, [`AstarWorkload`]; what this module adds
+//! is where its g-scores live.  A one-shot run allocates a fresh `O(n)`
+//! label array — fine for a benchmark, fatal for a service where a single
+//! query touches a few hundred vertices of a million-vertex graph.
 //! [`RouteQueryEngine`] keeps a small fixed set of slot arrays (**lanes**)
 //! for the graph's lifetime and stamps every entry with the query epoch
 //! that wrote it:
@@ -14,34 +15,32 @@
 //! ```
 //!
 //! A slot whose stamp differs from the current query's epoch *is*
-//! "infinity" — no reset pass ever runs.  Per query the engine pays
-//! O(touched vertices), not O(n).
+//! "infinity" — no reset pass ever runs, so per query the engine pays
+//! O(touched vertices), not O(n).  The kernel sees a lane through the
+//! [`LabelStore`] trait (`LaneLabels`, a lane plus an epoch) and never
+//! learns the format.
 //!
 //! # Concurrency: lanes + a global epoch allocator
 //!
-//! Queries no longer serialize on a run lock.  Each query atomically
-//! claims a fresh epoch from one shared counter (`fetch_add` — epochs are
-//! globally unique) and an idle **lane** (an exclusive slot-array
-//! workspace; concurrent queries must not share one, because a 64-bit slot
-//! can only hold *one* query's tentative distance and an overwrite would
-//! silently reset a live query's g-score to infinity).  An engine with L
-//! lanes serves up to L queries at once — pair it with a worker pool of G
-//! gangs and `lanes >= G` so every gang can be busy; extra queries block
-//! briefly for a free lane.
+//! Each query atomically claims a fresh epoch from one shared counter
+//! (`fetch_add` — epochs are globally unique) and an idle **lane** (an
+//! exclusive slot-array workspace; concurrent queries must not share one,
+//! because a 64-bit slot can only hold *one* query's tentative distance and
+//! an overwrite would silently reset a live query's g-score to infinity).
+//! An engine with L lanes serves up to L queries at once — pair it with a
+//! worker pool of G gangs and `lanes >= G` so every gang can be busy; extra
+//! queries block briefly for a free lane.
 //!
 //! # The epoch-wrap barrier
 //!
 //! When the 24-bit epoch space is exhausted (every ~16.7M queries), stale
-//! stamps could alias a live epoch.  The old engine hard-reset its slots
-//! inline, which was only sound because the run lock guaranteed no other
-//! query was in flight.  With concurrent queries the wrap is a
-//! **stop-the-queries barrier**: every query holds the engine's wrap
-//! barrier (an `RwLock`) in shared mode for its whole lifetime, and the
-//! thread that observes exhaustion takes the *write* lock — blocking until
-//! all in-flight queries drain, wiping every lane, and restarting the
-//! epoch counter — before queries resume.  The barrier costs one wipe per
-//! 16.7M queries; the common path pays one uncontended read-lock
-//! acquisition.
+//! stamps could alias a live epoch, so the wrap is a **stop-the-queries
+//! barrier**: every query holds the engine's wrap barrier (an `RwLock`) in
+//! shared mode for its whole lifetime, and the thread that observes
+//! exhaustion takes the *write* lock — blocking until all in-flight queries
+//! drain, wiping every lane, and restarting the epoch counter — before
+//! queries resume.  The barrier costs one wipe per 16.7M queries; the
+//! common path pays one uncontended read-lock acquisition.
 //!
 //! Queries execute as jobs on a resident `smq_pool::WorkerPool` via
 //! [`engine::run_on_pool`], one gang each, which is what the repo
@@ -52,10 +51,9 @@
 //! # Dynamic graphs
 //!
 //! The engine is generic over [`GraphSource`]: by default it serves a
-//! frozen `CsrGraph` (pinning is a no-op reference, so the static path is
-//! the same code as before the abstraction), but it can equally sit on a
-//! [`smq_graph::LiveGraph`] receiving concurrent weight updates.  Every
-//! query **pins one version for its whole lifetime** — A* expands the
+//! frozen `CsrGraph` (pinning is a no-op reference), but it can equally sit
+//! on a [`smq_graph::LiveGraph`] receiving concurrent weight updates.
+//! Every query **pins one version for its whole lifetime** — A* expands the
 //! frozen snapshot, never a torn mid-update view — and
 //! [`RouteQueryEngine::query_pinned`] hands that exact view back to the
 //! caller so the answer can be verified against a sequential run *on the
@@ -64,13 +62,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard};
 
-use smq_core::Task;
 use smq_graph::{CsrGraph, GraphSource, GraphView};
 use smq_pool::WorkerPool;
-use smq_runtime::Scratch;
 
-use crate::astar::heuristic;
-use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
+use crate::astar::{AstarWorkload, LabelStore};
+use crate::engine;
 use crate::AlgoResult;
 
 /// Low bits of a slot hold the tentative distance.
@@ -130,45 +126,55 @@ impl QueryLane {
         }
     }
 
-    /// This epoch's view of a slot: the stored distance if the stamp
-    /// matches, otherwise "unreached".
+    /// The lane as the query holding `epoch` sees it.
+    fn labels(&self, epoch: u64) -> LaneLabels<'_> {
+        LaneLabels {
+            slots: &self.slots,
+            epoch,
+        }
+    }
+}
+
+/// One query's view of its lane — the [`LabelStore`] the A* kernel runs
+/// over in the service.  A slot stamped with another epoch reads as
+/// unreached and is overwritten, stamp included, by the first decrease.
+struct LaneLabels<'e> {
+    slots: &'e [AtomicU64],
+    epoch: u64,
+}
+
+impl LaneLabels<'_> {
+    /// What a raw slot means to this query.
     #[inline]
-    fn g_score(&self, v: u32, epoch: u64) -> u64 {
-        let raw = self.slots[v as usize].load(Ordering::Relaxed);
-        if slot_epoch(raw) == epoch {
+    fn label(&self, raw: u64) -> u64 {
+        if slot_epoch(raw) == self.epoch {
             slot_distance(raw)
         } else {
             UNREACHED
         }
     }
+}
 
-    /// Epoch-aware CAS-relax: lowers `v`'s distance for `epoch` to
-    /// `proposed` if it improves on the epoch's current view (a stale-epoch
-    /// slot counts as unreached).  Returns `true` when this call performed
-    /// the decrease.
+impl LabelStore for LaneLabels<'_> {
+    const UNREACHED: u64 = UNREACHED;
+
     #[inline]
-    fn try_decrease(&self, v: u32, epoch: u64, proposed: u64) -> bool {
+    fn get(&self, v: u32) -> u64 {
+        self.label(self.slots[v as usize].load(Ordering::Relaxed))
+    }
+
+    #[inline]
+    fn try_decrease(&self, v: u32, proposed: u64) -> bool {
         let slot = &self.slots[v as usize];
         let mut raw = slot.load(Ordering::Relaxed);
-        loop {
-            let current = if slot_epoch(raw) == epoch {
-                slot_distance(raw)
-            } else {
-                UNREACHED
-            };
-            if proposed >= current {
-                return false;
-            }
-            match slot.compare_exchange_weak(
-                raw,
-                pack(epoch, proposed),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
+        while proposed < self.label(raw) {
+            let stamped = pack(self.epoch, proposed);
+            match slot.compare_exchange_weak(raw, stamped, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => return true,
                 Err(observed) => raw = observed,
             }
         }
+        false
     }
 }
 
@@ -179,8 +185,7 @@ impl QueryLane {
 /// its lane count (see the module docs): each query atomically claims a
 /// fresh epoch and an exclusive lane, runs as a single-gang job on the
 /// given pool, and releases the lane.  [`RouteQueryEngine::new`] builds a
-/// one-lane engine (queries serialize on the lane — the drop-in
-/// replacement for the old lock-serialized engine);
+/// one-lane engine (queries serialize on the lane);
 /// [`RouteQueryEngine::with_lanes`] sizes it for a gang-partitioned pool.
 ///
 /// The engine is generic over its [`GraphSource`] (default: a frozen
@@ -251,11 +256,6 @@ impl<G: GraphSource> RouteQueryEngine<G> {
         &self.graph
     }
 
-    /// Number of lanes, i.e. the maximum number of concurrent queries.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Queries served so far.
     pub fn queries_served(&self) -> u64 {
         self.queries_served.load(Ordering::Relaxed)
@@ -292,30 +292,17 @@ impl<G: GraphSource> RouteQueryEngine<G> {
         // knows no live epoch exists outside the barrier.
         let (_in_flight, epoch) = self.begin_epoch();
         let lane_claim = self.claim_lane();
-        let lane = &self.lanes[lane_claim.index];
+        let labels = self.lanes[lane_claim.index].labels(epoch);
         let view = self.graph.pin();
         debug_assert!(
             view.total_weight() < UNREACHED,
             "published updates overflowed the packed 40-bit distance field"
         );
-        // Seed the source slot for this epoch before the job starts.
-        lane.slots[source as usize].store(pack(epoch, 0), Ordering::Relaxed);
-        let active = ActiveQuery {
-            graph: &view,
-            lane,
-            epoch,
-            source,
-            target,
-            best_target: AtomicU64::new(UNREACHED),
-        };
-        let run = engine::run_on_pool(&active, pool);
+        // The one A* kernel, over this query's epoch view of its lane.
+        let run = engine::run_on_pool(&AstarWorkload::over(&view, source, target, labels), pool);
         self.queries_served.fetch_add(1, Ordering::Relaxed);
         let answer = RouteAnswer {
-            distance: if run.output >= UNREACHED {
-                u64::MAX
-            } else {
-                run.output
-            },
+            distance: run.output,
             version: view.version(),
             result: run.result,
         };
@@ -386,96 +373,12 @@ impl<G: GraphSource> Drop for LaneClaim<'_, G> {
     }
 }
 
-/// One in-flight query: borrows its pinned graph view and its exclusive
-/// lane, carries the query epoch.
-struct ActiveQuery<'e, V> {
-    graph: &'e V,
-    lane: &'e QueryLane,
-    epoch: u64,
-    source: u32,
-    target: u32,
-    /// Best route to the target found so far (per query, for pruning).
-    best_target: AtomicU64,
-}
-
-impl<V: GraphView> DecreaseKeyWorkload for ActiveQuery<'_, V> {
-    type Output = u64;
-
-    fn name(&self) -> &'static str {
-        "A*-query"
-    }
-
-    fn initial_tasks(&self) -> Vec<Task> {
-        vec![Task::new(
-            heuristic(self.graph, self.source, self.target),
-            u64::from(self.source),
-        )]
-    }
-
-    fn process(
-        &self,
-        task: Task,
-        push: &mut dyn FnMut(Task),
-        _scratch: &mut Scratch,
-    ) -> TaskOutcome {
-        let graph = self.graph;
-        let v = task.value as u32;
-        let g = self.lane.g_score(v, self.epoch);
-        // Same staleness/pruning logic as the one-shot A* workload, against
-        // the epoch-stamped slots.
-        let expected_f = g.saturating_add(heuristic(graph, v, self.target));
-        if task.key > expected_f || g == UNREACHED {
-            return TaskOutcome::Wasted;
-        }
-        if expected_f >= self.best_target.load(Ordering::Relaxed) {
-            return TaskOutcome::Wasted;
-        }
-        if v == self.target {
-            self.best_target.fetch_min(g, Ordering::Relaxed);
-            return TaskOutcome::Useful;
-        }
-        for (u, w) in graph.neighbors(v) {
-            let ng = g + u64::from(w);
-            if self.lane.try_decrease(u, self.epoch, ng) {
-                if u == self.target {
-                    self.best_target.fetch_min(ng, Ordering::Relaxed);
-                }
-                push(Task::new(
-                    ng + heuristic(graph, u, self.target),
-                    u64::from(u),
-                ));
-            }
-        }
-        TaskOutcome::Useful
-    }
-
-    fn output(&self) -> u64 {
-        self.lane.g_score(self.target, self.epoch)
-    }
-
-    fn sequential_reference(&self) -> SequentialReference<u64> {
-        let (distance, baseline_tasks) =
-            crate::astar::sequential(self.graph, self.source, self.target);
-        SequentialReference {
-            // Map the one-shot sentinel onto the packed one.
-            output: if distance == u64::MAX {
-                UNREACHED
-            } else {
-                distance
-            },
-            baseline_tasks,
-        }
-    }
-
-    fn outputs_equivalent(&self, a: &u64, b: &u64) -> bool {
-        a == b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::astar;
+    use proptest::prelude::*;
+    use smq_core::Task;
     use smq_graph::generators::{road_network, RoadNetworkParams};
     use smq_graph::{GraphBuilder, GraphUpdate, LiveGraph};
     use smq_pool::PoolConfig;
@@ -534,20 +437,42 @@ mod tests {
         assert_eq!(pool.stats().threads_spawned, 2);
     }
 
-    #[test]
-    fn stale_epoch_slots_read_as_unreached() {
-        let graph = road();
-        let engine = RouteQueryEngine::new(graph);
-        let lane = &engine.lanes[0];
-        // Write a distance under epoch 1, then read it under epoch 2.
-        lane.slots[5].store(pack(1, 42), Ordering::Relaxed);
-        assert_eq!(lane.g_score(5, 1), 42);
-        assert_eq!(lane.g_score(5, 2), UNREACHED);
-        // try_decrease under epoch 2 treats the stale slot as unreached.
-        assert!(lane.try_decrease(5, 2, 100));
-        assert_eq!(lane.g_score(5, 2), 100);
-        assert!(!lane.try_decrease(5, 2, 100), "equal is not a decrease");
-        assert!(lane.try_decrease(5, 2, 7));
+    proptest! {
+        /// The two label formats answer alike: one lane reused by a run of
+        /// queries — stale-epoch slots left in place, the epoch allocator
+        /// crossing its wrap — against a `Vec<AtomicU64>` allocated fresh
+        /// per query, under the same random `get` / `try_decrease` sequence.
+        #[test]
+        fn lane_labels_answer_like_a_fresh_label_vector(
+            queries in proptest::collection::vec(
+                proptest::collection::vec((0u32..6, 0u64..40, any::<bool>()), 1..24),
+                4..10,
+            ),
+            before_wrap in 0u64..4,
+        ) {
+            let engine = RouteQueryEngine::new(road());
+            engine.epoch.store(MAX_EPOCH - before_wrap, Ordering::Relaxed);
+            for ops in &queries {
+                let (_in_flight, epoch) = engine.begin_epoch();
+                let lane = engine.lanes[0].labels(epoch);
+                let dense: Vec<AtomicU64> = (0..6).map(|_| AtomicU64::new(u64::MAX)).collect();
+                for &(v, proposed, read) in ops {
+                    if read {
+                        let expected = match LabelStore::get(&dense, v) {
+                            u64::MAX => UNREACHED,
+                            label => label,
+                        };
+                        prop_assert_eq!(lane.get(v), expected);
+                    } else {
+                        prop_assert_eq!(
+                            lane.try_decrease(v, proposed),
+                            dense.try_decrease(v, proposed)
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(engine.epoch_wraps(), 1);
+        }
     }
 
     #[test]

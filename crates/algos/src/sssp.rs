@@ -13,45 +13,43 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smq_core::{prefetch_read, Scheduler, Task};
+use smq_core::{prefetch_read, Task};
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
 use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-use crate::AlgoResult;
-
-/// Distances plus run accounting from a parallel SSSP execution.
-#[derive(Debug, Clone)]
-pub struct SsspRun {
-    /// `distances[v]` is the shortest distance from the source, or
-    /// `u64::MAX` if `v` is unreachable.
-    pub distances: Vec<u64>,
-    /// Work and wall-clock accounting.
-    pub result: AlgoResult,
-}
 
 /// Exact sequential Dijkstra.  Returns the distance array and the number of
 /// settled vertices (the baseline task count for work-increase reporting).
 pub fn sequential<G: GraphView>(graph: &G, source: u32) -> (Vec<u64>, u64) {
-    sequential_weighted(graph, source, u64::from)
+    let unreached = vec![u64::MAX; graph.num_nodes()];
+    sequential_from(graph, unreached, &[(source, 0)], u64::from)
 }
 
-/// Sequential Dijkstra with a caller-supplied weight mapping (used by the
-/// BFS wrapper with a constant mapping).
-pub fn sequential_weighted<G: GraphView>(
+/// The one sequential Dijkstra: starts from the labels in `dist` (upper
+/// bounds on the true distances), applies every `(vertex, distance)` seed
+/// that improves on its label, and settles outward from those.  From
+/// scratch that is all-`u64::MAX` labels and the seed `(source, 0)`; a
+/// repair (`crate::incremental`) passes the pre-update distances and the
+/// heads of the updated edges; BFS passes a constant `edge_weight`.
+/// Returns the final labels and the number of settled vertices.
+pub fn sequential_from<G: GraphView>(
     graph: &G,
-    source: u32,
+    mut dist: Vec<u64>,
+    seeds: &[(u32, u64)],
     edge_weight: impl Fn(u32) -> u64,
 ) -> (Vec<u64>, u64) {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    let n = graph.num_nodes();
-    let mut dist = vec![u64::MAX; n];
     let mut heap = BinaryHeap::new();
+    for &(v, d) in seeds {
+        if d < dist[v as usize] {
+            dist[v as usize] = d;
+            heap.push(Reverse((d, v)));
+        }
+    }
     let mut settled = 0u64;
-    dist[source as usize] = 0;
-    heap.push(Reverse((0u64, source)));
     while let Some(Reverse((d, v))) = heap.pop() {
         if d > dist[v as usize] {
             continue;
@@ -71,27 +69,37 @@ pub fn sequential_weighted<G: GraphView>(
 /// The SSSP workload: one `(distance, vertex)` task per relaxation, shared
 /// state = one atomic tentative distance per vertex, priority = distance.
 ///
+/// A run is a set of *seeds* applied to a set of starting labels: from
+/// scratch the labels are all unreached and the one seed is `(source, 0)`;
+/// an incremental repair (`crate::incremental`) starts from the pre-update
+/// distances and seeds the heads of the updated edges.  Both relax through
+/// the same `process`.
+///
 /// Generic over the edge-weight mapping so BFS (constant weight 1) shares
 /// the implementation — the only difference between the two workloads —
 /// and over the [`GraphView`] it reads, so the same monomorphized code
 /// runs on a static [`CsrGraph`] or a pinned live-graph snapshot.
 pub struct SsspWorkload<'g, G = CsrGraph, F = fn(u32) -> u64> {
     graph: &'g G,
-    source: u32,
     label: &'static str,
     edge_weight: F,
+    /// The `(vertex, distance)` seeds that improved on a starting label.
+    seeds: Vec<(u32, u64)>,
+    /// The labels a repair started from; `None` from scratch, where every
+    /// label starts unreached and no second per-vertex array exists.
+    start: Option<Vec<u64>>,
     distances: Vec<AtomicU64>,
 }
 
 impl<'g, G: GraphView> SsspWorkload<'g, G> {
     /// SSSP from `source` with the graph's own edge weights.
     pub fn new(graph: &'g G, source: u32) -> Self {
-        Self::with_weight(graph, source, "SSSP", u64::from)
+        Self::from_labels(graph, "SSSP", u64::from, None, vec![(source, 0)])
     }
 
     /// BFS from `source`: every edge counts 1 hop.
     pub fn bfs(graph: &'g G, source: u32) -> Self {
-        Self::with_weight(graph, source, "BFS", |_| 1)
+        Self::from_labels(graph, "BFS", |_| 1, None, vec![(source, 0)])
     }
 }
 
@@ -100,17 +108,33 @@ where
     G: GraphView,
     F: Fn(u32) -> u64 + Sync,
 {
-    /// SSSP with a caller-supplied weight mapping and display label.
-    pub fn with_weight(graph: &'g G, source: u32, label: &'static str, edge_weight: F) -> Self {
+    /// The one constructor: relaxes outward from `seeds` applied to the
+    /// `start` labels (`None`: all unreached) under the given weight mapping
+    /// and display label.  Seeds that do not improve on their label are
+    /// dropped here, so every initial task is live.
+    pub(crate) fn from_labels(
+        graph: &'g G,
+        label: &'static str,
+        edge_weight: F,
+        start: Option<Vec<u64>>,
+        mut seeds: Vec<(u32, u64)>,
+    ) -> Self {
         let n = graph.num_nodes();
-        assert!((source as usize) < n, "source vertex out of range");
-        let distances: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        distances[source as usize].store(0, Ordering::Relaxed);
+        assert!(
+            seeds.iter().all(|&(v, _)| (v as usize) < n),
+            "seed vertex out of range"
+        );
+        let distances: Vec<AtomicU64> = match &start {
+            Some(labels) => labels.iter().map(|&d| AtomicU64::new(d)).collect(),
+            None => (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
+        };
+        seeds.retain(|&(v, d)| engine::try_decrease(&distances[v as usize], d));
         Self {
             graph,
-            source,
             label,
             edge_weight,
+            seeds,
+            start,
             distances,
         }
     }
@@ -128,7 +152,10 @@ where
     }
 
     fn initial_tasks(&self) -> Vec<Task> {
-        vec![Task::new(0, u64::from(self.source))]
+        self.seeds
+            .iter()
+            .map(|&(v, d)| Task::new(d, u64::from(v)))
+            .collect()
     }
 
     fn process(
@@ -167,36 +194,21 @@ where
     }
 
     fn sequential_reference(&self) -> SequentialReference<Vec<u64>> {
+        let unreached = || vec![u64::MAX; self.graph.num_nodes()];
+        let start = self.start.clone().unwrap_or_else(unreached);
         let (output, baseline_tasks) =
-            sequential_weighted(self.graph, self.source, &self.edge_weight);
+            sequential_from(self.graph, start, &self.seeds, &self.edge_weight);
         SequentialReference {
             output,
             baseline_tasks,
         }
-    }
-
-    fn outputs_equivalent(&self, a: &Vec<u64>, b: &Vec<u64>) -> bool {
-        a == b
-    }
-}
-
-/// Runs SSSP from `source` on `scheduler` with `threads` worker threads.
-pub fn parallel<G, S>(graph: &G, source: u32, scheduler: &S, threads: usize) -> SsspRun
-where
-    G: GraphView,
-    S: Scheduler<Task>,
-{
-    let workload = SsspWorkload::new(graph, source);
-    let run = engine::run_parallel(&workload, scheduler, threads);
-    SsspRun {
-        distances: run.output,
-        result: run.result,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smq_core::Scheduler;
     use smq_graph::generators::{power_law, road_network, PowerLawParams, RoadNetworkParams};
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
     use smq_obim::{Obim, ObimConfig};
@@ -243,8 +255,8 @@ mod tests {
     fn check_parallel_matches_sequential<S: Scheduler<Task>>(scheduler: &S, threads: usize) {
         let g = small_road();
         let (expected, _) = sequential(&g, 0);
-        let run = parallel(&g, 0, scheduler, threads);
-        assert_eq!(run.distances, expected);
+        let run = engine::run_parallel(&SsspWorkload::new(&g, 0), scheduler, threads);
+        assert_eq!(run.output, expected);
         assert!(run.result.useful_tasks > 0);
     }
 
@@ -332,9 +344,9 @@ mod tests {
         // answer is the same and the extra work stays bounded.
         let g = small_social();
         let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(1));
-        let run = parallel(&g, 0, &smq, 1);
+        let run = engine::run_parallel(&SsspWorkload::new(&g, 0), &smq, 1);
         let (expected, settled) = sequential(&g, 0);
-        assert_eq!(run.distances, expected);
+        assert_eq!(run.output, expected);
         assert!(run.result.useful_tasks >= settled);
         assert!(run.result.work_increase(settled) < 2.0);
     }

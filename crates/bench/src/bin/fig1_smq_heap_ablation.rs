@@ -26,7 +26,7 @@ fn main() {
     let mut results = Vec::new();
     for workload in [Workload::Sssp, Workload::Astar] {
         for spec in &specs {
-            if workload == Workload::Astar && !spec.graph.has_coordinates() {
+            if !workload.suits(spec) {
                 continue;
             }
             let (base_secs, base_tasks) = baseline(workload, spec, args.seed);

@@ -2,39 +2,11 @@
 //!
 //! Prints the vertex/edge counts and structural statistics of the synthetic
 //! stand-ins used throughout the harness (and notes what they substitute),
-//! plus — new with the unified workload engine — the sequential baseline
-//! task count of every workload on every graph it suits, the denominator of
-//! every work-increase number the other binaries report.
+//! plus the task count of every workload's own sequential reference on
+//! every graph it suits (through the same dispatch the parallel runs use),
+//! the denominator of every work-increase number the other binaries report.
 
-use std::sync::Arc;
-
-use smq_algos::{astar, bfs, cc, incremental, kcore, mst, pagerank, sssp};
-use smq_bench::{incremental_update_batch, standard_graphs, BenchArgs, GraphSpec, Table, Workload};
-use smq_graph::LiveGraph;
-
-/// The sequential reference's task count for `workload` on `spec`.
-fn baseline_tasks(workload: Workload, spec: &GraphSpec, seed: u64) -> u64 {
-    match workload {
-        Workload::Sssp => sssp::sequential(&spec.graph, spec.source).1,
-        Workload::Bfs => bfs::sequential(&spec.graph, spec.source).1,
-        Workload::Astar => astar::sequential(&spec.graph, spec.source, spec.target).1,
-        Workload::Mst => mst::sequential(&spec.graph).2,
-        Workload::PagerankDelta => {
-            pagerank::sequential(&spec.graph, pagerank::PagerankConfig::default()).1
-        }
-        Workload::KCore => kcore::sequential(&spec.graph).1,
-        Workload::Cc => cc::sequential(&spec.graph).1,
-        Workload::IncrementalSssp => {
-            // Same deterministic decrease batch the parallel arm repairs.
-            let updates = incremental_update_batch(spec, seed);
-            let live = LiveGraph::new(Arc::new(spec.graph.clone()));
-            live.publish(&updates);
-            let snapshot = live.pin();
-            let (old, _) = sssp::sequential(&spec.graph, spec.source);
-            incremental::sequential(&snapshot, &old, &updates).1
-        }
-    }
-}
+use smq_bench::{baseline_tasks, standard_graphs, BenchArgs, Table};
 
 fn main() {
     let args = BenchArgs::from_env_strict();

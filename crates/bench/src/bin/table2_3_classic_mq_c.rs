@@ -37,14 +37,8 @@ fn main() {
         Workload::Mst,
     ] {
         for spec in &specs {
-            if workload == Workload::Astar && !spec.graph.has_coordinates() {
-                continue; // the paper evaluates A* on road graphs only
-            }
-            if workload == Workload::Mst && !spec.name.contains("like") {
-                continue;
-            }
-            if workload == Workload::Mst && spec.graph.avg_degree() > 10.0 {
-                continue; // MST is evaluated on the road graphs
+            if !workload.suits(spec) {
+                continue; // A* and MST are evaluated on the road graphs only
             }
             let (base_secs, _) = smq_bench::schedulers::baseline(workload, spec, args.seed);
             let mut row = vec![format!("{} {}", workload.name(), spec.name)];

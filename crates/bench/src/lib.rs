@@ -22,6 +22,6 @@ pub use args::{BenchArgs, Scale};
 pub use graphs::{standard_graphs, GraphSpec};
 pub use report::Table;
 pub use schedulers::{
-    incremental_update_batch, run_workload, run_workload_batched, run_workload_numa, SchedulerSpec,
-    Workload, WorkloadResult,
+    baseline_tasks, run_workload, run_workload_batched, run_workload_numa, SchedulerSpec, Workload,
+    WorkloadResult,
 };

@@ -7,7 +7,6 @@ use std::sync::Arc;
 use smq_algos::astar::AstarWorkload;
 use smq_algos::cc::CcWorkload;
 use smq_algos::engine::{self, DecreaseKeyWorkload};
-use smq_algos::incremental::IncrementalSsspWorkload;
 use smq_algos::kcore::KCoreWorkload;
 use smq_algos::mst::BoruvkaWorkload;
 use smq_algos::pagerank::{PagerankConfig, PagerankWorkload};
@@ -272,35 +271,60 @@ fn numa_topology(threads: usize, nodes: usize) -> Topology {
     }
 }
 
-/// Runs one engine workload and converts its accounting.  The only place
-/// results are assembled — per-algorithm run logic lives in the workload
-/// implementations, not here.
-fn engine_run<W, S>(workload: &W, scheduler: &S, threads: usize, batch: usize) -> WorkloadResult
-where
-    W: DecreaseKeyWorkload,
-    S: Scheduler<Task>,
-{
-    let run = engine::run_parallel_with(
-        workload,
-        scheduler,
-        PoolConfig::new(threads)
-            .with_batch(batch)
-            .with_telemetry(TelemetryConfig::probe_only()),
-    );
-    let rank_errors = run
-        .result
-        .metrics
-        .telemetry
-        .as_ref()
-        .map(|report| report.rank_errors.clone())
-        .unwrap_or_default();
-    WorkloadResult {
-        seconds: run.result.metrics.elapsed.as_secs_f64(),
-        useful_tasks: run.result.useful_tasks,
-        wasted_tasks: run.result.wasted_tasks,
-        node_locality: run.result.metrics.node_locality(),
-        locks_per_op: run.result.metrics.total.locks_per_op(),
-        rank_errors,
+/// Something to do with a constructed workload, whatever its type: the
+/// one eight-arm `match` ([`with_workload`]) builds the value, a visitor
+/// says what happens to it.
+trait WorkloadVisitor {
+    type Out;
+    fn visit<W: DecreaseKeyWorkload>(self, workload: &W) -> Self::Out;
+}
+
+/// Runs the workload through the engine and converts its accounting.
+/// The only place results are assembled — per-algorithm run logic lives in
+/// the workload implementations, not here.
+struct EngineRunOn<'s, S> {
+    scheduler: &'s S,
+    threads: usize,
+    batch: usize,
+}
+
+impl<S: Scheduler<Task>> WorkloadVisitor for EngineRunOn<'_, S> {
+    type Out = WorkloadResult;
+
+    fn visit<W: DecreaseKeyWorkload>(self, workload: &W) -> WorkloadResult {
+        let run = engine::run_parallel_with(
+            workload,
+            self.scheduler,
+            PoolConfig::new(self.threads)
+                .with_batch(self.batch)
+                .with_telemetry(TelemetryConfig::probe_only()),
+        );
+        let rank_errors = run
+            .result
+            .metrics
+            .telemetry
+            .as_ref()
+            .map(|report| report.rank_errors.clone())
+            .unwrap_or_default();
+        WorkloadResult {
+            seconds: run.result.metrics.elapsed.as_secs_f64(),
+            useful_tasks: run.result.useful_tasks,
+            wasted_tasks: run.result.wasted_tasks,
+            node_locality: run.result.metrics.node_locality(),
+            locks_per_op: run.result.metrics.total.locks_per_op(),
+            rank_errors,
+        }
+    }
+}
+
+/// Reads the task count of the workload's own sequential reference.
+struct BaselineTasks;
+
+impl WorkloadVisitor for BaselineTasks {
+    type Out = u64;
+
+    fn visit<W: DecreaseKeyWorkload>(self, workload: &W) -> u64 {
+        workload.sequential_reference().baseline_tasks
     }
 }
 
@@ -308,9 +332,55 @@ where
 /// publishes before repairing: ~5% of the edges, derived from the run seed
 /// so every scheduler (and the sequential baseline) repairs the same
 /// mutation.
-pub fn incremental_update_batch(spec: &GraphSpec, seed: u64) -> Vec<GraphUpdate> {
+fn incremental_update_batch(spec: &GraphSpec, seed: u64) -> Vec<GraphUpdate> {
     let update_count = (spec.graph.num_edges() / 20).clamp(16, 4096);
     GraphUpdate::random_decreases(&spec.graph, update_count, seed ^ 0x9e37_79b9)
+}
+
+/// The workload dispatch: each arm only constructs the workload value for
+/// `spec` and hands it to `visitor`.
+fn with_workload<V: WorkloadVisitor>(
+    workload: Workload,
+    spec: &GraphSpec,
+    seed: u64,
+    visitor: V,
+) -> V::Out {
+    match workload {
+        Workload::Sssp => visitor.visit(&SsspWorkload::new(&spec.graph, spec.source)),
+        Workload::Bfs => visitor.visit(&SsspWorkload::bfs(&spec.graph, spec.source)),
+        Workload::Astar => {
+            visitor.visit(&AstarWorkload::new(&spec.graph, spec.source, spec.target))
+        }
+        Workload::Mst => visitor.visit(&BoruvkaWorkload::new(&spec.graph)),
+        Workload::PagerankDelta => visitor.visit(&PagerankWorkload::new(
+            &spec.graph,
+            PagerankConfig::default(),
+        )),
+        Workload::KCore => visitor.visit(&KCoreWorkload::new(&spec.graph)),
+        Workload::Cc => visitor.visit(&CcWorkload::new(&spec.graph)),
+        Workload::IncrementalSssp => {
+            // Publish the deterministic decrease batch onto a live copy of
+            // the spec's graph and repair the pre-update distances on the
+            // pinned snapshot.
+            let updates = incremental_update_batch(spec, seed);
+            let live = LiveGraph::new(Arc::new(spec.graph.clone()));
+            live.publish(&updates);
+            let snapshot = live.pin();
+            visitor.visit(&SsspWorkload::repair_after_updates(
+                &spec.graph,
+                &snapshot,
+                spec.source,
+                &updates,
+            ))
+        }
+    }
+}
+
+/// The task count of `workload`'s sequential reference on `spec` — the
+/// denominator of every work-increase number (`seed` derives the `inc-SSSP`
+/// update batch, as in [`run_workload`]).
+pub fn baseline_tasks(workload: Workload, spec: &GraphSpec, seed: u64) -> u64 {
+    with_workload(workload, spec, seed, BaselineTasks)
 }
 
 fn run_on<S: Scheduler<Task>>(
@@ -321,62 +391,12 @@ fn run_on<S: Scheduler<Task>>(
     batch: usize,
     seed: u64,
 ) -> WorkloadResult {
-    // Each arm only constructs the workload value; the run itself is the
-    // single generic driver behind `engine_run`.
-    match workload {
-        Workload::Sssp => engine_run(
-            &SsspWorkload::new(&spec.graph, spec.source),
-            scheduler,
-            threads,
-            batch,
-        ),
-        Workload::Bfs => engine_run(
-            &SsspWorkload::bfs(&spec.graph, spec.source),
-            scheduler,
-            threads,
-            batch,
-        ),
-        Workload::Astar => engine_run(
-            &AstarWorkload::new(&spec.graph, spec.source, spec.target),
-            scheduler,
-            threads,
-            batch,
-        ),
-        Workload::Mst => engine_run(
-            &BoruvkaWorkload::new(&spec.graph),
-            scheduler,
-            threads,
-            batch,
-        ),
-        Workload::PagerankDelta => engine_run(
-            &PagerankWorkload::new(&spec.graph, PagerankConfig::default()),
-            scheduler,
-            threads,
-            batch,
-        ),
-        Workload::KCore => engine_run(&KCoreWorkload::new(&spec.graph), scheduler, threads, batch),
-        Workload::Cc => engine_run(&CcWorkload::new(&spec.graph), scheduler, threads, batch),
-        Workload::IncrementalSssp => {
-            // Publish the deterministic decrease batch onto a live copy of
-            // the spec's graph and repair the pre-update distances on the
-            // pinned snapshot.
-            let updates = incremental_update_batch(spec, seed);
-            let live = LiveGraph::new(Arc::new(spec.graph.clone()));
-            live.publish(&updates);
-            let snapshot = live.pin();
-            engine_run(
-                &IncrementalSsspWorkload::after_updates(
-                    &spec.graph,
-                    &snapshot,
-                    spec.source,
-                    &updates,
-                ),
-                scheduler,
-                threads,
-                batch,
-            )
-        }
-    }
+    let run = EngineRunOn {
+        scheduler,
+        threads,
+        batch,
+    };
+    with_workload(workload, spec, seed, run)
 }
 
 /// Builds the scheduler described by `spec_kind` and runs `workload` on
@@ -588,12 +608,8 @@ mod tests {
         // (a relaxed parallel run's wasted-task count varies with thread
         // interleaving): exact heap repair settles fewer vertices than a
         // full Dijkstra of the same graph.
-        let updates = incremental_update_batch(west, 3);
-        let live = LiveGraph::new(Arc::new(west.graph.clone()));
-        live.publish(&updates);
-        let snapshot = live.pin();
-        let (old, full_tasks) = smq_algos::sssp::sequential(&west.graph, west.source);
-        let (_, repair_tasks) = smq_algos::incremental::sequential(&snapshot, &old, &updates);
+        let full_tasks = baseline_tasks(Workload::Sssp, west, 3);
+        let repair_tasks = baseline_tasks(Workload::IncrementalSssp, west, 3);
         assert!(
             repair_tasks < full_tasks,
             "repair ({repair_tasks}) should cost less than recompute ({full_tasks})"

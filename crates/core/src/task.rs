@@ -5,52 +5,19 @@
 //! convention where "`a < b`" means task `a` has **higher** priority than
 //! task `b` (e.g. a smaller tentative distance in Dijkstra's SSSP).
 
-/// A value with an integer priority; smaller keys are removed first.
+/// A task whose priority key can be read as a raw `u64` snapshot; smaller
+/// keys are removed first.
 ///
-/// The schedulers only ever inspect [`Prioritized::priority`], never the
-/// payload, so graph algorithms are free to pack whatever they need into the
-/// task value (a node id, a component id, an edge index, ...).
-pub trait Prioritized {
-    /// The priority key of this task.  **Lower keys are higher priority.**
-    fn priority(&self) -> u64;
-}
-
-impl Prioritized for u64 {
-    #[inline]
-    fn priority(&self) -> u64 {
-        *self
-    }
-}
-
-impl Prioritized for u32 {
-    #[inline]
-    fn priority(&self) -> u64 {
-        u64::from(*self)
-    }
-}
-
-impl Prioritized for (u64, u64) {
-    #[inline]
-    fn priority(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Prioritized for (u32, u32) {
-    #[inline]
-    fn priority(&self) -> u64 {
-        u64::from(self.0)
-    }
-}
-
-/// A task whose priority key can be read as a raw `u64` snapshot.
-///
-/// This is the contract behind the *cached top-key* optimisation: schedulers
-/// publish the key of a queue's current minimum in a plain `AtomicU64`
-/// (`u64::MAX` when the queue is empty) so that the two-choice delete can
-/// compare candidate queues **without acquiring their locks**.  The key must
-/// therefore order exactly like the task itself on its priority component:
-/// `a.key() <= b.key()` whenever `a <= b` up to tie-breaking.
+/// The schedulers only ever inspect [`HasKey::key`], never the payload, so
+/// graph algorithms are free to pack whatever they need into the task value
+/// (a node id, a component id, an edge index, ...).  OBIM/PMOD bucket tasks
+/// by it, and it is the contract behind the *cached top-key* optimisation:
+/// schedulers publish the key of a queue's current minimum in a plain
+/// `AtomicU64` (`u64::MAX` when the queue is empty) so that the two-choice
+/// delete can compare candidate queues **without acquiring their locks**.
+/// The key must therefore order exactly like the task itself on its
+/// priority component: `a.key() <= b.key()` whenever `a <= b` up to
+/// tie-breaking.
 ///
 /// Implemented by [`Task`] and the keyed primitives the schedulers are
 /// instantiated with in tests and benchmarks.  `u64::MAX` doubles as the
@@ -135,13 +102,6 @@ impl Task {
     }
 }
 
-impl Prioritized for Task {
-    #[inline]
-    fn priority(&self) -> u64 {
-        self.key
-    }
-}
-
 impl PartialOrd for Task {
     #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -175,9 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn priority_is_the_key() {
+    fn key_is_the_priority() {
         let t = Task::new(42, 7);
-        assert_eq!(t.priority(), 42);
+        assert_eq!(t.key(), 42);
     }
 
     #[test]
@@ -190,10 +150,11 @@ mod tests {
 
     #[test]
     fn tuple_and_integer_impls() {
-        assert_eq!(5u64.priority(), 5);
-        assert_eq!(5u32.priority(), 5);
-        assert_eq!((3u64, 9u64).priority(), 3);
-        assert_eq!((3u32, 9u32).priority(), 3);
+        assert_eq!(5u64.key(), 5);
+        assert_eq!(5u32.key(), 5);
+        assert_eq!(5u16.key(), 5);
+        assert_eq!((3u64, 9u64).key(), 3);
+        assert_eq!((3u32, 9u32).key(), 3);
     }
 
     #[test]

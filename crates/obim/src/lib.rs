@@ -14,8 +14,8 @@
 //! buckets (Δ ← Δ+1) when there are so many sparse buckets that threads run
 //! out of work, and splits them (Δ ← Δ−1) when individual buckets grow so
 //! large that priority order degrades.  Here the adaptation is driven by the
-//! ratio of active buckets to threads, evaluated every
-//! [`ObimConfig::adapt_interval`] deletes.
+//! ratio of active buckets to threads, evaluated every 256 deletes of a
+//! thread.
 //!
 //! Buckets are keyed by their *range start* (`priority & !((1<<Δ)-1)`), so
 //! bucket keys remain comparable across Δ changes — a PMOD adjustment only
@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, RwLock};
-use smq_core::{OpStats, Prioritized, Scheduler, SchedulerHandle};
+use smq_core::{HasKey, OpStats, Scheduler, SchedulerHandle};
 
 /// Priority value used as "no bucket known" hint.
 const EMPTY_HINT: u64 = u64::MAX;
@@ -62,9 +62,9 @@ pub struct ObimConfig {
     pub chunk_size: usize,
     /// Fixed (OBIM) or adaptive (PMOD) Δ.
     pub policy: DeltaPolicy,
-    /// How many deletes a thread performs between adaptation checks
-    /// (PMOD only).
-    pub adapt_interval: u64,
+    /// How many deletes a thread performs between adaptation checks: never
+    /// for OBIM, every 256 for PMOD.  Set by the two presets only.
+    pub(crate) adapt_interval: u64,
 }
 
 impl ObimConfig {
@@ -143,7 +143,7 @@ pub struct Obim<T> {
     config: ObimConfig,
 }
 
-impl<T: Prioritized + Send> Obim<T> {
+impl<T: HasKey + Send> Obim<T> {
     /// Builds an OBIM/PMOD scheduler from a validated configuration.
     pub fn new(config: ObimConfig) -> Self {
         config.validate();
@@ -236,7 +236,7 @@ impl<T: Prioritized + Send> Obim<T> {
     }
 }
 
-impl<T: Prioritized + Send> Scheduler<T> for Obim<T> {
+impl<T: HasKey + Send> Scheduler<T> for Obim<T> {
     type Handle<'a>
         = ObimHandle<'a, T>
     where
@@ -272,7 +272,7 @@ pub struct ObimHandle<'a, T> {
     deletes_since_adapt: u64,
 }
 
-impl<T: Prioritized + Send> ObimHandle<'_, T> {
+impl<T: HasKey + Send> ObimHandle<'_, T> {
     fn bag_cached(&mut self, bucket: u64) -> Arc<Bag<T>> {
         if let Some((key, bag)) = &self.cached_bucket {
             if *key == bucket {
@@ -373,10 +373,10 @@ impl<T: Prioritized + Send> ObimHandle<'_, T> {
     }
 }
 
-impl<T: Prioritized + Send> SchedulerHandle<T> for ObimHandle<'_, T> {
+impl<T: HasKey + Send> SchedulerHandle<T> for ObimHandle<'_, T> {
     fn push(&mut self, task: T) {
         self.stats.pushes += 1;
-        let bucket = self.parent.bucket_key(task.priority());
+        let bucket = self.parent.bucket_key(task.key());
         let bag = self.bag_cached(bucket);
         self.stats.push_locks_acquired += 1;
         bag.queues[self.thread_id].lock().push_back(task);
@@ -397,13 +397,13 @@ impl<T: Prioritized + Send> SchedulerHandle<T> for ObimHandle<'_, T> {
         // degrades to the per-task cost, never worse.
         let mut drain = tasks.drain(..).peekable();
         while let Some(task) = drain.next() {
-            let bucket = self.parent.bucket_key(task.priority());
+            let bucket = self.parent.bucket_key(task.key());
             let bag = self.bag_cached(bucket);
             self.stats.push_locks_acquired += 1;
             let mut queue = bag.queues[self.thread_id].lock();
             queue.push_back(task);
             while let Some(next) = drain.peek() {
-                if self.parent.bucket_key(next.priority()) != bucket {
+                if self.parent.bucket_key(next.key()) != bucket {
                     break;
                 }
                 queue.push_back(drain.next().expect("peeked"));

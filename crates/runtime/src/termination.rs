@@ -393,13 +393,16 @@ mod tests {
         // published only after a delay) while another thread scans; the scan
         // must never report quiescence during the live phase.
         let det = TerminationDetector::new(2);
+        // The sentinel task, outstanding throughout, is credited before
+        // either thread starts (as the pool pre-credits seeds): a scanner
+        // that ran ahead of the producer would otherwise see all zeros.
+        det.preload(0, 1);
         let live = AtomicBool::new(true);
         std::thread::scope(|s| {
             let det_ref = &det;
             let live_ref = &live;
             s.spawn(move || {
                 let mut tally = det_ref.tally(0);
-                tally.record_push(); // sentinel task, outstanding throughout
                 for _ in 0..50_000 {
                     tally.record_push();
                     std::hint::spin_loop();

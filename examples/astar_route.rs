@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --release --example astar_route`
 
-use smq_repro::algos::{astar, sssp};
+use smq_repro::algos::astar::{self, AstarWorkload};
+use smq_repro::algos::{run_parallel, sssp};
 use smq_repro::core::Task;
 use smq_repro::graph::generators::{road_network, RoadNetworkParams};
 use smq_repro::smq::{HeapSmq, SmqConfig};
@@ -26,15 +27,15 @@ fn main() {
 
     // Parallel A* over the SMQ.
     let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(threads));
-    let run = astar::parallel(&graph, source, target, &smq, threads);
-    assert_eq!(run.distance, astar_dist, "parallel A* must stay exact");
+    let run = run_parallel(&AstarWorkload::new(&graph, source, target), &smq, threads);
+    assert_eq!(run.output, astar_dist, "parallel A* must stay exact");
 
     println!(
         "route {} -> {} over {} vertices: distance {}",
         source,
         target,
         graph.num_nodes(),
-        run.distance
+        run.output
     );
     println!("sequential Dijkstra expanded {dijkstra_expanded} vertices");
     println!("sequential A* expanded       {astar_expanded} vertices (heuristic pruning)");

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# The three numbers every "delete the second path" PR (ROADMAP item 4)
-# reports before and after, from tracked files only:
+# The numbers every "delete the second path" PR (ROADMAP item 4) reports
+# before and after, from tracked files only:
 #   1. Rust lines: tracked *.rs outside benchmark/ and crates/shims/
-#   2. `unsafe {` / `unsafe fn` / `unsafe impl` sites per crate
-#   3. options: `pub` fields and `with_*` builders of every `*Config` /
+#   2. non-test Rust lines per crate: the lines of each crates/<c>/src file
+#      before its first `#[cfg(test)]`
+#   3. `unsafe {` / `unsafe fn` / `unsafe impl` sites per crate
+#   4. options: `pub` fields and `with_*` builders of every `*Config` /
 #      `*Policy` struct (cfg-gated test-only fields included)
 # Run it on both commits and diff the output.
 set -euo pipefail
@@ -15,9 +17,21 @@ product_rs() {
 
 echo "rust_lines $(product_rs | xargs cat | wc -l)"
 
+crates=$(product_rs | grep '^crates/' | cut -d/ -f2 | sort -u)
+
+echo "non_test_lines"
+total=0
+for crate in $crates; do
+    n=$(product_rs | grep "^crates/$crate/src/" | xargs awk \
+        'FNR == 1 { in_tests = 0 } /#\[cfg\(test\)\]/ { in_tests = 1 } !in_tests { n++ } END { print n + 0 }')
+    echo "  $crate $n"
+    total=$((total + n))
+done
+echo "  total $total"
+
 echo "unsafe_sites"
 total=0
-for crate in $(product_rs | grep '^crates/' | cut -d/ -f2 | sort -u); do
+for crate in $crates; do
     n=$(product_rs | grep "^crates/$crate/" | xargs grep -hE 'unsafe (\{|fn|impl)' | wc -l || true)
     [ "$n" -eq 0 ] || echo "  $crate $n"
     total=$((total + n))

@@ -24,7 +24,6 @@ use proptest::prelude::*;
 use smq_repro::algos::astar::AstarWorkload;
 use smq_repro::algos::cc::CcWorkload;
 use smq_repro::algos::engine::{self, DecreaseKeyWorkload, EngineRun};
-use smq_repro::algos::incremental::IncrementalSsspWorkload;
 use smq_repro::algos::kcore::KCoreWorkload;
 use smq_repro::algos::mst::BoruvkaWorkload;
 use smq_repro::algos::pagerank::{PagerankConfig, PagerankWorkload};
@@ -139,7 +138,7 @@ fn check_all_workloads<S, F>(
     live.publish(&updates);
     let snapshot = live.pin();
     check(
-        &IncrementalSsspWorkload::after_updates(graph, &snapshot, 0, &updates),
+        &SsspWorkload::repair_after_updates(graph, &snapshot, 0, &updates),
         &make(),
         threads,
         batch,

@@ -32,6 +32,7 @@ use std::sync::{Arc, Barrier};
 use common::hang_guard;
 use proptest::prelude::*;
 
+use smq_repro::algos::astar::AstarWorkload;
 use smq_repro::algos::cc::CcWorkload;
 use smq_repro::algos::kcore::KCoreWorkload;
 use smq_repro::algos::sssp::SsspWorkload;
@@ -229,29 +230,41 @@ fn batched_pool_serves_route_queries_exactly() {
     assert_eq!(stats.handles_created, 2);
 }
 
-/// A sample of queries cross-checked against the one-shot *parallel* A*
-/// workload as well (not just sequential), on a different scheduler family.
-#[test]
-fn pooled_queries_match_one_shot_parallel_astar() {
-    let graph = Arc::new(road_network(RoadNetworkParams {
-        width: 14,
-        height: 14,
-        removal_percent: 10,
-        seed: 3,
-    }));
-    let n = graph.num_nodes() as u32;
-    let engine = RouteQueryEngine::new(Arc::clone(&graph));
-    let pool = WorkerPool::new(
-        Obim::<Task>::new(ObimConfig::obim(2, 8, 16)),
-        PoolConfig::new(2),
-    );
-    for i in 0..25u32 {
-        let source = (i * 19) % n;
-        let target = (i * 53 + 5) % n;
-        let pooled = engine.query(source, target, &pool);
-        let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(9));
-        let one_shot = astar::parallel(&graph, source, target, &mq, 2);
-        assert_eq!(pooled.distance, one_shot.distance);
+proptest! {
+    /// One A* kernel, three ways in: on random road grids a pooled query
+    /// (epoch-stamped lane labels, OBIM pool), the one-shot workload (dense
+    /// labels, Multi-Queue) and `astar::sequential` agree — unreachable
+    /// targets included, which the two label formats encode differently.
+    #[test]
+    fn pooled_queries_match_one_shot_parallel_astar(
+        width in 5u32..15,
+        height in 5u32..15,
+        removal_percent in 0u32..30,
+        seed in 0u64..1_000_000,
+    ) {
+        let graph = Arc::new(road_network(RoadNetworkParams {
+            width,
+            height,
+            removal_percent,
+            seed,
+        }));
+        let n = graph.num_nodes() as u32;
+        let engine = RouteQueryEngine::new(Arc::clone(&graph));
+        let pool = WorkerPool::new(
+            Obim::<Task>::new(ObimConfig::obim(2, 8, 16)),
+            PoolConfig::new(2),
+        );
+        for i in 0..6u32 {
+            let source = (i * 19 + seed as u32) % n;
+            let target = (i * 53 + 5) % n;
+            let pooled = engine.query(source, target, &pool);
+            let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(9));
+            let one_shot =
+                engine::run_parallel(&AstarWorkload::new(&*graph, source, target), &mq, 2);
+            let (sequential, _) = astar::sequential(&*graph, source, target);
+            prop_assert_eq!(pooled.distance, sequential);
+            prop_assert_eq!(one_shot.output, sequential);
+        }
     }
 }
 
