@@ -1,5 +1,7 @@
 //! Minimal command-line handling shared by the figure binaries.
 
+use smq_runtime::Topology;
+
 use crate::schedulers::Workload;
 
 /// Sweep size selected with `--scale`.
@@ -11,6 +13,17 @@ pub enum Scale {
     Small,
     /// Closer to the paper's configuration (needs a big machine).
     Full,
+}
+
+impl Scale {
+    /// The one place a sweep size is chosen: the value for this scale.
+    pub fn pick<T>(self, ci: T, small: T, full: T) -> T {
+        match self {
+            Scale::Ci => ci,
+            Scale::Small => small,
+            Scale::Full => full,
+        }
+    }
 }
 
 /// Common knobs accepted by every figure binary.
@@ -30,10 +43,11 @@ pub struct BenchArgs {
     /// Hot-path batch size from `--batch N`; `None` means the binary's
     /// default sweep (typically `[1, 8, 32]`).
     pub batch: Option<usize>,
-    /// Simulated NUMA node count from `--numa-nodes N`; `None` means each
-    /// binary's default (the NUMA tables simulate 2 nodes, everything else
-    /// runs topology-blind).  `--numa-nodes 1` forces the single-node
-    /// (topology-blind) baseline explicitly.
+    /// Simulated NUMA node count from `--numa-nodes N` for the schedulers
+    /// that carry a NUMA weight (the NUMA tables, Fig. 2's tuned SMQ and
+    /// optimized Multi-Queue); `None` means 2, and every other scheduler
+    /// runs topology-blind.  `--numa-nodes 1` forces the single-node
+    /// (topology-blind) layout explicitly.
     pub numa_nodes: Option<usize>,
 }
 
@@ -54,72 +68,49 @@ impl Default for BenchArgs {
 impl BenchArgs {
     /// Parses `--threads N`, `--scale ci|small|full`, `--reps N`, `--seed N`,
     /// `--workloads a,b,...`, `--batch N` and `--numa-nodes N` from an
-    /// iterator of arguments.  Unknown flags are returned so callers can
-    /// handle binary-specific options; a caller must reject what it does
-    /// not recognise itself (binaries without flags of their own use
-    /// [`BenchArgs::from_env_strict`]).
+    /// iterator of arguments.  Unknown flags are returned; every figure
+    /// passes them through [`own_flags`], which rejects what the figure
+    /// does not know.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> (Self, Vec<String>) {
+        /// The value after a flag, parsed, or a panic saying `what` it needs.
+        fn value<T: std::str::FromStr>(iter: &mut impl Iterator<Item = String>, what: &str) -> T {
+            let parsed = iter.next().and_then(|v| v.parse().ok());
+            parsed.unwrap_or_else(|| panic!("{what}"))
+        }
         let mut out = Self::default();
         let mut rest = Vec::new();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--threads" => {
-                    out.threads = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads needs a positive integer");
+                "--threads" => out.threads = value(&mut iter, "--threads needs a positive integer"),
+                "--reps" => out.repetitions = value(&mut iter, "--reps needs a positive integer"),
+                "--seed" => out.seed = value(&mut iter, "--seed needs an integer"),
+                "--batch" => {
+                    let batch = value(&mut iter, "--batch needs a positive integer");
+                    assert!(batch >= 1, "--batch needs a positive integer");
+                    out.batch = Some(batch);
+                }
+                "--numa-nodes" => {
+                    let nodes = value(&mut iter, "--numa-nodes needs a positive integer");
+                    assert!(nodes >= 1, "--numa-nodes needs a positive integer");
+                    out.numa_nodes = Some(nodes);
                 }
                 "--scale" => {
-                    let v = iter.next().expect("--scale needs ci|small|full");
-                    out.scale = match v.as_str() {
+                    let scale: String = value(&mut iter, "--scale needs ci|small|full");
+                    out.scale = match scale.as_str() {
                         "full" => Scale::Full,
                         "small" => Scale::Small,
                         "ci" => Scale::Ci,
                         other => panic!("unknown scale '{other}', expected ci|small|full"),
                     };
                 }
-                "--reps" => {
-                    out.repetitions = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--reps needs a positive integer");
-                }
-                "--seed" => {
-                    out.seed = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer");
-                }
-                "--batch" => {
-                    let batch = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--batch needs a positive integer");
-                    assert!(batch >= 1, "--batch needs a positive integer");
-                    out.batch = Some(batch);
-                }
-                "--numa-nodes" => {
-                    let nodes = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--numa-nodes needs a positive integer");
-                    assert!(nodes >= 1, "--numa-nodes needs a positive integer");
-                    out.numa_nodes = Some(nodes);
-                }
                 "--workloads" => {
-                    let list = iter
-                        .next()
-                        .expect("--workloads needs a comma-separated list");
-                    out.workloads = Some(
-                        list.split(',')
-                            .map(|name| {
-                                Workload::parse(name).unwrap_or_else(|| {
-                                    panic!("unknown workload '{name}' in --workloads")
-                                })
-                            })
-                            .collect(),
-                    );
+                    let list: String = value(&mut iter, "--workloads needs a comma-separated list");
+                    let parse = |name| {
+                        Workload::parse(name)
+                            .unwrap_or_else(|| panic!("unknown workload '{name}' in --workloads"))
+                    };
+                    out.workloads = Some(list.split(',').map(parse).collect());
                 }
                 _ => rest.push(arg),
             }
@@ -127,13 +118,6 @@ impl BenchArgs {
         assert!(out.threads >= 1, "need at least one thread");
         assert!(out.repetitions >= 1, "need at least one repetition");
         (out, rest)
-    }
-
-    /// `true` when `--scale full` was passed: larger graphs and finer
-    /// parameter grids (closer to the paper's sweeps).  Derived from
-    /// [`BenchArgs::scale`] so the two can never disagree.
-    pub fn full_scale(&self) -> bool {
-        self.scale == Scale::Full
     }
 
     /// The workloads a sweep should run: the `--workloads` selection, or
@@ -147,55 +131,57 @@ impl BenchArgs {
     /// The hot-path batch sizes a sweep should run: `[1, N]` for an
     /// explicit `--batch N` (batch 1 stays in as the per-task baseline so
     /// amortization is always reported against it), or the default
-    /// `[1, 8, 32]` sweep when the flag was absent.
+    /// `[1, 8, 32]` sweep (`[1, 8]` at CI scale) when the flag was absent.
     pub fn batch_sweep(&self) -> Vec<usize> {
         match self.batch {
             Some(1) => vec![1],
             Some(n) => vec![1, n],
-            None => vec![1, 8, 32],
+            None => self.scale.pick(vec![1, 8], vec![1, 8, 32], vec![1, 8, 32]),
         }
     }
 
     /// The simulated topology a NUMA sweep runs under: `--numa-nodes`
     /// nodes (or `default_nodes` when the flag was absent) over `threads`
-    /// threads.  A node count of 1 yields the topology-blind single-node
-    /// layout; larger counts must divide the thread count so every node
-    /// hosts the same number of workers.
-    pub fn numa_topology(&self, default_nodes: usize) -> smq_runtime::Topology {
-        let nodes = self.numa_nodes.unwrap_or(default_nodes);
-        if nodes <= 1 {
-            smq_runtime::Topology::single_node(self.threads)
-        } else {
-            assert!(
-                self.threads.is_multiple_of(nodes),
-                "--numa-nodes ({nodes}) must divide --threads ({})",
-                self.threads
-            );
-            smq_runtime::Topology::split(self.threads, nodes)
-        }
+    /// threads, by the one rule [`numa_topology`].
+    pub fn numa_topology(&self, default_nodes: usize) -> Topology {
+        numa_topology(self.threads, self.numa_nodes.unwrap_or(default_nodes))
     }
+}
 
-    /// [`BenchArgs::parse`] for a binary with no flags of its own: a
-    /// leftover argument is a mistyped flag, and running the default sweep
-    /// in its place would report numbers for the wrong configuration, so
-    /// it panics naming the flag.
-    pub fn parse_strict<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let (out, rest) = Self::parse(args);
-        if let Some(flag) = rest.first() {
-            panic!("unknown flag '{flag}'");
-        }
-        out
+/// The one NUMA-topology rule: a node count of 1 yields the topology-blind
+/// single-node layout; larger counts must divide the thread count so every
+/// node hosts the same number of workers.
+pub fn numa_topology(threads: usize, nodes: usize) -> Topology {
+    if nodes <= 1 {
+        Topology::single_node(threads)
+    } else {
+        assert!(
+            threads.is_multiple_of(nodes),
+            "--numa-nodes ({nodes}) must divide --threads ({threads})"
+        );
+        Topology::split(threads, nodes)
     }
+}
 
-    /// Parses the real process arguments (skipping the program name).
-    pub fn from_env() -> (Self, Vec<String>) {
-        Self::parse(std::env::args().skip(1))
+/// Takes a figure's own `--flag value` options out of what
+/// [`BenchArgs::parse`] left over, in the order of `known`.  Anything else
+/// is a mistyped flag, and running the default sweep in its place would
+/// report numbers for the wrong configuration, so it panics naming the
+/// flag.
+pub fn own_flags<const N: usize>(rest: Vec<String>, known: [&str; N]) -> [Option<String>; N] {
+    let mut out = std::array::from_fn(|_| None);
+    let mut iter = rest.into_iter();
+    while let Some(flag) = iter.next() {
+        let slot = known
+            .iter()
+            .position(|k| *k == flag)
+            .unwrap_or_else(|| panic!("unknown flag '{flag}'"));
+        out[slot] = Some(
+            iter.next()
+                .unwrap_or_else(|| panic!("{flag} needs a value")),
+        );
     }
-
-    /// [`BenchArgs::parse_strict`] over the real process arguments.
-    pub fn from_env_strict() -> Self {
-        Self::parse_strict(std::env::args().skip(1))
-    }
+    out
 }
 
 #[cfg(test)]
@@ -210,7 +196,7 @@ mod tests {
     fn defaults_without_args() {
         let (args, rest) = parse(&[]);
         assert_eq!(args.threads, 4);
-        assert!(!args.full_scale());
+        assert_eq!(args.scale, Scale::Small);
         assert!(rest.is_empty());
         assert_eq!(args.selected_workloads(), Workload::ALL.to_vec());
     }
@@ -244,7 +230,7 @@ mod tests {
             "5",
         ]);
         assert_eq!(args.threads, 8);
-        assert!(args.full_scale());
+        assert_eq!(args.scale, Scale::Full);
         assert_eq!(args.repetitions, 5);
         assert_eq!(rest, vec!["--queue".to_string(), "heap".to_string()]);
     }
@@ -302,7 +288,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown flag '--thread'")]
     fn strict_parse_rejects_a_mistyped_flag() {
-        let _ = BenchArgs::parse_strict(["--thread", "8"].map(String::from));
+        let (_, rest) = parse(&["--thread", "8"]);
+        let [_queue] = own_flags(rest, ["--queue"]);
+    }
+
+    #[test]
+    fn own_flags_come_back_in_the_order_asked() {
+        let (_, rest) = parse(&["--delete", "batch", "--reps", "2", "--insert", "tl"]);
+        let [insert, delete, queue] = own_flags(rest, ["--insert", "--delete", "--queue"]);
+        assert_eq!(insert.as_deref(), Some("tl"));
+        assert_eq!(delete.as_deref(), Some("batch"));
+        assert_eq!(queue, None);
     }
 
     #[test]
@@ -310,9 +306,10 @@ mod tests {
         let (args, rest) = parse(&["--scale", "ci"]);
         assert!(rest.is_empty());
         assert_eq!(args.scale, Scale::Ci);
-        assert!(!args.full_scale());
+        assert_eq!(args.scale.pick(1, 2, 3), 1);
+        assert_eq!(args.batch_sweep(), vec![1, 8]);
         let (args, _) = parse(&["--scale", "full"]);
         assert_eq!(args.scale, Scale::Full);
-        assert!(args.full_scale());
+        assert_eq!(args.scale.pick(1, 2, 3), 3);
     }
 }

@@ -1,90 +1,190 @@
-//! Plain-text table output shared by the figure binaries.
+//! Table output shared by the figures.
 //!
-//! Every binary prints (a) a human-readable markdown table mirroring the
-//! layout of the corresponding table/figure in the paper, and (b) an
-//! optional machine-readable JSON blob for downstream plotting.
+//! A [`Table`] keeps its numbers: a cell is text, a number or absent, and
+//! is formatted only when the table is rendered.  The markdown the
+//! binaries print and the `JSON <name>:` line they end with are two views
+//! of the same cells, so tests and plots read the values the table shows.
 
-use serde::Serialize;
+/// One table cell.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A label or an integer parameter, shown as is.
+    Text(String),
+    /// A measured number, shown with two decimals.
+    Num(f64),
+    /// Nothing to report (shown as `-`, `null` in JSON).
+    Absent,
+}
 
-/// A simple column-aligned markdown table.
-#[derive(Debug, Default, Clone)]
+impl Value {
+    /// The number when this is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    fn render(&self) -> String {
+        match self {
+            Value::Text(s) => s.clone(),
+            Value::Num(x) => format!("{x:.2}"),
+            Value::Absent => "-".to_string(),
+        }
+    }
+
+    fn json(&self) -> String {
+        match self {
+            Value::Text(s) => json_string(s),
+            // JSON has no NaN or infinity.
+            Value::Num(x) if x.is_finite() => x.to_string(),
+            Value::Num(_) | Value::Absent => "null".to_string(),
+        }
+    }
+}
+
+impl From<f64> for Value {
+    fn from(x: f64) -> Self {
+        Value::Num(x)
+    }
+}
+
+impl From<Option<f64>> for Value {
+    fn from(x: Option<f64>) -> Self {
+        x.map_or(Value::Absent, Value::Num)
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::Text(s)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Text(s.to_string())
+    }
+}
+
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A titled table with named columns.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     title: String,
     header: Vec<String>,
-    rows: Vec<Vec<String>>,
+    rows: Vec<Vec<Value>>,
 }
 
 impl Table {
-    /// Creates a table with the given title and column headers.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+    /// Creates a table with the given title and column headers (copied
+    /// into the table).
+    pub fn new<H: Into<String>>(
+        title: impl Into<String>,
+        header: impl IntoIterator<Item = H>,
+    ) -> Self {
         Self {
             title: title.into(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.into_iter().map(H::into).collect(),
             rows: Vec::new(),
         }
     }
 
     /// Appends one row (must match the header length).
-    pub fn add_row(&mut self, row: Vec<String>) {
+    pub fn add_row(&mut self, row: Vec<Value>) {
         assert_eq!(row.len(), self.header.len(), "row/header length mismatch");
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
+    /// The title.
+    pub fn title(&self) -> &str {
+        &self.title
     }
 
-    /// `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+    /// The column names.
+    pub fn header(&self) -> &[String] {
+        &self.header
+    }
+
+    /// The data rows.
+    pub fn rows(&self) -> &[Vec<Value>] {
+        &self.rows
     }
 
     /// Renders the table as aligned markdown.
     pub fn render(&self) -> String {
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(Value::render).collect())
+            .collect();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
+        for row in &rows {
             for (i, cell) in row.iter().enumerate() {
                 widths[i] = widths[i].max(cell.len());
             }
         }
-        let mut out = String::new();
-        out.push_str(&format!("### {}\n\n", self.title));
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+        let fmt_row = |cells: &[String]| -> String {
             let padded: Vec<String> = cells
                 .iter()
-                .zip(widths)
+                .zip(&widths)
                 .map(|(c, w)| format!("{c:<w$}"))
                 .collect();
             format!("| {} |\n", padded.join(" | "))
         };
-        out.push_str(&fmt_row(&self.header, &widths));
+        let mut out = format!("### {}\n\n", self.title);
+        out.push_str(&fmt_row(&self.header));
         let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-        out.push_str(&fmt_row(&sep, &widths));
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
+        out.push_str(&fmt_row(&sep));
+        for row in &rows {
+            out.push_str(&fmt_row(row));
         }
         out
     }
 
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
+    /// The table as one JSON object:
+    /// `{"title": .., "columns": [..], "rows": [[..], ..]}`.
+    pub fn to_json(&self) -> String {
+        let columns: Vec<String> = self.header.iter().map(|h| json_string(h)).collect();
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let cells: Vec<String> = row.iter().map(Value::json).collect();
+                format!("[{}]", cells.join(","))
+            })
+            .collect();
+        format!(
+            "{{\"title\":{},\"columns\":[{}],\"rows\":[{}]}}",
+            json_string(&self.title),
+            columns.join(","),
+            rows.join(",")
+        )
     }
 }
 
-/// Prints a JSON document to stdout prefixed by a marker line, so plots can
-/// be regenerated from captured output.
-pub fn print_json<T: Serialize>(label: &str, value: &T) {
-    match serde_json::to_string(value) {
-        Ok(json) => println!("JSON {label}: {json}"),
-        Err(err) => eprintln!("failed to serialize {label}: {err}"),
+/// Prints every table as markdown, then the same tables as one
+/// `JSON <name>: [..]` line so plots can be regenerated from captured
+/// output.
+pub fn print_tables(name: &str, tables: &[Table]) {
+    for table in tables {
+        println!("{}", table.render());
     }
-}
-
-/// Formats a float with two decimal places (speedups, work increases).
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
+    let docs: Vec<String> = tables.iter().map(Table::to_json).collect();
+    println!("JSON {name}: [{}]", docs.join(","));
 }
 
 /// Formats a count with thousands separators (task and edge counts).
@@ -104,30 +204,29 @@ pub fn count(x: u64) -> String {
 mod tests {
     use super::*;
 
+    fn demo() -> Table {
+        let mut t = Table::new("Demo", ["name", "value"]);
+        t.add_row(vec!["alpha".into(), 1.0.into()]);
+        t.add_row(vec!["b".into(), 12.5.into()]);
+        t.add_row(vec!["none".into(), None.into()]);
+        t
+    }
+
     #[test]
     fn renders_aligned_markdown() {
-        let mut t = Table::new("Demo", &["name", "value"]);
-        t.add_row(vec!["alpha".into(), "1.00".into()]);
-        t.add_row(vec!["b".into(), "12.50".into()]);
-        let rendered = t.render();
+        let rendered = demo().render();
         assert!(rendered.contains("### Demo"));
         assert!(rendered.contains("| alpha | 1.00  |"));
         assert!(rendered.contains("| b     | 12.50 |"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert!(rendered.contains("| none  | -     |"));
+        assert_eq!(demo().rows().len(), 3);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_row_is_rejected() {
-        let mut t = Table::new("Demo", &["a", "b"]);
+        let mut t = demo();
         t.add_row(vec!["only one".into()]);
-    }
-
-    #[test]
-    fn f2_formats_two_decimals() {
-        assert_eq!(f2(1.2345), "1.23");
-        assert_eq!(f2(2.0), "2.00");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! description and run any of the registered workloads on it through the
 //! generic engine (`smq_algos::engine`).
 
+use std::any::Any;
 use std::sync::Arc;
 
 use smq_algos::astar::AstarWorkload;
@@ -15,12 +16,12 @@ use smq_core::{Probability, Scheduler, Task};
 use smq_graph::{GraphUpdate, LiveGraph};
 use smq_multiqueue::{DeletePolicy, InsertPolicy, MultiQueue, MultiQueueConfig, Reld};
 use smq_obim::{Obim, ObimConfig};
-use smq_pool::PoolConfig;
-use smq_runtime::Topology;
+use smq_pool::{JobOutput, PoolConfig};
 use smq_scheduler::{HeapSmq, SkipListSmq, SmqConfig};
 use smq_spraylist::{SprayList, SprayListConfig};
-use smq_telemetry::{LogHistogram, TelemetryConfig};
+use smq_telemetry::TelemetryConfig;
 
+use crate::args::numa_topology;
 use crate::graphs::GraphSpec;
 
 /// Which algorithm to run.
@@ -103,67 +104,22 @@ impl Workload {
     }
 }
 
-/// The result of one scheduler × workload × graph run.
-#[derive(Debug, Clone)]
-pub struct WorkloadResult {
-    /// Wall-clock seconds of the work loop.
-    pub seconds: f64,
-    /// Tasks whose execution advanced the algorithm.
-    pub useful_tasks: u64,
-    /// Stale tasks (wasted work).
-    pub wasted_tasks: u64,
-    /// Fraction of classified queue accesses that stayed on the caller's
-    /// (simulated) NUMA node, when the scheduler tracks it.
-    pub node_locality: Option<f64>,
-    /// Lock (or lock-equivalent synchronization) acquisitions per
-    /// scheduler operation (`smq_core::OpStats::locks_per_op`); `None` for
-    /// lock-free schedulers.  This is the column that makes the
-    /// batch-granularity claim visible: larger `--batch` values must
-    /// drive it down.
-    pub locks_per_op: Option<f64>,
-    /// Sampled rank-error distribution: how far each probed pop's key sat
-    /// above a cheap global-min estimate.  Empty for schedulers that do
-    /// not expose a min-key hint (OBIM/PMOD, SprayList).
-    pub rank_errors: LogHistogram,
-}
-
-impl WorkloadResult {
-    /// Total tasks executed.
-    pub fn total_tasks(&self) -> u64 {
-        self.useful_tasks + self.wasted_tasks
-    }
-
-    /// Speedup relative to a baseline time.
-    pub fn speedup_over(&self, baseline_seconds: f64) -> f64 {
-        if self.seconds == 0.0 {
-            f64::INFINITY
-        } else {
-            baseline_seconds / self.seconds
-        }
-    }
-
-    /// Work increase relative to a baseline task count.
-    pub fn work_increase(&self, baseline_tasks: u64) -> f64 {
-        if baseline_tasks == 0 {
-            1.0
-        } else {
-            self.total_tasks() as f64 / baseline_tasks as f64
-        }
-    }
+/// The local queue of a Stealing Multi-Queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SmqQueue {
+    /// d-ary heap.
+    Heap,
+    /// Skip list.
+    SkipList,
 }
 
 /// A buildable scheduler configuration, mirroring the paper's evaluated
 /// systems.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum SchedulerSpec {
-    /// Classic Multi-Queue (Listing 1) with multiplicity `C`.
-    ClassicMq {
-        /// Queues per thread.
-        c: usize,
-    },
-    /// Multi-Queue with explicit insert/delete policies and optional
-    /// NUMA-aware sampling weight `K`.
-    OptimizedMq {
+    /// Multi-Queue with multiplicity `C`, insert/delete policies and
+    /// optional NUMA-aware sampling weight `K`.
+    Mq {
         /// Queues per thread.
         c: usize,
         /// Insert-side policy.
@@ -178,8 +134,10 @@ pub enum SchedulerSpec {
         /// Queues per thread.
         c: usize,
     },
-    /// Stealing Multi-Queue with d-ary-heap local queues.
-    SmqHeap {
+    /// Stealing Multi-Queue.
+    Smq {
+        /// Local queue type.
+        queue: SmqQueue,
         /// Steal batch size.
         steal_size: usize,
         /// Stealing probability.
@@ -187,25 +145,11 @@ pub enum SchedulerSpec {
         /// NUMA weight `K` (None disables NUMA-aware victim sampling).
         numa_k: Option<u32>,
     },
-    /// Stealing Multi-Queue with skip-list local queues.
-    SmqSkipList {
-        /// Steal batch size.
-        steal_size: usize,
-        /// Stealing probability.
-        p_steal: Probability,
-        /// NUMA weight `K`.
-        numa_k: Option<u32>,
-    },
-    /// OBIM with the given Δ shift and chunk size.
+    /// OBIM, or PMOD when `adaptive`.
     Obim {
+        /// PMOD: adapt Δ at run time, starting from `delta_shift`.
+        adaptive: bool,
         /// Δ shift.
-        delta_shift: u32,
-        /// Chunk size.
-        chunk_size: usize,
-    },
-    /// PMOD starting from the given Δ shift.
-    Pmod {
-        /// Initial Δ shift.
         delta_shift: u32,
         /// Chunk size.
         chunk_size: usize,
@@ -215,60 +159,83 @@ pub enum SchedulerSpec {
 }
 
 impl SchedulerSpec {
-    /// The paper's "SMQ (Default)" configuration.
-    pub fn smq_default() -> Self {
-        SchedulerSpec::SmqHeap {
-            steal_size: 4,
-            p_steal: Probability::new(8),
+    /// The classic Multi-Queue of Listing 1 with multiplicity `c`.
+    pub fn classic_mq(c: usize) -> Self {
+        SchedulerSpec::Mq {
+            c,
+            insert: InsertPolicy::Direct,
+            delete: DeletePolicy::TwoChoice,
             numa_k: None,
         }
     }
 
-    /// Short display name for tables.
-    pub fn name(&self) -> String {
-        match self {
-            SchedulerSpec::ClassicMq { c } => format!("MQ(C={c})"),
-            SchedulerSpec::OptimizedMq { numa_k, .. } => match numa_k {
-                Some(k) => format!("MQ-opt-NUMA(K={k})"),
-                None => "MQ-opt".to_string(),
-            },
-            SchedulerSpec::Reld { .. } => "RELD".to_string(),
-            SchedulerSpec::SmqHeap {
-                steal_size,
-                p_steal,
-                numa_k,
-            } => match numa_k {
-                Some(k) => format!("SMQ-heap(S={steal_size},p={p_steal},K={k})"),
-                None => format!("SMQ-heap(S={steal_size},p={p_steal})"),
-            },
-            SchedulerSpec::SmqSkipList {
-                steal_size,
-                p_steal,
-                ..
-            } => format!("SMQ-sl(S={steal_size},p={p_steal})"),
-            SchedulerSpec::Obim {
-                delta_shift,
-                chunk_size,
-            } => format!("OBIM(d={delta_shift},c={chunk_size})"),
-            SchedulerSpec::Pmod {
-                delta_shift,
-                chunk_size,
-            } => format!("PMOD(d={delta_shift},c={chunk_size})"),
-            SchedulerSpec::SprayList => "SprayList".to_string(),
+    /// A Multi-Queue at the paper's multiplicity `C = 4`.
+    pub fn mq(insert: InsertPolicy, delete: DeletePolicy, numa_k: Option<u32>) -> Self {
+        SchedulerSpec::Mq {
+            c: 4,
+            insert,
+            delete,
+            numa_k,
+        }
+    }
+
+    /// The paper's "SMQ (Default)" parameters, `STEAL_SIZE = 4` and
+    /// `p_steal = 1/8`, over the given local queue and NUMA weight.
+    pub fn smq_default(queue: SmqQueue, numa_k: Option<u32>) -> Self {
+        SchedulerSpec::Smq {
+            queue,
+            steal_size: 4,
+            p_steal: Probability::new(8),
+            numa_k,
         }
     }
 }
 
-/// Topology used when a spec enables NUMA-aware sampling: `nodes`
-/// simulated sockets when the thread count allows it, falling back to the
-/// single-node (topology-blind) layout otherwise so odd thread counts
-/// still run.
-fn numa_topology(threads: usize, nodes: usize) -> Topology {
-    if nodes >= 2 && threads >= nodes && threads.is_multiple_of(nodes) {
-        Topology::split(threads, nodes)
-    } else {
-        Topology::single_node(threads)
-    }
+/// The four insert × delete optimisation combinations of Appendix C at
+/// their representative parameters (temporal locality 1/64, batches of 16).
+pub fn mq_variants(numa_k: Option<u32>) -> [(&'static str, SchedulerSpec); 4] {
+    let tl = Probability::new(64);
+    let (insert_tl, delete_tl) = (
+        InsertPolicy::TemporalLocality(tl),
+        DeletePolicy::TemporalLocality(tl),
+    );
+    let (insert_b, delete_b) = (InsertPolicy::Batching(16), DeletePolicy::Batching(16));
+    let mq = |insert, delete| SchedulerSpec::mq(insert, delete, numa_k);
+    [
+        ("insert=TL delete=TL", mq(insert_tl, delete_tl)),
+        ("insert=TL delete=B", mq(insert_tl, delete_b)),
+        ("insert=B delete=TL", mq(insert_b, delete_tl)),
+        ("insert=B delete=B", mq(insert_b, delete_b)),
+    ]
+}
+
+/// One measured configuration: a scheduler running a workload on a graph.
+#[derive(Clone, Copy)]
+pub struct Point<'a> {
+    /// The scheduler to build.
+    pub scheduler: SchedulerSpec,
+    /// The algorithm to run.
+    pub workload: Workload,
+    /// Its input.
+    pub graph: &'a GraphSpec,
+    /// Worker threads.
+    pub threads: usize,
+    /// Scheduler PRNG seed.
+    pub seed: u64,
+    /// Hot-path batch size (1 is the per-task path).
+    pub batch: usize,
+    /// Simulated NUMA nodes for specs that carry a `numa_k` weight; the
+    /// others ignore it and stay topology-blind.
+    pub numa_nodes: usize,
+}
+
+/// A workload's sequential reference on a graph.
+pub struct Reference {
+    /// The reference answer; every workload has its own output type.
+    output: Box<dyn Any>,
+    /// How many tasks the sequential execution processed — the denominator
+    /// of every work-increase number.
+    pub tasks: u64,
 }
 
 /// Something to do with a constructed workload, whatever its type: the
@@ -276,75 +243,59 @@ fn numa_topology(threads: usize, nodes: usize) -> Topology {
 /// says what happens to it.
 trait WorkloadVisitor {
     type Out;
-    fn visit<W: DecreaseKeyWorkload>(self, workload: &W) -> Self::Out;
+    fn visit<W: DecreaseKeyWorkload<Output: 'static>>(self, workload: &W) -> Self::Out;
 }
 
-/// Runs the workload through the engine and converts its accounting.
-/// The only place results are assembled — per-algorithm run logic lives in
-/// the workload implementations, not here.
-struct EngineRunOn<'s, S> {
-    scheduler: &'s S,
-    threads: usize,
-    batch: usize,
-}
+/// Runs the workload's own sequential reference.
+struct RunReference;
 
-impl<S: Scheduler<Task>> WorkloadVisitor for EngineRunOn<'_, S> {
-    type Out = WorkloadResult;
+impl WorkloadVisitor for RunReference {
+    type Out = Reference;
 
-    fn visit<W: DecreaseKeyWorkload>(self, workload: &W) -> WorkloadResult {
-        let run = engine::run_parallel_with(
-            workload,
-            self.scheduler,
-            PoolConfig::new(self.threads)
-                .with_batch(self.batch)
-                .with_telemetry(TelemetryConfig::probe_only()),
-        );
-        let rank_errors = run
-            .result
-            .metrics
-            .telemetry
-            .as_ref()
-            .map(|report| report.rank_errors.clone())
-            .unwrap_or_default();
-        WorkloadResult {
-            seconds: run.result.metrics.elapsed.as_secs_f64(),
-            useful_tasks: run.result.useful_tasks,
-            wasted_tasks: run.result.wasted_tasks,
-            node_locality: run.result.metrics.node_locality(),
-            locks_per_op: run.result.metrics.total.locks_per_op(),
-            rank_errors,
+    fn visit<W: DecreaseKeyWorkload<Output: 'static>>(self, workload: &W) -> Reference {
+        let reference = workload.sequential_reference();
+        Reference {
+            output: Box::new(reference.output),
+            tasks: reference.baseline_tasks,
         }
     }
 }
 
-/// Reads the task count of the workload's own sequential reference.
-struct BaselineTasks;
-
-impl WorkloadVisitor for BaselineTasks {
-    type Out = u64;
-
-    fn visit<W: DecreaseKeyWorkload>(self, workload: &W) -> u64 {
-        workload.sequential_reference().baseline_tasks
-    }
+/// Runs the point's workload on the built scheduler through the engine
+/// and panics unless its answer is equivalent to the reference's.
+struct RunOn<'a, S> {
+    scheduler: &'a S,
+    point: &'a Point<'a>,
+    reference: &'a Reference,
 }
 
-/// The deterministic weight-decrease batch the `inc-SSSP` workload arm
-/// publishes before repairing: ~5% of the edges, derived from the run seed
-/// so every scheduler (and the sequential baseline) repairs the same
-/// mutation.
-fn incremental_update_batch(spec: &GraphSpec, seed: u64) -> Vec<GraphUpdate> {
-    let update_count = (spec.graph.num_edges() / 20).clamp(16, 4096);
-    GraphUpdate::random_decreases(&spec.graph, update_count, seed ^ 0x9e37_79b9)
+impl<S: Scheduler<Task>> WorkloadVisitor for RunOn<'_, S> {
+    type Out = JobOutput;
+
+    fn visit<W: DecreaseKeyWorkload<Output: 'static>>(self, workload: &W) -> JobOutput {
+        let run = engine::run_parallel_with(
+            workload,
+            self.scheduler,
+            PoolConfig::new(self.point.threads)
+                .with_batch(self.point.batch)
+                .with_telemetry(TelemetryConfig::probe_only()),
+        );
+        let expected = self.reference.output.downcast_ref::<W::Output>();
+        let expected = expected.expect("a reference of the point's workload");
+        assert!(
+            workload.outputs_equivalent(&run.output, expected),
+            "{:?} diverged from the sequential reference: {} on {}",
+            self.point.scheduler,
+            self.point.workload.name(),
+            self.point.graph.name
+        );
+        run.result
+    }
 }
 
 /// The workload dispatch: each arm only constructs the workload value for
 /// `spec` and hands it to `visitor`.
-fn with_workload<V: WorkloadVisitor>(
-    workload: Workload,
-    spec: &GraphSpec,
-    seed: u64,
-    visitor: V,
-) -> V::Out {
+fn with_workload<V: WorkloadVisitor>(workload: Workload, spec: &GraphSpec, visitor: V) -> V::Out {
     match workload {
         Workload::Sssp => visitor.visit(&SsspWorkload::new(&spec.graph, spec.source)),
         Workload::Bfs => visitor.visit(&SsspWorkload::bfs(&spec.graph, spec.source)),
@@ -359,10 +310,13 @@ fn with_workload<V: WorkloadVisitor>(
         Workload::KCore => visitor.visit(&KCoreWorkload::new(&spec.graph)),
         Workload::Cc => visitor.visit(&CcWorkload::new(&spec.graph)),
         Workload::IncrementalSssp => {
-            // Publish the deterministic decrease batch onto a live copy of
-            // the spec's graph and repair the pre-update distances on the
+            // Publish a deterministic weight-decrease batch (~5% of the
+            // edges, derived from the graph's seed) onto a live copy of the
+            // spec's graph and repair the pre-update distances on the
             // pinned snapshot.
-            let updates = incremental_update_batch(spec, seed);
+            let update_count = (spec.graph.num_edges() / 20).clamp(16, 4096);
+            let updates =
+                GraphUpdate::random_decreases(&spec.graph, update_count, spec.seed ^ 0x9e37_79b9);
             let live = LiveGraph::new(Arc::new(spec.graph.clone()));
             live.publish(&updates);
             let snapshot = live.pin();
@@ -376,240 +330,168 @@ fn with_workload<V: WorkloadVisitor>(
     }
 }
 
-/// The task count of `workload`'s sequential reference on `spec` — the
-/// denominator of every work-increase number (`seed` derives the `inc-SSSP`
-/// update batch, as in [`run_workload`]).
-pub fn baseline_tasks(workload: Workload, spec: &GraphSpec, seed: u64) -> u64 {
-    with_workload(workload, spec, seed, BaselineTasks)
+/// Runs `workload`'s sequential reference on `spec`.
+pub fn sequential_reference(workload: Workload, spec: &GraphSpec) -> Reference {
+    with_workload(workload, spec, RunReference)
 }
 
-fn run_on<S: Scheduler<Task>>(
-    scheduler: &S,
-    workload: Workload,
-    spec: &GraphSpec,
-    threads: usize,
-    batch: usize,
-    seed: u64,
-) -> WorkloadResult {
-    let run = EngineRunOn {
-        scheduler,
-        threads,
-        batch,
-    };
-    with_workload(workload, spec, seed, run)
-}
-
-/// Builds the scheduler described by `spec_kind` and runs `workload` on
-/// `graph_spec` with `threads` workers at batch granularity 1 (the
-/// per-task path).
-pub fn run_workload(
-    spec_kind: &SchedulerSpec,
-    workload: Workload,
-    graph_spec: &GraphSpec,
-    threads: usize,
-    seed: u64,
-) -> WorkloadResult {
-    run_workload_batched(spec_kind, workload, graph_spec, threads, seed, 1)
-}
-
-/// Builds the scheduler described by `spec_kind` and runs `workload` on
-/// `graph_spec` with `threads` workers and the given hot-path batch size.
-/// Specs that enable NUMA-aware sampling simulate the default two-socket
-/// topology; use [`run_workload_numa`] to pick the node count.
-pub fn run_workload_batched(
-    spec_kind: &SchedulerSpec,
-    workload: Workload,
-    graph_spec: &GraphSpec,
-    threads: usize,
-    seed: u64,
-    batch: usize,
-) -> WorkloadResult {
-    run_workload_numa(spec_kind, workload, graph_spec, threads, seed, batch, 2)
-}
-
-/// Like [`run_workload_batched`], but with an explicit simulated NUMA node
-/// count for specs that carry a `numa_k` weight (the `--numa-nodes` flag).
-/// Specs with `numa_k: None` ignore it and stay topology-blind.
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_numa(
-    spec_kind: &SchedulerSpec,
-    workload: Workload,
-    graph_spec: &GraphSpec,
-    threads: usize,
-    seed: u64,
-    batch: usize,
-    numa_nodes: usize,
-) -> WorkloadResult {
-    match spec_kind {
-        SchedulerSpec::ClassicMq { c } => {
-            let mq: MultiQueue<Task> = MultiQueue::new(
-                MultiQueueConfig::classic(threads)
-                    .with_c_factor(*c)
-                    .with_seed(seed),
-            );
-            run_on(&mq, workload, graph_spec, threads, batch, seed)
-        }
-        SchedulerSpec::OptimizedMq {
+/// Builds the scheduler `point` describes (the scheduler dispatch) and
+/// runs the point's workload on it once.  The run's answer must be
+/// equivalent to `reference`, the sequential reference of the point's
+/// workload on its graph: a divergence panics, naming scheduler, workload
+/// and graph, so no figure reports a speedup for a wrong answer.
+pub fn run_once(point: &Point, reference: &Reference) -> JobOutput {
+    fn on<S: Scheduler<Task>>(scheduler: &S, point: &Point, reference: &Reference) -> JobOutput {
+        let visitor = RunOn {
+            scheduler,
+            point,
+            reference,
+        };
+        with_workload(point.workload, point.graph, visitor)
+    }
+    let Point { threads, seed, .. } = *point;
+    let topology = || numa_topology(threads, point.numa_nodes);
+    match point.scheduler {
+        SchedulerSpec::Mq {
             c,
             insert,
             delete,
             numa_k,
         } => {
             let mut config = MultiQueueConfig::classic(threads)
-                .with_c_factor(*c)
-                .with_insert(*insert)
-                .with_delete(*delete)
+                .with_c_factor(c)
+                .with_insert(insert)
+                .with_delete(delete)
                 .with_seed(seed);
             if let Some(k) = numa_k {
-                config = config.with_numa(numa_topology(threads, numa_nodes), *k);
+                config = config.with_numa(topology(), k);
             }
-            let mq: MultiQueue<Task> = MultiQueue::new(config);
-            run_on(&mq, workload, graph_spec, threads, batch, seed)
+            on(&MultiQueue::<Task>::new(config), point, reference)
         }
-        SchedulerSpec::Reld { c } => {
-            let reld: Reld<Task> = Reld::new(threads, *c, seed);
-            run_on(&reld, workload, graph_spec, threads, batch, seed)
-        }
-        SchedulerSpec::SmqHeap {
+        SchedulerSpec::Reld { c } => on(&Reld::<Task>::new(threads, c, seed), point, reference),
+        SchedulerSpec::Smq {
+            queue,
             steal_size,
             p_steal,
             numa_k,
         } => {
             let mut config = SmqConfig::default_for_threads(threads)
-                .with_steal_size(*steal_size)
-                .with_p_steal(*p_steal)
+                .with_steal_size(steal_size)
+                .with_p_steal(p_steal)
                 .with_seed(seed);
             if let Some(k) = numa_k {
-                config = config.with_numa(numa_topology(threads, numa_nodes), *k);
+                config = config.with_numa(topology(), k);
             }
-            let smq: HeapSmq<Task> = HeapSmq::new(config);
-            run_on(&smq, workload, graph_spec, threads, batch, seed)
-        }
-        SchedulerSpec::SmqSkipList {
-            steal_size,
-            p_steal,
-            numa_k,
-        } => {
-            let mut config = SmqConfig::default_for_threads(threads)
-                .with_steal_size(*steal_size)
-                .with_p_steal(*p_steal)
-                .with_seed(seed);
-            if let Some(k) = numa_k {
-                config = config.with_numa(numa_topology(threads, numa_nodes), *k);
+            match queue {
+                SmqQueue::Heap => on(&HeapSmq::<Task>::new(config), point, reference),
+                SmqQueue::SkipList => on(&SkipListSmq::<Task>::new(config), point, reference),
             }
-            let smq: SkipListSmq<Task> = SkipListSmq::new(config);
-            run_on(&smq, workload, graph_spec, threads, batch, seed)
         }
         SchedulerSpec::Obim {
+            adaptive,
             delta_shift,
             chunk_size,
         } => {
-            let obim: Obim<Task> = Obim::new(ObimConfig::obim(threads, *delta_shift, *chunk_size));
-            run_on(&obim, workload, graph_spec, threads, batch, seed)
-        }
-        SchedulerSpec::Pmod {
-            delta_shift,
-            chunk_size,
-        } => {
-            let pmod: Obim<Task> = Obim::new(ObimConfig::pmod(threads, *delta_shift, *chunk_size));
-            run_on(&pmod, workload, graph_spec, threads, batch, seed)
+            let preset = if adaptive {
+                ObimConfig::pmod
+            } else {
+                ObimConfig::obim
+            };
+            let obim = Obim::<Task>::new(preset(threads, delta_shift, chunk_size));
+            on(&obim, point, reference)
         }
         SchedulerSpec::SprayList => {
-            let sl: SprayList<Task> = SprayList::new(SprayListConfig {
+            let config = SprayListConfig {
                 seed,
                 ..SprayListConfig::default_for_threads(threads)
-            });
-            run_on(&sl, workload, graph_spec, threads, batch, seed)
+            };
+            on(&SprayList::<Task>::new(config), point, reference)
         }
     }
-}
-
-/// Runs the single-threaded classic Multi-Queue baseline the paper measures
-/// speedups against, returning `(seconds, total_tasks)`.
-pub fn baseline(workload: Workload, graph_spec: &GraphSpec, seed: u64) -> (f64, u64) {
-    let result = run_workload(
-        &SchedulerSpec::ClassicMq { c: 4 },
-        workload,
-        graph_spec,
-        1,
-        seed,
-    );
-    (result.seconds, result.total_tasks())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::Scale;
     use crate::graphs::standard_graphs;
+
+    fn point(scheduler: SchedulerSpec, workload: Workload, graph: &GraphSpec) -> Point<'_> {
+        Point {
+            scheduler,
+            workload,
+            graph,
+            threads: 2,
+            seed: 3,
+            batch: 1,
+            numa_nodes: 2,
+        }
+    }
 
     #[test]
     fn every_scheduler_runs_sssp_on_a_small_road_graph() {
-        let specs = standard_graphs(false, 7);
-        let west = &specs[1];
+        let specs = standard_graphs(Scale::Ci, 7);
+        let west = &specs[0];
         let schedulers = [
-            SchedulerSpec::ClassicMq { c: 2 },
-            SchedulerSpec::OptimizedMq {
-                c: 2,
-                insert: InsertPolicy::Batching(8),
-                delete: DeletePolicy::Batching(8),
-                numa_k: Some(16),
-            },
+            SchedulerSpec::classic_mq(2),
+            mq_variants(Some(16))[3].1,
             SchedulerSpec::Reld { c: 2 },
-            SchedulerSpec::smq_default(),
-            SchedulerSpec::SmqSkipList {
-                steal_size: 4,
-                p_steal: Probability::new(8),
-                numa_k: None,
-            },
+            SchedulerSpec::smq_default(SmqQueue::Heap, None),
+            SchedulerSpec::smq_default(SmqQueue::SkipList, Some(16)),
             SchedulerSpec::Obim {
+                adaptive: false,
                 delta_shift: 4,
                 chunk_size: 16,
             },
-            SchedulerSpec::Pmod {
+            SchedulerSpec::Obim {
+                adaptive: true,
                 delta_shift: 4,
                 chunk_size: 16,
             },
             SchedulerSpec::SprayList,
         ];
-        // The reference answer, used to verify every scheduler computes the
-        // same distances implicitly through the useful-task invariant: every
-        // scheduler must settle at least the same reachable vertices.
-        let (_, base_tasks) = baseline(Workload::Sssp, west, 3);
-        for sched in &schedulers {
-            let result = run_workload(sched, Workload::Sssp, west, 2, 3);
+        let dijkstra = sequential_reference(Workload::Sssp, west);
+        for sched in schedulers {
+            // `run_once` compares the distances with Dijkstra's.
+            let result = run_once(&point(sched, Workload::Sssp, west), &dijkstra);
             assert!(
-                result.useful_tasks > 0,
-                "{} did no useful work",
-                sched.name()
-            );
-            assert!(
-                result.work_increase(base_tasks) < 50.0,
-                "{} wasted an implausible amount of work",
-                sched.name()
+                result.work_increase(dijkstra.tasks) < 50.0,
+                "{sched:?} wasted an implausible amount of work"
             );
         }
     }
 
     #[test]
-    fn incremental_sssp_runs_through_the_engine_dispatch() {
-        let specs = standard_graphs(false, 7);
-        let west = &specs[1];
-        assert!(Workload::IncrementalSssp.suits(west));
-        let result = run_workload(
-            &SchedulerSpec::smq_default(),
-            Workload::IncrementalSssp,
-            west,
-            2,
-            3,
+    #[should_panic(expected = "must divide --threads")]
+    fn numa_specs_do_not_fall_back_to_one_node() {
+        let specs = standard_graphs(Scale::Ci, 7);
+        let sched = SchedulerSpec::smq_default(SmqQueue::Heap, Some(16));
+        let three_threads = Point {
+            threads: 3,
+            ..point(sched, Workload::Sssp, &specs[0])
+        };
+        let _ = run_once(
+            &three_threads,
+            &sequential_reference(Workload::Sssp, &specs[0]),
         );
+    }
+
+    #[test]
+    fn incremental_sssp_runs_through_the_engine_dispatch() {
+        let specs = standard_graphs(Scale::Ci, 7);
+        let west = &specs[0];
+        assert!(Workload::IncrementalSssp.suits(west));
+        let sched = SchedulerSpec::smq_default(SmqQueue::Heap, None);
+        let repair = sequential_reference(Workload::IncrementalSssp, west);
+        let repair_tasks = repair.tasks;
+        let result = run_once(&point(sched, Workload::IncrementalSssp, west), &repair);
         // Repair work exists (the decreases improve some region).
         assert!(result.useful_tasks > 0, "repair did no useful work");
         // The cost claim is made on the deterministic sequential references
         // (a relaxed parallel run's wasted-task count varies with thread
         // interleaving): exact heap repair settles fewer vertices than a
         // full Dijkstra of the same graph.
-        let full_tasks = baseline_tasks(Workload::Sssp, west, 3);
-        let repair_tasks = baseline_tasks(Workload::IncrementalSssp, west, 3);
+        let full_tasks = sequential_reference(Workload::Sssp, west).tasks;
         assert!(
             repair_tasks < full_tasks,
             "repair ({repair_tasks}) should cost less than recompute ({full_tasks})"
@@ -621,15 +503,6 @@ mod tests {
             "repair wasted an implausible amount of work ({} tasks for {repair_tasks} settles)",
             result.total_tasks()
         );
-    }
-
-    #[test]
-    fn workload_names_and_spec_names_are_stable() {
-        assert_eq!(Workload::Sssp.name(), "SSSP");
-        assert_eq!(Workload::ALL.len(), 8);
-        assert_eq!(Workload::IncrementalSssp.name(), "inc-SSSP");
-        assert!(SchedulerSpec::smq_default().name().starts_with("SMQ-heap"));
-        assert_eq!(SchedulerSpec::SprayList.name(), "SprayList");
     }
 
     #[test]
@@ -647,66 +520,48 @@ mod tests {
             Some(Workload::IncrementalSssp)
         );
         assert_eq!(Workload::parse("nope"), None);
+        assert_eq!(Workload::ALL.len(), 8);
+        assert_eq!(Workload::IncrementalSssp.name(), "inc-SSSP");
     }
 
     #[test]
     fn new_workloads_run_through_the_engine_dispatch() {
-        use smq_graph::generators::{power_law, PowerLawParams};
-        // A small stand-in spec so the debug-mode test stays fast; the big
-        // standard graphs are exercised by the release-mode binaries.
-        let graph = power_law(PowerLawParams {
-            nodes: 1_000,
-            avg_degree: 12,
-            exponent: 2.2,
-            max_weight: 255,
-            seed: 9,
-        });
-        let spec = GraphSpec {
-            name: "small-social",
-            description: "test stand-in",
-            source: 0,
-            target: (graph.num_nodes() - 1) as u32,
-            graph,
-        };
-        let full = standard_graphs(false, 7);
+        let ci = standard_graphs(Scale::Ci, 7);
+        let (road, social) = (&ci[0], &ci[1]);
+        let smq = SchedulerSpec::smq_default(SmqQueue::Heap, None);
         for workload in [Workload::PagerankDelta, Workload::KCore] {
             assert!(
-                workload.suits(&full[2]),
+                workload.suits(social),
                 "social graphs suit {}",
                 workload.name()
             );
-            assert!(!workload.suits(&full[0]), "road graphs do not");
-            let result = run_workload(&SchedulerSpec::smq_default(), workload, &spec, 2, 3);
+            assert!(!workload.suits(road), "road graphs do not");
+            let reference = sequential_reference(workload, social);
+            let result = run_once(&point(smq, workload, social), &reference);
             assert!(
                 result.useful_tasks > 0,
                 "{} did no useful work",
                 workload.name()
             );
-            assert_eq!(
-                result.total_tasks(),
-                result.useful_tasks + result.wasted_tasks
-            );
         }
         // CC runs on every graph class (cheapest workload, overhead canary).
-        assert!(Workload::Cc.suits(&full[0]));
-        assert!(Workload::Cc.suits(&full[2]));
-        let cc = run_workload(&SchedulerSpec::smq_default(), Workload::Cc, &spec, 2, 3);
-        assert!(cc.useful_tasks > 0, "CC did no useful work");
+        assert!(Workload::Cc.suits(road));
+        assert!(Workload::Cc.suits(social));
+        let components = sequential_reference(Workload::Cc, social);
+        let rank_errors = |sched| {
+            let run = run_once(&point(sched, Workload::Cc, social), &components);
+            run.metrics.telemetry.expect("probes are on").rank_errors
+        };
         assert!(
-            cc.rank_errors.count() > 0,
+            rank_errors(smq).count() > 0,
             "SMQ exposes a min-key hint, so probes must record samples"
         );
         // OBIM keeps the default (absent) hint: probes record nothing.
-        let obim = run_workload(
-            &SchedulerSpec::Obim {
-                delta_shift: 4,
-                chunk_size: 16,
-            },
-            Workload::Cc,
-            &spec,
-            2,
-            3,
-        );
-        assert!(obim.rank_errors.is_empty());
+        assert!(rank_errors(SchedulerSpec::Obim {
+            adaptive: false,
+            delta_shift: 4,
+            chunk_size: 16,
+        })
+        .is_empty());
     }
 }

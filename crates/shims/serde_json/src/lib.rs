@@ -1,15 +1,10 @@
-//! Offline stand-in for `serde_json`: the `to_string` front-end over the
-//! JSON-only `serde` shim, plus a small [`Value`] tree and [`from_str`]
-//! parser so tooling can validate emitted documents by round-trip.
-//! Encoding is infallible for every type the shim can express, but the
-//! `Result` signature is kept so call sites stay source-compatible with
-//! the real crate.
+//! Offline stand-in for `serde_json`: a small [`Value`] tree and the
+//! [`from_str`] parser, so tests can validate the JSON this workspace
+//! prints (which it writes by hand) by parsing it back.
 
 #![warn(missing_docs)]
 
-use serde::Serialize;
-
-/// A JSON encoding or parse error.
+/// A JSON parse error.
 #[derive(Debug)]
 pub struct Error(String);
 
@@ -26,19 +21,6 @@ impl std::fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
-
-/// Serializes `value` to a compact JSON string.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    value.serialize_json(&mut out);
-    Ok(out)
-}
-
-/// Serializes `value` to JSON.  The shim does not implement pretty-printing;
-/// output is compact (still valid JSON for downstream tooling).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    to_string(value)
-}
 
 /// A parsed JSON document.  Numbers are kept as `f64` (adequate for the
 /// validation round-trips this workspace performs); objects preserve key
@@ -287,12 +269,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn encodes_nested_values() {
-        let v = vec![(1u32, "a".to_string()), (2, "b".to_string())];
-        assert_eq!(to_string(&v).unwrap(), "[[1,\"a\"],[2,\"b\"]]");
-    }
-
-    #[test]
     fn parses_scalars() {
         assert_eq!(from_str("null").unwrap(), Value::Null);
         assert_eq!(from_str(" true ").unwrap(), Value::Bool(true));
@@ -329,14 +305,5 @@ mod tests {
         ] {
             assert!(from_str(bad).is_err(), "{bad:?} should fail");
         }
-    }
-
-    #[test]
-    fn round_trips_shim_output() {
-        let doc = to_string(&vec![Some(3u64), None]).unwrap();
-        let parsed = from_str(&doc).unwrap();
-        let arr = parsed.as_array().unwrap();
-        assert_eq!(arr[0].as_u64(), Some(3));
-        assert!(arr[1].is_null());
     }
 }
