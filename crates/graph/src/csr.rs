@@ -1,12 +1,21 @@
 //! Compressed sparse row (CSR) graph representation.
 //!
 //! All algorithms in `smq-algos` operate on this immutable, cache-friendly
-//! layout: one offset array indexed by vertex, one flat array of
-//! `(target, weight)` pairs.  Vertex ids and weights are `u32`, which covers
-//! the paper's graphs (≤ 50 M vertices, weights in `[0, 255]` or road
-//! lengths) while keeping an edge at 8 bytes.
+//! layout: one `u32` offset per vertex into one flat array of interleaved
+//! `(target, weight)` pairs, so an adjacency scan reads a single stream.
+//! Vertex ids, weights and offsets are `u32`, which covers the paper's
+//! graphs (≤ 50 M vertices, weights in `[0, 255]` or road lengths, < 2^32
+//! edges) while keeping an edge at 8 bytes and a vertex at 4.
+//!
+//! There is one construction kernel, [`CsrGraph::from_replay`]: it runs a
+//! *replayable* edge source twice — once to count degrees, once to place
+//! every edge at its source's cursor — so no edge list exists beside the
+//! arrays.  [`GraphBuilder`] is the staged front-end for callers that
+//! cannot re-run their source (a file reader, a test).
 
 use smq_core::prefetch_read;
+
+use crate::view::GraphView;
 
 /// A directed edge used while building a graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,51 +85,130 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Builds the CSR representation (sorts edges by source; stable within a
-    /// source so insertion order of parallel edges is preserved).
+    /// Builds the CSR representation by replaying the staged edges (grouped
+    /// by source; stable within a source so insertion order of parallel
+    /// edges is preserved).
     pub fn build(self) -> CsrGraph {
-        let n = self.num_nodes as usize;
-        let mut degree = vec![0u32; n];
-        for e in &self.edges {
-            degree[e.from as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u64;
-        offsets.push(0u64);
-        for d in &degree {
-            acc += u64::from(*d);
-            offsets.push(acc);
-        }
-        let mut targets = vec![0u32; self.edges.len()];
-        let mut weights = vec![0u32; self.edges.len()];
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        for e in &self.edges {
-            let idx = cursor[e.from as usize] as usize;
-            targets[idx] = e.to;
-            weights[idx] = e.weight;
-            cursor[e.from as usize] += 1;
-        }
-        CsrGraph {
-            offsets,
-            targets,
-            weights,
-            coordinates: self.coordinates,
+        let graph = CsrGraph::from_replay(self.num_nodes, |sink| {
+            for e in &self.edges {
+                sink.edge(e.from, e.to, e.weight);
+            }
+        });
+        match self.coordinates {
+            Some(coords) => graph.with_coordinates(coords),
+            None => graph,
         }
     }
+}
+
+/// Where a replayed edge source emits its edges (see
+/// [`CsrGraph::from_replay`]): the first replay counts each source's
+/// degree, the second places each edge at its source's cursor.
+#[derive(Debug)]
+pub struct EdgeSink {
+    /// Per vertex: edges counted so far (first replay), then the next free
+    /// slot of its adjacency (second replay).
+    cursor: Vec<u32>,
+    /// The adjacency array; empty during the first replay.
+    adj: Vec<(u32, u32)>,
+    emitted: u64,
+}
+
+impl EdgeSink {
+    /// Emits the directed edge `from -> to`.
+    ///
+    /// # Panics
+    /// Panics if either endpoint is out of range.
+    #[inline]
+    pub fn edge(&mut self, from: u32, to: u32, weight: u32) {
+        assert!(
+            (from as usize) < self.cursor.len() && (to as usize) < self.cursor.len(),
+            "vertex out of range"
+        );
+        self.emitted += 1;
+        let cursor = &mut self.cursor[from as usize];
+        if let Some(slot) = self.adj.get_mut(*cursor as usize) {
+            *slot = (to, weight);
+        }
+        *cursor += 1;
+    }
+}
+
+/// The edge count as an offset.
+///
+/// # Panics
+/// Panics if `edges` does not fit the `u32` offsets.
+fn offset_of(edges: u64) -> u32 {
+    u32::try_from(edges)
+        .unwrap_or_else(|_| panic!("{edges} edges do not fit the CSR's u32 offsets"))
 }
 
 /// An immutable directed graph in CSR form.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
-    /// `offsets[v]..offsets[v+1]` indexes `targets`/`weights` for vertex `v`.
-    offsets: Vec<u64>,
-    targets: Vec<u32>,
-    weights: Vec<u32>,
+    /// `adj[offsets[v]..offsets[v + 1]]` is the adjacency of vertex `v`.
+    offsets: Vec<u32>,
+    /// `(target, weight)` of every edge, grouped by source.
+    adj: Vec<(u32, u32)>,
     /// Optional planar coordinates per vertex.
     coordinates: Option<Vec<(f64, f64)>>,
 }
 
 impl CsrGraph {
+    /// Builds the graph from a *replayable* edge source: `replay` is called
+    /// twice and must emit the same edges in the same order both times (a
+    /// generator re-runs its loop from a re-seeded RNG, a container walks
+    /// itself again).  Edges are grouped by source and keep their emission
+    /// order within a source.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is out of range, if the edge count does not
+    /// fit the `u32` offsets, or if the second replay differs from the
+    /// first in any vertex's degree.
+    pub fn from_replay(num_nodes: u32, mut replay: impl FnMut(&mut EdgeSink)) -> CsrGraph {
+        let n = num_nodes as usize;
+        let mut sink = EdgeSink {
+            cursor: vec![0; n],
+            adj: Vec::new(),
+            emitted: 0,
+        };
+        replay(&mut sink);
+        let num_edges = offset_of(sink.emitted) as usize;
+
+        // Degrees -> offsets; each cursor moves to the start of its range.
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut acc = 0u32;
+        for c in &mut sink.cursor {
+            offsets.push(acc);
+            acc += std::mem::replace(c, acc);
+        }
+        offsets.push(acc);
+
+        sink.adj = vec![(0, 0); num_edges];
+        replay(&mut sink);
+        // Every cursor on the next vertex's offset: each vertex got the
+        // edges the first replay counted for it, no more and no fewer.
+        assert!(
+            sink.cursor[..] == offsets[1..],
+            "edge source emitted different edges on its second replay"
+        );
+        CsrGraph {
+            offsets,
+            adj: sink.adj,
+            coordinates: None,
+        }
+    }
+
+    /// Attaches planar coordinates (used by A*'s distance heuristic).
+    ///
+    /// # Panics
+    /// Panics if the coordinate count does not match the vertex count.
+    pub fn with_coordinates(mut self, coords: Vec<(f64, f64)>) -> CsrGraph {
+        assert_eq!(coords.len(), self.num_nodes(), "one coordinate per vertex");
+        self.coordinates = Some(coords);
+        self
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -130,36 +218,43 @@ impl CsrGraph {
     /// Number of directed edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.targets.len()
+        self.adj.len()
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+        self.adjacency(v).len()
+    }
+
+    /// The `(target, weight)` pairs of `v`'s outgoing edges, as stored.
+    #[inline]
+    pub(crate) fn adjacency(&self, v: u32) -> &[(u32, u32)] {
+        &self.adj[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
     }
 
     /// Iterates over the `(target, weight)` pairs of `v`'s outgoing edges.
     #[inline]
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let start = self.offsets[v as usize] as usize;
-        let end = self.offsets[v as usize + 1] as usize;
-        self.targets[start..end]
-            .iter()
-            .copied()
-            .zip(self.weights[start..end].iter().copied())
+        self.adjacency(v).iter().copied()
     }
 
     /// Hints that [`neighbors(v)`](Self::neighbors) is about to be
-    /// scanned: asks for the first cache line of `v`'s targets and of its
-    /// weights (16 edges each — the whole adjacency of most vertices).
+    /// scanned: asks for the first cache line of `v`'s adjacency (8 edges —
+    /// the whole adjacency of most road vertices).
     /// Accepts any `v`; see `GraphView::prefetch_vertex` for the contract.
     #[inline]
     pub fn prefetch_vertex(&self, v: u32) {
         if let Some(&start) = self.offsets.get(v as usize) {
-            prefetch_read(&self.targets, start as usize);
-            prefetch_read(&self.weights, start as usize);
+            prefetch_read(&self.adj, start as usize);
         }
+    }
+
+    /// Bytes of heap this graph holds: offsets, adjacency and coordinates.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.offsets[..])
+            + std::mem::size_of_val(&self.adj[..])
+            + self.all_coordinates().map_or(0, std::mem::size_of_val)
     }
 
     /// Planar coordinates of `v`, if the graph carries them.
@@ -181,35 +276,22 @@ impl CsrGraph {
 
     /// Sum of all edge weights (useful for sanity checks in tests).
     pub fn total_weight(&self) -> u64 {
-        self.weights.iter().map(|&w| u64::from(w)).sum()
+        self.adj.iter().map(|&(_, w)| u64::from(w)).sum()
     }
 
     /// Returns every edge as an [`Edge`] (used by MST and by tests).
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        (0..self.num_nodes() as u32).flat_map(move |v| {
-            self.neighbors(v).map(move |(to, weight)| Edge {
-                from: v,
-                to,
-                weight,
-            })
-        })
+        GraphView::edges(self)
     }
 
     /// The maximum out-degree over all vertices.
     pub fn max_degree(&self) -> usize {
-        (0..self.num_nodes() as u32)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
+        GraphView::max_degree(self)
     }
 
     /// The average out-degree.
     pub fn avg_degree(&self) -> f64 {
-        if self.num_nodes() == 0 {
-            0.0
-        } else {
-            self.num_edges() as f64 / self.num_nodes() as f64
-        }
+        GraphView::avg_degree(self)
     }
 }
 
@@ -272,6 +354,70 @@ mod tests {
     #[should_panic(expected = "one coordinate per vertex")]
     fn wrong_coordinate_count_rejected() {
         GraphBuilder::new(3).with_coordinates(vec![(0.0, 0.0)]);
+    }
+
+    #[test]
+    fn replay_groups_by_source_in_emission_order() {
+        let g = CsrGraph::from_replay(3, |sink| {
+            sink.edge(2, 0, 5);
+            sink.edge(0, 1, 7);
+            sink.edge(2, 1, 6);
+            sink.edge(0, 1, 8);
+        });
+        let edges: Vec<(u32, u32, u32)> = g.edges().map(|e| (e.from, e.to, e.weight)).collect();
+        assert_eq!(edges, vec![(0, 1, 7), (0, 1, 8), (2, 0, 5), (2, 1, 6)]);
+        assert_eq!(g.degree(1), 0);
+    }
+
+    /// A source that is not replayable: call `k` (from 0) emits `calls[k]`.
+    fn unstable_source(calls: [&[(u32, u32)]; 2]) -> CsrGraph {
+        let mut call = 0;
+        CsrGraph::from_replay(3, |sink| {
+            for &(from, to) in calls[call] {
+                sink.edge(from, to, 1);
+            }
+            call += 1;
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "different edges on its second replay")]
+    fn second_replay_moving_an_edge_is_rejected() {
+        unstable_source([&[(0, 1), (1, 2)], &[(0, 1), (0, 2)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different edges on its second replay")]
+    fn second_replay_emitting_fewer_edges_is_rejected() {
+        unstable_source([&[(0, 1), (1, 2)], &[(0, 1)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different edges on its second replay")]
+    fn second_replay_emitting_past_the_array_is_rejected() {
+        unstable_source([&[(0, 1)], &[(0, 1), (2, 0)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn replayed_edge_out_of_range_is_rejected() {
+        CsrGraph::from_replay(2, |sink| sink.edge(0, 2, 1));
+    }
+
+    #[test]
+    fn edge_count_must_fit_the_offsets() {
+        assert_eq!(offset_of(u64::from(u32::MAX)), u32::MAX);
+        let over = std::panic::catch_unwind(|| offset_of(u64::from(u32::MAX) + 1));
+        let message = *over.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(message, "4294967296 edges do not fit the CSR's u32 offsets");
+    }
+
+    #[test]
+    fn heap_bytes_counts_offsets_adjacency_and_coordinates() {
+        let g = diamond();
+        assert_eq!(g.heap_bytes(), 5 * 4 + 4 * 8);
+        let g = g.with_coordinates(vec![(0.0, 0.0); 4]);
+        assert_eq!(g.heap_bytes(), 5 * 4 + 4 * 8 + 4 * 16);
     }
 
     #[test]

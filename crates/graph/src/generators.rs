@@ -10,10 +10,14 @@
 //!   throughput-dominated behaviour.
 //! * [`uniform_random`] — an Erdős–Rényi-style control used by unit tests
 //!   and micro-benchmarks.
+//!
+//! Each generator hands [`CsrGraph::from_replay`] its edge loop as a closure
+//! that starts from the same RNG state every time it is called, so the
+//! graph is built without an edge list ever existing beside it.
 
 use smq_core::rng::Pcg32;
 
-use crate::csr::{CsrGraph, GraphBuilder};
+use crate::csr::{CsrGraph, EdgeSink};
 
 /// Parameters for [`road_network`].
 #[derive(Debug, Clone, Copy)]
@@ -58,7 +62,6 @@ pub fn road_network(params: RoadNetworkParams) -> CsrGraph {
     );
     let n = width * height;
     let mut rng = Pcg32::new(seed);
-    let mut builder = GraphBuilder::new(n);
 
     let vertex = |x: u32, y: u32| y * width + x;
     // Slightly jittered coordinates so the heuristic is informative but not
@@ -71,59 +74,59 @@ pub fn road_network(params: RoadNetworkParams) -> CsrGraph {
             coords.push((f64::from(x) + jx, f64::from(y) + jy));
         }
     }
+    // Every replay of the edge loop starts from the state the coordinates
+    // left the generator in.
+    let rng_after_coords = rng;
 
-    let maybe_add = |builder: &mut GraphBuilder, rng: &mut Pcg32, a: (u32, u32), b: (u32, u32)| {
-        if rng.next_bounded(100) < removal_percent as usize {
-            return;
-        }
-        let va = vertex(a.0, a.1);
-        let vb = vertex(b.0, b.1);
-        let (ax, ay) = coords[va as usize];
-        let (bx, by) = coords[vb as usize];
-        let euclid = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();
-        // Scale to integer weights comparable to DIMACS road lengths, with a
-        // small random detour factor.
-        let weight = (euclid * 100.0) as u32 + 1 + rng.next_bounded(20) as u32;
-        builder.add_undirected_edge(va, vb, weight);
-    };
-
-    for y in 0..height {
-        for x in 0..width {
-            if x + 1 < width {
-                maybe_add(&mut builder, &mut rng, (x, y), (x + 1, y));
-            }
-            if y + 1 < height {
-                maybe_add(&mut builder, &mut rng, (x, y), (x, y + 1));
-            }
-            // Sparse diagonals emulate highways/shortcuts.
-            if x + 1 < width && y + 1 < height && rng.next_bounded(8) == 0 {
-                maybe_add(&mut builder, &mut rng, (x, y), (x + 1, y + 1));
-            }
-        }
-    }
-    // Guarantee connectivity of the backbone row/column so SSSP from vertex 0
-    // reaches a large fraction of the graph even after removals.  Backbone
-    // weights use the same Euclidean formula as every other edge so the A*
-    // heuristic stays admissible.
-    let backbone_weight = |a: u32, b: u32| {
+    // Integer weights comparable to DIMACS road lengths.
+    let length = |a: u32, b: u32| {
         let (ax, ay) = coords[a as usize];
         let (bx, by) = coords[b as usize];
         let euclid = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();
         (euclid * 100.0) as u32 + 1
     };
-    for x in 1..width {
-        let a = vertex(x - 1, 0);
-        let b = vertex(x, 0);
-        builder.add_undirected_edge(a, b, backbone_weight(a, b));
-    }
-    for y in 1..height {
-        let a = vertex(0, y - 1);
-        let b = vertex(0, y);
-        builder.add_undirected_edge(a, b, backbone_weight(a, b));
-    }
+    let undirected = |sink: &mut EdgeSink, a: u32, b: u32, weight: u32| {
+        sink.edge(a, b, weight);
+        sink.edge(b, a, weight);
+    };
+    let maybe_add = |sink: &mut EdgeSink, rng: &mut Pcg32, a: u32, b: u32| {
+        if rng.next_bounded(100) >= removal_percent as usize {
+            // A small random detour factor on top of the Euclidean length.
+            let weight = length(a, b) + rng.next_bounded(20) as u32;
+            undirected(sink, a, b, weight);
+        }
+    };
 
-    builder.with_coordinates(coords);
-    builder.build()
+    let emit = |sink: &mut EdgeSink| {
+        let mut rng = rng_after_coords.clone();
+        for y in 0..height {
+            for x in 0..width {
+                if x + 1 < width {
+                    maybe_add(sink, &mut rng, vertex(x, y), vertex(x + 1, y));
+                }
+                if y + 1 < height {
+                    maybe_add(sink, &mut rng, vertex(x, y), vertex(x, y + 1));
+                }
+                // Sparse diagonals emulate highways/shortcuts.
+                if x + 1 < width && y + 1 < height && rng.next_bounded(8) == 0 {
+                    maybe_add(sink, &mut rng, vertex(x, y), vertex(x + 1, y + 1));
+                }
+            }
+        }
+        // Guarantee connectivity of the backbone row/column so SSSP from
+        // vertex 0 reaches a large fraction of the graph even after
+        // removals.  Backbone weights use the same Euclidean formula as every
+        // other edge so the A* heuristic stays admissible.
+        for x in 1..width {
+            let (a, b) = (vertex(x - 1, 0), vertex(x, 0));
+            undirected(sink, a, b, length(a, b));
+        }
+        for y in 1..height {
+            let (a, b) = (vertex(0, y - 1), vertex(0, y));
+            undirected(sink, a, b, length(a, b));
+        }
+    };
+    CsrGraph::from_replay(n, emit).with_coordinates(coords)
 }
 
 /// Parameters for [`power_law`].
@@ -168,44 +171,85 @@ pub fn power_law(params: PowerLawParams) -> CsrGraph {
     } = params;
     assert!(nodes >= 2, "need at least two vertices");
     assert!(exponent > 1.0, "power-law exponent must exceed 1");
-    let mut rng = Pcg32::new(seed);
-    let mut builder = GraphBuilder::new(nodes);
-
-    // Cumulative Zipf-like distribution over target vertices.
-    let alpha = 1.0 / (exponent - 1.0);
-    let mut cumulative = Vec::with_capacity(nodes as usize);
-    let mut acc = 0.0f64;
-    for i in 0..nodes {
-        acc += (f64::from(i) + 1.0).powf(-alpha);
-        cumulative.push(acc);
-    }
-    let total = acc;
-
-    let pick_target = |rng: &mut Pcg32| -> u32 {
-        let x = rng.next_f64() * total;
-        // Binary search the cumulative table.
-        match cumulative.binary_search_by(|probe| probe.partial_cmp(&x).expect("finite")) {
-            Ok(i) | Err(i) => (i as u32).min(nodes - 1),
-        }
-    };
-
+    let targets = TargetTable::new(nodes, 1.0 / (exponent - 1.0));
     let edges = u64::from(nodes) * u64::from(avg_degree);
-    for _ in 0..edges {
-        let from = rng.next_bounded(nodes as usize) as u32;
-        let mut to = pick_target(&mut rng);
-        if to == from {
-            to = (to + 1) % nodes;
+    CsrGraph::from_replay(nodes, |sink| {
+        let mut rng = Pcg32::new(seed);
+        for _ in 0..edges {
+            let from = rng.next_bounded(nodes as usize) as u32;
+            let mut to = targets.pick(rng.next_f64());
+            if to == from {
+                to = (to + 1) % nodes;
+            }
+            let weight = rng.next_bounded(max_weight as usize + 1) as u32;
+            sink.edge(from, to, weight);
         }
-        let weight = rng.next_bounded(max_weight as usize + 1) as u32;
-        builder.add_edge(from, to, weight);
+        // A ring backbone keeps the graph connected so traversals reach most
+        // of the graph from any source.
+        for v in 0..nodes {
+            let weight = rng.next_bounded(max_weight as usize + 1) as u32;
+            sink.edge(v, (v + 1) % nodes, weight);
+        }
+    })
+}
+
+/// Cumulative Zipf-like distribution over target vertices (vertex `i` has
+/// weight `(i + 1)^-alpha`), with a guide table over it: the binary search
+/// for a draw is most of what generating a power-law graph costs, and the
+/// generator runs twice.
+struct TargetTable {
+    cumulative: Vec<f64>,
+    /// `guide[b]` is the first index whose cumulative weight reaches the
+    /// lower edge of bucket `b`, for `GUIDE_BUCKETS` equal-width buckets
+    /// over `[0, total)` and one closing entry.
+    guide: Vec<u32>,
+}
+
+const GUIDE_BUCKETS: usize = 1 << 16;
+
+impl TargetTable {
+    fn new(nodes: u32, alpha: f64) -> TargetTable {
+        let mut cumulative = Vec::with_capacity(nodes as usize);
+        let mut acc = 0.0f64;
+        for i in 0..nodes {
+            acc += (f64::from(i) + 1.0).powf(-alpha);
+            cumulative.push(acc);
+        }
+        let width = acc / GUIDE_BUCKETS as f64;
+        let mut guide = Vec::with_capacity(GUIDE_BUCKETS + 1);
+        let mut i = 0usize;
+        for b in 0..=GUIDE_BUCKETS {
+            while i < cumulative.len() && cumulative[i] < b as f64 * width {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        TargetTable { cumulative, guide }
     }
-    // A ring backbone keeps the graph connected so traversals reach most of
-    // the graph from any source.
-    for v in 0..nodes {
-        let weight = rng.next_bounded(max_weight as usize + 1) as u32;
-        builder.add_edge(v, (v + 1) % nodes, weight);
+
+    /// The vertex a uniform draw `unit` in `[0, 1)` lands on: exactly the
+    /// index a binary search of the whole table for `unit * total` yields.
+    fn pick(&self, unit: f64) -> u32 {
+        let table = &self.cumulative[..];
+        let last = table.len() - 1;
+        let x = unit * table[last];
+        // Search only between the guide marks around `x`'s bucket.  The
+        // result counts only if its neighbours confirm it is the partition
+        // point and it is not an exact hit (which of several equal entries
+        // the full search reports is its own business); otherwise ask it.
+        let bucket = (unit * GUIDE_BUCKETS as f64) as usize;
+        let (lo, hi) = (self.guide[bucket] as usize, self.guide[bucket + 1] as usize);
+        let i = lo + table[lo..hi].partition_point(|&c| c < x);
+        let confirmed = (i == 0 || table[i - 1] < x) && table.get(i).is_some_and(|&c| c > x);
+        let i = if confirmed {
+            i
+        } else {
+            match table.binary_search_by(|probe| probe.partial_cmp(&x).expect("finite")) {
+                Ok(i) | Err(i) => i,
+            }
+        };
+        i.min(last) as u32
     }
-    builder.build()
 }
 
 /// Generates a uniform random directed graph with `nodes` vertices and
@@ -213,17 +257,17 @@ pub fn power_law(params: PowerLawParams) -> CsrGraph {
 pub fn uniform_random(nodes: u32, edges: u64, max_weight: u32, seed: u64) -> CsrGraph {
     assert!(nodes >= 2);
     assert!(max_weight >= 1);
-    let mut rng = Pcg32::new(seed);
-    let mut builder = GraphBuilder::new(nodes);
-    for _ in 0..edges {
-        let from = rng.next_bounded(nodes as usize) as u32;
-        let mut to = rng.next_bounded(nodes as usize) as u32;
-        if to == from {
-            to = (to + 1) % nodes;
+    CsrGraph::from_replay(nodes, |sink| {
+        let mut rng = Pcg32::new(seed);
+        for _ in 0..edges {
+            let from = rng.next_bounded(nodes as usize) as u32;
+            let mut to = rng.next_bounded(nodes as usize) as u32;
+            if to == from {
+                to = (to + 1) % nodes;
+            }
+            sink.edge(from, to, 1 + rng.next_bounded(max_weight as usize) as u32);
         }
-        builder.add_edge(from, to, 1 + rng.next_bounded(max_weight as usize) as u32);
-    }
-    builder.build()
+    })
 }
 
 #[cfg(test)]
@@ -298,6 +342,36 @@ mod tests {
         });
         assert!(g.edges().all(|e| e.weight <= 255));
         assert!(g.edges().all(|e| e.from != e.to), "no self loops");
+    }
+
+    #[test]
+    fn guided_pick_is_the_full_binary_search() {
+        for (nodes, alpha) in [(2u32, 0.9), (7, 0.5), (1_000, 0.91), (300_000, 0.91)] {
+            let table = TargetTable::new(nodes, alpha);
+            let total = *table.cumulative.last().unwrap();
+            let full = |unit: f64| {
+                let x = unit * total;
+                let found = table
+                    .cumulative
+                    .binary_search_by(|probe| probe.partial_cmp(&x).unwrap());
+                match found {
+                    Ok(i) | Err(i) => (i as u32).min(nodes - 1),
+                }
+            };
+            let mut rng = Pcg32::new(u64::from(nodes));
+            // Random draws, then the draws that land on or beside a table
+            // entry, where a rounded bucket or an exact hit could differ.
+            let exact = table.cumulative.iter().step_by(97).map(|c| c / total);
+            let units: Vec<f64> = (0..20_000)
+                .map(|_| rng.next_f64())
+                .chain(exact.flat_map(|u| [u, u - f64::EPSILON, u + f64::EPSILON]))
+                .chain([0.0, 1.0 - f64::EPSILON / 2.0])
+                .filter(|u| (0.0..1.0).contains(u))
+                .collect();
+            for unit in units {
+                assert_eq!(table.pick(unit), full(unit), "nodes {nodes} unit {unit}");
+            }
+        }
     }
 
     #[test]

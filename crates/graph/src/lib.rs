@@ -7,8 +7,7 @@
 //! (a) a [`dimacs`] reader able to load the real files when available, and
 //! (b) [`generators`] that synthesize graphs with the same structural
 //! character: spatially embedded, low-degree, high-diameter *road networks*
-//! and heavy-tailed, low-diameter *social/web graphs* (see DESIGN.md for the
-//! substitution rationale).
+//! and heavy-tailed, low-diameter *social/web graphs*.
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
@@ -19,6 +18,6 @@ pub mod generators;
 pub mod live;
 pub mod view;
 
-pub use csr::{CsrGraph, Edge, GraphBuilder};
+pub use csr::{CsrGraph, Edge, EdgeSink, GraphBuilder};
 pub use live::{GraphSnapshot, GraphUpdate, LiveGraph};
 pub use view::{GraphSource, GraphView};

@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
-use crate::csr::{CsrGraph, Edge, GraphBuilder};
+use crate::csr::{CsrGraph, Edge};
 use crate::view::{GraphSource, GraphView};
 
 /// Slot stamp meaning "no valid version stored here" (real versions start
@@ -254,31 +254,6 @@ impl GraphSnapshot {
     }
 }
 
-/// Either a base-CSR adjacency walk or a patched replacement walk.
-enum NeighborIter<'a, B> {
-    Base(B),
-    Patched(std::slice::Iter<'a, (u32, u32)>),
-}
-
-impl<B: Iterator<Item = (u32, u32)>> Iterator for NeighborIter<'_, B> {
-    type Item = (u32, u32);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, u32)> {
-        match self {
-            NeighborIter::Base(it) => it.next(),
-            NeighborIter::Patched(it) => it.next().copied(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            NeighborIter::Base(it) => it.size_hint(),
-            NeighborIter::Patched(it) => it.size_hint(),
-        }
-    }
-}
-
 impl GraphView for GraphSnapshot {
     #[inline]
     fn num_nodes(&self) -> usize {
@@ -301,9 +276,11 @@ impl GraphView for GraphSnapshot {
     #[inline]
     fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
         match self.data.overlay.get(&v) {
-            Some(adj) => NeighborIter::Patched(adj.iter()),
-            None => NeighborIter::Base(self.data.base.neighbors(v)),
+            Some(adj) => adj.as_slice(),
+            None => self.data.base.adjacency(v),
         }
+        .iter()
+        .copied()
     }
 
     #[inline]
@@ -481,7 +458,7 @@ impl LiveGraph {
             let adj = Arc::make_mut(
                 overlay
                     .entry(from)
-                    .or_insert_with(|| Arc::new(base.neighbors(from).collect())),
+                    .or_insert_with(|| Arc::new(base.adjacency(from).to_vec())),
             );
             match *u {
                 GraphUpdate::SetWeight { weight, .. } => {
@@ -549,14 +526,15 @@ impl LiveGraph {
         let snapshot = GraphSnapshot {
             data: Arc::new(data),
         };
-        let mut builder = GraphBuilder::new(snapshot.num_nodes() as u32);
-        for e in snapshot.edges() {
-            builder.add_edge(e.from, e.to, e.weight);
-        }
+        let mut base = CsrGraph::from_replay(snapshot.num_nodes() as u32, |sink| {
+            for e in snapshot.edges() {
+                sink.edge(e.from, e.to, e.weight);
+            }
+        });
         if let Some(coords) = snapshot.data.base.all_coordinates() {
-            builder.with_coordinates(coords.to_vec());
+            base = base.with_coordinates(coords.to_vec());
         }
-        let base = Arc::new(builder.build());
+        let base = Arc::new(base);
         VersionData {
             version: snapshot.data.version,
             num_edges: base.num_edges(),
@@ -600,6 +578,7 @@ impl GraphSource for LiveGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
     use proptest::prelude::*;
 
     fn diamond() -> Arc<CsrGraph> {

@@ -144,49 +144,12 @@ impl GraphView for CsrGraph {
     }
 }
 
-impl<G: GraphView> GraphView for &G {
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        (**self).num_nodes()
-    }
-
-    #[inline]
-    fn num_edges(&self) -> usize {
-        (**self).num_edges()
-    }
-
-    #[inline]
-    fn degree(&self, v: u32) -> usize {
-        (**self).degree(v)
-    }
-
-    #[inline]
-    fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (**self).neighbors(v)
-    }
-
-    #[inline]
-    fn coordinates(&self, v: u32) -> Option<(f64, f64)> {
-        (**self).coordinates(v)
-    }
-
-    #[inline]
-    fn has_coordinates(&self) -> bool {
-        (**self).has_coordinates()
-    }
-
-    #[inline]
-    fn version(&self) -> u64 {
-        (**self).version()
-    }
-
-    #[inline]
-    fn prefetch_vertex(&self, v: u32) {
-        (**self).prefetch_vertex(v)
-    }
-}
-
-impl<G: GraphView + Send> GraphView for std::sync::Arc<G> {
+/// Every shared pointer to a view (`&G`, `Arc<G>`, `Box<G>`) is the view.
+impl<P> GraphView for P
+where
+    P: std::ops::Deref + Sync,
+    P::Target: GraphView,
+{
     #[inline]
     fn num_nodes(&self) -> usize {
         (**self).num_nodes()

@@ -18,7 +18,7 @@
 //! a change to the queue sampling distribution (same-node queues get weight
 //! 1, remote queues weight 1/K), so its algorithmic effect — how often a
 //! thread touches a queue owned by its own node — is measurable without
-//! real sockets.  See DESIGN.md for the substitution rationale.
+//! real sockets.
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
