@@ -10,7 +10,7 @@ use std::collections::BinaryHeap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smq_core::{Probability, Scheduler, SchedulerHandle, Task};
-use smq_dheap::DAryHeap;
+use smq_dheap::{DAryHeap, ARITY};
 use smq_multiqueue::{MultiQueue, MultiQueueConfig};
 use smq_obim::{Obim, ObimConfig};
 use smq_scheduler::{HeapSmq, SmqConfig, StealingBuffer};
@@ -104,9 +104,8 @@ fn bench_substrates(c: &mut Criterion) {
 /// model, increment `1 + rng % 1024`).  One iteration is `OPS` such pairs on
 /// a heap that lives across iterations.  1 Ki tasks (16 KiB) sit in L1,
 /// 16 Ki (one thread of the repo benchmark's `hold_smq`) in L2, 256 Ki in
-/// neither; arity 2, 4 and 8 are the ones with a specialised kernel, and
-/// `std`'s binary max-heap under `Reverse` is the yardstick.  The README's
-/// heap-kernel table is this group's output.
+/// neither; `std`'s binary max-heap under `Reverse` is the yardstick for the
+/// 4-ary kernel.  The README's heap-kernel table is this group's output.
 fn bench_heap_hold(c: &mut Criterion) {
     let mut group = c.benchmark_group("dary_heap_hold_10k");
     group.sample_size(10);
@@ -116,21 +115,17 @@ fn bench_heap_hold(c: &mut Criterion) {
                 .map(|i| Task::new(rng.next_u64() >> 44, i))
                 .collect()
         };
-        for arity in [2usize, 4, 8] {
-            let mut rng = smq_core::rng::Pcg32::new(resident as u64);
-            let mut heap = DAryHeap::with_capacity(arity, resident + 1);
-            heap.extend(prefill(&mut rng));
-            let id = BenchmarkId::new(format!("arity_{arity}"), resident);
-            group.bench_function(id, |b| {
-                b.iter(|| {
-                    for i in 0..OPS {
-                        let task = heap.pop().expect("the hold model never drains the heap");
-                        heap.push(Task::new(task.key + 1 + rng.next_u64() % 1024, i));
-                    }
-                })
-            });
-            assert_eq!(heap.len(), resident);
-        }
+        let mut rng = smq_core::rng::Pcg32::new(resident as u64);
+        let mut heap: DAryHeap<Task> = prefill(&mut rng).into_iter().collect();
+        group.bench_function(BenchmarkId::new(format!("arity_{ARITY}"), resident), |b| {
+            b.iter(|| {
+                for i in 0..OPS {
+                    let task = heap.pop().expect("the hold model never drains the heap");
+                    heap.push(Task::new(task.key + 1 + rng.next_u64() % 1024, i));
+                }
+            })
+        });
+        assert_eq!(heap.len(), resident);
         let mut rng = smq_core::rng::Pcg32::new(resident as u64);
         let mut heap = BinaryHeap::with_capacity(resident + 1);
         heap.extend(prefill(&mut rng).into_iter().map(Reverse));

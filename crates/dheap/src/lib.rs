@@ -1,12 +1,14 @@
-//! A sequential *d*-ary min-heap.
+//! A sequential 4-ary min-heap.
 //!
-//! Section 4 of the paper reports that sequential *d*-ary heaps (typically
-//! `d = 4`) with an attached stealing buffer consistently outperform
+//! Section 4 of the paper reports that sequential *d*-ary heaps with
+//! `d = 4` and an attached stealing buffer consistently outperform
 //! skip-list local queues, so this is the default local queue of the
-//! Stealing Multi-Queue.  A wider node fan-out than the binary heap trades a
-//! slightly more expensive walk down (`d - 1` comparisons per level) for a
-//! shallower tree and fewer cache misses — exactly the trade the paper's
-//! workloads (millions of 16-byte tasks) want.
+//! Stealing Multi-Queue and every sub-queue of the Multi-Queue.  A wider node
+//! fan-out than the binary heap trades a slightly more expensive walk down
+//! (three comparisons per level) for a shallower tree and fewer cache misses
+//! — exactly the trade the paper's workloads (millions of 16-byte tasks)
+//! want.  The fan-out is [`ARITY`], fixed at compile time: no scheduler and
+//! no figure of the paper runs another.
 //!
 //! The heap is deliberately *sequential*: all synchronization lives outside,
 //! either in the per-queue lock of the classic Multi-Queue or in the
@@ -16,36 +18,30 @@
 //!
 //! Every scheduler in the workspace spends most of its time in `push` and
 //! `pop` of this type, so the two sift loops are written the way
-//! `std::collections::BinaryHeap` writes them, generalised to `d` children:
+//! `std::collections::BinaryHeap` writes them, widened to four children:
 //!
 //! * **Hole.**  The element being sifted is lifted out of the array into a
 //!   `Hole` and each level *moves* one element into the vacated slot (one
 //!   16-byte copy for a `Task`) instead of swapping two.
-//! * **No bounds checks** on the sift path; see "Safety" below.
-//! * **Arity specialisation.**  The fan-out stays a runtime field, but
-//!   `push`, `pop` and the bulk rebuild branch on it once and run a kernel
-//!   instantiated for `Fixed<2>`, `Fixed<4>` or `Fixed<8>` (parent and child
-//!   indices by shifts, child selection by a tournament) or for `Dynamic`
-//!   (any other arity: a division per level going up, one per walk going
-//!   down, children scanned).
+//! * **No bounds checks** on the sift path; see "Safety" below.  Parent and
+//!   child indices are constant shifts.
 //! * **Child selection.**  Which child is the smallest is close to a coin
-//!   toss, so no kernel branches on it.  `Fixed<2>` adds the outcome of one
-//!   comparison to the first child's index.  `Fixed<4>` plays two such
-//!   pairs, which do not depend on each other, and a final between their
+//!   toss, so the kernel does not branch on it.  `min_child` plays two
+//!   pairs, which do not depend on each other, each adding the outcome of
+//!   one comparison to the first child's index, and a final between their
 //!   winners decided with `select_unpredictable`: two comparisons deep,
-//!   where a left-to-right scan chains three through its running best.
-//!   `Fixed<8>` plays three rounds.  `Dynamic`, and the one node of a heap
-//!   that may have fewer than `d` children, scan.  All of them return the
-//!   leftmost of equal children.
+//!   where a left-to-right scan chains three through its running best.  The
+//!   one node of a heap that may have fewer than four children scans.  Both
+//!   return the leftmost of equal children.
 //! * **Pop** is a bottom-up deletion.  The last element goes into a hole
 //!   opened at the root (it is never written to slot 0 first), but the hole
 //!   then walks down to a leaf along the smallest children *without*
 //!   looking at that element, and the element is sifted up from there.  It
 //!   came from the bottom and almost always belongs there, so the sift-up
-//!   is short, a level of the walk costs `d - 1` comparisons instead of
-//!   `d`, and the walk has no exit for the processor to mispredict.  The
-//!   array ends up as an early-exit sift-down would leave it, so the pop
-//!   order is the same.
+//!   is short, a level of the walk costs three comparisons instead of four,
+//!   and the walk has no exit for the processor to mispredict.  The array
+//!   ends up as an early-exit sift-down would leave it, so the pop order is
+//!   the same.
 //! * **Prefetch.**  A walk that does not branch on the data leaves the
 //!   processor nothing to guess, so it does not run ahead into the next
 //!   level the way it would on a predicted branch.  That costs nothing
@@ -53,10 +49,10 @@
 //!   a larger one come from further away (a Multi-Queue sub-queue's usually
 //!   from another core's cache) and the misses of successive levels would
 //!   queue up behind each other.  The walk therefore requests a node's
-//!   grandchildren before it chooses among the children (x86-64 only; a
-//!   no-op elsewhere).  For the specialised fan-outs that is a handful of
-//!   prefetch instructions at constant offsets behind a bounds check, cheap
-//!   enough to issue at every heap size.
+//!   sixteen grandchildren before it chooses among the children (x86-64
+//!   only; a no-op elsewhere): a handful of prefetch instructions at
+//!   constant offsets behind a bounds check, cheap enough to issue at every
+//!   heap size.
 //! * **Bulk load.**  `extend` appends and then either sifts the new tail up
 //!   element by element or, when the tail is at least as long as the heap
 //!   it joins, rebuilds the whole array bottom-up in O(n).  The rebuild
@@ -97,35 +93,31 @@
 //! * `Hole::run` borrows `data[first..end]` unchecked.  Its contract is
 //!   `first <= end <= data.len()` with the hole outside the range, both
 //!   `debug_assert!`ed, so every element of the slice is live.  Child
-//!   selection (`Fanout::min_child`, `scan`) is safe code over such a
-//!   slice and returns a position inside it.
-//! * `full_min_child` (contract `pos < full = (len - 1) / d`) takes the
-//!   run `first..first + d` with `first = d * pos + 1`: the bound gives
-//!   `pos < first` and `d * pos + d <= len - 1`, because exactly the nodes
-//!   before `full` have all `d` children.  Comparing before multiplying
-//!   also keeps `d * pos` from overflowing for any `arity >= 2` and any
-//!   length.  The tournament positions it gets back are below `d`.
+//!   selection (`min_child`, `scan`) is safe code over such a slice and
+//!   returns a position inside it.
+//! * `full_min_child` (contract `pos < full = (len - 1) / 4`) takes the
+//!   run `first..first + 4` with `first = 4 * pos + 1`: the bound gives
+//!   `pos < first` and `4 * pos + 4 <= len - 1`, because exactly the nodes
+//!   before `full` have all four children, so the product cannot overflow
+//!   either.  The tournament positions it gets back are below four.
 //! * `partial_min_child` handles the one node that may have some but not
 //!   all of its children, node `full`: it takes the run
-//!   `d * full + 1 .. len` after checking `pos == full` and that the run
-//!   is not empty, and `d * full <= len - 1` cannot overflow.  A later
-//!   node has no child.
+//!   `4 * full + 1 .. len` after checking `pos == full` and that the run
+//!   is not empty.  A later node has no child.
 //! * `descend` and `sift_down` call `full_min_child` only while
 //!   `pos < full`, and `get` / `move_to` only on the child index either
 //!   helper returned: in bounds and not the hole.
 //! * `sift_up` takes a hole, so `pos < len`; it only ever names
-//!   `parent = (pos - 1) / d` with `pos > 0`, so `parent < pos < len`.  It
+//!   `parent = (pos - 1) / 4` with `pos > 0`, so `parent < pos < len`.  It
 //!   is bounded by the root, which is where the walk of `pop` started.
 //! * `prefetch_lines` passes `_mm_prefetch` addresses inside a sub-slice
 //!   that `prefetch_run` has just bounds-checked; a prefetch reads nothing
-//!   the program can observe and cannot fault.  The start `descend`
-//!   computes for it may wrap for an arity no real length reaches; it is
-//!   then only a wrong hint.
+//!   the program can observe and cannot fault.
 //! * `push` opens a hole at the index of the element it just pushed.
 //! * `pop` reads `data[0]` out of a non-empty `Vec` and next opens the
 //!   hole that will refill slot 0; nothing in between can panic,
 //!   and the minimum it read is an ordinary local that unwinding drops.
-//! * `rebuild_tail` opens holes at `pos <= (len - 2) / d < len` and at
+//! * `rebuild_tail` opens holes at `pos <= (len - 2) / 4 < len` and at
 //!   `pos` in `start..len`.
 
 #![warn(missing_docs)]
@@ -136,78 +128,39 @@ use std::hint::select_unpredictable;
 use std::mem::ManuallyDrop;
 use std::ptr;
 
-/// Default fan-out used by the paper's implementation.
-pub const DEFAULT_ARITY: usize = 4;
+/// The heap's fan-out: every node has up to four children, the `d = 4` of
+/// the paper's implementation.
+pub const ARITY: usize = 4;
 
-/// Most bytes `descend` requests ahead per level.  Enough for all sixteen
-/// grandchildren of a 4-ary node of 16-byte tasks; a node has `arity²`
-/// grandchildren, so a wide fan-out needs the bound.
+/// Most bytes `descend` requests ahead per level: all sixteen grandchildren
+/// of a node of 16-byte tasks, fewer of a larger element type.
 const PREFETCH_BYTES: usize = 512;
 
-/// A sequential d-ary min-heap over any totally ordered element type.
+/// A sequential 4-ary min-heap over any totally ordered element type.
 ///
 /// Smaller elements are popped first, matching the paper's "lower key =
 /// higher priority" convention (`smq_core::Task` orders by priority key).
 #[derive(Debug, Clone)]
 pub struct DAryHeap<T> {
-    arity: usize,
     data: Vec<T>,
 }
 
-/// The fan-out as the sift kernels see it: a compile-time constant for the
-/// specialised arities, the heap's runtime field for the rest.
-trait Fanout: Copy {
-    fn get(self) -> usize;
-
-    /// The position in `children`, all `get()` children of one node, of
-    /// the smallest, the leftmost one among equals.
-    fn min_child<T: Ord>(self, children: &[T]) -> usize;
-}
-
-#[derive(Clone, Copy)]
-struct Fixed<const D: usize>;
-
-impl<const D: usize> Fanout for Fixed<D> {
-    #[inline(always)]
-    fn get(self) -> usize {
-        D
-    }
-
-    /// A tournament: the pairs of one round do not depend on each other, so
-    /// four children are two comparisons deep where a scan's running best
-    /// chains three.  Every position is a constant plus comparison
-    /// outcomes, so the indexing below compiles without bounds checks.
-    #[inline(always)]
-    fn min_child<T: Ord>(self, children: &[T]) -> usize {
-        let pair = |i: usize| i + usize::from(children[i + 1] < children[i]);
-        // Which side wins is close to a coin toss.  Without the hint LLVM
-        // turns this select into a branch, and it mispredicts about once
-        // per level.
-        let duel = |left: usize, right: usize| {
-            select_unpredictable(children[right] < children[left], right, left)
-        };
-        match D {
-            2 => pair(0),
-            4 => duel(pair(0), pair(2)),
-            8 => duel(duel(pair(0), pair(2)), duel(pair(4), pair(6))),
-            _ => scan(children),
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-struct Dynamic(usize);
-
-impl Fanout for Dynamic {
-    #[inline(always)]
-    fn get(self) -> usize {
-        self.0
-    }
-
-    #[inline(always)]
-    fn min_child<T: Ord>(self, children: &[T]) -> usize {
-        scan(children)
-    }
+/// The position in `children`, the four children of one node, of the
+/// smallest, the leftmost one among equals.
+///
+/// A tournament: the two pairs do not depend on each other, so four children
+/// are two comparisons deep where a scan's running best chains three.  Every
+/// position is a constant plus comparison outcomes, so the indexing below
+/// compiles without bounds checks.
+#[inline(always)]
+fn min_child<T: Ord>(children: &[T]) -> usize {
+    let pair = |i: usize| i + usize::from(children[i + 1] < children[i]);
+    // Which side wins is close to a coin toss.  Without the hint LLVM turns
+    // this select into a branch, and it mispredicts about once per level.
+    let duel = |left: usize, right: usize| {
+        select_unpredictable(children[right] < children[left], right, left)
+    };
+    duel(pair(0), pair(2))
 }
 
 /// The position of the smallest of `children` (not empty), the leftmost one
@@ -219,31 +172,6 @@ fn scan<T: Ord>(children: &[T]) -> usize {
         best = select_unpredictable(candidate.1 < best.1, candidate, best);
     }
     best.0
-}
-
-/// Evaluates `$body` with `$d` bound to the [`Fanout`] for `$arity`, so the
-/// kernels called in `$body` are instantiated once per specialised arity.
-macro_rules! with_fanout {
-    ($arity:expr, |$d:ident| $body:expr) => {
-        match $arity {
-            2 => {
-                let $d = Fixed::<2>;
-                $body
-            }
-            4 => {
-                let $d = Fixed::<4>;
-                $body
-            }
-            8 => {
-                let $d = Fixed::<8>;
-                $body
-            }
-            other => {
-                let $d = Dynamic(other);
-                $body
-            }
-        }
-    };
 }
 
 /// One slot of `data`, `data[pos]`, whose value has been lifted out into
@@ -357,9 +285,8 @@ fn prefetch_run<T>(data: &[T], start: usize, count: usize) {
             return;
         };
         // Two calls, not one on the shorter of the two: a whole run, the
-        // usual case, then has a length the fixed-arity kernels know, and
-        // its loop becomes a handful of prefetches with nothing to compute
-        // or branch on.
+        // usual case, then has a constant length, and its loop becomes a
+        // handful of prefetches with nothing to compute or branch on.
         match rest.get(..count) {
             Some(run) => prefetch_lines(run),
             None => prefetch_lines(rest),
@@ -396,9 +323,9 @@ fn prefetch_lines<T>(run: &[T]) {
 /// Sifts the hole's element towards the root until its parent is no
 /// greater.
 #[inline]
-fn sift_up<T: Ord, F: Fanout>(mut hole: Hole<'_, T>, d: F) {
+fn sift_up<T: Ord>(mut hole: Hole<'_, T>) {
     while hole.pos > 0 {
-        let parent = (hole.pos - 1) / d.get();
+        let parent = (hole.pos - 1) / ARITY;
         // SAFETY: `parent < hole.pos < data.len()`.
         unsafe {
             if hole.element() >= hole.get(parent) {
@@ -410,14 +337,12 @@ fn sift_up<T: Ord, F: Fanout>(mut hole: Hole<'_, T>, d: F) {
 }
 
 /// The smallest child of node `full`, the one node that may have some but
-/// not all `d` of its children, if the hole is there and it has any: a
-/// later node `p` has `d * p + 1 > len - 1` and so none.
+/// not all four of its children, if the hole is there and it has any: a
+/// later node `p` has `4 * p + 1 > len - 1` and so none.
 #[inline]
-fn partial_min_child<T: Ord>(hole: &Hole<'_, T>, d: usize, full: usize) -> Option<usize> {
+fn partial_min_child<T: Ord>(hole: &Hole<'_, T>, full: usize) -> Option<usize> {
     let len = hole.data.len();
-    // `d * full <= len - 1`, so this cannot overflow where `d * hole.pos`
-    // could.
-    let first = d * full + 1;
+    let first = ARITY * full + 1;
     if hole.pos != full || first >= len {
         return None;
     }
@@ -426,49 +351,47 @@ fn partial_min_child<T: Ord>(hole: &Hole<'_, T>, d: usize, full: usize) -> Optio
 }
 
 /// The smallest child of the hole's node, which is before `full`: exactly
-/// those nodes have all `d` children, node `p` iff `d * p + d <= len - 1`.
+/// those nodes have all four children, node `p` iff `4 * p + 4 <= len - 1`.
 ///
 /// # Safety
-/// `hole.pos < (hole.data.len() - 1) / d`.
+/// `hole.pos < (hole.data.len() - 1) / 4`.
 #[inline(always)]
-unsafe fn full_min_child<T: Ord, F: Fanout>(hole: &Hole<'_, T>, d: F) -> usize {
-    let first = d.get() * hole.pos + 1;
+unsafe fn full_min_child<T: Ord>(hole: &Hole<'_, T>) -> usize {
+    let first = ARITY * hole.pos + 1;
     // SAFETY: the caller's bound gives `hole.pos < first` and
-    // `first + d <= len`.
-    first + d.min_child(unsafe { hole.run(first, first + d.get()) })
+    // `first + 4 <= len`.
+    first + min_child(unsafe { hole.run(first, first + ARITY) })
 }
 
 /// Walks the hole from its node down to a leaf, each level moving the
 /// smallest child up, and returns it there.  The hole's own element is
 /// never looked at: `pop` hands in the heap's last element, which belongs
-/// near the bottom, so a level costs `d - 1` comparisons instead of `d` and
+/// near the bottom, so a level costs three comparisons instead of four and
 /// the walk has no exit that depends on the data.  The caller sifts the
 /// element back up the few levels it overshot.
 #[inline]
-fn descend<'a, T: Ord, F: Fanout>(mut hole: Hole<'a, T>, d: F) -> Hole<'a, T> {
+fn descend<T: Ord>(mut hole: Hole<'_, T>) -> Hole<'_, T> {
     // `len >= 1` because `hole.pos < len`.
-    let full = (hole.data.len() - 1) / d.get();
+    let full = (hole.data.len() - 1) / ARITY;
     // A walk that does not branch on the data leaves the processor nothing
     // to guess, so it cannot run ahead into the next level.  Request a
     // node's grandchildren before choosing its child, so that the misses of
     // successive levels (a Multi-Queue sub-queue's lines are usually in
     // another core's cache) overlap as they did under speculation.
-    let grandchildren = d.get().saturating_mul(d.get());
-    let run = grandchildren.min(PREFETCH_BYTES / size_of::<T>().max(1));
+    let run = (ARITY * ARITY).min(PREFETCH_BYTES / size_of::<T>().max(1));
     while hole.pos < full {
-        // A product that wraps (an arity beyond any real length) names some
-        // other run of the slice or none: a wasted hint, no more.
-        let first = d.get() * hole.pos + 1;
-        let start = first.wrapping_mul(d.get()).wrapping_add(1);
+        let first = ARITY * hole.pos + 1;
+        // Wraps only past 2^62 elements, and then is a wasted hint, no more.
+        let start = first.wrapping_mul(ARITY).wrapping_add(1);
         prefetch_run(hole.data, start, run);
         // SAFETY: `hole.pos < full`, and a child of `hole.pos` is in
         // bounds and not the hole.
         unsafe {
-            let best = full_min_child(&hole, d);
+            let best = full_min_child(&hole);
             hole.move_to(best);
         }
     }
-    if let Some(best) = partial_min_child(&hole, d.get(), full) {
+    if let Some(best) = partial_min_child(&hole, full) {
         // SAFETY: a child of `hole.pos`: in bounds and not the hole.
         unsafe { hole.move_to(best) };
     }
@@ -479,19 +402,19 @@ fn descend<'a, T: Ord, F: Fanout>(mut hole: Hole<'a, T>, d: F) -> Hole<'a, T> {
 /// For an element that may belong anywhere (the bottom-up rebuild): unlike
 /// [`descend`] it stops as soon as the element fits.
 #[inline]
-fn sift_down<T: Ord, F: Fanout>(mut hole: Hole<'_, T>, d: F) {
-    let full = (hole.data.len() - 1) / d.get();
+fn sift_down<T: Ord>(mut hole: Hole<'_, T>) {
+    let full = (hole.data.len() - 1) / ARITY;
     while hole.pos < full {
         // SAFETY: as in `descend`.
         unsafe {
-            let best = full_min_child(&hole, d);
+            let best = full_min_child(&hole);
             if hole.element() <= hole.get(best) {
                 return;
             }
             hole.move_to(best);
         }
     }
-    if let Some(best) = partial_min_child(&hole, d.get(), full) {
+    if let Some(best) = partial_min_child(&hole, full) {
         // SAFETY: a child of `hole.pos`: in bounds and not the hole.
         unsafe {
             if hole.element() > hole.get(best) {
@@ -517,37 +440,30 @@ impl<T: Ord> Drop for RebuildOnDrop<'_, T> {
 
 impl<T: Ord> Default for DAryHeap<T> {
     fn default() -> Self {
-        Self::new(DEFAULT_ARITY)
+        Self::new()
     }
 }
 
 impl<T: Ord> DAryHeap<T> {
-    /// Creates an empty heap with the given fan-out (`arity >= 2`).
+    /// Creates an empty heap.
+    pub fn new() -> Self {
+        Self { data: Vec::new() }
+    }
+
+    /// Creates an empty heap with pre-allocated capacity.
     ///
     /// # Panics
-    /// Panics if `arity < 2`.
-    pub fn new(arity: usize) -> Self {
-        assert!(arity >= 2, "d-ary heap requires arity >= 2");
-        Self {
-            arity,
-            data: Vec::new(),
-        }
-    }
-
-    /// Creates an empty heap with the given fan-out and pre-allocated
-    /// capacity.
+    /// Panics unless `arity == ARITY`.  The argument is a shim kept for
+    /// `benchmark/src/hold.rs`, which passes `SmqConfig::heap_arity`; ROADMAP
+    /// item 1(i) removes it.
     pub fn with_capacity(arity: usize, capacity: usize) -> Self {
-        assert!(arity >= 2, "d-ary heap requires arity >= 2");
+        assert_eq!(
+            arity, ARITY,
+            "the d-ary heap is {ARITY}-ary by construction (`arity` is a benchmark shim, ROADMAP item 1(i))"
+        );
         Self {
-            arity,
             data: Vec::with_capacity(capacity),
         }
-    }
-
-    /// The configured fan-out.
-    #[inline]
-    pub fn arity(&self) -> usize {
-        self.arity
     }
 
     /// Number of elements currently stored.
@@ -579,8 +495,7 @@ impl<T: Ord> DAryHeap<T> {
         let pos = self.data.len();
         self.data.push(item);
         // SAFETY: `pos` is the index of the element just pushed.
-        let hole = unsafe { Hole::new(&mut self.data, pos) };
-        with_fanout!(self.arity, |d| sift_up(hole, d));
+        sift_up(unsafe { Hole::new(&mut self.data, pos) });
     }
 
     /// Removes and returns the minimum element, if any.
@@ -598,7 +513,7 @@ impl<T: Ord> DAryHeap<T> {
             let min = ptr::read(self.data.as_ptr());
             (min, Hole::holding(&mut self.data, 0, last))
         };
-        with_fanout!(self.arity, |d| sift_up(descend(hole, d), d));
+        sift_up(descend(hole));
         Some(min)
     }
 
@@ -645,20 +560,16 @@ impl<T: Ord> DAryHeap<T> {
             return;
         }
         if len - start >= start {
-            with_fanout!(self.arity, |d| {
-                // Every node that has a child, deepest first.
-                for pos in (0..=(len - 2) / d.get()).rev() {
-                    // SAFETY: `pos <= (len - 2) / d < len`.
-                    sift_down(unsafe { Hole::new(data, pos) }, d);
-                }
-            });
+            // Every node that has a child, deepest first.
+            for pos in (0..=(len - 2) / ARITY).rev() {
+                // SAFETY: `pos <= (len - 2) / 4 < len`.
+                sift_down(unsafe { Hole::new(data, pos) });
+            }
         } else {
-            with_fanout!(self.arity, |d| {
-                for pos in start..len {
-                    // SAFETY: `pos < len`.
-                    sift_up(unsafe { Hole::new(data, pos) }, d);
-                }
-            });
+            for pos in start..len {
+                // SAFETY: `pos < len`.
+                sift_up(unsafe { Hole::new(data, pos) });
+            }
         }
     }
 
@@ -680,7 +591,7 @@ impl<T: Ord> DAryHeap<T> {
     /// for tests and debug assertions only; O(n).
     pub fn assert_heap_property(&self) {
         for idx in 1..self.data.len() {
-            let parent = (idx - 1) / self.arity;
+            let parent = (idx - 1) / ARITY;
             assert!(
                 self.data[parent] <= self.data[idx],
                 "heap property violated at index {idx}"
@@ -691,7 +602,7 @@ impl<T: Ord> DAryHeap<T> {
 
 impl<T: Ord> FromIterator<T> for DAryHeap<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut heap = DAryHeap::default();
+        let mut heap = DAryHeap::new();
         heap.extend(iter);
         heap
     }
@@ -715,18 +626,11 @@ mod tests {
         assert_eq!(h.len(), 0);
         assert_eq!(h.peek(), None);
         assert_eq!(h.pop(), None);
-        assert_eq!(h.arity(), DEFAULT_ARITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn unary_heap_rejected() {
-        let _ = DAryHeap::<u64>::new(1);
     }
 
     #[test]
     fn pops_in_ascending_order() {
-        let mut h = DAryHeap::new(4);
+        let mut h = DAryHeap::new();
         for v in [9u64, 4, 7, 1, 8, 2, 3, 6, 5, 0] {
             h.push(v);
         }
@@ -757,24 +661,11 @@ mod tests {
 
     #[test]
     fn duplicates_are_preserved() {
-        let mut h = DAryHeap::new(3);
+        let mut h = DAryHeap::default();
         for v in [5u64, 5, 5, 1, 1] {
             h.push(v);
         }
         assert_eq!(h.into_sorted_vec(), vec![1, 1, 5, 5, 5]);
-    }
-
-    #[test]
-    fn huge_arities_do_not_overflow_the_index_arithmetic() {
-        for arity in [usize::MAX, usize::MAX / 2 + 1, 1 << 40] {
-            let mut h = DAryHeap::new(arity);
-            h.extend((0..50u64).rev());
-            h.assert_heap_property();
-            h.push(7);
-            let mut expected: Vec<u64> = (0..50).collect();
-            expected.insert(7, 7);
-            assert_eq!(h.into_sorted_vec(), expected);
-        }
     }
 
     #[test]
@@ -866,17 +757,16 @@ mod tests {
     /// A heap of `len` fuses with ascending keys: the array is a heap as it
     /// stands and its last element is the largest, so a pop walks its hole
     /// to a leaf and the sift-up that follows ends at its first comparison.
-    fn ascending_fuses(arity: usize, len: u32, control: &Rc<FuseControl>) -> DAryHeap<Fuse> {
-        let mut heap = DAryHeap::new(arity);
-        heap.extend((1..=len).map(|key| control.fuse(key)));
+    fn ascending_fuses(len: u32, control: &Rc<FuseControl>) -> DAryHeap<Fuse> {
+        let heap: DAryHeap<Fuse> = (1..=len).map(|key| control.fuse(key)).collect();
         assert_eq!(control.live(), len as usize);
         heap
     }
 
     /// How many comparisons `op` makes on the heap of [`ascending_fuses`].
-    fn comparisons_of(arity: usize, len: u32, op: impl FnOnce(&mut DAryHeap<Fuse>)) -> u32 {
+    fn comparisons_of(len: u32, op: impl FnOnce(&mut DAryHeap<Fuse>)) -> u32 {
         let control = Rc::new(FuseControl::default());
-        let mut heap = ascending_fuses(arity, len, &control);
+        let mut heap = ascending_fuses(len, &control);
         control.comparisons.set(0);
         op(&mut heap);
         control.comparisons.get()
@@ -886,17 +776,16 @@ mod tests {
     /// comparison number `blow_at`; the heap must hold `len_after` elements
     /// once `op` has panicked.
     fn blow_during(
-        arity: usize,
         blow_at: u32,
         len_after: usize,
         op: impl FnOnce(&mut DAryHeap<Fuse>, &Rc<FuseControl>),
     ) {
         let control = Rc::new(FuseControl::default());
-        let mut heap = ascending_fuses(arity, 200, &control);
+        let mut heap = ascending_fuses(200, &control);
 
         control.countdown.set(Some(blow_at));
         let outcome = catch_unwind(AssertUnwindSafe(|| op(&mut heap, &control)));
-        assert!(outcome.is_err(), "arity {arity}: no comparison {blow_at}");
+        assert!(outcome.is_err(), "no comparison {blow_at}");
 
         // Usable again: every element is still there, exactly once ...
         assert_eq!(heap.len(), len_after);
@@ -917,29 +806,27 @@ mod tests {
 
     #[test]
     fn panicking_comparison_neither_leaks_nor_double_drops() {
-        for arity in [2, 3, 4, 8] {
-            for blow_at in 0..6 {
-                // A push that climbs to the root: three levels at arity 8,
-                // so only its first three comparisons are certain.
-                blow_during(arity, blow_at % 3, 201, |heap, control| {
-                    heap.push(control.fuse(0));
-                });
-                // A run long enough to rebuild the whole heap bottom-up.
-                blow_during(arity, blow_at, 600, |heap, control| {
-                    let run: Vec<Fuse> = (0..400).map(|key| control.fuse(key)).collect();
-                    heap.extend(run);
-                });
-            }
-            // Every comparison of a pop: the first ones are made by the walk
-            // to a leaf, the last one by the sift-up from there.  The popped
-            // minimum is dropped by the unwinding.
-            let walk_and_sift_up = comparisons_of(arity, 200, |heap| drop(heap.pop()));
-            assert!(walk_and_sift_up >= 4, "arity {arity}: {walk_and_sift_up}");
-            for blow_at in 0..walk_and_sift_up {
-                blow_during(arity, blow_at, 199, |heap, _| {
-                    heap.pop();
-                });
-            }
+        for blow_at in 0..6 {
+            // A push that climbs to the root from slot 200: four levels, so
+            // all four of its comparisons are certain.
+            blow_during(blow_at % 4, 201, |heap, control| {
+                heap.push(control.fuse(0));
+            });
+            // A run long enough to rebuild the whole heap bottom-up.
+            blow_during(blow_at, 600, |heap, control| {
+                let run: Vec<Fuse> = (0..400).map(|key| control.fuse(key)).collect();
+                heap.extend(run);
+            });
+        }
+        // Every comparison of a pop: the first ones are made by the walk to
+        // a leaf, the last one by the sift-up from there.  The popped minimum
+        // is dropped by the unwinding.
+        let walk_and_sift_up = comparisons_of(200, |heap| drop(heap.pop()));
+        assert!(walk_and_sift_up >= 4, "{walk_and_sift_up}");
+        for blow_at in 0..walk_and_sift_up {
+            blow_during(blow_at, 199, |heap, _| {
+                heap.pop();
+            });
         }
     }
 
@@ -952,75 +839,69 @@ mod tests {
         // sift-down that asks at every level whether the element fits yet
         // spends a fourth: 20 on this heap.
         let (levels, complete) = (5, (4u32.pow(6) - 1) / 3);
-        let spent = comparisons_of(4, complete + 1, |heap| {
+        let spent = comparisons_of(complete + 1, |heap| {
             assert_eq!(heap.pop().map(|fuse| fuse.key), Some(1));
         });
         assert!(spent <= 3 * levels + 1, "{spent} comparisons");
     }
 
-    /// The fan-outs every property runs on: 2, 4 and 8 have the tournament
-    /// kernels, the others run `Dynamic`'s divisions and scan.
-    const ARITIES: std::ops::RangeInclusive<usize> = 2..=9;
-
-    /// Replays `ops` on a heap of every arity in [`ARITIES`] and on
-    /// `std::collections::BinaryHeap`.  Each op is `(code, operands)`.  Both
-    /// start out holding `resident`, and hold it again after a `clear`.
+    /// Replays `ops` on a heap and on `std::collections::BinaryHeap`.  Each
+    /// op is `(code, operands)`.  Both start out holding `resident`, and hold
+    /// it again after a `clear`.
     fn differential<T: Ord + Clone + std::fmt::Debug>(ops: &[(u8, Vec<T>)], resident: &[T]) {
-        for arity in ARITIES {
-            let mut heap = DAryHeap::new(arity);
-            let mut reference = BinaryHeap::new();
-            let reference_pop =
-                |reference: &mut BinaryHeap<Reverse<T>>| reference.pop().map(|Reverse(v)| v);
-            let load = |heap: &mut DAryHeap<T>, reference: &mut BinaryHeap<Reverse<T>>| {
-                heap.extend(resident.iter().cloned());
-                reference.extend(resident.iter().cloned().map(Reverse));
-            };
-            load(&mut heap, &mut reference);
-            for (code, operands) in ops {
-                match code {
-                    0..=11 => {
-                        if let Some(v) = operands.first() {
-                            heap.push(v.clone());
-                            reference.push(Reverse(v.clone()));
-                        }
-                    }
-                    12..=19 => assert_eq!(heap.pop(), reference_pop(&mut reference)),
-                    20..=23 => {
-                        let mut out = Vec::new();
-                        let moved = heap.pop_batch_into(operands.len(), &mut out);
-                        let expected: Vec<T> = (0..operands.len())
-                            .map_while(|_| reference_pop(&mut reference))
-                            .collect();
-                        assert_eq!(moved, expected.len());
-                        assert_eq!(out, expected);
-                    }
-                    24..=30 => {
-                        heap.extend(operands.iter().cloned());
-                        reference.extend(operands.iter().cloned().map(Reverse));
-                    }
-                    _ => {
-                        heap.clear();
-                        reference.clear();
-                        load(&mut heap, &mut reference);
+        let mut heap = DAryHeap::new();
+        let mut reference = BinaryHeap::new();
+        let reference_pop =
+            |reference: &mut BinaryHeap<Reverse<T>>| reference.pop().map(|Reverse(v)| v);
+        let load = |heap: &mut DAryHeap<T>, reference: &mut BinaryHeap<Reverse<T>>| {
+            heap.extend(resident.iter().cloned());
+            reference.extend(resident.iter().cloned().map(Reverse));
+        };
+        load(&mut heap, &mut reference);
+        for (code, operands) in ops {
+            match code {
+                0..=11 => {
+                    if let Some(v) = operands.first() {
+                        heap.push(v.clone());
+                        reference.push(Reverse(v.clone()));
                     }
                 }
-                // O(n): after every op on a heap of these few operands, once
-                // at the end on one that also holds thousands of residents.
-                if resident.is_empty() {
-                    heap.assert_heap_property();
+                12..=19 => assert_eq!(heap.pop(), reference_pop(&mut reference)),
+                20..=23 => {
+                    let mut out = Vec::new();
+                    let moved = heap.pop_batch_into(operands.len(), &mut out);
+                    let expected: Vec<T> = (0..operands.len())
+                        .map_while(|_| reference_pop(&mut reference))
+                        .collect();
+                    assert_eq!(moved, expected.len());
+                    assert_eq!(out, expected);
                 }
-                assert_eq!(heap.len(), reference.len());
-                assert_eq!(heap.peek(), reference.peek().map(|Reverse(v)| v));
+                24..=30 => {
+                    heap.extend(operands.iter().cloned());
+                    reference.extend(operands.iter().cloned().map(Reverse));
+                }
+                _ => {
+                    heap.clear();
+                    reference.clear();
+                    load(&mut heap, &mut reference);
+                }
             }
-            heap.assert_heap_property();
-            let rest: Vec<T> = std::iter::from_fn(|| reference_pop(&mut reference)).collect();
-            assert_eq!(heap.into_sorted_vec(), rest, "arity {arity}");
+            // O(n): after every op on a heap of these few operands, once at
+            // the end on one that also holds thousands of residents.
+            if resident.is_empty() {
+                heap.assert_heap_property();
+            }
+            assert_eq!(heap.len(), reference.len());
+            assert_eq!(heap.peek(), reference.peek().map(|Reverse(v)| v));
         }
+        heap.assert_heap_property();
+        let rest: Vec<T> = std::iter::from_fn(|| reference_pop(&mut reference)).collect();
+        assert_eq!(heap.into_sorted_vec(), rest);
     }
 
     /// Pushes `values` one by one, then pops everything.
-    fn heap_sort(arity: usize, values: &[u32]) -> Vec<u32> {
-        let mut heap = DAryHeap::new(arity);
+    fn heap_sort(values: &[u32]) -> Vec<u32> {
+        let mut heap = DAryHeap::new();
         for &v in values {
             heap.push(v);
             heap.assert_heap_property();
@@ -1028,24 +909,17 @@ mod tests {
         heap.into_sorted_vec()
     }
 
-    /// Pops `k` of `values`, which `heap` holds, in one batch.
-    fn check_pop_batch(mut heap: DAryHeap<u32>, values: &[u32], k: usize) {
-        let arity = heap.arity();
+    /// Loads `values` in bulk and pops `k` of them in one batch.
+    fn check_pop_batch(values: &[u32], k: usize) {
+        let mut heap: DAryHeap<u32> = values.iter().copied().collect();
         let mut expected = values.to_vec();
         expected.sort_unstable();
         let mut out = Vec::new();
         let moved = heap.pop_batch_into(k, &mut out);
-        assert_eq!(moved, k.min(values.len()), "arity {arity}");
-        assert_eq!(&out[..], &expected[..moved], "arity {arity}");
+        assert_eq!(moved, k.min(values.len()));
+        assert_eq!(&out[..], &expected[..moved]);
         heap.assert_heap_property();
         assert_eq!(heap.len(), values.len() - moved);
-    }
-
-    /// A heap of `arity` loaded with `values` in bulk.
-    fn loaded(arity: usize, values: &[u32]) -> DAryHeap<u32> {
-        let mut heap = DAryHeap::new(arity);
-        heap.extend(values.iter().copied());
-        heap
     }
 
     fn tasks(ops: Vec<(u8, Vec<(u64, u64)>)>) -> Vec<(u8, Vec<Task>)> {
@@ -1061,40 +935,36 @@ mod tests {
 
     #[test]
     fn boundary_lengths_and_duplicate_heavy_inputs_sort() {
-        for d in ARITIES {
-            // One element, a root with one child, with its last child, the
-            // first grandchild, the second, and the first great-grandchild;
-            // each pop on the way down to empty passes the lengths between.
-            for len in [1, 2, d, d + 1, d + 2, d * d + 1] {
-                let inputs: [(&str, Vec<u32>); 5] = [
-                    ("all equal", vec![7; len]),
-                    ("three values", (0..len as u32).map(|i| i * 7 % 3).collect()),
-                    ("ascending", (0..len as u32).collect()),
-                    ("descending", (0..len as u32).rev().collect()),
-                    (
-                        "mixed",
-                        (0..len as u32)
-                            .map(|i| i.wrapping_mul(0x9E37_79B9) >> 8)
-                            .collect(),
-                    ),
-                ];
-                for (name, values) in inputs {
-                    let mut sorted = values.clone();
-                    sorted.sort_unstable();
-                    assert_eq!(heap_sort(d, &values), sorted, "arity {d}, {len} x {name}");
-                    check_pop_batch(loaded(d, &values), &values, len / 2 + 1);
-                }
+        let d = ARITY;
+        // One element, a root with one child, with its last child, the first
+        // grandchild, the second, and the first great-grandchild; each pop on
+        // the way down to empty passes the lengths between.
+        for len in [1, 2, d, d + 1, d + 2, d * d + 1] {
+            let inputs: [(&str, Vec<u32>); 5] = [
+                ("all equal", vec![7; len]),
+                ("three values", (0..len as u32).map(|i| i * 7 % 3).collect()),
+                ("ascending", (0..len as u32).collect()),
+                ("descending", (0..len as u32).rev().collect()),
+                (
+                    "mixed",
+                    (0..len as u32)
+                        .map(|i| i.wrapping_mul(0x9E37_79B9) >> 8)
+                        .collect(),
+                ),
+            ];
+            for (name, values) in inputs {
+                let mut sorted = values.clone();
+                sorted.sort_unstable();
+                assert_eq!(heap_sort(&values), sorted, "{len} x {name}");
+                check_pop_batch(&values, len / 2 + 1);
             }
         }
     }
 
     proptest! {
         #[test]
-        fn heap_sort_matches_std_sort(mut values in proptest::collection::vec(any::<u32>(), 0..512),
-                                      arity in ARITIES) {
-            // One fan-out a case: `heap_sort` checks the whole heap after
-            // every push.
-            let heap_sorted = heap_sort(arity, &values);
+        fn heap_sort_matches_std_sort(mut values in proptest::collection::vec(any::<u32>(), 0..512)) {
+            let heap_sorted = heap_sort(&values);
             values.sort_unstable();
             prop_assert_eq!(heap_sorted, values);
         }
@@ -1122,10 +992,10 @@ mod tests {
             ops in proptest::collection::vec(
                 (0u8..32, proptest::collection::vec((0u64..64, any::<u64>()), 0..24)), 1..48)
         ) {
-            // Several times deeper than the few dozen elements the ops alone
-            // build up (ten levels at arity 2, six at 4), so the walk of `pop`
-            // asks for grandchildren that are all there, that lie partly past
-            // the end and that lie wholly past it.
+            // Seven levels, several more than the few dozen elements the ops
+            // alone build up, so the walk of `pop` asks for grandchildren
+            // that are all there, that lie partly past the end and that lie
+            // wholly past it.
             let resident: Vec<Task> = (1..=1500u64)
                 .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 .map(|v| Task::new(v >> 58, v))
@@ -1136,10 +1006,7 @@ mod tests {
         #[test]
         fn pop_batch_is_prefix_of_sorted(values in proptest::collection::vec(any::<u32>(), 0..256),
                                          k in 0usize..64) {
-            for arity in ARITIES {
-                check_pop_batch(loaded(arity, &values), &values, k);
-            }
-            check_pop_batch(values.iter().copied().collect(), &values, k);
+            check_pop_batch(&values, k);
         }
     }
 }

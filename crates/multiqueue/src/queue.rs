@@ -31,10 +31,6 @@ use crate::config::{DeletePolicy, InsertPolicy, MultiQueueConfig};
 /// threads than queues, every queue held) cannot livelock the push path.
 const TRY_LOCK_RETRY_CAP: u32 = 16;
 
-/// Arity of the per-queue sequential heaps (the SMQ default; no figure
-/// sweeps it for the Multi-Queue).
-const HEAP_ARITY: usize = 4;
-
 /// Native `push_batch` runs larger than this are halved across *two*
 /// independently sampled sub-queues instead of dumped into one, keeping
 /// per-queue key distributions balanced under big batches while still
@@ -54,9 +50,9 @@ pub(crate) struct SubQueue<T> {
 }
 
 impl<T: Ord + HasKey> SubQueue<T> {
-    fn new(arity: usize) -> Self {
+    fn new() -> Self {
         Self {
-            heap: CachePadded::new(Mutex::new(DAryHeap::new(arity))),
+            heap: CachePadded::new(Mutex::new(DAryHeap::new())),
             top_key: CachePadded::new(AtomicU64::new(u64::MAX)),
         }
     }
@@ -140,9 +136,7 @@ impl<T: Ord + HasKey> MultiQueue<T> {
     /// Builds a Multi-Queue from a validated configuration.
     pub fn new(config: MultiQueueConfig) -> Self {
         config.validate();
-        let queues = (0..config.num_queues())
-            .map(|_| SubQueue::new(HEAP_ARITY))
-            .collect();
+        let queues = (0..config.num_queues()).map(|_| SubQueue::new()).collect();
         let sampler = match &config.numa {
             Some(numa) => WeightedQueueSampler::new(numa.topology.clone(), config.c_factor, numa.k),
             None => WeightedQueueSampler::uniform(

@@ -31,7 +31,7 @@ impl<T: Ord> Reld<T> {
         assert!(threads * c_factor >= 2, "need at least two queues");
         Self {
             queues: (0..threads * c_factor)
-                .map(|_| CachePadded::new(Mutex::new(DAryHeap::new(4))))
+                .map(|_| CachePadded::new(Mutex::new(DAryHeap::new())))
                 .collect(),
             threads,
             c_factor,

@@ -1,6 +1,7 @@
 //! Configuration of the Stealing Multi-Queue.
 
 use smq_core::Probability;
+use smq_dheap::ARITY;
 use smq_runtime::Topology;
 
 /// NUMA-aware victim sampling (Section 4): when a thread decides to steal,
@@ -25,7 +26,9 @@ pub struct SmqConfig {
     pub steal_size: usize,
     /// Probability of *attempting* a steal on each delete (`p_steal`).
     pub p_steal: Probability,
-    /// Arity of the local *d*-ary heaps (ignored by the skip-list variant).
+    /// Arity of the local *d*-ary heaps: always [`smq_dheap::ARITY`], which
+    /// [`SmqConfig::validate`] enforces.  Nothing in the scheduler reads it;
+    /// it stays for `benchmark/src/hold.rs` until ROADMAP item 1(i).
     pub heap_arity: usize,
     /// Optional NUMA-aware victim sampling.
     pub numa: Option<SmqNumaConfig>,
@@ -41,7 +44,7 @@ impl SmqConfig {
             threads,
             steal_size: 4,
             p_steal: Probability::new(8),
-            heap_arity: 4,
+            heap_arity: ARITY,
             numa: None,
             seed: 0x5311_AF00,
         }
@@ -75,7 +78,10 @@ impl SmqConfig {
     pub fn validate(&self) {
         assert!(self.threads >= 1, "need at least one thread");
         assert!(self.steal_size >= 1, "steal size must be >= 1");
-        assert!(self.heap_arity >= 2, "heap arity must be >= 2");
+        assert_eq!(
+            self.heap_arity, ARITY,
+            "the d-ary heap is {ARITY}-ary by construction (`heap_arity` is a benchmark shim, ROADMAP item 1(i))"
+        );
         if let Some(numa) = &self.numa {
             assert_eq!(
                 numa.topology.num_threads(),
@@ -120,6 +126,25 @@ mod tests {
         SmqConfig::default_for_threads(2)
             .with_steal_size(0)
             .validate();
+    }
+
+    #[test]
+    fn arity_shims_accept_only_the_fixed_arity() {
+        let message = |shim: fn()| {
+            let payload = std::panic::catch_unwind(shim).expect_err("another arity accepted");
+            payload.downcast::<String>().map(|s| *s).unwrap_or_default()
+        };
+        let fixed = format!("{ARITY}-ary");
+        let heap = message(|| drop(smq_dheap::DAryHeap::<u64>::with_capacity(8, 16)));
+        assert!(heap.contains(&fixed), "{heap}");
+        let config = message(|| {
+            SmqConfig {
+                heap_arity: 2,
+                ..SmqConfig::default_for_threads(2)
+            }
+            .validate()
+        });
+        assert!(config.contains(&fixed), "{config}");
     }
 
     #[test]

@@ -10,9 +10,8 @@ use smq_skiplist::SequentialSkipList;
 
 /// A sequential min-priority queue usable as an SMQ thread-local queue.
 pub trait LocalQueue<T: Ord>: Send {
-    /// Creates an empty queue.  `hint` carries the heap arity for the d-ary
-    /// heap implementation and is ignored by others.
-    fn create(hint: usize) -> Self;
+    /// Creates an empty queue.
+    fn create() -> Self;
 
     /// Inserts a task.
     fn push(&mut self, task: T);
@@ -37,8 +36,8 @@ pub trait LocalQueue<T: Ord>: Send {
 }
 
 impl<T: Ord + Send> LocalQueue<T> for DAryHeap<T> {
-    fn create(hint: usize) -> Self {
-        DAryHeap::new(hint.max(2))
+    fn create() -> Self {
+        DAryHeap::new()
     }
 
     fn push(&mut self, task: T) {
@@ -63,10 +62,9 @@ impl<T: Ord + Send> LocalQueue<T> for DAryHeap<T> {
 }
 
 impl<T: Ord + Send> LocalQueue<T> for SequentialSkipList<T> {
-    fn create(hint: usize) -> Self {
-        // The hint is the heap arity; reuse it to diversify the skip list's
-        // tower seed so different queues do not share height sequences.
-        SequentialSkipList::new(0x5EED_511D ^ hint as u64)
+    fn create() -> Self {
+        // Every queue draws its tower heights from this one seed.
+        SequentialSkipList::new(0x5EED_5119)
     }
 
     fn push(&mut self, task: T) {
@@ -95,7 +93,7 @@ mod tests {
     use super::*;
 
     fn exercise<Q: LocalQueue<u64>>() {
-        let mut q = Q::create(4);
+        let mut q = Q::create();
         assert!(q.is_empty());
         for v in [5u64, 1, 9, 3, 7] {
             q.push(v);

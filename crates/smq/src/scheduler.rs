@@ -65,7 +65,7 @@ where
         let slots = (0..config.threads)
             .map(|_| {
                 CachePadded::new(PerThread {
-                    queue: UnsafeCell::new(Q::create(config.heap_arity)),
+                    queue: UnsafeCell::new(Q::create()),
                     buffer: StealingBuffer::new(config.steal_size),
                     handle_taken: AtomicBool::new(false),
                 })
