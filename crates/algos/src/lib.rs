@@ -52,6 +52,7 @@
 //! wasted work: how many tasks were executed versus how many a perfectly
 //! ordered execution would need.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod astar;

@@ -20,27 +20,25 @@
 //! [`LabelStore`] trait (`LaneLabels`, a lane plus an epoch) and never
 //! learns the format.
 //!
-//! # Concurrency: lanes + a global epoch allocator
+//! # Concurrency: lanes, each with its own epoch counter
 //!
-//! Each query atomically claims a fresh epoch from one shared counter
-//! (`fetch_add` — epochs are globally unique) and an idle **lane** (an
-//! exclusive slot-array workspace; concurrent queries must not share one,
-//! because a 64-bit slot can only hold *one* query's tentative distance and
-//! an overwrite would silently reset a live query's g-score to infinity).
-//! An engine with L lanes serves up to L queries at once — pair it with a
-//! worker pool of G gangs and `lanes >= G` so every gang can be busy; extra
-//! queries block briefly for a free lane.
+//! Each query claims an idle **lane** (an exclusive slot-array workspace;
+//! concurrent queries must not share one, because a 64-bit slot can only
+//! hold *one* query's tentative distance and an overwrite would silently
+//! reset a live query's g-score to infinity) together with that lane's next
+//! epoch.  Only the query holding a lane writes its slots, so an epoch need
+//! only be unique within its lane: the free list keeps each idle lane's last
+//! epoch, and no counter is shared between queries.  An engine with L lanes
+//! serves up to L queries at once — pair it with a worker pool of G gangs
+//! and `lanes >= G` so every gang can be busy; extra queries block briefly
+//! for a free lane.
 //!
-//! # The epoch-wrap barrier
+//! # Epoch wrap
 //!
-//! When the 24-bit epoch space is exhausted (every ~16.7M queries), stale
-//! stamps could alias a live epoch, so the wrap is a **stop-the-queries
-//! barrier**: every query holds the engine's wrap barrier (an `RwLock`) in
-//! shared mode for its whole lifetime, and the thread that observes
-//! exhaustion takes the *write* lock — blocking until all in-flight queries
-//! drain, wiping every lane, and restarting the epoch counter — before
-//! queries resume.  The barrier costs one wipe per 16.7M queries; the
-//! common path pays one uncontended read-lock acquisition.
+//! When a lane's 24-bit epoch space is exhausted (every ~16.7M queries on
+//! that lane), a stale stamp could alias the next epoch, so the query that
+//! claims the lane wipes it and restarts its counter before writing any
+//! slot.  No other query is involved: the other lanes run on untouched.
 //!
 //! Queries execute as jobs on a resident `smq_pool::WorkerPool` via
 //! [`engine::run_on_pool`], one gang each, which is what the repo
@@ -60,7 +58,7 @@
 //! version that actually served it*, not the moving head.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Condvar, Mutex};
 
 use smq_graph::{CsrGraph, GraphSource, GraphView};
 use smq_pool::WorkerPool;
@@ -87,9 +85,13 @@ fn slot_distance(raw: u64) -> u64 {
 }
 
 #[inline]
-fn pack(epoch: u64, distance: u64) -> u64 {
+const fn pack(epoch: u64, distance: u64) -> u64 {
     (epoch << DIST_BITS) | distance
 }
+
+/// A fresh or wiped slot: epoch 0 is never a live query epoch, so it reads
+/// as unreached in every query.
+const WIPED: u64 = pack(0, UNREACHED);
 
 /// The answer to one route query.
 #[derive(Debug, Clone)]
@@ -100,39 +102,6 @@ pub struct RouteAnswer {
     pub version: u64,
     /// Work and wall-clock accounting of the query's job.
     pub result: AlgoResult,
-}
-
-/// One exclusive slot-array workspace.  A lane belongs to exactly one
-/// in-flight query at a time; across queries the epoch stamps keep stale
-/// entries invisible without any reset pass.
-struct QueryLane {
-    slots: Vec<AtomicU64>,
-}
-
-impl QueryLane {
-    fn new(n: usize) -> Self {
-        Self {
-            // Epoch 0 is never a live query epoch, so fresh slots read as
-            // unreached in every query.
-            slots: (0..n).map(|_| AtomicU64::new(pack(0, UNREACHED))).collect(),
-        }
-    }
-
-    /// Hard reset: only called under the wrap barrier's write lock (no
-    /// query in flight anywhere).
-    fn wipe(&self) {
-        for slot in &self.slots {
-            slot.store(pack(0, UNREACHED), Ordering::Relaxed);
-        }
-    }
-
-    /// The lane as the query holding `epoch` sees it.
-    fn labels(&self, epoch: u64) -> LaneLabels<'_> {
-        LaneLabels {
-            slots: &self.slots,
-            epoch,
-        }
-    }
 }
 
 /// One query's view of its lane — the [`LabelStore`] the A* kernel runs
@@ -182,9 +151,9 @@ impl LabelStore for LaneLabels<'_> {
 /// road graph.
 ///
 /// One engine value serves any number of queries, **concurrently** up to
-/// its lane count (see the module docs): each query atomically claims a
-/// fresh epoch and an exclusive lane, runs as a single-gang job on the
-/// given pool, and releases the lane.  [`RouteQueryEngine::new`] builds a
+/// its lane count (see the module docs): each query claims an exclusive
+/// lane and that lane's next epoch, runs as a single-gang job on the given
+/// pool, and releases the lane.  [`RouteQueryEngine::new`] builds a
 /// one-lane engine (queries serialize on the lane);
 /// [`RouteQueryEngine::with_lanes`] sizes it for a gang-partitioned pool.
 ///
@@ -194,17 +163,15 @@ impl LabelStore for LaneLabels<'_> {
 /// updates never tear a query mid-expansion.
 pub struct RouteQueryEngine<G: GraphSource = CsrGraph> {
     graph: Arc<G>,
-    lanes: Vec<QueryLane>,
-    /// Indices of idle lanes; queries block on `lane_ready` when empty.
-    free_lanes: Mutex<Vec<usize>>,
+    /// One slot array per concurrent query.  A lane belongs to exactly one
+    /// in-flight query at a time; across queries the epoch stamps keep stale
+    /// entries invisible without any reset pass.
+    lanes: Vec<Vec<AtomicU64>>,
+    /// Idle lanes, each with the last epoch it handed out; queries block on
+    /// `lane_ready` when empty.
+    free_lanes: Mutex<Vec<(usize, u64)>>,
     lane_ready: Condvar,
-    /// Global epoch allocator; `fetch_add` gives every query a unique
-    /// epoch.  Values beyond `MAX_EPOCH` are discarded (wrap handling).
-    epoch: AtomicU64,
-    /// The stop-the-queries barrier: queries hold it shared for their whole
-    /// lifetime, the epoch-wrap reset holds it exclusively.
-    wrap_barrier: RwLock<()>,
-    /// Epoch-space wraps handled so far (diagnostics / tests).
+    /// Lane wipes at epoch wrap so far (diagnostics / tests).
     wraps: AtomicU64,
     queries_served: AtomicU64,
 }
@@ -227,8 +194,8 @@ impl<G: GraphSource> RouteQueryEngine<G> {
     ///
     /// The 40-bit-distance check runs against the version pinned *now*;
     /// for a live source, publishers are responsible for keeping the total
-    /// weight of later versions under the same bound (each query
-    /// `debug_assert`s it on the version it pins).
+    /// weight of later versions under the same bound (each query asserts
+    /// it on the version it pins).
     ///
     /// # Panics
     /// Like [`new`](Self::new); additionally requires `lanes >= 1`.
@@ -240,12 +207,13 @@ impl<G: GraphSource> RouteQueryEngine<G> {
         );
         let n = graph.source_num_nodes();
         Self {
-            lanes: (0..lanes).map(|_| QueryLane::new(n)).collect(),
-            free_lanes: Mutex::new((0..lanes).collect()),
+            lanes: (0..lanes)
+                .map(|_| (0..n).map(|_| AtomicU64::new(WIPED)).collect())
+                .collect(),
+            // Epoch 0 is the wiped stamp, so every lane hands out 1 first.
+            free_lanes: Mutex::new((0..lanes).map(|lane| (lane, 0)).collect()),
             lane_ready: Condvar::new(),
             graph,
-            epoch: AtomicU64::new(0),
-            wrap_barrier: RwLock::new(()),
             wraps: AtomicU64::new(0),
             queries_served: AtomicU64::new(0),
         }
@@ -261,7 +229,7 @@ impl<G: GraphSource> RouteQueryEngine<G> {
         self.queries_served.load(Ordering::Relaxed)
     }
 
-    /// Epoch-space wraps (stop-the-queries resets) handled so far.
+    /// Epoch-space wraps handled so far, one per lane wipe.
     pub fn epoch_wraps(&self) -> u64 {
         self.wraps.load(Ordering::Relaxed)
     }
@@ -281,24 +249,27 @@ impl<G: GraphSource> RouteQueryEngine<G> {
     /// Over a live source this is the snapshot pinned for the query's
     /// whole lifetime: verify the answer against a sequential run on
     /// **this** view, not on a fresh pin of the (possibly newer) head.
+    ///
+    /// # Panics
+    /// Panics if the pinned version's total weight does not fit the packed
+    /// 40-bit distance field: a longer distance would overwrite the epoch
+    /// bits of its slot and corrupt the answer.
     pub fn query_pinned(
         &self,
         source: u32,
         target: u32,
         pool: &WorkerPool,
     ) -> (RouteAnswer, G::View<'_>) {
-        // Order matters for the wrap barrier: the epoch is allocated while
-        // already holding the shared lock, so the exclusive (wrap) holder
-        // knows no live epoch exists outside the barrier.
-        let (_in_flight, epoch) = self.begin_epoch();
-        let lane_claim = self.claim_lane();
-        let labels = self.lanes[lane_claim.index].labels(epoch);
+        let lane = self.claim_lane();
         let view = self.graph.pin();
-        debug_assert!(
-            view.total_weight() < UNREACHED,
+        // A static graph (version 0) was checked in `with_lanes` and walks
+        // every edge to sum its weights; a live version caches the sum.
+        assert!(
+            view.version() == 0 || view.total_weight() < UNREACHED,
             "published updates overflowed the packed 40-bit distance field"
         );
         // The one A* kernel, over this query's epoch view of its lane.
+        let labels = lane.labels();
         let run = engine::run_on_pool(&AstarWorkload::over(&view, source, target, labels), pool);
         self.queries_served.fetch_add(1, Ordering::Relaxed);
         let answer = RouteAnswer {
@@ -309,56 +280,56 @@ impl<G: GraphSource> RouteQueryEngine<G> {
         (answer, view)
     }
 
-    /// Claims a unique epoch, entering the wrap barrier in shared mode.
-    /// On epoch-space exhaustion, takes the barrier exclusively — i.e.
-    /// waits for every in-flight query to finish — wipes all lanes, and
-    /// restarts the counter, so a stale stamp can never alias a live epoch.
-    fn begin_epoch(&self) -> (RwLockReadGuard<'_, ()>, u64) {
-        loop {
-            let in_flight = self.wrap_barrier.read().unwrap_or_else(|e| e.into_inner());
-            let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-            if epoch <= MAX_EPOCH {
-                return (in_flight, epoch);
-            }
-            // Epoch space exhausted.  Drop the shared lock (we hold no
-            // lane and wrote no slot yet) and race to become the resetter;
-            // losers find the counter already restarted and just retry.
-            drop(in_flight);
-            let _barrier = self.wrap_barrier.write().unwrap_or_else(|e| e.into_inner());
-            if self.epoch.load(Ordering::Relaxed) >= MAX_EPOCH {
-                for lane in &self.lanes {
-                    lane.wipe();
-                }
-                self.epoch.store(0, Ordering::Relaxed);
-                self.wraps.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Takes an idle lane, blocking while all lanes are busy.
+    /// Takes an idle lane and its next epoch, blocking while all lanes are
+    /// busy.  Past `MAX_EPOCH` the lane is wiped and its counter restarts,
+    /// before the caller writes any slot, so a stale stamp never aliases
+    /// the new epoch.
     fn claim_lane(&self) -> LaneClaim<'_, G> {
         let mut free = self.free_lanes.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(index) = free.pop() {
-                return LaneClaim {
-                    engine: self,
-                    index,
-                };
+        let (index, last_epoch) = loop {
+            if let Some(idle) = free.pop() {
+                break idle;
             }
             free = self
                 .lane_ready
                 .wait(free)
                 .unwrap_or_else(|e| e.into_inner());
+        };
+        drop(free);
+        let mut epoch = last_epoch + 1;
+        if epoch > MAX_EPOCH {
+            // The job hand-off to the pool orders these before any read.
+            for slot in &self.lanes[index] {
+                slot.store(WIPED, Ordering::Relaxed);
+            }
+            self.wraps.fetch_add(1, Ordering::Relaxed);
+            epoch = 1;
+        }
+        LaneClaim {
+            engine: self,
+            index,
+            epoch,
         }
     }
 }
 
-/// Returns the lane on drop — also on unwind, so a panicking query job
-/// cannot leak a lane (its stale-epoch scribbles are invisible to the next
-/// query anyway).
+/// Returns the lane, with the epoch it handed out, on drop — also on
+/// unwind, so a panicking query job cannot leak a lane (its scribbles carry
+/// an epoch the lane's next query has moved past).
 struct LaneClaim<'e, G: GraphSource> {
     engine: &'e RouteQueryEngine<G>,
     index: usize,
+    epoch: u64,
+}
+
+impl<'e, G: GraphSource> LaneClaim<'e, G> {
+    /// The claimed lane as the query holding it sees it.
+    fn labels(&self) -> LaneLabels<'e> {
+        LaneLabels {
+            slots: &self.engine.lanes[self.index],
+            epoch: self.epoch,
+        }
+    }
 }
 
 impl<G: GraphSource> Drop for LaneClaim<'_, G> {
@@ -368,7 +339,7 @@ impl<G: GraphSource> Drop for LaneClaim<'_, G> {
             .free_lanes
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        free.push(self.index);
+        free.push((self.index, self.epoch));
         self.engine.lane_ready.notify_one();
     }
 }
@@ -398,6 +369,16 @@ mod tests {
             HeapSmq::<Task>::new(SmqConfig::default_for_threads(threads).with_seed(4)),
             PoolConfig::new(threads),
         )
+    }
+
+    impl<G: GraphSource> RouteQueryEngine<G> {
+        /// Sets the last epoch of every idle lane, to bring lanes to their
+        /// wrap.
+        fn set_idle_epochs(&self, last: u64) {
+            for (_, epoch) in self.free_lanes.lock().unwrap().iter_mut() {
+                *epoch = last;
+            }
+        }
     }
 
     fn gang_pool(gangs: usize, gang_size: usize) -> WorkerPool {
@@ -439,9 +420,10 @@ mod tests {
 
     proptest! {
         /// The two label formats answer alike: one lane reused by a run of
-        /// queries — stale-epoch slots left in place, the epoch allocator
-        /// crossing its wrap — against a `Vec<AtomicU64>` allocated fresh
-        /// per query, under the same random `get` / `try_decrease` sequence.
+        /// queries — stale-epoch slots left in place, the lane's epoch
+        /// counter crossing its wrap — against a `Vec<AtomicU64>` allocated
+        /// fresh per query, under the same random `get` / `try_decrease`
+        /// sequence.
         #[test]
         fn lane_labels_answer_like_a_fresh_label_vector(
             queries in proptest::collection::vec(
@@ -451,10 +433,10 @@ mod tests {
             before_wrap in 0u64..4,
         ) {
             let engine = RouteQueryEngine::new(road());
-            engine.epoch.store(MAX_EPOCH - before_wrap, Ordering::Relaxed);
+            engine.set_idle_epochs(MAX_EPOCH - before_wrap);
             for ops in &queries {
-                let (_in_flight, epoch) = engine.begin_epoch();
-                let lane = engine.lanes[0].labels(epoch);
+                let claim = engine.claim_lane();
+                let lane = claim.labels();
                 let dense: Vec<AtomicU64> = (0..6).map(|_| AtomicU64::new(u64::MAX)).collect();
                 for &(v, proposed, read) in ops {
                     if read {
@@ -490,17 +472,17 @@ mod tests {
     fn epoch_wrap_resets_lanes() {
         let graph = road();
         let engine = RouteQueryEngine::new(Arc::clone(&graph));
-        // Force the engine to the edge of the epoch space.
-        engine.epoch.store(MAX_EPOCH, Ordering::Relaxed);
-        engine.lanes[0].slots[3].store(pack(1, 13), Ordering::Relaxed);
+        // Force the lane to the edge of its epoch space.
+        engine.set_idle_epochs(MAX_EPOCH);
+        engine.lanes[0][3].store(pack(1, 13), Ordering::Relaxed);
         let pool = pool(1);
         let answer = engine.query(0, (graph.num_nodes() - 1) as u32, &pool);
         let (expected, _) = astar::sequential(&graph, 0, (graph.num_nodes() - 1) as u32);
         assert_eq!(answer.distance, expected);
-        // The engine wrapped (one stop-the-queries reset), restarted the
-        // counter, and the stale slot was wiped.
+        // The lane wrapped (one wipe) and restarted its counter; the stale
+        // slot, which would alias epoch 1, was wiped.
         assert_eq!(engine.epoch_wraps(), 1);
-        assert_eq!(engine.epoch.load(Ordering::Relaxed), 1);
+        assert_eq!(*engine.free_lanes.lock().unwrap(), vec![(0, 1)]);
     }
 
     #[test]
@@ -531,38 +513,90 @@ mod tests {
     }
 
     #[test]
-    fn epoch_wrap_barrier_survives_two_live_queries() {
-        // The satellite regression: force an epoch wrap while two queries
-        // are genuinely in flight.  The old engine's silent inline reset
-        // would wipe a live query's slots; the barrier must instead drain
-        // both queries, reset, and keep every answer exact.
+    fn lanes_wrap_independently_under_two_live_clients() {
+        // Two clients each hold a lane at once in every round, so both
+        // lanes cross their wrap mid-stream while the other lane's query
+        // is live; every answer must stay exact.
         let graph = road();
-        let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), 2));
+        let engine = RouteQueryEngine::with_lanes(Arc::clone(&graph), 2);
         let n = graph.num_nodes() as u32;
-        // 2 threads * 40 queries from 30-before-the-edge: the allocator
-        // must cross the wrap mid-stream, with the other thread live.
-        engine.epoch.store(MAX_EPOCH - 30, Ordering::Relaxed);
+        engine.set_idle_epochs(MAX_EPOCH - 30);
+        let both_claimed = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             for t in 0..2u32 {
-                let engine = Arc::clone(&engine);
-                let graph = Arc::clone(&graph);
+                let (engine, graph, both_claimed) = (&engine, &graph, &both_claimed);
                 scope.spawn(move || {
                     let pool = pool(1);
+                    let mut answers = Vec::new();
                     for i in 0..40u32 {
                         let source = (t * 653 + i * 17) % n;
                         let target = (t * 211 + i * 41 + 3) % n;
-                        let answer = engine.query(source, target, &pool);
-                        let (expected, _) = astar::sequential(&graph, source, target);
-                        assert_eq!(answer.distance, expected, "query {source}->{target}");
+                        let lane = engine.claim_lane();
+                        both_claimed.wait();
+                        let run = engine::run_on_pool(
+                            &AstarWorkload::over(&**graph, source, target, lane.labels()),
+                            &pool,
+                        );
+                        answers.push((source, target, run.output));
+                    }
+                    // Checked after the rounds, so a failure cannot leave
+                    // the other client waiting at the barrier.
+                    for (source, target, distance) in answers {
+                        let (expected, _) = astar::sequential(&**graph, source, target);
+                        assert_eq!(distance, expected, "query {source}->{target}");
                     }
                 });
             }
         });
-        assert_eq!(engine.queries_served(), 80);
-        assert!(
-            engine.epoch_wraps() >= 1,
-            "the stream must have crossed the epoch wrap"
-        );
+        assert_eq!(engine.epoch_wraps(), 2, "each lane wrapped once");
+
+        // A wrap on one lane leaves the other's stamped slots and its
+        // counter untouched.
+        let held = engine.claim_lane();
+        held.labels().try_decrease(5, 77);
+        let slots = |lane: usize| -> Vec<u64> {
+            engine.lanes[lane]
+                .iter()
+                .map(|slot| slot.load(Ordering::Relaxed))
+                .collect()
+        };
+        let held_slots = slots(held.index);
+        engine.set_idle_epochs(MAX_EPOCH);
+        let wrapped = engine.claim_lane();
+        assert_eq!(wrapped.epoch, 1);
+        assert_eq!(engine.epoch_wraps(), 3);
+        assert!(slots(wrapped.index).iter().all(|&raw| raw == WIPED));
+        assert_eq!(slots(held.index), held_slots);
+        assert_eq!(held.labels().get(5), 77);
+        let (held_lane, held_epoch) = (held.index, held.epoch);
+        drop(held);
+        assert!(engine
+            .free_lanes
+            .lock()
+            .unwrap()
+            .contains(&(held_lane, held_epoch)));
+    }
+
+    #[test]
+    #[should_panic(expected = "published updates overflowed the packed 40-bit distance field")]
+    fn live_version_past_the_distance_field_fails_loudly() {
+        // 299 chain edges at u32::MAX sum past 2^40: the far end's distance
+        // would spill into its slot's epoch bits.
+        let mut b = GraphBuilder::new(300);
+        for v in 0..299 {
+            b.add_edge(v, v + 1, 1);
+        }
+        let live = Arc::new(LiveGraph::new(Arc::new(b.build())));
+        let engine = RouteQueryEngine::new(Arc::clone(&live));
+        let slowdowns: Vec<GraphUpdate> = (0..299)
+            .map(|v| GraphUpdate::SetWeight {
+                from: v,
+                to: v + 1,
+                weight: u32::MAX,
+            })
+            .collect();
+        live.publish(&slowdowns);
+        engine.query(0, 299, &pool(1));
     }
 
     #[test]

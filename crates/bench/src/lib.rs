@@ -12,6 +12,7 @@
 //! laptop-class machine; pass `--scale full` (and a larger `--threads`) to
 //! approach the paper's configuration, `--scale ci` for seconds.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

@@ -9,7 +9,7 @@
 //! character: spatially embedded, low-degree, high-diameter *road networks*
 //! and heavy-tailed, low-diameter *social/web graphs*.
 
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csr;

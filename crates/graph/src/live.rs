@@ -9,45 +9,29 @@
 //! folds everything into a fresh CSR base (compaction), so read overhead
 //! stays bounded under sustained update traffic.
 //!
-//! # Version ring and the pin protocol
+//! # Publishing and pinning
 //!
-//! The container has no `crates.io` access, so there is no `arc-swap` or
-//! epoch GC to lean on.  Instead the graph keeps a small ring of version
-//! slots, reusing the stamp-and-validate idiom of the query engine's
-//! epoch-stamped g-score slots: each slot carries a version stamp, a pin
-//! counter, and an `Arc` to that version's data.
+//! The newest version is an `Arc` behind a `RwLock`.
 //!
-//! * **Readers** (lock-free): load `current`, increment the pin counter of
-//!   slot `current % ring`, then re-check the slot's stamp.  If it still
-//!   matches, the slot cannot be reclaimed while the pin is held, so
-//!   cloning the `Arc` out is safe; the pin is dropped immediately after.
-//!   On a stamp mismatch (the writer lapped the ring between the two
-//!   loads) the reader retries with a fresh `current`.
-//! * **Writers** (serialized by a mutex): to reuse a slot for version `v`,
-//!   tombstone its stamp, wait for the pin counter to drain, swap in the
-//!   new `Arc`, restore the stamp to `v`, and finally advance `current`.
-//!   All stamp/pin operations are `SeqCst`: the single total order is what
-//!   excludes the store-buffer interleaving where a reader's increment and
-//!   the writer's drain check both read stale values.
+//! * **Readers** hold the read lock only to clone that `Arc` out: a
+//!   [`pin`](LiveGraph::pin) is one shared lock acquisition and one
+//!   reference-count increment.
+//! * **Writers** are serialized by a separate mutex.  A publish (or a
+//!   forced [`compact`](LiveGraph::compact)) builds the next version —
+//!   overlay edit, fold into a fresh CSR — under that mutex alone and takes
+//!   the write lock only to swap the pointer, so a reader never waits while
+//!   a batch is applied or a base is folded.
 //!
-//! Snapshots own an `Arc` to the version data, so a snapshot outlives its
-//! slot being recycled — the ring bounds only how far behind a *pinning*
-//! reader may observe, never the lifetime of pinned data.
+//! A snapshot owns an `Arc` to its version's data, so a version lives
+//! exactly as long as its last snapshot (or as the head, if it is still the
+//! newest) and is freed when the last of them is dropped.
 
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, RwLock};
 
 use crate::csr::{CsrGraph, Edge};
 use crate::view::{GraphSource, GraphView};
-
-/// Slot stamp meaning "no valid version stored here" (real versions start
-/// at 1 and never wrap — they are `u64`).
-const TOMBSTONE: u64 = 0;
-
-/// Default number of version slots in the ring.
-const DEFAULT_RING: usize = 8;
 
 /// A single edge mutation applied by [`LiveGraph::publish`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,49 +287,18 @@ impl GraphView for GraphSnapshot {
     }
 }
 
-/// One ring slot: a version stamp, a pin counter, and the version data.
-struct Slot {
-    version: AtomicU64,
-    pins: AtomicU64,
-    data: UnsafeCell<Option<Arc<VersionData>>>,
-}
-
-// SAFETY: `version` and `pins` are atomics.  `data` is only written by the
-// (mutex-serialized) writer after tombstoning the stamp and draining `pins`
-// to zero, and only read by pinned readers whose stamp re-check proves the
-// writer has not started a reclaim — see the module-level protocol notes —
-// so a shared `&Slot` never yields a write overlapping another access.  The
-// `Arc<VersionData>` it holds is itself `Send + Sync`.
-unsafe impl Sync for Slot {}
-// SAFETY: every field is an atomic or an `Option<Arc<VersionData>>`, all of
-// which are `Send`; only the `UnsafeCell` wrapper removed the auto impl.
-unsafe impl Send for Slot {}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            version: AtomicU64::new(TOMBSTONE),
-            pins: AtomicU64::new(0),
-            data: UnsafeCell::new(None),
-        }
-    }
-}
-
-/// Serialized writer-side state: the head version every publish builds on.
-struct WriterState {
-    head: Arc<VersionData>,
-}
-
-/// An updatable graph serving lock-free pinned reads.
+/// An updatable graph serving pinned reads beside a writer.
 ///
-/// See the module docs for the versioning protocol.  The node count is
-/// fixed at construction: updates may change weights and add edges, never
-/// vertices.
+/// See the module docs for how versions are published and pinned.  The
+/// node count is fixed at construction: updates may change weights and add
+/// edges, never vertices.
 pub struct LiveGraph {
-    slots: Box<[Slot]>,
-    current: AtomicU64,
-    writer: Mutex<WriterState>,
+    /// The newest published version; replaced, never mutated in place.
+    head: RwLock<Arc<VersionData>>,
+    /// Serializes writers, so every publish builds on the head it read.
+    writer: Mutex<()>,
     compact_threshold: usize,
+    /// Statistics only: they publish no data, so every access is `Relaxed`.
     published: AtomicU64,
     compactions: AtomicU64,
 }
@@ -353,42 +306,33 @@ pub struct LiveGraph {
 impl std::fmt::Debug for LiveGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveGraph")
-            .field("version", &self.current.load(SeqCst))
-            .field("ring", &self.slots.len())
+            .field("version", &self.current_version())
             .field("compact_threshold", &self.compact_threshold)
             .finish()
     }
 }
 
 impl LiveGraph {
-    /// Wraps `base` with the default ring size and a compaction threshold
-    /// of a quarter of the base edge count (at least 64 entries).
+    /// Wraps `base` with a compaction threshold of a quarter of the base
+    /// edge count (at least 64 entries).
     pub fn new(base: Arc<CsrGraph>) -> LiveGraph {
         let threshold = (base.num_edges() / 4).max(64);
-        LiveGraph::with_config(base, threshold, DEFAULT_RING)
+        LiveGraph::with_threshold(base, threshold)
     }
 
     /// Wraps `base` with an explicit compaction threshold (overlay entries
-    /// that trigger a fold into a fresh CSR) and ring size (≥ 2).
-    pub fn with_config(base: Arc<CsrGraph>, compact_threshold: usize, ring: usize) -> LiveGraph {
-        assert!(ring >= 2, "version ring needs at least two slots");
-        let data = Arc::new(VersionData {
+    /// that trigger a fold into a fresh CSR).
+    fn with_threshold(base: Arc<CsrGraph>, compact_threshold: usize) -> LiveGraph {
+        let data = VersionData {
             version: 1,
             total_weight: base.total_weight(),
             num_edges: base.num_edges(),
             overlay: HashMap::new(),
             base,
-        });
-        let slots: Box<[Slot]> = (0..ring).map(|_| Slot::empty()).collect();
-        let first = &slots[1 % ring];
-        // SAFETY: `slots` is still local to this constructor — no other
-        // thread can hold a reference to the cell yet.
-        unsafe { *first.data.get() = Some(data.clone()) };
-        first.version.store(1, SeqCst);
+        };
         LiveGraph {
-            slots,
-            current: AtomicU64::new(1),
-            writer: Mutex::new(WriterState { head: data }),
+            head: RwLock::new(Arc::new(data)),
+            writer: Mutex::new(()),
             compact_threshold,
             published: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
@@ -402,51 +346,36 @@ impl LiveGraph {
 
     /// The latest published version number.
     pub fn current_version(&self) -> u64 {
-        self.current.load(SeqCst)
+        self.head.read().unwrap_or_else(|e| e.into_inner()).version
     }
 
     /// How many update batches have been published.
     pub fn versions_published(&self) -> u64 {
-        self.published.load(SeqCst)
+        self.published.load(Relaxed)
     }
 
     /// How many publishes folded the overlay into a fresh CSR.
     pub fn compactions(&self) -> u64 {
-        self.compactions.load(SeqCst)
+        self.compactions.load(Relaxed)
     }
 
-    /// Pins the latest published version.  Lock-free: never blocks on the
-    /// writer; retries only if the writer laps the whole ring between two
-    /// loads (see module docs).
+    /// Pins the latest published version.  Waits only while a writer swaps
+    /// the head pointer, never while it builds a version.
     pub fn pin(&self) -> GraphSnapshot {
-        loop {
-            let cur = self.current.load(SeqCst);
-            let slot = &self.slots[(cur as usize) % self.slots.len()];
-            slot.pins.fetch_add(1, SeqCst);
-            if slot.version.load(SeqCst) == cur {
-                // SAFETY: the stamp matched after our pin was visible, so
-                // the writer's drain loop in `install` cannot pass until we
-                // unpin: nobody writes the cell for the duration of this
-                // shared read and clone.
-                let data = unsafe { (*slot.data.get()).as_ref().expect("stamped slot").clone() };
-                slot.pins.fetch_sub(1, SeqCst);
-                return GraphSnapshot { data };
-            }
-            slot.pins.fetch_sub(1, SeqCst);
-            std::hint::spin_loop();
-        }
+        let data = Arc::clone(&self.head.read().unwrap_or_else(|e| e.into_inner()));
+        GraphSnapshot { data }
     }
 
     /// Publishes one batch of updates as a new version and returns its
-    /// version number.  Writers are serialized; readers are never blocked.
-    /// Folds the overlay into a fresh CSR first when it has outgrown the
-    /// compaction threshold.
+    /// version number.  Writers are serialized; readers wait at most for
+    /// the pointer swap.  Folds the overlay into a fresh CSR first when it
+    /// has outgrown the compaction threshold.
     ///
     /// # Panics
     /// Panics if any update endpoint is out of range.
     pub fn publish(&self, updates: &[GraphUpdate]) -> u64 {
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let head = &writer.head;
+        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let head = self.pin().data;
         let n = head.base.num_nodes() as u32;
         let mut overlay = head.overlay.clone();
         let mut num_edges = head.num_edges;
@@ -488,12 +417,10 @@ impl LiveGraph {
         };
         if data.overlay_edges() > self.compact_threshold {
             data = Self::fold(data);
-            self.compactions.fetch_add(1, SeqCst);
+            self.compactions.fetch_add(1, Relaxed);
         }
-        let data = Arc::new(data);
-        writer.head = data.clone();
         self.install(data);
-        self.published.fetch_add(1, SeqCst);
+        self.published.fetch_add(1, Relaxed);
         version
     }
 
@@ -501,22 +428,20 @@ impl LiveGraph {
     /// regardless of the threshold.  No-op (and no new version) when the
     /// overlay is already empty.  Returns the current version afterwards.
     pub fn compact(&self) -> u64 {
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        if writer.head.overlay.is_empty() {
-            return writer.head.version;
+        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let head = self.pin().data;
+        if head.overlay.is_empty() {
+            return head.version;
         }
-        let version = writer.head.version + 1;
-        let folded = Self::fold(VersionData {
+        let version = head.version + 1;
+        self.install(Self::fold(VersionData {
             version,
-            base: writer.head.base.clone(),
-            overlay: writer.head.overlay.clone(),
-            num_edges: writer.head.num_edges,
-            total_weight: writer.head.total_weight,
-        });
-        let data = Arc::new(folded);
-        writer.head = data.clone();
-        self.install(data);
-        self.compactions.fetch_add(1, SeqCst);
+            base: head.base.clone(),
+            overlay: head.overlay.clone(),
+            num_edges: head.num_edges,
+            total_weight: head.total_weight,
+        }));
+        self.compactions.fetch_add(1, Relaxed);
         version
     }
 
@@ -544,21 +469,12 @@ impl LiveGraph {
         }
     }
 
-    /// Installs `data` as the newest version: reclaim its ring slot under
-    /// the tombstone-and-drain protocol, then advance `current`.  Caller
-    /// holds the writer mutex.
-    fn install(&self, data: Arc<VersionData>) {
-        let version = data.version;
-        let slot = &self.slots[(version as usize) % self.slots.len()];
-        slot.version.store(TOMBSTONE, SeqCst);
-        while slot.pins.load(SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-        // SAFETY: stamp is tombstoned and pins drained — no reader can be
-        // inside this slot, and new readers re-checking the stamp retry.
-        unsafe { *slot.data.get() = Some(data) };
-        slot.version.store(version, SeqCst);
-        self.current.store(version, SeqCst);
+    /// Makes `data` the version every later pin sees.  The `Arc` is built
+    /// before the write lock is taken, and the caller holds `writer` and
+    /// its own reference to the old head, so the swap never frees a version
+    /// under the lock.
+    fn install(&self, data: VersionData) {
+        *self.head.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(data);
     }
 }
 
@@ -580,6 +496,7 @@ mod tests {
     use super::*;
     use crate::GraphBuilder;
     use proptest::prelude::*;
+    use std::sync::atomic::Ordering::SeqCst;
 
     fn diamond() -> Arc<CsrGraph> {
         let mut b = GraphBuilder::new(4);
@@ -650,8 +567,8 @@ mod tests {
     fn pinned_snapshot_is_bit_frozen_under_update_burst() {
         // The snapshot-isolation regression test: a reader pinned before
         // a burst of updates sees an unchanged view until it lets go,
-        // even across ring reuse and a forced compaction.
-        let live = LiveGraph::with_config(diamond(), 2, 2);
+        // even across a forced compaction.
+        let live = LiveGraph::with_threshold(diamond(), 2);
         let pinned = live.pin();
         let before_edges = edge_list(&pinned);
         let before_weight = pinned.total_weight();
@@ -680,19 +597,35 @@ mod tests {
     }
 
     #[test]
-    fn ring_reuse_keeps_latest_version_pinnable() {
-        let live = LiveGraph::with_config(diamond(), usize::MAX, 3);
+    fn version_is_freed_with_its_last_snapshot() {
+        let live = LiveGraph::with_threshold(diamond(), usize::MAX);
+        let pinned = live.pin();
+        let version_data = Arc::downgrade(&pinned.data);
+        live.publish(&[GraphUpdate::SetWeight {
+            from: 0,
+            to: 1,
+            weight: 2,
+        }]);
+        assert!(
+            version_data.upgrade().is_some(),
+            "a held snapshot keeps its version alive"
+        );
+        drop(pinned);
+        assert!(
+            version_data.upgrade().is_none(),
+            "an old version is freed with its last snapshot"
+        );
         for i in 0..20u32 {
-            let v = live.publish(&[GraphUpdate::SetWeight {
+            live.publish(&[GraphUpdate::SetWeight {
                 from: 0,
                 to: 1,
-                weight: i + 1,
+                weight: i + 3,
             }]);
-            let snap = live.pin();
-            assert_eq!(snap.version(), v);
-            assert_eq!(snap.neighbors(0).next(), Some((1, i + 1)));
         }
-        assert_eq!(live.versions_published(), 20);
+        let newest = live.pin();
+        assert_eq!(newest.version(), 22);
+        assert_eq!(newest.neighbors(0).next(), Some((1, 22)));
+        assert_eq!(live.versions_published(), 21);
         assert_eq!(live.compactions(), 0);
     }
 
@@ -701,7 +634,7 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1, 10).add_edge(1, 2, 10);
         b.with_coordinates(vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]);
-        let live = LiveGraph::with_config(Arc::new(b.build()), 3, 4);
+        let live = LiveGraph::with_threshold(Arc::new(b.build()), 3);
         live.publish(&[GraphUpdate::InsertEdge {
             from: 0,
             to: 2,
@@ -792,7 +725,7 @@ mod tests {
             }
             b.build()
         });
-        let live = Arc::new(LiveGraph::with_config(base.clone(), 8, 2));
+        let live = Arc::new(LiveGraph::with_threshold(base.clone(), 8));
         let stop = Arc::new(AtomicU64::new(0));
         // Publishing starts only once every reader has verified a first
         // pin: on a box with fewer cores than threads all 200 publishes can
@@ -863,7 +796,7 @@ mod tests {
                 })
                 .collect();
 
-            let live = LiveGraph::with_config(base.clone(), threshold, 4);
+            let live = LiveGraph::with_threshold(base.clone(), threshold);
             for chunk in updates.chunks(split) {
                 live.publish(chunk);
             }

@@ -21,6 +21,7 @@
 //! benchmark harness can sweep the exact parameter grids of the paper's
 //! appendix tables.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -22,6 +22,7 @@
 //! affects how future insertions group tasks, never the relative order of
 //! existing bags.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, VecDeque};

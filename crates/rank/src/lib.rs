@@ -15,6 +15,7 @@
 //! sweeps against `n`, `p_steal`, `B`, and `γ` to reproduce the theorem's
 //! scaling behaviour.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;

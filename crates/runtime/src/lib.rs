@@ -20,7 +20,7 @@
 //! thread touches a queue owned by its own node — is measurable without
 //! real sockets.
 
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod executor;

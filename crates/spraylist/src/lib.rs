@@ -11,6 +11,7 @@
 //! adapts it to the workspace's [`Scheduler`]/[`SchedulerHandle`] interface
 //! and keeps per-thread statistics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use smq_core::rng::Pcg32;

@@ -28,6 +28,7 @@
 //! single-threaded replays stay bit-identical in `OpStats` to the
 //! uninstrumented path.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;
