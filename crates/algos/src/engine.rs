@@ -154,13 +154,20 @@ impl<W: DecreaseKeyWorkload> PoolJob for WorkloadJob<'_, W> {
 /// wake/park round trip — no thread spawns, no scheduler reconstruction.
 /// A pool with G gangs runs G such jobs at once (e.g. route queries on
 /// one-worker gangs); on a single-gang pool the job has the whole fleet.
+///
+/// # Panics
+/// When the pool cannot run the job, this unwinds with the pool's
+/// `smq_pool::JobError` itself as the payload
+/// ([`std::panic::panic_any`]), so a `JobService` ticket resolves to that
+/// error.  The default panic hook still prints the location, but its
+/// message reads `Box<dyn Any>`.
 pub fn run_on_pool<W>(workload: &W, pool: &WorkerPool) -> EngineRun<W::Output>
 where
     W: DecreaseKeyWorkload,
 {
     let result = pool
         .run_job(&WorkloadJob(workload))
-        .expect("engine workload ran on the pool");
+        .unwrap_or_else(|error| std::panic::panic_any(error));
     EngineRun {
         output: workload.output(),
         result,

@@ -30,7 +30,7 @@ pub enum FaultAction {
     /// published — exercising the mid-scheduler-op unwind path.
     PanicInPush,
     /// Sleep for the configured stall duration before processing (a wedged
-    /// job; harmless to the gang, visible to deadlines).
+    /// job; harmless to the gang, it only delays the job).
     Stall(Duration),
 }
 

@@ -23,48 +23,39 @@
 //!
 //! # Failure taxonomy
 //!
-//! A ticket resolves to exactly one of `Ok(JobCompletion)` or a typed
-//! [`JobError`] — **never a hang, never a client panic**:
+//! A job is a closure `FnOnce(&WorkerPool) -> R`.  It either **returns**,
+//! and its ticket resolves to `Ok(JobCompletion)`, or it **unwinds**, and
+//! its ticket resolves to a typed [`JobError`] — **never a hang, never a
+//! client panic**:
 //!
-//! - [`JobError::Lost`] — the job (or the pool worker running it)
-//!   panicked.  The gang it poisoned is respawned by a factory-built pool
-//!   at the next claim; the service keeps serving.
-//! - [`JobError::DeadlineExceeded`] / [`JobError::BudgetExceeded`] — the
-//!   job tripped a [`JobPolicy`] limit and was cooperatively cancelled;
-//!   its gang drained cleanly and went straight back into rotation.
-//! - [`JobError::NoCapacity`] — every gang is dead and the pool has no
-//!   factory to rebuild them.
+//! - an unwind whose payload is a [`JobError`] resolves to that error.  A
+//!   pool failure the closure cannot return travels this way:
+//!   `smq_algos::engine::run_on_pool` raises the error of its `run_job`
+//!   with [`std::panic::panic_any`];
+//! - any other unwind resolves to [`JobError::Lost`].
+//!
+//! [`JobError::Lost`] means the job, or the pool worker running it,
+//! panicked; a factory-built pool respawns the gang it poisoned at the
+//! next claim, and the service keeps serving.  [`JobError::NoCapacity`]
+//! means every gang is dead and the pool has no factory to rebuild them.
+//! The service reads nothing but the closure's own return or unwind, so a
+//! closure that handles a `run_job` error itself has handled it, and a
+//! later, unrelated panic in that closure is still just `Lost`.
+//!
+//! Nothing cancels, times out or retries a job: the closure runs exactly
+//! once.
 //!
 //! The dispatcher counts each outcome in [`ServiceStats`]: after
-//! shutdown, `submitted == completed + failed + cancelled + no_capacity`.
-//!
-//! # Deadlines, budgets and retry
-//!
-//! [`submit_with`](JobService::submit_with) attaches a [`JobPolicy`] to a
-//! job.  A `timeout` becomes a hard deadline measured from **acceptance**
-//! (queue wait counts against it — an overloaded service sheds stale work
-//! without ever starting it); a `budget` caps processed tasks.  Both are
-//! enforced cooperatively by the pool workers via the ambient
-//! [`JobSpec`] the dispatcher installs around the
-//! closure, so every `run_job` the closure performs inherits the limits.
-//!
-//! A [`RetryPolicy`] re-runs the closure with doubling backoff when an
-//! attempt resolves to [`JobError::Lost`] — and **only** then.
-//! Cancellation is not retried (the same limit would just trip again,
-//! later), and `NoCapacity` is permanent by definition.  **Retry is only
-//! sound for idempotent jobs**: a lost job may have executed partial side
-//! effects before its worker died, and a retry re-executes them.  The
-//! graph workloads in this repo are safe (their shared state is monotone
-//! — re-relaxing an edge is a no-op), but a job with non-idempotent
-//! effects must keep `max_retries` at 0 and handle `Lost` itself.
+//! shutdown, `submitted == completed + failed + no_capacity`.
 //!
 //! # Panic safety
 //!
 //! A job that panics (or runs on a gang whose worker panics) does **not**
 //! tear the service down: the unwind is caught inside the queued closure,
-//! the job is counted as [`failed`](ServiceStats::failed), and the
-//! dispatcher keeps serving.  The panicking job's own ticket — and only
-//! that ticket — resolves to `Err`.  Dropping a [`JobTicket`] without
+//! the job is counted as [`failed`](ServiceStats::failed) (or
+//! [`no_capacity`](ServiceStats::no_capacity)), and the dispatcher keeps
+//! serving.  The panicking job's own ticket — and only that ticket —
+//! resolves to `Err`.  Dropping a [`JobTicket`] without
 //! waiting is also safe: the slot is marked abandoned, the job still runs
 //! (and is counted), and its result is discarded instead of stranded.
 
@@ -74,7 +65,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::{JobError, JobSpec, WorkerPool};
+use crate::{JobError, WorkerPool};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -112,68 +103,6 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Per-job limits and retry behaviour for
-/// [`submit_with`](JobService::submit_with).  The default policy imposes
-/// no limits and never retries — identical to plain `submit`.
-#[derive(Debug, Clone, Default)]
-pub struct JobPolicy {
-    /// Hard deadline measured from **acceptance** (not start): queue wait
-    /// counts against it, so an overloaded service sheds stale jobs
-    /// without running them at all.
-    pub timeout: Option<Duration>,
-    /// Cap on tasks the job may process (see
-    /// [`JobSpec::budget`](crate::JobSpec::budget)).
-    pub budget: Option<u64>,
-    /// Retry-on-loss behaviour; see the module docs for the idempotency
-    /// contract.
-    pub retry: RetryPolicy,
-}
-
-impl JobPolicy {
-    /// Sets the acceptance-relative deadline.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Sets the processed-task budget.
-    pub fn with_budget(mut self, budget: u64) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Enables up to `max_retries` re-runs after [`JobError::Lost`],
-    /// sleeping `initial_backoff` before the first retry and doubling it
-    /// each time.  **Only sound for idempotent jobs** (module docs).
-    pub fn with_retries(mut self, max_retries: u32, initial_backoff: Duration) -> Self {
-        self.retry.max_retries = max_retries;
-        self.retry.initial_backoff = initial_backoff;
-        self
-    }
-}
-
-/// How [`submit_with`](JobService::submit_with) handles a
-/// [`JobError::Lost`] attempt.  Other errors are never retried.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Additional attempts after the first (0 = never retry, the
-    /// default).
-    pub max_retries: u32,
-    /// Sleep before the first retry; doubles per retry (exponential
-    /// backoff, letting a lazily-respawning pool rebuild the gang the lost
-    /// attempt poisoned).
-    pub initial_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 0,
-            initial_backoff: Duration::from_millis(1),
-        }
-    }
-}
-
 /// A completed job's output plus its measured latencies.
 #[derive(Debug)]
 pub struct JobCompletion<R> {
@@ -181,12 +110,8 @@ pub struct JobCompletion<R> {
     pub output: R,
     /// Time spent queued before a dispatcher picked the job up.
     pub queue_wait: Duration,
-    /// Time spent executing on the worker pool (all attempts, including
-    /// retry backoff).
+    /// Time spent executing the closure on the worker pool.
     pub service_time: Duration,
-    /// Executions it took to produce this output: 1 without retries,
-    /// `1 + retries` when a [`RetryPolicy`] recovered a lost attempt.
-    pub attempts: u32,
 }
 
 impl<R> JobCompletion<R> {
@@ -299,8 +224,8 @@ impl<R> Drop for JobTicket<R> {
 }
 
 /// Point-in-time service counters.  Every accepted job lands in exactly
-/// one of the four outcome counters, so after shutdown
-/// `submitted == completed + failed + cancelled + no_capacity`.
+/// one of the three outcome counters, so after shutdown
+/// `submitted == completed + failed + no_capacity`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Jobs accepted into the queue.
@@ -310,17 +235,15 @@ pub struct ServiceStats {
     /// `try_submit` calls rejected with [`SubmitError::QueueFull`] (these
     /// were never accepted and are not part of `submitted`).
     pub rejected: u64,
-    /// Jobs lost to a panic ([`JobError::Lost`]) after exhausting any
-    /// retries.
+    /// Jobs lost to a panic ([`JobError::Lost`]).
     pub failed: u64,
-    /// Jobs cancelled by a deadline or budget — including ones shed
-    /// before they ever started because their deadline passed in the
-    /// queue.
+    /// Always 0: nothing cancels a job.  Kept only because the repo
+    /// benchmark still reports it as `pool.cancelled`.
     pub cancelled: u64,
     /// Jobs that found every gang dead ([`JobError::NoCapacity`]).
     pub no_capacity: u64,
-    /// Extra attempts run by [`RetryPolicy`] (a job that succeeded on its
-    /// third attempt adds 2 here and 1 to `completed`).
+    /// Always 0: nothing retries a job.  Kept only because the repo
+    /// benchmark still reports it as `pool.retried`.
     pub retried: u64,
     /// Live gauge: jobs accepted but not yet picked up by a dispatcher.
     /// Drains to zero by the time [`JobService::shutdown`] returns.
@@ -330,15 +253,9 @@ pub struct ServiceStats {
     pub in_flight: u64,
 }
 
-/// What a queued closure reports back to its dispatcher for accounting.
-struct JobOutcome {
-    /// `None` = completed; `Some(e)` picks the outcome counter.
-    error: Option<JobError>,
-    /// Extra attempts beyond the first (retry accounting).
-    retries: u32,
-}
-
-type QueuedJob = Box<dyn FnOnce(&WorkerPool) -> JobOutcome + Send + 'static>;
+/// A job as its dispatcher runs it: it never unwinds, and it reports the
+/// error that ended the job (`None` = completed) for the outcome counters.
+type QueuedJob = Box<dyn FnOnce(&WorkerPool) -> Option<JobError> + Send + 'static>;
 
 struct QueueState {
     jobs: VecDeque<QueuedJob>,
@@ -354,9 +271,7 @@ struct ServiceInner {
     completed: AtomicU64,
     rejected: AtomicU64,
     failed: AtomicU64,
-    cancelled: AtomicU64,
     no_capacity: AtomicU64,
-    retried: AtomicU64,
     in_flight: AtomicU64,
 }
 
@@ -391,9 +306,7 @@ impl JobService {
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
             no_capacity: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
         });
         let pool = Arc::new(pool);
@@ -424,7 +337,7 @@ impl JobService {
         R: Send + 'static,
     {
         let st = self.blocking_slot()?;
-        Ok(self.enqueue(st, JobPolicy::default(), run_once(job)))
+        Ok(self.enqueue(st, job))
     }
 
     /// Submits a job without blocking; fails with
@@ -442,26 +355,7 @@ impl JobService {
             self.inner.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::QueueFull);
         }
-        Ok(self.enqueue(st, JobPolicy::default(), run_once(job)))
-    }
-
-    /// Submits a fallible job under a [`JobPolicy`] (deadline, budget,
-    /// retry-on-loss), blocking while the queue is full.
-    ///
-    /// The closure runs with the policy's limits installed as the ambient
-    /// [`JobSpec`], so every `run_job` it performs is
-    /// deadline- and budget-checked; returning `Err` (or panicking) makes
-    /// the attempt fail with that error.  Only [`JobError::Lost`] attempts
-    /// are retried — see the module docs for why retry requires an
-    /// idempotent job.  The closure is `Fn` (not `FnOnce`) precisely so it
-    /// can be re-run.
-    pub fn submit_with<F, R>(&self, policy: JobPolicy, job: F) -> Result<JobTicket<R>, SubmitError>
-    where
-        F: Fn(&WorkerPool) -> Result<R, JobError> + Send + 'static,
-        R: Send + 'static,
-    {
-        let st = self.blocking_slot()?;
-        Ok(self.enqueue(st, policy, job))
+        Ok(self.enqueue(st, job))
     }
 
     /// Blocks until the queue has a free slot (or the service closes).
@@ -482,91 +376,33 @@ impl JobService {
         }
     }
 
-    /// Queues `job` under `policy` and hands back its ticket.  The queued
-    /// closure contains the job's panics, classifies every attempt, resolves
-    /// the ticket and reports a [`JobOutcome`] to its dispatcher.
-    fn enqueue<F, R>(
-        &self,
-        mut st: MutexGuard<'_, QueueState>,
-        policy: JobPolicy,
-        mut job: F,
-    ) -> JobTicket<R>
+    /// Queues `job` and hands back its ticket.  The queued closure contains
+    /// the job's unwind, classifies it (module docs), resolves the ticket
+    /// and reports the error that ended the job to its dispatcher.
+    fn enqueue<F, R>(&self, mut st: MutexGuard<'_, QueueState>, job: F) -> JobTicket<R>
     where
-        F: FnMut(&WorkerPool) -> Result<R, JobError> + Send + 'static,
+        F: FnOnce(&WorkerPool) -> R + Send + 'static,
         R: Send + 'static,
     {
         let shared = Arc::new(TicketShared::new());
         let slot = Arc::clone(&shared);
         let accepted_at = Instant::now();
         st.jobs.push_back(Box::new(move |pool: &WorkerPool| {
-            let deadline = policy.timeout.map(|timeout| accepted_at + timeout);
-            let spec = JobSpec {
-                deadline,
-                budget: policy.budget,
-            };
             let started = Instant::now();
-            let queue_wait = started.duration_since(accepted_at);
-            let mut attempts: u32 = 0;
-            let mut backoff = policy.retry.initial_backoff;
-            let outcome = loop {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    // Shed: the deadline passed in the queue (or during
-                    // retry backoff) — don't touch the pool at all.
-                    break Err(JobError::DeadlineExceeded);
-                }
-                attempts += 1;
-                // Bracket the attempt with the thread-local error capture
-                // so a failure carries the typed error of the pool job this
-                // attempt ran (never a stale one from a previous job on
-                // this dispatcher).
-                crate::clear_last_job_error();
-                crate::set_current_job_spec(spec);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(pool)));
-                crate::clear_current_job_spec();
-                let pool_error = crate::take_last_job_error();
-                let error = match result {
-                    Ok(Ok(output)) => break Ok(output),
-                    Ok(Err(error)) => error,
-                    // The closure unwound.  If its last pool job recorded
-                    // a typed error (a poisoned gang, a cancellation the
-                    // closure `unwrap`ped...), classify by it; a panic
-                    // with no pool involvement is a plain lost job.
-                    Err(_) => pool_error.unwrap_or(JobError::Lost),
-                };
-                if error == JobError::Lost && attempts <= policy.retry.max_retries {
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    backoff = backoff.saturating_mul(2);
-                    continue;
-                }
-                break Err(error);
-            };
-            let retries = attempts.saturating_sub(1);
-            match outcome {
-                Ok(output) => {
-                    resolve(
-                        &slot,
-                        Ok(JobCompletion {
-                            output,
-                            queue_wait,
-                            service_time: started.elapsed(),
-                            attempts,
-                        }),
-                    );
-                    JobOutcome {
-                        error: None,
-                        retries,
-                    }
-                }
-                Err(error) => {
-                    resolve(&slot, Err(error));
-                    JobOutcome {
-                        error: Some(error),
-                        retries,
-                    }
-                }
-            }
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(pool)))
+                .map(|output| JobCompletion {
+                    output,
+                    queue_wait: started.duration_since(accepted_at),
+                    service_time: started.elapsed(),
+                })
+                .map_err(|payload| {
+                    payload
+                        .downcast::<JobError>()
+                        .map_or(JobError::Lost, |error| *error)
+                });
+            let error = outcome.as_ref().err().copied();
+            resolve(&slot, outcome);
+            error
         }));
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         self.inner.not_empty.notify_one();
@@ -583,9 +419,9 @@ impl JobService {
             completed: self.inner.completed.load(Ordering::Relaxed),
             rejected: self.inner.rejected.load(Ordering::Relaxed),
             failed: self.inner.failed.load(Ordering::Relaxed),
-            cancelled: self.inner.cancelled.load(Ordering::Relaxed),
+            cancelled: 0,
             no_capacity: self.inner.no_capacity.load(Ordering::Relaxed),
-            retried: self.inner.retried.load(Ordering::Relaxed),
+            retried: 0,
             queue_depth: lock(&self.inner.state).jobs.len() as u64,
             in_flight: self.inner.in_flight.load(Ordering::Relaxed),
         }
@@ -631,20 +467,6 @@ impl Drop for JobService {
     }
 }
 
-/// Adapts a plain `submit` job to the fallible, re-runnable shape
-/// [`JobService::enqueue`] takes.  The default [`JobPolicy`] never retries
-/// (`max_retries` is 0), so the closure is called exactly once.
-fn run_once<F, R>(job: F) -> impl FnMut(&WorkerPool) -> Result<R, JobError> + Send + 'static
-where
-    F: FnOnce(&WorkerPool) -> R + Send + 'static,
-{
-    let mut job = Some(job);
-    move |pool| {
-        let job = job.take().expect("the default policy never retries");
-        Ok(job(pool))
-    }
-}
-
 fn dispatcher_main(inner: &ServiceInner, pool: &WorkerPool) {
     loop {
         let job = {
@@ -661,20 +483,14 @@ fn dispatcher_main(inner: &ServiceInner, pool: &WorkerPool) {
                 st = inner.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // Queued closures contain their own panics (see `enqueue`) and
+        // Queued closures contain their own unwinds (see `enqueue`) and
         // report a typed outcome; nothing can unwind out of `job` here.
         inner.in_flight.fetch_add(1, Ordering::Relaxed);
-        let outcome = job(pool);
+        let error = job(pool);
         inner.in_flight.fetch_sub(1, Ordering::Relaxed);
-        if outcome.retries > 0 {
-            inner
-                .retried
-                .fetch_add(u64::from(outcome.retries), Ordering::Relaxed);
-        }
-        let counter = match outcome.error {
+        let counter = match error {
             None => &inner.completed,
             Some(JobError::Lost) => &inner.failed,
-            Some(JobError::DeadlineExceeded | JobError::BudgetExceeded) => &inner.cancelled,
             Some(JobError::NoCapacity) => &inner.no_capacity,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -715,22 +531,6 @@ mod tests {
 
         fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
             panic!("intentional service job panic");
-        }
-    }
-
-    /// Naps on every task and pushes a successor: runs forever unless a
-    /// deadline or budget cancels it.
-    struct EndlessJob;
-
-    impl PoolJob for EndlessJob {
-        fn seed_tasks(&self) -> Vec<Task> {
-            vec![Task::new(0, 0)]
-        }
-
-        fn process(&self, _t: Task, push: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
-            std::thread::sleep(Duration::from_millis(1));
-            push(Task::new(1, 1));
-            true
         }
     }
 
@@ -778,7 +578,6 @@ mod tests {
                             .expect("submit");
                         let done = ticket.wait().expect("job completed");
                         assert_eq!(done.output, 10 + client);
-                        assert_eq!(done.attempts, 1);
                     }
                 });
             }
@@ -974,102 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_with_retries_a_lost_job_until_it_lands() {
-        // First attempt panics the gang; the lazy respawn rebuilds it and
-        // the retry succeeds.  Sound because CountJob is idempotent.
-        let service = partitioned_service(2, 4);
-        let tries = Arc::new(AtomicU64::new(0));
-        let counter = Arc::new(AtomicU64::new(0));
-        let (t, c) = (Arc::clone(&tries), Arc::clone(&counter));
-        let ticket = service
-            .submit_with(
-                JobPolicy::default().with_retries(3, Duration::from_millis(1)),
-                move |pool| {
-                    if t.fetch_add(1, Ordering::Relaxed) == 0 {
-                        pool.run_job(&BadJob).map(|_| 0)
-                    } else {
-                        let job = CountJob {
-                            seeds: 5,
-                            counter: Arc::clone(&c),
-                        };
-                        pool.run_job(&job).map(|out| out.metrics.tasks_executed)
-                    }
-                },
-            )
-            .expect("submit");
-        let done = ticket.wait().expect("retry recovered the lost job");
-        assert_eq!(done.output, 5);
-        assert_eq!(done.attempts, 2);
-        let pool_stats = service.pool_stats();
-        let stats = service.shutdown();
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.failed, 0, "a recovered job is not a failure");
-        assert_eq!(stats.retried, 1);
-        assert_eq!(pool_stats.gangs_poisoned, 1);
-        assert_eq!(counter.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn submit_with_deadline_cancels_and_counts_the_job() {
-        let service = partitioned_service(1, 4);
-        let ticket = service
-            .submit_with(
-                JobPolicy::default().with_timeout(Duration::from_millis(20)),
-                |pool| pool.run_job(&EndlessJob).map(|_| ()),
-            )
-            .expect("submit");
-        assert_eq!(
-            ticket.wait().map(|c| c.output),
-            Err(JobError::DeadlineExceeded)
-        );
-
-        // The cancelled job's gang went straight back into rotation.
-        let counter = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&counter);
-        let good = service
-            .submit(move |pool| {
-                let job = CountJob {
-                    seeds: 4,
-                    counter: c,
-                };
-                pool.run_job(&job).expect("pool job");
-            })
-            .expect("submit");
-        good.wait().expect("gang reusable after cancellation");
-
-        let pool_stats = service.pool_stats();
-        let stats = service.shutdown();
-        assert_eq!(stats.cancelled, 1);
-        assert_eq!(stats.failed, 0, "cancellation is not a failure");
-        assert_eq!(stats.completed, 1);
-        assert_eq!(pool_stats.gangs_poisoned, 0);
-        assert_eq!(counter.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn expired_deadline_sheds_the_job_without_running_it() {
-        let service = service(4);
-        let ran = Arc::new(AtomicU64::new(0));
-        let r = Arc::clone(&ran);
-        let ticket = service
-            .submit_with(
-                JobPolicy::default().with_timeout(Duration::ZERO),
-                move |_pool| {
-                    r.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                },
-            )
-            .expect("submit");
-        assert_eq!(
-            ticket.wait().map(|c| c.output),
-            Err(JobError::DeadlineExceeded)
-        );
-        let stats = service.shutdown();
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "shed job must never run");
-        assert_eq!(stats.cancelled, 1);
-    }
-
-    #[test]
     fn dead_pool_resolves_tickets_with_no_capacity() {
         // One gang, no factory: after the panic the pool is permanently
         // dead and every later job gets the typed NoCapacity outcome.
@@ -1090,12 +793,14 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&counter);
         let starved = service
-            .submit_with(JobPolicy::default(), move |pool| {
+            .submit(move |pool| {
                 let job = CountJob {
                     seeds: 3,
-                    counter: Arc::clone(&c),
+                    counter: c,
                 };
-                pool.run_job(&job).map(|_| ())
+                // Raise the pool's typed error the way `run_on_pool` does.
+                pool.run_job(&job)
+                    .unwrap_or_else(|error| std::panic::panic_any(error));
             })
             .expect("submit");
         assert_eq!(starved.wait().map(|c| c.output), Err(JobError::NoCapacity));

@@ -32,6 +32,8 @@
 //! overlap.  Batch size 1 is the explicit per-task path: one `pop()` per
 //! task, every push visible immediately.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use crossbeam_utils::Backoff;
 use smq_core::{HasKey, SchedulerHandle};
 use smq_telemetry::{Phase, WorkerTelemetry};
@@ -68,30 +70,6 @@ pub struct WorkerLoopOutcome {
     pub executed: u64,
     /// Quiescence scans this worker performed (each is O(threads)).
     pub scans: u64,
-}
-
-/// External control signals a [`worker_loop`] run observes.
-///
-/// Both flags are optional (`LoopControl::default()` observes nothing); the
-/// resident worker pool wires them per job:
-///
-/// * `abort` — the *poison* escape: set when a sibling worker died mid-job.
-///   A dead worker's thread-local queues can strand published tasks, so
-///   quiescence may be unreachable; survivors bail out on their next empty
-///   pop, leaving whatever is still queued stranded (the gang is retired or
-///   respawned, never reused as-is).
-/// * `cancel` — *cooperative cancellation*: set when the job tripped its
-///   deadline or budget.  Unlike `abort`, cancellation must leave the gang
-///   **reusable**, so workers keep popping but discard every task (its
-///   completion is recorded, `process` is skipped, nothing is pushed).  The
-///   frontier therefore collapses, normal quiescence is reached, and the
-///   scheduler is provably empty when the loop returns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LoopControl<'a> {
-    /// Bail out on the next empty pop (gang poisoned; tasks may strand).
-    pub abort: Option<&'a std::sync::atomic::AtomicBool>,
-    /// Drain-and-discard to quiescence (job cancelled; gang stays clean).
-    pub cancel: Option<&'a std::sync::atomic::AtomicBool>,
 }
 
 /// A handle through which task processors push newly created tasks.
@@ -164,12 +142,13 @@ fn flush_sink<T, H: SchedulerHandle<T>>(
 /// The caller must have pushed (and pre-credited, via
 /// [`TerminationDetector::preload`]) its seed tasks before entering the
 /// loop.  Returns once this worker has observed global quiescence for the
-/// detector's current generation — or, if `control.abort` is `Some` and
-/// becomes `true`, as soon as the worker next finds the scheduler empty
-/// (the worker pool's poison path; see [`LoopControl`]).  If
-/// `control.cancel` becomes `true` instead, the worker drains to
-/// quiescence while *discarding* every remaining task, so a cancelled
-/// job's gang ends with an empty scheduler and stays reusable.
+/// detector's current generation — or, if `abort` is `Some` and becomes
+/// `true`, as soon as the worker next finds the scheduler empty.  `abort`
+/// is the worker pool's poison escape: it is raised when a sibling worker
+/// died mid-job, whose thread-local queues can strand published tasks, so
+/// quiescence may be unreachable; survivors leave whatever is still queued
+/// stranded, and the gang is retired or respawned, never reused as-is.
+/// Nothing else ends the loop early.
 ///
 /// When `telemetry` is `Some`, worker-loop time is tagged into coarse
 /// [`Phase`]s and every Nth successful pop is sampled for rank error
@@ -181,9 +160,9 @@ fn flush_sink<T, H: SchedulerHandle<T>>(
 ///
 /// `prefetch` is a pure hint: it is called with every task of a popped
 /// batch of two or more, before the first of them is processed (never at
-/// batch size 1, never for tasks that are discarded by cancellation).  It
-/// must not push, write shared state or panic, and `process` must not
-/// depend on it having run; pass `|_| {}` when there is nothing to hint.
+/// batch size 1).  It must not push, write shared state or panic, and
+/// `process` must not depend on it having run; pass `|_| {}` when there is
+/// nothing to hint.
 ///
 /// `batch` is the batch granularity of the hot path (clamped to at least
 /// 1).  Above 1 the worker pops up to `batch` tasks per `pop_batch` call,
@@ -208,7 +187,7 @@ pub fn worker_loop<T, H, F, P>(
     tally: &mut WorkerTally<'_>,
     scratch: &mut Scratch,
     batch: usize,
-    control: LoopControl<'_>,
+    abort: Option<&AtomicBool>,
     mut telemetry: Option<&mut WorkerTelemetry>,
     mut process: F,
     prefetch: P,
@@ -288,20 +267,6 @@ where
             empty_streak = 0;
             idle_spins = 0;
             backoff.reset();
-            // Cancellation is checked once per pop (not per task): when the
-            // job tripped its deadline/budget, every remaining task is
-            // discarded — completion recorded (the pop already counted it
-            // published), `process` skipped, nothing pushed — so the
-            // frontier monotonically collapses to ordinary quiescence.
-            let discarding = control
-                .cancel
-                .is_some_and(|flag| flag.load(std::sync::atomic::Ordering::Acquire));
-            if discarding {
-                for _task in pop_buf.drain(..) {
-                    tally.record_completion();
-                }
-                continue;
-            }
             // Spend the batch on memory latency: hint every task's first
             // misses now, so they overlap with the tasks processed before
             // it.  A lone task would gain nothing (it is processed next).
@@ -361,10 +326,8 @@ where
             // conclude the system might be done.  (The sink buffer is
             // always empty here — it flushes at every task boundary.)
             handle.flush();
-            if let Some(flag) = control.abort {
-                if flag.load(std::sync::atomic::Ordering::Acquire) {
-                    break;
-                }
+            if abort.is_some_and(|flag| flag.load(Ordering::Acquire)) {
+                break;
             }
             was_idle = true;
             idle_spins = idle_spins.saturating_add(1);
@@ -512,7 +475,7 @@ mod tests {
                             &mut detector.tally(tid),
                             &mut Scratch::new(),
                             batch,
-                            LoopControl::default(),
+                            None,
                             None,
                             process,
                             |_task| {},
@@ -701,7 +664,7 @@ mod tests {
                 &mut tally,
                 &mut scratch,
                 DEFAULT_BATCH_SIZE,
-                LoopControl::default(),
+                None,
                 None,
                 |task: u64, sink, _scratch| {
                     processed += 1;
@@ -754,7 +717,6 @@ mod tests {
 
     #[test]
     fn survivor_of_a_panicking_sibling_exits_via_the_abort_flag() {
-        use std::sync::atomic::AtomicBool;
         let sched = LockedHeap::new(2);
         let detector = TerminationDetector::new(2);
         detector.preload(0, 1_000);
@@ -778,10 +740,7 @@ mod tests {
                     &mut tally,
                     &mut Scratch::new(),
                     DEFAULT_BATCH_SIZE,
-                    LoopControl {
-                        abort: Some(&abort),
-                        cancel: None,
-                    },
+                    Some(&abort),
                     None,
                     |_task: u64, _sink, _scratch| {
                         // Hold the first task until the sibling has died, so
@@ -821,7 +780,7 @@ mod tests {
                 &mut detector.tally(0),
                 &mut Scratch::new(),
                 batch,
-                LoopControl::default(),
+                None,
                 None,
                 |task: u64, sink, _scratch| {
                     if expect_hints {

@@ -29,7 +29,7 @@ pub mod scratch;
 pub mod termination;
 pub mod topology;
 
-pub use executor::{LoopControl, TaskSink, WorkerLoopOutcome, DEFAULT_BATCH_SIZE};
+pub use executor::{TaskSink, WorkerLoopOutcome, DEFAULT_BATCH_SIZE};
 pub use metrics::RunMetrics;
 pub use scratch::Scratch;
 pub use termination::{TerminationDetector, WorkerTally};

@@ -1,38 +1,37 @@
 //! Chaos suite: the fault-tolerance contract of the job service under
 //! randomized, seeded fault storms (requires `--features fault-inject`).
 //!
-//! Properties, over random fault plans × gang counts × client counts:
+//! Clients submit plain route queries (`|pool| engine.query(..)`, no
+//! retry) into a service whose gangs have one worker each, so one injected
+//! panic kills exactly one gang and loses exactly the one job running on
+//! it.  Properties, over random fault plans × gang counts × client counts:
 //!
-//! * **No hangs** — every submitted ticket resolves: either `Ok` with an
-//!   exact answer or a typed [`JobError`], never a blocked client;
-//! * **Non-faulted work is exact** — every answer that survives the storm
-//!   (including via retry) still equals sequential A*;
-//! * **Capacity recovers** — after the storm, the pool is back at its
-//!   full gang count, and with gangs of one worker the respawn counter
-//!   equals *exactly* the number of injected panics (each panic kills one
-//!   worker, which is one whole gang);
-//! * **Outcome accounting is total** — `completed + failed + cancelled +
-//!   no_capacity == submitted`, and nothing is `failed` unless a panic
-//!   was actually injected (stalls only delay, never lose work);
-//! * **Deadlines are cooperative, not destructive** — under stall storms
-//!   with tight per-job deadlines, tickets resolve `Ok` or
-//!   `Err(DeadlineExceeded)`, the gang is never poisoned, and the pool
-//!   serves a plain job immediately afterwards.
+//! * **No hangs** — every storm runs under [`common::hang_guard`], and
+//!   every submitted ticket resolves;
+//! * **Typed failures only** — every ticket is `Ok` with an exact answer
+//!   (equal to sequential A*) or `Err(JobError::Lost)`; any other outcome
+//!   panics the client;
+//! * **Capacity recovers** — the pool serves after the storm, and after
+//!   `respawn_dead` it is back at its full gang count;
+//! * **Every loss is accounted for** — `completed + failed == submitted`,
+//!   and `failed == gangs_poisoned == gangs_respawned == panics injected`:
+//!   stalls only delay work, and each panic loses one job, no more.
 
 #![cfg(feature = "fault-inject")]
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::hang_guard;
 use proptest::prelude::*;
 
 use smq_repro::algos::{astar, RouteQueryEngine};
 use smq_repro::core::Task;
 use smq_repro::graph::generators::{road_network, RoadNetworkParams};
 use smq_repro::graph::CsrGraph;
-use smq_repro::pool::{
-    FaultPlan, JobError, JobPolicy, JobService, PoolConfig, ServiceConfig, WorkerPool,
-};
+use smq_repro::pool::{FaultPlan, JobError, JobService, PoolConfig, ServiceConfig, WorkerPool};
 use smq_repro::smq::{HeapSmq, SmqConfig};
 
 /// A small road graph plus deterministic query pairs and their sequential
@@ -76,10 +75,110 @@ fn chaos_service(gangs: usize, seed: u64, plan: FaultPlan) -> JobService {
     JobService::new(pool, ServiceConfig { queue_capacity: 8 })
 }
 
+/// Submits one query and waits for it: `true` when it landed exact,
+/// `false` when it was lost.  Any other outcome panics the caller.
+fn query_once(
+    service: &JobService,
+    engine: &Arc<RouteQueryEngine>,
+    (source, target, expected): (u32, u32, u64),
+) -> bool {
+    let engine = Arc::clone(engine);
+    let ticket = service
+        .submit(move |pool| engine.query(source, target, pool))
+        .expect("service open while clients run");
+    match ticket.wait() {
+        Ok(done) => {
+            assert_eq!(
+                done.output.distance, expected,
+                "query {source}->{target} diverged under faults"
+            );
+            true
+        }
+        Err(JobError::Lost) => false,
+        Err(other) => panic!("query {source}->{target} resolved to {other:?}, not Ok or Lost"),
+    }
+}
+
+/// One random panic/stall storm over `gangs` one-worker gangs and
+/// `clients` client threads; asserts every property of the module docs.
+fn storm(
+    gangs: usize,
+    clients: usize,
+    panic_budget: u64,
+    push_panic_budget: u64,
+    stall_budget: u64,
+    seed: u64,
+) {
+    let (graph, queries) = fixture(seed, 18);
+    let engine = Arc::new(RouteQueryEngine::with_lanes(graph, gangs));
+    // High per-task rates with small absolute budgets: the storm is violent
+    // but bounded, so the run always reaches the recovered steady state.
+    let plan = FaultPlan::new(seed ^ 0xc4a0)
+        .with_panic_rate(60_000, panic_budget)
+        .with_push_panic_rate(60_000, push_panic_budget)
+        .with_stall_rate(60_000, Duration::from_micros(200), stall_budget);
+    let service = chaos_service(gangs, seed, plan.clone());
+
+    let landed: u64 = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                let (service, engine, queries) = (&service, &engine, &queries);
+                scope.spawn(move || {
+                    (client..queries.len())
+                        .step_by(clients)
+                        .filter(|&i| query_once(service, engine, queries[i]))
+                        .count() as u64
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("no client thread may panic"))
+            .sum()
+    });
+
+    // The pool still serves: what is left of the panic budgets can lose a
+    // few more queries, but one more attempt than it holds must land.
+    let spare = panic_budget + push_panic_budget - plan.panics_injected();
+    let after = (0..=spare as usize)
+        .position(|i| query_once(&service, &engine, queries[i % queries.len()]))
+        .expect("the pool must serve once the panic budgets are spent");
+
+    // Lazy respawn only fires on claim, so a gang poisoned by the final job
+    // may still be down: rebuild it, then the fleet must be whole.
+    service.pool().respawn_dead();
+    assert_eq!(
+        service.pool().live_gangs(),
+        gangs,
+        "capacity must recover to the full gang count"
+    );
+    let pool_stats = service.pool_stats();
+    let stats = service.shutdown();
+
+    assert_eq!(
+        stats.completed + stats.failed,
+        stats.submitted,
+        "every accepted job is exact or lost"
+    );
+    assert_eq!(stats.submitted, (queries.len() + after + 1) as u64);
+    assert_eq!(stats.completed, landed + 1, "storm survivors plus one");
+    // One worker per gang, no retry: each injected panic kills exactly one
+    // gang and loses exactly the one job on it, and each kill is rebuilt.
+    let panics = plan.panics_injected();
+    assert_eq!(stats.failed, panics, "each injected panic loses one job");
+    assert_eq!(
+        pool_stats.gangs_poisoned, panics,
+        "one gang poisoned per panic"
+    );
+    assert_eq!(
+        pool_stats.gangs_respawned, panics,
+        "one respawn per poisoned gang"
+    );
+}
+
 proptest! {
-    /// Random panic/stall storms: every ticket resolves, survivors are
-    /// exact, capacity recovers to the full gang count, and the respawn
-    /// counter matches the injected panics one-for-one.
+    /// Random panic/stall storms: no hangs, typed failures only, exact
+    /// survivors, recovered capacity, one lost job per injected panic.
     #[test]
     fn random_fault_storms_never_hang_and_capacity_recovers(
         gangs in 1usize..4,
@@ -89,166 +188,8 @@ proptest! {
         stall_budget in 0u64..5,
         seed in 0u64..1_000_000,
     ) {
-        let (_graph, queries) = fixture(seed, 18);
-        let queries = Arc::new(queries);
-        let engine = Arc::new(RouteQueryEngine::with_lanes(
-            Arc::clone(&_graph),
-            gangs,
-        ));
-        // High per-task rates with small absolute budgets: the storm is
-        // violent but bounded, so the run always reaches the recovered
-        // steady state.
-        let plan = FaultPlan::new(seed ^ 0xc4a0)
-            .with_panic_rate(60_000, panic_budget)
-            .with_push_panic_rate(60_000, push_panic_budget)
-            .with_stall_rate(60_000, Duration::from_micros(200), stall_budget);
-        let service = Arc::new(chaos_service(gangs, seed, plan.clone()));
-        // Bounded retry: a lost attempt re-runs the query on a fresh (or
-        // respawned) gang.  Queries are idempotent — each runs on its own
-        // lane — so retry-on-loss is sound.
-        let policy = JobPolicy::default().with_retries(2, Duration::from_micros(100));
-
-        let mut verified_ok = 0u64;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for client in 0..clients {
-                let service = Arc::clone(&service);
-                let engine = Arc::clone(&engine);
-                let queries = Arc::clone(&queries);
-                let policy = policy.clone();
-                handles.push(scope.spawn(move || {
-                    let mut ok = 0u64;
-                    for i in (client..queries.len()).step_by(clients) {
-                        let (source, target, expected) = queries[i];
-                        let engine = Arc::clone(&engine);
-                        let ticket = service
-                            .submit_with(policy.clone(), move |pool| {
-                                Ok(engine.query(source, target, pool))
-                            })
-                            .expect("service open while clients run");
-                        // The no-hang property: wait() must always return.
-                        match ticket.wait() {
-                            Ok(done) => {
-                                assert_eq!(
-                                    done.output.distance, expected,
-                                    "query {source}->{target} diverged under faults"
-                                );
-                                ok += 1;
-                            }
-                            // Typed failure on this ticket only.  The
-                            // exhaustive match is the point: every failure
-                            // mode is a named variant, not a panic.
-                            Err(
-                                JobError::Lost
-                                | JobError::NoCapacity
-                                | JobError::DeadlineExceeded
-                                | JobError::BudgetExceeded,
-                            ) => {}
-                        }
-                    }
-                    ok
-                }));
-            }
-            for handle in handles {
-                verified_ok += handle.join().expect("no client thread may panic");
-            }
+        hang_guard(move || {
+            storm(gangs, clients, panic_budget, push_panic_budget, stall_budget, seed)
         });
-
-        let service = Arc::into_inner(service).expect("clients joined");
-        // Recovery: lazy respawn only fires on claim, so a gang poisoned
-        // by the final job may still be down — rebuild it, then the fleet
-        // must be whole.
-        service.pool().respawn_dead();
-        prop_assert_eq!(
-            service.pool().live_gangs(),
-            gangs,
-            "capacity must recover to the full gang count"
-        );
-        let pool_stats = service.pool_stats();
-        let stats = service.shutdown();
-
-        prop_assert_eq!(
-            stats.completed + stats.failed + stats.cancelled + stats.no_capacity,
-            stats.submitted,
-            "every accepted job must land in exactly one outcome counter"
-        );
-        prop_assert_eq!(stats.completed, verified_ok);
-        // One worker per gang: every injected panic kills exactly one
-        // gang, and every kill must have been matched by one respawn.
-        prop_assert_eq!(
-            pool_stats.gangs_poisoned,
-            plan.panics_injected(),
-            "each injected panic must poison exactly one single-worker gang"
-        );
-        prop_assert_eq!(
-            pool_stats.gangs_respawned,
-            plan.panics_injected(),
-            "each injected panic must be matched by one gang respawn"
-        );
-        if plan.panics_injected() == 0 {
-            // Stalls delay work but may never lose it.
-            prop_assert_eq!(stats.failed, 0, "no job may fail without an injected panic");
-        }
-    }
-
-    /// Stall storms under tight deadlines: tickets resolve `Ok` or
-    /// `Err(DeadlineExceeded)` — cancellation is cooperative, so the gang
-    /// is never poisoned and the pool serves a plain job right after.
-    #[test]
-    fn deadlines_under_stall_storms_cancel_cleanly(
-        gangs in 1usize..3,
-        stall_budget in 4u64..24,
-        deadline_us in 30u64..1_500,
-        seed in 0u64..1_000_000,
-    ) {
-        let (_graph, queries) = fixture(seed, 10);
-        let engine = Arc::new(RouteQueryEngine::with_lanes(
-            Arc::clone(&_graph),
-            gangs,
-        ));
-        // Stalls only: no panics, so `Lost`/`NoCapacity` are impossible
-        // and every non-Ok outcome must be the deadline.
-        let plan = FaultPlan::new(seed ^ 0x57a1)
-            .with_stall_rate(200_000, Duration::from_micros(300), stall_budget);
-        let service = chaos_service(gangs, seed, plan);
-        let policy = JobPolicy::default().with_timeout(Duration::from_micros(deadline_us));
-
-        let mut cancelled = 0u64;
-        for &(source, target, expected) in &queries {
-            let engine = Arc::clone(&engine);
-            let ticket = service
-                .submit_with(policy.clone(), move |pool| {
-                    Ok(engine.query(source, target, pool))
-                })
-                .expect("service open");
-            match ticket.wait() {
-                Ok(done) => prop_assert_eq!(done.output.distance, expected),
-                Err(JobError::DeadlineExceeded) => cancelled += 1,
-                Err(other) => prop_assert!(
-                    false,
-                    "stall-only storm produced {:?}, expected only DeadlineExceeded",
-                    other
-                ),
-            }
-        }
-
-        // Cooperative cancellation must not poison: the pool is reusable
-        // immediately, with zero respawns.
-        prop_assert_eq!(service.pool().live_gangs(), gangs);
-        let (source, target, expected) = queries[0];
-        let engine = Arc::clone(&engine);
-        let after = service
-            .submit(move |pool| engine.query(source, target, pool))
-            .expect("service open")
-            .wait()
-            .expect("plain job after the storm");
-        prop_assert_eq!(after.output.distance, expected);
-
-        let pool_stats = service.pool_stats();
-        let stats = service.shutdown();
-        prop_assert_eq!(pool_stats.gangs_poisoned, 0);
-        prop_assert_eq!(pool_stats.gangs_respawned, 0);
-        prop_assert_eq!(stats.cancelled, cancelled);
-        prop_assert_eq!(stats.failed, 0);
     }
 }

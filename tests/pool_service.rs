@@ -20,7 +20,8 @@
 //!   per-gang) `pushes == pops`: no task ever leaks across gangs;
 //! * **Panics are contained** — a deliberately panicking job resolves its
 //!   own ticket to `Err(JobError::Lost)` and leaves other clients' jobs (and the
-//!   service) intact;
+//!   service) intact, and a job is classified by its own return or unwind
+//!   alone — a typed `JobError` payload, or `Lost`;
 //! * **A job is one gang** — a job runs on exactly one gang's workers and
 //!   leaves every other gang free for the next caller.
 
@@ -568,48 +569,50 @@ impl PoolJob for PanickingJob {
 /// while live gangs remain, `Err` once the pool has none left.
 #[test]
 fn panicking_job_resolves_tickets_instead_of_panicking_clients() {
-    // Two gangs: the panic burns one (the factory-built pool lazily
-    // respawns it), the second client's job still runs.
-    let graph = Arc::new(road_network(RoadNetworkParams {
-        width: 8,
-        height: 8,
-        removal_percent: 10,
-        seed: 11,
-    }));
-    let n = graph.num_nodes() as u32;
-    let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), 2));
-    let service = JobService::new(smq_gang_pool(2, 1, 41), ServiceConfig { queue_capacity: 4 });
+    hang_guard(|| {
+        // Two gangs: the panic burns one (the factory-built pool lazily
+        // respawns it), the second client's job still runs.
+        let graph = Arc::new(road_network(RoadNetworkParams {
+            width: 8,
+            height: 8,
+            removal_percent: 10,
+            seed: 11,
+        }));
+        let n = graph.num_nodes() as u32;
+        let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), 2));
+        let service = JobService::new(smq_gang_pool(2, 1, 41), ServiceConfig { queue_capacity: 4 });
 
-    let bad = service
-        .submit(|pool| {
-            pool.run_job(&PanickingJob).expect("fails by panicking");
-        })
-        .expect("submit panicking job");
-    assert!(
-        bad.wait().is_err(),
-        "the panicking job's own ticket must be Err(JobError::Lost), not a client panic"
-    );
+        let bad = service
+            .submit(|pool| {
+                pool.run_job(&PanickingJob).expect("fails by panicking");
+            })
+            .expect("submit panicking job");
+        assert!(
+            bad.wait().is_err(),
+            "the panicking job's own ticket must be Err(JobError::Lost), not a client panic"
+        );
 
-    // Second client on the surviving gang: plain Ok.
-    let second_engine = Arc::clone(&engine);
-    let good = service
-        .submit(move |pool| second_engine.query(0, n - 1, pool))
-        .expect("service still accepts jobs");
-    let done = good
-        .wait()
-        .expect("surviving gang serves the second client");
-    let (expected, _) = astar::sequential(&graph, 0, n - 1);
-    assert_eq!(done.output.distance, expected);
+        // Second client on the surviving gang: plain Ok.
+        let second_engine = Arc::clone(&engine);
+        let good = service
+            .submit(move |pool| second_engine.query(0, n - 1, pool))
+            .expect("service still accepts jobs");
+        let done = good
+            .wait()
+            .expect("surviving gang serves the second client");
+        let (expected, _) = astar::sequential(&graph, 0, n - 1);
+        assert_eq!(done.output.distance, expected);
 
-    let pool_stats = service.pool_stats();
-    let stats = service.shutdown();
-    assert_eq!(stats.failed, 1);
-    assert_eq!(stats.completed + stats.failed, stats.submitted);
-    assert_eq!(pool_stats.gangs_poisoned, 1);
-    assert_eq!(
-        pool_stats.gangs_respawned, 1,
-        "the factory-built pool must lazily rebuild the poisoned gang"
-    );
+        let pool_stats = service.pool_stats();
+        let stats = service.shutdown();
+        assert_eq!(stats.failed, 1);
+        assert_eq!(stats.completed + stats.failed, stats.submitted);
+        assert_eq!(pool_stats.gangs_poisoned, 1);
+        assert_eq!(
+            pool_stats.gangs_respawned, 1,
+            "the factory-built pool must lazily rebuild the poisoned gang"
+        );
+    });
 }
 
 /// Same regression on a single-gang pool **without** a respawn factory:
@@ -617,31 +620,68 @@ fn panicking_job_resolves_tickets_instead_of_panicking_clients() {
 /// `Err(JobError::NoCapacity)` — still never a panic out of `wait`.
 #[test]
 fn fully_poisoned_service_fails_jobs_gracefully() {
-    let service = JobService::new(smq_pool(1, 13), ServiceConfig { queue_capacity: 4 });
-    let bad = service
-        .submit(|pool| {
-            pool.run_job(&PanickingJob).expect("fails by panicking");
-        })
-        .expect("submit panicking job");
-    assert_eq!(bad.wait().map(|c| c.output), Err(JobError::Lost));
+    hang_guard(|| {
+        let service = JobService::new(smq_pool(1, 13), ServiceConfig { queue_capacity: 4 });
+        let bad = service
+            .submit(|pool| {
+                pool.run_job(&PanickingJob).expect("fails by panicking");
+            })
+            .expect("submit panicking job");
+        assert_eq!(bad.wait().map(|c| c.output), Err(JobError::Lost));
 
-    // The only gang is gone: the second client's job cannot run, but its
-    // ticket still resolves to Err instead of panicking the client thread.
-    let second = service
-        .submit(|pool| {
-            pool.run_job(&PanickingJob).expect("no capacity to run it");
-        })
-        .expect("admission is still open");
-    assert_eq!(
-        second.wait().map(|c| c.output),
-        Err(JobError::NoCapacity),
-        "second client must see the typed NoCapacity error, not a panic"
-    );
+        // The only gang is gone: the second client's job cannot run, but its
+        // ticket still resolves to Err instead of panicking the client thread.
+        let second = service
+            .submit(|pool| {
+                // Raise the pool's typed error the way `run_on_pool` does.
+                pool.run_job(&PanickingJob)
+                    .unwrap_or_else(|error| std::panic::panic_any(error));
+            })
+            .expect("admission is still open");
+        assert_eq!(
+            second.wait().map(|c| c.output),
+            Err(JobError::NoCapacity),
+            "second client must see the typed NoCapacity error, not a panic"
+        );
 
-    let stats = service.shutdown();
-    assert_eq!(stats.failed, 1);
-    assert_eq!(stats.no_capacity, 1);
-    assert_eq!(stats.completed, 0);
+        let stats = service.shutdown();
+        assert_eq!(stats.failed, 1);
+        assert_eq!(stats.no_capacity, 1);
+        assert_eq!(stats.completed, 0);
+    });
+}
+
+/// Regression: the service classifies a job by its own return or unwind,
+/// never by a pool error the job already handled.  On a dead single-gang
+/// pool the second job sees `run_job` fail with `NoCapacity`, handles it,
+/// then panics for a reason of its own: that is a lost job, not a capacity
+/// failure.
+#[test]
+fn a_handled_pool_error_does_not_classify_a_later_panic() {
+    hang_guard(|| {
+        let service = JobService::new(smq_pool(1, 13), ServiceConfig { queue_capacity: 4 });
+        let poison = service
+            .submit(|pool| {
+                pool.run_job(&PanickingJob).expect("fails by panicking");
+            })
+            .expect("submit panicking job");
+        assert_eq!(poison.wait().map(|c| c.output), Err(JobError::Lost));
+
+        let handled = service
+            .submit(|pool| {
+                assert_eq!(
+                    pool.run_job(&PanickingJob).map(|_| ()),
+                    Err(JobError::NoCapacity)
+                );
+                panic!("the job's own failure, after it handled the pool's");
+            })
+            .expect("admission is still open");
+        assert_eq!(handled.wait().map(|c| c.output), Err(JobError::Lost));
+
+        let stats = service.shutdown();
+        assert_eq!(stats.failed, 2);
+        assert_eq!(stats.no_capacity, 0);
+    });
 }
 
 /// Holds its gang until `gate` opens, then finishes — or panics, if
