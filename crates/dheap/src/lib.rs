@@ -12,7 +12,9 @@
 //!
 //! The heap is deliberately *sequential*: all synchronization lives outside,
 //! either in the per-queue lock of the classic Multi-Queue or in the
-//! epoch-stamped stealing buffer of the SMQ.
+//! epoch-stamped stealing buffer of the SMQ.  Its elements are `Copy` (every
+//! scheduler stores `Task`s or plain integers), which lets the whole kernel
+//! be safe code.
 //!
 //! # The sift kernel
 //!
@@ -20,19 +22,22 @@
 //! `pop` of this type, so the two sift loops are written the way
 //! `std::collections::BinaryHeap` writes them, widened to four children:
 //!
-//! * **Hole.**  The element being sifted is lifted out of the array into a
-//!   `Hole` and each level *moves* one element into the vacated slot (one
-//!   16-byte copy for a `Task`) instead of swapping two.
-//! * **No bounds checks** on the sift path; see "Safety" below.  Parent and
-//!   child indices are constant shifts.
+//! * **Hole.**  The element being sifted is copied out of the array into a
+//!   `Hole` and each level copies one element into the vacated slot (one
+//!   16-byte copy for a `Task`) instead of swapping two.  The vacated slot
+//!   keeps a stale copy until it is overwritten, and the hole's `Drop`
+//!   writes the sifted element back over it, so even when a comparison
+//!   panics every element is in the array exactly once.  (The order may then
+//!   no longer be a heap order: a logic error of the panicking `Ord`.)
 //! * **Child selection.**  Which child is the smallest is close to a coin
-//!   toss, so the kernel does not branch on it.  `min_child` plays two
-//!   pairs, which do not depend on each other, each adding the outcome of
-//!   one comparison to the first child's index, and a final between their
-//!   winners decided with `select_unpredictable`: two comparisons deep,
-//!   where a left-to-right scan chains three through its running best.  The
-//!   one node of a heap that may have fewer than four children scans.  Both
-//!   return the leftmost of equal children.
+//!   toss, so the kernel does not branch on it.  A node's four children come
+//!   out of the array as one `&[T; 4]`, one bounds check, and `min_child`
+//!   plays two pairs, which do not depend on each other, each adding the
+//!   outcome of one comparison to the first child's index, and a final
+//!   between their winners decided with `select_unpredictable`: two
+//!   comparisons deep, where a left-to-right scan chains three through its
+//!   running best.  The one node of a heap that may have fewer than four
+//!   children scans.  Both return the leftmost of equal children.
 //! * **Pop** is a bottom-up deletion.  The last element goes into a hole
 //!   opened at the root (it is never written to slot 0 first), but the hole
 //!   then walks down to a leaf along the smallest children *without*
@@ -49,84 +54,23 @@
 //!   a larger one come from further away (a Multi-Queue sub-queue's usually
 //!   from another core's cache) and the misses of successive levels would
 //!   queue up behind each other.  The walk therefore requests a node's
-//!   sixteen grandchildren before it chooses among the children (x86-64
-//!   only; a no-op elsewhere): a handful of prefetch instructions at
-//!   constant offsets behind a bounds check, cheap enough to issue at every
-//!   heap size.
+//!   sixteen grandchildren before it chooses among the children: one bounds
+//!   check on the run, then one [`smq_core::prefetch_read`] per cache line
+//!   at constant offsets (a no-op off x86-64), cheap enough to issue at
+//!   every heap size.
 //! * **Bulk load.**  `extend` appends and then either sifts the new tail up
 //!   element by element or, when the tail is at least as long as the heap
 //!   it joins, rebuilds the whole array bottom-up in O(n).  The rebuild
 //!   sifts elements that may belong anywhere, so it uses `sift_down`, which
 //!   compares against the element and stops as soon as it fits; it shares
 //!   the child selection with the walk of `pop`.
-//!
-//! # Safety
-//!
-//! All `unsafe` code is in this file and rests on one invariant.
-//!
-//! **The hole invariant.**  While a `Hole { data, elt, pos }` is alive,
-//! `pos < data.len()`, the slot `data[pos]` is logically uninitialised, and
-//! `elt` is the only owner of the value lifted out of the array (or handed
-//! to the hole).  Every other slot holds a live value.  `Hole`'s `Drop`
-//! writes `elt` back into `data[pos]`, so whenever a hole goes away —
-//! normally or because a comparison panicked — the slice is fully
-//! initialised again and every element is owned exactly once: nothing
-//! leaks, nothing is dropped twice.  (After a panic the order may no longer
-//! be a heap order; that is a logic error of the panicking `Ord`, never a
-//! memory error.)
-//!
-//! The `unsafe` blocks, and why each holds:
-//!
-//! * `Hole::new` reads `data[pos]` out with `ptr::read`.  Its contract is
-//!   `pos < data.len()`; the copy does not duplicate ownership because the
-//!   slot counts as empty from then on.
-//! * `Hole::holding` only records its arguments; its contract (`pos` in
-//!   bounds, `data[pos]` already read out by the caller) establishes the
-//!   invariant.
-//! * `Hole::get` and `Hole::move_to` index unchecked.  Their contract is
-//!   `index < data.len()` and `index != pos`, both `debug_assert!`ed:
-//!   `get` then reads a live slot, `move_to` copies a live slot into the
-//!   empty one and makes the source the empty one, which keeps the
-//!   invariant.
-//! * `Hole::drop` writes into `data[pos]`: in bounds and empty by the
-//!   invariant, and `elt` is never touched again.
-//! * `Hole::run` borrows `data[first..end]` unchecked.  Its contract is
-//!   `first <= end <= data.len()` with the hole outside the range, both
-//!   `debug_assert!`ed, so every element of the slice is live.  Child
-//!   selection (`min_child`, `scan`) is safe code over such a slice and
-//!   returns a position inside it.
-//! * `full_min_child` (contract `pos < full = (len - 1) / 4`) takes the
-//!   run `first..first + 4` with `first = 4 * pos + 1`: the bound gives
-//!   `pos < first` and `4 * pos + 4 <= len - 1`, because exactly the nodes
-//!   before `full` have all four children, so the product cannot overflow
-//!   either.  The tournament positions it gets back are below four.
-//! * `partial_min_child` handles the one node that may have some but not
-//!   all of its children, node `full`: it takes the run
-//!   `4 * full + 1 .. len` after checking `pos == full` and that the run
-//!   is not empty.  A later node has no child.
-//! * `descend` and `sift_down` call `full_min_child` only while
-//!   `pos < full`, and `get` / `move_to` only on the child index either
-//!   helper returned: in bounds and not the hole.
-//! * `sift_up` takes a hole, so `pos < len`; it only ever names
-//!   `parent = (pos - 1) / 4` with `pos > 0`, so `parent < pos < len`.  It
-//!   is bounded by the root, which is where the walk of `pop` started.
-//! * `prefetch_lines` passes `_mm_prefetch` addresses inside a sub-slice
-//!   that `prefetch_run` has just bounds-checked; a prefetch reads nothing
-//!   the program can observe and cannot fault.
-//! * `push` opens a hole at the index of the element it just pushed.
-//! * `pop` reads `data[0]` out of a non-empty `Vec` and next opens the
-//!   hole that will refill slot 0; nothing in between can panic,
-//!   and the minimum it read is an ordinary local that unwinding drops.
-//! * `rebuild_tail` opens holes at `pos <= (len - 2) / 4 < len` and at
-//!   `pos` in `start..len`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::undocumented_unsafe_blocks)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::hint::select_unpredictable;
-use std::mem::ManuallyDrop;
-use std::ptr;
+
+use smq_core::prefetch_read;
 
 /// The heap's fan-out: every node has up to four children, the `d = 4` of
 /// the paper's implementation.
@@ -136,7 +80,10 @@ pub const ARITY: usize = 4;
 /// of a node of 16-byte tasks, fewer of a larger element type.
 const PREFETCH_BYTES: usize = 512;
 
-/// A sequential 4-ary min-heap over any totally ordered element type.
+/// Bytes per cache line, the stride of the prefetch.
+const LINE: usize = 64;
+
+/// A sequential 4-ary min-heap over any totally ordered `Copy` type.
 ///
 /// Smaller elements are popped first, matching the paper's "lower key =
 /// higher priority" convention (`smq_core::Task` orders by priority key).
@@ -153,7 +100,7 @@ pub struct DAryHeap<T> {
 /// position is a constant plus comparison outcomes, so the indexing below
 /// compiles without bounds checks.
 #[inline(always)]
-fn min_child<T: Ord>(children: &[T]) -> usize {
+fn min_child<T: Ord>(children: &[T; ARITY]) -> usize {
     let pair = |i: usize| i + usize::from(children[i + 1] < children[i]);
     // Which side wins is close to a coin toss.  Without the hint LLVM turns
     // this select into a branch, and it mispredicts about once per level.
@@ -174,193 +121,107 @@ fn scan<T: Ord>(children: &[T]) -> usize {
     best.0
 }
 
-/// One slot of `data`, `data[pos]`, whose value has been lifted out into
-/// `elt`; dropping the hole writes it back.  See the module docs.
-struct Hole<'a, T> {
+/// The four children `data[first..first + 4]` of one node, if it has all
+/// four.
+#[inline(always)]
+fn all_children<T>(data: &[T], first: usize) -> Option<&[T; ARITY]> {
+    data.get(first..)?.first_chunk()
+}
+
+/// The index and the value of the smallest child of the node whose first
+/// child would be `data[first]`, the leftmost one among equals; `None` for a
+/// leaf.
+#[inline(always)]
+fn smallest_child<T: Ord + Copy>(data: &[T], first: usize) -> Option<(usize, T)> {
+    if let Some(children) = all_children(data, first) {
+        let best = min_child(children);
+        return Some((first + best, children[best]));
+    }
+    let children = data.get(first..).filter(|run| !run.is_empty())?;
+    let best = scan(children);
+    Some((first + best, children[best]))
+}
+
+/// One slot of `data`, `data[pos]`, whose element has been copied out into
+/// `elt`; the slot itself holds a stale copy until something overwrites it.
+/// Dropping the hole writes `elt` back, so however the hole goes away —
+/// normally or because a comparison panicked — every element is in `data`
+/// exactly once.
+struct Hole<'a, T: Copy> {
     data: &'a mut [T],
-    elt: ManuallyDrop<T>,
+    elt: T,
     pos: usize,
 }
 
-impl<'a, T> Hole<'a, T> {
-    /// Lifts `data[pos]` out of the slice.
-    ///
-    /// # Safety
-    /// `pos < data.len()`.
+impl<'a, T: Copy> Hole<'a, T> {
+    /// Copies `data[pos]` out of the slice.
     #[inline]
-    unsafe fn new(data: &'a mut [T], pos: usize) -> Self {
-        debug_assert!(pos < data.len());
-        // SAFETY: `pos` is in bounds (caller).  The bitwise copy makes `elt`
-        // the value's only owner because the slot is treated as empty until
-        // `drop` overwrites it.
-        unsafe {
-            let elt = ptr::read(data.get_unchecked(pos));
-            Self::holding(data, pos, elt)
-        }
+    fn new(data: &'a mut [T], pos: usize) -> Self {
+        let elt = data[pos];
+        Hole { data, elt, pos }
     }
 
-    /// Opens a hole at `data[pos]` that carries `elt` instead of the slot's
-    /// own value.
-    ///
-    /// # Safety
-    /// `pos < data.len()`, and the caller has already moved the value out of
-    /// `data[pos]` with `ptr::read` and owns it.
-    #[inline]
-    unsafe fn holding(data: &'a mut [T], pos: usize, elt: T) -> Self {
-        debug_assert!(pos < data.len());
-        Hole {
-            data,
-            elt: ManuallyDrop::new(elt),
-            pos,
-        }
-    }
-
-    #[inline]
-    fn element(&self) -> &T {
-        &self.elt
-    }
-
-    /// # Safety
-    /// `index < data.len()` and `index != pos`.
-    #[inline]
-    unsafe fn get(&self, index: usize) -> &T {
-        debug_assert!(index != self.pos);
-        debug_assert!(index < self.data.len());
-        // SAFETY: in bounds and not the empty slot (caller).
-        unsafe { self.data.get_unchecked(index) }
-    }
-
-    /// The live elements `data[first..end]`.
-    ///
-    /// # Safety
-    /// `first <= end <= data.len()`, and the hole is not in `first..end`.
-    #[inline]
-    unsafe fn run(&self, first: usize, end: usize) -> &[T] {
-        debug_assert!(first <= end && end <= self.data.len());
-        debug_assert!(!(first..end).contains(&self.pos));
-        // SAFETY: in bounds and clear of the empty slot (caller).
-        unsafe { self.data.get_unchecked(first..end) }
-    }
-
-    /// Moves `data[index]` into the hole; the hole is then at `index`.
-    ///
-    /// # Safety
-    /// `index < data.len()` and `index != pos`.
-    #[inline]
-    unsafe fn move_to(&mut self, index: usize) {
-        debug_assert!(index != self.pos);
-        debug_assert!(index < self.data.len());
-        // SAFETY: both slots are in bounds and distinct (caller, and the
-        // hole invariant for `pos`); the destination is the empty slot, so
-        // nothing is overwritten, and the source becomes the empty slot.
-        unsafe {
-            let base = self.data.as_mut_ptr();
-            ptr::copy_nonoverlapping(base.add(index), base.add(self.pos), 1);
-        }
+    /// Copies `value`, the element at `index`, into the hole, which moves to
+    /// `index`.
+    #[inline(always)]
+    fn fill_from(&mut self, index: usize, value: T) {
+        self.data[self.pos] = value;
         self.pos = index;
     }
 }
 
-impl<T> Drop for Hole<'_, T> {
+impl<T: Copy> Drop for Hole<'_, T> {
     #[inline]
     fn drop(&mut self) {
-        // SAFETY: `pos < data.len()` by the hole invariant; the slot is
-        // empty, so the write overwrites no live value, and `elt` is never
-        // used again (`ManuallyDrop`, and the hole is going away).
-        unsafe {
-            let slot = self.data.get_unchecked_mut(self.pos);
-            ptr::copy_nonoverlapping(&*self.elt, slot, 1);
+        // `pos` is in bounds; `get_mut` keeps a panic path out of `drop`.
+        if let Some(slot) = self.data.get_mut(self.pos) {
+            *slot = self.elt;
         }
     }
 }
 
 /// Asks for the cache lines that hold the first `count` elements of
-/// `data[start..]`, or as many of them as there are.  A hint only: it does
-/// nothing where std has no stable prefetch.
+/// `data[start..]`, or as many of them as there are.
 #[inline(always)]
 fn prefetch_run<T>(data: &[T], start: usize, count: usize) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        let Some(rest) = data.get(start..) else {
-            return;
-        };
-        // Two calls, not one on the shorter of the two: a whole run, the
-        // usual case, then has a constant length, and its loop becomes a
-        // handful of prefetches with nothing to compute or branch on.
-        match rest.get(..count) {
-            Some(run) => prefetch_lines(run),
-            None => prefetch_lines(rest),
-        }
+    let Some(rest) = data.get(start..) else {
+        return;
+    };
+    // Two calls, not one on the shorter of the two: a whole run, the usual
+    // case, then has a constant length, and its loop becomes a handful of
+    // prefetches with nothing to compute or branch on.
+    match rest.get(..count) {
+        Some(run) => prefetch_lines(run),
+        None => prefetch_lines(rest),
     }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    let _ = (data, start, count);
 }
 
-/// Asks for every cache line that holds part of `run`.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
+/// Asks for every cache line in which an element of `run` starts: one
+/// element per line, then the last, which may start a line past the last
+/// stride (a grandchild run of 16-byte tasks never starts on a line).
 #[inline(always)]
 fn prefetch_lines<T>(run: &[T]) {
-    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-    const LINE: usize = 64;
-    let (first, bytes) = (run.as_ptr().cast::<i8>(), size_of_val(run));
-    if bytes == 0 {
-        return;
+    let step = (LINE / size_of::<T>().max(1)).max(1);
+    let mut index = 0;
+    while index < run.len() {
+        prefetch_read(run, index);
+        index += step;
     }
-    // SAFETY: a prefetch reads nothing the program can observe and cannot
-    // fault, and every address passed lies inside `run`.
-    unsafe {
-        let mut offset = 0;
-        while offset < bytes {
-            _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(offset));
-            offset += LINE;
-        }
-        // The run need not start on a line boundary, so its last byte may
-        // lie one line further.
-        _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(bytes - 1));
-    }
+    prefetch_read(run, run.len().wrapping_sub(1));
 }
 
 /// Sifts the hole's element towards the root until its parent is no
 /// greater.
 #[inline]
-fn sift_up<T: Ord>(mut hole: Hole<'_, T>) {
+fn sift_up<T: Ord + Copy>(mut hole: Hole<'_, T>) {
     while hole.pos > 0 {
         let parent = (hole.pos - 1) / ARITY;
-        // SAFETY: `parent < hole.pos < data.len()`.
-        unsafe {
-            if hole.element() >= hole.get(parent) {
-                break;
-            }
-            hole.move_to(parent);
+        let above = hole.data[parent];
+        if hole.elt >= above {
+            break;
         }
+        hole.fill_from(parent, above);
     }
-}
-
-/// The smallest child of node `full`, the one node that may have some but
-/// not all four of its children, if the hole is there and it has any: a
-/// later node `p` has `4 * p + 1 > len - 1` and so none.
-#[inline]
-fn partial_min_child<T: Ord>(hole: &Hole<'_, T>, full: usize) -> Option<usize> {
-    let len = hole.data.len();
-    let first = ARITY * full + 1;
-    if hole.pos != full || first >= len {
-        return None;
-    }
-    // SAFETY: `hole.pos = full < first < len`.
-    Some(first + scan(unsafe { hole.run(first, len) }))
-}
-
-/// The smallest child of the hole's node, which is before `full`: exactly
-/// those nodes have all four children, node `p` iff `4 * p + 4 <= len - 1`.
-///
-/// # Safety
-/// `hole.pos < (hole.data.len() - 1) / 4`.
-#[inline(always)]
-unsafe fn full_min_child<T: Ord>(hole: &Hole<'_, T>) -> usize {
-    let first = ARITY * hole.pos + 1;
-    // SAFETY: the caller's bound gives `hole.pos < first` and
-    // `first + 4 <= len`.
-    first + min_child(unsafe { hole.run(first, first + ARITY) })
 }
 
 /// Walks the hole from its node down to a leaf, each level moving the
@@ -370,30 +231,26 @@ unsafe fn full_min_child<T: Ord>(hole: &Hole<'_, T>) -> usize {
 /// the walk has no exit that depends on the data.  The caller sifts the
 /// element back up the few levels it overshot.
 #[inline]
-fn descend<T: Ord>(mut hole: Hole<'_, T>) -> Hole<'_, T> {
-    // `len >= 1` because `hole.pos < len`.
-    let full = (hole.data.len() - 1) / ARITY;
-    // A walk that does not branch on the data leaves the processor nothing
-    // to guess, so it cannot run ahead into the next level.  Request a
-    // node's grandchildren before choosing its child, so that the misses of
-    // successive levels (a Multi-Queue sub-queue's lines are usually in
-    // another core's cache) overlap as they did under speculation.
+fn descend<T: Ord + Copy>(mut hole: Hole<'_, T>) -> Hole<'_, T> {
     let run = (ARITY * ARITY).min(PREFETCH_BYTES / size_of::<T>().max(1));
-    while hole.pos < full {
-        let first = ARITY * hole.pos + 1;
-        // Wraps only past 2^62 elements, and then is a wasted hint, no more.
-        let start = first.wrapping_mul(ARITY).wrapping_add(1);
-        prefetch_run(hole.data, start, run);
-        // SAFETY: `hole.pos < full`, and a child of `hole.pos` is in
-        // bounds and not the hole.
-        unsafe {
-            let best = full_min_child(&hole);
-            hole.move_to(best);
-        }
+    let mut first = ARITY * hole.pos + 1;
+    while let Some(children) = all_children(hole.data, first) {
+        // A walk that does not branch on the data leaves the processor
+        // nothing to guess, so it cannot run ahead into the next level.
+        // Request the grandchildren before choosing a child, so that the
+        // misses of successive levels (a Multi-Queue sub-queue's lines are
+        // usually in another core's cache) overlap as they did under
+        // speculation.  Wraps only past 2^62 elements, and then is a wasted
+        // hint, no more.
+        prefetch_run(hole.data, first.wrapping_mul(ARITY).wrapping_add(1), run);
+        let best = min_child(children);
+        let value = children[best];
+        hole.fill_from(first + best, value);
+        first = ARITY * hole.pos + 1;
     }
-    if let Some(best) = partial_min_child(&hole, full) {
-        // SAFETY: a child of `hole.pos`: in bounds and not the hole.
-        unsafe { hole.move_to(best) };
+    // The one node that may have some but not all four children.
+    if let Some((best, value)) = smallest_child(hole.data, first) {
+        hole.fill_from(best, value);
     }
     hole
 }
@@ -402,49 +259,36 @@ fn descend<T: Ord>(mut hole: Hole<'_, T>) -> Hole<'_, T> {
 /// For an element that may belong anywhere (the bottom-up rebuild): unlike
 /// [`descend`] it stops as soon as the element fits.
 #[inline]
-fn sift_down<T: Ord>(mut hole: Hole<'_, T>) {
-    let full = (hole.data.len() - 1) / ARITY;
-    while hole.pos < full {
-        // SAFETY: as in `descend`.
-        unsafe {
-            let best = full_min_child(&hole);
-            if hole.element() <= hole.get(best) {
-                return;
-            }
-            hole.move_to(best);
+fn sift_down<T: Ord + Copy>(mut hole: Hole<'_, T>) {
+    while let Some((best, value)) = smallest_child(hole.data, ARITY * hole.pos + 1) {
+        if hole.elt <= value {
+            return;
         }
-    }
-    if let Some(best) = partial_min_child(&hole, full) {
-        // SAFETY: a child of `hole.pos`: in bounds and not the hole.
-        unsafe {
-            if hole.element() > hole.get(best) {
-                hole.move_to(best);
-            }
-        }
+        hole.fill_from(best, value);
     }
 }
 
 /// Restores the heap order of `heap.data[start..]` against the valid heap
 /// before it when dropped, so that `extend` leaves a heap behind even when
 /// the iterator it consumes panics.
-struct RebuildOnDrop<'a, T: Ord> {
+struct RebuildOnDrop<'a, T: Ord + Copy> {
     heap: &'a mut DAryHeap<T>,
     start: usize,
 }
 
-impl<T: Ord> Drop for RebuildOnDrop<'_, T> {
+impl<T: Ord + Copy> Drop for RebuildOnDrop<'_, T> {
     fn drop(&mut self) {
         self.heap.rebuild_tail(self.start);
     }
 }
 
-impl<T: Ord> Default for DAryHeap<T> {
+impl<T: Ord + Copy> Default for DAryHeap<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Ord> DAryHeap<T> {
+impl<T: Ord + Copy> DAryHeap<T> {
     /// Creates an empty heap.
     pub fn new() -> Self {
         Self { data: Vec::new() }
@@ -494,24 +338,21 @@ impl<T: Ord> DAryHeap<T> {
     pub fn push(&mut self, item: T) {
         let pos = self.data.len();
         self.data.push(item);
-        // SAFETY: `pos` is the index of the element just pushed.
-        sift_up(unsafe { Hole::new(&mut self.data, pos) });
+        sift_up(Hole::new(&mut self.data, pos));
     }
 
     /// Removes and returns the minimum element, if any.
     pub fn pop(&mut self) -> Option<T> {
         let last = self.data.pop()?;
-        if self.data.is_empty() {
+        let Some(&min) = self.data.first() else {
             return Some(last);
-        }
-        // SAFETY: the heap is not empty, so slot 0 is in bounds.  Reading
-        // the minimum out empties the slot, and the hole opened there next
-        // takes over the duty to fill it; nothing between the two can
-        // panic.  If a comparison panics later, `min` is dropped by the
-        // unwinding like any other local.
-        let (min, hole) = unsafe {
-            let min = ptr::read(self.data.as_ptr());
-            (min, Hole::holding(&mut self.data, 0, last))
+        };
+        // The last element fills the root's hole; slot 0 keeps a stale copy
+        // of the minimum until the walk overwrites it.
+        let hole = Hole {
+            data: &mut self.data,
+            elt: last,
+            pos: 0,
         };
         sift_up(descend(hole));
         Some(min)
@@ -562,13 +403,11 @@ impl<T: Ord> DAryHeap<T> {
         if len - start >= start {
             // Every node that has a child, deepest first.
             for pos in (0..=(len - 2) / ARITY).rev() {
-                // SAFETY: `pos <= (len - 2) / 4 < len`.
-                sift_down(unsafe { Hole::new(data, pos) });
+                sift_down(Hole::new(data, pos));
             }
         } else {
             for pos in start..len {
-                // SAFETY: `pos < len`.
-                sift_up(unsafe { Hole::new(data, pos) });
+                sift_up(Hole::new(data, pos));
             }
         }
     }
@@ -600,7 +439,7 @@ impl<T: Ord> DAryHeap<T> {
     }
 }
 
-impl<T: Ord> FromIterator<T> for DAryHeap<T> {
+impl<T: Ord + Copy> FromIterator<T> for DAryHeap<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut heap = DAryHeap::new();
         heap.extend(iter);
@@ -614,10 +453,9 @@ mod tests {
     use proptest::prelude::*;
     use smq_core::Task;
     use std::cell::Cell;
-    use std::cmp::Reverse;
+    use std::cmp::{Ordering, Reverse};
     use std::collections::BinaryHeap;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::rc::Rc;
 
     #[test]
     fn empty_heap_behaviour() {
@@ -688,143 +526,102 @@ mod tests {
         assert_eq!(h.peek(), Some(&Task::new(7, 3)));
     }
 
-    /// A key whose comparisons panic once a shared countdown reaches zero,
-    /// and whose drops are counted.
-    struct Fuse {
-        key: u32,
-        control: Rc<FuseControl>,
+    thread_local! {
+        /// Comparisons of [`Key`]s left before the next one panics; `None`
+        /// is disarmed.
+        static COUNTDOWN: Cell<Option<u32>> = const { Cell::new(None) };
+        /// Comparisons of [`Key`]s made on this thread.
+        static COMPARISONS: Cell<u32> = const { Cell::new(0) };
     }
 
-    #[derive(Default)]
-    struct FuseControl {
-        /// Comparisons left before the next one panics; `None` is disarmed.
-        countdown: Cell<Option<u32>>,
-        comparisons: Cell<u32>,
-        created: Cell<usize>,
-        dropped: Cell<usize>,
-    }
+    /// A `Copy` key whose comparisons are counted and panic once this
+    /// thread's countdown reaches zero.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct Key(u32);
 
-    impl FuseControl {
-        fn fuse(self: &Rc<Self>, key: u32) -> Fuse {
-            self.created.set(self.created.get() + 1);
-            Fuse {
-                key,
-                control: Rc::clone(self),
-            }
-        }
-
-        fn live(&self) -> usize {
-            self.created.get() - self.dropped.get()
-        }
-    }
-
-    impl Drop for Fuse {
-        fn drop(&mut self) {
-            self.control.dropped.set(self.control.dropped.get() + 1);
-        }
-    }
-
-    impl Ord for Fuse {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            let comparisons = &self.control.comparisons;
-            comparisons.set(comparisons.get() + 1);
-            match self.control.countdown.get() {
+    impl Ord for Key {
+        fn cmp(&self, other: &Self) -> Ordering {
+            COMPARISONS.set(COMPARISONS.get() + 1);
+            match COUNTDOWN.get() {
                 Some(0) => {
-                    self.control.countdown.set(None);
-                    panic!("fuse blown");
+                    COUNTDOWN.set(None);
+                    panic!("comparison fuse blown");
                 }
-                Some(n) => self.control.countdown.set(Some(n - 1)),
+                Some(n) => COUNTDOWN.set(Some(n - 1)),
                 None => {}
             }
-            self.key.cmp(&other.key)
+            self.0.cmp(&other.0)
         }
     }
 
-    impl PartialOrd for Fuse {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    impl PartialOrd for Key {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
             Some(self.cmp(other))
         }
     }
 
-    impl PartialEq for Fuse {
-        fn eq(&self, other: &Self) -> bool {
-            self.key == other.key
-        }
+    /// A heap of the keys `1..=len`: the array is a heap as it stands and
+    /// its last element is the largest, so a pop walks its hole to a leaf
+    /// and the sift-up that follows ends at its first comparison.
+    fn ascending_keys(len: u32) -> DAryHeap<Key> {
+        (1..=len).map(Key).collect()
     }
 
-    impl Eq for Fuse {}
-
-    /// A heap of `len` fuses with ascending keys: the array is a heap as it
-    /// stands and its last element is the largest, so a pop walks its hole
-    /// to a leaf and the sift-up that follows ends at its first comparison.
-    fn ascending_fuses(len: u32, control: &Rc<FuseControl>) -> DAryHeap<Fuse> {
-        let heap: DAryHeap<Fuse> = (1..=len).map(|key| control.fuse(key)).collect();
-        assert_eq!(control.live(), len as usize);
-        heap
-    }
-
-    /// How many comparisons `op` makes on the heap of [`ascending_fuses`].
-    fn comparisons_of(len: u32, op: impl FnOnce(&mut DAryHeap<Fuse>)) -> u32 {
-        let control = Rc::new(FuseControl::default());
-        let mut heap = ascending_fuses(len, &control);
-        control.comparisons.set(0);
+    /// How many comparisons `op` makes on the heap of [`ascending_keys`].
+    fn comparisons_of(len: u32, op: impl FnOnce(&mut DAryHeap<Key>)) -> u32 {
+        let mut heap = ascending_keys(len);
+        COMPARISONS.set(0);
         op(&mut heap);
-        control.comparisons.get()
+        COMPARISONS.get()
     }
 
-    /// Runs `op` on a 200-element heap with the fuse set to blow at
-    /// comparison number `blow_at`; the heap must hold `len_after` elements
-    /// once `op` has panicked.
+    /// Runs `op` on the 200-key heap of [`ascending_keys`] with comparison
+    /// number `blow_at` set to panic.  Afterwards the heap must hold exactly
+    /// `expected`, the keys `op` leaves behind when it completes, each once.
     fn blow_during(
         blow_at: u32,
-        len_after: usize,
-        op: impl FnOnce(&mut DAryHeap<Fuse>, &Rc<FuseControl>),
+        expected: impl IntoIterator<Item = u32>,
+        op: impl FnOnce(&mut DAryHeap<Key>),
     ) {
-        let control = Rc::new(FuseControl::default());
-        let mut heap = ascending_fuses(200, &control);
-
-        control.countdown.set(Some(blow_at));
-        let outcome = catch_unwind(AssertUnwindSafe(|| op(&mut heap, &control)));
+        let mut heap = ascending_keys(200);
+        COUNTDOWN.set(Some(blow_at));
+        let outcome = catch_unwind(AssertUnwindSafe(|| op(&mut heap)));
         assert!(outcome.is_err(), "no comparison {blow_at}");
 
-        // Usable again: every element is still there, exactly once ...
-        assert_eq!(heap.len(), len_after);
-        assert_eq!(control.live(), len_after, "leaked or dropped twice");
-        let mut drained = 0;
-        while let Some(fuse) = heap.pop() {
-            drained += 1;
-            drop(fuse);
-        }
-        assert_eq!(drained, len_after);
-        assert_eq!(control.live(), 0);
-        // ... and the emptied heap orders new elements.
-        heap.extend([5, 3, 9, 1].map(|key| control.fuse(key)));
-        let keys: Vec<u32> = heap.into_sorted_vec().iter().map(|f| f.key).collect();
-        assert_eq!(keys, vec![1, 3, 5, 9]);
-        assert_eq!(control.created.get(), control.dropped.get());
+        // Nothing lost, nothing duplicated ...
+        let mut held: Vec<u32> = heap.iter().map(|key| key.0).collect();
+        held.sort_unstable();
+        let mut expected: Vec<u32> = expected.into_iter().collect();
+        expected.sort_unstable();
+        assert_eq!(held, expected, "blown at comparison {blow_at}");
+        // ... and usable again: it pops every key, and once emptied it
+        // orders new ones.
+        let drained = std::iter::from_fn(|| heap.pop()).count();
+        assert_eq!(drained, expected.len());
+        heap.extend([5, 3, 9, 1].map(Key));
+        assert_eq!(heap.into_sorted_vec(), [1, 3, 5, 9].map(Key));
     }
 
     #[test]
-    fn panicking_comparison_neither_leaks_nor_double_drops() {
+    fn panicking_comparison_neither_loses_nor_duplicates_a_key() {
         for blow_at in 0..6 {
             // A push that climbs to the root from slot 200: four levels, so
             // all four of its comparisons are certain.
-            blow_during(blow_at % 4, 201, |heap, control| {
-                heap.push(control.fuse(0));
-            });
+            blow_during(blow_at % 4, 0..=200, |heap| heap.push(Key(0)));
             // A run long enough to rebuild the whole heap bottom-up.
-            blow_during(blow_at, 600, |heap, control| {
-                let run: Vec<Fuse> = (0..400).map(|key| control.fuse(key)).collect();
-                heap.extend(run);
+            blow_during(blow_at, (1..=200).chain(0..400), |heap| {
+                heap.extend((0..400).map(Key));
             });
         }
         // Every comparison of a pop: the first ones are made by the walk to
-        // a leaf, the last one by the sift-up from there.  The popped minimum
-        // is dropped by the unwinding.
-        let walk_and_sift_up = comparisons_of(200, |heap| drop(heap.pop()));
+        // a leaf, the last one by the sift-up from there.  The minimum has
+        // left the heap before the first.
+        let walk_and_sift_up = comparisons_of(200, |heap| {
+            heap.pop();
+        });
         assert!(walk_and_sift_up >= 4, "{walk_and_sift_up}");
         for blow_at in 0..walk_and_sift_up {
-            blow_during(blow_at, 199, |heap, _| {
+            blow_during(blow_at, 2..=200, |heap| {
                 heap.pop();
             });
         }
@@ -840,7 +637,7 @@ mod tests {
         // spends a fourth: 20 on this heap.
         let (levels, complete) = (5, (4u32.pow(6) - 1) / 3);
         let spent = comparisons_of(complete + 1, |heap| {
-            assert_eq!(heap.pop().map(|fuse| fuse.key), Some(1));
+            assert_eq!(heap.pop(), Some(Key(1)));
         });
         assert!(spent <= 3 * levels + 1, "{spent} comparisons");
     }
@@ -848,7 +645,7 @@ mod tests {
     /// Replays `ops` on a heap and on `std::collections::BinaryHeap`.  Each
     /// op is `(code, operands)`.  Both start out holding `resident`, and hold
     /// it again after a `clear`.
-    fn differential<T: Ord + Clone + std::fmt::Debug>(ops: &[(u8, Vec<T>)], resident: &[T]) {
+    fn differential<T: Ord + Copy + std::fmt::Debug>(ops: &[(u8, Vec<T>)], resident: &[T]) {
         let mut heap = DAryHeap::new();
         let mut reference = BinaryHeap::new();
         let reference_pop =
@@ -862,8 +659,8 @@ mod tests {
             match code {
                 0..=11 => {
                     if let Some(v) = operands.first() {
-                        heap.push(v.clone());
-                        reference.push(Reverse(v.clone()));
+                        heap.push(*v);
+                        reference.push(Reverse(*v));
                     }
                 }
                 12..=19 => assert_eq!(heap.pop(), reference_pop(&mut reference)),
@@ -987,7 +784,6 @@ mod tests {
         }
 
         #[test]
-        #[cfg_attr(miri, ignore = "1 500 elements a case, and Miri compiles the prefetch out")]
         fn interleaved_ops_match_binary_heap_task_on_a_large_heap(
             ops in proptest::collection::vec(
                 (0u8..32, proptest::collection::vec((0u64..64, any::<u64>()), 0..24)), 1..48)

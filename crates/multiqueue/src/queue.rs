@@ -49,7 +49,7 @@ pub(crate) struct SubQueue<T> {
     top_key: CachePadded<AtomicU64>,
 }
 
-impl<T: Ord + HasKey> SubQueue<T> {
+impl<T: Ord + HasKey + Copy> SubQueue<T> {
     fn new() -> Self {
         Self {
             heap: CachePadded::new(Mutex::new(DAryHeap::new())),
@@ -86,12 +86,12 @@ impl<T: Ord + HasKey> SubQueue<T> {
 /// A locked view of a [`SubQueue`].  Dereferences to the underlying
 /// [`DAryHeap`]; publishes the (possibly changed) top key when dropped, so
 /// the snapshot can never stay stale across an unlock.
-pub(crate) struct SubQueueGuard<'a, T: Ord + HasKey> {
+pub(crate) struct SubQueueGuard<'a, T: Ord + HasKey + Copy> {
     heap: MutexGuard<'a, DAryHeap<T>>,
     top_key: &'a AtomicU64,
 }
 
-impl<T: Ord + HasKey> std::ops::Deref for SubQueueGuard<'_, T> {
+impl<T: Ord + HasKey + Copy> std::ops::Deref for SubQueueGuard<'_, T> {
     type Target = DAryHeap<T>;
 
     fn deref(&self) -> &DAryHeap<T> {
@@ -99,13 +99,13 @@ impl<T: Ord + HasKey> std::ops::Deref for SubQueueGuard<'_, T> {
     }
 }
 
-impl<T: Ord + HasKey> std::ops::DerefMut for SubQueueGuard<'_, T> {
+impl<T: Ord + HasKey + Copy> std::ops::DerefMut for SubQueueGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut DAryHeap<T> {
         &mut self.heap
     }
 }
 
-impl<T: Ord + HasKey> Drop for SubQueueGuard<'_, T> {
+impl<T: Ord + HasKey + Copy> Drop for SubQueueGuard<'_, T> {
     fn drop(&mut self) {
         // `u64::MAX` is reserved as the pure "empty" sentinel, so published
         // keys are clamped to `u64::MAX - 1`: a legitimate MAX-keyed task
@@ -132,7 +132,7 @@ pub struct MultiQueue<T> {
     config: MultiQueueConfig,
 }
 
-impl<T: Ord + HasKey> MultiQueue<T> {
+impl<T: Ord + HasKey + Copy> MultiQueue<T> {
     /// Builds a Multi-Queue from a validated configuration.
     pub fn new(config: MultiQueueConfig) -> Self {
         config.validate();
@@ -179,7 +179,7 @@ impl<T: Ord + HasKey> MultiQueue<T> {
     }
 }
 
-impl<T: Ord + HasKey + Send> Scheduler<T> for MultiQueue<T> {
+impl<T: Ord + HasKey + Copy + Send> Scheduler<T> for MultiQueue<T> {
     type Handle<'a>
         = MultiQueueHandle<'a, T>
     where
@@ -205,7 +205,9 @@ impl<T: Ord + HasKey + Send> Scheduler<T> for MultiQueue<T> {
 }
 
 /// A worker thread's handle onto a [`MultiQueue`].
-pub struct MultiQueueHandle<'a, T> {
+///
+/// Dropping it hands the tasks it buffers back to the shared queues.
+pub struct MultiQueueHandle<'a, T: Ord + HasKey + Copy> {
     parent: &'a MultiQueue<T>,
     thread_id: usize,
     rng: Pcg32,
@@ -220,7 +222,7 @@ pub struct MultiQueueHandle<'a, T> {
     tl_delete_queue: Option<usize>,
 }
 
-impl<'a, T: Ord + HasKey> MultiQueueHandle<'a, T> {
+impl<'a, T: Ord + HasKey + Copy> MultiQueueHandle<'a, T> {
     /// Samples one queue index, recording NUMA locality statistics.
     fn sample_queue(&mut self) -> usize {
         let (q, local) = self.parent.sampler.sample(self.thread_id, &mut self.rng);
@@ -495,7 +497,7 @@ impl<'a, T: Ord + HasKey> MultiQueueHandle<'a, T> {
     }
 }
 
-impl<T: Ord + HasKey + Send> SchedulerHandle<T> for MultiQueueHandle<'_, T> {
+impl<T: Ord + HasKey + Copy + Send> SchedulerHandle<T> for MultiQueueHandle<'_, T> {
     fn push(&mut self, task: T) {
         self.stats.pushes += 1;
         match self.parent.config.insert {
@@ -654,6 +656,15 @@ impl<T: Ord + HasKey + Send> SchedulerHandle<T> for MultiQueueHandle<'_, T> {
             .min()
             .unwrap_or(u64::MAX);
         (best != u64::MAX).then_some(best)
+    }
+}
+
+impl<T: Ord + HasKey + Copy> Drop for MultiQueueHandle<'_, T> {
+    fn drop(&mut self) {
+        // Buffered inserts and prefetched deletes exist nowhere else: flush
+        // both into a sampled queue instead of dropping them.
+        self.insert_buffer.extend(self.delete_buffer.drain(..));
+        self.flush_insert_buffer();
     }
 }
 
@@ -931,6 +942,42 @@ mod tests {
         }
         // Crossing the batch size triggered an automatic flush.
         assert!(mq.len() >= 13 - 5);
+    }
+
+    #[test]
+    fn dropping_a_handle_returns_its_buffered_inserts() {
+        let config = MultiQueueConfig::classic(2)
+            .with_insert(InsertPolicy::Batching(16))
+            .with_seed(6);
+        let mq: MultiQueue<u64> = MultiQueue::new(config);
+        let mut handle = mq.handle(0);
+        for v in 0..5u64 {
+            handle.push(v);
+        }
+        assert!(mq.is_empty(), "below the batch size nothing is flushed");
+        drop(handle);
+        let mut back = drain_all(&mut mq.handle(1));
+        back.sort_unstable();
+        assert_eq!(back, (0..5).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn dropping_a_handle_returns_its_prefetched_deletes() {
+        let config = MultiQueueConfig::classic(1)
+            .with_c_factor(2)
+            .with_delete(DeletePolicy::Batching(8))
+            .with_seed(5);
+        let mq: MultiQueue<u64> = MultiQueue::new(config);
+        // All tasks in one queue, so the first pop prefetches seven more.
+        mq.queues[0].lock().extend(0..64u64);
+        let mut handle = mq.handle(0);
+        let first = handle.pop().expect("64 tasks queued");
+        assert_eq!(handle.delete_buffer.len(), 7);
+        drop(handle);
+        let mut back = drain_all(&mut mq.handle(0));
+        back.push(first);
+        back.sort_unstable();
+        assert_eq!(back, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

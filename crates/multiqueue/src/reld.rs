@@ -22,7 +22,7 @@ pub struct Reld<T> {
     seed: u64,
 }
 
-impl<T: Ord> Reld<T> {
+impl<T: Ord + Copy> Reld<T> {
     /// Creates a RELD scheduler for `threads` workers with `c_factor` queues
     /// per thread (the same `C` as the Multi-Queue; queue `q` is owned by
     /// thread `q % threads`).
@@ -55,7 +55,7 @@ impl<T: Ord> Reld<T> {
     }
 }
 
-impl<T: Ord + Send> Scheduler<T> for Reld<T> {
+impl<T: Ord + Copy + Send> Scheduler<T> for Reld<T> {
     type Handle<'a>
         = ReldHandle<'a, T>
     where
@@ -84,7 +84,7 @@ pub struct ReldHandle<'a, T> {
     stats: OpStats,
 }
 
-impl<T: Ord + Send> SchedulerHandle<T> for ReldHandle<'_, T> {
+impl<T: Ord + Copy + Send> SchedulerHandle<T> for ReldHandle<'_, T> {
     fn push(&mut self, task: T) {
         self.stats.pushes += 1;
         let mut task = Some(task);

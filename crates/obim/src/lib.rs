@@ -261,7 +261,9 @@ impl<T: HasKey + Send> Scheduler<T> for Obim<T> {
 }
 
 /// A worker thread's handle onto an [`Obim`] scheduler.
-pub struct ObimHandle<'a, T> {
+///
+/// Dropping it pushes the rest of its current chunk back into the bags.
+pub struct ObimHandle<'a, T: HasKey + Send> {
     parent: &'a Obim<T>,
     thread_id: usize,
     stats: OpStats,
@@ -471,6 +473,15 @@ impl<T: HasKey + Send> SchedulerHandle<T> for ObimHandle<'_, T> {
     }
 }
 
+impl<T: HasKey + Send> Drop for ObimHandle<'_, T> {
+    fn drop(&mut self) {
+        // The chunk's tasks were taken out of their bags and exist nowhere
+        // else: put them back through the ordinary insert path.
+        let mut chunk = Vec::from(std::mem::take(&mut self.chunk));
+        self.push_batch(&mut chunk);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,6 +615,24 @@ mod tests {
         let drained = drain(&mut h1);
         assert_eq!(drained.len(), 32);
         assert!(h1.stats().stolen_tasks > 0);
+    }
+
+    #[test]
+    fn dropping_a_handle_returns_the_rest_of_its_chunk() {
+        // Δ = 8 puts every key below 256 into one bucket, so the first pop
+        // takes a whole chunk of 32 out of thread 0's queue.
+        let obim: Obim<Task> = Obim::new(ObimConfig::obim(2, 8, 32));
+        let mut h = obim.handle(0);
+        for v in 0..64u64 {
+            h.push(Task::new(v, v));
+        }
+        let first = h.pop().expect("64 tasks queued");
+        assert_eq!(h.chunk.len(), 31);
+        drop(h);
+        let mut back = drain(&mut obim.handle(1));
+        back.push(first);
+        back.sort_unstable();
+        assert_eq!(back, (0..64).map(|v| Task::new(v, v)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub trait LocalQueue<T: Ord>: Send {
     }
 }
 
-impl<T: Ord + Send> LocalQueue<T> for DAryHeap<T> {
+impl<T: Ord + Copy + Send> LocalQueue<T> for DAryHeap<T> {
     fn create() -> Self {
         DAryHeap::new()
     }

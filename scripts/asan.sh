@@ -3,7 +3,7 @@
 # nightly toolchain (ROADMAP item 3(c)).  With no argument it covers every
 # crate that still has `unsafe` code; the others `#![forbid(unsafe_code)]`.
 # Name crates to run only those:
-#   scripts/asan.sh                 # smq-dheap smq-scheduler smq-skiplist smq-pool smq-core
+#   scripts/asan.sh                 # smq-scheduler smq-skiplist smq-pool smq-core
 #   scripts/asan.sh smq-skiplist
 # An explicit --target keeps the sanitizer off build scripts and proc
 # macros, which run on the host and must not be instrumented.  Doctests are
@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 target=${ASAN_TARGET:-x86_64-unknown-linux-gnu}
 crates=("$@")
-[ ${#crates[@]} -gt 0 ] || crates=(smq-dheap smq-scheduler smq-skiplist smq-pool smq-core)
+[ ${#crates[@]} -gt 0 ] || crates=(smq-scheduler smq-skiplist smq-pool smq-core)
 for crate in "${crates[@]}"; do
     echo "asan: $crate"
     RUSTFLAGS="${RUSTFLAGS:-} -Zsanitizer=address" \

@@ -7,7 +7,9 @@
 #   3. `unsafe {` / `unsafe fn` / `unsafe impl` sites per crate
 #   4. options: `pub` fields and `with_*` builders of every `*Config` /
 #      `*Policy` struct (cfg-gated test-only fields included)
-# Run it on both commits and diff the output.
+# Run it on both commits and diff the output.  It also holds the `unsafe`
+# ratchet: it fails when a crate has no `unsafe` site left but its lib.rs
+# does not `#![forbid(unsafe_code)]`, so no crate can quietly grow one back.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,10 +33,14 @@ echo "  total $total"
 
 echo "unsafe_sites"
 total=0
+unforbidden=()
 for crate in $crates; do
     n=$(product_rs | grep "^crates/$crate/" | xargs grep -hE 'unsafe (\{|fn|impl)' | wc -l || true)
     [ "$n" -eq 0 ] || echo "  $crate $n"
     total=$((total + n))
+    if [ "$n" -eq 0 ] && ! grep -qxF '#![forbid(unsafe_code)]' "crates/$crate/src/lib.rs"; then
+        unforbidden+=("$crate")
+    fi
 done
 echo "  total $total"
 
@@ -49,3 +55,8 @@ for file in $(product_rs | xargs grep -lE '^pub struct [A-Za-z]+(Config|Policy) 
     done
 done
 echo "  total $total"
+
+if [ ${#unforbidden[@]} -gt 0 ]; then
+    echo "unsafe ratchet: no unsafe left but no #![forbid(unsafe_code)] in lib.rs: ${unforbidden[*]}" >&2
+    exit 1
+fi
