@@ -7,7 +7,8 @@
 //! adds a task and `delete` removes a task of *approximately* minimal
 //! priority.  This crate defines the vocabulary those schedulers share:
 //!
-//! * [`HasKey`] and the concrete [`Task`] type — what a task looks like,
+//! * [`HasKey`], [`TaskWords`] and the concrete [`Task`] type — what a task
+//!   looks like,
 //! * [`Scheduler`] / [`SchedulerHandle`] — how worker threads interact with a
 //!   scheduler,
 //! * [`rng::Pcg32`] — a small, fast, seedable PRNG used on the hot path of
@@ -33,4 +34,4 @@ pub use prefetch::prefetch_read;
 pub use probability::Probability;
 pub use scheduler::{Scheduler, SchedulerHandle};
 pub use stats::OpStats;
-pub use task::{HasKey, Task};
+pub use task::{HasKey, Task, TaskWords};

@@ -69,10 +69,53 @@ impl HasKey for (u32, u32) {
     }
 }
 
+/// A task as two `u64` words: how the SMQ's stealing buffers store it, so a
+/// thief's optimistic copy is two atomic loads, not a racy read of plain
+/// memory.  `from_words(to_words(t)) == t` must hold.
+pub trait TaskWords: Copy {
+    /// The task as two words.
+    fn to_words(self) -> [u64; 2];
+
+    /// The task that [`to_words`](Self::to_words) turned into `words`.
+    fn from_words(words: [u64; 2]) -> Self;
+}
+
+impl TaskWords for Task {
+    #[inline]
+    fn to_words(self) -> [u64; 2] {
+        [self.key, self.value]
+    }
+
+    #[inline]
+    fn from_words([key, value]: [u64; 2]) -> Self {
+        Self { key, value }
+    }
+}
+
+impl TaskWords for u64 {
+    fn to_words(self) -> [u64; 2] {
+        [self, 0]
+    }
+
+    fn from_words([key, _]: [u64; 2]) -> Self {
+        key
+    }
+}
+
+impl TaskWords for (u64, u64) {
+    fn to_words(self) -> [u64; 2] {
+        [self.0, self.1]
+    }
+
+    fn from_words([a, b]: [u64; 2]) -> Self {
+        (a, b)
+    }
+}
+
 /// The concrete task type used by the graph algorithms and benchmarks:
 /// a `(priority key, payload)` pair that fits in 16 bytes and is `Copy`,
-/// which lets the lock-free stealing buffers publish tasks with plain loads
-/// and stores (validated by an epoch check, see `smq-scheduler`).
+/// which lets the lock-free stealing buffers publish a task as two atomic
+/// words ([`TaskWords`]), validated by an epoch check (see `smq-scheduler`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Task {
     /// The priority key.  Lower keys are removed first.
@@ -155,6 +198,8 @@ mod tests {
         assert_eq!(5u16.key(), 5);
         assert_eq!((3u64, 9u64).key(), 3);
         assert_eq!((3u32, 9u32).key(), 3);
+        assert_eq!(u64::from_words(7u64.to_words()), 7);
+        assert_eq!(<(u64, u64)>::from_words((3, 9).to_words()), (3, 9));
     }
 
     #[test]
@@ -164,5 +209,7 @@ mod tests {
         let t = Task::new(1, 2);
         let u = t; // Copy
         assert_eq!(t, u);
+        assert_eq!(t.to_words(), [1, 2]);
+        assert_eq!(Task::from_words(t.to_words()), t);
     }
 }

@@ -25,7 +25,7 @@
 //! assert_eq!(handle.pop(), Some(Task::new(3, 1)));
 //! ```
 
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

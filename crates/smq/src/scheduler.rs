@@ -1,12 +1,11 @@
 //! The Stealing Multi-Queue scheduler (Listings 2 and 4).
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crossbeam_utils::CachePadded;
 use smq_core::rng::Pcg32;
-use smq_core::{HasKey, OpStats, Probability, Scheduler, SchedulerHandle};
+use smq_core::{HasKey, OpStats, Probability, Scheduler, SchedulerHandle, TaskWords};
 use smq_runtime::{Topology, WeightedQueueSampler};
 
 use crate::config::SmqConfig;
@@ -19,44 +18,36 @@ use crate::stealing_buffer::StealingBuffer;
 /// while staying off the common path.
 const REMOTE_FALLBACK: Probability = Probability::new(4);
 
-/// One thread's local state: the sequential priority queue (owner-only) and
-/// the stealing buffer (shared).
-struct PerThread<T: Copy, Q> {
-    /// Owner-only sequential queue.  Guarded by the handle-uniqueness check:
-    /// only the thread holding the handle for this slot may touch it.
-    queue: UnsafeCell<Q>,
+/// One thread's local state: the sequential priority queue and the
+/// stealing buffer (shared).
+struct PerThread<T, Q> {
+    /// The sequential queue while no handle for this slot is alive; the
+    /// live handle owns it, so a second handle finds `None`.
+    queue: Mutex<Option<Q>>,
     /// The shared stealing buffer other threads steal from.
     buffer: StealingBuffer<T>,
-    /// Set while a handle for this slot is alive; prevents accidentally
-    /// creating two handles for the same thread id.
-    handle_taken: AtomicBool,
+}
+
+impl<T, Q> PerThread<T, Q> {
+    /// The slot's queue while no handle holds it.  A lock holder only takes
+    /// or puts back the whole `Option`, so a poisoned lock is still valid.
+    fn parked_queue(&self) -> MutexGuard<'_, Option<Q>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The Stealing Multi-Queue, generic over the local queue implementation
 /// (`DAryHeap` for [`crate::HeapSmq`], `SequentialSkipList` for
 /// [`crate::SkipListSmq`]).
-pub struct Smq<T: Copy, Q> {
+pub struct Smq<T, Q> {
     slots: Vec<CachePadded<PerThread<T, Q>>>,
     sampler: WeightedQueueSampler,
     config: SmqConfig,
 }
 
-// SAFETY: moving the scheduler moves its local queues (`Q: Send`), its
-// stealing buffers (`Send` for `T: Copy + Send`), the sampler and the
-// config, which are plain data; only the `UnsafeCell` wrapper removed the
-// auto impl.
-unsafe impl<T: Copy + Send, Q: Send> Send for Smq<T, Q> {}
-// SAFETY: through a shared `&Smq` the `UnsafeCell<Q>` of a slot is only
-// accessed by the unique handle for that slot (enforced by `handle_taken`),
-// so a queue is used by one thread at a time and `Q: Send` suffices; the
-// stealing buffers are internally synchronized (`Sync` for `T: Copy +
-// Send`), `handle_taken` is an atomic, and the sampler and config are only
-// read.
-unsafe impl<T: Copy + Send, Q: Send> Sync for Smq<T, Q> {}
-
 impl<T, Q> Smq<T, Q>
 where
-    T: Copy + Ord + HasKey + Send,
+    T: Ord + HasKey + TaskWords + Send,
     Q: LocalQueue<T>,
 {
     /// Builds an SMQ from a validated configuration.
@@ -65,9 +56,8 @@ where
         let slots = (0..config.threads)
             .map(|_| {
                 CachePadded::new(PerThread {
-                    queue: UnsafeCell::new(Q::create()),
+                    queue: Mutex::new(Some(Q::create())),
                     buffer: StealingBuffer::new(config.steal_size),
-                    handle_taken: AtomicBool::new(false),
                 })
             })
             .collect();
@@ -97,7 +87,7 @@ where
 
 impl<T, Q> Scheduler<T> for Smq<T, Q>
 where
-    T: Copy + Ord + HasKey + Send,
+    T: Ord + HasKey + TaskWords + Send,
     Q: LocalQueue<T>,
 {
     type Handle<'a>
@@ -111,16 +101,13 @@ where
 
     fn handle(&self, thread_id: usize) -> SmqHandle<'_, T, Q> {
         assert!(thread_id < self.config.threads, "thread id out of range");
-        let already = self.slots[thread_id]
-            .handle_taken
-            .swap(true, Ordering::AcqRel);
-        assert!(
-            !already,
-            "a handle for thread {thread_id} is already alive; SMQ local queues are single-owner"
-        );
+        let Some(queue) = self.slots[thread_id].parked_queue().take() else {
+            panic!("a handle for thread {thread_id} is already alive; SMQ local queues are single-owner");
+        };
         SmqHandle {
             parent: self,
             thread_id,
+            queue,
             rng: Pcg32::for_thread(self.config.seed, thread_id),
             stats: OpStats::default(),
             stolen_tasks: VecDeque::with_capacity(self.config.steal_size),
@@ -131,12 +118,14 @@ where
 
 /// A worker thread's handle onto an [`Smq`].
 ///
-/// Owns the thread's `stolenTasks` buffer (Listing 2) and is the only object
-/// allowed to touch the thread's local queue.  Dropping it returns whatever
-/// is left in `stolenTasks` to that queue.
-pub struct SmqHandle<'a, T: Copy + Ord + HasKey + Send, Q: LocalQueue<T>> {
+/// Owns the thread's local queue and its `stolenTasks` buffer (Listing 2).
+/// Dropping it pushes whatever is left in `stolenTasks` into the queue and
+/// hands the queue back to the scheduler for the slot's next handle.
+pub struct SmqHandle<'a, T: Ord + HasKey + TaskWords + Send, Q: LocalQueue<T>> {
     parent: &'a Smq<T, Q>,
     thread_id: usize,
+    /// This thread's sequential queue, out of its slot while the handle lives.
+    queue: Q,
     rng: Pcg32,
     stats: OpStats,
     /// Tasks claimed from a stealing buffer but not yet returned to the
@@ -148,28 +137,12 @@ pub struct SmqHandle<'a, T: Copy + Ord + HasKey + Send, Q: LocalQueue<T>> {
 
 impl<'a, T, Q> SmqHandle<'a, T, Q>
 where
-    T: Copy + Ord + HasKey + Send,
+    T: Ord + HasKey + TaskWords + Send,
     Q: LocalQueue<T>,
 {
     #[inline]
     fn my_slot(&self) -> &'a PerThread<T, Q> {
         &self.parent.slots[self.thread_id]
-    }
-
-    /// Owner-only access to the local queue.
-    ///
-    /// The returned borrow is tied to the scheduler's lifetime rather than
-    /// to `&self`, so callers can touch other handle fields (scratch
-    /// buffers, statistics) while holding it.  The aliasing obligation —
-    /// never hold two of these at once — is local to this module: every use
-    /// below is a single straight-line access.
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    fn local_queue(&self) -> &'a mut Q {
-        // SAFETY: handle uniqueness (checked in `Smq::handle`) guarantees
-        // this thread is the only one dereferencing this cell, and no caller
-        // in this module holds two of these borrows simultaneously.
-        unsafe { &mut *self.my_slot().queue.get() }
     }
 
     /// Moves the best `STEAL_SIZE` tasks from the local queue into the
@@ -182,8 +155,7 @@ where
         }
         let steal_size = self.parent.config.steal_size;
         self.scratch.clear();
-        let queue = self.local_queue();
-        if queue.pop_batch_into(steal_size, &mut self.scratch) > 0 {
+        if self.queue.pop_batch_into(steal_size, &mut self.scratch) > 0 {
             slot.buffer.fill(&self.scratch);
             self.scratch.clear();
         } else {
@@ -199,7 +171,7 @@ where
     /// private queue's top.  `u64::MAX` when there is nothing local.
     fn local_top_key(&self) -> u64 {
         let buffer_key = self.my_slot().buffer.top_key();
-        let queue_key = self.local_queue().peek().map_or(u64::MAX, HasKey::key);
+        let queue_key = self.queue.peek().map_or(u64::MAX, HasKey::key);
         buffer_key.min(queue_key)
     }
 
@@ -322,11 +294,11 @@ where
         self.refill_buffer_if_stolen();
         let slot = self.my_slot();
         let buffer_top = slot.buffer.top();
-        let queue_top = self.local_queue().peek().copied();
+        let queue_top = self.queue.peek().copied();
         match (buffer_top, queue_top) {
-            (Some(b), Some(q)) if q <= b => self.local_queue().pop(),
+            (Some(b), Some(q)) if q <= b => self.queue.pop(),
             (Some(_), _) => self.claim_buffer(self.thread_id),
-            (None, Some(_)) => self.local_queue().pop(),
+            (None, Some(_)) => self.queue.pop(),
             (None, None) => None,
         }
     }
@@ -355,12 +327,12 @@ where
 
 impl<T, Q> SchedulerHandle<T> for SmqHandle<'_, T, Q>
 where
-    T: Copy + Ord + HasKey + Send,
+    T: Ord + HasKey + TaskWords + Send,
     Q: LocalQueue<T>,
 {
     fn push(&mut self, task: T) {
         self.stats.pushes += 1;
-        self.local_queue().push(task);
+        self.queue.push(task);
         // `addLocal()` of Listing 4: keep the stealing buffer populated.
         // The shared-state inspection (plus possible refill) is the SMQ's
         // per-push synchronization cost — the quantity `push_batch`
@@ -377,9 +349,8 @@ where
         self.stats.pushes += n;
         self.stats.batch_flushes += 1;
         self.stats.tasks_batched += n;
-        let queue = self.local_queue();
         for task in tasks.drain(..) {
-            queue.push(task);
+            self.queue.push(task);
         }
         // One stealing-buffer maintenance pass for the whole batch instead
         // of one per task: the heap absorbs N inserts back to back and the
@@ -437,7 +408,7 @@ where
         //    stealing buffer still publishes stay claimable by thieves and
         //    are reclaimed by this thread's next `pop_local`.
         if got < max {
-            let moved = self.local_queue().pop_batch_into(max - got, out);
+            let moved = self.queue.pop_batch_into(max - got, out);
             self.stats.pops += moved as u64;
             got += moved;
         }
@@ -494,19 +465,18 @@ where
 
 impl<T, Q> Drop for SmqHandle<'_, T, Q>
 where
-    T: Copy + Ord + HasKey + Send,
+    T: Ord + HasKey + TaskWords + Send,
     Q: LocalQueue<T>,
 {
     fn drop(&mut self) {
         // Tasks claimed from a victim's buffer but not yet handed to the
-        // caller exist nowhere else: put them back into this slot's queue
-        // for its next owner instead of dropping them.  `handle_taken` is
-        // still set, so the queue is still this handle's alone.
-        let queue = self.local_queue();
+        // caller exist nowhere else: put them into this slot's queue for
+        // its next owner instead of dropping them.
         for task in self.stolen_tasks.drain(..) {
-            queue.push(task);
+            self.queue.push(task);
         }
-        self.my_slot().handle_taken.store(false, Ordering::Release);
+        let queue = std::mem::replace(&mut self.queue, Q::create());
+        *self.my_slot().parked_queue() = Some(queue);
     }
 }
 
@@ -516,7 +486,7 @@ mod tests {
     use crate::{HeapSmq, SkipListSmq};
     use smq_core::{Probability, Task};
 
-    fn drain<T: Copy + Ord + HasKey + Send, Q: LocalQueue<T>>(
+    fn drain<T: Ord + HasKey + TaskWords + Send, Q: LocalQueue<T>>(
         handle: &mut SmqHandle<'_, T, Q>,
     ) -> Vec<T> {
         let mut out = Vec::new();
@@ -657,15 +627,20 @@ mod tests {
 
     #[test]
     fn handle_slot_is_released_on_drop() {
-        let smq: HeapSmq<u64> = HeapSmq::new(SmqConfig::default_for_threads(1));
+        let smq: HeapSmq<u64> = HeapSmq::new(SmqConfig::default_for_threads(1).with_steal_size(1));
         {
             let mut h = smq.handle(0);
             h.push(1);
             assert_eq!(h.pop(), Some(1));
+            // 2 is published in the one-task stealing buffer; 3 is still
+            // in the handle's local queue when the handle drops.
+            h.push(2);
+            h.push(3);
         }
-        // Dropping the handle releases the slot for reuse.
+        // Dropping the handle releases the slot for reuse and hands its
+        // local queue back through the slot.
         let mut h = smq.handle(0);
-        assert_eq!(h.pop(), None);
+        assert_eq!(drain(&mut h), vec![2, 3]);
     }
 
     #[test]

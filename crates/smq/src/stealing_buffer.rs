@@ -8,19 +8,27 @@
 //!
 //! All metadata lives in a single 64-bit word packing the buffer **epoch**,
 //! the current **length**, and the **"tasks are stolen" flag**, exactly as
-//! the paper describes.  Reads of the task slots are optimistic (seqlock
-//! style): a reader first observes an un-stolen state word, copies the
-//! slots, and then validates that the state word has not changed — the
-//! owner only ever rewrites the slots while the `stolen` flag is set, and
-//! every refill bumps the epoch, so an unchanged word proves the copy is
-//! consistent.
+//! the paper describes.  The slots form a seqlock over atomic words: each
+//! is two `AtomicU64` holding a task's [`TaskWords`], stored and loaded
+//! `Relaxed`, so a copy racing the owner's rewrite races on atomics, never
+//! on plain memory.  A reader loads an un-stolen state word, loads the slot
+//! words, issues an `Acquire` fence, then re-checks the state word (`top`)
+//! or claims the batch with one CAS from it (`steal_into`).  The owner
+//! rewrites slots only while the stolen flag is set and every refill bumps
+//! the epoch, so an unchanged word proves that each loaded word belongs to
+//! the batch that word published.
+//!
+//! `fill`'s `Release` fence before its slot stores is the seqlock's writer
+//! half: a reader that loads any word of a refill synchronizes with it at
+//! its `Acquire` fence, so its re-check sees at least the stolen state the
+//! owner read before writing, and fails.  A copy mixing two batches' words
+//! (a slot is two loads) is thrown away, never exposed.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
+use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
-use smq_core::HasKey;
+use smq_core::{HasKey, TaskWords};
 
 /// Packed state word layout: bit 0 = stolen flag, bits 1..=16 = length,
 /// bits 17..   = epoch.
@@ -48,9 +56,9 @@ fn unpack(state: u64) -> (u64, usize, bool) {
     )
 }
 
-/// A fixed-capacity buffer of `Copy` tasks that can be stolen wholesale by
-/// any thread.  See the module documentation for the protocol.
-pub struct StealingBuffer<T: Copy> {
+/// A fixed-capacity buffer of tasks that can be stolen wholesale by any
+/// thread.  See the module documentation for the protocol.
+pub struct StealingBuffer<T> {
     state: AtomicU64,
     /// Cached key of `slots[0]`, `u64::MAX` when there is nothing to steal.
     /// **Written only by the owner** — published (clamped to `u64::MAX - 1`)
@@ -63,21 +71,13 @@ pub struct StealingBuffer<T: Copy> {
     /// owner's next operation the snapshot is stale (still the old key); a
     /// thief acting on it merely loses one failed claim attempt.
     top_key: CachePadded<AtomicU64>,
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    /// Each task's [`TaskWords`], written by the owner only while stolen.
+    slots: Box<[[AtomicU64; 2]]>,
+    /// `T` is held only as words, so the buffer is `Send + Sync` for any `T`.
+    _task: PhantomData<fn() -> T>,
 }
 
-// SAFETY: the buffer owns its slots, which hold plain `T: Copy + Send`
-// values that never need dropping; `state` and `top_key` are atomics.
-unsafe impl<T: Copy + Send> Send for StealingBuffer<T> {}
-// SAFETY: slots are only written by the owner while the `stolen` flag is
-// set (so no concurrent reader will trust what it reads — the epoch check
-// fails), and all cross-thread hand-off happens through `state` with
-// acquire/release ordering.  A steal copies `T` values to another thread,
-// hence `T: Send`; `T: Copy` means a discarded optimistic copy needs no
-// drop.
-unsafe impl<T: Copy + Send> Sync for StealingBuffer<T> {}
-
-impl<T: Copy> StealingBuffer<T> {
+impl<T: TaskWords> StealingBuffer<T> {
     /// Creates an empty buffer with room for `capacity` tasks.  The buffer
     /// starts in the *stolen* state (epoch 0), matching Listing 4, so the
     /// owner's first `fill` publishes epoch 1.
@@ -90,8 +90,9 @@ impl<T: Copy> StealingBuffer<T> {
             state: AtomicU64::new(pack(0, 0, true)),
             top_key: CachePadded::new(AtomicU64::new(u64::MAX)),
             slots: (0..capacity)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+                .map(|_| [AtomicU64::new(0), AtomicU64::new(0)])
                 .collect(),
+            _task: PhantomData,
         }
     }
 
@@ -123,21 +124,6 @@ impl<T: Copy> StealingBuffer<T> {
         unpack(self.state.load(Ordering::Acquire)).0
     }
 
-    /// Number of tasks currently published (0 if stolen).
-    pub fn len(&self) -> usize {
-        let (_, len, stolen) = unpack(self.state.load(Ordering::Acquire));
-        if stolen {
-            0
-        } else {
-            len
-        }
-    }
-
-    /// `true` if no unstolen tasks are published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Attempts to claim the whole published batch, appending the tasks (in
     /// ascending priority order) to `out`.  Returns the number of tasks
     /// transferred; 0 means the buffer was stolen or empty.
@@ -158,16 +144,9 @@ impl<T: Copy> StealingBuffer<T> {
                 return 0;
             }
             let start = out.len();
-            for slot in &self.slots[..len] {
-                // SAFETY: `len <= capacity` slots were initialised by the
-                // `fill` that published `before`.  The read is optimistic —
-                // the owner may be rewriting the slot if the batch was
-                // claimed meanwhile — so the copy is volatile, `T: Copy`
-                // means a torn value is never dropped, and it is only
-                // exposed to the caller once the CAS below proves `state`
-                // never left `before` (otherwise it is truncated away).
-                out.push(unsafe { std::ptr::read_volatile(slot.get()).assume_init() });
-            }
+            // Optimistic: kept only if the CAS below proves `state` never
+            // left `before`, otherwise truncated away.
+            out.extend(self.slots[..len].iter().map(load::<T>));
             fence(Ordering::Acquire);
             match self.state.compare_exchange(
                 before,
@@ -196,7 +175,16 @@ impl<T: Copy> StealingBuffer<T> {
     }
 }
 
-impl<T: Copy + HasKey> StealingBuffer<T> {
+/// One slot's task, as two `Relaxed` loads that the caller validates.
+#[inline]
+fn load<T: TaskWords>(slot: &[AtomicU64; 2]) -> T {
+    T::from_words([
+        slot[0].load(Ordering::Relaxed),
+        slot[1].load(Ordering::Relaxed),
+    ])
+}
+
+impl<T: TaskWords + HasKey> StealingBuffer<T> {
     /// Publishes a new batch of tasks.  **Owner only**, and only while the
     /// buffer is in the stolen state (the flag is what gives the owner
     /// exclusive write access to the slots).
@@ -214,13 +202,13 @@ impl<T: Copy + HasKey> StealingBuffer<T> {
         );
         assert!(!tasks.is_empty(), "fill() requires at least one task");
         assert!(tasks.len() <= self.capacity(), "fill() exceeds capacity");
+        // The seqlock's writer fence: a reader that loads a word stored
+        // below fails its re-check of `state` (module docs).
+        fence(Ordering::Release);
         for (slot, task) in self.slots.iter().zip(tasks) {
-            // SAFETY: the stolen flag is set, so no other thread will read
-            // (and trust) these slots until the release store below, and only
-            // the owner calls fill().
-            unsafe {
-                (*slot.get()).write(*task);
-            }
+            let [a, b] = task.to_words();
+            slot[0].store(a, Ordering::Relaxed);
+            slot[1].store(b, Ordering::Relaxed);
         }
         // Publish the advisory snapshot before the batch becomes claimable
         // so no thief can observe a claimable batch with a MAX snapshot.
@@ -254,12 +242,8 @@ impl<T: Copy + HasKey> StealingBuffer<T> {
             if stolen || len == 0 {
                 return None;
             }
-            // SAFETY: `len >= 1`, so slot 0 was initialised by the `fill`
-            // that published `before`.  Optimistic read validated by the
-            // epoch check below; `T: Copy` so a torn value is never *used*
-            // when validation fails.  Volatile keeps the compiler from
-            // caching the read across the fence.
-            let value = unsafe { std::ptr::read_volatile(self.slots[0].get()).assume_init() };
+            // Optimistic; a value mixing two batches fails the check below.
+            let value = load(&self.slots[0]);
             fence(Ordering::Acquire);
             if self.state.load(Ordering::Acquire) == before {
                 return Some(value);
@@ -268,7 +252,7 @@ impl<T: Copy + HasKey> StealingBuffer<T> {
     }
 }
 
-impl<T: Copy + std::fmt::Debug> std::fmt::Debug for StealingBuffer<T> {
+impl<T: TaskWords> std::fmt::Debug for StealingBuffer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (epoch, len, stolen) = unpack(self.state.load(Ordering::Acquire));
         f.debug_struct("StealingBuffer")
@@ -296,7 +280,6 @@ mod tests {
     fn starts_stolen_and_empty() {
         let buf: StealingBuffer<u64> = StealingBuffer::new(4);
         assert!(buf.is_stolen());
-        assert_eq!(buf.len(), 0);
         assert_eq!(buf.top(), None);
         let mut out = Vec::new();
         assert_eq!(buf.steal_into(&mut out), 0);
@@ -329,8 +312,9 @@ mod tests {
         buf.fill(&[1, 2, 3]);
         assert_eq!(buf.epoch(), 1);
         assert!(!buf.is_stolen());
-        assert_eq!(buf.len(), 3);
         assert_eq!(buf.top(), Some(1));
+        let mut out = Vec::new();
+        assert_eq!(buf.steal_into(&mut out), 3);
     }
 
     #[test]
@@ -443,7 +427,9 @@ mod tests {
     #[test]
     fn top_is_stable_across_concurrent_steals() {
         // `top` must only ever return a value that was genuinely the first
-        // element of some published batch.
+        // element of some published batch, and a steal only whole tasks of
+        // one batch: each slot is two separate word loads, so the epoch
+        // re-check must throw away any pair mixing two batches.
         let buf: StealingBuffer<(u64, u64)> = StealingBuffer::new(2);
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
@@ -463,10 +449,17 @@ mod tests {
                 stop_ref.store(true, Ordering::Release);
             });
             s.spawn(move || {
+                let mut out = Vec::new();
                 while !stop_ref.load(Ordering::Acquire) {
                     if let Some((a, b)) = buf_ref.top() {
                         assert_eq!(a, b, "torn read observed");
                     }
+                    out.clear();
+                    buf_ref.steal_into(&mut out);
+                    for &(a, b) in &out {
+                        assert_eq!(a, b, "torn steal observed");
+                    }
+                    assert!(out.windows(2).all(|w| w[0] == w[1]), "mixed batches stolen");
                 }
             });
         });

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The numbers every "delete the second path" PR (ROADMAP item 4) reports
-# before and after, from tracked files only:
+# The numbers every simplicity PR reports before and after (ROADMAP's
+# standing notes), from tracked files only:
 #   1. Rust lines: tracked *.rs outside benchmark/ and crates/shims/
 #   2. non-test Rust lines per crate: the lines of each crates/<c>/src file
 #      before its first `#[cfg(test)]`
