@@ -90,24 +90,20 @@
 //! * [`WorkerPool::new_partitioned`] does the same with one factory-built
 //!   scheduler per gang, and keeps the factory for respawns;
 //! * [`WorkerPool::with_borrowed`] puts a `&S` into the body instead and
-//!   joins every worker before returning (also on unwind) — the scoped
-//!   mode backing `smq_algos::engine::run_parallel`, and the only place
-//!   that extends a lifetime by hand.
+//!   starts its workers on a [`std::thread::scope`], which joins every
+//!   one of them before returning (also on unwind) — the scoped mode
+//!   backing `smq_algos::engine::run_parallel`.
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "fault-inject")]
-pub mod fault;
 pub mod service;
 
-#[cfg(feature = "fault-inject")]
-pub use fault::FaultPlan;
 pub use service::{JobCompletion, JobService, JobTicket, ServiceConfig, ServiceStats, SubmitError};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::thread::{Builder, JoinHandle};
 use std::time::Instant;
 
 use smq_core::{OpStats, Scheduler, SchedulerHandle, Task};
@@ -171,10 +167,6 @@ pub struct PoolConfig {
     /// uninstrumented hot path takes no timestamps and makes no extra
     /// scheduler calls.
     pub telemetry: TelemetryConfig,
-    /// Deterministic fault plan injected into every worker — chaos-testing
-    /// only, see [`fault::FaultPlan`].
-    #[cfg(feature = "fault-inject")]
-    pub faults: Option<FaultPlan>,
 }
 
 impl PoolConfig {
@@ -193,8 +185,6 @@ impl PoolConfig {
             gang_size,
             batch_size: DEFAULT_BATCH_SIZE,
             telemetry: TelemetryConfig::disabled(),
-            #[cfg(feature = "fault-inject")]
-            faults: None,
         }
     }
 
@@ -216,14 +206,6 @@ impl PoolConfig {
     /// `TelemetryReport` in their metrics.
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Injects a deterministic fault plan into every worker of the pool
-    /// (chaos testing — see [`fault::FaultPlan`]).
-    #[cfg(feature = "fault-inject")]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
         self
     }
 }
@@ -422,7 +404,8 @@ struct ClaimState {
 type GangBody = ScopedGangBody<'static>;
 
 /// A [`GangBody`] that may borrow for `'s`; only
-/// [`WorkerPool::with_borrowed`] builds one with a non-`'static` borrow.
+/// [`WorkerPool::with_borrowed`] builds one with a non-`'static` borrow,
+/// and runs it on scoped threads.
 type ScopedGangBody<'s> = Arc<dyn Fn(&Arc<Inner>, usize) + Send + Sync + 's>;
 
 /// Builds gang `g`'s scheduler and wraps it into a fresh [`GangBody`].
@@ -473,9 +456,6 @@ struct Inner {
     threads_spawned: AtomicU64,
     /// Present on factory-built pools: how to rebuild a gang's scheduler.
     respawn_factory: Option<GangFactory>,
-    /// Deterministic fault schedule shared by every worker (chaos testing).
-    #[cfg(feature = "fault-inject")]
-    faults: Option<FaultPlan>,
 }
 
 /// Ignore `std` mutex poisoning: the pool has its own `poisoned` flags with
@@ -550,40 +530,34 @@ fn respawn_dead_gangs(inner: &Arc<Inner>, st: &mut ClaimState) -> usize {
     rebuilt
 }
 
-/// Spawns `gang_size` worker threads for gang `gang_idx`, each holding one
-/// share of `body`, and registers their handles on the gang.  On a spawn
-/// failure the whole fleet (every gang's already-running threads) is shut
-/// down and joined *before* unwinding: without that, live workers of a
-/// [`WorkerPool::with_borrowed`] pool could outlive the scheduler borrow —
-/// a use-after-free, not just a leak.
+/// Starts `gang_size` worker threads for gang `gang_idx`, each holding one
+/// share of `body`: `spawn` starts one thread from its builder and entry
+/// point.  Panics when a thread fails to start; the owning [`WorkerPool`]'s
+/// shutdown then releases the threads that did.
+fn start_gang<'s, H>(
+    inner: &Arc<Inner>,
+    gang_idx: usize,
+    body: &ScopedGangBody<'s>,
+    mut spawn: impl FnMut(Builder, Box<dyn FnOnce() + Send + 's>) -> std::io::Result<H>,
+) -> Vec<H> {
+    (0..inner.gangs[gang_idx].size)
+        .map(|local| {
+            let (worker_inner, body) = (Arc::clone(inner), Arc::clone(body));
+            let name = format!("smq-pool-{gang_idx}-{local}");
+            let run = Box::new(move || body(&worker_inner, local));
+            let handle = spawn(Builder::new().name(name), run)
+                .unwrap_or_else(|e| panic!("failed to spawn pool worker {gang_idx}-{local}: {e}"));
+            inner.threads_spawned.fetch_add(1, Ordering::Relaxed);
+            handle
+        })
+        .collect()
+}
+
+/// Starts gang `gang_idx`'s threads on `body` and registers their join
+/// handles on the gang, where shutdown and respawn join them.
 fn spawn_gang_threads(inner: &Arc<Inner>, gang_idx: usize, body: GangBody) {
-    let gang = &inner.gangs[gang_idx];
-    for local in 0..gang.size {
-        let worker_inner = Arc::clone(inner);
-        let body = Arc::clone(&body);
-        match std::thread::Builder::new()
-            .name(format!("smq-pool-{gang_idx}-{local}"))
-            .spawn(move || body(&worker_inner, local))
-        {
-            Ok(handle) => {
-                lock(&gang.threads).push(handle);
-                inner.threads_spawned.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(error) => {
-                for g in &inner.gangs {
-                    let mut gst = lock(&g.state);
-                    gst.shutdown = true;
-                    g.job_ready.notify_all();
-                }
-                for g in &inner.gangs {
-                    for handle in lock(&g.threads).drain(..) {
-                        let _ = handle.join();
-                    }
-                }
-                panic!("failed to spawn pool worker {gang_idx}-{local}: {error}");
-            }
-        }
-    }
+    let started = start_gang(inner, gang_idx, &body, |builder, run| builder.spawn(run));
+    lock(&inner.gangs[gang_idx].threads).extend(started);
 }
 
 /// A resident fleet of worker threads, partitioned into gangs, executing a
@@ -642,7 +616,10 @@ impl WorkerPool {
     ///
     /// This is the scoped mode behind one-shot `engine::run_parallel` calls:
     /// same worker-loop semantics as the resident pool, without requiring
-    /// `'static` ownership of the scheduler.
+    /// `'static` ownership of the scheduler.  The workers are scoped
+    /// threads: the pool is dropped before the scope ends (also when `f`
+    /// unwinds), and its shutdown releases the parked workers the scope
+    /// then joins.
     pub fn with_borrowed<S, R>(
         scheduler: &S,
         config: PoolConfig,
@@ -653,18 +630,20 @@ impl WorkerPool {
     {
         assert_eq!(config.gangs, 1, "with_borrowed builds a single-gang pool");
         let body = gang_body::<S, &S>(scheduler, 0, config.gang_size);
-        // SAFETY: only the trait object's lifetime bound changes.  The body
-        // holds `scheduler`, and shares of the body are held by this
-        // pool's worker threads only (no factory is stored), every one of
-        // which is joined before this function returns: on the happy path
-        // by the explicit `shutdown`, when `f` unwinds by `Drop`, and when
-        // a thread fails to spawn by `spawn_gang_threads` itself.  `f`
-        // only receives `&WorkerPool`, so the pool cannot escape or leak.
-        let body = unsafe { std::mem::transmute::<ScopedGangBody<'_>, GangBody>(body) };
-        let mut pool = Self::spawn(vec![body], None, config);
-        let result = f(&pool);
-        pool.shutdown();
-        result
+        std::thread::scope(|scope| {
+            let mut pool = Self::build(None, config);
+            let workers = start_gang(&pool.inner, 0, &body, |builder, run| {
+                builder.spawn_scoped(scope, run)
+            });
+            let result = f(&pool);
+            pool.shutdown();
+            // Joined here, not by the scope: a worker killed by a job panic
+            // already lost its job, and must not fail the whole call.
+            for worker in workers {
+                let _ = worker.join();
+            }
+            result
+        })
     }
 
     /// Builds the gang slots and starts one thread generation per gang on
@@ -674,9 +653,20 @@ impl WorkerPool {
         respawn_factory: Option<GangFactory>,
         config: PoolConfig,
     ) -> WorkerPool {
+        assert_eq!(bodies.len(), config.gangs, "one scheduler per gang");
+        // The pool exists before any thread starts, so a failed spawn's
+        // unwind shuts down and joins what did start through `Drop`.
+        let pool = Self::build(respawn_factory, config);
+        for (gang, body) in bodies.into_iter().enumerate() {
+            spawn_gang_threads(&pool.inner, gang, body);
+        }
+        pool
+    }
+
+    /// Builds the gang slots of `config`, with no thread started yet.
+    fn build(respawn_factory: Option<GangFactory>, config: PoolConfig) -> WorkerPool {
         assert!(config.gangs >= 1, "need at least one gang");
         assert!(config.gang_size >= 1, "need at least one worker per gang");
-        assert_eq!(bodies.len(), config.gangs, "one scheduler per gang");
 
         let gangs: Vec<Gang> = (0..config.gangs)
             .map(|_| Gang {
@@ -703,14 +693,8 @@ impl WorkerPool {
             handles_created: AtomicU64::new(0),
             threads_spawned: AtomicU64::new(0),
             respawn_factory,
-            #[cfg(feature = "fault-inject")]
-            faults: config.faults.clone(),
             gangs,
         });
-
-        for (gang, body) in bodies.into_iter().enumerate() {
-            spawn_gang_threads(&inner, gang, body);
-        }
 
         WorkerPool {
             inner,
@@ -718,19 +702,9 @@ impl WorkerPool {
         }
     }
 
-    /// Total number of resident worker threads (all gangs).
-    pub fn threads(&self) -> usize {
-        self.inner.gangs.iter().map(|g| g.size).sum()
-    }
-
     /// Number of worker gangs (the maximum number of concurrent jobs).
     pub fn gangs(&self) -> usize {
         self.inner.gangs.len()
-    }
-
-    /// Workers per gang.
-    pub fn gang_size(&self) -> usize {
-        self.inner.gangs[0].size
     }
 
     /// Gangs not currently retired by a job panic (the next claim, or
@@ -1006,8 +980,6 @@ fn run_worker<H: SchedulerHandle<Task>>(
 
         let mut useful = 0u64;
         let mut wasted = 0u64;
-        #[cfg(feature = "fault-inject")]
-        let faults = inner.faults.as_ref();
         let outcome = worker_loop(
             handle,
             &gang.detector,
@@ -1017,40 +989,10 @@ fn run_worker<H: SchedulerHandle<Task>>(
             Some(&gang.aborted),
             telemetry.as_mut(),
             |task, sink, scratch| {
-                #[cfg(feature = "fault-inject")]
-                let mut panic_in_push = false;
-                #[cfg(feature = "fault-inject")]
-                if let Some(plan) = faults {
-                    match plan.next_action() {
-                        Some(fault::FaultAction::Panic) => {
-                            panic!("injected fault: worker panic")
-                        }
-                        Some(fault::FaultAction::Stall(wait)) => std::thread::sleep(wait),
-                        Some(fault::FaultAction::PanicInPush) => panic_in_push = true,
-                        None => {}
-                    }
-                }
-                {
-                    let mut push = |t: Task| {
-                        sink.push(t);
-                        #[cfg(feature = "fault-inject")]
-                        if panic_in_push {
-                            // Fires *after* the follow-up is published —
-                            // the mid-scheduler-op unwind path.
-                            panic!("injected fault: panic mid scheduler push")
-                        }
-                    };
-                    if job.process(task, &mut push, scratch) {
-                        useful += 1;
-                    } else {
-                        wasted += 1;
-                    }
-                }
-                #[cfg(feature = "fault-inject")]
-                if panic_in_push {
-                    // The task pushed nothing; fire the claimed budget
-                    // anyway so injected counts match observed poisons.
-                    panic!("injected fault: panic after task with no push")
+                if job.process(task, &mut |t| sink.push(t), scratch) {
+                    useful += 1;
+                } else {
+                    wasted += 1;
                 }
             },
             |task| job.prefetch(*task),

@@ -4,8 +4,8 @@
 # 3(e)).  Tests are keyed by the test binary that ran them, so two crates'
 # tests of the same name are told apart.  Leave out `-q`: the quiet format
 # prints no test names.
-#   scripts/flake.sh 10 --release --features fault-inject --test chaos
-#   scripts/flake.sh 100 --release -p smq-pool --features fault-inject
+#   scripts/flake.sh 10 --release --test chaos
+#   scripts/flake.sh 100 --release -p smq-pool
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,5 +1,7 @@
 //! Chaos suite: the fault-tolerance contract of the job service under
-//! randomized, seeded fault storms (requires `--features fault-inject`).
+//! randomized, seeded fault storms.  The faults come from a test scheduler,
+//! [`Faulty`] (`common/fault.rs`), which wraps each gang's `HeapSmq`: the
+//! pool itself has no fault hooks.
 //!
 //! Clients submit plain route queries (`|pool| engine.query(..)`, no
 //! retry) into a service whose gangs have one worker each, so one injected
@@ -16,22 +18,28 @@
 //! * **Every loss is accounted for** — `completed + failed == submitted`,
 //!   and `failed == gangs_poisoned == gangs_respawned == panics injected`:
 //!   stalls only delay work, and each panic loses one job, no more.
-
-#![cfg(feature = "fault-inject")]
+//!
+//! One more test covers what one-worker gangs never reach: a panic on a
+//! two-worker gang, whose survivor must leave the lost job through the
+//! pool's abort flag.
 
 mod common;
+#[path = "common/fault.rs"]
+mod fault;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use common::hang_guard;
+use fault::{FaultPlan, Faulty};
 use proptest::prelude::*;
 
 use smq_repro::algos::{astar, RouteQueryEngine};
 use smq_repro::core::Task;
 use smq_repro::graph::generators::{road_network, RoadNetworkParams};
 use smq_repro::graph::CsrGraph;
-use smq_repro::pool::{FaultPlan, JobError, JobService, PoolConfig, ServiceConfig, WorkerPool};
+use smq_repro::pool::{JobError, JobService, PoolConfig, PoolJob, ServiceConfig, WorkerPool};
+use smq_repro::runtime::Scratch;
 use smq_repro::smq::{HeapSmq, SmqConfig};
 
 /// A small road graph plus deterministic query pairs and their sequential
@@ -65,14 +73,17 @@ fn fixture(seed: u64, query_count: usize) -> (Arc<CsrGraph>, Vec<(u32, u32, u64)
     (graph, queries)
 }
 
-/// A gang-partitioned service with **one worker per gang** (so one panic
-/// kills exactly one gang) wired with the given fault plan.
-fn chaos_service(gangs: usize, seed: u64, plan: FaultPlan) -> JobService {
-    let pool = WorkerPool::new_partitioned(
-        move |g| HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(seed + g as u64)),
-        PoolConfig::partitioned(gangs, 1).with_faults(plan),
-    );
-    JobService::new(pool, ServiceConfig { queue_capacity: 8 })
+/// A pool of `gangs` gangs of `gang_size` workers, each gang's scheduler
+/// (respawned ones too) a [`Faulty`] `HeapSmq` drawing from `plan`.
+fn faulty_pool(gangs: usize, gang_size: usize, seed: u64, plan: &Arc<FaultPlan>) -> WorkerPool {
+    let plan = Arc::clone(plan);
+    WorkerPool::new_partitioned(
+        move |g| {
+            let config = SmqConfig::default_for_threads(gang_size).with_seed(seed + g as u64);
+            Faulty::new(HeapSmq::<Task>::new(config), Arc::clone(&plan))
+        },
+        PoolConfig::partitioned(gangs, gang_size),
+    )
 }
 
 /// Submits one query and waits for it: `true` when it landed exact,
@@ -111,13 +122,19 @@ fn storm(
 ) {
     let (graph, queries) = fixture(seed, 18);
     let engine = Arc::new(RouteQueryEngine::with_lanes(graph, gangs));
-    // High per-task rates with small absolute budgets: the storm is violent
+    // High per-call rates with small absolute budgets: the storm is violent
     // but bounded, so the run always reaches the recovered steady state.
-    let plan = FaultPlan::new(seed ^ 0xc4a0)
-        .with_panic_rate(60_000, panic_budget)
-        .with_push_panic_rate(60_000, push_panic_budget)
-        .with_stall_rate(60_000, Duration::from_micros(200), stall_budget);
-    let service = chaos_service(gangs, seed, plan.clone());
+    // One worker per gang, so one panic kills exactly one gang.
+    let plan = Arc::new(FaultPlan::new(
+        seed ^ 0xc4a0,
+        (60_000, panic_budget),
+        (60_000, push_panic_budget),
+        (60_000, stall_budget),
+    ));
+    let service = JobService::new(
+        faulty_pool(gangs, 1, seed, &plan),
+        ServiceConfig { queue_capacity: 8 },
+    );
 
     let landed: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -192,4 +209,63 @@ proptest! {
             storm(gangs, clients, panic_budget, push_panic_budget, stall_budget, seed)
         });
     }
+}
+
+/// A job of `seeds` tasks that push nothing; it counts what it processed.
+struct SeedsJob {
+    seeds: u64,
+    processed: AtomicU64,
+}
+
+impl SeedsJob {
+    fn new(seeds: u64) -> Self {
+        Self {
+            seeds,
+            processed: AtomicU64::new(0),
+        }
+    }
+}
+
+impl PoolJob for SeedsJob {
+    fn seed_tasks(&self) -> Vec<Task> {
+        (0..self.seeds).map(|i| Task::new(i, i)).collect()
+    }
+
+    fn process(&self, _task: Task, _push: &mut dyn FnMut(Task), _scratch: &mut Scratch) -> bool {
+        self.processed.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+}
+
+/// A push panic on a two-worker gang.  Both workers push their 32 seeds in
+/// one batch each, under one plan with a 100 % rate and a budget of one:
+/// exactly one of them dies right after its batch, with 4 of its seeds in
+/// its stealing buffer and 28 in a queue only it could pop.  Those are
+/// stranded, so the survivor can only leave the lost job through the
+/// pool's abort flag.  The next claim respawns the gang for an exact job.
+#[test]
+fn a_push_panic_on_a_two_worker_gang_loses_one_job_and_the_gang_respawns() {
+    hang_guard(|| {
+        let plan = Arc::new(FaultPlan::new(3, (0, 0), (1_000_000, 1), (0, 0)));
+        let pool = faulty_pool(1, 2, 3, &plan);
+
+        let lost = SeedsJob::new(64);
+        assert_eq!(pool.run_job(&lost).map(|_| ()), Err(JobError::Lost));
+        assert_eq!(plan.panics_injected(), 1);
+        assert!(
+            lost.processed.load(Ordering::Relaxed) <= 36,
+            "28 seeds are stranded"
+        );
+        assert_eq!(pool.stats().gangs_poisoned, 1);
+        assert_eq!(pool.stats().gangs_respawned, 0);
+
+        let exact = SeedsJob::new(64);
+        let out = pool.run_job(&exact).expect("the respawned gang serves");
+        assert_eq!(out.metrics.tasks_executed, 64);
+        assert_eq!(exact.processed.load(Ordering::Relaxed), 64);
+        let stats = pool.stats();
+        assert_eq!(stats.gangs_poisoned, 1);
+        assert_eq!(stats.gangs_respawned, 1);
+        assert_eq!(stats.threads_spawned, 4, "2 at construction + 2 respawned");
+    });
 }
