@@ -176,7 +176,7 @@ where
 
 /// Runs `workload` to quiescence on `scheduler` with `threads` workers at
 /// the library's default hot-path batch size
-/// (`smq_runtime::executor::DEFAULT_BATCH_SIZE`, 8): workers pop up to 8
+/// ([`smq_pool::DEFAULT_BATCH_SIZE`], 8): workers pop up to 8
 /// tasks per scheduling decision, hint the batch to
 /// [`DecreaseKeyWorkload::prefetch`], and flush follow-ups through the
 /// scheduler's `push_batch` at task boundaries.

@@ -44,7 +44,7 @@ pub trait SchedulerHandle<T> {
     /// Returns `None` when the handle cannot find a task anywhere it is
     /// allowed to look.  Because the schedulers are relaxed and concurrent,
     /// `None` does **not** mean the scheduler is globally empty; termination
-    /// detection is the executor's job (see `smq-runtime`).
+    /// detection is the worker pool's job (see `smq-runtime`).
     fn pop(&mut self) -> Option<T>;
 
     /// Inserts a whole batch of tasks, draining `tasks`.
@@ -95,7 +95,7 @@ pub trait SchedulerHandle<T> {
     /// Flushes any tasks buffered locally (insert-side batching) into the
     /// shared structure so other threads can observe them.
     ///
-    /// Called by the executor before a thread starts spinning on an empty
+    /// Called by a pool worker before it starts spinning on an empty
     /// scheduler, and before termination.  The default is a no-op for
     /// schedulers without insert buffering.
     fn flush(&mut self) {}

@@ -6,7 +6,7 @@
 //! NUMA-aware variants, the fraction of queue accesses that stay on the
 //! thread's own node (the `E_int` metric of Section 4).  Handles accumulate
 //! these counters locally (plain `u64`s, no atomics on the hot path) and the
-//! executor merges them after the threads join.
+//! worker pool merges them after each job.
 
 /// Operation counters accumulated by one scheduler handle.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -17,7 +17,9 @@ pub struct OpStats {
     pub pops: u64,
     /// `pop()` calls that returned `None`.
     pub empty_pops: u64,
-    /// Steal attempts (SMQ) or second-queue comparisons (Multi-Queue).
+    /// Steal attempts: SMQ victim probes, RELD random-queue steals after
+    /// its local queues came up empty, OBIM chunk steals from another
+    /// thread's queue.  The Multi-Queue has no steal and leaves it at zero.
     pub steal_attempts: u64,
     /// Steal attempts that actually transferred tasks.
     pub steal_successes: u64,
@@ -48,8 +50,8 @@ pub struct OpStats {
     pub push_locks_acquired: u64,
     /// Non-empty **native** `push_batch` calls executed by this handle.
     /// Zero for schedulers that fall back to the per-task default
-    /// implementation, and zero at batch size 1, where the executor pushes
-    /// per task — policy-level buffering fed by per-task `push` (e.g. the
+    /// implementation, and zero at batch size 1, where the pool's workers
+    /// push per task — policy-level buffering fed by per-task `push` (e.g. the
     /// Multi-Queue's `InsertPolicy::Batching`) is *not* counted here.
     pub batch_flushes: u64,
     /// Tasks inserted through the native `push_batch` calls counted in

@@ -1,7 +1,7 @@
 //! Configuration for the Multi-Queue family.
 
 use smq_core::Probability;
-use smq_runtime::Topology;
+use smq_runtime::{NumaConfig, Topology};
 
 /// How `insert` chooses a target queue (Section 2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,16 +31,6 @@ pub enum DeletePolicy {
     /// Task batching: pick a queue by two-choice sampling and extract up to
     /// `batch` tasks at once into a thread-local buffer.
     Batching(usize),
-}
-
-/// NUMA-aware sampling configuration (Section 4).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NumaConfig {
-    /// The (simulated) machine topology.
-    pub topology: Topology,
-    /// Weight divisor for out-of-node queues; `K = 1` disables the
-    /// optimisation.
-    pub k: u32,
 }
 
 /// Full configuration of a [`crate::MultiQueue`].
@@ -125,12 +115,7 @@ impl MultiQueueConfig {
             assert!(b >= 1, "delete batch size must be >= 1");
         }
         if let Some(numa) = &self.numa {
-            assert_eq!(
-                numa.topology.num_threads(),
-                self.threads,
-                "topology thread count must match the scheduler's"
-            );
-            assert!(numa.k >= 1, "NUMA weight K must be >= 1");
+            numa.validate(self.threads);
         }
     }
 }

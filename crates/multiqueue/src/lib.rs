@@ -28,6 +28,7 @@ pub mod config;
 pub mod queue;
 pub mod reld;
 
-pub use config::{DeletePolicy, InsertPolicy, MultiQueueConfig, NumaConfig};
+pub use config::{DeletePolicy, InsertPolicy, MultiQueueConfig};
 pub use queue::{MultiQueue, MultiQueueHandle};
 pub use reld::{Reld, ReldHandle};
+pub use smq_runtime::NumaConfig;

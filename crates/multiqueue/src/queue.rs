@@ -326,8 +326,8 @@ impl<'a, T: Ord + HasKey + Copy> MultiQueueHandle<'a, T> {
             if k1 == u64::MAX && k2 == u64::MAX {
                 // Both appeared empty.  Snapshots are republished on every
                 // unlock, so when the scheduler is quiescent this is exact;
-                // under concurrency a spurious `None` is fine (the executor
-                // re-checks via termination detection).
+                // under concurrency a spurious `None` is fine (the pool
+                // worker re-checks via termination detection).
                 return None;
             }
             let (winner, loser) = if k1 <= k2 { (q1, q2) } else { (q2, q1) };

@@ -5,8 +5,8 @@
 //! [`WorkerPool`] spawns its fleet **once**, parks the workers on a condvar
 //! between jobs, and executes a stream of jobs against long-lived
 //! schedulers, so thread-spawn latency and cold scheduler state are paid
-//! per pool, not per job: each job seeds a scheduler, runs the shared worker
-//! loop (`smq_runtime::executor::worker_loop`) to quiescence under a fresh
+//! per pool, not per job: each job seeds a scheduler, runs every worker's
+//! pop/process/quiesce loop to quiescence under a fresh
 //! termination-detection *generation*, and hands back per-job
 //! [`RunMetrics`].  A single run is the same thing on a transient pool
 //! ([`WorkerPool::with_borrowed`]).
@@ -98,6 +98,7 @@
 #![warn(missing_docs)]
 
 pub mod service;
+mod worker;
 
 pub use service::{JobCompletion, JobService, JobTicket, ServiceConfig, ServiceStats, SubmitError};
 
@@ -106,10 +107,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{Builder, JoinHandle};
 use std::time::Instant;
 
-use smq_core::{OpStats, Scheduler, SchedulerHandle, Task};
-use smq_runtime::executor::{worker_loop, DEFAULT_BATCH_SIZE};
+use smq_core::{OpStats, Scheduler, Task};
 use smq_runtime::{RunMetrics, Scratch, TerminationDetector};
-use smq_telemetry::{TelemetryConfig, TelemetryReport, WorkerTelemetry};
+use smq_telemetry::{TelemetryConfig, TelemetryReport};
+
+use worker::run_worker;
 
 /// Why a pool job produced no output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +139,19 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
+/// The batch granularity of a default pool's workers: the paper's task
+/// batching is on unless a caller asks for the per-task path.
+///
+/// A constant, not an adaptive rule, because the sweep that sized it (2
+/// vCPUs, two workers, prefetch hints on) found no single observable to
+/// adapt on: road-grid SSSP (tiny frontier) keeps rising to batch 32,
+/// power-law SSSP (huge frontier) is level from 4 to 32, and short A*
+/// routes on one-worker gangs are flat up to 8 but lose 12 % at 16 and
+/// 18 % at 32, because a lone worker that pops 16 tasks runs them out of
+/// priority order.  8 is the largest value that costs no workload
+/// anything (table in the README's "batch-granular hot path" section).
+pub const DEFAULT_BATCH_SIZE: usize = 8;
+
 /// Pool tuning knobs.
 ///
 /// The fleet is `gangs * gang_size` worker threads.  `PoolConfig::new(n)`
@@ -159,8 +174,8 @@ pub struct PoolConfig {
     /// Worker threads per gang.  Must match each gang scheduler's
     /// configured thread count.
     pub gang_size: usize,
-    /// Batch granularity of every worker's hot path, at least 1 (see
-    /// [`with_batch`](Self::with_batch)).
+    /// Batch granularity of every worker's hot path (see
+    /// [`with_batch`](Self::with_batch)); a pool runs 0 as 1.
     pub batch_size: usize,
     /// Opt-in instrumentation for every worker (phase accounting,
     /// rank-error probing).  Disabled by default: the
@@ -188,16 +203,14 @@ impl PoolConfig {
         }
     }
 
-    /// Sets the hot-path batch granularity for every worker (the `batch`
-    /// argument of `smq_runtime::executor::worker_loop`), overriding the
-    /// default of `smq_runtime::executor::DEFAULT_BATCH_SIZE` (8).
-    /// Larger batches amortize scheduler synchronization over the batch
-    /// and give [`PoolJob::prefetch`] more tasks to overlap; batch 1 is the
-    /// explicit exact per-task path (one `pop()` per task, every follow-up
-    /// pushed immediately, no prefetch hints) that the paper-figure sweeps
-    /// use as their baseline row.
+    /// Sets the hot-path batch granularity for every worker, overriding
+    /// [`DEFAULT_BATCH_SIZE`] (8).  Larger batches amortize scheduler
+    /// synchronization over the batch and give [`PoolJob::prefetch`] more
+    /// tasks to overlap; batch 1 is the explicit exact per-task path (one
+    /// `pop()` per task, every follow-up pushed immediately, no prefetch
+    /// hints) that the paper-figure sweeps use as their baseline row.
     pub fn with_batch(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
+        self.batch_size = batch_size;
         self
     }
 
@@ -314,10 +327,12 @@ unsafe impl Sync for JobRef {}
 
 /// What one worker reports back after finishing its share of a job.
 struct WorkerResult {
-    executed: u64,
-    scans: u64,
+    /// Tasks whose `process` returned `true` (advanced the job).
     useful: u64,
+    /// Tasks whose `process` returned `false` (stale on arrival).
     wasted: u64,
+    /// Quiescence scans this worker performed (each is O(threads)).
+    scans: u64,
     stats: OpStats,
     telemetry: Option<TelemetryReport>,
 }
@@ -415,7 +430,7 @@ type GangFactory = Box<dyn Fn(usize) -> GangBody + Send + Sync>;
 /// Wraps gang `gang_idx`'s scheduler — an owned `S`, or the `&S` of
 /// [`WorkerPool::with_borrowed`] — into the body its threads run.  `S` is
 /// known here, so the handle lives on the worker's stack and every
-/// hot-path scheduler call in the shared worker loop is a direct
+/// hot-path scheduler call in the worker loop is a direct
 /// (typically inlined) call — no `Box`, no vtable per operation.
 fn gang_body<'s, S, B>(scheduler: B, gang_idx: usize, gang_size: usize) -> ScopedGangBody<'s>
 where
@@ -438,7 +453,7 @@ where
 
 struct Inner {
     gangs: Vec<Gang>,
-    /// Batch granularity every worker passes to the worker loop.
+    /// Batch granularity of every worker's loop, at least 1.
     batch_size: usize,
     /// The fleet-wide instrumentation configuration (disabled by default).
     telemetry: TelemetryConfig,
@@ -688,7 +703,7 @@ impl WorkerPool {
                 respawned_total: 0,
             }),
             claim_ready: Condvar::new(),
-            batch_size: config.batch_size,
+            batch_size: config.batch_size.max(1),
             telemetry: config.telemetry.clone(),
             handles_created: AtomicU64::new(0),
             threads_spawned: AtomicU64::new(0),
@@ -847,7 +862,7 @@ impl WorkerPool {
             metrics: RunMetrics {
                 elapsed,
                 threads: gang.size,
-                tasks_executed: results.iter().map(|r| r.executed).sum(),
+                tasks_executed: results.iter().map(|r| r.useful + r.wasted).sum(),
                 quiescence_scans: results.iter().map(|r| r.scans).sum(),
                 total: OpStats::merged(results.iter().map(|r| &r.stats)),
                 telemetry,
@@ -885,135 +900,15 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Decrements `remaining` when the worker leaves the job for any reason; a
-/// missing result means the job's `process` panicked, which poisons the
-/// gang instead of deadlocking the coordinator.  (The other half of the
-/// no-deadlock guarantee lives in `worker_loop`: the in-flight task's
-/// completion is recorded even on unwind, so surviving workers can still
-/// reach quiescence and publish their results.)
-struct CompletionGuard<'a> {
-    gang: &'a Gang,
-    local: usize,
-    result: Option<WorkerResult>,
-}
-
-impl Drop for CompletionGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = lock(&self.gang.state);
-        if self.result.is_none() {
-            st.poisoned = true;
-            // Tell this gang's surviving workers to stop waiting for a
-            // quiescence that may now be unreachable (tasks stranded in our
-            // local queues).
-            self.gang.aborted.store(true, Ordering::Release);
-        }
-        st.results[self.local] = self.result.take();
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            st.job = None;
-            self.gang.job_done.notify_all();
-        }
-    }
-}
-
-/// One worker's park/execute loop, generic over the handle so each
-/// [`gang_body`] monomorphizes the whole job hot path.
-fn run_worker<H: SchedulerHandle<Task>>(
-    inner: &Arc<Inner>,
-    gang_idx: usize,
-    local: usize,
-    handle: &mut H,
-) {
-    let gang = &inner.gangs[gang_idx];
-    let mut scratch = Scratch::new();
-    let mut last_seq = 0u64;
-    // When this worker last went idle: the gap until its next job is
-    // accounted as Park time.
-    let mut idle_since = Instant::now();
-
-    loop {
-        // Park until a new job (or shutdown) arrives on this gang.
-        let (job_ref, seeds, seq) = {
-            let mut st = lock(&gang.state);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.seq > last_seq {
-                    let job_ref = st.job.expect("job published without a body");
-                    let seeds = st.seeds[local].take().expect("seed slice taken twice");
-                    break (job_ref, seeds, st.seq);
-                }
-                st = gang.job_ready.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        last_seq = seq;
-
-        let mut guard = CompletionGuard {
-            gang,
-            local,
-            result: None,
-        };
-
-        // SAFETY: valid until this worker's guard decrements `remaining`
-        // (see `JobRef`).
-        let job: &dyn PoolJob = unsafe { &*job_ref.0 };
-        let stats_before = handle.stats();
-        let mut tally = gang.detector.tally(local);
-        // `None` when telemetry is disabled: the loop below then runs the
-        // exact uninstrumented path (no timestamps, no extra handle calls).
-        let mut telemetry = WorkerTelemetry::begin(&inner.telemetry, Some(idle_since));
-        // Seeds were pre-credited by the coordinator; pushing them needs no
-        // recording.  Above batch size 1 a single batch call makes the
-        // whole seed slice visible; at batch 1 each seed is its own `push`,
-        // like every other push of the per-task configuration (one set of
-        // `OpStats` increments per task).
-        let mut seeds = seeds;
-        if inner.batch_size > 1 {
-            handle.push_batch(&mut seeds);
-        } else {
-            for task in seeds.drain(..) {
-                handle.push(task);
-            }
-        }
-        handle.flush();
-
-        let mut useful = 0u64;
-        let mut wasted = 0u64;
-        let outcome = worker_loop(
-            handle,
-            &gang.detector,
-            &mut tally,
-            &mut scratch,
-            inner.batch_size,
-            Some(&gang.aborted),
-            telemetry.as_mut(),
-            |task, sink, scratch| {
-                if job.process(task, &mut |t| sink.push(t), scratch) {
-                    useful += 1;
-                } else {
-                    wasted += 1;
-                }
-            },
-            |task| job.prefetch(*task),
-        );
-
-        guard.result = Some(WorkerResult {
-            executed: outcome.executed,
-            scans: outcome.scans,
-            useful,
-            wasted,
-            stats: handle.stats().delta_since(&stats_before),
-            telemetry: telemetry.map(WorkerTelemetry::finish),
-        });
-        drop(guard); // publishes the result and wakes the coordinator
-        idle_since = Instant::now();
-    }
-}
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
+    use smq_core::SchedulerHandle;
     use smq_scheduler::{HeapSmq, SmqConfig};
     use std::sync::atomic::AtomicU64;
 
@@ -1062,10 +957,19 @@ mod tests {
     }
 
     #[test]
-    fn default_config_runs_the_documented_batch_and_with_batch_clamps_to_one() {
-        assert_eq!(DEFAULT_BATCH_SIZE, 8);
-        assert_eq!(PoolConfig::new(1).batch_size, DEFAULT_BATCH_SIZE);
-        assert_eq!(PoolConfig::new(1).with_batch(0).batch_size, 1);
+    fn default_config_runs_the_documented_batch_and_a_pool_clamps_batch_to_one() {
+        hang_guard(|| {
+            assert_eq!(DEFAULT_BATCH_SIZE, 8);
+            assert_eq!(PoolConfig::new(1).batch_size, DEFAULT_BATCH_SIZE);
+            let pool = WorkerPool::new(smq(1), PoolConfig::new(1).with_batch(0));
+            assert_eq!(pool.inner.batch_size, 1);
+            let out = pool.run_job(&FanoutJob::new(10, 10)).unwrap();
+            assert_eq!(out.metrics.tasks_executed, 30);
+            assert_eq!(
+                out.metrics.total.batch_flushes, 0,
+                "batch 0 runs as batch 1"
+            );
+        });
     }
 
     /// One FanoutJob replay on a fresh single-worker pool of `scheduler`,
@@ -1080,106 +984,117 @@ mod tests {
 
     #[test]
     fn disabled_telemetry_is_bit_identical_single_thread() {
-        // The zero-overhead contract, asserted in its strongest form: even
-        // *fully enabled* telemetry must leave every single-thread OpStats
-        // counter exactly as the disabled (= uninstrumented) path produces
-        // it, because instrumentation only ever reads published snapshots.
-        // Deterministic seeds make single-thread replays exact.
-        let base = replay(smq(1), TelemetryConfig::disabled());
-        let instrumented = replay(smq(1), TelemetryConfig::enabled());
-        assert_eq!(base.metrics.total, instrumented.metrics.total, "SMQ");
-        assert_eq!(
-            base.metrics.tasks_executed,
-            instrumented.metrics.tasks_executed
-        );
-        assert!(base.metrics.telemetry.is_none());
-        assert!(instrumented.metrics.telemetry.is_some());
+        hang_guard(|| {
+            // The zero-overhead contract, asserted in its strongest form: even
+            // *fully enabled* telemetry must leave every single-thread OpStats
+            // counter exactly as the disabled (= uninstrumented) path produces
+            // it, because instrumentation only ever reads published snapshots.
+            // Deterministic seeds make single-thread replays exact.
+            let base = replay(smq(1), TelemetryConfig::disabled());
+            let instrumented = replay(smq(1), TelemetryConfig::enabled());
+            assert_eq!(base.metrics.total, instrumented.metrics.total, "SMQ");
+            assert_eq!(
+                base.metrics.tasks_executed,
+                instrumented.metrics.tasks_executed
+            );
+            assert!(base.metrics.telemetry.is_none());
+            assert!(instrumented.metrics.telemetry.is_some());
 
-        use smq_multiqueue::{MultiQueue, MultiQueueConfig};
-        let mq = || MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(3));
-        let base = replay(mq(), TelemetryConfig::disabled());
-        let instrumented = replay(mq(), TelemetryConfig::enabled());
-        assert_eq!(base.metrics.total, instrumented.metrics.total, "MultiQueue");
-        assert_eq!(
-            base.metrics.tasks_executed,
-            instrumented.metrics.tasks_executed
-        );
+            use smq_multiqueue::{MultiQueue, MultiQueueConfig};
+            let mq = || MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(3));
+            let base = replay(mq(), TelemetryConfig::disabled());
+            let instrumented = replay(mq(), TelemetryConfig::enabled());
+            assert_eq!(base.metrics.total, instrumented.metrics.total, "MultiQueue");
+            assert_eq!(
+                base.metrics.tasks_executed,
+                instrumented.metrics.tasks_executed
+            );
+        });
     }
 
     #[test]
     fn each_telemetry_preset_reports_what_it_measures() {
-        use smq_telemetry::Phase;
-        // (preset, probes rank error, times phases)
-        let presets = [
-            (TelemetryConfig::disabled(), false, false),
-            (TelemetryConfig::probe_only(), true, false),
-            (TelemetryConfig::enabled(), true, true),
-        ];
-        for (preset, probes, times) in presets {
-            let pool = WorkerPool::new(smq(2), PoolConfig::new(2).with_telemetry(preset.clone()));
-            let mut merged = TelemetryReport::new();
-            for _ in 0..4 {
-                let out = pool.run_job(&FanoutJob::new(400, 400)).unwrap();
-                assert_eq!(out.metrics.tasks_executed, 1200, "{preset:?}");
-                let reports = probes || times;
-                assert_eq!(out.metrics.telemetry.is_some(), reports, "{preset:?}");
-                if let Some(report) = &out.metrics.telemetry {
-                    merged.merge(report);
+        hang_guard(|| {
+            use smq_telemetry::Phase;
+            // (preset, probes rank error, times phases)
+            let presets = [
+                (TelemetryConfig::disabled(), false, false),
+                (TelemetryConfig::probe_only(), true, false),
+                (TelemetryConfig::enabled(), true, true),
+            ];
+            for (preset, probes, times) in presets {
+                let pool =
+                    WorkerPool::new(smq(2), PoolConfig::new(2).with_telemetry(preset.clone()));
+                let mut merged = TelemetryReport::new();
+                for _ in 0..4 {
+                    let out = pool.run_job(&FanoutJob::new(400, 400)).unwrap();
+                    assert_eq!(out.metrics.tasks_executed, 1200, "{preset:?}");
+                    let reports = probes || times;
+                    assert_eq!(out.metrics.telemetry.is_some(), reports, "{preset:?}");
+                    if let Some(report) = &out.metrics.telemetry {
+                        merged.merge(report);
+                    }
                 }
+                // 4 jobs x 1200 tasks probed every 64th pop.
+                assert_eq!(merged.rank_errors.count() > 0, probes, "{preset:?}");
+                // Pop, process, the quiescence scan every job ends with, and
+                // the parked gap between jobs (back-dated via `idle_since`);
+                // without phase timing no clock is read at all.
+                for phase in [Phase::Pop, Phase::Process, Phase::Scan, Phase::Park] {
+                    assert_eq!(merged.phases.get(phase) > 0, times, "{preset:?} {phase:?}");
+                }
+                assert_eq!(merged.phases.total_ns() > 0, times, "{preset:?}");
             }
-            // 4 jobs x 1200 tasks probed every 64th pop.
-            assert_eq!(merged.rank_errors.count() > 0, probes, "{preset:?}");
-            // Pop, process, the quiescence scan every job ends with, and
-            // the parked gap between jobs (back-dated via `idle_since`);
-            // without phase timing no clock is read at all.
-            for phase in [Phase::Pop, Phase::Process, Phase::Scan, Phase::Park] {
-                assert_eq!(merged.phases.get(phase) > 0, times, "{preset:?} {phase:?}");
-            }
-            assert_eq!(merged.phases.total_ns() > 0, times, "{preset:?}");
-        }
+        });
     }
 
     #[test]
     fn resident_pool_runs_many_jobs_without_respawning() {
-        let mut pool = WorkerPool::new(smq(2), PoolConfig::new(2));
-        for round in 0..50 {
-            let job = FanoutJob::new(100, 100);
-            let out = pool.run_job(&job).unwrap();
-            assert_eq!(out.metrics.tasks_executed, 300, "round {round}");
-            assert_eq!(job.processed.load(Ordering::Relaxed), 300);
-            assert_eq!(out.useful_tasks, 300);
-            assert_eq!(out.wasted_tasks, 0);
-            assert_eq!(out.total_tasks(), 300);
-            assert_eq!(out.work_increase(200), 1.5);
-            assert_eq!(out.work_increase(0), 1.0, "no baseline, no increase");
-            // Per-job stats deltas: every pushed task popped exactly once.
-            assert_eq!(out.metrics.total.pushes, out.metrics.total.pops);
-            assert_eq!(out.metrics.total.pops, 300);
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.threads_spawned, 2, "workers must never respawn");
-        assert_eq!(stats.jobs_completed, 50);
-        assert_eq!(stats.gangs_poisoned, 0);
-        pool.shutdown();
+        hang_guard(|| {
+            let mut pool = WorkerPool::new(smq(2), PoolConfig::new(2));
+            for round in 0..50 {
+                let job = FanoutJob::new(100, 100);
+                let out = pool.run_job(&job).unwrap();
+                assert_eq!(out.metrics.tasks_executed, 300, "round {round}");
+                assert_eq!(job.processed.load(Ordering::Relaxed), 300);
+                assert_eq!(out.useful_tasks, 300);
+                assert_eq!(out.wasted_tasks, 0);
+                assert_eq!(out.total_tasks(), 300);
+                assert_eq!(out.work_increase(200), 1.5);
+                assert_eq!(out.work_increase(0), 1.0, "no baseline, no increase");
+                // Per-job stats deltas: every pushed task popped exactly once.
+                assert_eq!(out.metrics.total.pushes, out.metrics.total.pops);
+                assert_eq!(out.metrics.total.pops, 300);
+            }
+            let stats = pool.stats();
+            assert_eq!(stats.threads_spawned, 2, "workers must never respawn");
+            assert_eq!(stats.jobs_completed, 50);
+            assert_eq!(stats.gangs_poisoned, 0);
+            pool.shutdown();
+        });
     }
 
     #[test]
     fn empty_job_terminates() {
-        let pool = WorkerPool::new(smq(2), PoolConfig::new(2));
-        let job = FanoutJob::new(0, 0);
-        let out = pool.run_job(&job).unwrap();
-        assert_eq!(out.metrics.tasks_executed, 0);
+        hang_guard(|| {
+            let pool = WorkerPool::new(smq(2), PoolConfig::new(2));
+            let job = FanoutJob::new(0, 0);
+            let out = pool.run_job(&job).unwrap();
+            assert_eq!(out.metrics.tasks_executed, 0);
+        });
     }
 
     #[test]
     fn borrowed_scheduler_scoped_pool() {
-        let scheduler = smq(3);
-        let executed = WorkerPool::with_borrowed(&scheduler, PoolConfig::new(3), |pool| {
-            let job = FanoutJob::new(500, 500);
-            let out = pool.run_job(&job).unwrap();
-            out.metrics.tasks_executed
+        hang_guard(|| {
+            let scheduler = smq(3);
+            let executed = WorkerPool::with_borrowed(&scheduler, PoolConfig::new(3), |pool| {
+                let job = FanoutJob::new(500, 500);
+                let out = pool.run_job(&job).unwrap();
+                out.metrics.tasks_executed
+            });
+            assert_eq!(executed, 1_500);
         });
-        assert_eq!(executed, 1_500);
     }
 
     #[test]
@@ -1196,67 +1111,71 @@ mod tests {
 
     #[test]
     fn single_worker_pool_works() {
-        let pool = WorkerPool::new(smq(1), PoolConfig::new(1));
-        for _ in 0..10 {
-            let job = FanoutJob::new(50, 50);
-            assert_eq!(pool.run_job(&job).unwrap().metrics.tasks_executed, 150);
-        }
-        assert_eq!(pool.stats().threads_spawned, 1);
+        hang_guard(|| {
+            let pool = WorkerPool::new(smq(1), PoolConfig::new(1));
+            for _ in 0..10 {
+                let job = FanoutJob::new(50, 50);
+                assert_eq!(pool.run_job(&job).unwrap().metrics.tasks_executed, 150);
+            }
+            assert_eq!(pool.stats().threads_spawned, 1);
+        });
     }
 
     #[test]
     fn concurrent_single_gang_jobs_run_in_parallel() {
-        // Two jobs on a two-gang pool must be able to be in flight
-        // simultaneously: job A holds its gang hostage
-        // until job B has demonstrably started processing.
-        use std::sync::atomic::AtomicBool;
+        hang_guard(|| {
+            // Two jobs on a two-gang pool must be able to be in flight
+            // simultaneously: job A holds its gang hostage
+            // until job B has demonstrably started processing.
+            use std::sync::atomic::AtomicBool;
 
-        struct GateJob {
-            // Set by the partner job; this job spins until it is true.
-            partner_started: Arc<AtomicBool>,
-            // This job sets it as soon as it processes its first task.
-            started: Arc<AtomicBool>,
-        }
-
-        impl PoolJob for GateJob {
-            fn seed_tasks(&self) -> Vec<Task> {
-                vec![Task::new(1, 1)]
+            struct GateJob {
+                // Set by the partner job; this job spins until it is true.
+                partner_started: Arc<AtomicBool>,
+                // This job sets it as soon as it processes its first task.
+                started: Arc<AtomicBool>,
             }
 
-            fn process(&self, _t: Task, _push: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
-                self.started.store(true, Ordering::Release);
-                while !self.partner_started.load(Ordering::Acquire) {
-                    std::thread::yield_now();
+            impl PoolJob for GateJob {
+                fn seed_tasks(&self) -> Vec<Task> {
+                    vec![Task::new(1, 1)]
                 }
-                true
-            }
-        }
 
-        let pool = partitioned(2, 1);
-        let a = Arc::new(AtomicBool::new(false));
-        let b = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|scope| {
-            let pool = &pool;
-            let (a1, b1) = (Arc::clone(&a), Arc::clone(&b));
-            let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
-            scope.spawn(move || {
-                pool.run_job(&GateJob {
-                    partner_started: b1,
-                    started: a1,
-                })
-                .unwrap();
+                fn process(&self, _t: Task, _push: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+                    self.started.store(true, Ordering::Release);
+                    while !self.partner_started.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    true
+                }
+            }
+
+            let pool = partitioned(2, 1);
+            let a = Arc::new(AtomicBool::new(false));
+            let b = Arc::new(AtomicBool::new(false));
+            std::thread::scope(|scope| {
+                let pool = &pool;
+                let (a1, b1) = (Arc::clone(&a), Arc::clone(&b));
+                let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+                scope.spawn(move || {
+                    pool.run_job(&GateJob {
+                        partner_started: b1,
+                        started: a1,
+                    })
+                    .unwrap();
+                });
+                scope.spawn(move || {
+                    pool.run_job(&GateJob {
+                        partner_started: a2,
+                        started: b2,
+                    })
+                    .unwrap();
+                });
             });
-            scope.spawn(move || {
-                pool.run_job(&GateJob {
-                    partner_started: a2,
-                    started: b2,
-                })
-                .unwrap();
-            });
+            // If jobs were serialized, each would spin forever on its partner;
+            // reaching this line proves two jobs were in flight concurrently.
+            assert_eq!(pool.stats().jobs_completed, 2);
         });
-        // If jobs were serialized, each would spin forever on its partner;
-        // reaching this line proves two jobs were in flight concurrently.
-        assert_eq!(pool.stats().jobs_completed, 2);
     }
 
     /// A job that panics on one specific task.
@@ -1275,118 +1194,134 @@ mod tests {
 
     #[test]
     fn panicking_job_loses_the_job_instead_of_deadlocking() {
-        // The regression this guards: on a multi-worker pool, a panicking
-        // task used to leave the detector permanently unbalanced, so the
-        // surviving worker spun forever and `run_job` never returned.
-        let pool = WorkerPool::new(smq(2), PoolConfig::new(2));
-        assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
-        assert_eq!(pool.stats().gangs_poisoned, 1);
+        hang_guard(|| {
+            // The regression this guards: on a multi-worker pool, a panicking
+            // task used to leave the detector permanently unbalanced, so the
+            // surviving worker spun forever and `run_job` never returned.
+            let pool = WorkerPool::new(smq(2), PoolConfig::new(2));
+            assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
+            assert_eq!(pool.stats().gangs_poisoned, 1);
+        });
     }
 
     #[test]
     fn factory_less_pool_retires_a_poisoned_gang_for_good() {
-        // `WorkerPool::new` stores no factory, so nothing can rebuild the
-        // gang: neither the explicit entry point nor a later claim.
-        let pool = WorkerPool::new(smq(1), PoolConfig::new(1));
-        assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
-        assert_eq!(pool.live_gangs(), 0);
-        assert_eq!(pool.respawn_dead(), 0);
-        assert!(pool.run_job(&FanoutJob::new(1, 0)).is_err());
-        let stats = pool.stats();
-        assert_eq!(stats.gangs_poisoned, 1);
-        assert_eq!(stats.gangs_respawned, 0);
-        assert_eq!(stats.threads_spawned, 1, "no thread was ever respawned");
+        hang_guard(|| {
+            // `WorkerPool::new` stores no factory, so nothing can rebuild the
+            // gang: neither the explicit entry point nor a later claim.
+            let pool = WorkerPool::new(smq(1), PoolConfig::new(1));
+            assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
+            assert_eq!(pool.live_gangs(), 0);
+            assert_eq!(pool.respawn_dead(), 0);
+            assert!(pool.run_job(&FanoutJob::new(1, 0)).is_err());
+            let stats = pool.stats();
+            assert_eq!(stats.gangs_poisoned, 1);
+            assert_eq!(stats.gangs_respawned, 0);
+            assert_eq!(stats.threads_spawned, 1, "no thread was ever respawned");
+        });
     }
 
     #[test]
     fn fully_poisoned_pool_rejects_jobs_with_no_capacity() {
-        let pool = WorkerPool::new(smq(1), PoolConfig::new(1));
-        assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
-        assert_eq!(pool.live_gangs(), 0);
-        // Nothing can serve the job, and nothing ever will: a typed error,
-        // not a panic, and it stays that way for every later call.
-        for _ in 0..3 {
-            assert_eq!(
-                pool.run_job(&FanoutJob::new(1, 0)).map(|_| ()),
-                Err(JobError::NoCapacity)
-            );
-        }
+        hang_guard(|| {
+            let pool = WorkerPool::new(smq(1), PoolConfig::new(1));
+            assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
+            assert_eq!(pool.live_gangs(), 0);
+            // Nothing can serve the job, and nothing ever will: a typed error,
+            // not a panic, and it stays that way for every later call.
+            for _ in 0..3 {
+                assert_eq!(
+                    pool.run_job(&FanoutJob::new(1, 0)).map(|_| ()),
+                    Err(JobError::NoCapacity)
+                );
+            }
+        });
     }
 
     #[test]
     fn poisoned_gang_respawns_on_next_claim() {
-        // On a factory pool the panic poisons one gang only, the next
-        // job's claim rebuilds it, and capacity is back to full.
-        let pool = partitioned(2, 1);
-        assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
-        assert_eq!(pool.live_gangs(), 1);
-        // The next job's claim respawns the dead gang before it picks one.
-        let out = pool.run_job(&FanoutJob::new(40, 40)).unwrap();
-        assert_eq!(out.metrics.tasks_executed, 120);
-        assert_eq!(pool.live_gangs(), 2);
-        let stats = pool.stats();
-        assert_eq!(stats.gangs_poisoned, 1);
-        assert_eq!(stats.gangs_respawned, 1);
-        assert_eq!(
-            stats.threads_spawned, 3,
-            "2 at construction + 1 for the respawned gang"
-        );
+        hang_guard(|| {
+            // On a factory pool the panic poisons one gang only, the next
+            // job's claim rebuilds it, and capacity is back to full.
+            let pool = partitioned(2, 1);
+            assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
+            assert_eq!(pool.live_gangs(), 1);
+            // The next job's claim respawns the dead gang before it picks one.
+            let out = pool.run_job(&FanoutJob::new(40, 40)).unwrap();
+            assert_eq!(out.metrics.tasks_executed, 120);
+            assert_eq!(pool.live_gangs(), 2);
+            let stats = pool.stats();
+            assert_eq!(stats.gangs_poisoned, 1);
+            assert_eq!(stats.gangs_respawned, 1);
+            assert_eq!(
+                stats.threads_spawned, 3,
+                "2 at construction + 1 for the respawned gang"
+            );
+        });
     }
 
     #[test]
     fn respawn_dead_forces_recovery_before_the_next_claim() {
-        let pool = partitioned(2, 1);
-        assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
-        assert_eq!(pool.live_gangs(), 1);
-        assert_eq!(pool.respawn_dead(), 1);
-        assert_eq!(pool.live_gangs(), 2);
-        assert_eq!(pool.respawn_dead(), 0, "nothing left to rebuild");
-        assert_eq!(pool.stats().gangs_respawned, 1);
+        hang_guard(|| {
+            let pool = partitioned(2, 1);
+            assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
+            assert_eq!(pool.live_gangs(), 1);
+            assert_eq!(pool.respawn_dead(), 1);
+            assert_eq!(pool.live_gangs(), 2);
+            assert_eq!(pool.respawn_dead(), 0, "nothing left to rebuild");
+            assert_eq!(pool.stats().gangs_respawned, 1);
+        });
     }
 
     #[test]
     fn repeated_panics_keep_respawning_the_same_slot() {
-        let pool = partitioned(2, 1);
-        for round in 1..=4u64 {
-            assert_eq!(
-                pool.run_job(&PanickingJob).map(|_| ()),
-                Err(JobError::Lost),
-                "round {round}"
-            );
-            let out = pool.run_job(&FanoutJob::new(20, 20)).unwrap();
-            assert_eq!(out.metrics.tasks_executed, 60, "round {round}");
-            assert_eq!(pool.stats().gangs_poisoned, round);
-            assert_eq!(pool.stats().gangs_respawned, round);
-        }
-        assert_eq!(pool.live_gangs(), 2);
+        hang_guard(|| {
+            let pool = partitioned(2, 1);
+            for round in 1..=4u64 {
+                assert_eq!(
+                    pool.run_job(&PanickingJob).map(|_| ()),
+                    Err(JobError::Lost),
+                    "round {round}"
+                );
+                let out = pool.run_job(&FanoutJob::new(20, 20)).unwrap();
+                assert_eq!(out.metrics.tasks_executed, 60, "round {round}");
+                assert_eq!(pool.stats().gangs_poisoned, round);
+                assert_eq!(pool.stats().gangs_respawned, round);
+            }
+            assert_eq!(pool.live_gangs(), 2);
+        });
     }
 
     #[test]
     fn handles_are_created_once_per_worker_across_many_jobs() {
-        let pool = WorkerPool::new(smq(2), PoolConfig::new(2));
-        for _ in 0..100 {
-            pool.run_job(&FanoutJob::new(20, 20)).unwrap();
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.jobs_completed, 100);
-        assert_eq!(
-            stats.handles_created, 2,
-            "a worker creates its scheduler handle once, before its first \
-             park — never per job"
-        );
+        hang_guard(|| {
+            let pool = WorkerPool::new(smq(2), PoolConfig::new(2));
+            for _ in 0..100 {
+                pool.run_job(&FanoutJob::new(20, 20)).unwrap();
+            }
+            let stats = pool.stats();
+            assert_eq!(stats.jobs_completed, 100);
+            assert_eq!(
+                stats.handles_created, 2,
+                "a worker creates its scheduler handle once, before its first \
+                 park — never per job"
+            );
+        });
     }
 
     #[test]
     fn batched_pool_runs_jobs_correctly() {
-        let pool = WorkerPool::new(smq(2), PoolConfig::new(2).with_batch(8));
-        for _ in 0..10 {
-            let job = FanoutJob::new(100, 100);
-            let out = pool.run_job(&job).unwrap();
-            assert_eq!(out.metrics.tasks_executed, 300);
-            assert_eq!(out.metrics.total.pushes, out.metrics.total.pops);
-            // The native SMQ batch paths actually ran.
-            assert!(out.metrics.total.batch_flushes > 0);
-        }
+        hang_guard(|| {
+            let pool = WorkerPool::new(smq(2), PoolConfig::new(2).with_batch(8));
+            for _ in 0..10 {
+                let job = FanoutJob::new(100, 100);
+                let out = pool.run_job(&job).unwrap();
+                assert_eq!(out.metrics.tasks_executed, 300);
+                assert_eq!(out.metrics.total.pushes, out.metrics.total.pops);
+                // The native SMQ batch paths actually ran.
+                assert!(out.metrics.total.batch_flushes > 0);
+            }
+        });
     }
 
     /// [`FanoutJob`]'s task tree (every key is unique) with per-key counts
@@ -1449,42 +1384,50 @@ mod tests {
 
     #[test]
     fn prefetch_hints_only_tasks_that_are_then_processed() {
-        // Default batch, two workers: most pops return several tasks, each
-        // hinted once before its batch runs.
-        let pool = WorkerPool::new(smq(2), PoolConfig::new(2));
-        let job = HintCountingJob::new(200);
-        let out = pool.run_job(&job).unwrap();
-        assert_eq!(out.metrics.tasks_executed, 600);
-        assert_eq!(HintCountingJob::total(&job.processed), 600);
-        assert!(HintCountingJob::total(&job.hinted) > 0);
-        job.assert_hints_precede_processing();
+        hang_guard(|| {
+            // Default batch, two workers: most pops return several tasks, each
+            // hinted once before its batch runs.
+            let pool = WorkerPool::new(smq(2), PoolConfig::new(2));
+            let job = HintCountingJob::new(200);
+            let out = pool.run_job(&job).unwrap();
+            assert_eq!(out.metrics.tasks_executed, 600);
+            assert_eq!(HintCountingJob::total(&job.processed), 600);
+            assert!(HintCountingJob::total(&job.hinted) > 0);
+            job.assert_hints_precede_processing();
+        });
     }
 
     #[test]
     fn batch_one_never_calls_prefetch() {
-        let pool = WorkerPool::new(smq(2), PoolConfig::new(2).with_batch(1));
-        let job = HintCountingJob::new(200);
-        let out = pool.run_job(&job).unwrap();
-        assert_eq!(out.metrics.tasks_executed, 600);
-        assert_eq!(HintCountingJob::total(&job.hinted), 0);
-        assert_eq!(out.metrics.total.batch_flushes, 0);
+        hang_guard(|| {
+            let pool = WorkerPool::new(smq(2), PoolConfig::new(2).with_batch(1));
+            let job = HintCountingJob::new(200);
+            let out = pool.run_job(&job).unwrap();
+            assert_eq!(out.metrics.tasks_executed, 600);
+            assert_eq!(HintCountingJob::total(&job.hinted), 0);
+            assert_eq!(out.metrics.total.batch_flushes, 0);
+        });
     }
 
     #[test]
     fn shutdown_is_idempotent_and_drop_safe() {
-        let mut pool = WorkerPool::new(smq(2), PoolConfig::new(2));
-        pool.run_job(&FanoutJob::new(10, 10)).unwrap();
-        pool.shutdown();
-        pool.shutdown();
-        // Drop after explicit shutdown must not double-join.
+        hang_guard(|| {
+            let mut pool = WorkerPool::new(smq(2), PoolConfig::new(2));
+            pool.run_job(&FanoutJob::new(10, 10)).unwrap();
+            pool.shutdown();
+            pool.shutdown();
+            // Drop after explicit shutdown must not double-join.
+        });
     }
 
     #[test]
     fn shutdown_joins_partitioned_fleet() {
-        let mut pool = partitioned(3, 2);
-        pool.run_job(&FanoutJob::new(10, 10)).unwrap();
-        pool.shutdown();
-        assert_eq!(pool.stats().jobs_completed, 1);
+        hang_guard(|| {
+            let mut pool = partitioned(3, 2);
+            pool.run_job(&FanoutJob::new(10, 10)).unwrap();
+            pool.shutdown();
+            assert_eq!(pool.stats().jobs_completed, 1);
+        });
     }
 
     /// What the drop-probe schedulers of one test report.
@@ -1576,76 +1519,82 @@ mod tests {
 
     #[test]
     fn respawn_drops_the_old_scheduler_once_after_its_last_handle() {
-        let log = Arc::new(ProbeLog::default());
-        let factory_log = Arc::clone(&log);
-        let pool = WorkerPool::new_partitioned(
-            move |_| Probe::new(2, &factory_log),
-            PoolConfig::partitioned(1, 2),
-        );
-        assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
-        // The panicked worker is gone, but the survivor is parked with its
-        // handle: poison alone must not drop the scheduler under it.
-        assert_eq!(log.drops(), vec![]);
-        assert_eq!(pool.respawn_dead(), 1);
-        // The respawn joined the old generation, which dropped instance 0
-        // exactly once, with no handle left onto it.
-        assert_eq!(log.drops(), vec![(0, 0)]);
-        assert_eq!(log.built.load(Ordering::Relaxed), 2);
-        let out = pool.run_job(&FanoutJob::new(40, 40)).unwrap();
-        assert_eq!(out.metrics.tasks_executed, 120);
-        drop(pool);
-        assert_eq!(log.drops(), vec![(0, 0), (1, 0)]);
+        hang_guard(|| {
+            let log = Arc::new(ProbeLog::default());
+            let factory_log = Arc::clone(&log);
+            let pool = WorkerPool::new_partitioned(
+                move |_| Probe::new(2, &factory_log),
+                PoolConfig::partitioned(1, 2),
+            );
+            assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
+            // The panicked worker is gone, but the survivor is parked with its
+            // handle: poison alone must not drop the scheduler under it.
+            assert_eq!(log.drops(), vec![]);
+            assert_eq!(pool.respawn_dead(), 1);
+            // The respawn joined the old generation, which dropped instance 0
+            // exactly once, with no handle left onto it.
+            assert_eq!(log.drops(), vec![(0, 0)]);
+            assert_eq!(log.built.load(Ordering::Relaxed), 2);
+            let out = pool.run_job(&FanoutJob::new(40, 40)).unwrap();
+            assert_eq!(out.metrics.tasks_executed, 120);
+            drop(pool);
+            assert_eq!(log.drops(), vec![(0, 0), (1, 0)]);
+        });
     }
 
     #[test]
     fn dropping_the_pool_drops_every_gangs_scheduler() {
-        let log = Arc::new(ProbeLog::default());
-        let factory_log = Arc::clone(&log);
-        let pool = WorkerPool::new_partitioned(
-            move |_| Probe::new(1, &factory_log),
-            PoolConfig::partitioned(3, 1),
-        );
-        pool.run_job(&FanoutJob::new(30, 30)).unwrap();
-        assert_eq!(log.drops(), vec![]);
-        drop(pool);
-        let mut drops = log.drops();
-        drops.sort_unstable();
-        assert_eq!(drops, vec![(0, 0), (1, 0), (2, 0)]);
+        hang_guard(|| {
+            let log = Arc::new(ProbeLog::default());
+            let factory_log = Arc::clone(&log);
+            let pool = WorkerPool::new_partitioned(
+                move |_| Probe::new(1, &factory_log),
+                PoolConfig::partitioned(3, 1),
+            );
+            pool.run_job(&FanoutJob::new(30, 30)).unwrap();
+            assert_eq!(log.drops(), vec![]);
+            drop(pool);
+            let mut drops = log.drops();
+            drops.sort_unstable();
+            assert_eq!(drops, vec![(0, 0), (1, 0), (2, 0)]);
 
-        // The by-value constructor owns its scheduler the same way.
-        let log = Arc::new(ProbeLog::default());
-        let pool = WorkerPool::new(Probe::new(2, &log), PoolConfig::new(2));
-        pool.run_job(&FanoutJob::new(30, 30)).unwrap();
-        drop(pool);
-        assert_eq!(log.drops(), vec![(0, 0)]);
+            // The by-value constructor owns its scheduler the same way.
+            let log = Arc::new(ProbeLog::default());
+            let pool = WorkerPool::new(Probe::new(2, &log), PoolConfig::new(2));
+            pool.run_job(&FanoutJob::new(30, 30)).unwrap();
+            drop(pool);
+            assert_eq!(log.drops(), vec![(0, 0)]);
+        });
     }
 
     #[test]
     fn with_borrowed_joins_its_fleet_when_the_closure_panics() {
-        let log = Arc::new(ProbeLog::default());
-        let probe = Probe::new(2, &log);
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            WorkerPool::with_borrowed(&probe, PoolConfig::new(2), |pool| {
-                pool.run_job(&FanoutJob::new(20, 20)).unwrap();
-                panic!("intentional panic in the scoped closure");
-            })
-        }));
-        assert!(unwound.is_err());
-        // Workers hold their handles for their whole life, so zero live
-        // handles right after the unwind means every worker was joined.
-        assert_eq!(probe.live_handles.load(Ordering::Acquire), 0);
-        assert_eq!(
-            log.drops(),
-            vec![],
-            "a borrowed scheduler is not the pool's to drop"
-        );
-        // The scheduler is intact: a second scoped pool serves a job on it.
-        let executed = WorkerPool::with_borrowed(&probe, PoolConfig::new(2), |pool| {
-            pool.run_job(&FanoutJob::new(50, 50))
-                .unwrap()
-                .metrics
-                .tasks_executed
+        hang_guard(|| {
+            let log = Arc::new(ProbeLog::default());
+            let probe = Probe::new(2, &log);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                WorkerPool::with_borrowed(&probe, PoolConfig::new(2), |pool| {
+                    pool.run_job(&FanoutJob::new(20, 20)).unwrap();
+                    panic!("intentional panic in the scoped closure");
+                })
+            }));
+            assert!(unwound.is_err());
+            // Workers hold their handles for their whole life, so zero live
+            // handles right after the unwind means every worker was joined.
+            assert_eq!(probe.live_handles.load(Ordering::Acquire), 0);
+            assert_eq!(
+                log.drops(),
+                vec![],
+                "a borrowed scheduler is not the pool's to drop"
+            );
+            // The scheduler is intact: a second scoped pool serves a job on it.
+            let executed = WorkerPool::with_borrowed(&probe, PoolConfig::new(2), |pool| {
+                pool.run_job(&FanoutJob::new(50, 50))
+                    .unwrap()
+                    .metrics
+                    .tasks_executed
+            });
+            assert_eq!(executed, 150);
         });
-        assert_eq!(executed, 150);
     }
 }

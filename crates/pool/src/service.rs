@@ -500,6 +500,7 @@ fn dispatcher_main(inner: &ServiceInner, pool: &WorkerPool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use crate::{PoolConfig, PoolJob};
     use smq_core::Task;
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
@@ -558,275 +559,293 @@ mod tests {
 
     #[test]
     fn jobs_from_many_clients_all_complete() {
-        let service = Arc::new(service(4));
-        let counter = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for client in 0..4 {
-                let service = Arc::clone(&service);
-                let counter = Arc::clone(&counter);
-                scope.spawn(move || {
-                    for _ in 0..5 {
-                        let counter = Arc::clone(&counter);
-                        let ticket = service
-                            .submit(move |pool| {
-                                let job = CountJob {
-                                    seeds: 10 + client,
-                                    counter,
-                                };
-                                pool.run_job(&job).expect("pool job").metrics.tasks_executed
-                            })
-                            .expect("submit");
-                        let done = ticket.wait().expect("job completed");
-                        assert_eq!(done.output, 10 + client);
-                    }
-                });
-            }
+        hang_guard(|| {
+            let service = Arc::new(service(4));
+            let counter = Arc::new(AtomicU64::new(0));
+            std::thread::scope(|scope| {
+                for client in 0..4 {
+                    let service = Arc::clone(&service);
+                    let counter = Arc::clone(&counter);
+                    scope.spawn(move || {
+                        for _ in 0..5 {
+                            let counter = Arc::clone(&counter);
+                            let ticket = service
+                                .submit(move |pool| {
+                                    let job = CountJob {
+                                        seeds: 10 + client,
+                                        counter,
+                                    };
+                                    pool.run_job(&job).expect("pool job").metrics.tasks_executed
+                                })
+                                .expect("submit");
+                            let done = ticket.wait().expect("job completed");
+                            assert_eq!(done.output, 10 + client);
+                        }
+                    });
+                }
+            });
+            let service = Arc::into_inner(service).expect("sole owner");
+            let stats = service.shutdown();
+            assert_eq!(stats.submitted, 20);
+            assert_eq!(stats.completed, 20);
+            assert_eq!(stats.failed, 0);
+            // 4 clients × 5 jobs × 10 base seeds, plus `client` extra seeds per
+            // job for clients 0..4.
+            assert_eq!(counter.load(Ordering::Relaxed), 4 * 5 * 10 + 5 * 6);
         });
-        let service = Arc::into_inner(service).expect("sole owner");
-        let stats = service.shutdown();
-        assert_eq!(stats.submitted, 20);
-        assert_eq!(stats.completed, 20);
-        assert_eq!(stats.failed, 0);
-        // 4 clients × 5 jobs × 10 base seeds, plus `client` extra seeds per
-        // job for clients 0..4.
-        assert_eq!(counter.load(Ordering::Relaxed), 4 * 5 * 10 + 5 * 6);
     }
 
     #[test]
     fn gang_service_keeps_multiple_jobs_in_flight() {
-        // Two single-worker gangs, two dispatchers: two jobs that each wait
-        // for the other can only finish if they run concurrently.
-        use std::sync::atomic::AtomicBool;
-        let service = Arc::new(partitioned_service(2, 4));
-        let a = Arc::new(AtomicBool::new(false));
-        let b = Arc::new(AtomicBool::new(false));
+        hang_guard(|| {
+            // Two single-worker gangs, two dispatchers: two jobs that each wait
+            // for the other can only finish if they run concurrently.
+            use std::sync::atomic::AtomicBool;
+            let service = Arc::new(partitioned_service(2, 4));
+            let a = Arc::new(AtomicBool::new(false));
+            let b = Arc::new(AtomicBool::new(false));
 
-        struct MeetJob {
-            mine: Arc<AtomicBool>,
-            partner: Arc<AtomicBool>,
-        }
-        impl PoolJob for MeetJob {
-            fn seed_tasks(&self) -> Vec<Task> {
-                vec![Task::new(0, 0)]
+            struct MeetJob {
+                mine: Arc<AtomicBool>,
+                partner: Arc<AtomicBool>,
             }
-            fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
-                self.mine.store(true, Ordering::Release);
-                while !self.partner.load(Ordering::Acquire) {
-                    std::thread::yield_now();
+            impl PoolJob for MeetJob {
+                fn seed_tasks(&self) -> Vec<Task> {
+                    vec![Task::new(0, 0)]
                 }
-                true
+                fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+                    self.mine.store(true, Ordering::Release);
+                    while !self.partner.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    true
+                }
             }
-        }
 
-        let mut tickets = Vec::new();
-        for (mine, partner) in [(&a, &b), (&b, &a)] {
-            let (mine, partner) = (Arc::clone(mine), Arc::clone(partner));
-            tickets.push(
-                service
-                    .submit(move |pool| {
-                        pool.run_job(&MeetJob { mine, partner }).expect("meet job");
-                    })
-                    .expect("submit"),
-            );
-        }
-        for ticket in tickets {
-            ticket.wait().expect("both jobs complete");
-        }
-        let service = Arc::into_inner(service).expect("sole owner");
-        let stats = service.shutdown();
-        assert_eq!(stats.completed, 2);
+            let mut tickets = Vec::new();
+            for (mine, partner) in [(&a, &b), (&b, &a)] {
+                let (mine, partner) = (Arc::clone(mine), Arc::clone(partner));
+                tickets.push(
+                    service
+                        .submit(move |pool| {
+                            pool.run_job(&MeetJob { mine, partner }).expect("meet job");
+                        })
+                        .expect("submit"),
+                );
+            }
+            for ticket in tickets {
+                ticket.wait().expect("both jobs complete");
+            }
+            let service = Arc::into_inner(service).expect("sole owner");
+            let stats = service.shutdown();
+            assert_eq!(stats.completed, 2);
+        });
     }
 
     #[test]
     fn panicking_job_yields_job_lost_not_a_client_panic() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let service = partitioned_service(2, 4);
-        let bad = service
-            .submit(|pool| {
-                pool.run_job(&BadJob).expect("fails by panicking");
-            })
-            .expect("submit");
-        assert_eq!(
-            bad.wait().map(|c| c.output),
-            Err(JobError::Lost),
-            "lost job must resolve to Err"
-        );
+        hang_guard(|| {
+            let counter = Arc::new(AtomicU64::new(0));
+            let service = partitioned_service(2, 4);
+            let bad = service
+                .submit(|pool| {
+                    pool.run_job(&BadJob).expect("fails by panicking");
+                })
+                .expect("submit");
+            assert_eq!(
+                bad.wait().map(|c| c.output),
+                Err(JobError::Lost),
+                "lost job must resolve to Err"
+            );
 
-        // The service survives: a fresh job on the remaining gang succeeds.
-        let ok_counter = Arc::clone(&counter);
-        let good = service
-            .submit(move |pool| {
-                let job = CountJob {
-                    seeds: 7,
-                    counter: ok_counter,
-                };
-                pool.run_job(&job).expect("pool job").metrics.tasks_executed
-            })
-            .expect("service still accepts jobs");
-        assert_eq!(good.wait().expect("good job completes").output, 7);
+            // The service survives: a fresh job on the remaining gang succeeds.
+            let ok_counter = Arc::clone(&counter);
+            let good = service
+                .submit(move |pool| {
+                    let job = CountJob {
+                        seeds: 7,
+                        counter: ok_counter,
+                    };
+                    pool.run_job(&job).expect("pool job").metrics.tasks_executed
+                })
+                .expect("service still accepts jobs");
+            assert_eq!(good.wait().expect("good job completes").output, 7);
 
-        let pool_stats = service.pool_stats();
-        let stats = service.shutdown();
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.completed, stats.submitted - stats.failed);
-        assert_eq!(pool_stats.gangs_poisoned, 1);
-        assert_eq!(counter.load(Ordering::Relaxed), 7);
+            let pool_stats = service.pool_stats();
+            let stats = service.shutdown();
+            assert_eq!(stats.failed, 1);
+            assert_eq!(stats.completed, stats.submitted - stats.failed);
+            assert_eq!(pool_stats.gangs_poisoned, 1);
+            assert_eq!(counter.load(Ordering::Relaxed), 7);
+        });
     }
 
     #[test]
     fn try_submit_sheds_load_when_full() {
-        // Block the dispatcher with a slow job, then overfill the queue.
-        let service = service(1);
-        let gate = Arc::new(AtomicU64::new(0));
-        let slow_gate = Arc::clone(&gate);
-        let _slow = service
-            .submit(move |_pool| {
-                while slow_gate.load(Ordering::Acquire) == 0 {
-                    std::thread::yield_now();
+        hang_guard(|| {
+            // Block the dispatcher with a slow job, then overfill the queue.
+            let service = service(1);
+            let gate = Arc::new(AtomicU64::new(0));
+            let slow_gate = Arc::clone(&gate);
+            let _slow = service
+                .submit(move |_pool| {
+                    while slow_gate.load(Ordering::Acquire) == 0 {
+                        std::thread::yield_now();
+                    }
+                })
+                .expect("first job accepted");
+            // Queue capacity 1: one more is queued, then rejections start.
+            let _queued = service.submit(|_pool| ()).expect("queued job accepted");
+            let mut rejected = 0;
+            while rejected == 0 {
+                match service.try_submit(|_pool| ()) {
+                    Err(SubmitError::QueueFull) => rejected += 1,
+                    Ok(_) => {} // dispatcher drained a slot between calls
+                    Err(e) => panic!("unexpected submit error: {e}"),
                 }
-            })
-            .expect("first job accepted");
-        // Queue capacity 1: one more is queued, then rejections start.
-        let _queued = service.submit(|_pool| ()).expect("queued job accepted");
-        let mut rejected = 0;
-        while rejected == 0 {
-            match service.try_submit(|_pool| ()) {
-                Err(SubmitError::QueueFull) => rejected += 1,
-                Ok(_) => {} // dispatcher drained a slot between calls
-                Err(e) => panic!("unexpected submit error: {e}"),
             }
-        }
-        gate.store(1, Ordering::Release);
-        let stats = service.shutdown();
-        assert!(stats.rejected >= 1);
-        assert_eq!(stats.completed, stats.submitted);
+            gate.store(1, Ordering::Release);
+            let stats = service.shutdown();
+            assert!(stats.rejected >= 1);
+            assert_eq!(stats.completed, stats.submitted);
+        });
     }
 
     #[test]
     fn shutdown_drains_accepted_jobs() {
-        let service = service(8);
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut tickets = Vec::new();
-        for _ in 0..6 {
-            let counter = Arc::clone(&counter);
-            tickets.push(
-                service
-                    .submit(move |pool| {
-                        let job = CountJob { seeds: 5, counter };
-                        pool.run_job(&job).expect("pool job");
-                    })
-                    .expect("submit"),
-            );
-        }
-        let stats = service.shutdown();
-        assert_eq!(stats.completed, 6, "shutdown must drain accepted jobs");
-        assert_eq!(counter.load(Ordering::Relaxed), 30);
-        for ticket in tickets {
-            let done = ticket.wait().expect("drained job completed");
-            assert!(done.service_time >= Duration::ZERO);
-        }
+        hang_guard(|| {
+            let service = service(8);
+            let counter = Arc::new(AtomicU64::new(0));
+            let mut tickets = Vec::new();
+            for _ in 0..6 {
+                let counter = Arc::clone(&counter);
+                tickets.push(
+                    service
+                        .submit(move |pool| {
+                            let job = CountJob { seeds: 5, counter };
+                            pool.run_job(&job).expect("pool job");
+                        })
+                        .expect("submit"),
+                );
+            }
+            let stats = service.shutdown();
+            assert_eq!(stats.completed, 6, "shutdown must drain accepted jobs");
+            assert_eq!(counter.load(Ordering::Relaxed), 30);
+            for ticket in tickets {
+                let done = ticket.wait().expect("drained job completed");
+                assert!(done.service_time >= Duration::ZERO);
+            }
+        });
     }
 
     #[test]
     fn dropped_tickets_neither_leak_nor_block_shutdown() {
-        // Regression: a client that submits and walks away must not strand
-        // the result slot or hold up the shutdown drain.
-        let service = service(8);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..4 {
-            let counter = Arc::clone(&counter);
-            let ticket = service
-                .submit(move |pool| {
-                    let job = CountJob { seeds: 3, counter };
-                    pool.run_job(&job).expect("pool job");
-                })
-                .expect("submit");
-            drop(ticket); // abandon immediately, before the job resolves
-        }
-        let stats = service.shutdown();
-        assert_eq!(stats.completed, 4, "abandoned jobs still run and count");
-        assert_eq!(counter.load(Ordering::Relaxed), 12);
-        assert_eq!(stats.queue_depth, 0);
-        assert_eq!(stats.in_flight, 0);
+        hang_guard(|| {
+            // Regression: a client that submits and walks away must not strand
+            // the result slot or hold up the shutdown drain.
+            let service = service(8);
+            let counter = Arc::new(AtomicU64::new(0));
+            for _ in 0..4 {
+                let counter = Arc::clone(&counter);
+                let ticket = service
+                    .submit(move |pool| {
+                        let job = CountJob { seeds: 3, counter };
+                        pool.run_job(&job).expect("pool job");
+                    })
+                    .expect("submit");
+                drop(ticket); // abandon immediately, before the job resolves
+            }
+            let stats = service.shutdown();
+            assert_eq!(stats.completed, 4, "abandoned jobs still run and count");
+            assert_eq!(counter.load(Ordering::Relaxed), 12);
+            assert_eq!(stats.queue_depth, 0);
+            assert_eq!(stats.in_flight, 0);
+        });
     }
 
     #[test]
     fn gauges_drain_to_zero_after_shutdown() {
-        let service = service(8);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..5 {
-            let counter = Arc::clone(&counter);
-            service
-                .submit(move |pool| {
-                    let job = CountJob { seeds: 3, counter };
-                    pool.run_job(&job).expect("pool job");
-                })
-                .expect("submit");
-        }
-        // Mid-run the gauges are bounded by what was submitted.
-        let live = service.stats();
-        assert!(live.queue_depth + live.in_flight <= live.submitted);
-        let stats = service.shutdown();
-        assert_eq!(stats.queue_depth, 0, "queue must drain before shutdown");
-        assert_eq!(stats.in_flight, 0, "no job may outlive shutdown");
-        assert_eq!(stats.completed, 5);
+        hang_guard(|| {
+            let service = service(8);
+            let counter = Arc::new(AtomicU64::new(0));
+            for _ in 0..5 {
+                let counter = Arc::clone(&counter);
+                service
+                    .submit(move |pool| {
+                        let job = CountJob { seeds: 3, counter };
+                        pool.run_job(&job).expect("pool job");
+                    })
+                    .expect("submit");
+            }
+            // Mid-run the gauges are bounded by what was submitted.
+            let live = service.stats();
+            assert!(live.queue_depth + live.in_flight <= live.submitted);
+            let stats = service.shutdown();
+            assert_eq!(stats.queue_depth, 0, "queue must drain before shutdown");
+            assert_eq!(stats.in_flight, 0, "no job may outlive shutdown");
+            assert_eq!(stats.completed, 5);
+        });
     }
 
     #[test]
     fn dead_pool_resolves_tickets_with_no_capacity() {
-        // One gang, no factory: after the panic the pool is permanently
-        // dead and every later job gets the typed NoCapacity outcome.
-        let service = JobService::new(
-            WorkerPool::new(
-                MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(5)),
-                PoolConfig::new(1),
-            ),
-            ServiceConfig { queue_capacity: 4 },
-        );
-        let bad = service
-            .submit(|pool| {
-                pool.run_job(&BadJob).expect("fails by panicking");
-            })
-            .expect("submit");
-        assert!(bad.wait().is_err());
+        hang_guard(|| {
+            // One gang, no factory: after the panic the pool is permanently
+            // dead and every later job gets the typed NoCapacity outcome.
+            let service = JobService::new(
+                WorkerPool::new(
+                    MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(5)),
+                    PoolConfig::new(1),
+                ),
+                ServiceConfig { queue_capacity: 4 },
+            );
+            let bad = service
+                .submit(|pool| {
+                    pool.run_job(&BadJob).expect("fails by panicking");
+                })
+                .expect("submit");
+            assert!(bad.wait().is_err());
 
-        let counter = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&counter);
-        let starved = service
-            .submit(move |pool| {
-                let job = CountJob {
-                    seeds: 3,
-                    counter: c,
-                };
-                // Raise the pool's typed error the way `run_on_pool` does.
-                pool.run_job(&job)
-                    .unwrap_or_else(|error| std::panic::panic_any(error));
-            })
-            .expect("submit");
-        assert_eq!(starved.wait().map(|c| c.output), Err(JobError::NoCapacity));
-        let stats = service.shutdown();
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.no_capacity, 1);
-        assert_eq!(counter.load(Ordering::Relaxed), 0, "nothing left to run it");
+            let counter = Arc::new(AtomicU64::new(0));
+            let c = Arc::clone(&counter);
+            let starved = service
+                .submit(move |pool| {
+                    let job = CountJob {
+                        seeds: 3,
+                        counter: c,
+                    };
+                    // Raise the pool's typed error the way `run_on_pool` does.
+                    pool.run_job(&job)
+                        .unwrap_or_else(|error| std::panic::panic_any(error));
+                })
+                .expect("submit");
+            assert_eq!(starved.wait().map(|c| c.output), Err(JobError::NoCapacity));
+            let stats = service.shutdown();
+            assert_eq!(stats.failed, 1);
+            assert_eq!(stats.no_capacity, 1);
+            assert_eq!(counter.load(Ordering::Relaxed), 0, "nothing left to run it");
+        });
     }
 
     #[test]
     fn submissions_after_shutdown_are_rejected() {
-        let service = service(2);
-        // Close via an internal clone of the closed flag: emulate by racing
-        // shutdown on another thread is overkill — use drop + rebuild path:
-        // here we just verify ShuttingDown surfaces through submit.
-        {
-            let mut st = lock(&service.inner.state);
-            st.closed = true;
-        }
-        assert_eq!(
-            service.submit(|_pool| ()).map(|_| ()),
-            Err(SubmitError::ShuttingDown)
-        );
-        assert_eq!(
-            service.try_submit(|_pool| ()).map(|_| ()),
-            Err(SubmitError::ShuttingDown)
-        );
+        hang_guard(|| {
+            let service = service(2);
+            // Close via an internal clone of the closed flag: emulate by racing
+            // shutdown on another thread is overkill — use drop + rebuild path:
+            // here we just verify ShuttingDown surfaces through submit.
+            {
+                let mut st = lock(&service.inner.state);
+                st.closed = true;
+            }
+            assert_eq!(
+                service.submit(|_pool| ()).map(|_| ()),
+                Err(SubmitError::ShuttingDown)
+            );
+            assert_eq!(
+                service.try_submit(|_pool| ()).map(|_| ()),
+                Err(SubmitError::ShuttingDown)
+            );
+        });
     }
 }

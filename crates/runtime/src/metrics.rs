@@ -16,8 +16,9 @@ pub struct RunMetrics {
     /// Total tasks executed (popped and processed) across all threads.
     pub tasks_executed: u64,
     /// O(threads) quiescence scans performed across all workers.  The
-    /// epoch-gated scan keeps `quiescence_scans * SCAN_GATE <=
-    /// total.empty_pops`; before the gate every empty pop scanned.
+    /// epoch-gated scan keeps `quiescence_scans *`
+    /// [`SCAN_GATE`](crate::SCAN_GATE) `<= total.empty_pops`; before the
+    /// gate every empty pop scanned.
     pub quiescence_scans: u64,
     /// Scheduler operation counters, summed over the run's workers.
     pub total: OpStats,

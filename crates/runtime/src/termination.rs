@@ -1,6 +1,6 @@
 //! Distributed termination detection for the work loop.
 //!
-//! The executor originally kept one global `AtomicU64` pending-task counter
+//! The worker loop originally kept one global `AtomicU64` pending-task counter
 //! that every worker hit with a `SeqCst` fetch-add before each push and a
 //! `SeqCst` fetch-sub after each pop — a guaranteed cache-line ping-pong on
 //! the hottest path of every scheduler.  This module replaces it with one
@@ -70,7 +70,7 @@
 //! is busiest elsewhere.  The detector therefore also keeps an *activity
 //! epoch*: a counter bumped (off the hot path) whenever a previously idle
 //! worker finds a task again.  The worker loop only scans after it has seen
-//! [`SCAN_GATE`](crate::executor::SCAN_GATE) consecutive empty pops during
+//! [`SCAN_GATE`] consecutive empty pops during
 //! which the epoch did not move — i.e. when the system has looked stable for
 //! a while.  Gating only delays scans; it cannot make a scan lie, so
 //! termination soundness is untouched, and liveness holds because after
@@ -80,6 +80,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
+
+/// How many consecutive empty pops (with a stable activity epoch) a worker
+/// accumulates before paying for one O(threads) quiescence scan.
+pub const SCAN_GATE: u32 = 8;
 
 /// One worker's counter pair.  Both atomics are written exclusively by the
 /// owning worker; everyone may read them.
@@ -96,8 +100,8 @@ pub struct TerminationDetector {
     /// Bumped by [`advance_generation`](Self::advance_generation) between
     /// jobs; validates tallies and in-flight scans against job boundaries.
     generation: AtomicU64,
-    /// Bumped when a previously idle worker finds work again; the executor
-    /// uses it to gate the O(threads) quiescence scan (see module docs).
+    /// Bumped when a previously idle worker finds work again; the worker
+    /// loop uses it to gate the O(threads) quiescence scan (see module docs).
     activity: AtomicU64,
 }
 

@@ -6,7 +6,8 @@
 //! expected fraction of in-node accesses stays constant.  [`Topology`]
 //! provides the thread→node and queue→node mappings; [`WeightedQueueSampler`]
 //! implements the weighted choice and exposes the probability of an in-node
-//! access so experiments can report the paper's `E_int` metric.
+//! access so experiments can report the paper's `E_int` metric;
+//! [`NumaConfig`] is how a scheduler configuration asks for it.
 
 use smq_core::rng::Pcg32;
 
@@ -112,6 +113,31 @@ impl Topology {
     }
 }
 
+/// NUMA-aware queue sampling (Section 4) for a scheduler configuration:
+/// same-node queues get weight 1, remote queues weight `1/K`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NumaConfig {
+    /// The (simulated) machine topology; must cover exactly the scheduler's
+    /// thread count.
+    pub topology: Topology,
+    /// Out-of-node weight divisor `K >= 1`; `K = 1` disables the
+    /// optimisation.
+    pub k: u32,
+}
+
+impl NumaConfig {
+    /// Panics unless the topology covers exactly `threads` threads and
+    /// `K >= 1`.
+    pub fn validate(&self, threads: usize) {
+        assert_eq!(
+            self.topology.num_threads(),
+            threads,
+            "topology thread count must match the scheduler's"
+        );
+        assert!(self.k >= 1, "NUMA weight K must be >= 1");
+    }
+}
+
 /// Weighted queue sampling for NUMA-aware schedulers (Section 4).
 ///
 /// For a calling thread on node `i`, queues on node `i` have weight 1 and
@@ -195,23 +221,32 @@ impl WeightedQueueSampler {
                 == self.topology.node_of_thread(thread_id);
             return (q, local);
         }
-        let my_node = self.topology.node_of_thread(thread_id);
-        let region = self.topology.queues_per_node(self.queues_per_thread);
         if rng.next_f64() < self.p_local {
             // Uniform inside this node's contiguous queue block.
+            let region = self.topology.queues_per_node(self.queues_per_thread);
+            let my_node = self.topology.node_of_thread(thread_id);
             (my_node * region + rng.next_bounded(region), true)
         } else {
-            // Uniform among remote queues: pick a slot in the concatenation
-            // of every *other* node's block, then skip past the local node.
-            let pick = rng.next_bounded((nodes - 1) * region);
-            let remote_node_rank = pick / region;
-            let node = if remote_node_rank >= my_node {
-                remote_node_rank + 1
-            } else {
-                remote_node_rank
-            };
-            (node * region + pick % region, false)
+            (self.sample_remote(thread_id, rng), false)
         }
+    }
+
+    /// Samples a queue uniformly among those *not* on `thread_id`'s node
+    /// (one bounded draw): a slot in the concatenation of every other
+    /// node's block, then skip past the local node.  Needs at least two
+    /// nodes.
+    #[inline]
+    pub fn sample_remote(&self, thread_id: usize, rng: &mut Pcg32) -> usize {
+        let region = self.topology.queues_per_node(self.queues_per_thread);
+        let my_node = self.topology.node_of_thread(thread_id);
+        let pick = rng.next_bounded((self.topology.num_nodes() - 1) * region);
+        let remote_node_rank = pick / region;
+        let node = if remote_node_rank >= my_node {
+            remote_node_rank + 1
+        } else {
+            remote_node_rank
+        };
+        node * region + pick % region
     }
 }
 
@@ -380,6 +415,19 @@ mod tests {
             (rate - expected).abs() < 0.02,
             "empirical {rate} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn sample_remote_reaches_every_other_node_and_never_the_callers() {
+        let topo = Topology::uniform(3, 2);
+        let sampler = WeightedQueueSampler::new(topo.clone(), 2, 8);
+        let mut rng = Pcg32::new(5);
+        let mut nodes_seen = [false; 3];
+        for _ in 0..10_000 {
+            // Thread 2 lives on node 1.
+            nodes_seen[topo.node_of_queue(sampler.sample_remote(2, &mut rng), 2)] = true;
+        }
+        assert_eq!(nodes_seen, [true, false, true]);
     }
 
     #[test]

@@ -2,19 +2,7 @@
 
 use smq_core::Probability;
 use smq_dheap::ARITY;
-use smq_runtime::Topology;
-
-/// NUMA-aware victim sampling (Section 4): when a thread decides to steal,
-/// queues on its own node are chosen with weight 1 and remote queues with
-/// weight `1/K`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SmqNumaConfig {
-    /// The (simulated) machine topology; must cover exactly the scheduler's
-    /// thread count.
-    pub topology: Topology,
-    /// Out-of-node weight divisor `K >= 1`.
-    pub k: u32,
-}
+use smq_runtime::{NumaConfig, Topology};
 
 /// Parameters of the Stealing Multi-Queue.
 #[derive(Debug, Clone)]
@@ -30,8 +18,10 @@ pub struct SmqConfig {
     /// [`SmqConfig::validate`] enforces.  Nothing in the scheduler reads it;
     /// it stays for `benchmark/src/hold.rs` until ROADMAP item 1(i).
     pub heap_arity: usize,
-    /// Optional NUMA-aware victim sampling.
-    pub numa: Option<SmqNumaConfig>,
+    /// Optional NUMA-aware victim sampling: when a thread decides to steal,
+    /// victims on its own node are chosen with weight 1 and remote ones with
+    /// weight `1/K`.
+    pub numa: Option<NumaConfig>,
     /// PRNG seed for the per-thread generators.
     pub seed: u64,
 }
@@ -64,7 +54,7 @@ impl SmqConfig {
 
     /// Enables NUMA-aware victim sampling.
     pub fn with_numa(mut self, topology: Topology, k: u32) -> Self {
-        self.numa = Some(SmqNumaConfig { topology, k });
+        self.numa = Some(NumaConfig { topology, k });
         self
     }
 
@@ -83,12 +73,7 @@ impl SmqConfig {
             "the d-ary heap is {ARITY}-ary by construction (`heap_arity` is a benchmark shim, ROADMAP item 1(i))"
         );
         if let Some(numa) = &self.numa {
-            assert_eq!(
-                numa.topology.num_threads(),
-                self.threads,
-                "topology thread count must match the scheduler's"
-            );
-            assert!(numa.k >= 1, "NUMA weight K must be >= 1");
+            numa.validate(self.threads);
         }
     }
 }

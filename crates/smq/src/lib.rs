@@ -33,9 +33,10 @@ pub mod local_queue;
 pub mod scheduler;
 pub mod stealing_buffer;
 
-pub use config::{SmqConfig, SmqNumaConfig};
+pub use config::SmqConfig;
 pub use local_queue::LocalQueue;
 pub use scheduler::{Smq, SmqHandle};
+pub use smq_runtime::NumaConfig;
 pub use stealing_buffer::StealingBuffer;
 
 use smq_dheap::DAryHeap;

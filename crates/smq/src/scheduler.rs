@@ -227,13 +227,12 @@ where
         if topology.num_nodes() <= 1 || !REMOTE_FALLBACK.sample(&mut self.rng) {
             return None;
         }
-        let per_node = topology.threads_per_node();
-        let my_node = topology.node_of_thread(self.thread_id);
-        let pick = self.rng.next_bounded((topology.num_nodes() - 1) * per_node);
-        let rank = pick / per_node;
-        let node = if rank >= my_node { rank + 1 } else { rank };
         self.stats.remote_samples += 1;
-        Some(node * per_node + pick % per_node)
+        Some(
+            self.parent
+                .sampler
+                .sample_remote(self.thread_id, &mut self.rng),
+        )
     }
 
     /// `trySteal()` of Listing 2: pick a random victim, compare its

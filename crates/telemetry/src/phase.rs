@@ -8,7 +8,8 @@ pub enum Phase {
     /// Popping tasks from the scheduler (the scheduling decision itself).
     Pop,
     /// A pop that performed steal work (attributed via the handle's
-    /// steal-attempt counters; subsumes the victim comparison and claim).
+    /// `steal_attempts` counter, so never on the Multi-Queue, which counts
+    /// none; subsumes the victim comparison and claim).
     Steal,
     /// Executing the user's task-processing function.
     Process,

@@ -97,9 +97,10 @@ impl WorkerTelemetry {
         self.timing
     }
 
-    /// Feeds the handle's cumulative steal-operation count (attempts +
-    /// claimed tasks); returns `true` when it moved since the last call —
-    /// i.e. the just-finished pop performed steal work.
+    /// Feeds the handle's cumulative `OpStats::steal_attempts`; returns
+    /// `true` when it moved since the last call — i.e. the just-finished
+    /// pop attempted a steal.  Schedulers that never count a steal (the
+    /// Multi-Queue) never attribute a span to `Phase::Steal`.
     #[inline]
     pub fn note_steal_ops(&mut self, ops: u64) -> bool {
         let moved = ops != self.last_steal_ops;

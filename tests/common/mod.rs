@@ -1,6 +1,7 @@
 //! Shared by the integration tests that can only fail by never finishing
-//! (termination detection, gang claims): a hang becomes a named failure in
-//! seconds instead of a stuck suite.
+//! (termination detection, gang claims) and, through `#[path]`, by every
+//! multi-thread unit test of `smq-pool`: a hang becomes a named failure in
+//! seconds instead of a stuck suite.  Std-only, so any crate can include it.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;

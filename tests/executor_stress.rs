@@ -12,7 +12,7 @@ use smq_repro::core::{Probability, Scheduler, Task};
 use smq_repro::multiqueue::{MultiQueue, MultiQueueConfig};
 use smq_repro::obim::{Obim, ObimConfig};
 use smq_repro::pool::{PoolConfig, PoolJob, WorkerPool};
-use smq_repro::runtime::executor::SCAN_GATE;
+use smq_repro::runtime::SCAN_GATE;
 use smq_repro::runtime::{RunMetrics, Scratch};
 use smq_repro::smq::{HeapSmq, SmqConfig};
 
