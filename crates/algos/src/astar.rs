@@ -10,7 +10,7 @@
 //! Task priority is the usual `f = g + h`; a task is wasted if its `g` value
 //! is stale or if the vertex can no longer improve the best known route to
 //! the target.  The parallel run is [`AstarWorkload`] on the generic
-//! [`engine`].
+//! [`engine`](crate::engine).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,45 +18,7 @@ use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
 use smq_runtime::Scratch;
 
-use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
-
-/// The per-vertex g-scores as the A* kernel sees them.
-///
-/// The trait hides the slot *format*, which is the only thing that differs
-/// between a one-shot run and a served query: a `Vec<AtomicU64>` is a plain
-/// slot per vertex allocated for the run, while the query service
-/// (`crate::query`) reads epoch-stamped 24+40-bit slots of a lane it
-/// reuses across queries without ever resetting it.  Both run the same
-/// [`AstarWorkload::process`].
-pub trait LabelStore: Sync {
-    /// What [`get`](Self::get) returns for a vertex no path has reached
-    /// yet; every real label is strictly smaller.
-    const UNREACHED: u64;
-
-    /// The current label of `v`.
-    fn get(&self, v: u32) -> u64;
-
-    /// The CAS-relax step: lowers `v`'s label to `proposed` if that is a
-    /// strict improvement.  Returns `true` when this call performed the
-    /// decrease.
-    fn try_decrease(&self, v: u32, proposed: u64) -> bool;
-}
-
-/// The label store of a one-shot run: one plain `AtomicU64` per vertex,
-/// `u64::MAX` while unreached.
-impl LabelStore for Vec<AtomicU64> {
-    const UNREACHED: u64 = u64::MAX;
-
-    #[inline]
-    fn get(&self, v: u32) -> u64 {
-        self[v as usize].load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn try_decrease(&self, v: u32, proposed: u64) -> bool {
-        engine::try_decrease(&self[v as usize], proposed)
-    }
-}
+use crate::engine::{DecreaseKeyWorkload, LabelStore, SequentialReference, TaskOutcome};
 
 /// The admissible heuristic: scaled Euclidean distance between `v` and the
 /// target.  The road generator assigns each edge a weight of at least
@@ -217,6 +179,8 @@ impl<G: GraphView, L: LabelStore> DecreaseKeyWorkload for AstarWorkload<'_, G, L
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
+    use crate::engine;
     use crate::sssp;
     use smq_graph::generators::{road_network, RoadNetworkParams};
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
@@ -261,33 +225,39 @@ mod tests {
 
     #[test]
     fn parallel_astar_is_exact_with_smq() {
-        let g = road();
-        let target = (g.num_nodes() - 1) as u32;
-        let (expected, _) = sequential(&g, 0, target);
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let run = engine::run_parallel(&AstarWorkload::new(&g, 0, target), &smq, 2);
-        assert_eq!(run.output, expected);
-        assert!(run.result.useful_tasks > 0);
+        hang_guard(|| {
+            let g = road();
+            let target = (g.num_nodes() - 1) as u32;
+            let (expected, _) = sequential(&g, 0, target);
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
+            let run = engine::run_parallel(&AstarWorkload::new(&g, 0, target), &smq, 2);
+            assert_eq!(run.output, expected);
+            assert!(run.result.useful_tasks > 0);
+        });
     }
 
     #[test]
     fn parallel_astar_is_exact_with_multiqueue() {
-        let g = road();
-        let target = (g.num_nodes() / 2) as u32;
-        let (expected, _) = sequential(&g, 0, target);
-        let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2));
-        let run = engine::run_parallel(&AstarWorkload::new(&g, 0, target), &mq, 2);
-        assert_eq!(run.output, expected);
+        hang_guard(|| {
+            let g = road();
+            let target = (g.num_nodes() / 2) as u32;
+            let (expected, _) = sequential(&g, 0, target);
+            let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2));
+            let run = engine::run_parallel(&AstarWorkload::new(&g, 0, target), &mq, 2);
+            assert_eq!(run.output, expected);
+        });
     }
 
     #[test]
     fn unreachable_target_reports_max() {
-        use smq_graph::GraphBuilder;
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 5);
-        let g = b.build();
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(1));
-        let run = engine::run_parallel(&AstarWorkload::new(&g, 0, 2), &smq, 1);
-        assert_eq!(run.output, u64::MAX);
+        hang_guard(|| {
+            use smq_graph::GraphBuilder;
+            let mut b = GraphBuilder::new(3);
+            b.add_edge(0, 1, 5);
+            let g = b.build();
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(1));
+            let run = engine::run_parallel(&AstarWorkload::new(&g, 0, 2), &smq, 1);
+            assert_eq!(run.output, u64::MAX);
+        });
     }
 }

@@ -21,6 +21,7 @@ pub fn sequential<G: GraphView>(graph: &G, source: u32) -> (Vec<u64>, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use crate::engine;
     use crate::sssp::SsspWorkload;
     use smq_core::Task;
@@ -40,18 +41,20 @@ mod tests {
 
     #[test]
     fn parallel_bfs_matches_sequential_on_social_graph() {
-        let g = power_law(PowerLawParams {
-            nodes: 3_000,
-            avg_degree: 6,
-            exponent: 2.3,
-            max_weight: 255,
-            seed: 11,
+        hang_guard(|| {
+            let g = power_law(PowerLawParams {
+                nodes: 3_000,
+                avg_degree: 6,
+                exponent: 2.3,
+                max_weight: 255,
+                seed: 11,
+            });
+            let (expected, visited) = sequential(&g, 0);
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
+            let run = engine::run_parallel(&SsspWorkload::bfs(&g, 0), &smq, 2);
+            assert_eq!(run.output, expected);
+            assert!(run.result.useful_tasks >= visited);
         });
-        let (expected, visited) = sequential(&g, 0);
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let run = engine::run_parallel(&SsspWorkload::bfs(&g, 0), &smq, 2);
-        assert_eq!(run.output, expected);
-        assert!(run.result.useful_tasks >= visited);
     }
 
     #[test]

@@ -136,6 +136,7 @@ impl<G: GraphView> DecreaseKeyWorkload for CcWorkload<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use smq_graph::generators::{power_law, uniform_random, PowerLawParams};
     use smq_graph::GraphBuilder;
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
@@ -197,25 +198,29 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_smq() {
-        let g = power_law(PowerLawParams {
-            nodes: 2_000,
-            avg_degree: 4,
-            exponent: 2.3,
-            max_weight: 100,
-            seed: 23,
+        hang_guard(|| {
+            let g = power_law(PowerLawParams {
+                nodes: 2_000,
+                avg_degree: 4,
+                exponent: 2.3,
+                max_weight: 100,
+                seed: 23,
+            });
+            let workload = CcWorkload::new(&g);
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(3).with_seed(9));
+            let (run, reference) = engine::run_and_check(&workload, &smq, 3);
+            assert_eq!(run.output, union_find_labels(&g));
+            assert!(reference.baseline_tasks > 0);
         });
-        let workload = CcWorkload::new(&g);
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(3).with_seed(9));
-        let (run, reference) = engine::run_and_check(&workload, &smq, 3);
-        assert_eq!(run.output, union_find_labels(&g));
-        assert!(reference.baseline_tasks > 0);
     }
 
     #[test]
     fn parallel_matches_sequential_multiqueue() {
-        let g = uniform_random(500, 900, 30, 41);
-        let workload = CcWorkload::new(&g);
-        let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(6));
-        engine::run_and_check(&workload, &mq, 2);
+        hang_guard(|| {
+            let g = uniform_random(500, 900, 30, 41);
+            let workload = CcWorkload::new(&g);
+            let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(6));
+            engine::run_and_check(&workload, &mq, 2);
+        });
     }
 }

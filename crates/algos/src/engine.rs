@@ -19,7 +19,9 @@
 //! what makes them safe under *relaxed* schedulers: executing tasks out of
 //! strict priority order changes how much work is done, never what is
 //! computed.  [`try_decrease`] is the canonical CAS-relax step for the
-//! `AtomicU64`-per-vertex workloads.
+//! `AtomicU64`-per-vertex workloads, and [`LabelStore`] is the seam the
+//! shortest-path kernels (SSSP, BFS, A*) relax through, so the slot format
+//! of a distance label is chosen by whoever owns the labels.
 //!
 //! Execution goes through the resident worker pool (`smq-pool`) in both
 //! modes: [`run_on_pool`] executes one workload as a job on one gang of an
@@ -29,7 +31,7 @@
 //! build a transient pool around a borrowed scheduler, run the single job,
 //! and join.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use smq_core::{Scheduler, Task};
 use smq_pool::{PoolConfig, PoolJob, WorkerPool};
@@ -257,9 +259,86 @@ pub fn try_decrease(slot: &AtomicU64, proposed: u64) -> bool {
     false
 }
 
+/// The per-vertex distance labels as a shortest-path kernel sees them.
+///
+/// The trait hides the slot *format*; the kernels (`SsspWorkload`'s relax,
+/// `AstarWorkload::process`) are generic over it and never see a raw slot:
+///
+/// * `Vec<AtomicU64>`: a plain slot per vertex, `u64::MAX` while unreached;
+/// * `Vec<AtomicU32>`: half the bytes per vertex, for runs whose graph
+///   bounds every proposed label below `u32::MAX` (SSSP and BFS pick it at
+///   construction when the bound holds);
+/// * the route-query service's lane (`crate::query`): epoch-stamped
+///   24+40-bit slots reused across queries without ever being reset.
+pub trait LabelStore: Sync {
+    /// What [`get`](Self::get) returns for a vertex no path has reached
+    /// yet; every real label is strictly smaller.
+    const UNREACHED: u64;
+
+    /// The current label of `v`.
+    fn get(&self, v: u32) -> u64;
+
+    /// The CAS-relax step: lowers `v`'s label to `proposed` if that is a
+    /// strict improvement.  Returns `true` when this call performed the
+    /// decrease.
+    fn try_decrease(&self, v: u32, proposed: u64) -> bool;
+}
+
+/// One plain `AtomicU64` per vertex, `u64::MAX` while unreached.
+impl LabelStore for Vec<AtomicU64> {
+    const UNREACHED: u64 = u64::MAX;
+
+    #[inline]
+    fn get(&self, v: u32) -> u64 {
+        self[v as usize].load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn try_decrease(&self, v: u32, proposed: u64) -> bool {
+        try_decrease(&self[v as usize], proposed)
+    }
+}
+
+/// One `AtomicU32` per vertex, `u32::MAX` while unreached: the store for a
+/// run whose proposed labels provably stay below `u32::MAX`.
+impl LabelStore for Vec<AtomicU32> {
+    const UNREACHED: u64 = u32::MAX as u64;
+
+    #[inline]
+    fn get(&self, v: u32) -> u64 {
+        u64::from(self[v as usize].load(Ordering::Relaxed))
+    }
+
+    /// # Panics
+    /// Panics if `proposed` is `u32::MAX` or more: the owner's bound was
+    /// wrong, and storing the label would wrap or read as unreached.
+    #[inline]
+    fn try_decrease(&self, v: u32, proposed: u64) -> bool {
+        let proposed = match u32::try_from(proposed) {
+            Ok(label) if label < u32::MAX => label,
+            _ => panic!("label {proposed} does not fit the 32-bit label store"),
+        };
+        let slot = &self[v as usize];
+        let mut current = slot.load(Ordering::Relaxed);
+        while proposed < current {
+            match slot.compare_exchange_weak(
+                current,
+                proposed,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(observed) => current = observed,
+            }
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use smq_scheduler::{HeapSmq, SmqConfig};
 
     #[test]
@@ -272,6 +351,29 @@ mod tests {
         assert_eq!(slot.load(Ordering::Relaxed), 7);
         assert!(try_decrease(&slot, 0));
         assert_eq!(slot.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn narrow_store_reads_unreached_and_relaxes_like_the_wide_one() {
+        let narrow: Vec<AtomicU32> = (0..2).map(|_| AtomicU32::new(u32::MAX)).collect();
+        let wide: Vec<AtomicU64> = (0..2).map(|_| AtomicU64::new(u64::MAX)).collect();
+        assert_eq!(narrow.get(1), <Vec<AtomicU32> as LabelStore>::UNREACHED);
+        for proposed in [9, 9, 12, 3, u64::from(u32::MAX - 1)] {
+            assert_eq!(
+                narrow.try_decrease(1, proposed),
+                wide.try_decrease(1, proposed)
+            );
+            assert_eq!(narrow.get(1), wide.get(1));
+        }
+        assert!(narrow.try_decrease(0, u64::from(u32::MAX - 1)));
+        assert_eq!(narrow.get(0), u64::from(u32::MAX - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the 32-bit label store")]
+    fn narrow_store_rejects_a_label_past_its_bound() {
+        let narrow: Vec<AtomicU32> = vec![AtomicU32::new(u32::MAX)];
+        narrow.try_decrease(0, u64::from(u32::MAX));
     }
 
     /// A toy workload: count down from each seed key to zero; the output is
@@ -323,42 +425,46 @@ mod tests {
 
     #[test]
     fn driver_counts_every_task_exactly_once() {
-        let workload = Countdown {
-            reached_zero: AtomicU64::new(0),
-        };
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let (run, reference) = run_and_check(&workload, &smq, 2);
-        assert_eq!(run.output, 8);
-        assert_eq!(
-            run.result.total_tasks(),
-            run.result.metrics.tasks_executed,
-            "useful + wasted must equal tasks executed"
-        );
-        assert_eq!(run.result.total_tasks(), reference.baseline_tasks);
-        assert_eq!(run.result.wasted_tasks, 8);
+        hang_guard(|| {
+            let workload = Countdown {
+                reached_zero: AtomicU64::new(0),
+            };
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
+            let (run, reference) = run_and_check(&workload, &smq, 2);
+            assert_eq!(run.output, 8);
+            assert_eq!(
+                run.result.total_tasks(),
+                run.result.metrics.tasks_executed,
+                "useful + wasted must equal tasks executed"
+            );
+            assert_eq!(run.result.total_tasks(), reference.baseline_tasks);
+            assert_eq!(run.result.wasted_tasks, 8);
+        });
     }
 
     #[test]
     fn one_pool_serves_many_workload_runs() {
-        // The service-mode driver: one resident pool, several jobs, results
-        // identical to fresh one-shot runs.
-        let pool = WorkerPool::new(
-            HeapSmq::<Task>::new(SmqConfig::default_for_threads(2)),
-            PoolConfig::new(2),
-        );
-        for _ in 0..5 {
-            let workload = Countdown {
-                reached_zero: AtomicU64::new(0),
-            };
-            let run = run_on_pool(&workload, &pool);
-            assert_eq!(run.output, 8);
-            assert_eq!(run.result.total_tasks(), run.result.metrics.tasks_executed);
-            assert_eq!(
-                run.result.metrics.total.pushes, run.result.metrics.total.pops,
-                "per-job accounting must not leak across jobs"
+        hang_guard(|| {
+            // The service-mode driver: one resident pool, several jobs, results
+            // identical to fresh one-shot runs.
+            let pool = WorkerPool::new(
+                HeapSmq::<Task>::new(SmqConfig::default_for_threads(2)),
+                PoolConfig::new(2),
             );
-        }
-        assert_eq!(pool.stats().jobs_completed, 5);
-        assert_eq!(pool.stats().threads_spawned, 2);
+            for _ in 0..5 {
+                let workload = Countdown {
+                    reached_zero: AtomicU64::new(0),
+                };
+                let run = run_on_pool(&workload, &pool);
+                assert_eq!(run.output, 8);
+                assert_eq!(run.result.total_tasks(), run.result.metrics.tasks_executed);
+                assert_eq!(
+                    run.result.metrics.total.pushes, run.result.metrics.total.pops,
+                    "per-job accounting must not leak across jobs"
+                );
+            }
+            assert_eq!(pool.stats().jobs_completed, 5);
+            assert_eq!(pool.stats().threads_spawned, 2);
+        });
     }
 }

@@ -104,6 +104,7 @@ impl<'g, G: GraphView> SsspWorkload<'g, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use crate::engine::{self, DecreaseKeyWorkload};
     use smq_core::Task;
     use smq_graph::generators::{road_network, RoadNetworkParams};
@@ -157,33 +158,63 @@ mod tests {
         assert_eq!(reference.baseline_tasks, 0);
         assert!(workload.initial_tasks().is_empty());
         assert_eq!(workload.output(), old_dist);
+        assert_eq!(workload.label_bits(), 64, "a repair keeps the 64-bit store");
+    }
+
+    #[test]
+    fn repair_over_a_bounded_graph_keeps_the_wide_store() {
+        hang_guard(|| {
+            // The static graph's weight bound would admit 32-bit labels from
+            // scratch; a repair starts from caller-supplied labels and keeps
+            // 64 bits whatever the bound.
+            let old = road();
+            assert_eq!(SsspWorkload::new(&old, 0).label_bits(), 32);
+            let updates = GraphUpdate::random_decreases(&old, 30, 9);
+            let mut edges: Vec<_> = old.edges().collect();
+            GraphUpdate::apply_to_edge_list(&mut edges, &updates);
+            let mut b = GraphBuilder::new(old.num_nodes() as u32);
+            for e in &edges {
+                b.add_edge(e.from, e.to, e.weight);
+            }
+            let new = b.build();
+            let workload = SsspWorkload::repair_after_updates(&old, &new, 0, &updates);
+            assert_eq!(workload.label_bits(), 64);
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
+            let run = engine::run_parallel(&workload, &smq, 2);
+            let (full, _) = crate::sssp::sequential(&new, 0);
+            assert_eq!(run.output, full);
+        });
     }
 
     #[test]
     fn parallel_repair_matches_full_dijkstra_on_new_snapshot() {
-        let base = Arc::new(road());
-        let live = LiveGraph::new(Arc::clone(&base));
-        let updates = GraphUpdate::random_decreases(&*base, 60, 77);
-        live.publish(&updates);
-        let snapshot = live.pin();
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let workload = SsspWorkload::repair_after_updates(&*base, &snapshot, 0, &updates);
-        let run = engine::run_parallel(&workload, &smq, 2);
-        let (full, _) = crate::sssp::sequential(&snapshot, 0);
-        assert_eq!(run.output, full);
+        hang_guard(|| {
+            let base = Arc::new(road());
+            let live = LiveGraph::new(Arc::clone(&base));
+            let updates = GraphUpdate::random_decreases(&*base, 60, 77);
+            live.publish(&updates);
+            let snapshot = live.pin();
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
+            let workload = SsspWorkload::repair_after_updates(&*base, &snapshot, 0, &updates);
+            let run = engine::run_parallel(&workload, &smq, 2);
+            let (full, _) = crate::sssp::sequential(&snapshot, 0);
+            assert_eq!(run.output, full);
+        });
     }
 
     #[test]
     fn workload_reports_equivalence_against_its_own_reference() {
-        let base = Arc::new(road());
-        let live = LiveGraph::new(Arc::clone(&base));
-        let updates = GraphUpdate::random_decreases(&*base, 40, 5);
-        live.publish(&updates);
-        let snapshot = live.pin();
-        let workload = SsspWorkload::repair_after_updates(&*base, &snapshot, 0, &updates);
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let (run, reference) = engine::run_and_check(&workload, &smq, 2);
-        assert_eq!(run.output, reference.output);
+        hang_guard(|| {
+            let base = Arc::new(road());
+            let live = LiveGraph::new(Arc::clone(&base));
+            let updates = GraphUpdate::random_decreases(&*base, 40, 5);
+            live.publish(&updates);
+            let snapshot = live.pin();
+            let workload = SsspWorkload::repair_after_updates(&*base, &snapshot, 0, &updates);
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
+            let (run, reference) = engine::run_and_check(&workload, &smq, 2);
+            assert_eq!(run.output, reference.output);
+        });
     }
 
     #[test]

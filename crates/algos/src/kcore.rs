@@ -223,6 +223,7 @@ impl<G: GraphView> DecreaseKeyWorkload for KCoreWorkload<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use smq_graph::generators::{power_law, uniform_random, PowerLawParams};
     use smq_graph::GraphBuilder;
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
@@ -308,24 +309,28 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_on_social_graph_smq() {
-        let g = power_law(PowerLawParams {
-            nodes: 2_000,
-            avg_degree: 8,
-            exponent: 2.2,
-            max_weight: 255,
-            seed: 13,
+        hang_guard(|| {
+            let g = power_law(PowerLawParams {
+                nodes: 2_000,
+                avg_degree: 8,
+                exponent: 2.2,
+                max_weight: 255,
+                seed: 13,
+            });
+            let workload = KCoreWorkload::new(&g);
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(3).with_seed(5));
+            let (run, _) = engine::run_and_check(&workload, &smq, 3);
+            assert!(run.result.useful_tasks > 0);
         });
-        let workload = KCoreWorkload::new(&g);
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(3).with_seed(5));
-        let (run, _) = engine::run_and_check(&workload, &smq, 3);
-        assert!(run.result.useful_tasks > 0);
     }
 
     #[test]
     fn parallel_matches_sequential_multiqueue() {
-        let g = symmetrized(&uniform_random(400, 3_000, 50, 21));
-        let workload = KCoreWorkload::new(&g);
-        let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(2));
-        engine::run_and_check(&workload, &mq, 2);
+        hang_guard(|| {
+            let g = symmetrized(&uniform_random(400, 3_000, 50, 21));
+            let workload = KCoreWorkload::new(&g);
+            let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(2));
+            engine::run_and_check(&workload, &mq, 2);
+        });
     }
 }

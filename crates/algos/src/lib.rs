@@ -16,7 +16,8 @@
 //! and always returns an [`EngineRun`] `{ output, result }`.  The workloads:
 //!
 //! * [`sssp`] — single-source shortest paths with priority = tentative
-//!   distance (the delta-stepping-style formulation Galois uses);
+//!   distance (the delta-stepping-style formulation Galois uses), over
+//!   32-bit labels when the graph's weight bound proves they fit;
 //!   `SsspWorkload::bfs` is the same kernel with unit weights ([`bfs`] holds
 //!   the sequential reference), and [`incremental`] constructs it as a
 //!   *repair* after a batch of non-increasing graph updates — old distances
@@ -24,7 +25,7 @@
 //!   pinned `smq_graph::LiveGraph` snapshot,
 //! * [`astar`] — point-to-point shortest path guided by a Euclidean
 //!   (equirectangular-style) distance heuristic, generic over where its
-//!   g-scores live ([`astar::LabelStore`]),
+//!   g-scores live ([`engine::LabelStore`]),
 //! * [`mst`] — Borůvka's minimum-spanning-forest algorithm with
 //!   per-component tasks prioritized by component size,
 //! * [`pagerank`] — residual-prioritized PageRank-delta (largest pending
@@ -74,3 +75,7 @@ pub use query::{RouteAnswer, RouteQueryEngine};
 /// report (metrics plus the useful / wasted task counts behind the paper's
 /// work-increase metric).
 pub use smq_pool::JobOutput as AlgoResult;
+
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;

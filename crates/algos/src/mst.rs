@@ -307,6 +307,7 @@ pub fn kruskal_weight<G: GraphView>(graph: &G) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use crate::engine;
     use smq_graph::generators::{road_network, uniform_random, RoadNetworkParams};
     use smq_graph::GraphBuilder;
@@ -355,45 +356,51 @@ mod tests {
 
     #[test]
     fn parallel_mst_matches_kruskal_with_smq() {
-        let g = road_network(RoadNetworkParams {
-            width: 16,
-            height: 16,
-            removal_percent: 10,
-            seed: 23,
+        hang_guard(|| {
+            let g = road_network(RoadNetworkParams {
+                width: 16,
+                height: 16,
+                removal_percent: 10,
+                seed: 23,
+            });
+            let (kruskal, kedges) = kruskal_weight(&g);
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(3));
+            let run = engine::run_parallel(&BoruvkaWorkload::new(&g), &smq, 3);
+            assert_eq!(run.output, (kruskal, kedges));
         });
-        let (kruskal, kedges) = kruskal_weight(&g);
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(3));
-        let run = engine::run_parallel(&BoruvkaWorkload::new(&g), &smq, 3);
-        assert_eq!(run.output, (kruskal, kedges));
     }
 
     #[test]
     fn parallel_mst_matches_kruskal_with_multiqueue() {
-        let directed = uniform_random(300, 2_000, 1_000, 31);
-        // Symmetrize so the forest spans the whole connected structure.
-        let mut b = GraphBuilder::new(300);
-        for e in directed.edges() {
-            b.add_undirected_edge(e.from, e.to, e.weight);
-        }
-        let g = b.build();
-        let (kruskal, kedges) = kruskal_weight(&g);
-        let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2));
-        let run = engine::run_parallel(&BoruvkaWorkload::new(&g), &mq, 2);
-        assert_eq!(run.output, (kruskal, kedges));
+        hang_guard(|| {
+            let directed = uniform_random(300, 2_000, 1_000, 31);
+            // Symmetrize so the forest spans the whole connected structure.
+            let mut b = GraphBuilder::new(300);
+            for e in directed.edges() {
+                b.add_undirected_edge(e.from, e.to, e.weight);
+            }
+            let g = b.build();
+            let (kruskal, kedges) = kruskal_weight(&g);
+            let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2));
+            let run = engine::run_parallel(&BoruvkaWorkload::new(&g), &mq, 2);
+            assert_eq!(run.output, (kruskal, kedges));
+        });
     }
 
     #[test]
     fn wasted_work_is_accounted() {
-        let g = road_network(RoadNetworkParams {
-            width: 12,
-            height: 12,
-            removal_percent: 5,
-            seed: 29,
+        hang_guard(|| {
+            let g = road_network(RoadNetworkParams {
+                width: 12,
+                height: 12,
+                removal_percent: 5,
+                seed: 29,
+            });
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
+            let run = engine::run_parallel(&BoruvkaWorkload::new(&g), &smq, 2);
+            let (_weight, edges_in_forest) = run.output;
+            assert!(run.result.useful_tasks >= edges_in_forest);
+            assert!(run.result.total_tasks() >= run.result.useful_tasks);
         });
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2));
-        let run = engine::run_parallel(&BoruvkaWorkload::new(&g), &smq, 2);
-        let (_weight, edges_in_forest) = run.output;
-        assert!(run.result.useful_tasks >= edges_in_forest);
-        assert!(run.result.total_tasks() >= run.result.useful_tasks);
     }
 }

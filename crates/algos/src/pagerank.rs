@@ -268,6 +268,7 @@ impl<G: GraphView> DecreaseKeyWorkload for PagerankWorkload<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use crate::engine;
     use smq_graph::generators::{power_law, PowerLawParams};
     use smq_graph::GraphBuilder;
@@ -345,31 +346,37 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_within_tolerance_smq() {
-        let g = social(1_500);
-        let workload = PagerankWorkload::new(&g, PagerankConfig::test_scale());
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(3).with_seed(7));
-        let (run, reference) = engine::run_and_check(&workload, &smq, 3);
-        assert!(run.result.useful_tasks >= g.num_nodes() as u64);
-        assert!(reference.baseline_tasks >= g.num_nodes() as u64);
+        hang_guard(|| {
+            let g = social(1_500);
+            let workload = PagerankWorkload::new(&g, PagerankConfig::test_scale());
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(3).with_seed(7));
+            let (run, reference) = engine::run_and_check(&workload, &smq, 3);
+            assert!(run.result.useful_tasks >= g.num_nodes() as u64);
+            assert!(reference.baseline_tasks >= g.num_nodes() as u64);
+        });
     }
 
     #[test]
     fn parallel_matches_sequential_within_tolerance_multiqueue() {
-        let g = social(1_000);
-        let workload = PagerankWorkload::new(&g, PagerankConfig::test_scale());
-        let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(9));
-        engine::run_and_check(&workload, &mq, 2);
+        hang_guard(|| {
+            let g = social(1_000);
+            let workload = PagerankWorkload::new(&g, PagerankConfig::test_scale());
+            let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(9));
+            engine::run_and_check(&workload, &mq, 2);
+        });
     }
 
     #[test]
     fn terminal_state_has_all_residuals_below_epsilon() {
-        let g = social(800);
-        let config = PagerankConfig::default();
-        let workload = PagerankWorkload::new(&g, config);
-        let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2).with_seed(3));
-        engine::run_parallel(&workload, &smq, 2);
-        for slot in &workload.residual {
-            assert!(load_f64(slot) < config.epsilon);
-        }
+        hang_guard(|| {
+            let g = social(800);
+            let config = PagerankConfig::default();
+            let workload = PagerankWorkload::new(&g, config);
+            let smq: HeapSmq<Task> = HeapSmq::new(SmqConfig::default_for_threads(2).with_seed(3));
+            engine::run_parallel(&workload, &smq, 2);
+            for slot in &workload.residual {
+                assert!(load_f64(slot) < config.epsilon);
+            }
+        });
     }
 }

@@ -63,8 +63,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use smq_graph::{CsrGraph, GraphSource, GraphView};
 use smq_pool::WorkerPool;
 
-use crate::astar::{AstarWorkload, LabelStore};
-use crate::engine;
+use crate::astar::AstarWorkload;
+use crate::engine::{self, LabelStore};
 use crate::AlgoResult;
 
 /// Low bits of a slot hold the tentative distance.
@@ -348,6 +348,7 @@ impl<G: GraphSource> Drop for LaneClaim<'_, G> {
 mod tests {
     use super::*;
     use crate::astar;
+    use crate::common::hang_guard;
     use proptest::prelude::*;
     use smq_core::Task;
     use smq_graph::generators::{road_network, RoadNetworkParams};
@@ -403,19 +404,21 @@ mod tests {
 
     #[test]
     fn queries_match_one_shot_astar() {
-        let graph = road();
-        let engine = RouteQueryEngine::new(Arc::clone(&graph));
-        let pool = pool(2);
-        let n = graph.num_nodes() as u32;
-        for i in 0..40u32 {
-            let source = (i * 13) % n;
-            let target = (i * 29 + 7) % n;
-            let answer = engine.query(source, target, &pool);
-            let (expected, _) = astar::sequential(&graph, source, target);
-            assert_eq!(answer.distance, expected, "query {source}->{target}");
-        }
-        assert_eq!(engine.queries_served(), 40);
-        assert_eq!(pool.stats().threads_spawned, 2);
+        hang_guard(|| {
+            let graph = road();
+            let engine = RouteQueryEngine::new(Arc::clone(&graph));
+            let pool = pool(2);
+            let n = graph.num_nodes() as u32;
+            for i in 0..40u32 {
+                let source = (i * 13) % n;
+                let target = (i * 29 + 7) % n;
+                let answer = engine.query(source, target, &pool);
+                let (expected, _) = astar::sequential(&graph, source, target);
+                assert_eq!(answer.distance, expected, "query {source}->{target}");
+            }
+            assert_eq!(engine.queries_served(), 40);
+            assert_eq!(pool.stats().threads_spawned, 2);
+        });
     }
 
     proptest! {
@@ -459,213 +462,229 @@ mod tests {
 
     #[test]
     fn unreachable_target_reports_max() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 5);
-        let graph = Arc::new(b.build());
-        let engine = RouteQueryEngine::new(graph);
-        let pool = pool(1);
-        let answer = engine.query(0, 2, &pool);
-        assert_eq!(answer.distance, u64::MAX);
+        hang_guard(|| {
+            let mut b = GraphBuilder::new(3);
+            b.add_edge(0, 1, 5);
+            let graph = Arc::new(b.build());
+            let engine = RouteQueryEngine::new(graph);
+            let pool = pool(1);
+            let answer = engine.query(0, 2, &pool);
+            assert_eq!(answer.distance, u64::MAX);
+        });
     }
 
     #[test]
     fn epoch_wrap_resets_lanes() {
-        let graph = road();
-        let engine = RouteQueryEngine::new(Arc::clone(&graph));
-        // Force the lane to the edge of its epoch space.
-        engine.set_idle_epochs(MAX_EPOCH);
-        engine.lanes[0][3].store(pack(1, 13), Ordering::Relaxed);
-        let pool = pool(1);
-        let answer = engine.query(0, (graph.num_nodes() - 1) as u32, &pool);
-        let (expected, _) = astar::sequential(&graph, 0, (graph.num_nodes() - 1) as u32);
-        assert_eq!(answer.distance, expected);
-        // The lane wrapped (one wipe) and restarted its counter; the stale
-        // slot, which would alias epoch 1, was wiped.
-        assert_eq!(engine.epoch_wraps(), 1);
-        assert_eq!(*engine.free_lanes.lock().unwrap(), vec![(0, 1)]);
+        hang_guard(|| {
+            let graph = road();
+            let engine = RouteQueryEngine::new(Arc::clone(&graph));
+            // Force the lane to the edge of its epoch space.
+            engine.set_idle_epochs(MAX_EPOCH);
+            engine.lanes[0][3].store(pack(1, 13), Ordering::Relaxed);
+            let pool = pool(1);
+            let answer = engine.query(0, (graph.num_nodes() - 1) as u32, &pool);
+            let (expected, _) = astar::sequential(&graph, 0, (graph.num_nodes() - 1) as u32);
+            assert_eq!(answer.distance, expected);
+            // The lane wrapped (one wipe) and restarted its counter; the stale
+            // slot, which would alias epoch 1, was wiped.
+            assert_eq!(engine.epoch_wraps(), 1);
+            assert_eq!(*engine.free_lanes.lock().unwrap(), vec![(0, 1)]);
+        });
     }
 
     #[test]
     fn concurrent_queries_on_separate_lanes_are_exact() {
-        // Two client threads hammer one engine (two lanes) through two
-        // independent pools; every answer must stay exact even though the
-        // queries genuinely overlap.
-        let graph = road();
-        let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), 2));
-        let n = graph.num_nodes() as u32;
-        std::thread::scope(|scope| {
-            for t in 0..2u32 {
-                let engine = Arc::clone(&engine);
-                let graph = Arc::clone(&graph);
-                scope.spawn(move || {
-                    let pool = pool(1);
-                    for i in 0..60u32 {
-                        let source = (t * 997 + i * 13) % n;
-                        let target = (t * 389 + i * 29 + 7) % n;
-                        let answer = engine.query(source, target, &pool);
-                        let (expected, _) = astar::sequential(&graph, source, target);
-                        assert_eq!(answer.distance, expected, "query {source}->{target}");
-                    }
-                });
-            }
+        hang_guard(|| {
+            // Two client threads hammer one engine (two lanes) through two
+            // independent pools; every answer must stay exact even though the
+            // queries genuinely overlap.
+            let graph = road();
+            let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), 2));
+            let n = graph.num_nodes() as u32;
+            std::thread::scope(|scope| {
+                for t in 0..2u32 {
+                    let engine = Arc::clone(&engine);
+                    let graph = Arc::clone(&graph);
+                    scope.spawn(move || {
+                        let pool = pool(1);
+                        for i in 0..60u32 {
+                            let source = (t * 997 + i * 13) % n;
+                            let target = (t * 389 + i * 29 + 7) % n;
+                            let answer = engine.query(source, target, &pool);
+                            let (expected, _) = astar::sequential(&graph, source, target);
+                            assert_eq!(answer.distance, expected, "query {source}->{target}");
+                        }
+                    });
+                }
+            });
+            assert_eq!(engine.queries_served(), 120);
         });
-        assert_eq!(engine.queries_served(), 120);
     }
 
     #[test]
     fn lanes_wrap_independently_under_two_live_clients() {
-        // Two clients each hold a lane at once in every round, so both
-        // lanes cross their wrap mid-stream while the other lane's query
-        // is live; every answer must stay exact.
-        let graph = road();
-        let engine = RouteQueryEngine::with_lanes(Arc::clone(&graph), 2);
-        let n = graph.num_nodes() as u32;
-        engine.set_idle_epochs(MAX_EPOCH - 30);
-        let both_claimed = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            for t in 0..2u32 {
-                let (engine, graph, both_claimed) = (&engine, &graph, &both_claimed);
-                scope.spawn(move || {
-                    let pool = pool(1);
-                    let mut answers = Vec::new();
-                    for i in 0..40u32 {
-                        let source = (t * 653 + i * 17) % n;
-                        let target = (t * 211 + i * 41 + 3) % n;
-                        let lane = engine.claim_lane();
-                        both_claimed.wait();
-                        let run = engine::run_on_pool(
-                            &AstarWorkload::over(&**graph, source, target, lane.labels()),
-                            &pool,
-                        );
-                        answers.push((source, target, run.output));
-                    }
-                    // Checked after the rounds, so a failure cannot leave
-                    // the other client waiting at the barrier.
-                    for (source, target, distance) in answers {
-                        let (expected, _) = astar::sequential(&**graph, source, target);
-                        assert_eq!(distance, expected, "query {source}->{target}");
-                    }
-                });
-            }
-        });
-        assert_eq!(engine.epoch_wraps(), 2, "each lane wrapped once");
+        hang_guard(|| {
+            // Two clients each hold a lane at once in every round, so both
+            // lanes cross their wrap mid-stream while the other lane's query
+            // is live; every answer must stay exact.
+            let graph = road();
+            let engine = RouteQueryEngine::with_lanes(Arc::clone(&graph), 2);
+            let n = graph.num_nodes() as u32;
+            engine.set_idle_epochs(MAX_EPOCH - 30);
+            let both_claimed = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for t in 0..2u32 {
+                    let (engine, graph, both_claimed) = (&engine, &graph, &both_claimed);
+                    scope.spawn(move || {
+                        let pool = pool(1);
+                        let mut answers = Vec::new();
+                        for i in 0..40u32 {
+                            let source = (t * 653 + i * 17) % n;
+                            let target = (t * 211 + i * 41 + 3) % n;
+                            let lane = engine.claim_lane();
+                            both_claimed.wait();
+                            let run = engine::run_on_pool(
+                                &AstarWorkload::over(&**graph, source, target, lane.labels()),
+                                &pool,
+                            );
+                            answers.push((source, target, run.output));
+                        }
+                        // Checked after the rounds, so a failure cannot leave
+                        // the other client waiting at the barrier.
+                        for (source, target, distance) in answers {
+                            let (expected, _) = astar::sequential(&**graph, source, target);
+                            assert_eq!(distance, expected, "query {source}->{target}");
+                        }
+                    });
+                }
+            });
+            assert_eq!(engine.epoch_wraps(), 2, "each lane wrapped once");
 
-        // A wrap on one lane leaves the other's stamped slots and its
-        // counter untouched.
-        let held = engine.claim_lane();
-        held.labels().try_decrease(5, 77);
-        let slots = |lane: usize| -> Vec<u64> {
-            engine.lanes[lane]
-                .iter()
-                .map(|slot| slot.load(Ordering::Relaxed))
-                .collect()
-        };
-        let held_slots = slots(held.index);
-        engine.set_idle_epochs(MAX_EPOCH);
-        let wrapped = engine.claim_lane();
-        assert_eq!(wrapped.epoch, 1);
-        assert_eq!(engine.epoch_wraps(), 3);
-        assert!(slots(wrapped.index).iter().all(|&raw| raw == WIPED));
-        assert_eq!(slots(held.index), held_slots);
-        assert_eq!(held.labels().get(5), 77);
-        let (held_lane, held_epoch) = (held.index, held.epoch);
-        drop(held);
-        assert!(engine
-            .free_lanes
-            .lock()
-            .unwrap()
-            .contains(&(held_lane, held_epoch)));
+            // A wrap on one lane leaves the other's stamped slots and its
+            // counter untouched.
+            let held = engine.claim_lane();
+            held.labels().try_decrease(5, 77);
+            let slots = |lane: usize| -> Vec<u64> {
+                engine.lanes[lane]
+                    .iter()
+                    .map(|slot| slot.load(Ordering::Relaxed))
+                    .collect()
+            };
+            let held_slots = slots(held.index);
+            engine.set_idle_epochs(MAX_EPOCH);
+            let wrapped = engine.claim_lane();
+            assert_eq!(wrapped.epoch, 1);
+            assert_eq!(engine.epoch_wraps(), 3);
+            assert!(slots(wrapped.index).iter().all(|&raw| raw == WIPED));
+            assert_eq!(slots(held.index), held_slots);
+            assert_eq!(held.labels().get(5), 77);
+            let (held_lane, held_epoch) = (held.index, held.epoch);
+            drop(held);
+            assert!(engine
+                .free_lanes
+                .lock()
+                .unwrap()
+                .contains(&(held_lane, held_epoch)));
+        });
     }
 
     #[test]
     #[should_panic(expected = "published updates overflowed the packed 40-bit distance field")]
     fn live_version_past_the_distance_field_fails_loudly() {
-        // 299 chain edges at u32::MAX sum past 2^40: the far end's distance
-        // would spill into its slot's epoch bits.
-        let mut b = GraphBuilder::new(300);
-        for v in 0..299 {
-            b.add_edge(v, v + 1, 1);
-        }
-        let live = Arc::new(LiveGraph::new(Arc::new(b.build())));
-        let engine = RouteQueryEngine::new(Arc::clone(&live));
-        let slowdowns: Vec<GraphUpdate> = (0..299)
-            .map(|v| GraphUpdate::SetWeight {
-                from: v,
-                to: v + 1,
-                weight: u32::MAX,
-            })
-            .collect();
-        live.publish(&slowdowns);
-        engine.query(0, 299, &pool(1));
+        hang_guard(|| {
+            // 299 chain edges at u32::MAX sum past 2^40: the far end's distance
+            // would spill into its slot's epoch bits.
+            let mut b = GraphBuilder::new(300);
+            for v in 0..299 {
+                b.add_edge(v, v + 1, 1);
+            }
+            let live = Arc::new(LiveGraph::new(Arc::new(b.build())));
+            let engine = RouteQueryEngine::new(Arc::clone(&live));
+            let slowdowns: Vec<GraphUpdate> = (0..299)
+                .map(|v| GraphUpdate::SetWeight {
+                    from: v,
+                    to: v + 1,
+                    weight: u32::MAX,
+                })
+                .collect();
+            live.publish(&slowdowns);
+            engine.query(0, 299, &pool(1));
+        });
     }
 
     #[test]
     fn static_queries_report_version_zero() {
-        let graph = road();
-        let engine = RouteQueryEngine::new(Arc::clone(&graph));
-        let pool = pool(1);
-        let (answer, view) = engine.query_pinned(3, 200, &pool);
-        let (expected, _) = astar::sequential(&view, 3, 200);
-        assert_eq!(answer.distance, expected);
-        assert_eq!(answer.version, 0);
-        assert_eq!(view.version(), 0);
+        hang_guard(|| {
+            let graph = road();
+            let engine = RouteQueryEngine::new(Arc::clone(&graph));
+            let pool = pool(1);
+            let (answer, view) = engine.query_pinned(3, 200, &pool);
+            let (expected, _) = astar::sequential(&view, 3, 200);
+            assert_eq!(answer.distance, expected);
+            assert_eq!(answer.version, 0);
+            assert_eq!(view.version(), 0);
+        });
     }
 
     #[test]
     fn live_graph_queries_verify_on_the_pinned_view() {
-        // An engine over a LiveGraph: weight updates land between queries,
-        // every answer must match sequential A* on the view that actually
-        // served it, and later queries must observe later versions.
-        let graph = road();
-        let live = Arc::new(LiveGraph::new(Arc::clone(&graph)));
-        let engine = RouteQueryEngine::new(Arc::clone(&live));
-        let pool = pool(1);
-        let n = graph.num_nodes() as u32;
-        let mut last_version = 0;
-        for i in 0..12u32 {
-            let source = (i * 13) % n;
-            let target = (i * 29 + 7) % n;
-            let (answer, view) = engine.query_pinned(source, target, &pool);
-            let (expected, _) = astar::sequential(&view, source, target);
-            assert_eq!(answer.distance, expected, "query {source}->{target}");
-            assert_eq!(answer.version, view.version());
-            assert!(answer.version > last_version, "versions must advance");
-            last_version = answer.version;
-            // Slowdowns only: weights stay >= the base weights the road
-            // generator derived from coordinates, so the A* heuristic
-            // stays admissible on every version.
-            let updates = GraphUpdate::random_slowdowns(&*graph, 8, 100 + u64::from(i), 4);
-            live.publish(&updates);
-        }
-        assert!(last_version >= 12);
-        assert_eq!(engine.queries_served(), 12);
+        hang_guard(|| {
+            // An engine over a LiveGraph: weight updates land between queries,
+            // every answer must match sequential A* on the view that actually
+            // served it, and later queries must observe later versions.
+            let graph = road();
+            let live = Arc::new(LiveGraph::new(Arc::clone(&graph)));
+            let engine = RouteQueryEngine::new(Arc::clone(&live));
+            let pool = pool(1);
+            let n = graph.num_nodes() as u32;
+            let mut last_version = 0;
+            for i in 0..12u32 {
+                let source = (i * 13) % n;
+                let target = (i * 29 + 7) % n;
+                let (answer, view) = engine.query_pinned(source, target, &pool);
+                let (expected, _) = astar::sequential(&view, source, target);
+                assert_eq!(answer.distance, expected, "query {source}->{target}");
+                assert_eq!(answer.version, view.version());
+                assert!(answer.version > last_version, "versions must advance");
+                last_version = answer.version;
+                // Slowdowns only: weights stay >= the base weights the road
+                // generator derived from coordinates, so the A* heuristic
+                // stays admissible on every version.
+                let updates = GraphUpdate::random_slowdowns(&*graph, 8, 100 + u64::from(i), 4);
+                live.publish(&updates);
+            }
+            assert!(last_version >= 12);
+            assert_eq!(engine.queries_served(), 12);
+        });
     }
 
     #[test]
     fn gang_pool_serves_concurrent_queries() {
-        // One 2-gang pool + 2-lane engine: queries claim one gang each.
-        let graph = road();
-        let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), 2));
-        let pool = gang_pool(2, 1);
-        let n = graph.num_nodes() as u32;
-        std::thread::scope(|scope| {
-            for t in 0..2u32 {
-                let engine = Arc::clone(&engine);
-                let graph = Arc::clone(&graph);
-                let pool = &pool;
-                scope.spawn(move || {
-                    for i in 0..30u32 {
-                        let source = (t * 71 + i * 13) % n;
-                        let target = (t * 127 + i * 29 + 7) % n;
-                        let answer = engine.query(source, target, pool);
-                        let (expected, _) = astar::sequential(&graph, source, target);
-                        assert_eq!(answer.distance, expected);
-                    }
-                });
-            }
+        hang_guard(|| {
+            // One 2-gang pool + 2-lane engine: queries claim one gang each.
+            let graph = road();
+            let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), 2));
+            let pool = gang_pool(2, 1);
+            let n = graph.num_nodes() as u32;
+            std::thread::scope(|scope| {
+                for t in 0..2u32 {
+                    let engine = Arc::clone(&engine);
+                    let graph = Arc::clone(&graph);
+                    let pool = &pool;
+                    scope.spawn(move || {
+                        for i in 0..30u32 {
+                            let source = (t * 71 + i * 13) % n;
+                            let target = (t * 127 + i * 29 + 7) % n;
+                            let answer = engine.query(source, target, pool);
+                            let (expected, _) = astar::sequential(&graph, source, target);
+                            assert_eq!(answer.distance, expected);
+                        }
+                    });
+                }
+            });
+            assert_eq!(engine.queries_served(), 60);
+            assert_eq!(pool.stats().jobs_completed, 60);
+            assert_eq!(pool.stats().threads_spawned, 2);
         });
-        assert_eq!(engine.queries_served(), 60);
-        assert_eq!(pool.stats().jobs_completed, 60);
-        assert_eq!(pool.stats().threads_spawned, 2);
     }
 }

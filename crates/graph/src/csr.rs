@@ -112,6 +112,8 @@ pub struct EdgeSink {
     /// The adjacency array; empty during the first replay.
     adj: Vec<(u32, u32)>,
     emitted: u64,
+    /// The largest weight placed so far (second replay only).
+    max_weight: u32,
 }
 
 impl EdgeSink {
@@ -129,6 +131,7 @@ impl EdgeSink {
         let cursor = &mut self.cursor[from as usize];
         if let Some(slot) = self.adj.get_mut(*cursor as usize) {
             *slot = (to, weight);
+            self.max_weight = self.max_weight.max(weight);
         }
         *cursor += 1;
     }
@@ -152,6 +155,8 @@ pub struct CsrGraph {
     adj: Vec<(u32, u32)>,
     /// Optional planar coordinates per vertex.
     coordinates: Option<Vec<(f64, f64)>>,
+    /// The largest edge weight, 0 without edges.
+    max_weight: u32,
 }
 
 impl CsrGraph {
@@ -171,6 +176,7 @@ impl CsrGraph {
             cursor: vec![0; n],
             adj: Vec::new(),
             emitted: 0,
+            max_weight: 0,
         };
         replay(&mut sink);
         let num_edges = offset_of(sink.emitted) as usize;
@@ -196,6 +202,7 @@ impl CsrGraph {
             offsets,
             adj: sink.adj,
             coordinates: None,
+            max_weight: sink.max_weight,
         }
     }
 
@@ -272,6 +279,13 @@ impl CsrGraph {
     /// live-graph compactor and the DIMACS `.co` writer).
     pub fn all_coordinates(&self) -> Option<&[(f64, f64)]> {
         self.coordinates.as_deref()
+    }
+
+    /// The largest edge weight, recorded while the edges were placed; 0
+    /// for a graph without edges.
+    #[inline]
+    pub fn max_weight(&self) -> u32 {
+        self.max_weight
     }
 
     /// Sum of all edge weights (useful for sanity checks in tests).
@@ -426,6 +440,14 @@ mod tests {
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.avg_degree(), 0.0);
+        assert_eq!(g.max_weight(), 0);
+    }
+
+    #[test]
+    fn edgeless_graph_reports_max_weight_zero() {
+        let g = GraphBuilder::new(5).build();
+        assert_eq!(g.max_weight(), 0);
+        assert_eq!(GraphView::max_weight(&g), 0);
     }
 
     #[test]
@@ -461,6 +483,20 @@ mod tests {
                 got.sort_unstable();
                 prop_assert_eq!(got, expected);
             }
+        }
+
+        #[test]
+        fn max_weight_is_the_maximum_over_the_edges(
+            edges in proptest::collection::vec((0u32..20, 0u32..20, any::<u32>()), 0..80),
+        ) {
+            let mut b = GraphBuilder::new(20);
+            for &(from, to, w) in &edges {
+                b.add_edge(from, to, w);
+            }
+            let g = b.build();
+            let expected = g.edges().map(|e| e.weight).max().unwrap_or(0);
+            prop_assert_eq!(g.max_weight(), expected);
+            prop_assert_eq!(GraphView::max_weight(&&g), expected);
         }
     }
 }

@@ -21,3 +21,7 @@ pub mod view;
 pub use csr::{CsrGraph, Edge, EdgeSink, GraphBuilder};
 pub use live::{GraphSnapshot, GraphUpdate, LiveGraph};
 pub use view::{GraphSource, GraphView};
+
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;

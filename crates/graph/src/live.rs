@@ -494,6 +494,7 @@ impl GraphSource for LiveGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use crate::GraphBuilder;
     use proptest::prelude::*;
     use std::sync::atomic::Ordering::SeqCst;
@@ -521,6 +522,16 @@ mod tests {
         assert_eq!(snap.num_edges(), 4);
         assert_eq!(snap.total_weight(), 8);
         assert_eq!(edge_list(&snap), edge_list(&*base));
+    }
+
+    #[test]
+    fn snapshots_report_no_weight_bound() {
+        let base = diamond();
+        assert_eq!(base.max_weight(), 4);
+        let live = LiveGraph::new(base);
+        assert_eq!(live.pin().max_weight(), u32::MAX, "zero-delta snapshot");
+        live.compact();
+        assert_eq!(live.pin().max_weight(), u32::MAX, "compacted snapshot");
     }
 
     #[test]
@@ -718,54 +729,56 @@ mod tests {
 
     #[test]
     fn concurrent_readers_see_internally_consistent_snapshots() {
-        let base = Arc::new({
-            let mut b = GraphBuilder::new(16);
-            for v in 0..16u32 {
-                b.add_edge(v, (v + 1) % 16, 8).add_edge(v, (v + 5) % 16, 16);
-            }
-            b.build()
-        });
-        let live = Arc::new(LiveGraph::with_threshold(base.clone(), 8));
-        let stop = Arc::new(AtomicU64::new(0));
-        // Publishing starts only once every reader has verified a first
-        // pin: on a box with fewer cores than threads all 200 publishes can
-        // otherwise finish before a reader is first scheduled.
-        let started = Arc::new(std::sync::Barrier::new(3));
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let live = live.clone();
-                let stop = stop.clone();
-                let started = started.clone();
-                std::thread::spawn(move || {
-                    let mut pins = 0u64;
-                    while stop.load(SeqCst) == 0 {
-                        let snap = live.pin();
-                        // Internal consistency: the maintained counters
-                        // must agree with a full walk of the pinned view.
-                        let edges: Vec<Edge> = snap.edges().collect();
-                        assert_eq!(edges.len(), snap.num_edges());
-                        let weight: u64 = edges.iter().map(|e| u64::from(e.weight)).sum();
-                        assert_eq!(weight, snap.total_weight());
-                        pins += 1;
-                        if pins == 1 {
-                            started.wait();
+        hang_guard(|| {
+            let base = Arc::new({
+                let mut b = GraphBuilder::new(16);
+                for v in 0..16u32 {
+                    b.add_edge(v, (v + 1) % 16, 8).add_edge(v, (v + 5) % 16, 16);
+                }
+                b.build()
+            });
+            let live = Arc::new(LiveGraph::with_threshold(base.clone(), 8));
+            let stop = Arc::new(AtomicU64::new(0));
+            // Publishing starts only once every reader has verified a first
+            // pin: on a box with fewer cores than threads all 200 publishes can
+            // otherwise finish before a reader is first scheduled.
+            let started = Arc::new(std::sync::Barrier::new(3));
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let live = live.clone();
+                    let stop = stop.clone();
+                    let started = started.clone();
+                    std::thread::spawn(move || {
+                        let mut pins = 0u64;
+                        while stop.load(SeqCst) == 0 {
+                            let snap = live.pin();
+                            // Internal consistency: the maintained counters
+                            // must agree with a full walk of the pinned view.
+                            let edges: Vec<Edge> = snap.edges().collect();
+                            assert_eq!(edges.len(), snap.num_edges());
+                            let weight: u64 = edges.iter().map(|e| u64::from(e.weight)).sum();
+                            assert_eq!(weight, snap.total_weight());
+                            pins += 1;
+                            if pins == 1 {
+                                started.wait();
+                            }
                         }
-                    }
-                    pins
+                        pins
+                    })
                 })
-            })
-            .collect();
-        started.wait();
-        for round in 0..200 {
-            let updates = GraphUpdate::random_decreases(&*base, 4, round);
-            live.publish(&updates);
-        }
-        stop.store(1, SeqCst);
-        for r in readers {
-            assert!(r.join().unwrap() > 0);
-        }
-        assert_eq!(live.versions_published(), 200);
-        assert!(live.compactions() > 0);
+                .collect();
+            started.wait();
+            for round in 0..200 {
+                let updates = GraphUpdate::random_decreases(&*base, 4, round);
+                live.publish(&updates);
+            }
+            stop.store(1, SeqCst);
+            for r in readers {
+                assert!(r.join().unwrap() > 0);
+            }
+            assert_eq!(live.versions_published(), 200);
+            assert!(live.compactions() > 0);
+        });
     }
 
     proptest! {

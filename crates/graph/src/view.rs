@@ -44,6 +44,19 @@ pub trait GraphView: Sync {
     /// `true` if the graph carries coordinates for every vertex.
     fn has_coordinates(&self) -> bool;
 
+    /// An upper bound on every edge weight, which lets a workload size its
+    /// per-vertex labels: a shortest path has at most `num_nodes − 1`
+    /// edges, so no distance exceeds `max_weight × (num_nodes − 1)`, and no
+    /// relaxation (a distance plus one edge) proposes more than
+    /// `max_weight × num_nodes`.
+    /// [`CsrGraph`] reports its exact maximum (0 without edges).  The
+    /// default, `u32::MAX`, means "no bound known"; a
+    /// [`LiveGraph`](crate::LiveGraph) snapshot reports it, because its
+    /// overlay may carry any weight.
+    fn max_weight(&self) -> u32 {
+        u32::MAX
+    }
+
     /// The version this view was pinned at.  Static graphs are always
     /// version 0; [`LiveGraph`](crate::LiveGraph) snapshots report the
     /// published version they froze.
@@ -139,6 +152,11 @@ impl GraphView for CsrGraph {
     }
 
     #[inline]
+    fn max_weight(&self) -> u32 {
+        CsrGraph::max_weight(self)
+    }
+
+    #[inline]
     fn prefetch_vertex(&self, v: u32) {
         CsrGraph::prefetch_vertex(self, v)
     }
@@ -178,6 +196,11 @@ where
     #[inline]
     fn has_coordinates(&self) -> bool {
         (**self).has_coordinates()
+    }
+
+    #[inline]
+    fn max_weight(&self) -> u32 {
+        (**self).max_weight()
     }
 
     #[inline]

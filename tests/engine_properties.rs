@@ -268,14 +268,17 @@ proptest! {
 }
 
 proptest! {
-    /// The GraphView abstraction's zero-regression pin: the same workload
-    /// on the same deterministically seeded scheduler, run once over the
-    /// plain `&CsrGraph` and once over a zero-delta `LiveGraph` snapshot
-    /// of the same graph, must replay **bit-identically** — same outputs,
-    /// same task classification, same scheduler `OpStats`.  Single thread
-    /// at batch 1 makes the replay deterministic, so any divergence the
-    /// trait dispatch or the snapshot read path introduced would show as
-    /// an exact-equality failure here.
+    /// The same workload on the same deterministically seeded scheduler,
+    /// run once over the plain `&CsrGraph` and once over a zero-delta
+    /// `LiveGraph` snapshot of the same graph, must replay
+    /// **bit-identically** — same outputs, same task classification, same
+    /// scheduler `OpStats`.  Single thread at batch 1 makes the replay
+    /// deterministic, so any divergence shows as an exact-equality failure.
+    ///
+    /// For SSSP this pins the two label stores against each other as well
+    /// as the two read paths: the CSR's weight bound (≤ 200 × 95) admits
+    /// the 32-bit store, while a snapshot reports no bound and keeps the
+    /// 64-bit one.  A* runs over 64-bit labels on both sides.
     #[test]
     fn static_path_replays_identically_through_a_zero_delta_snapshot(
         nodes in 16u32..96,
