@@ -25,8 +25,11 @@ pub enum DeletePolicy {
     /// from the one with the higher-priority top (Listing 1).
     TwoChoice,
     /// Temporal locality: change the "current" queue with the given
-    /// probability (using a fresh two-choice sample), otherwise keep popping
-    /// from the previous queue.
+    /// probability, otherwise keep popping from the previous queue.  A
+    /// change, and a current queue that looks empty or runs dry, costs one
+    /// [`DeletePolicy::TwoChoice`] delete, whose queue becomes the current
+    /// one.  So a stale snapshot falls back exactly as the classic delete
+    /// does: both sampled queues are locked and the better top is taken.
     TemporalLocality(Probability),
     /// Task batching: pick a queue by two-choice sampling and extract up to
     /// `batch` tasks at once into a thread-local buffer.

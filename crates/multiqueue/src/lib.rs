@@ -32,3 +32,7 @@ pub use config::{DeletePolicy, InsertPolicy, MultiQueueConfig};
 pub use queue::{MultiQueue, MultiQueueHandle};
 pub use reld::{Reld, ReldHandle};
 pub use smq_runtime::NumaConfig;
+
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;

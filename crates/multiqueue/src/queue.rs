@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 use smq_core::rng::Pcg32;
-use smq_core::{HasKey, OpStats, Scheduler, SchedulerHandle};
+use smq_core::{HasKey, OpStats, Probability, Scheduler, SchedulerHandle};
 use smq_dheap::DAryHeap;
 use smq_runtime::{Topology, WeightedQueueSampler};
 
@@ -275,31 +275,21 @@ impl<'a, T: Ord + HasKey + Copy> MultiQueueHandle<'a, T> {
         }
     }
 
-    /// Pushes a single task into a freshly sampled queue.
-    fn push_direct(&mut self, task: T) {
-        self.lock_sampled().push(task);
-    }
-
-    /// Drains `tasks` into one freshly sampled queue under a single lock.
-    /// The building block of the native batch insert: `push_batch` calls it
-    /// once per batch half.
-    fn push_run_direct(&mut self, tasks: &mut Vec<T>) {
-        self.lock_sampled().extend(tasks.drain(..));
-    }
-
-    /// Pushes into the temporally "current" queue, changing it first with
-    /// the configured probability.
-    fn push_temporal(&mut self, task: T, change: smq_core::Probability) {
-        let needs_new = self.tl_insert_queue.is_none() || change.sample(&mut self.rng);
-        if needs_new {
-            self.tl_insert_queue = Some(self.sample_queue());
-        }
-        let q = self.tl_insert_queue.expect("set above");
-        // Re-acquiring a recently used, usually uncontended lock is cheap;
-        // temporal locality deliberately trades contention for cache reuse.
-        let mut guard = self.parent.queues[q].lock();
+    /// Locks the temporally "current" insert queue, changing it first with
+    /// the configured probability.  Re-acquiring a recently used, usually
+    /// uncontended lock is cheap; temporal locality deliberately trades
+    /// contention for cache reuse.
+    fn lock_current_insert(&mut self, change: Probability) -> SubQueueGuard<'a, T> {
+        let q = match self.tl_insert_queue {
+            Some(q) if !change.sample(&mut self.rng) => q,
+            _ => {
+                let q = self.sample_queue();
+                self.tl_insert_queue = Some(q);
+                q
+            }
+        };
         self.stats.push_locks_acquired += 1;
-        guard.push(task);
+        self.parent.queues[q].lock()
     }
 
     /// Flushes the insert buffer into a single randomly chosen queue.  The
@@ -310,14 +300,14 @@ impl<'a, T: Ord + HasKey + Copy> MultiQueueHandle<'a, T> {
         if self.insert_buffer.is_empty() {
             return;
         }
-        let mut guard = self.lock_sampled();
-        guard.extend(self.insert_buffer.drain(..));
+        self.lock_sampled().extend(self.insert_buffer.drain(..));
     }
 
     /// Snapshot-guided two-choice delete: compare the two sampled queues'
     /// published top keys without locking, lock only the winner, re-check
     /// under the lock, and fall back to the second lock on staleness.
-    fn pop_two_choice(&mut self, batch: usize) -> Option<T> {
+    /// Returns the task together with the queue it came from.
+    fn pop_two_choice(&mut self, batch: usize) -> Option<(T, usize)> {
         let parent = self.parent;
         loop {
             let (q1, q2) = self.sample_two_distinct();
@@ -354,7 +344,7 @@ impl<'a, T: Ord + HasKey + Copy> MultiQueueHandle<'a, T> {
                 // per-task delete quality — extracting the winner's run
                 // unconditionally was measurably worse on small frontiers,
                 // where one queue's run is a big slice of the open set.
-                return self.extract_batch(&mut guard, batch, loser_key);
+                return Some((self.extract_batch(&mut guard, batch, loser_key)?, winner));
             }
             // Stale snapshot: the winner emptied or degraded.  Fall back to
             // the classic both-locked comparison so the delete still returns
@@ -362,8 +352,8 @@ impl<'a, T: Ord + HasKey + Copy> MultiQueueHandle<'a, T> {
             match parent.queues[loser].try_lock() {
                 Some(loser_guard) => {
                     self.stats.locks_acquired += 1;
-                    match self.extract_from_better(guard, loser_guard, batch) {
-                        Some(task) => return Some(task),
+                    match self.extract_from_better((winner, guard), (loser, loser_guard), batch) {
+                        Some(found) => return Some(found),
                         // Both genuinely empty under their locks: resample
                         // unless the whole structure looks drained.
                         None => {
@@ -383,26 +373,26 @@ impl<'a, T: Ord + HasKey + Copy> MultiQueueHandle<'a, T> {
 
     /// Given both locked queues, picks the one whose top task has higher
     /// priority and extracts a batch from it, bounded by the other queue's
-    /// current top.
-    fn extract_from_better<'g>(
+    /// current top.  Returns the task together with the queue it came from.
+    fn extract_from_better(
         &mut self,
-        mut guard1: SubQueueGuard<'g, T>,
-        mut guard2: SubQueueGuard<'g, T>,
+        (q1, mut guard1): (usize, SubQueueGuard<'_, T>),
+        (q2, mut guard2): (usize, SubQueueGuard<'_, T>),
         batch: usize,
-    ) -> Option<T> {
+    ) -> Option<(T, usize)> {
         let use_first = match (guard1.peek(), guard2.peek()) {
             (Some(a), Some(b)) => a <= b,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => return None,
         };
-        let (source, other) = if use_first {
-            (&mut guard1, &guard2)
+        let (source, other, q) = if use_first {
+            (&mut guard1, &guard2, q1)
         } else {
-            (&mut guard2, &guard1)
+            (&mut guard2, &guard1, q2)
         };
         let bound = other.peek().map_or(u64::MAX, |t| t.key());
-        self.extract_batch(source, batch, bound)
+        Some((self.extract_batch(source, batch, bound)?, q))
     }
 
     /// Extracts up to `batch` tasks from a locked queue, returning the
@@ -429,69 +419,45 @@ impl<'a, T: Ord + HasKey + Copy> MultiQueueHandle<'a, T> {
         Some(first)
     }
 
-    /// Pops from the temporally "current" queue, re-selecting it via the
-    /// snapshot-guided two-choice rule with the configured probability or
-    /// when it runs dry.
-    fn pop_temporal(&mut self, change: smq_core::Probability) -> Option<T> {
-        let needs_new = self.tl_delete_queue.is_none() || change.sample(&mut self.rng);
-        if !needs_new {
-            let q = self.tl_delete_queue.expect("checked above");
+    /// Pops from the temporally "current" queue.  With the configured
+    /// probability, or when that queue looks empty or runs dry, re-selects
+    /// it with one two-choice delete, stale-snapshot fallback included, and
+    /// keeps the queue that delete took from.
+    fn pop_temporal(&mut self, change: Probability) -> Option<T> {
+        if let Some(q) = self.tl_delete_queue {
             // Snapshot re-check before paying the lock (the same idiom as
             // the two-choice delete): a `u64::MAX` snapshot means the
             // current queue was empty at its last unlock, so a blocking
             // lock would almost surely confirm emptiness at full price —
             // fall straight through to a fresh selection instead.  A stale
             // non-MAX snapshot merely costs the (previous) lock-and-miss.
-            if self.parent.queues[q].top_key() != u64::MAX {
-                let mut guard = self.parent.queues[q].lock();
+            if !change.sample(&mut self.rng) && self.parent.queues[q].top_key() != u64::MAX {
                 self.stats.locks_acquired += 1;
-                if let Some(task) = guard.pop() {
+                if let Some(task) = self.parent.queues[q].lock().pop() {
                     return Some(task);
                 }
             }
-            // Current queue ran dry: fall through to a fresh selection.
         }
-        // Select a new current queue with the snapshot-guided two-choice
-        // rule and remember which queue the task came from.
-        loop {
-            let (q1, q2) = self.sample_two_distinct();
-            let k1 = self.parent.queues[q1].top_key();
-            let k2 = self.parent.queues[q2].top_key();
-            if k1 == u64::MAX && k2 == u64::MAX {
-                return None;
-            }
-            let (winner, loser) = if k1 <= k2 { (q1, q2) } else { (q2, q1) };
-            let mut guard = match self.parent.queues[winner].try_lock() {
-                Some(g) => g,
-                None => {
-                    self.stats.contention_retries += 1;
-                    continue;
-                }
-            };
-            self.stats.locks_acquired += 1;
-            let still_winner = match guard.peek() {
-                Some(top) => top.key() <= self.parent.queues[loser].top_key(),
-                None => false,
-            };
-            if still_winner {
-                self.tl_delete_queue = Some(winner);
-                return guard.pop();
-            }
-            drop(guard);
-            // Stale: prefer the loser, which now looks better.
-            match self.parent.queues[loser].try_lock() {
-                Some(mut loser_guard) => {
-                    self.stats.locks_acquired += 1;
-                    if let Some(task) = loser_guard.pop() {
-                        self.tl_delete_queue = Some(loser);
-                        return Some(task);
-                    }
-                    drop(loser_guard);
-                    if self.parent.queues.iter().all(|q| q.top_key() == u64::MAX) {
-                        return None;
-                    }
-                }
-                None => self.stats.contention_retries += 1,
+        let (task, q) = self.pop_two_choice(1)?;
+        self.tl_delete_queue = Some(q);
+        Some(task)
+    }
+
+    /// The next task under the configured delete policy: the prefetch
+    /// buffer first — tasks already paid for — then one policy delete.  The
+    /// two-choice and batching deletes extract up to `want` tasks from the
+    /// winning queue under its single lock (the rest land in the buffer);
+    /// the temporal delete takes one task per lock, its lock already
+    /// amortized across the streak.
+    fn next_task(&mut self, want: usize) -> Option<T> {
+        if let Some(task) = self.delete_buffer.pop_front() {
+            return Some(task);
+        }
+        match self.parent.config.delete {
+            DeletePolicy::TwoChoice => self.pop_two_choice(want).map(|(task, _)| task),
+            DeletePolicy::TemporalLocality(p) => self.pop_temporal(p),
+            DeletePolicy::Batching(batch) => {
+                self.pop_two_choice(want.max(batch)).map(|(task, _)| task)
             }
         }
     }
@@ -501,8 +467,8 @@ impl<T: Ord + HasKey + Copy + Send> SchedulerHandle<T> for MultiQueueHandle<'_, 
     fn push(&mut self, task: T) {
         self.stats.pushes += 1;
         match self.parent.config.insert {
-            InsertPolicy::Direct => self.push_direct(task),
-            InsertPolicy::TemporalLocality(p) => self.push_temporal(task, p),
+            InsertPolicy::Direct => self.lock_sampled().push(task),
+            InsertPolicy::TemporalLocality(p) => self.lock_current_insert(p).push(task),
             InsertPolicy::Batching(batch) => {
                 self.insert_buffer.push(task);
                 if self.insert_buffer.len() >= batch {
@@ -513,25 +479,13 @@ impl<T: Ord + HasKey + Copy + Send> SchedulerHandle<T> for MultiQueueHandle<'_, 
     }
 
     fn pop(&mut self) -> Option<T> {
-        if let Some(task) = self.delete_buffer.pop_front() {
+        let task = self.next_task(1);
+        if task.is_some() {
             self.stats.pops += 1;
-            return Some(task);
+        } else {
+            self.stats.empty_pops += 1;
         }
-        let got = match self.parent.config.delete {
-            DeletePolicy::TwoChoice => self.pop_two_choice(1),
-            DeletePolicy::TemporalLocality(p) => self.pop_temporal(p),
-            DeletePolicy::Batching(batch) => self.pop_two_choice(batch),
-        };
-        match got {
-            Some(task) => {
-                self.stats.pops += 1;
-                Some(task)
-            }
-            None => {
-                self.stats.empty_pops += 1;
-                None
-            }
-        }
+        task
     }
 
     fn push_batch(&mut self, tasks: &mut Vec<T>) {
@@ -562,77 +516,33 @@ impl<T: Ord + HasKey + Copy + Send> SchedulerHandle<T> for MultiQueueHandle<'_, 
             // own flush boundary.
             InsertPolicy::Direct => {
                 if tasks.len() > BATCH_SPLIT {
-                    let mut tail = tasks.split_off(tasks.len() / 2);
-                    self.push_run_direct(tasks);
-                    self.push_run_direct(&mut tail);
+                    let tail = tasks.split_off(tasks.len() / 2);
+                    self.lock_sampled().extend(tasks.drain(..));
+                    self.lock_sampled().extend(tail);
                 } else {
-                    self.push_run_direct(tasks);
+                    self.lock_sampled().extend(tasks.drain(..));
                 }
             }
             // Temporal locality: one change-die roll and one lock on the
             // "current" queue for the whole batch.
             InsertPolicy::TemporalLocality(change) => {
-                let needs_new = self.tl_insert_queue.is_none() || change.sample(&mut self.rng);
-                if needs_new {
-                    self.tl_insert_queue = Some(self.sample_queue());
-                }
-                let q = self.tl_insert_queue.expect("set above");
-                let mut guard = self.parent.queues[q].lock();
-                self.stats.push_locks_acquired += 1;
-                guard.extend(tasks.drain(..));
+                self.lock_current_insert(change).extend(tasks.drain(..));
             }
         }
     }
 
     fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut got = 0;
-        // Drain the prefetch buffer first — tasks already paid for.
-        while got < max {
-            match self.delete_buffer.pop_front() {
-                Some(task) => {
-                    self.stats.pops += 1;
-                    out.push(task);
-                    got += 1;
+        for got in 0..max {
+            let Some(task) = self.next_task(max - got) else {
+                if got == 0 {
+                    self.stats.empty_pops += 1;
                 }
-                None => break,
-            }
-        }
-        while got < max {
-            let want = max - got;
-            // One snapshot-guided delete extracts the whole remainder from
-            // the winning queue under its single lock; the temporal policy
-            // keeps its own per-task current-queue discipline (its lock is
-            // already amortized across the streak).
-            let first = match self.parent.config.delete {
-                DeletePolicy::TwoChoice => self.pop_two_choice(want),
-                DeletePolicy::TemporalLocality(p) => self.pop_temporal(p),
-                DeletePolicy::Batching(batch) => self.pop_two_choice(want.max(batch)),
+                return got;
             };
-            match first {
-                Some(task) => {
-                    self.stats.pops += 1;
-                    out.push(task);
-                    got += 1;
-                    while got < max {
-                        match self.delete_buffer.pop_front() {
-                            Some(task) => {
-                                self.stats.pops += 1;
-                                out.push(task);
-                                got += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                None => {
-                    if got == 0 {
-                        self.stats.empty_pops += 1;
-                    }
-                    break;
-                }
-            }
+            self.stats.pops += 1;
+            out.push(task);
         }
-        got
+        max
     }
 
     fn flush(&mut self) {
@@ -671,7 +581,8 @@ impl<T: Ord + HasKey + Copy> Drop for MultiQueueHandle<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smq_core::{Probability, Task};
+    use crate::common::hang_guard;
+    use smq_core::Task;
 
     fn drain_all<T: Ord + HasKey + Send + Copy>(handle: &mut MultiQueueHandle<'_, T>) -> Vec<T> {
         // Relaxed schedulers may need several attempts to find the last
@@ -823,24 +734,65 @@ mod tests {
         // Forge a stale snapshot: make queue 0 advertise a better key than
         // it actually holds, so the delete locks it as the "winner", finds
         // the re-check failing, and must recover the true minimum from
-        // queue 1 via the fallback path.
-        let config = MultiQueueConfig::classic(1).with_c_factor(2).with_seed(3);
-        let mq: MultiQueue<Task> = MultiQueue::new(config);
-        mq.queues[0].lock().push(Task::new(80, 0));
-        mq.queues[1].lock().push(Task::new(20, 1));
-        // Overwrite queue 0's snapshot with a lie (better than queue 1's).
-        mq.queues[0].top_key.store(5, Ordering::Release);
-        let mut handle = mq.handle(0);
-        assert_eq!(handle.pop(), Some(Task::new(20, 1)));
-        let stats = handle.stats();
-        assert!(
-            stats.locks_acquired >= 2,
-            "stale snapshot must trigger the two-lock fallback"
-        );
-        // The fallback republished queue 0's honest snapshot.
-        assert_eq!(mq.snapshot_key(0), 80);
-        assert_eq!(handle.pop(), Some(Task::new(80, 0)));
-        assert_eq!(handle.pop(), None);
+        // queue 1 via the fallback path.  The temporal delete re-selects
+        // through the same two-choice delete, so it takes the same task and
+        // keeps the queue that delete returned as its current queue.
+        for delete in [
+            DeletePolicy::TwoChoice,
+            DeletePolicy::TemporalLocality(Probability::new(4)),
+        ] {
+            let config = MultiQueueConfig::classic(1)
+                .with_c_factor(2)
+                .with_delete(delete)
+                .with_seed(3);
+            let mq: MultiQueue<Task> = MultiQueue::new(config);
+            mq.queues[0].lock().push(Task::new(80, 0));
+            mq.queues[1].lock().push(Task::new(20, 1));
+            // Overwrite queue 0's snapshot with a lie (better than queue 1's).
+            mq.queues[0].top_key.store(5, Ordering::Release);
+            let mut handle = mq.handle(0);
+            assert_eq!(handle.pop(), Some(Task::new(20, 1)), "{delete:?}");
+            let stats = handle.stats();
+            assert!(
+                stats.locks_acquired >= 2,
+                "stale snapshot must trigger the two-lock fallback ({delete:?})"
+            );
+            if let DeletePolicy::TemporalLocality(_) = delete {
+                assert_eq!(handle.tl_delete_queue, Some(1));
+            }
+            // The fallback republished queue 0's honest snapshot.
+            assert_eq!(mq.snapshot_key(0), 80, "{delete:?}");
+            assert_eq!(handle.pop(), Some(Task::new(80, 0)), "{delete:?}");
+            assert_eq!(handle.pop(), None, "{delete:?}");
+        }
+    }
+
+    #[test]
+    fn stale_fallback_takes_the_better_of_both_locked_queues() {
+        // Both snapshots lie: queue 0 advertises 5 but holds 80, queue 1
+        // advertises 20 but holds 90.  The re-check under queue 0's lock
+        // fails (80 > 20), so the fallback locks queue 1 too and must take
+        // the better of the two true tops — for both delete policies.
+        for delete in [
+            DeletePolicy::TwoChoice,
+            DeletePolicy::TemporalLocality(Probability::new(4)),
+        ] {
+            let config = MultiQueueConfig::classic(1)
+                .with_c_factor(2)
+                .with_delete(delete)
+                .with_seed(3);
+            let mq: MultiQueue<Task> = MultiQueue::new(config);
+            mq.queues[0].lock().push(Task::new(80, 0));
+            mq.queues[1].lock().push(Task::new(90, 1));
+            mq.queues[0].top_key.store(5, Ordering::Release);
+            mq.queues[1].top_key.store(20, Ordering::Release);
+            let mut handle = mq.handle(0);
+            assert_eq!(handle.pop(), Some(Task::new(80, 0)), "{delete:?}");
+            assert_eq!(handle.stats().locks_acquired, 2, "{delete:?}");
+            if let DeletePolicy::TemporalLocality(_) = delete {
+                assert_eq!(handle.tl_delete_queue, Some(0));
+            }
+        }
     }
 
     #[test]
@@ -1100,53 +1052,55 @@ mod tests {
 
     #[test]
     fn concurrent_push_pop_conserves_elements() {
-        use std::sync::atomic::AtomicU64 as SharedCounter;
-        let threads = 4;
-        let per_thread = 5_000u64;
-        let config = MultiQueueConfig::classic(threads).with_seed(8);
-        let mq: MultiQueue<u64> = MultiQueue::new(config);
-        let popped = SharedCounter::new(0);
-        let sum = SharedCounter::new(0);
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let mq = &mq;
-                let popped = &popped;
-                let sum = &sum;
-                s.spawn(move || {
-                    let mut handle = mq.handle(tid);
-                    for i in 0..per_thread {
-                        handle.push(tid as u64 * per_thread + i);
-                    }
-                    handle.flush();
-                    while let Some(v) = handle.pop() {
-                        popped.fetch_add(1, Ordering::Relaxed);
-                        sum.fetch_add(v, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        let total = threads as u64 * per_thread;
-        // Every thread pops until it sees two empty samples; collectively
-        // they must have removed everything that is not still in a queue.
-        let remaining = mq.len() as u64;
-        assert_eq!(popped.load(Ordering::Relaxed) + remaining, total);
-        // Finish draining single-threaded and check the value sum.  A single
-        // None is not "empty" for a relaxed scheduler (both sampled queues
-        // may happen to be empty), so tolerate a run of misses.
-        let mut handle = mq.handle(0);
-        let mut misses = 0;
-        while misses < 64 {
-            match handle.pop() {
-                Some(v) => {
-                    sum.fetch_add(v, Ordering::Relaxed);
-                    popped.fetch_add(1, Ordering::Relaxed);
-                    misses = 0;
+        hang_guard(|| {
+            use std::sync::atomic::AtomicU64 as SharedCounter;
+            let threads = 4;
+            let per_thread = 5_000u64;
+            let config = MultiQueueConfig::classic(threads).with_seed(8);
+            let mq: MultiQueue<u64> = MultiQueue::new(config);
+            let popped = SharedCounter::new(0);
+            let sum = SharedCounter::new(0);
+            std::thread::scope(|s| {
+                for tid in 0..threads {
+                    let mq = &mq;
+                    let popped = &popped;
+                    let sum = &sum;
+                    s.spawn(move || {
+                        let mut handle = mq.handle(tid);
+                        for i in 0..per_thread {
+                            handle.push(tid as u64 * per_thread + i);
+                        }
+                        handle.flush();
+                        while let Some(v) = handle.pop() {
+                            popped.fetch_add(1, Ordering::Relaxed);
+                            sum.fetch_add(v, Ordering::Relaxed);
+                        }
+                    });
                 }
-                None => misses += 1,
+            });
+            let total = threads as u64 * per_thread;
+            // Every thread pops until it sees two empty samples; collectively
+            // they must have removed everything that is not still in a queue.
+            let remaining = mq.len() as u64;
+            assert_eq!(popped.load(Ordering::Relaxed) + remaining, total);
+            // Finish draining single-threaded and check the value sum.  A single
+            // None is not "empty" for a relaxed scheduler (both sampled queues
+            // may happen to be empty), so tolerate a run of misses.
+            let mut handle = mq.handle(0);
+            let mut misses = 0;
+            while misses < 64 {
+                match handle.pop() {
+                    Some(v) => {
+                        sum.fetch_add(v, Ordering::Relaxed);
+                        popped.fetch_add(1, Ordering::Relaxed);
+                        misses = 0;
+                    }
+                    None => misses += 1,
+                }
             }
-        }
-        assert_eq!(popped.load(Ordering::Relaxed), total);
-        assert!(mq.is_empty());
-        assert_eq!(sum.load(Ordering::Relaxed), total * (total - 1) / 2);
+            assert_eq!(popped.load(Ordering::Relaxed), total);
+            assert!(mq.is_empty());
+            assert_eq!(sum.load(Ordering::Relaxed), total * (total - 1) / 2);
+        });
     }
 }

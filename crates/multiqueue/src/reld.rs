@@ -137,6 +137,7 @@ impl<T: Ord + Copy + Send> SchedulerHandle<T> for ReldHandle<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
 
     #[test]
     fn conserves_elements_single_thread() {
@@ -192,30 +193,32 @@ mod tests {
 
     #[test]
     fn concurrent_usage_conserves_elements() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let threads = 4;
-        let per_thread = 2_000u64;
-        let reld: Reld<u64> = Reld::new(threads, 2, 4);
-        let popped = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let reld = &reld;
-                let popped = &popped;
-                s.spawn(move || {
-                    let mut handle = reld.handle(tid);
-                    for i in 0..per_thread {
-                        handle.push(i);
-                    }
-                    while handle.pop().is_some() {
-                        popped.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
+        hang_guard(|| {
+            use std::sync::atomic::{AtomicU64, Ordering};
+            let threads = 4;
+            let per_thread = 2_000u64;
+            let reld: Reld<u64> = Reld::new(threads, 2, 4);
+            let popped = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for tid in 0..threads {
+                    let reld = &reld;
+                    let popped = &popped;
+                    s.spawn(move || {
+                        let mut handle = reld.handle(tid);
+                        for i in 0..per_thread {
+                            handle.push(i);
+                        }
+                        while handle.pop().is_some() {
+                            popped.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+            let remaining = reld.len() as u64;
+            assert_eq!(
+                popped.load(Ordering::Relaxed) + remaining,
+                threads as u64 * per_thread
+            );
         });
-        let remaining = reld.len() as u64;
-        assert_eq!(
-            popped.load(Ordering::Relaxed) + remaining,
-            threads as u64 * per_thread
-        );
     }
 }

@@ -289,8 +289,14 @@ impl<T: HasKey + Send> ObimHandle<'_, T> {
 
     /// Pulls a chunk of tasks from the lowest non-empty bucket, preferring
     /// this thread's own queue and falling back to stealing a chunk from
-    /// another thread's queue in the same bag.
+    /// another thread's queue in the same bag.  Every refill counts as one
+    /// delete towards the PMOD adaptation check.
     fn refill_chunk(&mut self) -> bool {
+        self.deletes_since_adapt += 1;
+        if self.deletes_since_adapt >= self.parent.config.adapt_interval {
+            self.deletes_since_adapt = 0;
+            self.parent.adapt_delta();
+        }
         let start_hint = self.parent.min_hint.load(Ordering::Acquire);
         if self.refill_chunk_from(start_hint, start_hint) {
             return true;
@@ -356,6 +362,15 @@ impl<T: HasKey + Send> ObimHandle<'_, T> {
         false
     }
 
+    /// The next task of the current chunk; one bucket scan refills the
+    /// whole chunk when it ran dry.
+    fn next_task(&mut self) -> Option<T> {
+        if self.chunk.is_empty() && !self.refill_chunk() {
+            return None;
+        }
+        self.chunk.pop_front()
+    }
+
     /// After finding work in `found_bucket`, raise the global hint if it
     /// still points below it (lazily skipping drained buckets).  Racy by
     /// design: a concurrent insert into a lower bucket lowers the hint again
@@ -417,55 +432,27 @@ impl<T: HasKey + Send> SchedulerHandle<T> for ObimHandle<'_, T> {
     }
 
     fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut got = 0;
-        loop {
-            while got < max {
-                match self.chunk.pop_front() {
-                    Some(task) => {
-                        self.stats.pops += 1;
-                        out.push(task);
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-            if got >= max {
-                return got;
-            }
-            // One bucket scan refills a whole chunk; the PMOD adaptation
-            // check runs once per refill, exactly like the per-task path.
-            self.deletes_since_adapt += 1;
-            if self.deletes_since_adapt >= self.parent.config.adapt_interval {
-                self.deletes_since_adapt = 0;
-                self.parent.adapt_delta();
-            }
-            if !self.refill_chunk() {
+        for got in 0..max {
+            let Some(task) = self.next_task() else {
                 if got == 0 {
                     self.stats.empty_pops += 1;
                 }
                 return got;
-            }
+            };
+            self.stats.pops += 1;
+            out.push(task);
         }
+        max
     }
 
     fn pop(&mut self) -> Option<T> {
-        if let Some(task) = self.chunk.pop_front() {
+        let task = self.next_task();
+        if task.is_some() {
             self.stats.pops += 1;
-            return Some(task);
-        }
-        self.deletes_since_adapt += 1;
-        if self.deletes_since_adapt >= self.parent.config.adapt_interval {
-            self.deletes_since_adapt = 0;
-            self.parent.adapt_delta();
-        }
-        if self.refill_chunk() {
-            let task = self.chunk.pop_front().expect("refill_chunk found work");
-            self.stats.pops += 1;
-            Some(task)
         } else {
             self.stats.empty_pops += 1;
-            None
         }
+        task
     }
 
     fn stats(&self) -> OpStats {
@@ -483,8 +470,13 @@ impl<T: HasKey + Send> Drop for ObimHandle<'_, T> {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use smq_core::Task;
 
     fn drain(handle: &mut ObimHandle<'_, Task>) -> Vec<Task> {
@@ -694,33 +686,35 @@ mod tests {
 
     #[test]
     fn concurrent_workers_conserve_elements() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let threads = 4;
-        let per_thread = 3_000u64;
-        let obim: Obim<Task> = Obim::new(ObimConfig::obim(threads, 3, 16));
-        let popped = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let obim = &obim;
-                let popped = &popped;
-                s.spawn(move || {
-                    let mut h = obim.handle(tid);
-                    for i in 0..per_thread {
-                        h.push(Task::new(i % 97, tid as u64 * per_thread + i));
-                    }
-                    while h.pop().is_some() {
-                        popped.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
+        hang_guard(|| {
+            use std::sync::atomic::{AtomicU64, Ordering};
+            let threads = 4;
+            let per_thread = 3_000u64;
+            let obim: Obim<Task> = Obim::new(ObimConfig::obim(threads, 3, 16));
+            let popped = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for tid in 0..threads {
+                    let obim = &obim;
+                    let popped = &popped;
+                    s.spawn(move || {
+                        let mut h = obim.handle(tid);
+                        for i in 0..per_thread {
+                            h.push(Task::new(i % 97, tid as u64 * per_thread + i));
+                        }
+                        while h.pop().is_some() {
+                            popped.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+            // Finish any remainder single-threaded (a worker may observe None
+            // while another worker still holds unpushed chunk tasks).
+            let mut h = obim.handle(0);
+            while h.pop().is_some() {
+                popped.fetch_add(1, Ordering::Relaxed);
             }
+            assert_eq!(popped.load(Ordering::Relaxed), threads as u64 * per_thread);
+            assert!(obim.is_empty());
         });
-        // Finish any remainder single-threaded (a worker may observe None
-        // while another worker still holds unpushed chunk tasks).
-        let mut h = obim.handle(0);
-        while h.pop().is_some() {
-            popped.fetch_add(1, Ordering::Relaxed);
-        }
-        assert_eq!(popped.load(Ordering::Relaxed), threads as u64 * per_thread);
-        assert!(obim.is_empty());
     }
 }

@@ -30,3 +30,7 @@ pub use metrics::RunMetrics;
 pub use scratch::Scratch;
 pub use termination::{TerminationDetector, WorkerTally, SCAN_GATE};
 pub use topology::{NumaConfig, Topology, WeightedQueueSampler};
+
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;

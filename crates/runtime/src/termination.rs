@@ -285,6 +285,7 @@ impl WorkerTally<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use std::sync::atomic::AtomicBool;
 
     #[test]
@@ -393,43 +394,45 @@ mod tests {
 
     #[test]
     fn scan_never_terminates_while_tasks_are_live() {
-        // A worker hammers publish/complete pairs (always completing what it
-        // published only after a delay) while another thread scans; the scan
-        // must never report quiescence during the live phase.
-        let det = TerminationDetector::new(2);
-        // The sentinel task, outstanding throughout, is credited before
-        // either thread starts (as the pool pre-credits seeds): a scanner
-        // that ran ahead of the producer would otherwise see all zeros.
-        det.preload(0, 1);
-        let live = AtomicBool::new(true);
-        std::thread::scope(|s| {
-            let det_ref = &det;
-            let live_ref = &live;
-            s.spawn(move || {
-                let mut tally = det_ref.tally(0);
-                for _ in 0..50_000 {
-                    tally.record_push();
-                    std::hint::spin_loop();
-                    tally.record_completion();
-                }
-                live_ref.store(false, Ordering::Release);
-                tally.record_completion(); // retire the sentinel
-            });
-            s.spawn(move || {
-                while live_ref.load(Ordering::Acquire) {
-                    if det_ref.quiescent() {
-                        // The producer keeps at least one task outstanding
-                        // for its whole loop, so quiescence here would be a
-                        // false positive — unless the producer finished
-                        // between our load of `live` and the scan.
-                        assert!(
-                            !live_ref.load(Ordering::Acquire),
-                            "scan reported quiescence with a task outstanding"
-                        );
+        hang_guard(|| {
+            // A worker hammers publish/complete pairs (always completing what it
+            // published only after a delay) while another thread scans; the scan
+            // must never report quiescence during the live phase.
+            let det = TerminationDetector::new(2);
+            // The sentinel task, outstanding throughout, is credited before
+            // either thread starts (as the pool pre-credits seeds): a scanner
+            // that ran ahead of the producer would otherwise see all zeros.
+            det.preload(0, 1);
+            let live = AtomicBool::new(true);
+            std::thread::scope(|s| {
+                let det_ref = &det;
+                let live_ref = &live;
+                s.spawn(move || {
+                    let mut tally = det_ref.tally(0);
+                    for _ in 0..50_000 {
+                        tally.record_push();
+                        std::hint::spin_loop();
+                        tally.record_completion();
                     }
-                }
+                    live_ref.store(false, Ordering::Release);
+                    tally.record_completion(); // retire the sentinel
+                });
+                s.spawn(move || {
+                    while live_ref.load(Ordering::Acquire) {
+                        if det_ref.quiescent() {
+                            // The producer keeps at least one task outstanding
+                            // for its whole loop, so quiescence here would be a
+                            // false positive — unless the producer finished
+                            // between our load of `live` and the scan.
+                            assert!(
+                                !live_ref.load(Ordering::Acquire),
+                                "scan reported quiescence with a task outstanding"
+                            );
+                        }
+                    }
+                });
             });
+            assert!(det.quiescent());
         });
-        assert!(det.quiescent());
     }
 }

@@ -49,3 +49,7 @@ pub type HeapSmq<T> = Smq<T, DAryHeap<T>>;
 /// The alternative variant evaluated in Appendix D: thread-local sequential
 /// skip lists with the same stealing-buffer protocol.
 pub type SkipListSmq<T> = Smq<T, SequentialSkipList<T>>;
+
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;

@@ -302,6 +302,15 @@ where
         }
     }
 
+    /// Moves up to `max` previously stolen tasks into `out`, oldest first,
+    /// counting each as a pop.
+    fn take_stolen(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        let n = max.min(self.stolen_tasks.len());
+        out.extend(self.stolen_tasks.drain(..n));
+        self.stats.pops += n as u64;
+        n
+    }
+
     /// The pop order of Listing 2; the outer [`SchedulerHandle::pop`] wraps
     /// this with statistics and the eager buffer refill.
     fn pop_task(&mut self) -> Option<T> {
@@ -359,18 +368,8 @@ where
     }
 
     fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut got = 0;
         // 1. Previously stolen tasks are processed first (Listing 2).
-        while got < max {
-            match self.stolen_tasks.pop_front() {
-                Some(task) => {
-                    self.stats.pops += 1;
-                    out.push(task);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
+        let mut got = self.take_stolen(out, max);
         if got >= max {
             return got;
         }
@@ -392,16 +391,7 @@ where
         }
         // 3. A successful steal may have parked a whole claimed batch in
         //    `stolen_tasks`; drain it before touching the private queue.
-        while got < max {
-            match self.stolen_tasks.pop_front() {
-                Some(task) => {
-                    self.stats.pops += 1;
-                    out.push(task);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
+        got += self.take_stolen(out, max - got);
         // 4. Fill the remainder straight from the private queue — no
         //    further scheduling decisions, one heap drain pass.  Tasks the
         //    stealing buffer still publishes stay claimable by thieves and
@@ -482,6 +472,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use crate::{HeapSmq, SkipListSmq};
     use smq_core::{Probability, Task};
 
@@ -669,43 +660,45 @@ mod tests {
 
     #[test]
     fn two_threads_conserve_all_tasks() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let threads = 2;
-        let per_thread = 20_000u64;
-        let config = SmqConfig::default_for_threads(threads)
-            .with_steal_size(16)
-            .with_p_steal(Probability::new(4))
-            .with_seed(9);
-        let smq: HeapSmq<u64> = HeapSmq::new(config);
-        let popped = AtomicU64::new(0);
-        let sum = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let smq = &smq;
-                let popped = &popped;
-                let sum = &sum;
-                s.spawn(move || {
-                    let mut h = smq.handle(tid);
-                    for i in 0..per_thread {
-                        h.push(tid as u64 * per_thread + i);
-                    }
-                    let mut misses = 0;
-                    while misses < 256 {
-                        match h.pop() {
-                            Some(v) => {
-                                popped.fetch_add(1, Ordering::Relaxed);
-                                sum.fetch_add(v, Ordering::Relaxed);
-                                misses = 0;
-                            }
-                            None => misses += 1,
+        hang_guard(|| {
+            use std::sync::atomic::{AtomicU64, Ordering};
+            let threads = 2;
+            let per_thread = 20_000u64;
+            let config = SmqConfig::default_for_threads(threads)
+                .with_steal_size(16)
+                .with_p_steal(Probability::new(4))
+                .with_seed(9);
+            let smq: HeapSmq<u64> = HeapSmq::new(config);
+            let popped = AtomicU64::new(0);
+            let sum = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for tid in 0..threads {
+                    let smq = &smq;
+                    let popped = &popped;
+                    let sum = &sum;
+                    s.spawn(move || {
+                        let mut h = smq.handle(tid);
+                        for i in 0..per_thread {
+                            h.push(tid as u64 * per_thread + i);
                         }
-                    }
-                });
-            }
+                        let mut misses = 0;
+                        while misses < 256 {
+                            match h.pop() {
+                                Some(v) => {
+                                    popped.fetch_add(1, Ordering::Relaxed);
+                                    sum.fetch_add(v, Ordering::Relaxed);
+                                    misses = 0;
+                                }
+                                None => misses += 1,
+                            }
+                        }
+                    });
+                }
+            });
+            let total = threads as u64 * per_thread;
+            assert_eq!(popped.load(Ordering::Relaxed), total);
+            assert_eq!(sum.load(Ordering::Relaxed), total * (total - 1) / 2);
         });
-        let total = threads as u64 * per_thread;
-        assert_eq!(popped.load(Ordering::Relaxed), total);
-        assert_eq!(sum.load(Ordering::Relaxed), total * (total - 1) / 2);
     }
 
     #[test]

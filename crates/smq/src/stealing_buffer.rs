@@ -267,6 +267,7 @@ impl<T: TaskWords> std::fmt::Debug for StealingBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -362,105 +363,109 @@ mod tests {
 
     #[test]
     fn concurrent_thieves_claim_each_batch_once() {
-        // One owner repeatedly publishes batches; several thieves race to
-        // claim them.  Every published task must be claimed exactly once.
-        const BATCHES: usize = 2_000;
-        const BATCH: usize = 4;
-        let buf: StealingBuffer<u64> = StealingBuffer::new(BATCH);
-        let claimed = AtomicUsize::new(0);
-        let done = std::sync::atomic::AtomicBool::new(false);
-        let total_sum = AtomicUsize::new(0);
+        hang_guard(|| {
+            // One owner repeatedly publishes batches; several thieves race to
+            // claim them.  Every published task must be claimed exactly once.
+            const BATCHES: usize = 2_000;
+            const BATCH: usize = 4;
+            let buf: StealingBuffer<u64> = StealingBuffer::new(BATCH);
+            let claimed = AtomicUsize::new(0);
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let total_sum = AtomicUsize::new(0);
 
-        std::thread::scope(|s| {
-            // Thieves.
-            for _ in 0..3 {
-                let buf = &buf;
-                let claimed = &claimed;
-                let done = &done;
-                let total_sum = &total_sum;
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        out.clear();
-                        let n = buf.steal_into(&mut out);
-                        if n > 0 {
-                            claimed.fetch_add(n, Ordering::Relaxed);
-                            total_sum.fetch_add(
-                                out.iter().map(|&v| v as usize).sum(),
-                                Ordering::Relaxed,
-                            );
-                        } else if done.load(Ordering::Acquire) && buf.is_stolen() {
-                            break;
+            std::thread::scope(|s| {
+                // Thieves.
+                for _ in 0..3 {
+                    let buf = &buf;
+                    let claimed = &claimed;
+                    let done = &done;
+                    let total_sum = &total_sum;
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        loop {
+                            out.clear();
+                            let n = buf.steal_into(&mut out);
+                            if n > 0 {
+                                claimed.fetch_add(n, Ordering::Relaxed);
+                                total_sum.fetch_add(
+                                    out.iter().map(|&v| v as usize).sum(),
+                                    Ordering::Relaxed,
+                                );
+                            } else if done.load(Ordering::Acquire) && buf.is_stolen() {
+                                break;
+                            }
+                            std::hint::spin_loop();
                         }
-                        std::hint::spin_loop();
+                    });
+                }
+                // Owner.
+                let buf = &buf;
+                let done = &done;
+                s.spawn(move || {
+                    let mut next = 0u64;
+                    for _ in 0..BATCHES {
+                        // Wait until the previous batch has been claimed.
+                        while !buf.is_stolen() {
+                            std::hint::spin_loop();
+                        }
+                        let batch: Vec<u64> = (next..next + BATCH as u64).collect();
+                        next += BATCH as u64;
+                        buf.fill(&batch);
                     }
-                });
-            }
-            // Owner.
-            let buf = &buf;
-            let done = &done;
-            s.spawn(move || {
-                let mut next = 0u64;
-                for _ in 0..BATCHES {
-                    // Wait until the previous batch has been claimed.
+                    // Wait for the last batch to be taken before signalling done.
                     while !buf.is_stolen() {
                         std::hint::spin_loop();
                     }
-                    let batch: Vec<u64> = (next..next + BATCH as u64).collect();
-                    next += BATCH as u64;
-                    buf.fill(&batch);
-                }
-                // Wait for the last batch to be taken before signalling done.
-                while !buf.is_stolen() {
-                    std::hint::spin_loop();
-                }
-                done.store(true, Ordering::Release);
+                    done.store(true, Ordering::Release);
+                });
             });
-        });
 
-        let expected_tasks = BATCHES * BATCH;
-        assert_eq!(claimed.load(Ordering::Relaxed), expected_tasks);
-        let expected_sum: usize = (0..expected_tasks).sum();
-        assert_eq!(total_sum.load(Ordering::Relaxed), expected_sum);
+            let expected_tasks = BATCHES * BATCH;
+            assert_eq!(claimed.load(Ordering::Relaxed), expected_tasks);
+            let expected_sum: usize = (0..expected_tasks).sum();
+            assert_eq!(total_sum.load(Ordering::Relaxed), expected_sum);
+        });
     }
 
     #[test]
     fn top_is_stable_across_concurrent_steals() {
-        // `top` must only ever return a value that was genuinely the first
-        // element of some published batch, and a steal only whole tasks of
-        // one batch: each slot is two separate word loads, so the epoch
-        // re-check must throw away any pair mixing two batches.
-        let buf: StealingBuffer<(u64, u64)> = StealingBuffer::new(2);
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let buf_ref = &buf;
-            let stop_ref = &stop;
-            s.spawn(move || {
-                let mut out = Vec::new();
-                for i in 0..20_000u64 {
-                    // Batches always have matching components so a torn read
-                    // would be detectable.
-                    while !buf_ref.is_stolen() {
+        hang_guard(|| {
+            // `top` must only ever return a value that was genuinely the first
+            // element of some published batch, and a steal only whole tasks of
+            // one batch: each slot is two separate word loads, so the epoch
+            // re-check must throw away any pair mixing two batches.
+            let buf: StealingBuffer<(u64, u64)> = StealingBuffer::new(2);
+            let stop = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|s| {
+                let buf_ref = &buf;
+                let stop_ref = &stop;
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    for i in 0..20_000u64 {
+                        // Batches always have matching components so a torn read
+                        // would be detectable.
+                        while !buf_ref.is_stolen() {
+                            out.clear();
+                            buf_ref.steal_into(&mut out);
+                        }
+                        buf_ref.fill(&[(i, i), (i, i)]);
+                    }
+                    stop_ref.store(true, Ordering::Release);
+                });
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    while !stop_ref.load(Ordering::Acquire) {
+                        if let Some((a, b)) = buf_ref.top() {
+                            assert_eq!(a, b, "torn read observed");
+                        }
                         out.clear();
                         buf_ref.steal_into(&mut out);
+                        for &(a, b) in &out {
+                            assert_eq!(a, b, "torn steal observed");
+                        }
+                        assert!(out.windows(2).all(|w| w[0] == w[1]), "mixed batches stolen");
                     }
-                    buf_ref.fill(&[(i, i), (i, i)]);
-                }
-                stop_ref.store(true, Ordering::Release);
-            });
-            s.spawn(move || {
-                let mut out = Vec::new();
-                while !stop_ref.load(Ordering::Acquire) {
-                    if let Some((a, b)) = buf_ref.top() {
-                        assert_eq!(a, b, "torn read observed");
-                    }
-                    out.clear();
-                    buf_ref.steal_into(&mut out);
-                    for &(a, b) in &out {
-                        assert_eq!(a, b, "torn steal observed");
-                    }
-                    assert!(out.windows(2).all(|w| w[0] == w[1]), "mixed batches stolen");
-                }
+                });
             });
         });
     }

@@ -549,6 +549,7 @@ impl<T: Ord + Copy> Drop for ConcurrentSkipList<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
     use std::sync::Arc;
 
     #[test]
@@ -628,89 +629,93 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_and_deletes_conserve_elements() {
-        let threads = 4;
-        let per_thread = 2_000u64;
-        let list = Arc::new(ConcurrentSkipList::new());
+        hang_guard(|| {
+            let threads = 4;
+            let per_thread = 2_000u64;
+            let list = Arc::new(ConcurrentSkipList::new());
 
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let list = Arc::clone(&list);
-                s.spawn(move || {
-                    let mut rng = Pcg32::for_thread(42, t as usize);
-                    for i in 0..per_thread {
-                        list.insert(t * per_thread + i, &mut rng);
-                    }
-                });
-            }
-        });
-        assert_eq!(list.len(), (threads * per_thread) as usize);
-
-        let drained = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let list = Arc::clone(&list);
-                let drained = Arc::clone(&drained);
-                s.spawn(move || {
-                    let mut rng = Pcg32::for_thread(43, t as usize);
-                    let mut local = 0;
-                    loop {
-                        let use_spray = t % 2 == 0;
-                        let got = if use_spray {
-                            list.spray_delete_min(&mut rng, SprayParams::default())
-                        } else {
-                            list.delete_min()
-                        };
-                        if got.is_none() {
-                            break;
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let list = Arc::clone(&list);
+                    s.spawn(move || {
+                        let mut rng = Pcg32::for_thread(42, t as usize);
+                        for i in 0..per_thread {
+                            list.insert(t * per_thread + i, &mut rng);
                         }
-                        local += 1;
-                    }
-                    drained.fetch_add(local, Ordering::Relaxed);
-                });
-            }
+                    });
+                }
+            });
+            assert_eq!(list.len(), (threads * per_thread) as usize);
+
+            let drained = Arc::new(AtomicUsize::new(0));
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let list = Arc::clone(&list);
+                    let drained = Arc::clone(&drained);
+                    s.spawn(move || {
+                        let mut rng = Pcg32::for_thread(43, t as usize);
+                        let mut local = 0;
+                        loop {
+                            let use_spray = t % 2 == 0;
+                            let got = if use_spray {
+                                list.spray_delete_min(&mut rng, SprayParams::default())
+                            } else {
+                                list.delete_min()
+                            };
+                            if got.is_none() {
+                                break;
+                            }
+                            local += 1;
+                        }
+                        drained.fetch_add(local, Ordering::Relaxed);
+                    });
+                }
+            });
+            assert_eq!(
+                drained.load(Ordering::Relaxed),
+                (threads * per_thread) as usize
+            );
+            assert!(list.is_empty());
         });
-        assert_eq!(
-            drained.load(Ordering::Relaxed),
-            (threads * per_thread) as usize
-        );
-        assert!(list.is_empty());
     }
 
     #[test]
     fn concurrent_mixed_workload_terminates_and_balances() {
-        let list = Arc::new(ConcurrentSkipList::new());
-        let inserted = Arc::new(AtomicUsize::new(0));
-        let removed = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let list = Arc::clone(&list);
-                let inserted = Arc::clone(&inserted);
-                let removed = Arc::clone(&removed);
-                s.spawn(move || {
-                    let mut rng = Pcg32::for_thread(77, t);
-                    for i in 0..3_000u64 {
-                        if rng.next_bounded(2) == 0 {
-                            list.insert(rng.next_u64() >> 32, &mut rng);
-                            inserted.fetch_add(1, Ordering::Relaxed);
-                        } else if list
-                            .spray_delete_min(&mut rng, SprayParams::default())
-                            .is_some()
-                        {
-                            removed.fetch_add(1, Ordering::Relaxed);
+        hang_guard(|| {
+            let list = Arc::new(ConcurrentSkipList::new());
+            let inserted = Arc::new(AtomicUsize::new(0));
+            let removed = Arc::new(AtomicUsize::new(0));
+            std::thread::scope(|s| {
+                for t in 0..4 {
+                    let list = Arc::clone(&list);
+                    let inserted = Arc::clone(&inserted);
+                    let removed = Arc::clone(&removed);
+                    s.spawn(move || {
+                        let mut rng = Pcg32::for_thread(77, t);
+                        for i in 0..3_000u64 {
+                            if rng.next_bounded(2) == 0 {
+                                list.insert(rng.next_u64() >> 32, &mut rng);
+                                inserted.fetch_add(1, Ordering::Relaxed);
+                            } else if list
+                                .spray_delete_min(&mut rng, SprayParams::default())
+                                .is_some()
+                            {
+                                removed.fetch_add(1, Ordering::Relaxed);
+                            }
+                            let _ = i;
                         }
-                        let _ = i;
-                    }
-                });
+                    });
+                }
+            });
+            let live = inserted.load(Ordering::Relaxed) - removed.load(Ordering::Relaxed);
+            assert_eq!(list.len(), live, "len accounting drifted");
+            // Drain what's left and ensure it all comes back out.
+            let mut count = 0;
+            while list.delete_min().is_some() {
+                count += 1;
             }
+            assert_eq!(count, live);
         });
-        let live = inserted.load(Ordering::Relaxed) - removed.load(Ordering::Relaxed);
-        assert_eq!(list.len(), live, "len accounting drifted");
-        // Drain what's left and ensure it all comes back out.
-        let mut count = 0;
-        while list.delete_min().is_some() {
-            count += 1;
-        }
-        assert_eq!(count, live);
     }
 
     /// Regression test for the head-sentinel race: with tiny equal-ish keys
@@ -723,38 +728,40 @@ mod tests {
     /// once and strictly ordered chains.
     #[test]
     fn concurrent_head_churn_conserves_elements() {
-        use std::sync::Arc;
-        for trial in 0..8u64 {
-            let list: Arc<ConcurrentSkipList<u64>> = Arc::new(ConcurrentSkipList::new());
-            let popped = Arc::new(AtomicUsize::new(0));
-            let threads = 2;
-            let per_thread = 4_000usize;
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let list = Arc::clone(&list);
-                    let popped = Arc::clone(&popped);
-                    s.spawn(move || {
-                        let mut rng = Pcg32::for_thread(trial, t);
-                        for _ in 0..per_thread {
-                            // Keys from a tiny range concentrate all
-                            // structural activity at the head.
-                            list.insert(rng.next_bounded(4) as u64, &mut rng);
-                            if list.delete_min().is_some() {
-                                popped.fetch_add(1, Ordering::Relaxed);
+        hang_guard(|| {
+            use std::sync::Arc;
+            for trial in 0..8u64 {
+                let list: Arc<ConcurrentSkipList<u64>> = Arc::new(ConcurrentSkipList::new());
+                let popped = Arc::new(AtomicUsize::new(0));
+                let threads = 2;
+                let per_thread = 4_000usize;
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let list = Arc::clone(&list);
+                        let popped = Arc::clone(&popped);
+                        s.spawn(move || {
+                            let mut rng = Pcg32::for_thread(trial, t);
+                            for _ in 0..per_thread {
+                                // Keys from a tiny range concentrate all
+                                // structural activity at the head.
+                                list.insert(rng.next_bounded(4) as u64, &mut rng);
+                                if list.delete_min().is_some() {
+                                    popped.fetch_add(1, Ordering::Relaxed);
+                                }
                             }
-                        }
-                    });
+                        });
+                    }
+                });
+                assert!(list.validate_order().is_ok(), "chain order corrupted");
+                while list.delete_min().is_some() {
+                    popped.fetch_add(1, Ordering::Relaxed);
                 }
-            });
-            assert!(list.validate_order().is_ok(), "chain order corrupted");
-            while list.delete_min().is_some() {
-                popped.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(
+                    popped.load(Ordering::Relaxed),
+                    threads * per_thread,
+                    "trial {trial}: elements lost or double-delivered"
+                );
             }
-            assert_eq!(
-                popped.load(Ordering::Relaxed),
-                threads * per_thread,
-                "trial {trial}: elements lost or double-delivered"
-            );
-        }
+        });
     }
 }

@@ -7,17 +7,21 @@
 //! first `O(p·log²p)` elements (p = threads), spreading contention away from
 //! the head of the list.
 //!
-//! The skip-list substrate itself lives in `smq-skiplist`; this crate only
-//! adapts it to the workspace's [`Scheduler`]/[`SchedulerHandle`] interface
-//! and keeps per-thread statistics.
+//! The skip-list substrate, [`ConcurrentSkipList`], is the [`concurrent`]
+//! module and holds all of this crate's `unsafe` code; the rest adapts it
+//! to the workspace's [`Scheduler`]/[`SchedulerHandle`] interface and keeps
+//! per-thread statistics.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
+pub mod concurrent;
+
+pub use concurrent::ConcurrentSkipList;
+
+use concurrent::SprayParams;
 use smq_core::rng::Pcg32;
 use smq_core::{OpStats, Scheduler, SchedulerHandle};
-use smq_skiplist::concurrent::SprayParams;
-use smq_skiplist::ConcurrentSkipList;
 
 /// Configuration of a [`SprayList`].
 #[derive(Debug, Clone, Copy)]
@@ -124,8 +128,13 @@ impl<T: Ord + Copy + Send> SchedulerHandle<T> for SprayListHandle<'_, T> {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::hang_guard;
 
     #[test]
     fn conserves_elements_single_thread() {
@@ -159,32 +168,34 @@ mod tests {
 
     #[test]
     fn concurrent_workers_conserve_elements() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let threads = 4;
-        let per_thread = 3_000u64;
-        let sl: SprayList<u64> = SprayList::new(SprayListConfig::default_for_threads(threads));
-        let popped = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let sl = &sl;
-                let popped = &popped;
-                s.spawn(move || {
-                    let mut h = sl.handle(tid);
-                    for i in 0..per_thread {
-                        h.push(tid as u64 * per_thread + i);
-                    }
-                    while h.pop().is_some() {
-                        popped.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
+        hang_guard(|| {
+            use std::sync::atomic::{AtomicU64, Ordering};
+            let threads = 4;
+            let per_thread = 3_000u64;
+            let sl: SprayList<u64> = SprayList::new(SprayListConfig::default_for_threads(threads));
+            let popped = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for tid in 0..threads {
+                    let sl = &sl;
+                    let popped = &popped;
+                    s.spawn(move || {
+                        let mut h = sl.handle(tid);
+                        for i in 0..per_thread {
+                            h.push(tid as u64 * per_thread + i);
+                        }
+                        while h.pop().is_some() {
+                            popped.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+            // A `None` from one thread can race with another thread's insert, so
+            // drain the remainder before checking conservation.
+            let mut h = sl.handle(0);
+            while h.pop().is_some() {
+                popped.fetch_add(1, Ordering::Relaxed);
             }
+            assert_eq!(popped.load(Ordering::Relaxed), threads as u64 * per_thread);
         });
-        // A `None` from one thread can race with another thread's insert, so
-        // drain the remainder before checking conservation.
-        let mut h = sl.handle(0);
-        while h.pop().is_some() {
-            popped.fetch_add(1, Ordering::Relaxed);
-        }
-        assert_eq!(popped.load(Ordering::Relaxed), threads as u64 * per_thread);
     }
 }

@@ -4,8 +4,8 @@
 # has `unsafe` code (the others `#![forbid(unsafe_code)]`), plus the chaos
 # suite, which drives the pool's `unsafe` job hand-off through worker
 # panics and gang respawns.  Name crates to run only those:
-#   scripts/asan.sh                 # smq-skiplist smq-pool smq-core, chaos
-#   scripts/asan.sh smq-skiplist
+#   scripts/asan.sh                 # smq-spraylist smq-pool smq-core, chaos
+#   scripts/asan.sh smq-spraylist
 # An explicit --target keeps the sanitizer off build scripts and proc
 # macros, which run on the host and must not be instrumented.  None of the
 # default runs has a doctest; a crate whose doctest fails to link under
@@ -19,7 +19,7 @@ runs=()
 for crate in "$@"; do
     runs+=("-p $crate")
 done
-[ ${#runs[@]} -gt 0 ] || runs=("-p smq-skiplist" "-p smq-pool" "-p smq-core" "-p smq-repro --test chaos")
+[ ${#runs[@]} -gt 0 ] || runs=("-p smq-spraylist" "-p smq-pool" "-p smq-core" "-p smq-repro --test chaos")
 for run in "${runs[@]}"; do
     echo "asan: $run"
     # `$run` is split into its cargo arguments on purpose.
