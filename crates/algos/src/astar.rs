@@ -16,9 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
-use smq_runtime::Scratch;
 
-use crate::engine::{DecreaseKeyWorkload, LabelStore, SequentialReference, TaskOutcome};
+use crate::engine::{DecreaseKeyWorkload, LabelStore, PoolJob, SequentialReference, TaskOutcome};
 
 /// The admissible heuristic: scaled Euclidean distance between `v` and the
 /// target.  The road generator assigns each edge a weight of at least
@@ -106,26 +105,15 @@ impl<'g, G: GraphView, L: LabelStore> AstarWorkload<'g, G, L> {
     }
 }
 
-impl<G: GraphView, L: LabelStore> DecreaseKeyWorkload for AstarWorkload<'_, G, L> {
-    type Output = u64;
-
-    fn name(&self) -> &'static str {
-        "A*"
-    }
-
-    fn initial_tasks(&self) -> Vec<Task> {
+impl<G: GraphView, L: LabelStore> PoolJob for AstarWorkload<'_, G, L> {
+    fn seed_tasks(&self) -> Vec<Task> {
         vec![Task::new(
             heuristic(self.graph, self.source, self.target),
             u64::from(self.source),
         )]
     }
 
-    fn process(
-        &self,
-        task: Task,
-        push: &mut dyn FnMut(Task),
-        _scratch: &mut Scratch,
-    ) -> TaskOutcome {
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
         let v = task.value as u32;
         let g = self.g_score.get(v);
         // Recompute the expected priority; a mismatch means a better path
@@ -156,6 +144,14 @@ impl<G: GraphView, L: LabelStore> DecreaseKeyWorkload for AstarWorkload<'_, G, L
             }
         }
         TaskOutcome::Useful
+    }
+}
+
+impl<G: GraphView, L: LabelStore> DecreaseKeyWorkload for AstarWorkload<'_, G, L> {
+    type Output = u64;
+
+    fn name(&self) -> &'static str {
+        "A*"
     }
 
     fn output(&self) -> u64 {

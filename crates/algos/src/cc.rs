@@ -24,9 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
-use smq_runtime::Scratch;
 
-use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
+use crate::engine::{self, DecreaseKeyWorkload, PoolJob, SequentialReference, TaskOutcome};
 use crate::kcore::ReverseAdjacency;
 
 /// Exact sequential reference: Gauss–Seidel min-label propagation with a
@@ -81,25 +80,14 @@ impl<'g, G: GraphView> CcWorkload<'g, G> {
     }
 }
 
-impl<G: GraphView> DecreaseKeyWorkload for CcWorkload<'_, G> {
-    type Output = Vec<u64>;
-
-    fn name(&self) -> &'static str {
-        "CC"
-    }
-
-    fn initial_tasks(&self) -> Vec<Task> {
+impl<G: GraphView> PoolJob for CcWorkload<'_, G> {
+    fn seed_tasks(&self) -> Vec<Task> {
         (0..self.graph.num_nodes() as u64)
             .map(|v| Task::new(v, v))
             .collect()
     }
 
-    fn process(
-        &self,
-        task: Task,
-        push: &mut dyn FnMut(Task),
-        _scratch: &mut Scratch,
-    ) -> TaskOutcome {
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
         let v = task.value as u32;
         let label = self.labels[v as usize].load(Ordering::Relaxed);
         if task.key > label {
@@ -115,6 +103,14 @@ impl<G: GraphView> DecreaseKeyWorkload for CcWorkload<'_, G> {
             }
         }
         TaskOutcome::Useful
+    }
+}
+
+impl<G: GraphView> DecreaseKeyWorkload for CcWorkload<'_, G> {
+    type Output = Vec<u64>;
+
+    fn name(&self) -> &'static str {
+        "CC"
     }
 
     fn output(&self) -> Vec<u64> {

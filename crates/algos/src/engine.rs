@@ -34,21 +34,11 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use smq_core::{Scheduler, Task};
-use smq_pool::{PoolConfig, PoolJob, WorkerPool};
-use smq_runtime::Scratch;
+use smq_pool::{PoolConfig, WorkerPool};
 
 use crate::AlgoResult;
 
-/// What processing one task accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskOutcome {
-    /// The task advanced the algorithm (settled a vertex, drained a
-    /// residual, merged a component, lowered an h-value, ...).
-    Useful,
-    /// The task was stale on arrival — the wasted work caused by relaxed
-    /// priority ordering, the central quantity of the paper's evaluation.
-    Wasted,
-}
+pub use smq_pool::{PoolJob, TaskOutcome};
 
 /// The output of a workload's exact sequential reference implementation.
 #[derive(Debug, Clone)]
@@ -60,46 +50,24 @@ pub struct SequentialReference<O> {
     pub baseline_tasks: u64,
 }
 
-/// A workload expressible over a relaxed priority scheduler.
+/// A workload expressible over a relaxed priority scheduler: a [`PoolJob`]
+/// (its seed tasks, its per-task `process` step and its `prefetch` hint)
+/// plus what a caller reads and checks once the run has terminated.
 ///
 /// Implementations own the per-run shared state (atomic distance arrays,
 /// residual vectors, union-find structures, ...) and borrow the input
 /// graph; one value of the implementing type corresponds to one run.
 ///
 /// The contract that makes a workload safe under every scheduler in this
-/// workspace: [`process`](Self::process) must be correct for *any* order of
-/// task execution, and tasks may be executed while already stale (the
+/// workspace: [`PoolJob::process`] must be correct for *any* order of task
+/// execution, and tasks may be executed while already stale (the
 /// implementation detects this and reports [`TaskOutcome::Wasted`]).
-pub trait DecreaseKeyWorkload: Sync {
+pub trait DecreaseKeyWorkload: PoolJob {
     /// The algorithm-level answer (distances, ranks, core numbers, ...).
     type Output: PartialEq;
 
     /// Short display name ("SSSP", "PR-delta", ...).
     fn name(&self) -> &'static str;
-
-    /// The tasks seeding the run.
-    fn initial_tasks(&self) -> Vec<Task>;
-
-    /// Executes one task against the shared state, pushing any follow-up
-    /// tasks through `push`, and reports whether the task was useful.
-    ///
-    /// `scratch` is the calling worker's reusable [`Scratch`] arena:
-    /// task-sized temporary buffers (k-core's counting buffer, for example)
-    /// should come from it instead of a per-task allocation.  It survives
-    /// across tasks — and, on a resident pool, across whole jobs.
-    fn process(&self, task: Task, push: &mut dyn FnMut(Task), scratch: &mut Scratch)
-        -> TaskOutcome;
-
-    /// Hints that `task` was popped in a batch and will be
-    /// [`process`](Self::process)ed shortly, so the workload may prefetch
-    /// the memory it will touch first (its per-vertex slot, the vertex's
-    /// adjacency).  Same contract as `smq_pool::PoolJob::prefetch`: a hint
-    /// only — no shared-state writes, no panics, and nothing may depend on
-    /// it being called.  The default does nothing.
-    #[inline]
-    fn prefetch(&self, task: Task) {
-        let _ = task;
-    }
 
     /// A snapshot of the algorithm-level answer held in the shared state.
     /// Meaningful once the run has terminated (quiescent state).
@@ -128,26 +96,6 @@ pub struct EngineRun<O> {
     pub result: AlgoResult,
 }
 
-/// Adapts a [`DecreaseKeyWorkload`] to the pool's object-safe job trait.
-/// The pool counts useful/wasted per worker (no shared atomics on the task
-/// path), so the adapter only translates the outcome to a bool.
-struct WorkloadJob<'w, W>(&'w W);
-
-impl<W: DecreaseKeyWorkload> PoolJob for WorkloadJob<'_, W> {
-    fn seed_tasks(&self) -> Vec<Task> {
-        self.0.initial_tasks()
-    }
-
-    fn process(&self, task: Task, push: &mut dyn FnMut(Task), scratch: &mut Scratch) -> bool {
-        matches!(self.0.process(task, push, scratch), TaskOutcome::Useful)
-    }
-
-    #[inline]
-    fn prefetch(&self, task: Task) {
-        self.0.prefetch(task)
-    }
-}
-
 /// Runs `workload` to quiescence as one job on one gang of a resident
 /// [`WorkerPool`].
 ///
@@ -168,7 +116,7 @@ where
     W: DecreaseKeyWorkload,
 {
     let result = pool
-        .run_job(&WorkloadJob(workload))
+        .run_job(workload)
         .unwrap_or_else(|error| std::panic::panic_any(error));
     EngineRun {
         output: workload.output(),
@@ -180,7 +128,7 @@ where
 /// the library's default hot-path batch size
 /// ([`smq_pool::DEFAULT_BATCH_SIZE`], 8): workers pop up to 8
 /// tasks per scheduling decision, hint the batch to
-/// [`DecreaseKeyWorkload::prefetch`], and flush follow-ups through the
+/// [`PoolJob::prefetch`], and flush follow-ups through the
 /// scheduler's `push_batch` at task boundaries.
 ///
 /// One-shot mode: [`run_parallel_with`] on `PoolConfig::new(threads)`.  For
@@ -383,23 +331,12 @@ mod tests {
         reached_zero: AtomicU64,
     }
 
-    impl DecreaseKeyWorkload for Countdown {
-        type Output = u64;
-
-        fn name(&self) -> &'static str {
-            "countdown"
-        }
-
-        fn initial_tasks(&self) -> Vec<Task> {
+    impl PoolJob for Countdown {
+        fn seed_tasks(&self) -> Vec<Task> {
             (1..=8u64).map(|k| Task::new(k, k)).collect()
         }
 
-        fn process(
-            &self,
-            task: Task,
-            push: &mut dyn FnMut(Task),
-            _scratch: &mut Scratch,
-        ) -> TaskOutcome {
+        fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
             if task.key == 0 {
                 self.reached_zero.fetch_add(1, Ordering::Relaxed);
                 TaskOutcome::Wasted
@@ -407,6 +344,14 @@ mod tests {
                 push(Task::new(task.key - 1, task.value));
                 TaskOutcome::Useful
             }
+        }
+    }
+
+    impl DecreaseKeyWorkload for Countdown {
+        type Output = u64;
+
+        fn name(&self) -> &'static str {
+            "countdown"
         }
 
         fn output(&self) -> u64 {

@@ -105,7 +105,7 @@ impl<'g, G: GraphView> SsspWorkload<'g, G> {
 mod tests {
     use super::*;
     use crate::common::hang_guard;
-    use crate::engine::{self, DecreaseKeyWorkload};
+    use crate::engine::{self, DecreaseKeyWorkload, PoolJob};
     use smq_core::Task;
     use smq_graph::generators::{road_network, RoadNetworkParams};
     use smq_graph::{CsrGraph, GraphBuilder, LiveGraph};
@@ -156,7 +156,7 @@ mod tests {
         let reference = workload.sequential_reference();
         assert_eq!(reference.output, old_dist);
         assert_eq!(reference.baseline_tasks, 0);
-        assert!(workload.initial_tasks().is_empty());
+        assert!(workload.seed_tasks().is_empty());
         assert_eq!(workload.output(), old_dist);
         assert_eq!(workload.label_bits(), 64, "a repair keeps the 64-bit store");
     }

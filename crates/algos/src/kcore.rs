@@ -22,13 +22,13 @@
 //! re-evaluated, or the neighbour decrease that triggered it turned out not
 //! to matter).
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
-use smq_runtime::Scratch;
 
-use crate::engine::{self, DecreaseKeyWorkload, SequentialReference, TaskOutcome};
+use crate::engine::{self, DecreaseKeyWorkload, PoolJob, SequentialReference, TaskOutcome};
 
 /// Reverse adjacency in CSR form: the in-neighbours of `v` are
 /// `sources[offsets[v]..offsets[v + 1]]`.
@@ -74,28 +74,37 @@ impl ReverseAdjacency {
 /// The largest `k ≤ cap` such that at least `k` of the `values` are `≥ k`
 /// (the Hirsch index of the multiset, capped).
 ///
-/// `counts` must be a zeroed buffer of at least `cap + 1` slots.  The
-/// parallel workload hands in the worker's [`Scratch`] counting buffer, so
-/// hub-heavy graphs pay one `memset` per task instead of one heap
-/// allocation — the allocator was a measurable cost on power-law inputs.
-fn h_index_capped(values: impl Iterator<Item = u64>, cap: u64, counts: &mut [u32]) -> u64 {
+/// The counts live in [`COUNTS`], so hub-heavy graphs pay one `memset` per
+/// call instead of one heap allocation — the allocator was a measurable
+/// cost on power-law inputs.
+fn h_index_capped(values: impl Iterator<Item = u64>, cap: u64) -> u64 {
     let cap_us = cap as usize;
     if cap_us == 0 {
         return 0;
     }
-    debug_assert!(counts.len() > cap_us);
-    debug_assert!(counts.iter().all(|&c| c == 0));
-    for value in values {
-        counts[value.min(cap) as usize] += 1;
-    }
-    let mut at_least = 0u64;
-    for k in (1..=cap_us).rev() {
-        at_least += u64::from(counts[k]);
-        if at_least >= k as u64 {
-            return k as u64;
+    COUNTS.with_borrow_mut(|counts| {
+        counts.clear();
+        counts.resize(cap_us + 1, 0);
+        for value in values {
+            counts[value.min(cap) as usize] += 1;
         }
-    }
-    0
+        let mut at_least = 0u64;
+        for k in (1..=cap_us).rev() {
+            at_least += u64::from(counts[k]);
+            if at_least >= k as u64 {
+                return k as u64;
+            }
+        }
+        0
+    })
+}
+
+thread_local! {
+    /// [`h_index_capped`]'s counting buffer: one allocation per thread per
+    /// high-water mark, reused across tasks and, on a resident pool's
+    /// workers, across jobs.  It holds no state between calls, since every
+    /// call resizes and zeroes it.
+    static COUNTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Exact sequential reference: deterministic Gauss–Seidel iteration of the
@@ -112,14 +121,9 @@ pub fn sequential<G: GraphView>(graph: &G) -> (Vec<u64>, u64) {
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> =
         (0..n as u32).map(|v| Reverse((h[v as usize], v))).collect();
     let mut useful = 0u64;
-    let mut scratch = Scratch::new();
     while let Some(Reverse((_key, v))) = heap.pop() {
         let cur = h[v as usize];
-        let candidate = h_index_capped(
-            graph.neighbors(v).map(|(u, _w)| h[u as usize]),
-            cur,
-            scratch.counting_u32(cur as usize + 1),
-        );
+        let candidate = h_index_capped(graph.neighbors(v).map(|(u, _w)| h[u as usize]), cur);
         if candidate >= cur {
             continue;
         }
@@ -157,39 +161,24 @@ impl<'g, G: GraphView> KCoreWorkload<'g, G> {
     }
 }
 
-impl<G: GraphView> DecreaseKeyWorkload for KCoreWorkload<'_, G> {
-    type Output = Vec<u64>;
-
-    fn name(&self) -> &'static str {
-        "k-core"
-    }
-
-    fn initial_tasks(&self) -> Vec<Task> {
+impl<G: GraphView> PoolJob for KCoreWorkload<'_, G> {
+    fn seed_tasks(&self) -> Vec<Task> {
         (0..self.graph.num_nodes() as u32)
             .map(|v| Task::new(self.graph.degree(v) as u64, u64::from(v)))
             .collect()
     }
 
-    fn process(
-        &self,
-        task: Task,
-        push: &mut dyn FnMut(Task),
-        scratch: &mut Scratch,
-    ) -> TaskOutcome {
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
         let v = task.value as u32;
         let cur = self.h[v as usize].load(Ordering::Relaxed);
         if cur == 0 {
             return TaskOutcome::Wasted;
         }
-        // The counting buffer comes from the worker's scratch arena: no
-        // per-task allocation, which matters on hub-heavy power-law graphs
-        // where `cur` starts at the hub degree.
         let candidate = h_index_capped(
             self.graph
                 .neighbors(v)
                 .map(|(u, _w)| self.h[u as usize].load(Ordering::Relaxed)),
             cur,
-            scratch.counting_u32(cur as usize + 1),
         );
         if !engine::try_decrease(&self.h[v as usize], candidate) {
             // Someone lowered h[v] to (or past) the candidate concurrently;
@@ -205,6 +194,14 @@ impl<G: GraphView> DecreaseKeyWorkload for KCoreWorkload<'_, G> {
             }
         }
         TaskOutcome::Useful
+    }
+}
+
+impl<G: GraphView> DecreaseKeyWorkload for KCoreWorkload<'_, G> {
+    type Output = Vec<u64>;
+
+    fn name(&self) -> &'static str {
+        "k-core"
     }
 
     fn output(&self) -> Vec<u64> {
@@ -270,14 +267,9 @@ mod tests {
 
     #[test]
     fn h_index_handles_edges_cases() {
-        let mut scratch = Scratch::new();
-        let mut h = |values: &[u64], cap: u64| {
-            h_index_capped(
-                values.iter().copied(),
-                cap,
-                scratch.counting_u32(cap as usize + 1),
-            )
-        };
+        // One thread, so every call reuses the same buffer, across growing
+        // and shrinking caps.
+        let h = |values: &[u64], cap: u64| h_index_capped(values.iter().copied(), cap);
         assert_eq!(h(&[], 5), 0);
         assert_eq!(h(&[3, 3, 3], 10), 3);
         assert_eq!(h(&[3, 3, 3], 2), 2);

@@ -1,12 +1,13 @@
 //! Task-parallel graph algorithms formulated over relaxed priority
 //! schedulers, plus exact sequential references.
 //!
-//! **One parallel kernel per algorithm, one run type.**  [`engine`] defines
-//! the [`DecreaseKeyWorkload`] trait (initial tasks, a `process` step
-//! classifying each task as useful or wasted, a shared-state output view,
-//! and a sequential reference) and the drivers that own the worker-pool
-//! invocation and the useful/wasted accounting for every algorithm.  A
-//! parallel run is always
+//! **One parallel kernel per algorithm, one run type.**  Every workload is
+//! a pool job ([`engine::PoolJob`]: seed tasks, a `process` step
+//! classifying each task as useful or wasted, a `prefetch` hint);
+//! [`engine`] adds the [`DecreaseKeyWorkload`] trait on top (a
+//! shared-state output view and a sequential reference) and the drivers
+//! that own the worker-pool invocation and the useful/wasted accounting
+//! for every algorithm.  A parallel run is always
 //!
 //! ```text
 //! engine::run_parallel(&Workload::new(..), &scheduler, threads)   // one-shot

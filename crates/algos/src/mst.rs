@@ -21,9 +21,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use parking_lot::Mutex;
 use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
-use smq_runtime::Scratch;
 
-use crate::engine::{DecreaseKeyWorkload, SequentialReference, TaskOutcome};
+use crate::engine::{DecreaseKeyWorkload, PoolJob, SequentialReference, TaskOutcome};
 
 /// Union-find over vertices with atomic parents (reads are lock-free; parent
 /// updates only happen under the merge lock).
@@ -217,26 +216,15 @@ impl<'g, G: GraphView> BoruvkaWorkload<'g, G> {
     }
 }
 
-impl<G: GraphView> DecreaseKeyWorkload for BoruvkaWorkload<'_, G> {
-    type Output = (u64, u64);
-
-    fn name(&self) -> &'static str {
-        "MST"
-    }
-
-    fn initial_tasks(&self) -> Vec<Task> {
+impl<G: GraphView> PoolJob for BoruvkaWorkload<'_, G> {
+    fn seed_tasks(&self) -> Vec<Task> {
         // One initial task per vertex; priority = component size (1).
         (0..self.graph.num_nodes() as u32)
             .map(|v| Task::new(1, u64::from(v)))
             .collect()
     }
 
-    fn process(
-        &self,
-        task: Task,
-        push: &mut dyn FnMut(Task),
-        _scratch: &mut Scratch,
-    ) -> TaskOutcome {
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
         let state = &self.state;
         let root = state.uf.find(task.value as u32);
         if u64::from(root) != task.value {
@@ -266,6 +254,14 @@ impl<G: GraphView> DecreaseKeyWorkload for BoruvkaWorkload<'_, G> {
                 TaskOutcome::Wasted
             }
         }
+    }
+}
+
+impl<G: GraphView> DecreaseKeyWorkload for BoruvkaWorkload<'_, G> {
+    type Output = (u64, u64);
+
+    fn name(&self) -> &'static str {
+        "MST"
     }
 
     fn output(&self) -> (u64, u64) {

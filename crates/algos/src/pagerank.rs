@@ -30,9 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use smq_core::Task;
 use smq_graph::{CsrGraph, GraphView};
-use smq_runtime::Scratch;
 
-use crate::engine::{DecreaseKeyWorkload, SequentialReference, TaskOutcome};
+use crate::engine::{DecreaseKeyWorkload, PoolJob, SequentialReference, TaskOutcome};
 
 /// Tuning knobs of a PageRank-delta run.
 #[derive(Debug, Clone, Copy)]
@@ -195,26 +194,15 @@ impl<'g, G: GraphView> PagerankWorkload<'g, G> {
     }
 }
 
-impl<G: GraphView> DecreaseKeyWorkload for PagerankWorkload<'_, G> {
-    type Output = Vec<f64>;
-
-    fn name(&self) -> &'static str {
-        "PR-delta"
-    }
-
-    fn initial_tasks(&self) -> Vec<Task> {
+impl<G: GraphView> PoolJob for PagerankWorkload<'_, G> {
+    fn seed_tasks(&self) -> Vec<Task> {
         let init = 1.0 - self.config.damping;
         (0..self.graph.num_nodes() as u32)
             .map(|v| Task::new(priority_of(init), u64::from(v)))
             .collect()
     }
 
-    fn process(
-        &self,
-        task: Task,
-        push: &mut dyn FnMut(Task),
-        _scratch: &mut Scratch,
-    ) -> TaskOutcome {
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
         let eps = self.config.epsilon;
         let v = task.value as usize;
         let r = f64::from_bits(self.residual[v].swap(0f64.to_bits(), Ordering::Relaxed));
@@ -245,6 +233,14 @@ impl<G: GraphView> DecreaseKeyWorkload for PagerankWorkload<'_, G> {
             }
         }
         TaskOutcome::Useful
+    }
+}
+
+impl<G: GraphView> DecreaseKeyWorkload for PagerankWorkload<'_, G> {
+    type Output = Vec<f64>;
+
+    fn name(&self) -> &'static str {
+        "PR-delta"
     }
 
     fn output(&self) -> Vec<f64> {

@@ -15,9 +15,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64};
 
 use smq_core::{prefetch_read, Task};
 use smq_graph::{CsrGraph, GraphView};
-use smq_runtime::Scratch;
 
-use crate::engine::{DecreaseKeyWorkload, LabelStore, SequentialReference, TaskOutcome};
+use crate::engine::{DecreaseKeyWorkload, LabelStore, PoolJob, SequentialReference, TaskOutcome};
 
 /// Exact sequential Dijkstra.  Returns the distance array and the number of
 /// settled vertices (the baseline task count for work-increase reporting).
@@ -220,30 +219,19 @@ fn read_labels<L: LabelStore>(labels: &L, n: usize) -> Vec<u64> {
         .collect()
 }
 
-impl<G, F> DecreaseKeyWorkload for SsspWorkload<'_, G, F>
+impl<G, F> PoolJob for SsspWorkload<'_, G, F>
 where
     G: GraphView,
     F: Fn(u32) -> u64 + Sync,
 {
-    type Output = Vec<u64>;
-
-    fn name(&self) -> &'static str {
-        self.label
-    }
-
-    fn initial_tasks(&self) -> Vec<Task> {
+    fn seed_tasks(&self) -> Vec<Task> {
         self.seeds
             .iter()
             .map(|&(v, d)| Task::new(d, u64::from(v)))
             .collect()
     }
 
-    fn process(
-        &self,
-        task: Task,
-        push: &mut dyn FnMut(Task),
-        _scratch: &mut Scratch,
-    ) -> TaskOutcome {
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
         match &self.labels {
             Labels::Narrow(store) => self.relax(store, task, push),
             Labels::Wide(store) => self.relax(store, task, push),
@@ -260,6 +248,18 @@ where
             Labels::Wide(store) => prefetch_read(store, v),
         }
         self.graph.prefetch_vertex(v as u32);
+    }
+}
+
+impl<G, F> DecreaseKeyWorkload for SsspWorkload<'_, G, F>
+where
+    G: GraphView,
+    F: Fn(u32) -> u64 + Sync,
+{
+    type Output = Vec<u64>;
+
+    fn name(&self) -> &'static str {
+        self.label
     }
 
     fn output(&self) -> Vec<u64> {

@@ -276,7 +276,7 @@ impl CsrGraph {
     }
 
     /// The full coordinate table, if the graph carries one (used by the
-    /// live-graph compactor and the DIMACS `.co` writer).
+    /// live-graph compactor).
     pub fn all_coordinates(&self) -> Option<&[(f64, f64)]> {
         self.coordinates.as_deref()
     }

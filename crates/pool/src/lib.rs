@@ -108,7 +108,7 @@ use std::thread::{Builder, JoinHandle};
 use std::time::Instant;
 
 use smq_core::{OpStats, Scheduler, Task};
-use smq_runtime::{RunMetrics, Scratch, TerminationDetector};
+use smq_runtime::{RunMetrics, TerminationDetector};
 use smq_telemetry::{TelemetryConfig, TelemetryReport};
 
 use worker::run_worker;
@@ -223,20 +223,31 @@ impl PoolConfig {
     }
 }
 
-/// One job executable on a [`WorkerPool`]: the object-safe core of
-/// `smq_algos::engine::DecreaseKeyWorkload`.
+/// What processing one task accomplished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TaskOutcome {
+    /// The task advanced the job (settled a vertex, drained a residual,
+    /// merged a component, lowered an h-value, ...).
+    Useful,
+    /// The task was stale on arrival — the wasted work caused by relaxed
+    /// priority ordering, the central quantity of the paper's evaluation.
+    Wasted,
+}
+
+/// One job executable on a [`WorkerPool`]: the per-task operator of the
+/// paper's `for_each` loop.  Every workload of `smq_algos` implements it
+/// directly.
 ///
-/// The contract is the same as the engine's: `process` must be correct for
-/// any order of task execution, and the job's shared state must make stale
-/// tasks detectable (return `false`).
+/// `process` must be correct for any order of task execution, and the
+/// job's shared state must make stale tasks detectable
+/// ([`TaskOutcome::Wasted`]).
 pub trait PoolJob: Sync {
     /// The tasks seeding this job.
     fn seed_tasks(&self) -> Vec<Task>;
 
-    /// Executes one task, pushing follow-up tasks through `push`.  Returns
-    /// `true` when the task advanced the job (was *useful*), `false` when
-    /// it was stale on arrival (*wasted*).
-    fn process(&self, task: Task, push: &mut dyn FnMut(Task), scratch: &mut Scratch) -> bool;
+    /// Executes one task, pushing follow-up tasks through `push`, and
+    /// reports whether the task advanced the job.
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome;
 
     /// Hints that `task` was popped as part of a batch and will be passed
     /// to [`process`](Self::process) shortly: the worker loop calls this
@@ -327,9 +338,9 @@ unsafe impl Sync for JobRef {}
 
 /// What one worker reports back after finishing its share of a job.
 struct WorkerResult {
-    /// Tasks whose `process` returned `true` (advanced the job).
+    /// Tasks whose `process` returned [`TaskOutcome::Useful`].
     useful: u64,
-    /// Tasks whose `process` returned `false` (stale on arrival).
+    /// Tasks whose `process` returned [`TaskOutcome::Wasted`].
     wasted: u64,
     /// Quiescence scans this worker performed (each is O(threads)).
     scans: u64,
@@ -935,13 +946,13 @@ mod tests {
             (0..self.seeds).map(|i| Task::new(i, i)).collect()
         }
 
-        fn process(&self, task: Task, push: &mut dyn FnMut(Task), _scratch: &mut Scratch) -> bool {
+        fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
             self.processed.fetch_add(1, Ordering::Relaxed);
             if task.key < self.fanout_below {
                 push(Task::new(task.key + self.fanout_below, task.value));
                 push(Task::new(task.key + 2 * self.fanout_below, task.value));
             }
-            true
+            TaskOutcome::Useful
         }
     }
 
@@ -1141,12 +1152,12 @@ mod tests {
                     vec![Task::new(1, 1)]
                 }
 
-                fn process(&self, _t: Task, _push: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+                fn process(&self, _t: Task, _push: &mut dyn FnMut(Task)) -> TaskOutcome {
                     self.started.store(true, Ordering::Release);
                     while !self.partner_started.load(Ordering::Acquire) {
                         std::thread::yield_now();
                     }
-                    true
+                    TaskOutcome::Useful
                 }
             }
 
@@ -1186,9 +1197,9 @@ mod tests {
             (0..64u64).map(|i| Task::new(i, i)).collect()
         }
 
-        fn process(&self, task: Task, _push: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+        fn process(&self, task: Task, _push: &mut dyn FnMut(Task)) -> TaskOutcome {
             assert!(task.key != 17, "intentional job panic");
-            true
+            TaskOutcome::Useful
         }
     }
 
@@ -1368,13 +1379,13 @@ mod tests {
             (0..self.seeds).map(|i| Task::new(i, i)).collect()
         }
 
-        fn process(&self, task: Task, push: &mut dyn FnMut(Task), _scratch: &mut Scratch) -> bool {
+        fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
             self.processed[task.key as usize].fetch_add(1, Ordering::Relaxed);
             if task.key < self.seeds {
                 push(Task::new(task.key + self.seeds, task.value));
                 push(Task::new(task.key + 2 * self.seeds, task.value));
             }
-            true
+            TaskOutcome::Useful
         }
 
         fn prefetch(&self, task: Task) {

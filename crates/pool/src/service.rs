@@ -501,10 +501,9 @@ fn dispatcher_main(inner: &ServiceInner, pool: &WorkerPool) {
 mod tests {
     use super::*;
     use crate::common::hang_guard;
-    use crate::{PoolConfig, PoolJob};
+    use crate::{PoolConfig, PoolJob, TaskOutcome};
     use smq_core::Task;
     use smq_multiqueue::{MultiQueue, MultiQueueConfig};
-    use smq_runtime::Scratch;
     use std::sync::atomic::AtomicU64;
 
     struct CountJob {
@@ -517,9 +516,9 @@ mod tests {
             (0..self.seeds).map(|i| Task::new(i, i)).collect()
         }
 
-        fn process(&self, _t: Task, _push: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+        fn process(&self, _t: Task, _push: &mut dyn FnMut(Task)) -> TaskOutcome {
             self.counter.fetch_add(1, Ordering::Relaxed);
-            true
+            TaskOutcome::Useful
         }
     }
 
@@ -530,7 +529,7 @@ mod tests {
             vec![Task::new(0, 0)]
         }
 
-        fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+        fn process(&self, _t: Task, _p: &mut dyn FnMut(Task)) -> TaskOutcome {
             panic!("intentional service job panic");
         }
     }
@@ -613,12 +612,12 @@ mod tests {
                 fn seed_tasks(&self) -> Vec<Task> {
                     vec![Task::new(0, 0)]
                 }
-                fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+                fn process(&self, _t: Task, _p: &mut dyn FnMut(Task)) -> TaskOutcome {
                     self.mine.store(true, Ordering::Release);
                     while !self.partner.load(Ordering::Acquire) {
                         std::thread::yield_now();
                     }
-                    true
+                    TaskOutcome::Useful
                 }
             }
 

@@ -25,10 +25,10 @@ use std::time::Instant;
 
 use crossbeam_utils::Backoff;
 use smq_core::{SchedulerHandle, Task};
-use smq_runtime::{Scratch, WorkerTally, SCAN_GATE};
+use smq_runtime::{WorkerTally, SCAN_GATE};
 use smq_telemetry::{Phase, WorkerTelemetry};
 
-use crate::{lock, Gang, Inner, PoolJob, WorkerResult};
+use crate::{lock, Gang, Inner, PoolJob, TaskOutcome, WorkerResult};
 
 /// How many consecutive empty pops a worker tolerates before it starts
 /// yielding to the OS scheduler (important on machines with fewer hardware
@@ -85,7 +85,6 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
     // Kept for the thread's whole life, so every job after the first
     // reuses their capacity.  `pop_buf` holds the batch being processed,
     // `sink_buf` the follow-ups buffered until the next flush.
-    let mut scratch = Scratch::new();
     let mut pop_buf = Vec::with_capacity(batch);
     let mut sink_buf = Vec::with_capacity(batch);
     let mut last_seq = 0u64;
@@ -217,10 +216,9 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
                                 }
                             }
                         };
-                        if job.process(task, &mut push, &mut scratch) {
-                            useful += 1;
-                        } else {
-                            wasted += 1;
+                        match job.process(task, &mut push) {
+                            TaskOutcome::Useful => useful += 1,
+                            TaskOutcome::Wasted => wasted += 1,
                         }
                         // Publish-before-flush at the task boundary: the
                         // task's follow-ups are credited and made visible
@@ -326,9 +324,11 @@ fn flush<H: SchedulerHandle<Task>>(
 #[cfg(test)]
 mod tests {
     use crate::common::hang_guard;
-    use crate::{JobError, JobOutput, PoolConfig, PoolJob, WorkerPool, DEFAULT_BATCH_SIZE};
+    use crate::{
+        JobError, JobOutput, PoolConfig, PoolJob, TaskOutcome, WorkerPool, DEFAULT_BATCH_SIZE,
+    };
     use smq_core::{OpStats, Scheduler, SchedulerHandle, Task};
-    use smq_runtime::{Scratch, SCAN_GATE};
+    use smq_runtime::SCAN_GATE;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     use std::sync::atomic::{AtomicBool, AtomicU64 as Counter, Ordering};
@@ -398,14 +398,14 @@ mod tests {
         process: F,
     }
 
-    impl<F: Fn(u64, &mut dyn FnMut(u64), &mut Scratch) + Sync> PoolJob for KeyJob<F> {
+    impl<F: Fn(u64, &mut dyn FnMut(u64)) + Sync> PoolJob for KeyJob<F> {
         fn seed_tasks(&self) -> Vec<Task> {
             self.seeds.iter().map(|&key| Task::new(key, key)).collect()
         }
 
-        fn process(&self, task: Task, push: &mut dyn FnMut(Task), scratch: &mut Scratch) -> bool {
-            (self.process)(task.key, &mut |key| push(Task::new(key, key)), scratch);
-            true
+        fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
+            (self.process)(task.key, &mut |key| push(Task::new(key, key)));
+            TaskOutcome::Useful
         }
     }
 
@@ -421,7 +421,7 @@ mod tests {
     /// the pool, every worker in the loop until quiescence.
     fn drive<F>(threads: usize, batch: usize, initial: Vec<u64>, process: F) -> Driven
     where
-        F: Fn(u64, &mut dyn FnMut(u64), &mut Scratch) + Sync,
+        F: Fn(u64, &mut dyn FnMut(u64)) + Sync,
     {
         let sched = LockedHeap::new(threads);
         let config = PoolConfig::new(threads).with_batch(batch);
@@ -447,7 +447,7 @@ mod tests {
                 2,
                 DEFAULT_BATCH_SIZE,
                 (0..1_000u64).collect(),
-                |_task, _push, _scratch| {
+                |_task, _push| {
                     executed.fetch_add(1, Ordering::Relaxed);
                 },
             );
@@ -467,7 +467,7 @@ mod tests {
                 3,
                 DEFAULT_BATCH_SIZE,
                 (0..1_000u64).collect(),
-                |task, push, _scratch| {
+                |task, push| {
                     executed.fetch_add(1, Ordering::Relaxed);
                     if task < 1_000 {
                         push(task + 1_000);
@@ -483,7 +483,7 @@ mod tests {
     #[test]
     fn empty_initial_set_terminates_immediately() {
         hang_guard(|| {
-            let driven = drive(2, DEFAULT_BATCH_SIZE, Vec::new(), |_t, _p, _s| {});
+            let driven = drive(2, DEFAULT_BATCH_SIZE, Vec::new(), |_t, _p| {});
             assert_eq!(driven.executed, 0);
             assert!(driven.scans >= 2, "each worker scans to exit");
         });
@@ -493,14 +493,9 @@ mod tests {
     fn single_thread_run_works() {
         hang_guard(|| {
             let sum = Counter::new(0);
-            let driven = drive(
-                1,
-                DEFAULT_BATCH_SIZE,
-                vec![5u64, 10, 15],
-                |task, _push, _scratch| {
-                    sum.fetch_add(task, Ordering::Relaxed);
-                },
-            );
+            let driven = drive(1, DEFAULT_BATCH_SIZE, vec![5u64, 10, 15], |task, _push| {
+                sum.fetch_add(task, Ordering::Relaxed);
+            });
             assert_eq!(sum.load(Ordering::Relaxed), 30);
             assert_eq!(driven.executed, 3);
         });
@@ -512,7 +507,7 @@ mod tests {
             // A single chain of 10_000 dependent tasks exercises the case
             // where most threads spin on an empty scheduler while one works.
             let executed = Counter::new(0);
-            let driven = drive(4, DEFAULT_BATCH_SIZE, vec![0u64], |task, push, _scratch| {
+            let driven = drive(4, DEFAULT_BATCH_SIZE, vec![0u64], |task, push| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 if task < 10_000 {
                     push(task + 1);
@@ -530,7 +525,7 @@ mod tests {
             // `SCAN_GATE` empty pops, so scans * gate never exceeds total
             // empty pops — the loop-level guarantee behind the epoch-gated
             // scan.
-            let driven = drive(4, DEFAULT_BATCH_SIZE, vec![0u64], |task, push, _scratch| {
+            let driven = drive(4, DEFAULT_BATCH_SIZE, vec![0u64], |task, push| {
                 if task < 5_000 {
                     push(task + 1);
                 }
@@ -553,7 +548,7 @@ mod tests {
             // driven at batch 8: conservation and termination must be
             // unchanged.
             let executed = Counter::new(0);
-            let driven = drive(2, 8, (0..1_000u64).collect(), |task, push, _scratch| {
+            let driven = drive(2, 8, (0..1_000u64).collect(), |task, push| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 if task < 1_000 {
                     push(task + 1_000);
@@ -571,7 +566,7 @@ mod tests {
         hang_guard(|| {
             // Fan-out 1: every sink flush carries a single task, the worst
             // case for the batching sink's bookkeeping.
-            let driven = drive(4, 32, vec![0u64], |task, push, _scratch| {
+            let driven = drive(4, 32, vec![0u64], |task, push| {
                 if task < 10_000 {
                     push(task + 1);
                 }
@@ -598,13 +593,13 @@ mod tests {
             (0..self.seeds).map(|key| Task::new(key, key)).collect()
         }
 
-        fn process(&self, task: Task, push: &mut dyn FnMut(Task), _scratch: &mut Scratch) -> bool {
+        fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
             // Pool threads are named `smq-pool-<gang>-<worker>`.
             if std::thread::current().name() != Some("smq-pool-0-0") {
                 while !self.aborted.load(Ordering::Acquire) {
                     std::thread::yield_now();
                 }
-                return true;
+                return TaskOutcome::Useful;
             }
             let processed = self.processed.fetch_add(1, Ordering::Relaxed) + 1;
             if task.key < 1_000 {
@@ -614,7 +609,7 @@ mod tests {
                 }
                 push(Task::new(task.key + 2_000, task.value));
             }
-            true
+            TaskOutcome::Useful
         }
     }
 
@@ -698,7 +693,7 @@ mod tests {
             (0..8u64).map(|key| Task::new(key, key)).collect()
         }
 
-        fn process(&self, task: Task, push: &mut dyn FnMut(Task), _scratch: &mut Scratch) -> bool {
+        fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
             let task = task.key;
             if self.expect_hints {
                 assert!(
@@ -711,7 +706,7 @@ mod tests {
                 push(Task::new(task + 8, task + 8));
                 push(Task::new(task + 16, task + 16));
             }
-            true
+            TaskOutcome::Useful
         }
 
         fn prefetch(&self, task: Task) {
@@ -746,25 +741,6 @@ mod tests {
                     assert!(hinted.is_empty(), "batch 1 must never hint");
                 }
             }
-        });
-    }
-
-    #[test]
-    fn scratch_is_usable_from_the_processing_closure() {
-        hang_guard(|| {
-            let checked = Counter::new(0);
-            drive(
-                2,
-                DEFAULT_BATCH_SIZE,
-                (1..=64u64).collect(),
-                |task, _push, scratch| {
-                    let buf = scratch.counting_u32(task as usize);
-                    assert!(buf.iter().all(|&c| c == 0), "scratch must be zeroed");
-                    buf[(task - 1) as usize] = 1;
-                    checked.fetch_add(1, Ordering::Relaxed);
-                },
-            );
-            assert_eq!(checked.load(Ordering::Relaxed), 64);
         });
     }
 }

@@ -6,8 +6,8 @@
 //! globally empty.  The loop itself is the worker of the resident pool in
 //! `smq-pool`; this crate provides what it relies on: the pending-task
 //! termination detection ([`TerminationDetector`], [`SCAN_GATE`]), per-run
-//! metrics, a per-worker [`Scratch`] arena, and a *simulated* NUMA topology
-//! ([`Topology`], [`NumaConfig`]) used by the NUMA-aware queue samplers.
+//! metrics, and a *simulated* NUMA topology ([`Topology`], [`NumaConfig`])
+//! used by the NUMA-aware queue samplers.
 //!
 //! The crate spawns no threads.
 //!
@@ -22,12 +22,10 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod scratch;
 pub mod termination;
 pub mod topology;
 
 pub use metrics::RunMetrics;
-pub use scratch::Scratch;
 pub use termination::{TerminationDetector, WorkerTally, SCAN_GATE};
 pub use topology::{NumaConfig, Topology, WeightedQueueSampler};
 

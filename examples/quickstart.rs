@@ -6,8 +6,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use smq_repro::core::{Scheduler, SchedulerHandle, Task};
-use smq_repro::pool::{PoolConfig, PoolJob, WorkerPool};
-use smq_repro::runtime::Scratch;
+use smq_repro::pool::{PoolConfig, PoolJob, TaskOutcome, WorkerPool};
 use smq_repro::smq::{HeapSmq, SmqConfig};
 
 /// A diamond of follow-up tasks: every task below 1000 spawns two children.
@@ -20,13 +19,13 @@ impl PoolJob for Diamond {
         (0..1_000u64).map(|i| Task::new(i, i)).collect()
     }
 
-    fn process(&self, task: Task, push: &mut dyn FnMut(Task), _scratch: &mut Scratch) -> bool {
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
         self.processed.fetch_add(1, Ordering::Relaxed);
         if task.key < 1_000 {
             push(Task::new(task.key + 1_000, task.value));
             push(Task::new(task.key + 2_000, task.value));
         }
-        true
+        TaskOutcome::Useful
     }
 }
 

@@ -38,8 +38,9 @@ use smq_repro::algos::{astar, RouteQueryEngine};
 use smq_repro::core::Task;
 use smq_repro::graph::generators::{road_network, RoadNetworkParams};
 use smq_repro::graph::CsrGraph;
-use smq_repro::pool::{JobError, JobService, PoolConfig, PoolJob, ServiceConfig, WorkerPool};
-use smq_repro::runtime::Scratch;
+use smq_repro::pool::{
+    JobError, JobService, PoolConfig, PoolJob, ServiceConfig, TaskOutcome, WorkerPool,
+};
 use smq_repro::smq::{HeapSmq, SmqConfig};
 
 /// A small road graph plus deterministic query pairs and their sequential
@@ -231,9 +232,9 @@ impl PoolJob for SeedsJob {
         (0..self.seeds).map(|i| Task::new(i, i)).collect()
     }
 
-    fn process(&self, _task: Task, _push: &mut dyn FnMut(Task), _scratch: &mut Scratch) -> bool {
+    fn process(&self, _task: Task, _push: &mut dyn FnMut(Task)) -> TaskOutcome {
         self.processed.fetch_add(1, Ordering::Relaxed);
-        true
+        TaskOutcome::Useful
     }
 }
 

@@ -18,12 +18,16 @@
 //! additionally pinned to the per-task path (no native batch operations,
 //! deterministic single-thread replays), and the default path's prefetch
 //! hints are pinned invisible (identical replay with and without them).
+//! Every test runs under `common::hang_guard`.
 
+mod common;
+
+use common::hang_guard;
 use proptest::prelude::*;
 
 use smq_repro::algos::astar::AstarWorkload;
 use smq_repro::algos::cc::CcWorkload;
-use smq_repro::algos::engine::{self, DecreaseKeyWorkload, EngineRun};
+use smq_repro::algos::engine::{self, DecreaseKeyWorkload, EngineRun, PoolJob};
 use smq_repro::algos::kcore::KCoreWorkload;
 use smq_repro::algos::mst::BoruvkaWorkload;
 use smq_repro::algos::pagerank::{PagerankConfig, PagerankWorkload};
@@ -241,8 +245,10 @@ proptest! {
         batch_idx in 0usize..5,
         seed in 0u64..1_000_000,
     ) {
-        let graph = uniform_random(nodes, u64::from(nodes) * edge_factor, 200, seed);
-        check_with_scheduler_family(&graph, family, threads, seed, BATCHES[batch_idx]);
+        hang_guard(move || {
+            let graph = uniform_random(nodes, u64::from(nodes) * edge_factor, 200, seed);
+            check_with_scheduler_family(&graph, family, threads, seed, BATCHES[batch_idx]);
+        });
     }
 
     #[test]
@@ -251,19 +257,21 @@ proptest! {
         batch_idx in 0usize..5,
         seed in 0u64..1_000_000,
     ) {
-        // SprayList is slower per op; give it its own smaller sweep so the
-        // combined property run stays fast.
-        let graph = uniform_random(nodes, u64::from(nodes) * 3, 200, seed);
-        check_all_workloads(
-            &graph,
-            || SprayList::<Task>::new(SprayListConfig {
+        hang_guard(move || {
+            // SprayList is slower per op; give it its own smaller sweep so the
+            // combined property run stays fast.
+            let graph = uniform_random(nodes, u64::from(nodes) * 3, 200, seed);
+            check_all_workloads(
+                &graph,
+                || SprayList::<Task>::new(SprayListConfig {
+                    seed,
+                    ..SprayListConfig::default_for_threads(2)
+                }),
+                2,
+                BATCHES[batch_idx],
                 seed,
-                ..SprayListConfig::default_for_threads(2)
-            }),
-            2,
-            BATCHES[batch_idx],
-            seed,
-        );
+            );
+        });
     }
 }
 
@@ -285,29 +293,31 @@ proptest! {
         edge_factor in 2u64..5,
         seed in 0u64..1_000_000,
     ) {
-        let graph = uniform_random(nodes, u64::from(nodes) * edge_factor, 200, seed);
-        let live = LiveGraph::new(Arc::new(graph.clone()));
-        let snapshot = live.pin();
-        let make = || HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(seed ^ 5));
+        hang_guard(move || {
+            let graph = uniform_random(nodes, u64::from(nodes) * edge_factor, 200, seed);
+            let live = LiveGraph::new(Arc::new(graph.clone()));
+            let snapshot = live.pin();
+            let make = || HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(seed ^ 5));
 
-        let per_task = || PoolConfig::new(1).with_batch(1);
+            let per_task = || PoolConfig::new(1).with_batch(1);
 
-        let direct = engine::run_parallel_with(&SsspWorkload::new(&graph, 0), &make(), per_task());
-        let via = engine::run_parallel_with(&SsspWorkload::new(&snapshot, 0), &make(), per_task());
-        prop_assert_eq!(&direct.output, &via.output);
-        prop_assert_eq!(direct.result.useful_tasks, via.result.useful_tasks);
-        prop_assert_eq!(direct.result.wasted_tasks, via.result.wasted_tasks);
-        prop_assert_eq!(direct.result.metrics.total, via.result.metrics.total);
+            let direct = engine::run_parallel_with(&SsspWorkload::new(&graph, 0), &make(), per_task());
+            let via = engine::run_parallel_with(&SsspWorkload::new(&snapshot, 0), &make(), per_task());
+            prop_assert_eq!(&direct.output, &via.output);
+            prop_assert_eq!(direct.result.useful_tasks, via.result.useful_tasks);
+            prop_assert_eq!(direct.result.wasted_tasks, via.result.wasted_tasks);
+            prop_assert_eq!(direct.result.metrics.total, via.result.metrics.total);
 
-        let target = (graph.num_nodes() - 1) as u32;
-        let direct =
-            engine::run_parallel_with(&AstarWorkload::new(&graph, 0, target), &make(), per_task());
-        let via =
-            engine::run_parallel_with(&AstarWorkload::new(&snapshot, 0, target), &make(), per_task());
-        prop_assert_eq!(&direct.output, &via.output);
-        prop_assert_eq!(direct.result.useful_tasks, via.result.useful_tasks);
-        prop_assert_eq!(direct.result.wasted_tasks, via.result.wasted_tasks);
-        prop_assert_eq!(direct.result.metrics.total, via.result.metrics.total);
+            let target = (graph.num_nodes() - 1) as u32;
+            let direct =
+                engine::run_parallel_with(&AstarWorkload::new(&graph, 0, target), &make(), per_task());
+            let via =
+                engine::run_parallel_with(&AstarWorkload::new(&snapshot, 0, target), &make(), per_task());
+            prop_assert_eq!(&direct.output, &via.output);
+            prop_assert_eq!(direct.result.useful_tasks, via.result.useful_tasks);
+            prop_assert_eq!(direct.result.wasted_tasks, via.result.wasted_tasks);
+            prop_assert_eq!(direct.result.metrics.total, via.result.metrics.total);
+        });
     }
 }
 
@@ -340,64 +350,63 @@ where
 /// `push()` per follow-up.
 #[test]
 fn batch_one_is_the_per_task_path() {
-    let graph = uniform_random(64, 192, 200, 77);
-    // Families without policy-level insert batching: every native batch
-    // counter must stay zero at batch 1.
-    let a = batch_one_stats(&graph, || {
-        HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(9))
+    hang_guard(|| {
+        let graph = uniform_random(64, 192, 200, 77);
+        // Families without policy-level insert batching: every native batch
+        // counter must stay zero at batch 1.
+        let a = batch_one_stats(&graph, || {
+            HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(9))
+        });
+        let b = batch_one_stats(&graph, || {
+            HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(9))
+        });
+        assert_eq!(a, b, "single-thread batch-1 SMQ replays must be identical");
+        for stats in &a {
+            assert_eq!(stats.batch_flushes, 0, "batch 1 must never batch");
+            assert_eq!(stats.tasks_batched, 0);
+        }
+        let a = batch_one_stats(&graph, || {
+            MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(13))
+        });
+        let b = batch_one_stats(&graph, || {
+            MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(13))
+        });
+        assert_eq!(a, b, "single-thread batch-1 MQ replays must be identical");
+        for stats in &a {
+            assert_eq!(stats.batch_flushes, 0, "batch 1 must never batch");
+            assert_eq!(
+                stats.push_locks_acquired, stats.pushes,
+                "per-task MQ inserts lock once per push"
+            );
+        }
+        let a = batch_one_stats(&graph, || Obim::<Task>::new(ObimConfig::obim(1, 4, 8)));
+        let b = batch_one_stats(&graph, || Obim::<Task>::new(ObimConfig::obim(1, 4, 8)));
+        assert_eq!(a, b, "single-thread batch-1 OBIM replays must be identical");
+        for stats in &a {
+            assert_eq!(stats.batch_flushes, 0, "batch 1 must never batch");
+        }
     });
-    let b = batch_one_stats(&graph, || {
-        HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(9))
-    });
-    assert_eq!(a, b, "single-thread batch-1 SMQ replays must be identical");
-    for stats in &a {
-        assert_eq!(stats.batch_flushes, 0, "batch 1 must never batch");
-        assert_eq!(stats.tasks_batched, 0);
-    }
-    let a = batch_one_stats(&graph, || {
-        MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(13))
-    });
-    let b = batch_one_stats(&graph, || {
-        MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(13))
-    });
-    assert_eq!(a, b, "single-thread batch-1 MQ replays must be identical");
-    for stats in &a {
-        assert_eq!(stats.batch_flushes, 0, "batch 1 must never batch");
-        assert_eq!(
-            stats.push_locks_acquired, stats.pushes,
-            "per-task MQ inserts lock once per push"
-        );
-    }
-    let a = batch_one_stats(&graph, || Obim::<Task>::new(ObimConfig::obim(1, 4, 8)));
-    let b = batch_one_stats(&graph, || Obim::<Task>::new(ObimConfig::obim(1, 4, 8)));
-    assert_eq!(a, b, "single-thread batch-1 OBIM replays must be identical");
-    for stats in &a {
-        assert_eq!(stats.batch_flushes, 0, "batch 1 must never batch");
-    }
 }
 
 /// A workload identical to `W` except that it keeps the trait's default
 /// no-op `prefetch`.
 struct Unhinted<W>(W);
 
+impl<W: DecreaseKeyWorkload> PoolJob for Unhinted<W> {
+    fn seed_tasks(&self) -> Vec<Task> {
+        self.0.seed_tasks()
+    }
+
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> engine::TaskOutcome {
+        self.0.process(task, push)
+    }
+}
+
 impl<W: DecreaseKeyWorkload> DecreaseKeyWorkload for Unhinted<W> {
     type Output = W::Output;
 
     fn name(&self) -> &'static str {
         self.0.name()
-    }
-
-    fn initial_tasks(&self) -> Vec<Task> {
-        self.0.initial_tasks()
-    }
-
-    fn process(
-        &self,
-        task: Task,
-        push: &mut dyn FnMut(Task),
-        scratch: &mut smq_repro::runtime::Scratch,
-    ) -> engine::TaskOutcome {
-        self.0.process(task, push, scratch)
     }
 
     fn output(&self) -> W::Output {
@@ -420,24 +429,26 @@ impl<W: DecreaseKeyWorkload> DecreaseKeyWorkload for Unhinted<W> {
 /// and with the default no-op hook.
 #[test]
 fn prefetch_hints_do_not_change_a_single_thread_replay() {
-    let graph = uniform_random(96, 384, 200, 31);
-    let make = || HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(9));
-    let hinted = [
-        engine::run_parallel(&SsspWorkload::new(&graph, 0), &make(), 1),
-        engine::run_parallel(&SsspWorkload::bfs(&graph, 0), &make(), 1),
-    ];
-    let unhinted = [
-        engine::run_parallel(&Unhinted(SsspWorkload::new(&graph, 0)), &make(), 1),
-        engine::run_parallel(&Unhinted(SsspWorkload::bfs(&graph, 0)), &make(), 1),
-    ];
-    for (with, without) in hinted.iter().zip(&unhinted) {
-        assert!(
-            with.result.metrics.total.batch_flushes > 0,
-            "the default path must be the batched one"
-        );
-        assert_eq!(with.output, without.output);
-        assert_eq!(with.result.useful_tasks, without.result.useful_tasks);
-        assert_eq!(with.result.wasted_tasks, without.result.wasted_tasks);
-        assert_eq!(with.result.metrics.total, without.result.metrics.total);
-    }
+    hang_guard(|| {
+        let graph = uniform_random(96, 384, 200, 31);
+        let make = || HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(9));
+        let hinted = [
+            engine::run_parallel(&SsspWorkload::new(&graph, 0), &make(), 1),
+            engine::run_parallel(&SsspWorkload::bfs(&graph, 0), &make(), 1),
+        ];
+        let unhinted = [
+            engine::run_parallel(&Unhinted(SsspWorkload::new(&graph, 0)), &make(), 1),
+            engine::run_parallel(&Unhinted(SsspWorkload::bfs(&graph, 0)), &make(), 1),
+        ];
+        for (with, without) in hinted.iter().zip(&unhinted) {
+            assert!(
+                with.result.metrics.total.batch_flushes > 0,
+                "the default path must be the batched one"
+            );
+            assert_eq!(with.output, without.output);
+            assert_eq!(with.result.useful_tasks, without.result.useful_tasks);
+            assert_eq!(with.result.wasted_tasks, without.result.wasted_tasks);
+            assert_eq!(with.result.metrics.total, without.result.metrics.total);
+        }
+    });
 }

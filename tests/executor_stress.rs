@@ -11,9 +11,9 @@ use common::hang_guard;
 use smq_repro::core::{Probability, Scheduler, Task};
 use smq_repro::multiqueue::{MultiQueue, MultiQueueConfig};
 use smq_repro::obim::{Obim, ObimConfig};
-use smq_repro::pool::{PoolConfig, PoolJob, WorkerPool};
+use smq_repro::pool::{PoolConfig, PoolJob, TaskOutcome, WorkerPool};
+use smq_repro::runtime::RunMetrics;
 use smq_repro::runtime::SCAN_GATE;
-use smq_repro::runtime::{RunMetrics, Scratch};
 use smq_repro::smq::{HeapSmq, SmqConfig};
 
 /// A closure as a pool job: `process(task, push)` runs every task, and every
@@ -28,9 +28,9 @@ impl<F: Fn(Task, &mut dyn FnMut(Task)) + Sync> PoolJob for ClosureJob<F> {
         self.seeds.clone()
     }
 
-    fn process(&self, task: Task, push: &mut dyn FnMut(Task), _scratch: &mut Scratch) -> bool {
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
         (self.process)(task, push);
-        true
+        TaskOutcome::Useful
     }
 }
 

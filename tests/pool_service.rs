@@ -43,8 +43,9 @@ use smq_repro::graph::generators::{road_network, uniform_random, RoadNetworkPara
 use smq_repro::graph::{GraphUpdate, LiveGraph};
 use smq_repro::multiqueue::{MultiQueue, MultiQueueConfig};
 use smq_repro::obim::{Obim, ObimConfig};
-use smq_repro::pool::{JobError, JobService, PoolConfig, PoolJob, ServiceConfig, WorkerPool};
-use smq_repro::runtime::Scratch;
+use smq_repro::pool::{
+    JobError, JobService, PoolConfig, PoolJob, ServiceConfig, TaskOutcome, WorkerPool,
+};
 use smq_repro::smq::{HeapSmq, SkipListSmq, SmqConfig};
 
 fn smq_pool(threads: usize, seed: u64) -> WorkerPool {
@@ -75,73 +76,75 @@ proptest! {
         threads in 1usize..4,
         seed in 0u64..1_000_000,
     ) {
-        let graph = uniform_random(nodes, u64::from(nodes) * edge_factor, 200, seed);
-        let pool = smq_pool(threads, seed);
+        hang_guard(move || {
+            let graph = uniform_random(nodes, u64::from(nodes) * edge_factor, 200, seed);
+            let pool = smq_pool(threads, seed);
 
-        // Alternate workload types across the job stream so consecutive
-        // jobs differ — the harder case for generation isolation.
-        for job in 0..6 {
-            let (pooled, fresh) = match job % 3 {
-                0 => {
-                    let workload = SsspWorkload::new(&graph, 0);
-                    let pooled = engine::run_on_pool(&workload, &pool);
-                    let fresh_workload = SsspWorkload::new(&graph, 0);
-                    let scheduler =
-                        HeapSmq::<Task>::new(SmqConfig::default_for_threads(threads).with_seed(seed));
-                    let fresh = engine::run_parallel(&fresh_workload, &scheduler, threads);
-                    prop_assert_eq!(&pooled.output, &fresh.output, "SSSP diverged on job {}", job);
-                    (pooled.result, fresh.result)
-                }
-                1 => {
-                    let workload = CcWorkload::new(&graph);
-                    let pooled = engine::run_on_pool(&workload, &pool);
-                    let fresh_workload = CcWorkload::new(&graph);
-                    let scheduler =
-                        HeapSmq::<Task>::new(SmqConfig::default_for_threads(threads).with_seed(seed));
-                    let fresh = engine::run_parallel(&fresh_workload, &scheduler, threads);
-                    prop_assert_eq!(&pooled.output, &fresh.output, "CC diverged on job {}", job);
-                    (pooled.result, fresh.result)
-                }
-                _ => {
-                    let workload = KCoreWorkload::new(&graph);
-                    let pooled = engine::run_on_pool(&workload, &pool);
-                    let fresh_workload = KCoreWorkload::new(&graph);
-                    let scheduler =
-                        HeapSmq::<Task>::new(SmqConfig::default_for_threads(threads).with_seed(seed));
-                    let fresh = engine::run_parallel(&fresh_workload, &scheduler, threads);
-                    prop_assert_eq!(&pooled.output, &fresh.output, "k-core diverged on job {}", job);
-                    (pooled.result, fresh.result)
-                }
-            };
-            // Per-job conservation: everything pushed in THIS job was popped
-            // in THIS job — no cross-job task leakage through the resident
-            // scheduler or the reused termination detector.
-            prop_assert_eq!(
-                pooled.metrics.total.pushes,
-                pooled.metrics.total.pops,
-                "job {} leaked tasks across the job boundary",
-                job
-            );
-            prop_assert_eq!(
-                pooled.metrics.total.pops,
-                pooled.metrics.tasks_executed,
-                "job {} pop/execution mismatch",
-                job
-            );
-            prop_assert_eq!(
-                pooled.useful_tasks + pooled.wasted_tasks,
-                pooled.metrics.tasks_executed
-            );
-            // The pooled job settles the same useful work as the fresh run
-            // (useful counts are deterministic for these exact workloads'
-            // final states only; totals may differ by relaxation — compare
-            // only what is schedule-independent).
-            prop_assert!(pooled.useful_tasks > 0 || fresh.useful_tasks == pooled.useful_tasks);
-        }
+            // Alternate workload types across the job stream so consecutive
+            // jobs differ — the harder case for generation isolation.
+            for job in 0..6 {
+                let (pooled, fresh) = match job % 3 {
+                    0 => {
+                        let workload = SsspWorkload::new(&graph, 0);
+                        let pooled = engine::run_on_pool(&workload, &pool);
+                        let fresh_workload = SsspWorkload::new(&graph, 0);
+                        let scheduler =
+                            HeapSmq::<Task>::new(SmqConfig::default_for_threads(threads).with_seed(seed));
+                        let fresh = engine::run_parallel(&fresh_workload, &scheduler, threads);
+                        prop_assert_eq!(&pooled.output, &fresh.output, "SSSP diverged on job {}", job);
+                        (pooled.result, fresh.result)
+                    }
+                    1 => {
+                        let workload = CcWorkload::new(&graph);
+                        let pooled = engine::run_on_pool(&workload, &pool);
+                        let fresh_workload = CcWorkload::new(&graph);
+                        let scheduler =
+                            HeapSmq::<Task>::new(SmqConfig::default_for_threads(threads).with_seed(seed));
+                        let fresh = engine::run_parallel(&fresh_workload, &scheduler, threads);
+                        prop_assert_eq!(&pooled.output, &fresh.output, "CC diverged on job {}", job);
+                        (pooled.result, fresh.result)
+                    }
+                    _ => {
+                        let workload = KCoreWorkload::new(&graph);
+                        let pooled = engine::run_on_pool(&workload, &pool);
+                        let fresh_workload = KCoreWorkload::new(&graph);
+                        let scheduler =
+                            HeapSmq::<Task>::new(SmqConfig::default_for_threads(threads).with_seed(seed));
+                        let fresh = engine::run_parallel(&fresh_workload, &scheduler, threads);
+                        prop_assert_eq!(&pooled.output, &fresh.output, "k-core diverged on job {}", job);
+                        (pooled.result, fresh.result)
+                    }
+                };
+                // Per-job conservation: everything pushed in THIS job was popped
+                // in THIS job — no cross-job task leakage through the resident
+                // scheduler or the reused termination detector.
+                prop_assert_eq!(
+                    pooled.metrics.total.pushes,
+                    pooled.metrics.total.pops,
+                    "job {} leaked tasks across the job boundary",
+                    job
+                );
+                prop_assert_eq!(
+                    pooled.metrics.total.pops,
+                    pooled.metrics.tasks_executed,
+                    "job {} pop/execution mismatch",
+                    job
+                );
+                prop_assert_eq!(
+                    pooled.useful_tasks + pooled.wasted_tasks,
+                    pooled.metrics.tasks_executed
+                );
+                // The pooled job settles the same useful work as the fresh run
+                // (useful counts are deterministic for these exact workloads'
+                // final states only; totals may differ by relaxation — compare
+                // only what is schedule-independent).
+                prop_assert!(pooled.useful_tasks > 0 || fresh.useful_tasks == pooled.useful_tasks);
+            }
 
-        let stats = pool.stats();
-        prop_assert_eq!(stats.jobs_completed, 6);
-        prop_assert_eq!(stats.threads_spawned, threads as u64, "workers respawned");
+            let stats = pool.stats();
+            prop_assert_eq!(stats.jobs_completed, 6);
+            prop_assert_eq!(stats.threads_spawned, threads as u64, "workers respawned");
+        });
     }
 }
 
@@ -150,45 +153,47 @@ proptest! {
 /// with zero thread respawns.
 #[test]
 fn one_pool_serves_a_thousand_route_queries() {
-    let graph = Arc::new(road_network(RoadNetworkParams {
-        width: 16,
-        height: 16,
-        removal_percent: 12,
-        seed: 77,
-    }));
-    let n = graph.num_nodes() as u32;
-    let engine = RouteQueryEngine::new(Arc::clone(&graph));
-    let pool = smq_pool(2, 5);
+    hang_guard(|| {
+        let graph = Arc::new(road_network(RoadNetworkParams {
+            width: 16,
+            height: 16,
+            removal_percent: 12,
+            seed: 77,
+        }));
+        let n = graph.num_nodes() as u32;
+        let engine = RouteQueryEngine::new(Arc::clone(&graph));
+        let pool = smq_pool(2, 5);
 
-    for i in 0..1_000u64 {
-        let source = ((i * 37) % u64::from(n)) as u32;
-        let target = ((i * 101 + 13) % u64::from(n)) as u32;
-        let answer = engine.query(source, target, &pool);
-        // One-shot reference: the workload the engine replaces.
-        let (expected, _) = astar::sequential(&graph, source, target);
-        assert_eq!(
-            answer.distance, expected,
-            "query {i} ({source}->{target}) diverged from the one-shot run"
-        );
-        // Per-query conservation through the resident scheduler.
-        assert_eq!(
-            answer.result.metrics.total.pushes, answer.result.metrics.total.pops,
-            "query {i} leaked tasks"
-        );
-    }
+        for i in 0..1_000u64 {
+            let source = ((i * 37) % u64::from(n)) as u32;
+            let target = ((i * 101 + 13) % u64::from(n)) as u32;
+            let answer = engine.query(source, target, &pool);
+            // One-shot reference: the workload the engine replaces.
+            let (expected, _) = astar::sequential(&graph, source, target);
+            assert_eq!(
+                answer.distance, expected,
+                "query {i} ({source}->{target}) diverged from the one-shot run"
+            );
+            // Per-query conservation through the resident scheduler.
+            assert_eq!(
+                answer.result.metrics.total.pushes, answer.result.metrics.total.pops,
+                "query {i} leaked tasks"
+            );
+        }
 
-    let stats = pool.stats();
-    assert_eq!(stats.jobs_completed, 1_000);
-    assert_eq!(
-        stats.threads_spawned, 2,
-        "the pool must never respawn threads across 1000 jobs"
-    );
-    assert_eq!(
-        stats.handles_created, 2,
-        "a worker creates its scheduler handle once at warm-up; 1000 jobs \
-         must perform zero handle allocations after that"
-    );
-    assert_eq!(engine.queries_served(), 1_000);
+        let stats = pool.stats();
+        assert_eq!(stats.jobs_completed, 1_000);
+        assert_eq!(
+            stats.threads_spawned, 2,
+            "the pool must never respawn threads across 1000 jobs"
+        );
+        assert_eq!(
+            stats.handles_created, 2,
+            "a worker creates its scheduler handle once at warm-up; 1000 jobs \
+             must perform zero handle allocations after that"
+        );
+        assert_eq!(engine.queries_served(), 1_000);
+    });
 }
 
 /// The 1000-query acceptance run again, at batch granularity 8: identical
@@ -196,39 +201,41 @@ fn one_pool_serves_a_thousand_route_queries() {
 /// demonstrably in use.
 #[test]
 fn batched_pool_serves_route_queries_exactly() {
-    let graph = Arc::new(road_network(RoadNetworkParams {
-        width: 14,
-        height: 14,
-        removal_percent: 12,
-        seed: 78,
-    }));
-    let n = graph.num_nodes() as u32;
-    let engine = RouteQueryEngine::new(Arc::clone(&graph));
-    let pool = WorkerPool::new(
-        HeapSmq::<Task>::new(SmqConfig::default_for_threads(2).with_seed(6)),
-        PoolConfig::new(2).with_batch(8),
-    );
-
-    let mut batched_flushes = 0u64;
-    for i in 0..300u64 {
-        let source = ((i * 41) % u64::from(n)) as u32;
-        let target = ((i * 89 + 7) % u64::from(n)) as u32;
-        let answer = engine.query(source, target, &pool);
-        let (expected, _) = astar::sequential(&graph, source, target);
-        assert_eq!(answer.distance, expected, "batched query {i} diverged");
-        assert_eq!(
-            answer.result.metrics.total.pushes, answer.result.metrics.total.pops,
-            "batched query {i} leaked tasks"
+    hang_guard(|| {
+        let graph = Arc::new(road_network(RoadNetworkParams {
+            width: 14,
+            height: 14,
+            removal_percent: 12,
+            seed: 78,
+        }));
+        let n = graph.num_nodes() as u32;
+        let engine = RouteQueryEngine::new(Arc::clone(&graph));
+        let pool = WorkerPool::new(
+            HeapSmq::<Task>::new(SmqConfig::default_for_threads(2).with_seed(6)),
+            PoolConfig::new(2).with_batch(8),
         );
-        batched_flushes += answer.result.metrics.total.batch_flushes;
-    }
-    assert!(
-        batched_flushes > 0,
-        "batch 8 queries must exercise the native push_batch path"
-    );
-    let stats = pool.stats();
-    assert_eq!(stats.threads_spawned, 2);
-    assert_eq!(stats.handles_created, 2);
+
+        let mut batched_flushes = 0u64;
+        for i in 0..300u64 {
+            let source = ((i * 41) % u64::from(n)) as u32;
+            let target = ((i * 89 + 7) % u64::from(n)) as u32;
+            let answer = engine.query(source, target, &pool);
+            let (expected, _) = astar::sequential(&graph, source, target);
+            assert_eq!(answer.distance, expected, "batched query {i} diverged");
+            assert_eq!(
+                answer.result.metrics.total.pushes, answer.result.metrics.total.pops,
+                "batched query {i} leaked tasks"
+            );
+            batched_flushes += answer.result.metrics.total.batch_flushes;
+        }
+        assert!(
+            batched_flushes > 0,
+            "batch 8 queries must exercise the native push_batch path"
+        );
+        let stats = pool.stats();
+        assert_eq!(stats.threads_spawned, 2);
+        assert_eq!(stats.handles_created, 2);
+    });
 }
 
 proptest! {
@@ -243,29 +250,31 @@ proptest! {
         removal_percent in 0u32..30,
         seed in 0u64..1_000_000,
     ) {
-        let graph = Arc::new(road_network(RoadNetworkParams {
-            width,
-            height,
-            removal_percent,
-            seed,
-        }));
-        let n = graph.num_nodes() as u32;
-        let engine = RouteQueryEngine::new(Arc::clone(&graph));
-        let pool = WorkerPool::new(
-            Obim::<Task>::new(ObimConfig::obim(2, 8, 16)),
-            PoolConfig::new(2),
-        );
-        for i in 0..6u32 {
-            let source = (i * 19 + seed as u32) % n;
-            let target = (i * 53 + 5) % n;
-            let pooled = engine.query(source, target, &pool);
-            let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(9));
-            let one_shot =
-                engine::run_parallel(&AstarWorkload::new(&*graph, source, target), &mq, 2);
-            let (sequential, _) = astar::sequential(&*graph, source, target);
-            prop_assert_eq!(pooled.distance, sequential);
-            prop_assert_eq!(one_shot.output, sequential);
-        }
+        hang_guard(move || {
+            let graph = Arc::new(road_network(RoadNetworkParams {
+                width,
+                height,
+                removal_percent,
+                seed,
+            }));
+            let n = graph.num_nodes() as u32;
+            let engine = RouteQueryEngine::new(Arc::clone(&graph));
+            let pool = WorkerPool::new(
+                Obim::<Task>::new(ObimConfig::obim(2, 8, 16)),
+                PoolConfig::new(2),
+            );
+            for i in 0..6u32 {
+                let source = (i * 19 + seed as u32) % n;
+                let target = (i * 53 + 5) % n;
+                let pooled = engine.query(source, target, &pool);
+                let mq: MultiQueue<Task> = MultiQueue::new(MultiQueueConfig::classic(2).with_seed(9));
+                let one_shot =
+                    engine::run_parallel(&AstarWorkload::new(&*graph, source, target), &mq, 2);
+                let (sequential, _) = astar::sequential(&*graph, source, target);
+                prop_assert_eq!(pooled.distance, sequential);
+                prop_assert_eq!(one_shot.output, sequential);
+            }
+        });
     }
 }
 
@@ -484,69 +493,71 @@ proptest! {
         clients in 1usize..4,
         seed in 0u64..1_000_000,
     ) {
-        let graph = Arc::new(road_network(RoadNetworkParams {
-            width,
-            height: width,
-            removal_percent: 10,
-            seed,
-        }));
-        let n = graph.num_nodes() as u32;
-        let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), gangs));
-        let service = Arc::new(JobService::new(
-            smq_gang_pool(gangs, gang_size, seed),
-            ServiceConfig {
-                queue_capacity: 8,
-            },
-        ));
+        hang_guard(move || {
+            let graph = Arc::new(road_network(RoadNetworkParams {
+                width,
+                height: width,
+                removal_percent: 10,
+                seed,
+            }));
+            let n = graph.num_nodes() as u32;
+            let engine = Arc::new(RouteQueryEngine::with_lanes(Arc::clone(&graph), gangs));
+            let service = Arc::new(JobService::new(
+                smq_gang_pool(gangs, gang_size, seed),
+                ServiceConfig {
+                    queue_capacity: 8,
+                },
+            ));
 
-        let per_client = 8u32;
-        std::thread::scope(|scope| {
-            for client in 0..clients as u32 {
-                let service = Arc::clone(&service);
-                let engine = Arc::clone(&engine);
-                let graph = Arc::clone(&graph);
-                scope.spawn(move || {
-                    for i in 0..per_client {
-                        let source = (client * 131 + i * 17 + (seed as u32 % 7)) % n;
-                        let target = (client * 37 + i * 43 + 1) % n;
-                        let engine = Arc::clone(&engine);
-                        let ticket = service
-                            .submit(move |pool| engine.query(source, target, pool))
-                            .expect("open service accepts jobs");
-                        let done = ticket.wait().expect("no job may be lost");
-                        // Same output as a sequential run of the same query.
-                        let (expected, _) = astar::sequential(&graph, source, target);
-                        assert_eq!(
-                            done.output.distance, expected,
-                            "query {source}->{target} diverged under {gangs} gangs"
-                        );
-                        // Per-gang task conservation: everything this job
-                        // pushed into its gang's scheduler was popped by it.
-                        assert_eq!(
-                            done.output.result.metrics.total.pushes,
-                            done.output.result.metrics.total.pops,
-                            "job leaked tasks across gangs"
-                        );
-                        assert_eq!(
-                            done.output.result.metrics.threads,
-                            gang_size,
-                            "a query job must occupy exactly one gang"
-                        );
-                    }
-                });
-            }
+            let per_client = 8u32;
+            std::thread::scope(|scope| {
+                for client in 0..clients as u32 {
+                    let service = Arc::clone(&service);
+                    let engine = Arc::clone(&engine);
+                    let graph = Arc::clone(&graph);
+                    scope.spawn(move || {
+                        for i in 0..per_client {
+                            let source = (client * 131 + i * 17 + (seed as u32 % 7)) % n;
+                            let target = (client * 37 + i * 43 + 1) % n;
+                            let engine = Arc::clone(&engine);
+                            let ticket = service
+                                .submit(move |pool| engine.query(source, target, pool))
+                                .expect("open service accepts jobs");
+                            let done = ticket.wait().expect("no job may be lost");
+                            // Same output as a sequential run of the same query.
+                            let (expected, _) = astar::sequential(&graph, source, target);
+                            assert_eq!(
+                                done.output.distance, expected,
+                                "query {source}->{target} diverged under {gangs} gangs"
+                            );
+                            // Per-gang task conservation: everything this job
+                            // pushed into its gang's scheduler was popped by it.
+                            assert_eq!(
+                                done.output.result.metrics.total.pushes,
+                                done.output.result.metrics.total.pops,
+                                "job leaked tasks across gangs"
+                            );
+                            assert_eq!(
+                                done.output.result.metrics.threads,
+                                gang_size,
+                                "a query job must occupy exactly one gang"
+                            );
+                        }
+                    });
+                }
+            });
+
+            let service = Arc::into_inner(service).expect("clients joined");
+            let pool_stats = service.pool_stats();
+            let stats = service.shutdown();
+            let total = (clients as u32 * per_client) as u64;
+            prop_assert_eq!(stats.submitted, total);
+            prop_assert_eq!(stats.completed, total, "submitted == completed");
+            prop_assert_eq!(stats.failed, 0);
+            prop_assert_eq!(pool_stats.jobs_completed, total);
+            prop_assert_eq!(pool_stats.threads_spawned, (gangs * gang_size) as u64);
+            prop_assert_eq!(pool_stats.gangs_poisoned, 0);
         });
-
-        let service = Arc::into_inner(service).expect("clients joined");
-        let pool_stats = service.pool_stats();
-        let stats = service.shutdown();
-        let total = (clients as u32 * per_client) as u64;
-        prop_assert_eq!(stats.submitted, total);
-        prop_assert_eq!(stats.completed, total, "submitted == completed");
-        prop_assert_eq!(stats.failed, 0);
-        prop_assert_eq!(pool_stats.jobs_completed, total);
-        prop_assert_eq!(pool_stats.threads_spawned, (gangs * gang_size) as u64);
-        prop_assert_eq!(pool_stats.gangs_poisoned, 0);
     }
 }
 
@@ -558,7 +569,7 @@ impl PoolJob for PanickingJob {
         vec![Task::new(0, 0)]
     }
 
-    fn process(&self, _t: Task, _push: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+    fn process(&self, _t: Task, _push: &mut dyn FnMut(Task)) -> TaskOutcome {
         panic!("intentional integration-test job panic");
     }
 }
@@ -697,13 +708,13 @@ impl PoolJob for GateJob {
         vec![Task::new(0, 0)]
     }
 
-    fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
+    fn process(&self, _t: Task, _p: &mut dyn FnMut(Task)) -> TaskOutcome {
         self.started.store(true, Ordering::Release);
         while !self.gate.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
         assert!(!self.panics, "intentional gated job panic");
-        true
+        TaskOutcome::Useful
     }
 }
 
@@ -714,8 +725,8 @@ impl PoolJob for OneTask {
         vec![Task::new(0, 0)]
     }
 
-    fn process(&self, _t: Task, _p: &mut dyn FnMut(Task), _s: &mut Scratch) -> bool {
-        true
+    fn process(&self, _t: Task, _p: &mut dyn FnMut(Task)) -> TaskOutcome {
+        TaskOutcome::Useful
     }
 }
 

@@ -4,12 +4,11 @@
 //! measured wasted work.
 
 use smq_repro::algos::sssp::{self, SsspWorkload};
-use smq_repro::algos::DecreaseKeyWorkload;
 use smq_repro::core::{Probability, Scheduler, SchedulerHandle, Task};
 use smq_repro::graph::generators::{road_network, RoadNetworkParams};
 use smq_repro::graph::CsrGraph;
+use smq_repro::pool::PoolJob;
 use smq_repro::rank::{simulate, RankSimConfig};
-use smq_repro::runtime::Scratch;
 use smq_repro::smq::{HeapSmq, SmqConfig};
 
 /// SSSP from vertex 0 on an SMQ built from `config`, with the handles
@@ -23,9 +22,8 @@ fn round_robin_work_increase(graph: &CsrGraph, config: SmqConfig, settled: u64) 
     let workload = SsspWorkload::new(graph, 0);
     let smq: HeapSmq<Task> = HeapSmq::new(config);
     let mut handles: Vec<_> = (0..smq.num_threads()).map(|t| smq.handle(t)).collect();
-    let mut scratch = Scratch::new();
     let mut pending = 0u64;
-    for task in workload.initial_tasks() {
+    for task in workload.seed_tasks() {
         handles[0].push(task);
         pending += 1;
     }
@@ -39,7 +37,7 @@ fn round_robin_work_increase(graph: &CsrGraph, config: SmqConfig, settled: u64) 
                     handle.push(follow_up);
                     pending += 1;
                 };
-                workload.process(task, &mut push, &mut scratch);
+                workload.process(task, &mut push);
             }
         }
     }
