@@ -8,12 +8,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
+use smq_core::rng::Pcg32;
 use smq_core::{Probability, Scheduler, SchedulerHandle, Task};
-use smq_dheap::{DAryHeap, ARITY};
+use smq_dheap::{DAryHeap, PackedHeap, ARITY};
 use smq_multiqueue::{MultiQueue, MultiQueueConfig};
 use smq_obim::{Obim, ObimConfig};
-use smq_scheduler::{HeapSmq, SmqConfig, StealingBuffer};
+use smq_scheduler::{HeapSmq, LocalQueue, SmqConfig, StealingBuffer};
 use smq_spraylist::{SprayList, SprayListConfig};
 
 const OPS: u64 = 10_000;
@@ -84,7 +85,7 @@ fn bench_substrates(c: &mut Criterion) {
         })
     });
     group.bench_function("smq_steal_probability_sampling", |b| {
-        let mut rng = smq_core::rng::Pcg32::new(1);
+        let mut rng = Pcg32::new(1);
         let p = Probability::new(8);
         b.iter(|| {
             let mut hits = 0u32;
@@ -99,34 +100,52 @@ fn bench_substrates(c: &mut Criterion) {
     group.finish();
 }
 
+/// Times `OPS` hold pairs per iteration on `heap`, which holds `resident`
+/// tasks drawn from `rng` and keeps drawing increments from it.
+fn bench_hold_on<Q: LocalQueue<Task>>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    resident: usize,
+    mut heap: Q,
+    mut rng: Pcg32,
+) {
+    group.bench_function(BenchmarkId::new(name, resident), |b| {
+        b.iter(|| {
+            for i in 0..OPS {
+                let task = heap.pop().expect("the hold model never drains the heap");
+                heap.push(Task::new(task.key + 1 + rng.next_u64() % 1024, i));
+            }
+        })
+    });
+    assert_eq!(heap.len(), resident);
+}
+
 /// The d-ary heap in the regime the schedulers keep it in: a resident set
 /// of fixed size, every pop followed by a push a little further on (the hold
 /// model, increment `1 + rng % 1024`).  One iteration is `OPS` such pairs on
 /// a heap that lives across iterations.  1 Ki tasks (16 KiB) sit in L1,
 /// 16 Ki (one thread of the repo benchmark's `hold_smq`) in L2, 256 Ki in
 /// neither; `std`'s binary max-heap under `Reverse` is the yardstick for the
-/// 4-ary kernel.  The README's heap-kernel table is this group's output.
+/// 4-ary kernel.  `packed` is the schedulers' `PackedHeap` on the same
+/// tasks, whose keys and values fit in 32 bits, so it holds one word per
+/// task.  The README's heap-kernel table is this group's output.
 fn bench_heap_hold(c: &mut Criterion) {
     let mut group = c.benchmark_group("dary_heap_hold_10k");
     group.sample_size(10);
     for resident in [1usize << 10, 1 << 14, 1 << 18] {
-        let prefill = |rng: &mut smq_core::rng::Pcg32| -> Vec<Task> {
+        let prefill = |rng: &mut Pcg32| -> Vec<Task> {
             (0..resident as u64)
                 .map(|i| Task::new(rng.next_u64() >> 44, i))
                 .collect()
         };
-        let mut rng = smq_core::rng::Pcg32::new(resident as u64);
-        let mut heap: DAryHeap<Task> = prefill(&mut rng).into_iter().collect();
-        group.bench_function(BenchmarkId::new(format!("arity_{ARITY}"), resident), |b| {
-            b.iter(|| {
-                for i in 0..OPS {
-                    let task = heap.pop().expect("the hold model never drains the heap");
-                    heap.push(Task::new(task.key + 1 + rng.next_u64() % 1024, i));
-                }
-            })
-        });
-        assert_eq!(heap.len(), resident);
-        let mut rng = smq_core::rng::Pcg32::new(resident as u64);
+        let mut rng = Pcg32::new(resident as u64);
+        let heap: DAryHeap<Task> = prefill(&mut rng).into_iter().collect();
+        bench_hold_on(&mut group, &format!("arity_{ARITY}"), resident, heap, rng);
+        let mut rng = Pcg32::new(resident as u64);
+        let mut heap = PackedHeap::new();
+        heap.extend(prefill(&mut rng));
+        bench_hold_on(&mut group, "packed", resident, heap, rng);
+        let mut rng = Pcg32::new(resident as u64);
         let mut heap = BinaryHeap::with_capacity(resident + 1);
         heap.extend(prefill(&mut rng).into_iter().map(Reverse));
         group.bench_function(BenchmarkId::new("std_binary", resident), |b| {

@@ -6,7 +6,11 @@
 //! counters are compared — locks per operation, in-node ratio, simulated
 //! rank — never timings, so the test does not depend on the machine.
 //! Work increase against `p_steal` stays with `tests/relaxation_quality.rs`
-//! and its deterministic driver; here it is only finite and positive.
+//! and its deterministic driver; here it is only finite and positive.  The
+//! figures start pools, so they run under the workspace's `hang_guard`.
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 use std::collections::HashMap;
 
@@ -72,6 +76,10 @@ fn work_increases(table: &Table) -> Vec<f64> {
 
 #[test]
 fn figures_hold_the_papers_directions() {
+    common::hang_guard(figures_hold_directions);
+}
+
+fn figures_hold_directions() {
     let all: HashMap<&str, Vec<Table>> = REGISTRY
         .iter()
         .map(|(name, _)| (*name, run(name, &[])))

@@ -20,8 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 use smq_core::rng::Pcg32;
-use smq_core::{HasKey, OpStats, Probability, Scheduler, SchedulerHandle};
-use smq_dheap::DAryHeap;
+use smq_core::{HasKey, OpStats, Probability, Scheduler, SchedulerHandle, TaskWord};
+use smq_dheap::PackedHeap;
 use smq_runtime::{Topology, WeightedQueueSampler};
 
 use crate::config::{DeletePolicy, InsertPolicy, MultiQueueConfig};
@@ -38,10 +38,11 @@ const TRY_LOCK_RETRY_CAP: u32 = 16;
 /// the one-queue/one-lock fast path.
 const BATCH_SPLIT: usize = 16;
 
-/// One lock-protected sequential heap plus the lock-free snapshot of its
-/// current minimum key.
+/// One lock-protected sequential heap, one word per task while the tasks
+/// fit ([`PackedHeap`]), plus the lock-free snapshot of its current minimum
+/// key.
 pub(crate) struct SubQueue<T> {
-    heap: CachePadded<Mutex<DAryHeap<T>>>,
+    heap: CachePadded<Mutex<PackedHeap<T>>>,
     /// Key of the heap's current minimum (`u64::MAX` when empty).  Written
     /// only while `heap`'s lock is held; read without the lock by the
     /// two-choice delete.  Kept on its own cache line so snapshot readers
@@ -49,10 +50,10 @@ pub(crate) struct SubQueue<T> {
     top_key: CachePadded<AtomicU64>,
 }
 
-impl<T: Ord + HasKey + Copy> SubQueue<T> {
+impl<T: Ord + HasKey + TaskWord> SubQueue<T> {
     fn new() -> Self {
         Self {
-            heap: CachePadded::new(Mutex::new(DAryHeap::new())),
+            heap: CachePadded::new(Mutex::new(PackedHeap::new())),
             top_key: CachePadded::new(AtomicU64::new(u64::MAX)),
         }
     }
@@ -84,28 +85,28 @@ impl<T: Ord + HasKey + Copy> SubQueue<T> {
 }
 
 /// A locked view of a [`SubQueue`].  Dereferences to the underlying
-/// [`DAryHeap`]; publishes the (possibly changed) top key when dropped, so
+/// [`PackedHeap`]; publishes the (possibly changed) top key when dropped, so
 /// the snapshot can never stay stale across an unlock.
-pub(crate) struct SubQueueGuard<'a, T: Ord + HasKey + Copy> {
-    heap: MutexGuard<'a, DAryHeap<T>>,
+pub(crate) struct SubQueueGuard<'a, T: Ord + HasKey + TaskWord> {
+    heap: MutexGuard<'a, PackedHeap<T>>,
     top_key: &'a AtomicU64,
 }
 
-impl<T: Ord + HasKey + Copy> std::ops::Deref for SubQueueGuard<'_, T> {
-    type Target = DAryHeap<T>;
+impl<T: Ord + HasKey + TaskWord> std::ops::Deref for SubQueueGuard<'_, T> {
+    type Target = PackedHeap<T>;
 
-    fn deref(&self) -> &DAryHeap<T> {
+    fn deref(&self) -> &PackedHeap<T> {
         &self.heap
     }
 }
 
-impl<T: Ord + HasKey + Copy> std::ops::DerefMut for SubQueueGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut DAryHeap<T> {
+impl<T: Ord + HasKey + TaskWord> std::ops::DerefMut for SubQueueGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut PackedHeap<T> {
         &mut self.heap
     }
 }
 
-impl<T: Ord + HasKey + Copy> Drop for SubQueueGuard<'_, T> {
+impl<T: Ord + HasKey + TaskWord> Drop for SubQueueGuard<'_, T> {
     fn drop(&mut self) {
         // `u64::MAX` is reserved as the pure "empty" sentinel, so published
         // keys are clamped to `u64::MAX - 1`: a legitimate MAX-keyed task
@@ -132,7 +133,7 @@ pub struct MultiQueue<T> {
     config: MultiQueueConfig,
 }
 
-impl<T: Ord + HasKey + Copy> MultiQueue<T> {
+impl<T: Ord + HasKey + TaskWord> MultiQueue<T> {
     /// Builds a Multi-Queue from a validated configuration.
     pub fn new(config: MultiQueueConfig) -> Self {
         config.validate();
@@ -179,7 +180,7 @@ impl<T: Ord + HasKey + Copy> MultiQueue<T> {
     }
 }
 
-impl<T: Ord + HasKey + Copy + Send> Scheduler<T> for MultiQueue<T> {
+impl<T: Ord + HasKey + TaskWord + Send> Scheduler<T> for MultiQueue<T> {
     type Handle<'a>
         = MultiQueueHandle<'a, T>
     where
@@ -207,7 +208,7 @@ impl<T: Ord + HasKey + Copy + Send> Scheduler<T> for MultiQueue<T> {
 /// A worker thread's handle onto a [`MultiQueue`].
 ///
 /// Dropping it hands the tasks it buffers back to the shared queues.
-pub struct MultiQueueHandle<'a, T: Ord + HasKey + Copy> {
+pub struct MultiQueueHandle<'a, T: Ord + HasKey + TaskWord> {
     parent: &'a MultiQueue<T>,
     thread_id: usize,
     rng: Pcg32,
@@ -222,7 +223,7 @@ pub struct MultiQueueHandle<'a, T: Ord + HasKey + Copy> {
     tl_delete_queue: Option<usize>,
 }
 
-impl<'a, T: Ord + HasKey + Copy> MultiQueueHandle<'a, T> {
+impl<'a, T: Ord + HasKey + TaskWord> MultiQueueHandle<'a, T> {
     /// Samples one queue index, recording NUMA locality statistics.
     fn sample_queue(&mut self) -> usize {
         let (q, local) = self.parent.sampler.sample(self.thread_id, &mut self.rng);
@@ -463,7 +464,7 @@ impl<'a, T: Ord + HasKey + Copy> MultiQueueHandle<'a, T> {
     }
 }
 
-impl<T: Ord + HasKey + Copy + Send> SchedulerHandle<T> for MultiQueueHandle<'_, T> {
+impl<T: Ord + HasKey + TaskWord + Send> SchedulerHandle<T> for MultiQueueHandle<'_, T> {
     fn push(&mut self, task: T) {
         self.stats.pushes += 1;
         match self.parent.config.insert {
@@ -569,7 +570,7 @@ impl<T: Ord + HasKey + Copy + Send> SchedulerHandle<T> for MultiQueueHandle<'_, 
     }
 }
 
-impl<T: Ord + HasKey + Copy> Drop for MultiQueueHandle<'_, T> {
+impl<T: Ord + HasKey + TaskWord> Drop for MultiQueueHandle<'_, T> {
     fn drop(&mut self) {
         // Buffered inserts and prefetched deletes exist nowhere else: flush
         // both into a sampled queue instead of dropping them.
@@ -584,7 +585,9 @@ mod tests {
     use crate::common::hang_guard;
     use smq_core::Task;
 
-    fn drain_all<T: Ord + HasKey + Send + Copy>(handle: &mut MultiQueueHandle<'_, T>) -> Vec<T> {
+    fn drain_all<T: Ord + HasKey + Send + TaskWord>(
+        handle: &mut MultiQueueHandle<'_, T>,
+    ) -> Vec<T> {
         // Relaxed schedulers may need several attempts to find the last
         // tasks; an empty result 64 times in a row means truly empty for a
         // single-threaded test.

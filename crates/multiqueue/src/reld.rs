@@ -11,18 +11,19 @@
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use smq_core::rng::Pcg32;
-use smq_core::{OpStats, Scheduler, SchedulerHandle};
-use smq_dheap::DAryHeap;
+use smq_core::{OpStats, Scheduler, SchedulerHandle, TaskWord};
+use smq_dheap::PackedHeap;
 
-/// The RELD scheduler: `C·T` locked heaps, random enqueue, local dequeue.
+/// The RELD scheduler: `C·T` locked heaps (one word per task while the tasks
+/// fit, [`PackedHeap`]), random enqueue, local dequeue.
 pub struct Reld<T> {
-    queues: Vec<CachePadded<Mutex<DAryHeap<T>>>>,
+    queues: Vec<CachePadded<Mutex<PackedHeap<T>>>>,
     threads: usize,
     c_factor: usize,
     seed: u64,
 }
 
-impl<T: Ord + Copy> Reld<T> {
+impl<T: Ord + TaskWord> Reld<T> {
     /// Creates a RELD scheduler for `threads` workers with `c_factor` queues
     /// per thread (the same `C` as the Multi-Queue; queue `q` is owned by
     /// thread `q % threads`).
@@ -31,7 +32,7 @@ impl<T: Ord + Copy> Reld<T> {
         assert!(threads * c_factor >= 2, "need at least two queues");
         Self {
             queues: (0..threads * c_factor)
-                .map(|_| CachePadded::new(Mutex::new(DAryHeap::new())))
+                .map(|_| CachePadded::new(Mutex::new(PackedHeap::new())))
                 .collect(),
             threads,
             c_factor,
@@ -55,7 +56,7 @@ impl<T: Ord + Copy> Reld<T> {
     }
 }
 
-impl<T: Ord + Copy + Send> Scheduler<T> for Reld<T> {
+impl<T: Ord + TaskWord + Send> Scheduler<T> for Reld<T> {
     type Handle<'a>
         = ReldHandle<'a, T>
     where
@@ -84,7 +85,7 @@ pub struct ReldHandle<'a, T> {
     stats: OpStats,
 }
 
-impl<T: Ord + Copy + Send> SchedulerHandle<T> for ReldHandle<'_, T> {
+impl<T: Ord + TaskWord + Send> SchedulerHandle<T> for ReldHandle<'_, T> {
     fn push(&mut self, task: T) {
         self.stats.pushes += 1;
         let mut task = Some(task);

@@ -14,8 +14,8 @@
 //! buckets (Δ ← Δ+1) when there are so many sparse buckets that threads run
 //! out of work, and splits them (Δ ← Δ−1) when individual buckets grow so
 //! large that priority order degrades.  Here the adaptation is driven by the
-//! ratio of active buckets to threads, evaluated every 256 deletes of a
-//! thread.
+//! ratio of active buckets to threads, evaluated every 256 chunk refills of
+//! a thread (about `256 × chunk_size` deletes).
 //!
 //! Buckets are keyed by their *range start* (`priority & !((1<<Δ)-1)`), so
 //! bucket keys remain comparable across Δ changes — a PMOD adjustment only
@@ -63,8 +63,10 @@ pub struct ObimConfig {
     pub chunk_size: usize,
     /// Fixed (OBIM) or adaptive (PMOD) Δ.
     pub policy: DeltaPolicy,
-    /// How many deletes a thread performs between adaptation checks: never
-    /// for OBIM, every 256 for PMOD.  Set by the two presets only.
+    /// How many chunk refills a handle performs between adaptation checks:
+    /// never for OBIM, every 256 for PMOD.  A refill takes up to
+    /// `chunk_size` tasks, so PMOD checks about once per
+    /// `256 × chunk_size` deletes of a handle.  Set by the two presets only.
     pub(crate) adapt_interval: u64,
 }
 
@@ -255,7 +257,7 @@ impl<T: HasKey + Send> Scheduler<T> for Obim<T> {
             stats: OpStats::default(),
             chunk: VecDeque::with_capacity(self.config.chunk_size),
             cached_bucket: None,
-            deletes_since_adapt: 0,
+            refills_since_adapt: 0,
         }
     }
 }
@@ -271,8 +273,8 @@ pub struct ObimHandle<'a, T: HasKey + Send> {
     chunk: VecDeque<T>,
     /// Cache of the most recently used (bucket key, bag).
     cached_bucket: Option<(u64, Arc<Bag<T>>)>,
-    /// Deletes performed since the last PMOD adaptation check.
-    deletes_since_adapt: u64,
+    /// Chunk refills performed since the last PMOD adaptation check.
+    refills_since_adapt: u64,
 }
 
 impl<T: HasKey + Send> ObimHandle<'_, T> {
@@ -289,12 +291,12 @@ impl<T: HasKey + Send> ObimHandle<'_, T> {
 
     /// Pulls a chunk of tasks from the lowest non-empty bucket, preferring
     /// this thread's own queue and falling back to stealing a chunk from
-    /// another thread's queue in the same bag.  Every refill counts as one
-    /// delete towards the PMOD adaptation check.
+    /// another thread's queue in the same bag.  Every refill counts towards
+    /// the PMOD adaptation check.
     fn refill_chunk(&mut self) -> bool {
-        self.deletes_since_adapt += 1;
-        if self.deletes_since_adapt >= self.parent.config.adapt_interval {
-            self.deletes_since_adapt = 0;
+        self.refills_since_adapt += 1;
+        if self.refills_since_adapt >= self.parent.config.adapt_interval {
+            self.refills_since_adapt = 0;
             self.parent.adapt_delta();
         }
         let start_hint = self.parent.min_hint.load(Ordering::Acquire);

@@ -14,6 +14,14 @@
 //! Multi-Queue-style rank guarantees analysed in Section 3 (reproduced
 //! empirically in the `smq-rank` crate).
 //!
+//! [`HeapSmq`]'s local queue is a `smq_dheap::PackedHeap`: a 4-ary heap of
+//! one `u64` word per task while every task it holds has a 32-bit key and a
+//! 32-bit value, of whole tasks otherwise.  The words order like the tasks,
+//! so the heap pops exactly what a heap of tasks would.  [`SkipListSmq`]'s
+//! local queue stores whole tasks, so Figure 19 compares a packed heap with
+//! an unpacked skip list: both are exact local queues, and their pop order
+//! is the same, but the heap moves half the bytes per task.
+//!
 //! ```
 //! use smq_core::{Scheduler, SchedulerHandle, Task};
 //! use smq_scheduler::{HeapSmq, SmqConfig};
@@ -39,12 +47,13 @@ pub use scheduler::{Smq, SmqHandle};
 pub use smq_runtime::NumaConfig;
 pub use stealing_buffer::StealingBuffer;
 
-use smq_dheap::DAryHeap;
+use smq_dheap::PackedHeap;
 use smq_skiplist::SequentialSkipList;
 
 /// The default SMQ variant: thread-local *d*-ary heaps with stealing buffers
-/// (Section 4, "SMQ via d-ary Heaps with Stealing Buffers").
-pub type HeapSmq<T> = Smq<T, DAryHeap<T>>;
+/// (Section 4, "SMQ via d-ary Heaps with Stealing Buffers"), packed to one
+/// word per task while the tasks fit.
+pub type HeapSmq<T> = Smq<T, PackedHeap<T>>;
 
 /// The alternative variant evaluated in Appendix D: thread-local sequential
 /// skip lists with the same stealing-buffer protocol.

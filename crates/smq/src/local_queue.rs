@@ -5,11 +5,12 @@
 //! protocol.  [`LocalQueue`] captures the handful of operations the SMQ
 //! needs so the scheduler is generic over the choice.
 
-use smq_dheap::DAryHeap;
+use smq_core::TaskWord;
+use smq_dheap::{DAryHeap, PackedHeap};
 use smq_skiplist::SequentialSkipList;
 
 /// A sequential min-priority queue usable as an SMQ thread-local queue.
-pub trait LocalQueue<T: Ord>: Send {
+pub trait LocalQueue<T: Ord + Copy>: Send {
     /// Creates an empty queue.
     fn create() -> Self;
 
@@ -19,8 +20,8 @@ pub trait LocalQueue<T: Ord>: Send {
     /// Removes and returns the highest-priority (smallest) task.
     fn pop(&mut self) -> Option<T>;
 
-    /// Returns the highest-priority task without removing it.
-    fn peek(&self) -> Option<&T>;
+    /// Returns (a copy of) the highest-priority task without removing it.
+    fn peek(&self) -> Option<T>;
 
     /// Moves up to `k` highest-priority tasks, in ascending order, into
     /// `out`; returns how many were moved.
@@ -32,6 +33,32 @@ pub trait LocalQueue<T: Ord>: Send {
     /// `true` when no tasks are stored.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<T: Ord + TaskWord + Send> LocalQueue<T> for PackedHeap<T> {
+    fn create() -> Self {
+        PackedHeap::new()
+    }
+
+    fn push(&mut self, task: T) {
+        PackedHeap::push(self, task);
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        PackedHeap::pop(self)
+    }
+
+    fn peek(&self) -> Option<T> {
+        PackedHeap::peek(self)
+    }
+
+    fn pop_batch_into(&mut self, k: usize, out: &mut Vec<T>) -> usize {
+        PackedHeap::pop_batch_into(self, k, out)
+    }
+
+    fn len(&self) -> usize {
+        PackedHeap::len(self)
     }
 }
 
@@ -48,8 +75,8 @@ impl<T: Ord + Copy + Send> LocalQueue<T> for DAryHeap<T> {
         DAryHeap::pop(self)
     }
 
-    fn peek(&self) -> Option<&T> {
-        DAryHeap::peek(self)
+    fn peek(&self) -> Option<T> {
+        DAryHeap::peek(self).copied()
     }
 
     fn pop_batch_into(&mut self, k: usize, out: &mut Vec<T>) -> usize {
@@ -61,7 +88,7 @@ impl<T: Ord + Copy + Send> LocalQueue<T> for DAryHeap<T> {
     }
 }
 
-impl<T: Ord + Send> LocalQueue<T> for SequentialSkipList<T> {
+impl<T: Ord + Copy + Send> LocalQueue<T> for SequentialSkipList<T> {
     fn create() -> Self {
         // Every queue draws its tower heights from this one seed.
         SequentialSkipList::new(0x5EED_5119)
@@ -75,8 +102,8 @@ impl<T: Ord + Send> LocalQueue<T> for SequentialSkipList<T> {
         self.pop_min()
     }
 
-    fn peek(&self) -> Option<&T> {
-        self.peek_min()
+    fn peek(&self) -> Option<T> {
+        self.peek_min().copied()
     }
 
     fn pop_batch_into(&mut self, k: usize, out: &mut Vec<T>) -> usize {
@@ -99,13 +126,18 @@ mod tests {
             q.push(v);
         }
         assert_eq!(q.len(), 5);
-        assert_eq!(q.peek(), Some(&1));
+        assert_eq!(q.peek(), Some(1));
         assert_eq!(q.pop(), Some(1));
         let mut out = Vec::new();
         assert_eq!(q.pop_batch_into(3, &mut out), 3);
         assert_eq!(out, vec![3, 5, 7]);
         assert_eq!(q.pop(), Some(9));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn packed_heap_implements_local_queue() {
+        exercise::<PackedHeap<u64>>();
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl<T, Q> PerThread<T, Q> {
 }
 
 /// The Stealing Multi-Queue, generic over the local queue implementation
-/// (`DAryHeap` for [`crate::HeapSmq`], `SequentialSkipList` for
+/// (`PackedHeap` for [`crate::HeapSmq`], `SequentialSkipList` for
 /// [`crate::SkipListSmq`]).
 pub struct Smq<T, Q> {
     slots: Vec<CachePadded<PerThread<T, Q>>>,
@@ -171,7 +171,7 @@ where
     /// private queue's top.  `u64::MAX` when there is nothing local.
     fn local_top_key(&self) -> u64 {
         let buffer_key = self.my_slot().buffer.top_key();
-        let queue_key = self.queue.peek().map_or(u64::MAX, HasKey::key);
+        let queue_key = self.queue.peek().map_or(u64::MAX, |top| top.key());
         buffer_key.min(queue_key)
     }
 
@@ -293,7 +293,7 @@ where
         self.refill_buffer_if_stolen();
         let slot = self.my_slot();
         let buffer_top = slot.buffer.top();
-        let queue_top = self.queue.peek().copied();
+        let queue_top = self.queue.peek();
         match (buffer_top, queue_top) {
             (Some(b), Some(q)) if q <= b => self.queue.pop(),
             (Some(_), _) => self.claim_buffer(self.thread_id),
@@ -371,6 +371,9 @@ where
         // 1. Previously stolen tasks are processed first (Listing 2).
         let mut got = self.take_stolen(out, max);
         if got >= max {
+            // The eager refill `pop` runs after every task, so that
+            // `pop_batch(_, 1)` replays `pop()` exactly.
+            self.refill_buffer_if_stolen();
             return got;
         }
         // 2. One full per-task pop: the steal die roll, the victim
@@ -475,6 +478,7 @@ mod tests {
     use crate::common::hang_guard;
     use crate::{HeapSmq, SkipListSmq};
     use smq_core::{Probability, Task};
+    use smq_dheap::DAryHeap;
 
     fn drain<T: Ord + HasKey + TaskWords + Send, Q: LocalQueue<T>>(
         handle: &mut SmqHandle<'_, T, Q>,
@@ -504,6 +508,61 @@ mod tests {
         }
         let drained = drain(&mut h);
         assert_eq!(drained, vec![0, 2, 3, 5, 7, 9]);
+    }
+
+    /// Plays one seeded script on `threads` handles of `smq`, round-robin
+    /// from this thread, and returns every pop's result with each handle's
+    /// final `OpStats`.  Task values fit in 32 bits except around step
+    /// 1 500, where a few set bit 40, so a packed heap goes wide mid-run.
+    fn replay<Q: LocalQueue<Task>>(
+        smq: &Smq<Task, Q>,
+        threads: usize,
+    ) -> (Vec<Option<Task>>, Vec<OpStats>) {
+        let mut handles: Vec<_> = (0..threads).map(|t| smq.handle(t)).collect();
+        let mut rng = Pcg32::new(0x5C41);
+        let mut pops = Vec::new();
+        let (mut batch, mut out) = (Vec::new(), Vec::new());
+        for step in 0..4_000u64 {
+            let handle = &mut handles[step as usize % threads];
+            let draw = rng.next_u32();
+            let wide = if (1_500..1_600).contains(&step) && draw.is_multiple_of(8) {
+                1 << 40
+            } else {
+                0
+            };
+            let task = Task::new(u64::from(draw >> 20), step | wide);
+            match draw % 16 {
+                0..=6 => handle.push(task),
+                7 => {
+                    batch.extend(
+                        (0..u64::from(draw % 9)).map(|i| Task::new(task.key + i, task.value)),
+                    );
+                    handle.push_batch(&mut batch);
+                }
+                8..=12 => pops.push(handle.pop()),
+                _ => {
+                    out.clear();
+                    handle.pop_batch(&mut out, (draw % 5) as usize);
+                    pops.extend(out.iter().copied().map(Some));
+                }
+            }
+        }
+        for handle in &mut handles {
+            pops.extend(drain(handle).into_iter().map(Some));
+        }
+        (pops, handles.iter().map(|h| h.stats()).collect())
+    }
+
+    #[test]
+    fn packed_heap_smq_replays_the_plain_heap_smq() {
+        for threads in [1, 3] {
+            let config = SmqConfig::default_for_threads(threads).with_seed(17);
+            let packed = replay(&HeapSmq::<Task>::new(config.clone()), threads);
+            let plain = replay(&Smq::<Task, DAryHeap<Task>>::new(config), threads);
+            assert!(packed.0.iter().flatten().any(|t| t.value >> 32 != 0));
+            assert_eq!(packed.0, plain.0, "pop sequence at T = {threads}");
+            assert_eq!(packed.1, plain.1, "OpStats at T = {threads}");
+        }
     }
 
     #[test]

@@ -19,7 +19,13 @@
 //! Plus the locality stress-assert: under a simulated 2-node topology with
 //! a heavy local weight, the measured sample/steal locality rates must
 //! meet the configured target.
+//!
+//! Every test that starts a pool runs under `common::hang_guard`, one guard
+//! per proptest case.
 
+mod common;
+
+use common::hang_guard;
 use proptest::prelude::*;
 
 use smq_repro::algos::engine;
@@ -124,15 +130,17 @@ proptest! {
         seed in 0u64..1_000_000,
         k in prop::sample::select(vec![1u32, 16, 256]),
     ) {
-        let graph = road(width, seed);
-        let blind: MultiQueue<Task> =
-            MultiQueue::new(MultiQueueConfig::classic(1).with_seed(seed));
-        let numa: MultiQueue<Task> = MultiQueue::new(
-            MultiQueueConfig::classic(1)
-                .with_seed(seed)
-                .with_numa(Topology::single_node(1), k),
-        );
-        prop_assert_eq!(replay(&blind, &graph), replay(&numa, &graph));
+        hang_guard(move || {
+            let graph = road(width, seed);
+            let blind: MultiQueue<Task> =
+                MultiQueue::new(MultiQueueConfig::classic(1).with_seed(seed));
+            let numa: MultiQueue<Task> = MultiQueue::new(
+                MultiQueueConfig::classic(1)
+                    .with_seed(seed)
+                    .with_numa(Topology::single_node(1), k),
+            );
+            prop_assert_eq!(replay(&blind, &graph), replay(&numa, &graph));
+        });
     }
 
     /// Same zero-regression guarantee for the Stealing Multi-Queue: NUMA
@@ -144,15 +152,17 @@ proptest! {
         seed in 0u64..1_000_000,
         k in prop::sample::select(vec![1u32, 16, 256]),
     ) {
-        let graph = road(width, seed);
-        let blind: HeapSmq<Task> =
-            HeapSmq::new(SmqConfig::default_for_threads(1).with_seed(seed));
-        let numa: HeapSmq<Task> = HeapSmq::new(
-            SmqConfig::default_for_threads(1)
-                .with_seed(seed)
-                .with_numa(Topology::single_node(1), k),
-        );
-        prop_assert_eq!(replay(&blind, &graph), replay(&numa, &graph));
+        hang_guard(move || {
+            let graph = road(width, seed);
+            let blind: HeapSmq<Task> =
+                HeapSmq::new(SmqConfig::default_for_threads(1).with_seed(seed));
+            let numa: HeapSmq<Task> = HeapSmq::new(
+                SmqConfig::default_for_threads(1)
+                    .with_seed(seed)
+                    .with_numa(Topology::single_node(1), k),
+            );
+            prop_assert_eq!(replay(&blind, &graph), replay(&numa, &graph));
+        });
     }
 }
 
@@ -162,6 +172,10 @@ proptest! {
 /// predominantly in-node.
 #[test]
 fn two_node_locality_meets_target() {
+    hang_guard(two_node_locality);
+}
+
+fn two_node_locality() {
     let graph = road(40, 7);
     let topology = Topology::split(4, 2);
     let k = 64;

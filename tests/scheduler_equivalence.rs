@@ -7,7 +7,10 @@
 //! (`smq_algos::engine::run_and_check`), which runs the parallel workload,
 //! runs its sequential reference, and asserts the workload's own
 //! equivalence notion (exact for SSSP/BFS/A*/MST/k-core/CC, the
-//! epsilon-derived tolerance bound for PageRank-delta).
+//! epsilon-derived tolerance bound for PageRank-delta).  Each test runs
+//! under `common::hang_guard`, so a run that never quiesces fails by name.
+
+mod common;
 
 use smq_repro::algos::astar::AstarWorkload;
 use smq_repro::algos::cc::CcWorkload;
@@ -60,12 +63,16 @@ fn small_social() -> CsrGraph {
 }
 
 /// Runs all seven workloads on fresh schedulers from `make`, each checked
-/// against its sequential reference by the engine.
+/// against its sequential reference by the engine, under `hang_guard`.
 fn verify_all_workloads<S, F>(make: F, threads: usize)
 where
     S: Scheduler<Task>,
-    F: Fn() -> S,
+    F: Fn() -> S + Send + 'static,
 {
+    common::hang_guard(move || run_all_workloads(make, threads));
+}
+
+fn run_all_workloads<S: Scheduler<Task>>(make: impl Fn() -> S, threads: usize) {
     let social = social();
     let road = road();
     let small_social = small_social();
