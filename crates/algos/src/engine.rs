@@ -148,10 +148,10 @@ where
 /// [`run_on_pool`], and joins the fleet before returning.
 ///
 /// `config` is where a caller leaves the defaults:
-/// `PoolConfig::new(threads).with_batch(1)` is the exact per-task path (one
-/// `pop()` per task, every follow-up pushed immediately, no prefetch hints
-/// — strict priority order on one worker with an exact local queue, and the
-/// baseline row of the batch sweeps), and `.with_telemetry(..)` makes the
+/// `PoolConfig::new(threads).with_batch(1)` runs the batched loop with
+/// B = 1 (one task per pop, every follow-up pushed immediately, no prefetch
+/// hints — strict priority order on one worker with an exact local queue,
+/// and the baseline row of the batch sweeps), and `.with_telemetry(..)` makes the
 /// run's metrics carry a merged `TelemetryReport`.  Neither changes
 /// relaxation semantics or the computed answer.
 pub fn run_parallel_with<W, S>(

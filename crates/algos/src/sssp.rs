@@ -535,9 +535,9 @@ mod tests {
     #[test]
     fn single_threaded_smq_has_no_wasted_work_on_social_graph() {
         hang_guard(|| {
-            // One thread + an exact local priority queue + the per-task path
-            // (batch 1) = Dijkstra's ordering, so (almost) no task should be
-            // stale.
+            // One thread + an exact local priority queue + batch 1 (one
+            // task per pop) = Dijkstra's ordering, so (almost) no task should
+            // be stale.
             let g = small_social();
             let run = engine::run_parallel_with(
                 &SsspWorkload::new(&g, 0),

@@ -129,7 +129,7 @@ impl BenchArgs {
     }
 
     /// The hot-path batch sizes a sweep should run: `[1, N]` for an
-    /// explicit `--batch N` (batch 1 stays in as the per-task baseline so
+    /// explicit `--batch N` (batch 1 stays in as the one-task baseline so
     /// amortization is always reported against it), or the default
     /// `[1, 8, 32]` sweep (`[1, 8]` at CI scale) when the flag was absent.
     pub fn batch_sweep(&self) -> Vec<usize> {

@@ -6,7 +6,7 @@
 //!
 //! Every speedup is over the 1-thread classic Multi-Queue ([`Baseline`]);
 //! every work increase is over the workload's sequential reference.  All
-//! figures but Fig. 2 and the NUMA tables run the per-task path (batch 1).
+//! figures but Fig. 2 and the NUMA tables run batch 1 (one task per step).
 
 use smq_core::Probability;
 use smq_multiqueue::{DeletePolicy, InsertPolicy};

@@ -222,7 +222,7 @@ pub struct Point<'a> {
     pub threads: usize,
     /// Scheduler PRNG seed.
     pub seed: u64,
-    /// Hot-path batch size (1 is the per-task path).
+    /// Hot-path batch size (1: one task per insert and delete step).
     pub batch: usize,
     /// Simulated NUMA nodes for specs that carry a `numa_k` weight; the
     /// others ignore it and stay topology-blind.

@@ -48,10 +48,10 @@ pub struct OpStats {
     /// per push; a native `push_batch` pays one per *batch*, which is the
     /// quantity [`OpStats::locks_per_push`] makes assertable.
     pub push_locks_acquired: u64,
-    /// Non-empty **native** `push_batch` calls executed by this handle.
-    /// Zero for schedulers that fall back to the per-task default
-    /// implementation, and zero at batch size 1, where the pool's workers
-    /// push per task — policy-level buffering fed by per-task `push` (e.g. the
+    /// Non-empty **native** `push_batch` calls executed by this handle
+    /// (the pool's workers make one per task at batch 1).  Zero for
+    /// schedulers that fall back to the per-task default implementation;
+    /// policy-level buffering fed by per-task `push` (e.g. the
     /// Multi-Queue's `InsertPolicy::Batching`) is *not* counted here.
     pub batch_flushes: u64,
     /// Tasks inserted through the native `push_batch` calls counted in
@@ -201,9 +201,9 @@ impl OpStats {
     /// [`locks_per_pop`](Self::locks_per_pop)), or `None` when nothing was
     /// pushed or the scheduler never counts insert-path locks.
     ///
-    /// The per-task insert path pays ≈ 1; a native `push_batch` of B tasks
-    /// pays 1/B, which is the batch-granularity claim the stress tests
-    /// assert instead of eyeballing.
+    /// The per-task insert path (and batch 1) pays ≈ 1; a native
+    /// `push_batch` of B tasks pays 1/B, which is the batch-granularity
+    /// claim the stress tests assert instead of eyeballing.
     pub fn locks_per_push(&self) -> Option<f64> {
         if self.pushes == 0 || self.push_locks_acquired == 0 {
             None
@@ -213,7 +213,7 @@ impl OpStats {
     }
 
     /// Tasks moved per native batch operation, or `None` when the handle
-    /// never executed one (per-task default paths, batch size 1).
+    /// never executed one (per-task default paths); 1 at batch size 1.
     pub fn tasks_per_batch(&self) -> Option<f64> {
         if self.batch_flushes == 0 {
             None

@@ -114,14 +114,6 @@ pub struct JobCompletion<R> {
     pub service_time: Duration,
 }
 
-impl<R> JobCompletion<R> {
-    /// Queue wait plus service time: the client-visible job latency
-    /// (excluding only the submit call itself).
-    pub fn total_latency(&self) -> Duration {
-        self.queue_wait + self.service_time
-    }
-}
-
 /// One job's result slot, shared between its [`JobTicket`] and the queued
 /// closure that eventually resolves it.
 struct TicketState<R> {

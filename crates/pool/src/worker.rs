@@ -10,12 +10,14 @@
 //! worker pays for it only after [`SCAN_GATE`] consecutive empty pops
 //! during which the detector's activity epoch did not move.
 //!
-//! Above batch size 1 ([`PoolConfig::with_batch`]) a worker pops up to a
-//! batch per `pop_batch`, hints it to [`PoolJob::prefetch`], processes it
-//! under one unwind guard, and flushes buffered follow-ups through
-//! `push_batch` at every task boundary.  Batch 1 is the exact per-task
-//! path: one `pop()` per task, every follow-up pushed and credited at once,
-//! no prefetch hints.
+//! Every batch size B ([`PoolConfig::with_batch`]) runs the same loop: a
+//! worker pops up to B tasks per `pop_batch`, hints a batch of two or more
+//! to [`PoolJob::prefetch`], processes it under one unwind guard, and
+//! flushes buffered follow-ups through `push_batch` whenever B are buffered
+//! and at every task boundary; seeds go in `push_batch` calls of at most B.
+//! No insert step carries more than one batch.  Batch 1 is this loop with
+//! B = 1: one-task batch calls, which replay `pop()` and `push()` on every
+//! scheduler family (`tests/pop_paths.rs`).
 //!
 //! [`PoolConfig::with_batch`]: crate::PoolConfig::with_batch
 
@@ -29,11 +31,6 @@ use smq_runtime::{WorkerTally, SCAN_GATE};
 use smq_telemetry::{Phase, WorkerTelemetry};
 
 use crate::{lock, Gang, Inner, PoolJob, TaskOutcome, WorkerResult};
-
-/// How many consecutive empty pops a worker tolerates before it starts
-/// yielding to the OS scheduler (important on machines with fewer hardware
-/// threads than workers).
-const SPINS_BEFORE_YIELD: u32 = 64;
 
 /// Decrements `remaining` when the worker leaves the job for any reason; a
 /// missing result means the job's `process` panicked, which poisons the
@@ -94,7 +91,7 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
 
     loop {
         // Park until a new job (or shutdown) arrives on this gang.
-        let (job_ref, mut seeds, seq) = {
+        let (job_ref, seeds, seq) = {
             let mut st = lock(&gang.state);
             loop {
                 if st.shutdown {
@@ -124,14 +121,11 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
         // timestamps and makes no extra handle calls, which keeps
         // single-thread `OpStats` bit-identical to an uninstrumented run.
         let mut telemetry = WorkerTelemetry::begin(&inner.telemetry, Some(idle_since));
-        // Seeds were pre-credited by the coordinator.  Above batch size 1 a
-        // single batch call makes the whole seed slice visible; at batch 1
-        // each seed is its own `push`, like every other push of the
-        // per-task configuration.
-        if batch > 1 {
-            handle.push_batch(&mut seeds);
-        } else {
-            seeds.into_iter().for_each(|task| handle.push(task));
+        // Seeds were pre-credited by the coordinator; they become visible
+        // one batch per insert step, like every follow-up.
+        for chunk in seeds.chunks(batch) {
+            sink_buf.extend_from_slice(chunk);
+            handle.push_batch(&mut sink_buf);
         }
         handle.flush();
 
@@ -139,10 +133,9 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
         let backoff = Backoff::new();
         // Empty pops observed since the last scan (or since the last
         // activity epoch move); `was_idle` tracks idle→busy transitions for
-        // the epoch, and `idle_spins` (reset only by a successful pop)
-        // drives OS yielding.
+        // the epoch.  `backoff` (reset only by a successful pop) spins,
+        // then yields to the OS scheduler.
         let mut empty_streak = 0u32;
-        let mut idle_spins = 0u32;
         let mut was_idle = false;
         let mut seen_epoch = detector.activity_epoch();
         loop {
@@ -154,20 +147,7 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
                     t.phase(Phase::Pop);
                 }
             }
-            // Batch size 1 calls `pop()` directly: one scheduling decision
-            // and one set of `OpStats` increments per task.
-            let got = if batch == 1 {
-                match handle.pop() {
-                    Some(task) => {
-                        pop_buf.push(task);
-                        1
-                    }
-                    None => 0,
-                }
-            } else {
-                handle.pop_batch(&mut pop_buf, batch)
-            };
-            if got > 0 {
+            if handle.pop_batch(&mut pop_buf, batch) > 0 {
                 if let Some(t) = telemetry.as_mut() {
                     // If the handle's steal counter moved during this pop,
                     // the span just spent belongs to Steal.
@@ -188,7 +168,6 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
                     was_idle = false;
                 }
                 empty_streak = 0;
-                idle_spins = 0;
                 backoff.reset();
                 // Hint every task's first misses now, so they overlap with
                 // the tasks processed before it.  A lone task would gain
@@ -206,14 +185,9 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
                 let panic_payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     for task in pop_buf.drain(..) {
                         let mut push = |child| {
-                            if batch == 1 {
-                                tally.record_push();
-                                handle.push(child);
-                            } else {
-                                sink_buf.push(child);
-                                if sink_buf.len() >= batch {
-                                    flush(handle, &mut tally, &mut sink_buf);
-                                }
+                            sink_buf.push(child);
+                            if sink_buf.len() >= batch {
+                                flush(handle, &mut tally, &mut sink_buf);
                             }
                         };
                         match job.process(task, &mut push) {
@@ -260,7 +234,6 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
                     break;
                 }
                 was_idle = true;
-                idle_spins = idle_spins.saturating_add(1);
                 let epoch = detector.activity_epoch();
                 if epoch != seen_epoch {
                     // Work appeared somewhere since we last looked: the
@@ -286,11 +259,7 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
                 if let Some(t) = telemetry.as_mut() {
                     t.phase(Phase::Park);
                 }
-                if idle_spins > SPINS_BEFORE_YIELD {
-                    std::thread::yield_now();
-                } else {
-                    backoff.snooze();
-                }
+                backoff.snooze();
             }
         }
 

@@ -235,28 +235,14 @@ impl WorkerTally<'_> {
         );
     }
 
-    /// Counts one task as published.  **Must be called before the task
-    /// becomes visible to the scheduler** — the soundness of the quiescence
-    /// scan depends on it (see the module docs).
-    #[inline]
-    pub fn record_push(&mut self) {
-        self.assert_generation();
-        self.published += 1;
-        // Release pairs with the Acquire scan loads: a scanner that sees
-        // this value also sees every earlier scheduler write by this worker.
-        self.counter
-            .published
-            .store(self.published, Ordering::Release);
-    }
-
-    /// Counts `n` tasks as published in **one** counter store.  Like
-    /// [`record_push`](Self::record_push), the call must happen before any
-    /// of the `n` tasks becomes visible to the scheduler — this is the
-    /// "publish-before-flush" half of the batching sink: the worker credits
-    /// a whole follow-up batch with a single store, then makes the batch
-    /// visible via `push_batch`.  Counting ahead of visibility is always
-    /// conservative (the scan can only over-estimate outstanding work), so
-    /// the quiescence argument in the module docs is unchanged.
+    /// Counts `n` tasks as published in **one** counter store.  **Must be
+    /// called before any of the `n` tasks becomes visible to the
+    /// scheduler** — the soundness of the quiescence scan depends on it
+    /// (see the module docs).  This is the "publish-before-flush" half of
+    /// the batching sink: the worker credits a whole follow-up batch with a
+    /// single store, then makes the batch visible via `push_batch`.
+    /// Counting ahead of visibility is always conservative (the scan can
+    /// only over-estimate outstanding work).
     #[inline]
     pub fn record_pushes(&mut self, n: u64) {
         if n == 0 {
@@ -264,6 +250,8 @@ impl WorkerTally<'_> {
         }
         self.assert_generation();
         self.published += n;
+        // Release pairs with the Acquire scan loads: a scanner that sees
+        // this value also sees every earlier scheduler write by this worker.
         self.counter
             .published
             .store(self.published, Ordering::Release);
@@ -310,8 +298,8 @@ mod tests {
         let det = TerminationDetector::new(2);
         let mut t0 = det.tally(0);
         let mut t1 = det.tally(1);
-        t0.record_push();
-        t0.record_push();
+        t0.record_pushes(1);
+        t0.record_pushes(1);
         assert!(!det.quiescent());
         t1.record_completion();
         assert!(!det.quiescent());
@@ -324,7 +312,7 @@ mod tests {
         let det = TerminationDetector::new(1);
         det.preload(0, 2);
         let mut tally = det.tally(0);
-        tally.record_push(); // 3 published total
+        tally.record_pushes(1); // 3 published total
         tally.record_completion();
         tally.record_completion();
         assert!(!det.quiescent());
@@ -349,7 +337,7 @@ mod tests {
         assert_eq!(det.pending_estimate(), 0);
         // A tally from the new generation works normally.
         let mut tally = det.tally(0);
-        tally.record_push();
+        tally.record_pushes(1);
         assert!(!det.quiescent());
         tally.record_completion();
         assert!(det.quiescent());
@@ -362,7 +350,7 @@ mod tests {
         let det = TerminationDetector::new(1);
         let mut tally = det.tally(0);
         det.advance_generation();
-        tally.record_push(); // must assert: tally belongs to generation 0
+        tally.record_pushes(1); // must assert: tally belongs to generation 0
     }
 
     #[test]
@@ -377,8 +365,8 @@ mod tests {
             tally.record_completion();
         }
         assert!(det.quiescent());
-        // Mixing batched and per-task credits keeps the running total.
-        tally.record_push();
+        // Successive credits keep the running total.
+        tally.record_pushes(1);
         tally.record_pushes(2);
         assert_eq!(det.pending_estimate(), 3);
     }
@@ -410,7 +398,7 @@ mod tests {
                 s.spawn(move || {
                     let mut tally = det_ref.tally(0);
                     for _ in 0..50_000 {
-                        tally.record_push();
+                        tally.record_pushes(1);
                         std::hint::spin_loop();
                         tally.record_completion();
                     }

@@ -7,11 +7,21 @@
 //! a failing case panics with the standard assertion message — and case
 //! generation is deterministic (seeded from the test name), so failures
 //! are reproducible run to run.
+//!
+//! Setting the environment variable [`SEED_VAR`] (`PROPTEST_RNG_SEED`) to
+//! a `u64` mixes it into every test's seed, so repeated runs can draw fresh
+//! cases; unset, the streams are exactly the name-seeded ones.  A failing
+//! case prints the test name, the variable's value and the case number, and
+//! rerunning the test with the same value replays it.
 
 #![warn(missing_docs)]
 
 /// Number of random cases each `proptest!` test executes.
 pub const CASES: u32 = 64;
+
+/// The environment variable whose `u64` value, when set, is mixed into
+/// every test's seed (see the crate docs).
+pub const SEED_VAR: &str = "PROPTEST_RNG_SEED";
 
 /// A deterministic SplitMix64 generator driving case generation.
 #[derive(Debug, Clone)]
@@ -20,14 +30,30 @@ pub struct TestRng {
 }
 
 impl TestRng {
-    /// Seeds the generator from a test name (FNV-1a over the bytes).
-    pub fn deterministic(name: &str) -> Self {
+    /// Seeds the generator from a test name and an optional run seed: FNV-1a
+    /// over the name's bytes, then over the seed's little-endian bytes.
+    pub fn seeded(name: &str, seed: Option<u64>) -> Self {
+        let seed_bytes = seed.map(u64::to_le_bytes);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for b in name.bytes() {
+        for b in name.bytes().chain(seed_bytes.into_iter().flatten()) {
             hash ^= u64::from(b);
             hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
         }
         Self { state: hash }
+    }
+
+    /// The run seed from [`SEED_VAR`], `None` when it is unset.
+    ///
+    /// # Panics
+    /// If the variable is set but is not a `u64`.
+    pub fn run_seed() -> Option<u64> {
+        let value = std::env::var(SEED_VAR).ok()?;
+        Some(
+            value
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("{SEED_VAR}={value:?} is not a u64")),
+        )
     }
 
     /// Re-derives the stream for one numbered case so every case is
@@ -217,6 +243,33 @@ pub mod prelude {
     pub use crate::{any, prop_assert, prop_assert_eq, proptest, Arbitrary, Strategy, TestRng};
 }
 
+/// Names the failing case when a property test unwinds (see
+/// [`proptest!`]); dropped without a word when the case passes.
+#[doc(hidden)]
+pub struct CaseReport {
+    /// The test's name.
+    pub name: &'static str,
+    /// The run seed the cases were drawn with.
+    pub seed: Option<u64>,
+    /// The case being run.
+    pub case: u32,
+}
+
+impl Drop for CaseReport {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let seed = match self.seed {
+                Some(seed) => format!("{SEED_VAR}={seed}"),
+                None => format!("{SEED_VAR} unset"),
+            };
+            eprintln!(
+                "proptest: {} failed at case {} of {} with {seed}; the same setting replays it",
+                self.name, self.case, CASES
+            );
+        }
+    }
+}
+
 /// Declares property tests: each `pattern in strategy` binding is sampled
 /// freshly for every case, then the body runs.
 #[macro_export]
@@ -225,8 +278,10 @@ macro_rules! proptest {
         $(
             $(#[$meta])*
             fn $name() {
-                let mut rng = $crate::TestRng::deterministic(stringify!($name));
+                let seed = $crate::TestRng::run_seed();
+                let mut rng = $crate::TestRng::seeded(stringify!($name), seed);
                 for case in 0..$crate::CASES {
+                    let _report = $crate::CaseReport { name: stringify!($name), seed, case };
                     rng.reseed_case(case);
                     $( let $arg = $crate::Strategy::sample(&($strat), &mut rng); )+
                     $body
@@ -254,7 +309,7 @@ mod tests {
 
     #[test]
     fn ranges_respect_bounds() {
-        let mut rng = TestRng::deterministic("ranges");
+        let mut rng = TestRng::seeded("ranges", None);
         for _ in 0..1_000 {
             let v = Strategy::sample(&(3u32..17), &mut rng);
             assert!((3..17).contains(&v));
@@ -265,11 +320,22 @@ mod tests {
 
     #[test]
     fn determinism_per_test_name() {
-        let mut a = TestRng::deterministic("x");
-        let mut b = TestRng::deterministic("x");
-        let mut c = TestRng::deterministic("y");
+        let mut a = TestRng::seeded("x", None);
+        let mut b = TestRng::seeded("x", None);
+        let mut c = TestRng::seeded("y", None);
         assert_eq!(a.next_u64(), b.next_u64());
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn a_run_seed_changes_the_stream_and_none_keeps_it() {
+        // Without a run seed the stream is the name-only FNV-1a one, pinned
+        // here so that `cargo test` keeps drawing the same cases.
+        assert_eq!(TestRng::seeded("x", None).next_u64(), 0x3382_62d8_f096_398f);
+        let two = TestRng::seeded("x", Some(2)).next_u64();
+        assert_eq!(two, TestRng::seeded("x", Some(2)).next_u64());
+        assert_ne!(two, TestRng::seeded("x", Some(3)).next_u64());
+        assert_ne!(two, TestRng::seeded("x", None).next_u64());
     }
 
     proptest! {

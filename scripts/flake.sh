@@ -3,7 +3,9 @@
 # or whose set of passing tests differs from the first run's (ROADMAP item
 # 3(e)).  Tests are keyed by the test binary that ran them, so two crates'
 # tests of the same name are told apart.  Leave out `-q`: the quiet format
-# prints no test names.
+# prints no test names.  Run 1 draws the property tests' usual cases; run i
+# of 2..N sets PROPTEST_RNG_SEED=i, so each draws fresh ones (a failing case
+# prints the seed that replays it).
 #   scripts/flake.sh 10 --release --test chaos
 #   scripts/flake.sh 100 --release -p smq-pool
 set -euo pipefail
@@ -27,9 +29,14 @@ passing() {
 
 start=$SECONDS
 for i in $(seq 1 "$runs"); do
+    if [ "$i" -eq 1 ]; then
+        unset PROPTEST_RNG_SEED
+    else
+        export PROPTEST_RNG_SEED=$i
+    fi
     if ! cargo test "$@" >"$work/out" 2>&1; then
         tail -n 40 "$work/out" >&2
-        echo "flake: run $i of $runs failed (cargo test $*)" >&2
+        echo "flake: run $i of $runs failed (cargo test $*, PROPTEST_RNG_SEED=${PROPTEST_RNG_SEED:-unset})" >&2
         exit 1
     fi
     passing "$work/out" >"$work/run"

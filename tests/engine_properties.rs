@@ -14,15 +14,19 @@
 //! The sweep covers the library default (no batch override) and the
 //! explicit hot-path batch sizes {1, 2, 8, 32} across every scheduler
 //! family: batch granularity amortizes synchronization but must never
-//! change what is computed or break the accounting.  Batch 1 is
-//! additionally pinned to the per-task path (no native batch operations,
-//! deterministic single-thread replays), and the default path's prefetch
-//! hints are pinned invisible (identical replay with and without them).
+//! change what is computed or break the accounting.  Every batch size runs
+//! the pool's one worker loop; batch 1 (that loop with B = 1) is
+//! additionally replayed against the per-task `pop()`/`push()` loop on
+//! every scheduler family, and the default path's prefetch hints are
+//! pinned invisible (identical replay with and without them).
 //! Every test runs under `common::hang_guard`.
 
 mod common;
+#[path = "common/families.rs"]
+mod families;
 
 use common::hang_guard;
+use families::{each_family, FamilyVisitor};
 use proptest::prelude::*;
 
 use smq_repro::algos::astar::AstarWorkload;
@@ -32,15 +36,15 @@ use smq_repro::algos::kcore::KCoreWorkload;
 use smq_repro::algos::mst::BoruvkaWorkload;
 use smq_repro::algos::pagerank::{PagerankConfig, PagerankWorkload};
 use smq_repro::algos::sssp::SsspWorkload;
-use smq_repro::core::{Probability, Scheduler, Task};
+use smq_repro::core::{Probability, Scheduler, SchedulerHandle, Task};
 use smq_repro::graph::generators::uniform_random;
 use smq_repro::graph::{CsrGraph, GraphUpdate, LiveGraph};
 use smq_repro::multiqueue::{DeletePolicy, InsertPolicy, MultiQueue, MultiQueueConfig, Reld};
 use smq_repro::obim::{Obim, ObimConfig};
-use smq_repro::pool::PoolConfig;
+use smq_repro::pool::{PoolConfig, WorkerPool};
 use smq_repro::smq::{HeapSmq, SkipListSmq, SmqConfig};
 use smq_repro::spraylist::{SprayList, SprayListConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Asserts the engine invariants on a finished run.
 fn assert_invariants<O>(run: &EngineRun<O>, label: &str) {
@@ -321,70 +325,127 @@ proptest! {
     }
 }
 
-/// Runs SSSP and k-core single-threaded at batch 1 on an identically
-/// seeded scheduler from `make`, returning the run's total `OpStats`.
-fn batch_one_stats<S, F>(graph: &CsrGraph, make: F) -> Vec<smq_repro::core::OpStats>
-where
-    S: Scheduler<Task>,
-    F: Fn() -> S,
-{
-    let sssp = SsspWorkload::new(graph, 0);
-    let kcore = KCoreWorkload::new(graph);
-    vec![
-        engine::run_parallel_with(&sssp, &make(), PoolConfig::new(1).with_batch(1))
-            .result
-            .metrics
-            .total,
-        engine::run_parallel_with(&kcore, &make(), PoolConfig::new(1).with_batch(1))
-            .result
-            .metrics
-            .total,
-    ]
+/// One single-worker run: the `(key, value)` sequence it processed and its
+/// counts.
+#[derive(Debug, PartialEq, Eq)]
+struct Replay {
+    processed: Vec<Task>,
+    useful: u64,
+    wasted: u64,
+    pops: u64,
+    pushes: u64,
 }
 
-/// Batch 1 is the per-task path: single-thread replays on identically
-/// seeded schedulers are **bit-identical in stats** (the executor makes no
-/// batch-dependent decisions), and schedulers without policy-level insert
-/// buffering record zero native batch operations — the evidence that the
-/// explicit batch-1 configuration makes one `pop()` per task and one
-/// `push()` per follow-up.
+/// `job` with every processed task logged, in processing order.
+struct Logged<'a> {
+    job: &'a dyn PoolJob,
+    processed: Mutex<Vec<Task>>,
+}
+
+impl PoolJob for Logged<'_> {
+    fn seed_tasks(&self) -> Vec<Task> {
+        self.job.seed_tasks()
+    }
+
+    fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> engine::TaskOutcome {
+        self.processed.lock().unwrap().push(task);
+        self.job.process(task, push)
+    }
+
+    fn prefetch(&self, task: Task) {
+        self.job.prefetch(task);
+    }
+}
+
+/// `job` on a one-worker pool at batch 1.
+fn pool_at_batch_one<S: Scheduler<Task>>(scheduler: &S, job: &dyn PoolJob) -> Replay {
+    let logged = Logged {
+        job,
+        processed: Mutex::new(Vec::new()),
+    };
+    let config = PoolConfig::new(1).with_batch(1);
+    let out = WorkerPool::with_borrowed(scheduler, config, |pool| pool.run_job(&logged))
+        .expect("a one-worker job cannot be lost");
+    Replay {
+        processed: logged.processed.into_inner().unwrap(),
+        useful: out.useful_tasks,
+        wasted: out.wasted_tasks,
+        pops: out.metrics.total.pops,
+        pushes: out.metrics.total.pushes,
+    }
+}
+
+/// The per-task loop, written out: every seed `push`ed and one `flush`,
+/// then `pop()` → `process` → `push()` per child, with a `flush()` on an
+/// empty pop.  A relaxed `pop()` may come back empty while tasks remain
+/// (the Multi-Queue samples two of its queues), so, like the pool's
+/// quiescence scan, the loop ends only once every pushed task ran.
+fn per_task_loop<S: Scheduler<Task>>(scheduler: &S, job: &dyn PoolJob) -> Replay {
+    let mut handle = scheduler.handle(0);
+    job.seed_tasks()
+        .into_iter()
+        .for_each(|seed| handle.push(seed));
+    handle.flush();
+    let (mut processed, mut useful, mut wasted) = (Vec::new(), 0, 0);
+    loop {
+        let Some(task) = handle.pop() else {
+            if handle.stats().pushes == processed.len() as u64 {
+                break;
+            }
+            handle.flush();
+            continue;
+        };
+        processed.push(task);
+        match job.process(task, &mut |child| handle.push(child)) {
+            engine::TaskOutcome::Useful => useful += 1,
+            engine::TaskOutcome::Wasted => wasted += 1,
+        }
+    }
+    let stats = handle.stats();
+    Replay {
+        processed,
+        useful,
+        wasted,
+        pops: stats.pops,
+        pushes: stats.pushes,
+    }
+}
+
+/// Replays SSSP and k-core on `graph` both ways on each visited family.
+struct BatchOneReplays<'a> {
+    graph: &'a CsrGraph,
+}
+
+impl FamilyVisitor for BatchOneReplays<'_> {
+    fn visit<S: Scheduler<Task>>(&mut self, family: &str, make: impl Fn() -> S) {
+        // A workload's labels are its state: each run gets a fresh one.
+        let jobs = || -> [(&str, Box<dyn PoolJob + '_>); 2] {
+            [
+                ("SSSP", Box::new(SsspWorkload::new(self.graph, 0))),
+                ("k-core", Box::new(KCoreWorkload::new(self.graph))),
+            ]
+        };
+        for ((workload, pooled), (_, looped)) in jobs().into_iter().zip(jobs()) {
+            let pooled = pool_at_batch_one(&make(), pooled.as_ref());
+            let looped = per_task_loop(&make(), looped.as_ref());
+            assert!(pooled.useful > 0, "{family} / {workload}: nothing ran");
+            assert_eq!(
+                pooled, looped,
+                "{family} / {workload}: batch 1 strayed from the per-task loop"
+            );
+        }
+    }
+}
+
+/// Batch 1 is the batched loop with B = 1, and it replays the per-task
+/// loop: on every family at one worker, the pool at batch 1 processes the
+/// same `(key, value)` sequence, with the same useful, wasted, pop and push
+/// counts, as `pop()` → `process` → `push()` written out in the test.
 #[test]
 fn batch_one_is_the_per_task_path() {
     hang_guard(|| {
         let graph = uniform_random(64, 192, 200, 77);
-        // Families without policy-level insert batching: every native batch
-        // counter must stay zero at batch 1.
-        let a = batch_one_stats(&graph, || {
-            HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(9))
-        });
-        let b = batch_one_stats(&graph, || {
-            HeapSmq::<Task>::new(SmqConfig::default_for_threads(1).with_seed(9))
-        });
-        assert_eq!(a, b, "single-thread batch-1 SMQ replays must be identical");
-        for stats in &a {
-            assert_eq!(stats.batch_flushes, 0, "batch 1 must never batch");
-            assert_eq!(stats.tasks_batched, 0);
-        }
-        let a = batch_one_stats(&graph, || {
-            MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(13))
-        });
-        let b = batch_one_stats(&graph, || {
-            MultiQueue::<Task>::new(MultiQueueConfig::classic(1).with_seed(13))
-        });
-        assert_eq!(a, b, "single-thread batch-1 MQ replays must be identical");
-        for stats in &a {
-            assert_eq!(stats.batch_flushes, 0, "batch 1 must never batch");
-            assert_eq!(
-                stats.push_locks_acquired, stats.pushes,
-                "per-task MQ inserts lock once per push"
-            );
-        }
-        let a = batch_one_stats(&graph, || Obim::<Task>::new(ObimConfig::obim(1, 4, 8)));
-        let b = batch_one_stats(&graph, || Obim::<Task>::new(ObimConfig::obim(1, 4, 8)));
-        assert_eq!(a, b, "single-thread batch-1 OBIM replays must be identical");
-        for stats in &a {
-            assert_eq!(stats.batch_flushes, 0, "batch 1 must never batch");
-        }
+        each_family(1, &mut BatchOneReplays { graph: &graph });
     });
 }
 

@@ -337,7 +337,7 @@ fn run_wide_fanout<S: Scheduler<Task>>(
 /// The batch-granularity acceptance criterion: with batch >= 8, the
 /// insert-path synchronization per push (lock acquisitions for the
 /// Multi-Queue, stealing-buffer maintenance passes for the SMQ) must be at
-/// most 1/4 of the per-task path's on the same workload.
+/// most 1/4 of batch 1's (one task per insert step) on the same workload.
 #[test]
 fn batched_inserts_amortize_push_locks_on_smq() {
     hang_guard(|| {
