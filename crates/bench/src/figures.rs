@@ -576,7 +576,8 @@ pub fn theorem1_rank_bounds(args: &BenchArgs, rest: Vec<String>) -> Vec<Table> {
                 for gamma in [0.0, 0.25] {
                     let r = simulate(&RankSimConfig {
                         queues: n,
-                        initial_tasks: (n * b * 4_000).max(100_000),
+                        // Twice what the run can remove, so no queue drains.
+                        initial_tasks: (n * b * 4_000).max(2 * steps * b).max(100_000),
                         batch: b,
                         p_steal: Probability::new(p),
                         gamma,

@@ -6,19 +6,19 @@
 //! between jobs, and executes a stream of jobs against long-lived
 //! schedulers, so thread-spawn latency and cold scheduler state are paid
 //! per pool, not per job: each job seeds a scheduler, runs every worker's
-//! pop/process/quiesce loop to quiescence under a fresh
-//! termination-detection *generation*, and hands back per-job
-//! [`RunMetrics`].  A single run is the same thing on a transient pool
+//! pop/process/quiesce loop to quiescence under a termination detector
+//! made for that job alone, and hands back per-job [`RunMetrics`].  A
+//! single run is the same thing on a transient pool
 //! ([`WorkerPool::with_borrowed`]).
 //!
 //! # Gangs: job-level parallelism
 //!
 //! The fleet is partitioned into `gangs` gangs of `gang_size` workers each
-//! (see [`PoolConfig`]).  Every gang owns its **own scheduler instance, its
-//! own [`TerminationDetector`], and its own job hand-off state**, so gangs
-//! are fully independent: one gang's quiescence scan can only ever observe
-//! its own workers' counters, and a job running on gang A shares nothing
-//! with a job on gang B except the pool's lifetime counters.
+//! (see [`PoolConfig`]).  Every gang owns its **own scheduler instance and
+//! job hand-off state**, and every job its own [`TerminationDetector`], so
+//! gangs are fully independent: a quiescence scan only ever observes its
+//! own job's counters, and a job on gang A shares nothing with a job on
+//! gang B except the pool's lifetime counters.
 //!
 //! **A job occupies exactly one gang.**  [`run_job`](WorkerPool::run_job)
 //! claims one idle gang (waiting for one if all are busy), splits the job's
@@ -27,18 +27,13 @@
 //! and the single-gang pool of `PoolConfig::new` runs one job at a time on
 //! the whole fleet.
 //!
-//! Generations (see `smq_runtime::termination`) are what make detector
-//! reuse sound: each gang's counters are zeroed between jobs while that
-//! gang's workers are parked, scans that straddle a generation boundary
-//! invalidate themselves, and a tally leaked across jobs asserts in debug
-//! builds.
-//!
 //! # Panic containment and gang respawn
 //!
 //! A job whose `process` panics kills the worker it ran on, which strands
 //! that worker's thread-local queues; the gang it happened on is therefore
 //! **poisoned** and pulled from the allocator (its surviving workers bail
-//! out via an abort flag instead of spinning on an unreachable quiescence).
+//! out via the job's abort flag instead of spinning on an unreachable
+//! quiescence).
 //! The `run_job` call that owned the gang returns
 //! [`Err(JobError::Lost)`](JobError::Lost); *other* gangs — and their
 //! in-flight jobs — are untouched, so a long-lived service survives a bad
@@ -170,7 +165,7 @@ pub const DEFAULT_BATCH_SIZE: usize = 8;
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Number of independent worker gangs (each with its own scheduler
-    /// instance and termination detector).
+    /// instance).
     pub gangs: usize,
     /// Worker threads per gang.  Must match each gang scheduler's
     /// configured thread count.
@@ -350,14 +345,48 @@ struct WorkerResult {
     telemetry: Option<TelemetryReport>,
 }
 
+/// Everything one job shares between the workers of its gang, made fresh
+/// for that job and dropped with the last worker's share of it.
+struct JobRun {
+    job: JobRef,
+    /// The job's seed tasks; worker `local` pushes every `gang_size`-th one
+    /// from index `local` on.
+    seeds: Vec<Task>,
+    /// Preloaded with each worker's seed count.
+    detector: TerminationDetector,
+    /// Raised when a worker dies mid-job, whose thread-local queues may
+    /// strand tasks: survivors then leave at their next empty pop.
+    aborted: AtomicBool,
+}
+
+impl JobRun {
+    /// The run of `job` on a gang of `size` workers.
+    fn new(job: &dyn PoolJob, size: usize) -> Arc<JobRun> {
+        let seeds = job.seed_tasks();
+        let detector = TerminationDetector::new(size);
+        for local in 0..size {
+            let share = seeds.len().saturating_sub(local).div_ceil(size);
+            detector.preload(local, share as u64);
+        }
+        // SAFETY: only erases the borrow's lifetime; `run_job` holds the
+        // borrow until `execute` returns, which `JobRef`'s invariant needs.
+        let job = JobRef(unsafe { std::mem::transmute::<&dyn PoolJob, &'static dyn PoolJob>(job) });
+        let aborted = AtomicBool::new(false);
+        Arc::new(JobRun {
+            job,
+            seeds,
+            detector,
+            aborted,
+        })
+    }
+}
+
 /// One gang's job hand-off slot; its workers park on it.
 struct JobState {
     /// Monotone job sequence number; workers track the last one they ran.
     seq: u64,
     /// The job being executed, `None` while the gang is idle.
-    job: Option<JobRef>,
-    /// Per-worker (local tid) seed slices for the current job, taken once.
-    seeds: Vec<Option<Vec<Task>>>,
+    run: Option<Arc<JobRun>>,
     /// Workers still running the current job.
     remaining: usize,
     /// Per-worker results of the current job.
@@ -377,8 +406,7 @@ impl JobState {
     fn fresh(size: usize) -> Self {
         Self {
             seq: 0,
-            job: None,
-            seeds: Vec::new(),
+            run: None,
             remaining: 0,
             results: (0..size).map(|_| None).collect(),
             poisoned: false,
@@ -387,24 +415,17 @@ impl JobState {
     }
 }
 
-/// One independent worker gang: detector and hand-off state.  The gang's
-/// scheduler is not here — its worker threads own it (see [`GangBody`]).
+/// One independent worker gang: its hand-off state.  The gang's scheduler
+/// is not here — its worker threads own it (see [`GangBody`]).
 struct Gang {
     size: usize,
     /// Join handles of this gang's current worker threads.
     threads: Mutex<Vec<JoinHandle<()>>>,
-    detector: TerminationDetector,
     state: Mutex<JobState>,
     /// Workers wait here for `seq` to advance (or `shutdown`).
     job_ready: Condvar,
     /// The coordinator waits here for `remaining` to hit zero.
     job_done: Condvar,
-    /// Set when a worker of this gang dies mid-job.  A dead worker's
-    /// thread-local queues can strand tasks nobody else may serve, so
-    /// quiescence would never be reached — survivors poll this in the
-    /// worker loop's empty-pop path and bail out instead of spinning
-    /// forever.
-    aborted: AtomicBool,
 }
 
 /// The gang allocator's shared state.
@@ -543,10 +564,6 @@ fn respawn_dead_gangs(inner: &Arc<Inner>, st: &mut ClaimState) -> usize {
         // Every old thread is gone, and the old scheduler (possibly left
         // mid-op by the panic) went with the last of them.
         *lock(&gang.state) = JobState::fresh(gang.size);
-        gang.aborted.store(false, Ordering::Release);
-        // A fresh generation also zeroes the detector counters the panicked
-        // job left unbalanced.
-        gang.detector.advance_generation();
         spawn_gang_threads(inner, g, factory(g));
         st.respawned_total += 1;
         st.free.push(g);
@@ -700,11 +717,9 @@ impl WorkerPool {
             .map(|_| Gang {
                 size: config.gang_size,
                 threads: Mutex::new(Vec::with_capacity(config.gang_size)),
-                detector: TerminationDetector::new(config.gang_size),
                 state: Mutex::new(JobState::fresh(config.gang_size)),
                 job_ready: Condvar::new(),
                 job_done: Condvar::new(),
-                aborted: AtomicBool::new(false),
             })
             .collect();
 
@@ -800,46 +815,21 @@ impl WorkerPool {
     /// are unaffected (see the module docs).
     pub fn run_job(&self, job: &dyn PoolJob) -> Result<JobOutput, JobError> {
         let claim = self.claim()?;
-        self.execute(job, &self.inner.gangs[claim.gang])
+        let gang = &self.inner.gangs[claim.gang];
+        self.execute(JobRun::new(job, gang.size), gang)
     }
 
-    /// Runs `job` on the claimed `gang`: seeds split round-robin across its
-    /// workers, the gang runs to quiescence under a fresh detector
-    /// generation, and the workers' results are merged into one metrics
+    /// Runs `run` on the claimed `gang`: each worker seeds its queues with
+    /// its round-robin share of the seeds, the gang runs to quiescence on the
+    /// run's detector, and the workers' results are merged into one metrics
     /// slice.
-    fn execute(&self, job: &dyn PoolJob, gang: &Gang) -> Result<JobOutput, JobError> {
-        // Split the seeds round-robin over the gang's workers so each seeds
-        // its own queues.
-        let mut seeds: Vec<Vec<Task>> = (0..gang.size).map(|_| Vec::new()).collect();
-        for (i, task) in job.seed_tasks().into_iter().enumerate() {
-            seeds[i % gang.size].push(task);
-        }
-
-        // SAFETY: `execute` does not return before every worker of the
-        // claimed gang finished (or abandoned) this job, so the erased
-        // borrow outlives all uses.
-        let job_ref = JobRef(unsafe {
-            std::mem::transmute::<*const dyn PoolJob, *const (dyn PoolJob + 'static)>(
-                job as *const dyn PoolJob,
-            )
-        });
-
+    fn execute(&self, run: Arc<JobRun>, gang: &Gang) -> Result<JobOutput, JobError> {
         let start = Instant::now();
-        // Fresh termination generation for this job: the gang was idle (it
-        // came off the free list), so all its workers are parked and
-        // zeroing the counters races nothing; stale tallies from the
-        // previous job cannot leak in (they assert in debug builds, and a
-        // scan spanning the reset invalidates itself).
-        gang.detector.advance_generation();
-        for (local, seed) in seeds.iter().enumerate() {
-            gang.detector.preload(local, seed.len() as u64);
-        }
         let mut st = lock(&gang.state);
         debug_assert!(!st.poisoned, "claimed a poisoned gang");
         assert!(!st.shutdown, "worker pool is shut down");
         st.seq += 1;
-        st.job = Some(job_ref);
-        st.seeds = seeds.into_iter().map(Some).collect();
+        st.run = Some(run);
         st.remaining = gang.size;
         st.results = (0..gang.size).map(|_| None).collect();
         gang.job_ready.notify_all();

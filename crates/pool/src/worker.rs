@@ -2,7 +2,9 @@
 //! the job's pop/process/quiesce loop, report, park again.
 //!
 //! The loop is the Galois-style `for_each` the paper runs every scheduler
-//! under.  Termination is `smq_runtime::termination`'s: a task is counted
+//! under.  Each job reaches the gang as one `JobRun` made for it alone (its
+//! seeds, a fresh detector, an abort flag).  Termination is
+//! `smq_runtime::termination`'s: a task is counted
 //! published before it becomes visible and completed after it was
 //! processed, so "the pop came back empty and the two-phase scan balances"
 //! is a safe exit even for schedulers that buffer tasks thread-locally
@@ -10,17 +12,19 @@
 //! worker pays for it only after [`SCAN_GATE`] consecutive empty pops
 //! during which the detector's activity epoch did not move.
 //!
-//! Every batch size B ([`PoolConfig::with_batch`]) runs the same loop: a
-//! worker pops up to B tasks per `pop_batch`, hints a batch of two or more
-//! to [`PoolJob::prefetch`], processes it under one unwind guard, and
-//! flushes buffered follow-ups through `push_batch` whenever B are buffered
-//! and at every task boundary; seeds go in `push_batch` calls of at most B.
-//! No insert step carries more than one batch.  Batch 1 is this loop with
-//! B = 1: one-task batch calls, which replay `pop()` and `push()` on every
-//! scheduler family (`tests/pop_paths.rs`).
+//! Every batch size B ([`PoolConfig::with_batch`]) runs the same loop, one
+//! [`Batches::step`] per popped batch: a worker pops up to B tasks per
+//! `pop_batch`, hints a batch of two or more to [`PoolJob::prefetch`],
+//! processes it under one unwind guard, and flushes buffered follow-ups
+//! through `push_batch` whenever B are buffered and at every task
+//! boundary; seeds go in `push_batch` calls of at most B.  No insert step
+//! carries more than one batch.  Batch 1 is this loop with B = 1: one-task
+//! batch calls, which replay `pop()` and `push()` on every scheduler family
+//! (`tests/pop_paths.rs`).
 //!
 //! [`PoolConfig::with_batch`]: crate::PoolConfig::with_batch
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,16 +34,18 @@ use smq_core::{SchedulerHandle, Task};
 use smq_runtime::{WorkerTally, SCAN_GATE};
 use smq_telemetry::{Phase, WorkerTelemetry};
 
-use crate::{lock, Gang, Inner, PoolJob, TaskOutcome, WorkerResult};
+use crate::{lock, Gang, Inner, JobRun, PoolJob, TaskOutcome, WorkerResult};
 
 /// Decrements `remaining` when the worker leaves the job for any reason; a
 /// missing result means the job's `process` panicked, which poisons the
-/// gang instead of deadlocking the coordinator.  (The other half of the
-/// no-deadlock guarantee is the loop's unwind guard in [`run_worker`]: the
-/// in-flight task's completion is recorded even on unwind, so surviving
-/// workers can still reach quiescence and publish their results.)
+/// gang and raises the run's abort flag instead of deadlocking the
+/// coordinator.  (The other half of the no-deadlock guarantee is
+/// [`Batches::step`]'s unwind guard: the in-flight task's completion is
+/// recorded even on unwind, so surviving workers can still reach
+/// quiescence and publish their results.)
 struct CompletionGuard<'a> {
     gang: &'a Gang,
+    run: &'a JobRun,
     local: usize,
     result: Option<WorkerResult>,
 }
@@ -49,28 +55,124 @@ impl Drop for CompletionGuard<'_> {
         let mut st = lock(&self.gang.state);
         if self.result.is_none() {
             st.poisoned = true;
-            // Tell this gang's surviving workers to stop waiting for a
+            // Tell this job's surviving workers to stop waiting for a
             // quiescence that may now be unreachable (tasks stranded in our
             // local queues).
-            self.gang.aborted.store(true, Ordering::Release);
+            self.run.aborted.store(true, Ordering::Release);
         }
         st.results[self.local] = self.result.take();
         st.remaining -= 1;
         if st.remaining == 0 {
-            st.job = None;
+            st.run = None;
             self.gang.job_done.notify_all();
         }
+    }
+}
+
+/// One worker's batch buffers, kept for the thread's whole life so every
+/// job after the first reuses their capacity, and its job's task counts.
+#[derive(Default)]
+pub(crate) struct Batches {
+    /// The popped batch being processed.
+    popped: Vec<Task>,
+    /// Follow-ups buffered until the next flush.
+    sink: Vec<Task>,
+    useful: u64,
+    wasted: u64,
+}
+
+impl Batches {
+    /// One popped batch of at most `batch` tasks (see the module docs);
+    /// `false`, having done nothing else, when the pop came back empty.
+    #[inline]
+    pub(crate) fn step<H: SchedulerHandle<Task>>(
+        &mut self,
+        handle: &mut H,
+        job: &dyn PoolJob,
+        tally: &mut WorkerTally<'_>,
+        batch: usize,
+        mut telemetry: Option<&mut WorkerTelemetry>,
+    ) -> bool {
+        if let Some(t) = telemetry.as_mut() {
+            // While parked, pop attempts coalesce into the open Park span
+            // (no clock read per idle spin); a successful pop ends it via
+            // the Process transition below.
+            if !t.parked() {
+                t.phase(Phase::Pop);
+            }
+        }
+        if handle.pop_batch(&mut self.popped, batch) == 0 {
+            return false;
+        }
+        if let Some(t) = telemetry {
+            // If the handle's steal counter moved during this pop, the span
+            // just spent belongs to Steal.
+            if t.timing_enabled() && t.note_steal_ops(handle.stats().steal_attempts) {
+                t.relabel(Phase::Steal);
+            }
+            // Rank-error probe: the best task this pop returned against the
+            // best key still visible anywhere.
+            if t.probe_due() {
+                t.record_rank_error(self.popped[0].key, handle.min_key_hint());
+            }
+            t.phase(Phase::Process);
+        }
+        // Hint every task's first misses now, so they overlap with the tasks
+        // processed before it.  A lone task would gain nothing (it is
+        // processed next).
+        if self.popped.len() >= 2 {
+            self.popped.iter().for_each(|&task| job.prefetch(task));
+        }
+        // One unwind guard per popped batch.  Each task's completion must be
+        // recorded even if `process` unwinds: the popped task was already
+        // counted published, and skipping its completion would leave the
+        // detector unbalanced — the surviving workers would spin forever in
+        // a never-quiescent scan while the coordinator waits for them.
+        // `catch_unwind` is free on the non-panic path.
+        let processed = catch_unwind(AssertUnwindSafe(|| {
+            for task in self.popped.drain(..) {
+                let mut push = |child| {
+                    self.sink.push(child);
+                    if self.sink.len() >= batch {
+                        flush(handle, tally, &mut self.sink);
+                    }
+                };
+                match job.process(task, &mut push) {
+                    TaskOutcome::Useful => self.useful += 1,
+                    TaskOutcome::Wasted => self.wasted += 1,
+                }
+                // Publish-before-flush at the task boundary: the task's
+                // follow-ups are credited and made visible *before* its
+                // completion is recorded, so the sums can never balance
+                // while its children are outstanding.
+                flush(handle, tally, &mut self.sink);
+                tally.record_completion();
+            }
+        }));
+        if let Err(payload) = processed {
+            // Exactly one task was in flight: earlier tasks of the batch
+            // recorded their own completions.  Its un-flushed follow-ups
+            // were never credited nor visible, so dropping them keeps the
+            // detector balanced.  The batch's remaining tasks went with the
+            // drain and stay uncompleted, stranded like the dead worker's
+            // thread-local queues — the run's abort flag handles both.
+            self.sink.clear();
+            tally.record_completion();
+            resume_unwind(payload);
+        }
+        true
     }
 }
 
 /// One worker's park/execute loop, generic over the handle so each
 /// `gang_body` monomorphizes the whole job hot path.
 ///
-/// A job runs until this worker observes quiescence — or, once a sibling
-/// died mid-job (`gang.aborted`), until it next finds the scheduler empty:
-/// a dead worker's thread-local queues can strand published tasks, so
-/// survivors leave whatever is still queued, and the gang is retired or
-/// respawned, never reused as-is.  Nothing else ends a job early.
+/// A job runs until this worker observes quiescence on the run's detector
+/// — or, once a sibling died mid-job (the run's `aborted`), until it next
+/// finds the scheduler empty: a dead worker's thread-local queues can
+/// strand published tasks, so survivors leave whatever is still queued,
+/// and the gang is retired or respawned, never reused as-is.  Nothing else
+/// ends a job early.
 pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
     inner: &Arc<Inner>,
     gang_idx: usize,
@@ -78,12 +180,7 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
     handle: &mut H,
 ) {
     let gang = &inner.gangs[gang_idx];
-    let (batch, detector) = (inner.batch_size, &gang.detector);
-    // Kept for the thread's whole life, so every job after the first
-    // reuses their capacity.  `pop_buf` holds the batch being processed,
-    // `sink_buf` the follow-ups buffered until the next flush.
-    let mut pop_buf = Vec::with_capacity(batch);
-    let mut sink_buf = Vec::with_capacity(batch);
+    let (batch, mut batches) = (inner.batch_size, Batches::default());
     let mut last_seq = 0u64;
     // When this worker last went idle: the gap until its next job is
     // accounted as Park time.
@@ -91,16 +188,14 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
 
     loop {
         // Park until a new job (or shutdown) arrives on this gang.
-        let (job_ref, seeds, seq) = {
+        let (run, seq) = {
             let mut st = lock(&gang.state);
             loop {
                 if st.shutdown {
                     return;
                 }
                 if st.seq > last_seq {
-                    let job_ref = st.job.expect("job published without a body");
-                    let seeds = st.seeds[local].take().expect("seed slice taken twice");
-                    break (job_ref, seeds, st.seq);
+                    break (st.run.clone().expect("job published without a run"), st.seq);
                 }
                 st = gang.job_ready.wait(st).unwrap_or_else(|e| e.into_inner());
             }
@@ -109,27 +204,31 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
 
         let mut guard = CompletionGuard {
             gang,
+            run: &run,
             local,
             result: None,
         };
         // SAFETY: valid until this worker's guard decrements `remaining`
         // (see `JobRef`).
-        let job: &dyn PoolJob = unsafe { &*job_ref.0 };
+        let job: &dyn PoolJob = unsafe { &*run.job.0 };
+        let detector = &run.detector;
         let stats_before = handle.stats();
         let mut tally = detector.tally(local);
         // `None` when telemetry is disabled: the loop then takes no
         // timestamps and makes no extra handle calls, which keeps
         // single-thread `OpStats` bit-identical to an uninstrumented run.
         let mut telemetry = WorkerTelemetry::begin(&inner.telemetry, Some(idle_since));
-        // Seeds were pre-credited by the coordinator; they become visible
+        // The seeds were pre-credited when the run was made.  This worker's
+        // share, every `gang.size`-th seed from `local` on, becomes visible
         // one batch per insert step, like every follow-up.
-        for chunk in seeds.chunks(batch) {
-            sink_buf.extend_from_slice(chunk);
-            handle.push_batch(&mut sink_buf);
+        let mut seeds = run.seeds.iter().skip(local).step_by(gang.size).peekable();
+        while seeds.peek().is_some() {
+            batches.sink.extend(seeds.by_ref().take(batch));
+            handle.push_batch(&mut batches.sink);
         }
         handle.flush();
 
-        let (mut useful, mut wasted, mut scans) = (0u64, 0u64, 0u64);
+        let mut scans = 0u64;
         let backoff = Backoff::new();
         // Empty pops observed since the last scan (or since the last
         // activity epoch move); `was_idle` tracks idle→busy transitions for
@@ -139,133 +238,63 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
         let mut was_idle = false;
         let mut seen_epoch = detector.activity_epoch();
         loop {
-            if let Some(t) = telemetry.as_mut() {
-                // While parked, pop attempts coalesce into the open Park
-                // span (no clock read per idle spin); a successful pop ends
-                // it via the Process transition below.
-                if !t.parked() {
-                    t.phase(Phase::Pop);
-                }
-            }
-            if handle.pop_batch(&mut pop_buf, batch) > 0 {
-                if let Some(t) = telemetry.as_mut() {
-                    // If the handle's steal counter moved during this pop,
-                    // the span just spent belongs to Steal.
-                    if t.timing_enabled() && t.note_steal_ops(handle.stats().steal_attempts) {
-                        t.relabel(Phase::Steal);
-                    }
-                    // Rank-error probe: the best task this pop returned
-                    // against the best key still visible anywhere.
-                    if t.probe_due() {
-                        t.record_rank_error(pop_buf[0].key, handle.min_key_hint());
-                    }
-                    t.phase(Phase::Process);
-                }
+            if batches.step(handle, job, &mut tally, batch, telemetry.as_mut()) {
                 if was_idle {
-                    // Only the first pop after a barren stretch tells the
+                    // Only the first batch after a barren stretch tells the
                     // scanners the system moved.
                     detector.note_activity();
                     was_idle = false;
                 }
                 empty_streak = 0;
                 backoff.reset();
-                // Hint every task's first misses now, so they overlap with
-                // the tasks processed before it.  A lone task would gain
-                // nothing (it is processed next).
-                if pop_buf.len() >= 2 {
-                    pop_buf.iter().for_each(|&task| job.prefetch(task));
+                continue;
+            }
+            if let Some(t) = telemetry.as_mut() {
+                // Flush is only worth a span on the first empty pop of a
+                // streak; later iterations flush nothing and stay parked.
+                if !t.parked() {
+                    t.phase(Phase::Flush);
                 }
-                // One unwind guard per popped batch.  Each task's completion
-                // must be recorded even if `process` unwinds: the popped
-                // task was already counted published, and skipping its
-                // completion would leave the detector unbalanced — the
-                // surviving workers would spin forever in a never-quiescent
-                // scan while the coordinator waits for them.
-                // `catch_unwind` is free on the non-panic path.
-                let panic_payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    for task in pop_buf.drain(..) {
-                        let mut push = |child| {
-                            sink_buf.push(child);
-                            if sink_buf.len() >= batch {
-                                flush(handle, &mut tally, &mut sink_buf);
-                            }
-                        };
-                        match job.process(task, &mut push) {
-                            TaskOutcome::Useful => useful += 1,
-                            TaskOutcome::Wasted => wasted += 1,
-                        }
-                        // Publish-before-flush at the task boundary: the
-                        // task's follow-ups are credited and made visible
-                        // *before* its completion is recorded, so the sums
-                        // can never balance while its children are
-                        // outstanding.
-                        flush(handle, &mut tally, &mut sink_buf);
-                        tally.record_completion();
-                    }
-                }))
-                .err();
-                if let Some(payload) = panic_payload {
-                    // Exactly one task was in flight: earlier tasks of the
-                    // batch recorded their own completions.  Its un-flushed
-                    // follow-ups were never credited nor visible, so
-                    // dropping them keeps the detector balanced.  The
-                    // batch's remaining tasks went with the drain and stay
-                    // uncompleted, stranded like the dead worker's
-                    // thread-local queues — the gang's poisoning
-                    // (`aborted`) handles both.
-                    sink_buf.clear();
-                    tally.record_completion();
-                    std::panic::resume_unwind(payload);
-                }
+            }
+            // Anything buffered locally must become visible before we
+            // conclude the system might be done.  (The sink is always empty
+            // here — it flushes at every task boundary.)
+            handle.flush();
+            if run.aborted.load(Ordering::Acquire) {
+                break;
+            }
+            was_idle = true;
+            let epoch = detector.activity_epoch();
+            if epoch != seen_epoch {
+                // Work appeared somewhere since we last looked: the system
+                // is churning, a scan now would likely fail.
+                seen_epoch = epoch;
+                empty_streak = 1;
             } else {
+                empty_streak += 1;
+            }
+            if empty_streak >= SCAN_GATE {
                 if let Some(t) = telemetry.as_mut() {
-                    // Flush is only worth a span on the first empty pop of
-                    // a streak; later iterations flush nothing and stay
-                    // parked.
-                    if !t.parked() {
-                        t.phase(Phase::Flush);
-                    }
+                    t.phase(Phase::Scan);
                 }
-                // Anything buffered locally must become visible before we
-                // conclude the system might be done.  (`sink_buf` is
-                // always empty here — it flushes at every task boundary.)
-                handle.flush();
-                if gang.aborted.load(Ordering::Acquire) {
+                // Looked stable for `SCAN_GATE` empty pops: pay for one
+                // O(threads) scan, then require a fresh streak before the
+                // next one.
+                empty_streak = 0;
+                scans += 1;
+                if detector.quiescent() {
                     break;
                 }
-                was_idle = true;
-                let epoch = detector.activity_epoch();
-                if epoch != seen_epoch {
-                    // Work appeared somewhere since we last looked: the
-                    // system is churning, a scan now would likely fail.
-                    seen_epoch = epoch;
-                    empty_streak = 1;
-                } else {
-                    empty_streak += 1;
-                }
-                if empty_streak >= SCAN_GATE {
-                    if let Some(t) = telemetry.as_mut() {
-                        t.phase(Phase::Scan);
-                    }
-                    // Looked stable for `SCAN_GATE` empty pops: pay for one
-                    // O(threads) scan, then require a fresh streak before
-                    // the next one.
-                    empty_streak = 0;
-                    scans += 1;
-                    if detector.quiescent() {
-                        break;
-                    }
-                }
-                if let Some(t) = telemetry.as_mut() {
-                    t.phase(Phase::Park);
-                }
-                backoff.snooze();
             }
+            if let Some(t) = telemetry.as_mut() {
+                t.phase(Phase::Park);
+            }
+            backoff.snooze();
         }
 
         guard.result = Some(WorkerResult {
-            useful,
-            wasted,
+            useful: std::mem::take(&mut batches.useful),
+            wasted: std::mem::take(&mut batches.wasted),
             scans,
             stats: handle.stats().delta_since(&stats_before),
             telemetry: telemetry.map(WorkerTelemetry::finish),
@@ -292,16 +321,19 @@ fn flush<H: SchedulerHandle<Task>>(
 
 #[cfg(test)]
 mod tests {
+    use super::Batches;
     use crate::common::hang_guard;
     use crate::{
-        JobError, JobOutput, PoolConfig, PoolJob, TaskOutcome, WorkerPool, DEFAULT_BATCH_SIZE,
+        JobError, JobOutput, JobRun, PoolConfig, PoolJob, TaskOutcome, WorkerPool,
+        DEFAULT_BATCH_SIZE,
     };
     use smq_core::{OpStats, Scheduler, SchedulerHandle, Task};
-    use smq_runtime::SCAN_GATE;
+    use smq_runtime::{TerminationDetector, SCAN_GATE};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicU64 as Counter, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     /// A minimal strict scheduler (single global locked heap) used to test
     /// the loop independently of the real schedulers.
@@ -545,27 +577,39 @@ mod tests {
         });
     }
 
-    /// Seeds `0..seeds`; every task below 1000 pushes two children.  Worker
-    /// 0 panics inside the `panic_at`-th task it processes (1-based), after
-    /// that task has pushed its first child.  Any other worker holds its
-    /// first task until the gang is aborted, so worker 0 is sure to find a
-    /// full batch, and pushes nothing.
-    struct PanicJob<'a> {
+    /// Seeds `0..seeds`; every task below 1000 pushes two children.  Pool
+    /// worker 1 (`smq-pool-0-1`) holds its first task until another thread
+    /// has panicked, so that one is sure to find a full batch, and pushes
+    /// nothing.  Any other thread raises `panicked` and panics inside the
+    /// `panic_at`-th task it processes (1-based), after that task has pushed
+    /// its first child.
+    struct PanicJob {
         seeds: u64,
         panic_at: u64,
         processed: Counter,
-        aborted: &'a AtomicBool,
+        panicked: AtomicBool,
     }
 
-    impl PoolJob for PanicJob<'_> {
+    impl PanicJob {
+        fn new(seeds: u64, panic_at: u64) -> Self {
+            Self {
+                seeds,
+                panic_at,
+                processed: Counter::new(0),
+                panicked: AtomicBool::new(false),
+            }
+        }
+    }
+
+    impl PoolJob for PanicJob {
         fn seed_tasks(&self) -> Vec<Task> {
             (0..self.seeds).map(|key| Task::new(key, key)).collect()
         }
 
         fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
             // Pool threads are named `smq-pool-<gang>-<worker>`.
-            if std::thread::current().name() != Some("smq-pool-0-0") {
-                while !self.aborted.load(Ordering::Acquire) {
+            if std::thread::current().name() == Some("smq-pool-0-1") {
+                while !self.panicked.load(Ordering::Acquire) {
                     std::thread::yield_now();
                 }
                 return TaskOutcome::Useful;
@@ -574,6 +618,7 @@ mod tests {
             if task.key < 1_000 {
                 push(Task::new(task.key + 1_000, task.value));
                 if processed == self.panic_at {
+                    self.panicked.store(true, Ordering::Release);
                     panic!("task {} fails after buffering a child", task.key);
                 }
                 push(Task::new(task.key + 2_000, task.value));
@@ -584,41 +629,41 @@ mod tests {
 
     #[test]
     fn panic_in_kth_task_of_a_batch_records_exactly_k_completions() {
-        hang_guard(|| {
-            const SEEDS: u64 = 100;
-            let batch = DEFAULT_BATCH_SIZE as u64;
-            for k in 1..=batch {
-                let sched = LockedHeap::new(1);
-                let pending = WorkerPool::with_borrowed(&sched, PoolConfig::new(1), |pool| {
-                    let gang = &pool.inner.gangs[0];
-                    let job = PanicJob {
-                        seeds: SEEDS,
-                        panic_at: k,
-                        processed: Counter::new(0),
-                        aborted: &gang.aborted,
-                    };
-                    assert_eq!(pool.run_job(&job).map(|_| ()), Err(JobError::Lost));
-                    gang.detector.pending_estimate()
-                });
-                // The first popped batch held seeds 0..8.  The k-1 tasks
-                // before the panicking one flushed two children each; the
-                // panicking task's buffered child was dropped unflushed.
-                let visible_children = 2 * (k - 1);
-                assert_eq!(
-                    sched.heap.lock().unwrap().len() as u64,
-                    SEEDS - batch + visible_children,
-                    "k={k}: only completed tasks' children may be visible"
-                );
-                // published - completed: no more than k tasks started, so
-                // this balance holds only with exactly k completions
-                // recorded and no child credited without being visible.
-                assert_eq!(
-                    pending,
-                    SEEDS + visible_children - k,
-                    "k={k}: completions or credits are off"
-                );
-            }
-        });
+        const SEEDS: u64 = 100;
+        let batch = DEFAULT_BATCH_SIZE as u64;
+        for k in 1..=batch {
+            // One step on a hand-built run: the seeds visible and
+            // pre-credited, as a pool worker starts a job.
+            let sched = LockedHeap::new(1);
+            let mut handle = sched.handle(0);
+            let job = PanicJob::new(SEEDS, k);
+            handle.push_batch(&mut job.seed_tasks());
+            let detector = TerminationDetector::new(1);
+            detector.preload(0, SEEDS);
+            let mut tally = detector.tally(0);
+            let mut batches = Batches::default();
+            let step = catch_unwind(AssertUnwindSafe(|| {
+                batches.step(&mut handle, &job, &mut tally, DEFAULT_BATCH_SIZE, None)
+            }));
+            assert!(step.is_err(), "k={k}: the k-th task must unwind the step");
+            // The popped batch held seeds 0..8.  The k-1 tasks before the
+            // panicking one flushed two children each; the panicking task's
+            // buffered child was dropped unflushed.
+            let visible_children = 2 * (k - 1);
+            assert_eq!(
+                sched.heap.lock().unwrap().len() as u64,
+                SEEDS - batch + visible_children,
+                "k={k}: only completed tasks' children may be visible"
+            );
+            // published - completed: no more than k tasks started, so this
+            // balance holds only with exactly k completions recorded and no
+            // child credited without being visible.
+            assert_eq!(
+                detector.pending_estimate(),
+                SEEDS + visible_children - k,
+                "k={k}: completions or credits are off"
+            );
+        }
     }
 
     #[test]
@@ -626,16 +671,16 @@ mod tests {
         hang_guard(|| {
             let sched = LockedHeap::new(2);
             WorkerPool::with_borrowed(&sched, PoolConfig::new(2), |pool| {
-                let gang = &pool.inner.gangs[0];
-                let job = PanicJob {
-                    seeds: 1_000,
-                    panic_at: 3,
-                    processed: Counter::new(0),
-                    aborted: &gang.aborted,
-                };
-                // Worker 0's completion guard poisons the gang and raises
+                let job = PanicJob::new(1_000, 3);
+                // `run_job`'s two steps, keeping a share of the run to read
+                // its detector and abort flag after the job.
+                let claim = pool.claim().expect("a fresh pool has a gang");
+                let gang = &pool.inner.gangs[claim.gang];
+                let run = JobRun::new(&job, gang.size);
+                let lost = pool.execute(Arc::clone(&run), gang).map(|_| ());
+                assert_eq!(lost, Err(JobError::Lost));
+                // Worker 0's completion guard poisoned the gang and raised
                 // `aborted`; the job is lost, but worker 1 reported.
-                assert_eq!(pool.run_job(&job).map(|_| ()), Err(JobError::Lost));
                 let survivor = crate::lock(&gang.state).results[1]
                     .take()
                     .expect("the survivor must not panic");
@@ -643,8 +688,9 @@ mod tests {
                 // The dead worker's batch stranded five popped, uncompleted
                 // tasks: quiescence was unreachable, so the survivor left
                 // through `aborted`.
-                assert_eq!(gang.detector.pending_estimate(), 5);
-                assert!(!gang.detector.quiescent());
+                assert!(run.aborted.load(Ordering::Acquire));
+                assert_eq!(run.detector.pending_estimate(), 5);
+                assert!(!run.detector.quiescent());
             });
         });
     }

@@ -28,8 +28,11 @@ use smq_core::Probability;
 pub struct RankSimConfig {
     /// Number of queues / threads `n`.
     pub queues: usize,
-    /// Number of tasks inserted before the removal phase (`T` in the paper;
-    /// must be comfortably larger than `queues · batch · steps`).
+    /// Number of tasks inserted before the removal phase (`T` in the paper).
+    /// Must be at least `batch · steps`, since each delete removes at most
+    /// `batch` tasks; keep a margin above that, because single queues run
+    /// dry before the whole set does, and a run that drains its queues
+    /// measures the drain, not the process.
     pub initial_tasks: usize,
     /// Batch size `B` removed per delete.
     pub batch: usize,
@@ -68,8 +71,11 @@ impl RankSimConfig {
         assert!((0.0..1.0).contains(&self.gamma), "gamma must be in [0, 1)");
         assert!(self.steps >= 1, "need at least one step");
         assert!(
-            self.initial_tasks >= self.queues * self.batch * 2,
-            "too few initial tasks for the requested run"
+            self.steps * self.batch <= self.initial_tasks,
+            "too few initial tasks: {} steps of batch {} can remove more than {}",
+            self.steps,
+            self.batch,
+            self.initial_tasks
         );
     }
 }
@@ -279,6 +285,17 @@ mod tests {
             ..RankSimConfig::default()
         };
         assert!(std::panic::catch_unwind(|| c.validate()).is_err());
+        // 20 000 deletes of 32 could remove 640 000 of 200 000 tasks.
+        let c = RankSimConfig {
+            batch: 32,
+            ..RankSimConfig::default()
+        };
+        assert!(std::panic::catch_unwind(|| c.validate()).is_err());
+        RankSimConfig {
+            batch: 10,
+            ..RankSimConfig::default()
+        }
+        .validate();
     }
 
     #[test]

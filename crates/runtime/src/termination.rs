@@ -42,26 +42,12 @@
 //! transiently equal while that task's children are live — the scan would
 //! then terminate the run with work outstanding.
 //!
-//! # Generations: one detector, many jobs
+//! # One detector per run
 //!
-//! The resident worker pool (`smq-pool`) reuses one detector for a whole
-//! stream of jobs.  Between jobs — while every worker is parked — the
-//! coordinator calls [`TerminationDetector::advance_generation`], which
-//! zeroes all counters and bumps a generation number.  With a
-//! gang-partitioned pool there is one detector **per gang**, sized to the
-//! gang: a detector instance only ever covers workers that share a
-//! scheduler, so one gang's quiescence scan cannot observe another gang's
-//! counters and concurrent jobs advance their generations independently.
-//! Two mechanisms keep a tally from job N from leaking into job N+1:
-//!
-//! * a [`WorkerTally`] snapshots the generation it was created under and
-//!   `debug_assert`s it on every counter update, so a handle held across a
-//!   job boundary is caught in tests rather than silently corrupting the
-//!   next job's accounting;
-//! * [`TerminationDetector::quiescent`] re-reads the generation after the
-//!   two-phase scan and reports "not quiescent" if it moved — a scan that
-//!   straddles a generation boundary mixes counters from two jobs and its
-//!   sums mean nothing.
+//! A detector covers exactly one run: the pool makes a fresh one for every
+//! job, sized to the gang that runs it.  A scan therefore reads only its own
+//! run's counters, and a [`WorkerTally`] borrows its detector, so it cannot
+//! outlive the run it counts for.
 //!
 //! # The activity epoch
 //!
@@ -93,48 +79,23 @@ struct WorkerCounter {
     completed: AtomicU64,
 }
 
-/// Per-worker termination counters, reusable across jobs via generations.
+/// Per-worker termination counters for one run.
 #[derive(Debug)]
 pub struct TerminationDetector {
     workers: Vec<CachePadded<WorkerCounter>>,
-    /// Bumped by [`advance_generation`](Self::advance_generation) between
-    /// jobs; validates tallies and in-flight scans against job boundaries.
-    generation: AtomicU64,
     /// Bumped when a previously idle worker finds work again; the worker
     /// loop uses it to gate the O(threads) quiescence scan (see module docs).
     activity: AtomicU64,
 }
 
 impl TerminationDetector {
-    /// Creates counters for `threads` workers, all zero, at generation 0.
+    /// Creates counters for `threads` workers, all zero.
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "need at least one worker");
         Self {
             workers: (0..threads).map(|_| CachePadded::default()).collect(),
-            generation: AtomicU64::new(0),
             activity: AtomicU64::new(0),
         }
-    }
-
-    /// Starts a fresh accounting generation: zeroes every counter and bumps
-    /// the generation number.
-    ///
-    /// # Precondition
-    /// No [`WorkerTally`] from the previous generation may still be used for
-    /// recording — the worker pool guarantees this by only advancing while
-    /// every worker is parked between jobs.  Tallies from the old
-    /// generation `debug_assert` if used afterwards.
-    pub fn advance_generation(&self) {
-        for w in &self.workers {
-            w.published.store(0, Ordering::Relaxed);
-            w.completed.store(0, Ordering::Relaxed);
-        }
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// The current accounting generation.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
     }
 
     /// The current activity epoch (see the module docs).
@@ -152,8 +113,8 @@ impl TerminationDetector {
 
     /// Pre-credits `count` published tasks to worker `tid`.
     ///
-    /// Must be called before the workers start on the job (the pool credits
-    /// each worker's seed slice here) so that no scan can observe an
+    /// Must be called before the workers start on the run (the pool credits
+    /// each worker's share of the seeds here) so that no scan can observe an
     /// all-zero state while seed tasks are still being distributed.
     pub fn preload(&self, tid: usize, count: u64) {
         self.workers[tid].published.store(count, Ordering::Relaxed);
@@ -169,46 +130,31 @@ impl TerminationDetector {
         WorkerTally {
             published: counter.published.load(Ordering::Relaxed),
             completed: counter.completed.load(Ordering::Relaxed),
-            generation: self.generation.load(Ordering::Acquire),
-            generation_cell: &self.generation,
             counter,
         }
     }
 
     /// The two-phase quiescence scan: `true` iff every published task has
     /// been processed (see the module docs for why the phase order matters).
-    ///
-    /// A scan that races a generation boundary (the worker pool resetting
-    /// the counters between jobs) conservatively reports `false`.
     pub fn quiescent(&self) -> bool {
-        let generation = self.generation.load(Ordering::Acquire);
-        let completed: u64 = self
-            .workers
-            .iter()
-            .map(|w| w.completed.load(Ordering::Acquire))
-            .sum();
-        let published: u64 = self
-            .workers
-            .iter()
-            .map(|w| w.published.load(Ordering::Acquire))
-            .sum();
-        completed == published && self.generation.load(Ordering::Acquire) == generation
+        let (completed, published) = self.sums();
+        completed == published
     }
 
     /// Best-effort count of tasks pushed but not yet processed
-    /// (diagnostics only; racy under concurrency).
+    /// (diagnostics only; racy under concurrency, read as the scan reads).
     pub fn pending_estimate(&self) -> u64 {
-        let published: u64 = self
-            .workers
-            .iter()
-            .map(|w| w.published.load(Ordering::Acquire))
-            .sum();
-        let completed: u64 = self
-            .workers
-            .iter()
-            .map(|w| w.completed.load(Ordering::Acquire))
-            .sum();
+        let (completed, published) = self.sums();
         published.saturating_sub(completed)
+    }
+
+    /// The scan's two phases, in order: every worker's `completed`, then
+    /// every worker's `published`.
+    fn sums(&self) -> (u64, u64) {
+        let load = |cell: &AtomicU64| cell.load(Ordering::Acquire);
+        let completed = self.workers.iter().map(|w| load(&w.completed)).sum();
+        let published = self.workers.iter().map(|w| load(&w.published)).sum();
+        (completed, published)
     }
 }
 
@@ -217,24 +163,11 @@ impl TerminationDetector {
 #[derive(Debug)]
 pub struct WorkerTally<'a> {
     counter: &'a WorkerCounter,
-    /// Generation this tally was created under; recording against a newer
-    /// generation is a cross-job leak and asserts in debug builds.
-    generation: u64,
-    generation_cell: &'a AtomicU64,
     published: u64,
     completed: u64,
 }
 
 impl WorkerTally<'_> {
-    #[inline]
-    fn assert_generation(&self) {
-        debug_assert_eq!(
-            self.generation,
-            self.generation_cell.load(Ordering::Relaxed),
-            "WorkerTally used across a generation boundary (job-to-job leak)"
-        );
-    }
-
     /// Counts `n` tasks as published in **one** counter store.  **Must be
     /// called before any of the `n` tasks becomes visible to the
     /// scheduler** — the soundness of the quiescence scan depends on it
@@ -248,7 +181,6 @@ impl WorkerTally<'_> {
         if n == 0 {
             return;
         }
-        self.assert_generation();
         self.published += n;
         // Release pairs with the Acquire scan loads: a scanner that sees
         // this value also sees every earlier scheduler write by this worker.
@@ -262,7 +194,6 @@ impl WorkerTally<'_> {
     /// task" half of the delta-batching scheme.
     #[inline]
     pub fn record_completion(&mut self) {
-        self.assert_generation();
         self.completed += 1;
         self.counter
             .completed
@@ -318,39 +249,6 @@ mod tests {
         assert!(!det.quiescent());
         tally.record_completion();
         assert!(det.quiescent());
-    }
-
-    #[test]
-    fn generation_advance_resets_counters() {
-        let det = TerminationDetector::new(2);
-        assert_eq!(det.generation(), 0);
-        det.preload(0, 3);
-        {
-            // Generation-0 tally; must not outlive the advance below.
-            let mut tally = det.tally(0);
-            tally.record_completion();
-        }
-        assert!(!det.quiescent());
-        det.advance_generation();
-        assert_eq!(det.generation(), 1);
-        assert!(det.quiescent(), "fresh generation starts balanced");
-        assert_eq!(det.pending_estimate(), 0);
-        // A tally from the new generation works normally.
-        let mut tally = det.tally(0);
-        tally.record_pushes(1);
-        assert!(!det.quiescent());
-        tally.record_completion();
-        assert!(det.quiescent());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "generation boundary")]
-    fn stale_tally_is_caught_in_debug_builds() {
-        let det = TerminationDetector::new(1);
-        let mut tally = det.tally(0);
-        det.advance_generation();
-        tally.record_pushes(1); // must assert: tally belongs to generation 0
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * **Reuse is invisible** — N sequential jobs on one `WorkerPool` produce
 //!   results identical to N fresh one-shot `run_parallel` runs, with
-//!   per-job `pushes == pops` (termination generations keep job accounting
-//!   from leaking across jobs);
+//!   per-job `pushes == pops` (each job's own termination detector keeps
+//!   its accounting from leaking across jobs);
 //! * **Workers are resident** — a pool serving ≥ 1000 route queries spawns
 //!   its threads exactly once (the acceptance criterion's "zero thread
 //!   respawns", asserted via `PoolStats::threads_spawned`);
@@ -81,7 +81,7 @@ proptest! {
             let pool = smq_pool(threads, seed);
 
             // Alternate workload types across the job stream so consecutive
-            // jobs differ — the harder case for generation isolation.
+            // jobs differ — the harder case for per-job isolation.
             for job in 0..6 {
                 let (pooled, fresh) = match job % 3 {
                     0 => {

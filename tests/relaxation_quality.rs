@@ -85,8 +85,10 @@ fn rank_model_and_scheduler_agree_on_batching_direction() {
         batch: 1,
         ..RankSimConfig::default()
     });
+    // Twice the tasks its deletes can remove, so no queue drains.
     let model_large = simulate(&RankSimConfig {
         batch: 32,
+        initial_tasks: 2 * 32 * RankSimConfig::default().steps,
         ..RankSimConfig::default()
     });
     assert!(model_large.mean_removed_rank > model_small.mean_removed_rank);
