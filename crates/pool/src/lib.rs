@@ -27,24 +27,22 @@
 //! and the single-gang pool of `PoolConfig::new` runs one job at a time on
 //! the whole fleet.
 //!
-//! # Panic containment and gang respawn
+//! # Panic containment and scheduler rebuild
 //!
-//! A job whose `process` panics kills the worker it ran on, which strands
-//! that worker's thread-local queues; the gang it happened on is therefore
-//! **poisoned** and pulled from the allocator (its surviving workers bail
-//! out via the job's abort flag instead of spinning on an unreachable
-//! quiescence).
-//! The `run_job` call that owned the gang returns
-//! [`Err(JobError::Lost)`](JobError::Lost); *other* gangs — and their
-//! in-flight jobs — are untouched, so a long-lived service survives a bad
-//! job.  On pools built from a scheduler *factory*
-//! ([`new_partitioned`](WorkerPool::new_partitioned)) a poisoned gang is
-//! then **respawned** at the next claim: its surviving workers are joined
-//! (which drops the old scheduler — see "Scheduler ownership" below), the
-//! stored factory builds a fresh scheduler, fresh threads start on it, and
-//! the gang returns to the free list — so `live_gangs` recovers to the
-//! configured gang count after any panic storm
-//! ([`PoolStats::gangs_respawned`] counts the rebuilds).
+//! Each worker runs its share of a job inside one `catch_unwind`, so a
+//! panicking job costs the job, not the thread: the worker reports no
+//! result, which **poisons** the gang and raises the job's abort flag (the
+//! panic may strand tasks in its thread-local queues, so its siblings leave
+//! at their next empty pop instead of waiting for an unreachable
+//! quiescence), and parks again.  The `run_job` call that owned the gang
+//! returns [`Err(JobError::Lost)`](JobError::Lost); *other* gangs — and
+//! their in-flight jobs — are untouched.  On pools built from a scheduler
+//! *factory* ([`new_partitioned`](WorkerPool::new_partitioned)) the next
+//! claim **rebuilds the poisoned gang's scheduler** in its slot (dropping
+//! the old one, possibly left mid-operation by the panic) for the same
+//! threads, so `live_gangs` recovers after any panic storm
+//! ([`PoolStats::gangs_respawned`] counts the rebuilds) while
+//! [`PoolStats::threads_spawned`] stays at the fleet size.
 //! [`respawn_dead`](WorkerPool::respawn_dead) forces the same rebuild at a
 //! moment of the caller's choosing.  Pools without a factory
 //! ([`WorkerPool::new`], [`with_borrowed`](WorkerPool::with_borrowed))
@@ -71,23 +69,22 @@
 //!
 //! # Scheduler ownership
 //!
-//! Worker threads are OS threads, so the scheduler they share must outlive
-//! them.  There is one rule: **a gang's scheduler is owned by the gang
-//! body its worker threads run**.  Every constructor wraps each gang's
-//! scheduler in a typed closure (create this worker's handle, run the
-//! monomorphized worker loop on it); each thread of the gang holds one
-//! `Arc` share of that closure and nothing else does, so the scheduler is
-//! dropped when the last thread of its generation exits — at pool
-//! shutdown, or when a respawn joins a poisoned generation before calling
-//! the factory again.  No pointer to a scheduler is ever stored.
+//! There is one rule: **a gang's scheduler lives in its gang's slot, and
+//! workers borrow it one job at a time.**  At the start of each job a
+//! worker read-locks the slot and makes its scheduler handle from it; it
+//! drops the handle and the lock before it reports, so no handle is alive
+//! between jobs.  A rebuild write-locks the slot and drops the old
+//! scheduler there.  The slot is typed, so every hot-path scheduler call
+//! in the worker loop is a direct (typically inlined) call — no `Box`, no
+//! vtable per operation.
 //!
-//! * [`WorkerPool::new`] moves a single-gang scheduler into the body;
-//! * [`WorkerPool::new_partitioned`] does the same with one factory-built
-//!   scheduler per gang, and keeps the factory for respawns;
-//! * [`WorkerPool::with_borrowed`] puts a `&S` into the body instead and
-//!   starts its workers on a [`std::thread::scope`], which joins every
-//!   one of them before returning (also on unwind) — the scoped mode
-//!   backing `smq_algos::engine::run_parallel`.
+//! * [`WorkerPool::new`] moves a single-gang scheduler into its slot;
+//! * [`WorkerPool::new_partitioned`] fills one slot per gang from a
+//!   factory, and keeps the factory for rebuilds;
+//! * [`WorkerPool::with_borrowed`] puts a `&S` into the slot and starts its
+//!   workers on a [`std::thread::scope`], which joins every one of them
+//!   before returning (also on unwind) — the scoped mode backing
+//!   `smq_algos::engine::run_parallel`.
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
@@ -97,8 +94,9 @@ mod worker;
 
 pub use service::{JobCompletion, JobService, JobTicket, ServiceConfig, ServiceStats, SubmitError};
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::{Builder, JoinHandle};
 use std::time::Instant;
 
@@ -106,7 +104,7 @@ use smq_core::{OpStats, Scheduler, Task};
 use smq_runtime::{RunMetrics, TerminationDetector};
 use smq_telemetry::{TelemetryConfig, TelemetryReport};
 
-use worker::run_worker;
+use worker::{run_share, run_worker};
 
 /// Why a pool job produced no output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +112,7 @@ pub enum JobError {
     /// The job (or a pool worker executing it) panicked; the gang it ran on
     /// was poisoned.  The job may have had partial side effects.
     Lost,
-    /// Every gang of the pool is dead and cannot be respawned (no scheduler
+    /// Every gang of the pool is dead and cannot be rebuilt (no scheduler
     /// factory), so nothing can serve the job.
     NoCapacity,
 }
@@ -265,9 +263,8 @@ pub trait PoolJob: Sync {
 /// Accounting from one pool job.
 #[derive(Debug, Clone)]
 pub struct JobOutput {
-    /// Wall-clock and scheduler-operation metrics, carved per-job out of
-    /// the persistent worker handles via `OpStats::delta_since`.  Covers
-    /// exactly the workers of the gang this job claimed — the job's
+    /// Wall-clock and scheduler-operation metrics, summed over the handles
+    /// the workers of the gang this job claimed made for it — the job's
     /// metrics slice.
     pub metrics: RunMetrics,
     /// Tasks whose execution advanced the job.
@@ -296,25 +293,23 @@ impl JobOutput {
 /// Point-in-time pool counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker threads spawned over the pool's entire lifetime.  Equals the
-    /// configured fleet size unless a poisoned gang was respawned (each
-    /// rebuild spawns `gang_size` fresh threads); at zero faults this is
-    /// the metric service tests assert "zero thread respawns" with.
+    /// Worker threads spawned over the pool's entire lifetime: always the
+    /// fleet size, `gangs × gang_size`.  A job panic costs the job, not
+    /// the thread, and a rebuilt gang keeps its threads.
     pub threads_spawned: u64,
     /// Scheduler handles created over the pool's entire lifetime.  Each
-    /// worker creates its handle once before its first park and reuses it
-    /// for every job, so after warm-up this equals `threads_spawned`: a
-    /// 1000-job service run performs **zero** handle allocations past the
-    /// first job on each worker.
+    /// worker makes one handle per job from its gang's current scheduler
+    /// and drops it before it reports, so this grows by `gang_size` per
+    /// job run.
     pub handles_created: u64,
     /// Jobs fully executed so far (across all gangs).
     pub jobs_completed: u64,
     /// Gangs poisoned by a panicking job, cumulatively — a respawned gang
     /// still counts here (compare with [`gangs_respawned`](Self::gangs_respawned)).
     pub gangs_poisoned: u64,
-    /// Poisoned gangs rebuilt with fresh threads and a fresh scheduler from
-    /// the pool's factory (at the next claim, or by
-    /// [`WorkerPool::respawn_dead`]).
+    /// Poisoned gangs whose scheduler was rebuilt from the pool's factory
+    /// (at the next claim, or by [`WorkerPool::respawn_dead`]); the gang's
+    /// threads serve the new scheduler.
     pub gangs_respawned: u64,
 }
 
@@ -354,8 +349,9 @@ struct JobRun {
     seeds: Vec<Task>,
     /// Preloaded with each worker's seed count.
     detector: TerminationDetector,
-    /// Raised when a worker dies mid-job, whose thread-local queues may
-    /// strand tasks: survivors then leave at their next empty pop.
+    /// Raised when a worker's share of the job panicked, which may strand
+    /// tasks in its thread-local queues: its siblings then leave at their
+    /// next empty pop.
     aborted: AtomicBool,
 }
 
@@ -383,7 +379,7 @@ impl JobRun {
 
 /// One gang's job hand-off slot; its workers park on it.
 struct JobState {
-    /// Monotone job sequence number; workers track the last one they ran.
+    /// Job sequence number; workers track the last one they ran.
     seq: u64,
     /// The job being executed, `None` while the gang is idle.
     run: Option<Arc<JobRun>>,
@@ -391,36 +387,18 @@ struct JobState {
     remaining: usize,
     /// Per-worker results of the current job.
     results: Vec<Option<WorkerResult>>,
-    /// Set when a worker panicked mid-job; the gang is retired (and, on
-    /// factory pools, later respawned).
+    /// Set when a worker's share of a job panicked; the gang is retired
+    /// until a rebuild of its scheduler clears it.
     poisoned: bool,
-    /// Set once per thread generation; parked workers exit instead of
-    /// waiting for the next job.  Cleared again by a respawn.
+    /// Set by shutdown; parked workers exit instead of waiting for the next
+    /// job.
     shutdown: bool,
 }
 
-impl JobState {
-    /// The idle state fresh worker threads expect: `seq` restarts at 0 so a
-    /// respawned gang's workers (whose `last_seq` starts at 0) never see a
-    /// phantom job from before the rebuild.
-    fn fresh(size: usize) -> Self {
-        Self {
-            seq: 0,
-            run: None,
-            remaining: 0,
-            results: (0..size).map(|_| None).collect(),
-            poisoned: false,
-            shutdown: false,
-        }
-    }
-}
-
 /// One independent worker gang: its hand-off state.  The gang's scheduler
-/// is not here — its worker threads own it (see [`GangBody`]).
+/// is in its slot (see [`Slot`]).
 struct Gang {
     size: usize,
-    /// Join handles of this gang's current worker threads.
-    threads: Mutex<Vec<JoinHandle<()>>>,
     state: Mutex<JobState>,
     /// Workers wait here for `seq` to advance (or `shutdown`).
     job_ready: Condvar,
@@ -432,57 +410,34 @@ struct Gang {
 struct ClaimState {
     /// Indices of idle, live gangs.
     free: Vec<usize>,
-    /// Indices of gangs retired by a job panic, awaiting respawn (or
-    /// permanently dead on pools that cannot respawn).
+    /// Indices of gangs retired by a job panic, awaiting a rebuild (or
+    /// permanently dead on pools that cannot rebuild).
     dead: Vec<usize>,
-    /// Gangs poisoned over the pool's lifetime (cumulative — respawning a
+    /// Gangs poisoned over the pool's lifetime (cumulative — rebuilding a
     /// gang does not un-count its poisoning).
     poisoned_total: u64,
     /// Poisoned gangs rebuilt over the pool's lifetime.
     respawned_total: u64,
 }
 
-/// What every worker thread of one gang generation runs, given the pool and
-/// the worker's local tid: create this worker's scheduler handle, then
-/// park/execute in [`run_worker`] until shutdown.
-///
-/// The body **owns the gang's scheduler**.  Each thread of the generation
-/// holds one `Arc` share of it and nothing else keeps one, so the scheduler
-/// is dropped when the last of those threads exits — after every handle
-/// onto it, which live on the threads' stacks inside the call.
-type GangBody = ScopedGangBody<'static>;
+/// One gang's current scheduler: an owned `S`, or the `&S` of
+/// [`WorkerPool::with_borrowed`].  The gang's workers read-lock it for one
+/// job at a time (see "Scheduler ownership" in the module docs); a rebuild
+/// write-locks it, which waits for no one, because every worker of a dead
+/// gang has reported.
+type Slot<B> = Arc<RwLock<B>>;
 
-/// A [`GangBody`] that may borrow for `'s`; only
-/// [`WorkerPool::with_borrowed`] builds one with a non-`'static` borrow,
-/// and runs it on scoped threads.
-type ScopedGangBody<'s> = Arc<dyn Fn(&Arc<Inner>, usize) + Send + Sync + 's>;
+/// Rebuilds gang `g`'s scheduler in its slot from the pool's factory.
+type Rebuild = Box<dyn Fn(usize) + Send + Sync>;
 
-/// Builds gang `g`'s scheduler and wraps it into a fresh [`GangBody`].
-/// Stored by the factory constructors so poisoned gangs can be respawned.
-type GangFactory = Box<dyn Fn(usize) -> GangBody + Send + Sync>;
-
-/// Wraps gang `gang_idx`'s scheduler — an owned `S`, or the `&S` of
-/// [`WorkerPool::with_borrowed`] — into the body its threads run.  `S` is
-/// known here, so the handle lives on the worker's stack and every
-/// hot-path scheduler call in the worker loop is a direct
-/// (typically inlined) call — no `Box`, no vtable per operation.
-fn gang_body<'s, S, B>(scheduler: B, gang_idx: usize, gang_size: usize) -> ScopedGangBody<'s>
-where
-    S: Scheduler<Task> + 's,
-    B: std::borrow::Borrow<S> + Send + Sync + 's,
-{
+/// `scheduler`, once its thread count is checked against the gang's size.
+fn checked<S: Scheduler<Task>, B: Borrow<S>>(scheduler: B, gang_idx: usize, gang_size: usize) -> B {
     assert_eq!(
         gang_size,
         scheduler.borrow().num_threads(),
         "gang {gang_idx}: pool gang size must match the scheduler's thread count"
     );
-    Arc::new(move |inner: &Arc<Inner>, local: usize| {
-        // One handle for the thread's whole life: local queues and insert
-        // buffers persist across jobs.
-        let mut handle = scheduler.borrow().handle(local);
-        inner.handles_created.fetch_add(1, Ordering::Relaxed);
-        run_worker(inner, gang_idx, local, &mut handle);
-    })
+    scheduler
 }
 
 struct Inner {
@@ -494,17 +449,13 @@ struct Inner {
     claims: Mutex<ClaimState>,
     /// Claimers wait here for a free gang.
     claim_ready: Condvar,
-    /// Scheduler handles created over the pool's lifetime.  Each worker
-    /// creates its handle exactly once, before its first park, and keeps it
-    /// across every job — so after warm-up this equals the fleet size and
-    /// never grows again (the service tests' "zero handle allocations after
-    /// warm-up" metric, companion to `PoolStats::threads_spawned`).
+    /// Scheduler handles created over the pool's lifetime, one per worker
+    /// per job.
     handles_created: AtomicU64,
-    /// Worker threads spawned over the pool's lifetime (fleet size, plus
-    /// `gang_size` per respawn).
+    /// Worker threads spawned over the pool's lifetime (the fleet size).
     threads_spawned: AtomicU64,
     /// Present on factory-built pools: how to rebuild a gang's scheduler.
-    respawn_factory: Option<GangFactory>,
+    rebuild: Option<Rebuild>,
 }
 
 /// Ignore `std` mutex poisoning: the pool has its own `poisoned` flags with
@@ -515,7 +466,7 @@ fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The gang held by one job; returns it to the allocator on drop (also on
 /// unwind) — or, if the job poisoned it, moves it to the dead list, where
-/// the next claim (or [`WorkerPool::respawn_dead`]) rebuilds it.
+/// the next claim (or [`WorkerPool::respawn_dead`]) rebuilds its scheduler.
 struct GangClaim<'p> {
     inner: &'p Arc<Inner>,
     gang: usize,
@@ -531,42 +482,29 @@ impl Drop for GangClaim<'_> {
         } else {
             st.free.push(self.gang);
         }
-        // Wake every waiter: one of them takes the gang (or respawns it),
+        // Wake every waiter: one of them takes the gang (or rebuilds it),
         // and if the last gang just died for good, everyone observes that
         // and fails.
         inner.claim_ready.notify_all();
     }
 }
 
-/// Rebuilds every dead gang of a factory-built pool and returns how many
-/// were rebuilt (always 0 without a factory).  Called with the claims lock
-/// held (`st`); wakes the waiting claimers when capacity came back, because
-/// the caller takes at most one of the rebuilt gangs.
-fn respawn_dead_gangs(inner: &Arc<Inner>, st: &mut ClaimState) -> usize {
-    let Some(factory) = &inner.respawn_factory else {
+/// Rebuilds the scheduler of every dead gang of a factory-built pool and
+/// returns how many were rebuilt (always 0 without a factory).  Called
+/// with the claims lock held (`st`); wakes the waiting claimers when
+/// capacity came back, because the caller takes at most one of the gangs.
+fn respawn_dead_gangs(inner: &Inner, st: &mut ClaimState) -> usize {
+    let Some(rebuild) = &inner.rebuild else {
         return 0;
     };
     let mut rebuilt = 0;
     while let Some(g) = st.dead.pop() {
-        let gang = &inner.gangs[g];
-        // Drain the survivors: a poisoned gang's live workers are parked
-        // (their completion guards already ran), so a gang-local shutdown
-        // flag plus a wake is all it takes for them to exit.  The panicked
-        // worker's handle reports `Err` from `join`; just reap it.
-        {
-            let mut gst = lock(&gang.state);
-            gst.shutdown = true;
-            gang.job_ready.notify_all();
-        }
-        for handle in lock(&gang.threads).drain(..) {
-            let _ = handle.join();
-        }
-        // Every old thread is gone, and the old scheduler (possibly left
-        // mid-op by the panic) went with the last of them.
-        *lock(&gang.state) = JobState::fresh(gang.size);
-        spawn_gang_threads(inner, g, factory(g));
-        st.respawned_total += 1;
+        // Every worker of the gang reported and dropped its handle, so no
+        // handle onto the old scheduler is alive while it is dropped here.
+        rebuild(g);
+        lock(&inner.gangs[g].state).poisoned = false;
         st.free.push(g);
+        st.respawned_total += 1;
         rebuilt += 1;
     }
     if rebuilt > 0 {
@@ -575,34 +513,40 @@ fn respawn_dead_gangs(inner: &Arc<Inner>, st: &mut ClaimState) -> usize {
     rebuilt
 }
 
-/// Starts `gang_size` worker threads for gang `gang_idx`, each holding one
-/// share of `body`: `spawn` starts one thread from its builder and entry
-/// point.  Panics when a thread fails to start; the owning [`WorkerPool`]'s
-/// shutdown then releases the threads that did.
-fn start_gang<'s, H>(
+/// Starts gang `gang_idx`'s workers on the scheduler in `slot`: `spawn`
+/// starts one thread from its builder and entry point.  Each job, a worker
+/// makes its handle from the slot, runs its share of the job on it, and
+/// drops both before it reports.  Panics when a thread fails to start; the
+/// owning [`WorkerPool`]'s shutdown then releases the threads that did.
+fn start_gang<'s, S, B, H>(
     inner: &Arc<Inner>,
     gang_idx: usize,
-    body: &ScopedGangBody<'s>,
+    slot: &Slot<B>,
     mut spawn: impl FnMut(Builder, Box<dyn FnOnce() + Send + 's>) -> std::io::Result<H>,
-) -> Vec<H> {
-    (0..inner.gangs[gang_idx].size)
+) -> Vec<H>
+where
+    S: Scheduler<Task> + 's,
+    B: Borrow<S> + Send + Sync + 's,
+{
+    let size = inner.gangs[gang_idx].size;
+    (0..size)
         .map(|local| {
-            let (worker_inner, body) = (Arc::clone(inner), Arc::clone(body));
+            let (pool, slot) = (Arc::clone(inner), Arc::clone(slot));
             let name = format!("smq-pool-{gang_idx}-{local}");
-            let run = Box::new(move || body(&worker_inner, local));
+            let run = Box::new(move || {
+                run_worker(&pool, gang_idx, local, &|run, batches, idle_since| {
+                    let scheduler = slot.read().unwrap_or_else(PoisonError::into_inner);
+                    let mut handle = (*scheduler).borrow().handle(local);
+                    pool.handles_created.fetch_add(1, Ordering::Relaxed);
+                    run_share(&pool, size, local, run, &mut handle, batches, idle_since)
+                })
+            });
             let handle = spawn(Builder::new().name(name), run)
                 .unwrap_or_else(|e| panic!("failed to spawn pool worker {gang_idx}-{local}: {e}"));
             inner.threads_spawned.fetch_add(1, Ordering::Relaxed);
             handle
         })
         .collect()
-}
-
-/// Starts gang `gang_idx`'s threads on `body` and registers their join
-/// handles on the gang, where shutdown and respawn join them.
-fn spawn_gang_threads(inner: &Arc<Inner>, gang_idx: usize, body: GangBody) {
-    let started = start_gang(inner, gang_idx, &body, |builder, run| builder.spawn(run));
-    lock(&inner.gangs[gang_idx].threads).extend(started);
 }
 
 /// A resident fleet of worker threads, partitioned into gangs, executing a
@@ -614,6 +558,8 @@ fn spawn_gang_threads(inner: &Arc<Inner>, gang_idx: usize, body: GangBody) {
 /// [`JobService`].
 pub struct WorkerPool {
     inner: Arc<Inner>,
+    /// Every worker thread of the fleet; shutdown joins them.
+    threads: Vec<JoinHandle<()>>,
     jobs_completed: AtomicU64,
 }
 
@@ -623,7 +569,7 @@ impl WorkerPool {
     /// The scheduler lives until the pool's workers are joined.  Requires
     /// `config.gangs == 1` (one scheduler serves exactly one gang) — build
     /// multi-gang pools with [`new_partitioned`](Self::new_partitioned).
-    /// No factory means no respawn: a poisoned gang stays dead.
+    /// No factory means no rebuild: a poisoned gang stays dead.
     pub fn new<S>(scheduler: S, config: PoolConfig) -> WorkerPool
     where
         S: Scheduler<Task> + Send + Sync + 'static,
@@ -633,8 +579,8 @@ impl WorkerPool {
             "WorkerPool::new builds a single-gang pool; use new_partitioned for {} gangs",
             config.gangs
         );
-        let body = gang_body::<S, S>(scheduler, 0, config.gang_size);
-        Self::spawn(vec![body], None, config)
+        let slot = Arc::new(RwLock::new(checked::<S, S>(scheduler, 0, config.gang_size)));
+        Self::spawn(vec![slot], None, config)
     }
 
     /// Spawns a pool of `config.gangs` gangs, building each gang's
@@ -642,18 +588,27 @@ impl WorkerPool {
     ///
     /// Every scheduler must be configured for `config.gang_size` threads —
     /// a gang is an independent scheduler universe sized to its workers.
-    /// The factory is retained for the pool's lifetime so poisoned gangs
-    /// can be **respawned** with a fresh scheduler (see the module docs),
-    /// which is why it must be `Fn + Send + Sync + 'static`.
+    /// The factory is retained for the pool's lifetime so a poisoned gang's
+    /// scheduler can be **rebuilt** (see the module docs), which is why it
+    /// must be `Fn + Send + Sync + 'static`.
     pub fn new_partitioned<S, F>(factory: F, config: PoolConfig) -> WorkerPool
     where
         S: Scheduler<Task> + Send + Sync + 'static,
         F: Fn(usize) -> S + Send + Sync + 'static,
     {
         let gang_size = config.gang_size;
-        let make: GangFactory = Box::new(move |g| gang_body::<S, S>(factory(g), g, gang_size));
-        let bodies = (0..config.gangs).map(&make).collect();
-        Self::spawn(bodies, Some(make), config)
+        let make = move |g| checked::<S, S>(factory(g), g, gang_size);
+        let slots: Vec<Slot<S>> = (0..config.gangs)
+            .map(|g| Arc::new(RwLock::new(make(g))))
+            .collect();
+        let gang_slots = slots.clone();
+        let rebuild: Rebuild = Box::new(move |g| {
+            let fresh = make(g);
+            *gang_slots[g]
+                .write()
+                .unwrap_or_else(PoisonError::into_inner) = fresh;
+        });
+        Self::spawn(slots, Some(rebuild), config)
     }
 
     /// Runs `f` against a transient single-gang pool built on a *borrowed*
@@ -674,50 +629,57 @@ impl WorkerPool {
         S: Scheduler<Task>,
     {
         assert_eq!(config.gangs, 1, "with_borrowed builds a single-gang pool");
-        let body = gang_body::<S, &S>(scheduler, 0, config.gang_size);
+        let slot = Arc::new(RwLock::new(checked::<S, &S>(
+            scheduler,
+            0,
+            config.gang_size,
+        )));
         std::thread::scope(|scope| {
             let mut pool = Self::build(None, config);
-            let workers = start_gang(&pool.inner, 0, &body, |builder, run| {
+            start_gang::<S, _, _>(&pool.inner, 0, &slot, |builder, run| {
                 builder.spawn_scoped(scope, run)
             });
             let result = f(&pool);
             pool.shutdown();
-            // Joined here, not by the scope: a worker killed by a job panic
-            // already lost its job, and must not fail the whole call.
-            for worker in workers {
-                let _ = worker.join();
-            }
             result
         })
     }
 
-    /// Builds the gang slots and starts one thread generation per gang on
-    /// `bodies` (one per gang, in gang order).
-    fn spawn(
-        bodies: Vec<GangBody>,
-        respawn_factory: Option<GangFactory>,
-        config: PoolConfig,
-    ) -> WorkerPool {
-        assert_eq!(bodies.len(), config.gangs, "one scheduler per gang");
+    /// Builds the gang slots and starts every gang's workers on its
+    /// scheduler (one slot per gang, in gang order).
+    fn spawn<S>(slots: Vec<Slot<S>>, rebuild: Option<Rebuild>, config: PoolConfig) -> WorkerPool
+    where
+        S: Scheduler<Task> + Send + Sync + 'static,
+    {
+        assert_eq!(slots.len(), config.gangs, "one scheduler per gang");
         // The pool exists before any thread starts, so a failed spawn's
         // unwind shuts down and joins what did start through `Drop`.
-        let pool = Self::build(respawn_factory, config);
-        for (gang, body) in bodies.into_iter().enumerate() {
-            spawn_gang_threads(&pool.inner, gang, body);
+        let mut pool = Self::build(rebuild, config);
+        for (gang, slot) in slots.iter().enumerate() {
+            let started =
+                start_gang::<S, _, _>(&pool.inner, gang, slot, |builder, run| builder.spawn(run));
+            pool.threads.extend(started);
         }
         pool
     }
 
-    /// Builds the gang slots of `config`, with no thread started yet.
-    fn build(respawn_factory: Option<GangFactory>, config: PoolConfig) -> WorkerPool {
+    /// Builds the gang hand-off states of `config`, with no thread started
+    /// yet.
+    fn build(rebuild: Option<Rebuild>, config: PoolConfig) -> WorkerPool {
         assert!(config.gangs >= 1, "need at least one gang");
         assert!(config.gang_size >= 1, "need at least one worker per gang");
 
         let gangs: Vec<Gang> = (0..config.gangs)
             .map(|_| Gang {
                 size: config.gang_size,
-                threads: Mutex::new(Vec::with_capacity(config.gang_size)),
-                state: Mutex::new(JobState::fresh(config.gang_size)),
+                state: Mutex::new(JobState {
+                    seq: 0,
+                    run: None,
+                    remaining: 0,
+                    results: Vec::new(),
+                    poisoned: false,
+                    shutdown: false,
+                }),
                 job_ready: Condvar::new(),
                 job_done: Condvar::new(),
             })
@@ -735,12 +697,13 @@ impl WorkerPool {
             telemetry: config.telemetry.clone(),
             handles_created: AtomicU64::new(0),
             threads_spawned: AtomicU64::new(0),
-            respawn_factory,
+            rebuild,
             gangs,
         });
 
         WorkerPool {
             inner,
+            threads: Vec::new(),
             jobs_completed: AtomicU64::new(0),
         }
     }
@@ -751,16 +714,16 @@ impl WorkerPool {
     }
 
     /// Gangs not currently retired by a job panic (the next claim, or
-    /// [`respawn_dead`](Self::respawn_dead), brings retired gangs of a
-    /// factory-built pool back).
+    /// [`respawn_dead`](Self::respawn_dead), rebuilds the retired gangs of
+    /// a factory-built pool).
     pub fn live_gangs(&self) -> usize {
         let st = lock(&self.inner.claims);
         self.inner.gangs.len() - st.dead.len()
     }
 
-    /// Lifetime counters: threads spawned (fleet size, plus `gang_size` per
-    /// gang respawn), jobs completed, gangs lost to job panics, and gangs
-    /// rebuilt afterwards.
+    /// Lifetime counters: threads spawned (the fleet size), handles
+    /// created, jobs completed, gangs lost to job panics, and gangs rebuilt
+    /// afterwards.
     pub fn stats(&self) -> PoolStats {
         let st = lock(&self.inner.claims);
         PoolStats {
@@ -772,8 +735,8 @@ impl WorkerPool {
         }
     }
 
-    /// Forces an immediate rebuild of every dead gang (factory pools only);
-    /// returns how many were respawned.  The next claim does this
+    /// Forces an immediate rebuild of every dead gang's scheduler (factory
+    /// pools only); returns how many were rebuilt.  The next claim does this
     /// implicitly — this entry point exists so tests and benchmarks can
     /// restore full capacity at a deterministic moment.
     pub fn respawn_dead(&self) -> usize {
@@ -781,11 +744,11 @@ impl WorkerPool {
     }
 
     /// Claims one idle gang, blocking until one is free.  Dead gangs are
-    /// respawned here first, so on factory pools capacity recovers before
+    /// rebuilt here first, so on factory pools capacity recovers before
     /// admission is decided.
     ///
     /// Fails with [`JobError::NoCapacity`] when every gang is dead and none
-    /// can be respawned.  That state is *permanent* (only a panic kills a
+    /// can be rebuilt.  That state is *permanent* (only a panic kills a
     /// gang, only a factory revives one), so failing every waiter is sound:
     /// no later claim could ever be served either.
     fn claim(&self) -> Result<GangClaim<'_>, JobError> {
@@ -883,16 +846,13 @@ impl WorkerPool {
     /// the fleet is torn down.
     pub fn shutdown(&mut self) {
         for gang in &self.inner.gangs {
-            let mut st = lock(&gang.state);
-            st.shutdown = true;
+            lock(&gang.state).shutdown = true;
             gang.job_ready.notify_all();
         }
-        for gang in &self.inner.gangs {
-            for worker in lock(&gang.threads).drain(..) {
-                // A worker that panicked mid-job reports `Err` here; its
-                // gang is already marked poisoned, so just reap the thread.
-                let _ = worker.join();
-            }
+        for worker in self.threads.drain(..) {
+            // Workers catch every job panic, and a join error here must not
+            // panic a `Drop`.
+            let _ = worker.join();
         }
     }
 }
@@ -1241,11 +1201,12 @@ mod tests {
     fn poisoned_gang_respawns_on_next_claim() {
         hang_guard(|| {
             // On a factory pool the panic poisons one gang only, the next
-            // job's claim rebuilds it, and capacity is back to full.
+            // job's claim rebuilds its scheduler, and capacity is back to
+            // full on the same threads.
             let pool = partitioned(2, 1);
             assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
             assert_eq!(pool.live_gangs(), 1);
-            // The next job's claim respawns the dead gang before it picks one.
+            // The next job's claim rebuilds the dead gang before it picks one.
             let out = pool.run_job(&FanoutJob::new(40, 40)).unwrap();
             assert_eq!(out.metrics.tasks_executed, 120);
             assert_eq!(pool.live_gangs(), 2);
@@ -1253,8 +1214,8 @@ mod tests {
             assert_eq!(stats.gangs_poisoned, 1);
             assert_eq!(stats.gangs_respawned, 1);
             assert_eq!(
-                stats.threads_spawned, 3,
-                "2 at construction + 1 for the respawned gang"
+                stats.threads_spawned, 2,
+                "a rebuild keeps the gang's threads"
             );
         });
     }
@@ -1292,7 +1253,7 @@ mod tests {
     }
 
     #[test]
-    fn handles_are_created_once_per_worker_across_many_jobs() {
+    fn a_worker_creates_one_handle_per_job() {
         hang_guard(|| {
             let pool = WorkerPool::new(smq(2), PoolConfig::new(2));
             for _ in 0..100 {
@@ -1301,10 +1262,60 @@ mod tests {
             let stats = pool.stats();
             assert_eq!(stats.jobs_completed, 100);
             assert_eq!(
-                stats.handles_created, 2,
-                "a worker creates its scheduler handle once, before its first \
-                 park — never per job"
+                stats.handles_created, 200,
+                "each of the 2 workers makes one handle per job"
             );
+            assert_eq!(stats.threads_spawned, 2);
+        });
+    }
+
+    /// [`FanoutJob`], also recording which threads processed its tasks.
+    struct ThreadIdJob {
+        fanout: FanoutJob,
+        ids: Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    impl PoolJob for ThreadIdJob {
+        fn seed_tasks(&self) -> Vec<Task> {
+            self.fanout.seed_tasks()
+        }
+
+        fn process(&self, task: Task, push: &mut dyn FnMut(Task)) -> TaskOutcome {
+            self.ids.lock().unwrap().insert(std::thread::current().id());
+            self.fanout.process(task, push)
+        }
+    }
+
+    #[test]
+    fn a_panic_costs_the_job_not_the_thread() {
+        hang_guard(|| {
+            for (gangs, gang_size) in [(2, 1), (1, 2)] {
+                let pool = partitioned(gangs, gang_size);
+                // The threads that process jobs before and after the lost
+                // one.  The claim order is LIFO, so with two gangs every
+                // job here lands on gang 1, the one the panic poisons; with
+                // one gang of two, 20 jobs of 600 tasks reach both workers.
+                let ids = |rounds| {
+                    let job = ThreadIdJob {
+                        fanout: FanoutJob::new(200, 200),
+                        ids: Mutex::new(Default::default()),
+                    };
+                    for _ in 0..rounds {
+                        let out = pool.run_job(&job).unwrap();
+                        assert_eq!(out.metrics.tasks_executed, 600);
+                        assert_eq!((out.useful_tasks, out.wasted_tasks), (600, 0));
+                    }
+                    job.ids.into_inner().unwrap()
+                };
+                let before = ids(20);
+                assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
+                let after = ids(20);
+                assert_eq!(before.len(), gang_size, "{gangs}x{gang_size}");
+                assert_eq!(before, after, "{gangs}x{gang_size}: the same threads serve");
+                let stats = pool.stats();
+                assert_eq!(stats.threads_spawned, (gangs * gang_size) as u64);
+                assert_eq!((stats.gangs_poisoned, stats.gangs_respawned), (1, 1));
+            }
         });
     }
 
@@ -1432,6 +1443,8 @@ mod tests {
     #[derive(Default)]
     struct ProbeLog {
         built: AtomicU64,
+        /// Handles alive onto any of the test's schedulers.
+        live_handles: AtomicU64,
         /// One `(instance, handles alive at that moment)` entry per
         /// scheduler drop, in drop order.
         drops: Mutex<Vec<(u64, u64)>>,
@@ -1443,11 +1456,11 @@ mod tests {
         }
     }
 
-    /// A `HeapSmq` that counts the handles alive onto it and logs its own
-    /// drop — the observable side of the pool's ownership rule.
+    /// A `HeapSmq` that counts the handles alive onto it (in its log) and
+    /// logs its own drop — the observable side of the pool's ownership
+    /// rule.
     struct Probe {
         instance: u64,
-        live_handles: AtomicU64,
         log: Arc<ProbeLog>,
         inner: HeapSmq<Task>,
     }
@@ -1456,7 +1469,6 @@ mod tests {
         fn new(threads: usize, log: &Arc<ProbeLog>) -> Self {
             Self {
                 instance: log.built.fetch_add(1, Ordering::Relaxed),
-                live_handles: AtomicU64::new(0),
                 log: Arc::clone(log),
                 inner: smq(threads),
             }
@@ -1465,7 +1477,7 @@ mod tests {
 
     impl Drop for Probe {
         fn drop(&mut self) {
-            let live = self.live_handles.load(Ordering::Acquire);
+            let live = self.log.live_handles.load(Ordering::Acquire);
             self.log.drops.lock().unwrap().push((self.instance, live));
         }
     }
@@ -1489,9 +1501,9 @@ mod tests {
         }
 
         fn handle(&self, thread_id: usize) -> ProbeHandle<'_> {
-            self.live_handles.fetch_add(1, Ordering::Release);
+            self.log.live_handles.fetch_add(1, Ordering::Release);
             ProbeHandle {
-                live_handles: &self.live_handles,
+                live_handles: &self.log.live_handles,
                 inner: self.inner.handle(thread_id),
             }
         }
@@ -1525,12 +1537,14 @@ mod tests {
                 PoolConfig::partitioned(1, 2),
             );
             assert_eq!(pool.run_job(&PanickingJob).map(|_| ()), Err(JobError::Lost));
-            // The panicked worker is gone, but the survivor is parked with its
-            // handle: poison alone must not drop the scheduler under it.
+            // Both workers dropped their handles before reporting, the
+            // panicked one on its unwind, yet poison alone must not drop the
+            // scheduler: it stays in the gang's slot until a rebuild.
+            assert_eq!(log.live_handles.load(Ordering::Acquire), 0);
             assert_eq!(log.drops(), vec![]);
             assert_eq!(pool.respawn_dead(), 1);
-            // The respawn joined the old generation, which dropped instance 0
-            // exactly once, with no handle left onto it.
+            // The rebuild dropped instance 0 exactly once, with no handle
+            // onto it.
             assert_eq!(log.drops(), vec![(0, 0)]);
             assert_eq!(log.built.load(Ordering::Relaxed), 2);
             let out = pool.run_job(&FanoutJob::new(40, 40)).unwrap();
@@ -1570,16 +1584,20 @@ mod tests {
         hang_guard(|| {
             let log = Arc::new(ProbeLog::default());
             let probe = Probe::new(2, &log);
+            let mut pool_state = None;
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 WorkerPool::with_borrowed(&probe, PoolConfig::new(2), |pool| {
+                    pool_state = Some(Arc::clone(&pool.inner));
                     pool.run_job(&FanoutJob::new(20, 20)).unwrap();
                     panic!("intentional panic in the scoped closure");
                 })
             }));
             assert!(unwound.is_err());
-            // Workers hold their handles for their whole life, so zero live
-            // handles right after the unwind means every worker was joined.
-            assert_eq!(probe.live_handles.load(Ordering::Acquire), 0);
+            // Each worker holds a share of the pool's state until its thread
+            // body returns, so the last share here means every worker
+            // finished before `with_borrowed` unwound.
+            assert_eq!(Arc::strong_count(&pool_state.unwrap()), 1);
+            assert_eq!(log.live_handles.load(Ordering::Acquire), 0);
             assert_eq!(
                 log.drops(),
                 vec![],

@@ -35,8 +35,9 @@
 //! - any other unwind resolves to [`JobError::Lost`].
 //!
 //! [`JobError::Lost`] means the job, or the pool worker running it,
-//! panicked; a factory-built pool respawns the gang it poisoned at the
-//! next claim, and the service keeps serving.  [`JobError::NoCapacity`]
+//! panicked; the worker's thread survives, a factory-built pool rebuilds
+//! the scheduler of the gang it poisoned at the next claim, and the service
+//! keeps serving.  [`JobError::NoCapacity`]
 //! means every gang is dead and the pool has no factory to rebuild them.
 //! The service reads nothing but the closure's own return or unwind, so a
 //! closure that handles a `run_job` error itself has handled it, and a

@@ -1,5 +1,6 @@
-//! One pool worker, one function: park until the gang publishes a job, run
-//! the job's pop/process/quiesce loop, report, park again.
+//! One pool worker: park until the gang publishes a job, make a scheduler
+//! handle for it, run the job's pop/process/quiesce loop, drop the handle,
+//! report, park again.
 //!
 //! The loop is the Galois-style `for_each` the paper runs every scheduler
 //! under.  Each job reaches the gang as one `JobRun` made for it alone (its
@@ -26,7 +27,6 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam_utils::Backoff;
@@ -34,43 +34,11 @@ use smq_core::{SchedulerHandle, Task};
 use smq_runtime::{WorkerTally, SCAN_GATE};
 use smq_telemetry::{Phase, WorkerTelemetry};
 
-use crate::{lock, Gang, Inner, JobRun, PoolJob, TaskOutcome, WorkerResult};
+use crate::{lock, Inner, JobRun, PoolJob, TaskOutcome, WorkerResult};
 
-/// Decrements `remaining` when the worker leaves the job for any reason; a
-/// missing result means the job's `process` panicked, which poisons the
-/// gang and raises the run's abort flag instead of deadlocking the
-/// coordinator.  (The other half of the no-deadlock guarantee is
-/// [`Batches::step`]'s unwind guard: the in-flight task's completion is
-/// recorded even on unwind, so surviving workers can still reach
-/// quiescence and publish their results.)
-struct CompletionGuard<'a> {
-    gang: &'a Gang,
-    run: &'a JobRun,
-    local: usize,
-    result: Option<WorkerResult>,
-}
-
-impl Drop for CompletionGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = lock(&self.gang.state);
-        if self.result.is_none() {
-            st.poisoned = true;
-            // Tell this job's surviving workers to stop waiting for a
-            // quiescence that may now be unreachable (tasks stranded in our
-            // local queues).
-            self.run.aborted.store(true, Ordering::Release);
-        }
-        st.results[self.local] = self.result.take();
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            st.run = None;
-            self.gang.job_done.notify_all();
-        }
-    }
-}
-
-/// One worker's batch buffers, kept for the thread's whole life so every
-/// job after the first reuses their capacity, and its job's task counts.
+/// One worker's batch buffers, kept across jobs so every job after the
+/// first reuses their capacity (a lost job's are discarded), and its
+/// current job's task counts.
 #[derive(Default)]
 pub(crate) struct Batches {
     /// The popped batch being processed.
@@ -154,8 +122,9 @@ impl Batches {
             // recorded their own completions.  Its un-flushed follow-ups
             // were never credited nor visible, so dropping them keeps the
             // detector balanced.  The batch's remaining tasks went with the
-            // drain and stay uncompleted, stranded like the dead worker's
-            // thread-local queues — the run's abort flag handles both.
+            // drain and stay uncompleted, stranded like the panicked
+            // worker's thread-local queues — the run's abort flag handles
+            // both.
             self.sink.clear();
             tally.record_completion();
             resume_unwind(payload);
@@ -164,23 +133,26 @@ impl Batches {
     }
 }
 
-/// One worker's park/execute loop, generic over the handle so each
-/// `gang_body` monomorphizes the whole job hot path.
+/// One worker's park/execute loop: park until the gang publishes a job,
+/// run this worker's share of it through `share` (which makes the job's
+/// handle and calls [`run_share`]) inside one `catch_unwind`, report, park
+/// again, until shutdown.
 ///
-/// A job runs until this worker observes quiescence on the run's detector
-/// — or, once a sibling died mid-job (the run's `aborted`), until it next
-/// finds the scheduler empty: a dead worker's thread-local queues can
-/// strand published tasks, so survivors leave whatever is still queued,
-/// and the gang is retired or respawned, never reused as-is.  Nothing else
-/// ends a job early.
-pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
-    inner: &Arc<Inner>,
+/// A share that unwinds reports no result: that poisons the gang and
+/// raises the run's abort flag, so the siblings stop waiting for a
+/// quiescence the stranded tasks may have made unreachable.  The thread
+/// survives and parks again.  (The other half of the no-deadlock guarantee
+/// is [`Batches::step`]'s unwind guard: the in-flight task's completion is
+/// recorded even on unwind, so the siblings can still reach quiescence or
+/// the abort flag and report.)
+pub(crate) fn run_worker(
+    inner: &Inner,
     gang_idx: usize,
     local: usize,
-    handle: &mut H,
+    share: &dyn Fn(&JobRun, &mut Batches, Instant) -> WorkerResult,
 ) {
     let gang = &inner.gangs[gang_idx];
-    let (batch, mut batches) = (inner.batch_size, Batches::default());
+    let mut batches = Batches::default();
     let mut last_seq = 0u64;
     // When this worker last went idle: the gap until its next job is
     // accounted as Park time.
@@ -188,119 +160,148 @@ pub(crate) fn run_worker<H: SchedulerHandle<Task>>(
 
     loop {
         // Park until a new job (or shutdown) arrives on this gang.
-        let (run, seq) = {
+        let run = {
             let mut st = lock(&gang.state);
             loop {
                 if st.shutdown {
                     return;
                 }
                 if st.seq > last_seq {
-                    break (st.run.clone().expect("job published without a run"), st.seq);
+                    last_seq = st.seq;
+                    break st.run.clone().expect("job published without a run");
                 }
                 st = gang.job_ready.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        last_seq = seq;
-
-        let mut guard = CompletionGuard {
-            gang,
-            run: &run,
-            local,
-            result: None,
-        };
-        // SAFETY: valid until this worker's guard decrements `remaining`
-        // (see `JobRef`).
-        let job: &dyn PoolJob = unsafe { &*run.job.0 };
-        let detector = &run.detector;
-        let stats_before = handle.stats();
-        let mut tally = detector.tally(local);
-        // `None` when telemetry is disabled: the loop then takes no
-        // timestamps and makes no extra handle calls, which keeps
-        // single-thread `OpStats` bit-identical to an uninstrumented run.
-        let mut telemetry = WorkerTelemetry::begin(&inner.telemetry, Some(idle_since));
-        // The seeds were pre-credited when the run was made.  This worker's
-        // share, every `gang.size`-th seed from `local` on, becomes visible
-        // one batch per insert step, like every follow-up.
-        let mut seeds = run.seeds.iter().skip(local).step_by(gang.size).peekable();
-        while seeds.peek().is_some() {
-            batches.sink.extend(seeds.by_ref().take(batch));
-            handle.push_batch(&mut batches.sink);
+        let result = catch_unwind(AssertUnwindSafe(|| share(&run, &mut batches, idle_since))).ok();
+        let mut st = lock(&gang.state);
+        if result.is_none() {
+            // Nothing of the lost share (partial counts, a half-popped
+            // batch) may reach the next job.
+            batches = Batches::default();
+            st.poisoned = true;
+            run.aborted.store(true, Ordering::Release);
         }
-        handle.flush();
+        st.results[local] = result;
+        st.remaining -= 1;
+        if st.remaining == 0 {
+            st.run = None;
+            gang.job_done.notify_all();
+        }
+        drop(st);
+        idle_since = Instant::now();
+    }
+}
 
-        let mut scans = 0u64;
-        let backoff = Backoff::new();
-        // Empty pops observed since the last scan (or since the last
-        // activity epoch move); `was_idle` tracks idle→busy transitions for
-        // the epoch.  `backoff` (reset only by a successful pop) spins,
-        // then yields to the OS scheduler.
-        let mut empty_streak = 0u32;
-        let mut was_idle = false;
-        let mut seen_epoch = detector.activity_epoch();
-        loop {
-            if batches.step(handle, job, &mut tally, batch, telemetry.as_mut()) {
-                if was_idle {
-                    // Only the first batch after a barren stretch tells the
-                    // scanners the system moved.
-                    detector.note_activity();
-                    was_idle = false;
-                }
-                empty_streak = 0;
-                backoff.reset();
-                continue;
+/// This worker's share of one job, on `handle`, a handle made for this job
+/// alone (so its `stats()` are the job's own): push every `gang_size`-th
+/// seed from `local` on, then pop and process until this worker observes
+/// quiescence on the run's detector — or, once a sibling's share panicked
+/// (the run's `aborted`), until it next finds the scheduler empty, leaving
+/// whatever is still queued; the gang is then retired or rebuilt, never
+/// reused as-is.  Nothing else ends a job early.
+///
+/// Generic over the handle, so each gang's slot type monomorphizes the
+/// whole job hot path.
+pub(crate) fn run_share<H: SchedulerHandle<Task>>(
+    inner: &Inner,
+    gang_size: usize,
+    local: usize,
+    run: &JobRun,
+    handle: &mut H,
+    batches: &mut Batches,
+    idle_since: Instant,
+) -> WorkerResult {
+    let batch = inner.batch_size;
+    // SAFETY: valid until this worker reports (see `JobRef`), and
+    // `run_worker` reports only after this share returned or unwound.
+    let job: &dyn PoolJob = unsafe { &*run.job.0 };
+    let detector = &run.detector;
+    let mut tally = detector.tally(local);
+    // `None` when telemetry is disabled: the loop then takes no timestamps
+    // and makes no extra handle calls, which keeps single-thread `OpStats`
+    // bit-identical to an uninstrumented run.
+    let mut telemetry = WorkerTelemetry::begin(&inner.telemetry, Some(idle_since));
+    // The seeds were pre-credited when the run was made.  This worker's
+    // share becomes visible one batch per insert step, like every
+    // follow-up.
+    let mut seeds = run.seeds.iter().skip(local).step_by(gang_size).peekable();
+    while seeds.peek().is_some() {
+        batches.sink.extend(seeds.by_ref().take(batch));
+        handle.push_batch(&mut batches.sink);
+    }
+    handle.flush();
+
+    let mut scans = 0u64;
+    let backoff = Backoff::new();
+    // Empty pops observed since the last scan (or since the last activity
+    // epoch move); `was_idle` tracks idle→busy transitions for the epoch.
+    // `backoff` (reset only by a successful pop) spins, then yields to the
+    // OS scheduler.
+    let mut empty_streak = 0u32;
+    let mut was_idle = false;
+    let mut seen_epoch = detector.activity_epoch();
+    loop {
+        if batches.step(handle, job, &mut tally, batch, telemetry.as_mut()) {
+            if was_idle {
+                // Only the first batch after a barren stretch tells the
+                // scanners the system moved.
+                detector.note_activity();
+                was_idle = false;
             }
+            empty_streak = 0;
+            backoff.reset();
+            continue;
+        }
+        if let Some(t) = telemetry.as_mut() {
+            // Flush is only worth a span on the first empty pop of a
+            // streak; later iterations flush nothing and stay parked.
+            if !t.parked() {
+                t.phase(Phase::Flush);
+            }
+        }
+        // Anything buffered locally must become visible before we conclude
+        // the system might be done.  (The sink is always empty here — it
+        // flushes at every task boundary.)
+        handle.flush();
+        if run.aborted.load(Ordering::Acquire) {
+            break;
+        }
+        was_idle = true;
+        let epoch = detector.activity_epoch();
+        if epoch != seen_epoch {
+            // Work appeared somewhere since we last looked: the system is
+            // churning, a scan now would likely fail.
+            seen_epoch = epoch;
+            empty_streak = 1;
+        } else {
+            empty_streak += 1;
+        }
+        if empty_streak >= SCAN_GATE {
             if let Some(t) = telemetry.as_mut() {
-                // Flush is only worth a span on the first empty pop of a
-                // streak; later iterations flush nothing and stay parked.
-                if !t.parked() {
-                    t.phase(Phase::Flush);
-                }
+                t.phase(Phase::Scan);
             }
-            // Anything buffered locally must become visible before we
-            // conclude the system might be done.  (The sink is always empty
-            // here — it flushes at every task boundary.)
-            handle.flush();
-            if run.aborted.load(Ordering::Acquire) {
+            // Looked stable for `SCAN_GATE` empty pops: pay for one
+            // O(threads) scan, then require a fresh streak before the next
+            // one.
+            empty_streak = 0;
+            scans += 1;
+            if detector.quiescent() {
                 break;
             }
-            was_idle = true;
-            let epoch = detector.activity_epoch();
-            if epoch != seen_epoch {
-                // Work appeared somewhere since we last looked: the system
-                // is churning, a scan now would likely fail.
-                seen_epoch = epoch;
-                empty_streak = 1;
-            } else {
-                empty_streak += 1;
-            }
-            if empty_streak >= SCAN_GATE {
-                if let Some(t) = telemetry.as_mut() {
-                    t.phase(Phase::Scan);
-                }
-                // Looked stable for `SCAN_GATE` empty pops: pay for one
-                // O(threads) scan, then require a fresh streak before the
-                // next one.
-                empty_streak = 0;
-                scans += 1;
-                if detector.quiescent() {
-                    break;
-                }
-            }
-            if let Some(t) = telemetry.as_mut() {
-                t.phase(Phase::Park);
-            }
-            backoff.snooze();
         }
+        if let Some(t) = telemetry.as_mut() {
+            t.phase(Phase::Park);
+        }
+        backoff.snooze();
+    }
 
-        guard.result = Some(WorkerResult {
-            useful: std::mem::take(&mut batches.useful),
-            wasted: std::mem::take(&mut batches.wasted),
-            scans,
-            stats: handle.stats().delta_since(&stats_before),
-            telemetry: telemetry.map(WorkerTelemetry::finish),
-        });
-        drop(guard); // publishes the result and wakes the coordinator
-        idle_since = Instant::now();
+    WorkerResult {
+        useful: std::mem::take(&mut batches.useful),
+        wasted: std::mem::take(&mut batches.wasted),
+        scans,
+        stats: handle.stats(),
+        telemetry: telemetry.map(WorkerTelemetry::finish),
     }
 }
 
@@ -336,10 +337,12 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     /// A minimal strict scheduler (single global locked heap) used to test
-    /// the loop independently of the real schedulers.
+    /// the loop independently of the real schedulers.  Its handles count a
+    /// steal attempt on each pop of a key at or above `steals_from`.
     struct LockedHeap {
         heap: Mutex<BinaryHeap<Reverse<Task>>>,
         threads: usize,
+        steals_from: u64,
     }
 
     impl LockedHeap {
@@ -347,6 +350,7 @@ mod tests {
             Self {
                 heap: Mutex::new(BinaryHeap::new()),
                 threads,
+                steals_from: u64::MAX,
             }
         }
     }
@@ -381,7 +385,10 @@ mod tests {
         fn pop(&mut self) -> Option<Task> {
             let got = self.parent.heap.lock().unwrap().pop().map(|r| r.0);
             match got {
-                Some(_) => self.stats.pops += 1,
+                Some(task) => {
+                    self.stats.pops += 1;
+                    self.stats.steal_attempts += u64::from(task.key >= self.parent.steals_from);
+                }
                 None => self.stats.empty_pops += 1,
             }
             got
@@ -577,6 +584,39 @@ mod tests {
         });
     }
 
+    #[test]
+    fn a_job_books_only_its_own_pops_as_steal_time() {
+        hang_guard(|| {
+            use smq_telemetry::{Phase, TelemetryConfig};
+            // Job 1 pops only "stolen" keys, job 2 none: no span of job 2
+            // may be booked as Steal, also on a worker that stole in job 1.
+            for threads in [1, 2] {
+                let sched = LockedHeap {
+                    steals_from: 1_000,
+                    ..LockedHeap::new(threads)
+                };
+                let config = PoolConfig::new(threads).with_telemetry(TelemetryConfig::enabled());
+                let steal_ns = |seeds: std::ops::Range<u64>, pool: &WorkerPool| {
+                    let job = KeyJob {
+                        seeds: seeds.collect(),
+                        process: |_: u64, _: &mut dyn FnMut(u64)| {},
+                    };
+                    let out = pool.run_job(&job).expect("test job lost");
+                    out.metrics
+                        .telemetry
+                        .expect("telemetry is on")
+                        .phases
+                        .get(Phase::Steal)
+                };
+                let (first, second) = WorkerPool::with_borrowed(&sched, config, |pool| {
+                    (steal_ns(1_000..3_000, pool), steal_ns(0..1_000, pool))
+                });
+                assert!(first > 0, "{threads} workers: job 1 stole on every pop");
+                assert_eq!(second, 0, "{threads} workers: job 2 never stole");
+            }
+        });
+    }
+
     /// Seeds `0..seeds`; every task below 1000 pushes two children.  Pool
     /// worker 1 (`smq-pool-0-1`) holds its first task until another thread
     /// has panicked, so that one is sure to find a full batch, and pushes
@@ -679,15 +719,15 @@ mod tests {
                 let run = JobRun::new(&job, gang.size);
                 let lost = pool.execute(Arc::clone(&run), gang).map(|_| ());
                 assert_eq!(lost, Err(JobError::Lost));
-                // Worker 0's completion guard poisoned the gang and raised
+                // Worker 0's lost share poisoned the gang and raised
                 // `aborted`; the job is lost, but worker 1 reported.
                 let survivor = crate::lock(&gang.state).results[1]
                     .take()
                     .expect("the survivor must not panic");
                 assert!(survivor.useful + survivor.wasted > 0);
-                // The dead worker's batch stranded five popped, uncompleted
-                // tasks: quiescence was unreachable, so the survivor left
-                // through `aborted`.
+                // Worker 0's batch stranded five popped, uncompleted tasks:
+                // quiescence was unreachable, so the survivor left through
+                // `aborted`.
                 assert!(run.aborted.load(Ordering::Acquire));
                 assert_eq!(run.detector.pending_estimate(), 5);
                 assert!(!run.detector.quiescent());

@@ -2,8 +2,8 @@
 # Runs a crate's tests under AddressSanitizer on the nightly toolchain
 # (ROADMAP item 3(c)).  With no argument it covers every crate that still
 # has `unsafe` code (the others `#![forbid(unsafe_code)]`), plus the chaos
-# suite, which drives the pool's `unsafe` job hand-off through worker
-# panics and gang respawns.  Name crates to run only those:
+# suite, which drives the pool's `unsafe` job hand-off through job
+# panics and scheduler rebuilds.  Name crates to run only those:
 #   scripts/asan.sh                 # smq-spraylist smq-pool smq-core, chaos
 #   scripts/asan.sh smq-spraylist
 # An explicit --target keeps the sanitizer off build scripts and proc

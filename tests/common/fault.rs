@@ -6,8 +6,8 @@
 //! The plan knows three kinds of fault, each with a rate in parts per
 //! million per draw and a budget of fires over the plan's life:
 //!
-//! * a **panic** before the inner `pop`/`pop_batch`: the worker dies
-//!   between tasks, with no task in flight;
+//! * a **panic** before the inner `pop`/`pop_batch`: the worker's share of
+//!   the job unwinds between tasks, with no task in flight;
 //! * a **stall** before the inner `pop`/`pop_batch`: a slow worker, which
 //!   only delays its job;
 //! * a **push panic** after the inner `push`/`push_batch` returned: the
@@ -69,8 +69,8 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A seeded fault schedule shared by every scheduler of a pool, respawned
-/// gangs included (see the module docs).
+/// A seeded fault schedule shared by every scheduler of a pool, rebuilt
+/// ones included (see the module docs).
 pub struct FaultPlan {
     seed: u64,
     pops: AtomicU64,
