@@ -452,8 +452,6 @@ struct Inner {
     /// Scheduler handles created over the pool's lifetime, one per worker
     /// per job.
     handles_created: AtomicU64,
-    /// Worker threads spawned over the pool's lifetime (the fleet size).
-    threads_spawned: AtomicU64,
     /// Present on factory-built pools: how to rebuild a gang's scheduler.
     rebuild: Option<Rebuild>,
 }
@@ -541,10 +539,8 @@ where
                     run_share(&pool, size, local, run, &mut handle, batches, idle_since)
                 })
             });
-            let handle = spawn(Builder::new().name(name), run)
-                .unwrap_or_else(|e| panic!("failed to spawn pool worker {gang_idx}-{local}: {e}"));
-            inner.threads_spawned.fetch_add(1, Ordering::Relaxed);
-            handle
+            spawn(Builder::new().name(name), run)
+                .unwrap_or_else(|e| panic!("failed to spawn pool worker {gang_idx}-{local}: {e}"))
         })
         .collect()
 }
@@ -696,7 +692,6 @@ impl WorkerPool {
             batch_size: config.batch_size.max(1),
             telemetry: config.telemetry.clone(),
             handles_created: AtomicU64::new(0),
-            threads_spawned: AtomicU64::new(0),
             rebuild,
             gangs,
         });
@@ -727,7 +722,9 @@ impl WorkerPool {
     pub fn stats(&self) -> PoolStats {
         let st = lock(&self.inner.claims);
         PoolStats {
-            threads_spawned: self.inner.threads_spawned.load(Ordering::Relaxed),
+            // A failed spawn panics before the pool is returned, so every
+            // gang's threads were started.
+            threads_spawned: self.inner.gangs.iter().map(|g| g.size as u64).sum(),
             handles_created: self.inner.handles_created.load(Ordering::Relaxed),
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
             gangs_poisoned: st.poisoned_total,

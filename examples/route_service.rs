@@ -52,7 +52,7 @@ fn main() {
             assert_eq!(answer.distance, astar::sequential(&view, source, target).0);
         }
     }
-    let (pool_stats, stats) = (service.pool_stats(), service.shutdown());
+    let (pool_stats, stats) = (service.pool().stats(), service.shutdown());
     println!(
         "served {} exact routes over {} graph versions on {} gangs ({} threads spawned)",
         stats.completed,

@@ -7,6 +7,9 @@
 #   3. `unsafe {` / `unsafe fn` / `unsafe impl` sites per crate
 #   4. options: `pub` fields and `with_*` builders of every `*Config` /
 #      `*Policy` struct (cfg-gated test-only fields included)
+#   5. pub items per crate: `pub fn|struct|enum|trait|type|const` lines
+#      (`pub unsafe fn` included, `pub(crate)` not) in non-test code, as
+#      counted for 2
 # Run it on both commits and diff the output.  It also holds the `unsafe`
 # ratchet: it fails when a crate has no `unsafe` site left but its lib.rs
 # does not `#![forbid(unsafe_code)]`, so no crate can quietly grow one back.
@@ -26,6 +29,18 @@ total=0
 for crate in $crates; do
     n=$(product_rs | grep "^crates/$crate/src/" | xargs awk \
         'FNR == 1 { in_tests = 0 } /#\[cfg\(test\)\]/ { in_tests = 1 } !in_tests { n++ } END { print n + 0 }')
+    echo "  $crate $n"
+    total=$((total + n))
+done
+echo "  total $total"
+
+echo "pub_items"
+total=0
+for crate in $crates; do
+    n=$(product_rs | grep "^crates/$crate/src/" | xargs awk \
+        'FNR == 1 { in_tests = 0 } /#\[cfg\(test\)\]/ { in_tests = 1 }
+         !in_tests && /^[ \t]*pub (unsafe )?(fn|struct|enum|trait|type|const) / { n++ }
+         END { print n + 0 }')
     echo "  $crate $n"
     total=$((total + n))
 done

@@ -171,7 +171,7 @@ fn storm(
         gangs,
         "capacity must recover to the full gang count"
     );
-    let pool_stats = service.pool_stats();
+    let pool_stats = service.pool().stats();
     let stats = service.shutdown();
 
     assert_eq!(

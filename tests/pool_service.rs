@@ -332,7 +332,7 @@ fn serve_concurrent_clients<S>(
     });
 
     let service = Arc::into_inner(service).expect("clients joined");
-    let pool_stats = service.pool_stats();
+    let pool_stats = service.pool().stats();
     let stats = service.shutdown();
     assert_eq!(stats.submitted, 120, "{case}");
     assert_eq!(stats.completed, 120, "{case}");
@@ -547,7 +547,7 @@ proptest! {
             });
 
             let service = Arc::into_inner(service).expect("clients joined");
-            let pool_stats = service.pool_stats();
+            let pool_stats = service.pool().stats();
             let stats = service.shutdown();
             let total = (clients as u32 * per_client) as u64;
             prop_assert_eq!(stats.submitted, total);
@@ -613,7 +613,7 @@ fn panicking_job_resolves_tickets_instead_of_panicking_clients() {
         let (expected, _) = astar::sequential(&graph, 0, n - 1);
         assert_eq!(done.output.distance, expected);
 
-        let pool_stats = service.pool_stats();
+        let pool_stats = service.pool().stats();
         let stats = service.shutdown();
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.completed + stats.failed, stats.submitted);
